@@ -1,0 +1,219 @@
+import json
+import math
+from dataclasses import replace
+
+import pytest
+
+from cohsync import (
+    ConfigError,
+    config_from_dict,
+    config_to_dict,
+    default_config,
+    load_config,
+    save_config,
+)
+
+# one valid key per section, with a value of the right type
+SECTION_KEYS = {
+    "waveform": ("f1_hz", 20e3),
+    "channel": ("true_range_m", 90.0),
+    "controller": ("k_p", 1e-5),
+    "loop": ("group_size", 5),
+    "estimator": ("neighbors", 4),
+}
+
+
+def error_of(doc) -> str:
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    return str(info.value)
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("section", sorted(SECTION_KEYS))
+    def test_dotted_path_in_every_section(self, section):
+        assert error_of({section: {"bogus": 1}}) == f"unknown config key '{section}.bogus'"
+
+    def test_top_level(self):
+        assert error_of({"bogus": {}}) == "unknown config key 'bogus'"
+
+    def test_top_level_checked_before_sections(self):
+        doc = {"channel": {"bogus": 1}, "extra": 2}
+        assert error_of(doc) == "unknown config key 'extra'"
+
+
+class TestTypes:
+    @pytest.mark.parametrize(
+        "section, key, value, want",
+        [
+            ("loop", "weather_coupling", 1, "a boolean"),
+            ("loop", "weather_coupling", "yes", "a boolean"),
+            ("loop", "group_size", True, "an integer"),
+            ("loop", "group_size", 5.0, "an integer"),
+            ("estimator", "oversample", "64", "an integer"),
+            ("channel", "snr_db", True, "a number"),
+            ("channel", "snr_db", "20", "a number"),
+            ("waveform", "f2_hz", None, "a number"),
+        ],
+    )
+    def test_wrong_type_names_key_and_kind(self, section, key, value, want):
+        msg = error_of({section: {key: value}})
+        assert msg == f"config key '{section}.{key}' must be {want}"
+
+    def test_int_accepted_for_number_and_stored_as_float(self):
+        config = config_from_dict({"channel": {"true_range_m": 120}})
+        assert config.channel.true_range == 120.0
+        assert isinstance(config.channel.true_range, float)
+
+    def test_bool_accepted_for_boolean(self):
+        assert config_from_dict({"loop": {"weather_coupling": True}}).loop.weather_coupling
+
+    def test_nan_rejected(self):
+        msg = error_of({"controller": {"k_p": math.nan}})
+        assert msg == "config key 'controller.k_p' must not be NaN"
+
+    def test_seed_must_be_integer(self):
+        assert error_of({"seed": 1.5}) == "config key 'seed' must be an integer"
+        assert error_of({"seed": True}) == "config key 'seed' must be an integer"
+        assert config_from_dict({"seed": 42}).seed == 42
+
+    @pytest.mark.parametrize("section", sorted(SECTION_KEYS))
+    def test_non_object_section(self, section):
+        assert error_of({section: [1, 2]}) == f"config section '{section}' must be an object"
+
+    @pytest.mark.parametrize("doc", [[], "config", 3, None])
+    def test_non_object_document(self, doc):
+        assert error_of(doc) == "config document must be a JSON object"
+
+
+class TestDerivedDefaults:
+    def test_disamb_pulse_width_follows_disambiguation_tone(self):
+        config = config_from_dict({"waveform": {"disambiguation_hz": 2.5e6}})
+        assert config.waveform.disamb_pulse_width == 1.0 / 2.5e6
+
+    def test_explicit_disamb_pulse_width_kept(self):
+        width = 1.0 / 1.875e6 + 1e-9
+        config = config_from_dict({"waveform": {"disamb_pulse_width_s": width}})
+        assert config.waveform.disamb_pulse_width == width
+
+    def test_x_initial_follows_tone_separation(self):
+        config = config_from_dict({"waveform": {"f1_hz": 10e3, "f2_hz": 2e6}})
+        assert config.controller.x_prev == 2e6 - 10e3
+
+    def test_explicit_x_initial_kept(self):
+        config = config_from_dict({"controller": {"x_initial_hz": 1.8e6}})
+        assert config.controller.x_prev == 1.8e6
+
+    def test_defaults_are_reference_operating_point(self):
+        assert config_from_dict({}) == default_config()
+
+
+class TestInvariantErrors:
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"waveform": {"f1_hz": 4e6}}, "need 0 <= f1 <= f2"),
+            ({"waveform": {"f2_hz": 20e6}}, "aliases"),
+            ({"waveform": {"disamb_pulse_width_s": 1e-3}}, "disamb_pulse_width"),
+            ({"channel": {"true_range_m": -1.0}}, "true_range must be >= 0"),
+            ({"channel": {"repeater_gain": 0.0}}, "repeater_gain must be positive"),
+            ({"channel": {"outbound_carrier_hz": 0.0}}, "carrier frequencies"),
+            ({"controller": {"t_i_s": 0.0}}, "t_i must be positive"),
+            ({"controller": {"x_initial_hz": 8e6}}, "outside clamp"),
+            ({"controller": {"error_scale": -1.0}}, "unit scales"),
+            ({"loop": {"pulses_per_interval": 201}}, "multiple of group_size"),
+            ({"loop": {"pulse_period_s": 0.0}}, "pulse_period_s must be positive"),
+        ],
+    )
+    def test_post_init_value_error_becomes_config_error(self, doc, fragment):
+        assert fragment in error_of(doc)
+
+
+class TestFiles:
+    def test_syntax_error_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "seed": 1,\n  "loop": {,}\n}\n')
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: line 3, column 12: ")
+
+    def test_save_load_round_trip(self, tmp_path):
+        config = config_from_dict(
+            {"channel": {"snr_db": 13.5}, "controller": {"k_p": 0.09}, "seed": 7}
+        )
+        path = tmp_path / "resolved.json"
+        save_config(config, path)
+        assert load_config(path) == config
+        assert path.read_text().endswith("}\n")
+
+
+class TestRoundTrip:
+    def test_default(self):
+        config = default_config()
+        assert config_from_dict(config_to_dict(config)) == config
+
+    def test_every_field_changed(self):
+        base = default_config()
+        config = config_from_dict(
+            {
+                "waveform": {
+                    "f1_hz": 10e3,
+                    "f2_hz": 5e6,
+                    "disambiguation_hz": 2.5e6,
+                    "ranging_pulse_width_s": 120e-6,
+                    "pri_s": 150e-6,
+                    "sample_rate_hz": 20e6,
+                },
+                "channel": {
+                    "true_range_m": 250.0,
+                    "snr_db": math.inf,
+                    "outbound_carrier_hz": 900e6,
+                    "return_carrier_hz": 2.4e9,
+                    "carrier_offset1_hz": 12.0,
+                    "carrier_offset2_hz": -3.0,
+                    "repeater_gain": 0.5,
+                },
+                "controller": {
+                    "k_p": 0.2,
+                    "t_i_s": 12.0,
+                    "x_initial_hz": 1e6,
+                    "x_min_hz": 5e5,
+                    "x_max_hz": 6e6,
+                    "error_scale": 1.0,
+                    "output_scale": 1.0,
+                },
+                "loop": {
+                    "pulses_per_interval": 100,
+                    "group_size": 4,
+                    "pulse_period_s": 0.2,
+                    "window_pad_samples": 64,
+                    "target_sigma_m": 0.02,
+                    "weather_coupling": True,
+                },
+                "estimator": {
+                    "neighbors": 3,
+                    "oversample": 32,
+                    "interp_taps": 16,
+                    "interp_beta": 10.0,
+                },
+                "seed": 99,
+            }
+        )
+        for section in ("waveform", "channel", "controller", "loop", "estimator"):
+            assert getattr(config, section) != getattr(base, section)
+        assert config_from_dict(config_to_dict(config)) == config
+
+    def test_document_sections_and_order(self):
+        doc = config_to_dict(default_config())
+        for section, (key, _) in SECTION_KEYS.items():
+            assert key in doc[section]
+        assert list(doc)[:5] == ["waveform", "channel", "controller", "loop", "estimator"]
+        assert list(doc)[-1] == "seed"
+        assert doc["waveform"]["disamb_pulse_width_s"] == 1.0 / 1.875e6
+        assert doc["controller"]["x_initial_hz"] == 3.5e6 - 20e3
+        json.dumps(doc, allow_nan=False)
+
+    def test_python_built_config(self):
+        base = default_config()
+        config = replace(base, loop=replace(base.loop, group_size=10), seed=3)
+        assert config_from_dict(config_to_dict(config)) == config

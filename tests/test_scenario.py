@@ -8,17 +8,21 @@ from cohsync import (
     SPEED_OF_LIGHT,
     ChannelState,
     EnvironmentRecord,
+    ProcessingIntervalLog,
     TraceSegment,
+    TwoToneSpec,
     crlb_sigma_r,
     default_config,
     effective_window_length,
     find_ultimate_gain,
+    pi_step,
     post_snr_from_sample_snr,
     ranging_sigma_plant,
     read_run_log_csv,
     read_trace_csv,
     run_adaptive,
     run_fixed_bandwidth,
+    simulate_window,
     summarize_run,
     synthesize_trace,
     window_stats,
@@ -309,3 +313,68 @@ class TestSummaries:
             np.mean([l.sigma_d_m for l in logs])
         )
         assert set(summary["max_coherent_frequency_hz"]) == {"0.9", "0.8", "0.7"}
+
+
+class TestNoiseStreams:
+    """Pins which noise stream each closed loop draws, by replaying it by hand.
+
+    Interval ``i`` of a run draws ``SeedSequence((seed, 1, i))``; interval
+    ``i`` of the tuning plant draws ``SeedSequence((seed, 3, i))``.
+    Comparisons are exact, so any change of stream or of the control-law
+    arithmetic shows here.
+    """
+
+    @staticmethod
+    def window_sigma(config, separation_hz, seed, snr_db=None):
+        f1 = config.waveform.two_tone.f1
+        waveform = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f1 + separation_hz))
+        channel = config.channel if snr_db is None else replace(config.channel, snr_db=snr_db)
+        ranges, _ = simulate_window(
+            waveform,
+            channel,
+            config.loop.pulses_per_interval,
+            config.estimator,
+            seed=seed,
+            window_pad_samples=config.loop.window_pad_samples,
+        )
+        stats = window_stats(ranges, config.loop.group_size, config.loop.pulses_per_interval)
+        return stats.sigma_d, stats.mean_range
+
+    def test_plant_uses_stream_3_and_p_law(self):
+        config = tuned_config(x0_hz=1.8e6, pulses=50)
+        ctl, seed, k = config.controller, 101, 0.3
+        x0 = ctl.x_prev
+        x, expected = x0, []
+        for i in range(2):
+            sigma, _ = self.window_sigma(config, x, (seed, 3, i))
+            expected.append(sigma * ctl.error_scale)
+            error_units = (sigma - config.loop.target_sigma_m) * ctl.error_scale
+            x = min(max(x0 + k * error_units * ctl.output_scale, ctl.x_min), ctl.x_max)
+        plant = ranging_sigma_plant(config, n_intervals=2, seed=seed)
+        assert list(plant(k)) == expected
+
+    def test_adaptive_run_uses_stream_1_and_pi_law(self):
+        config = tuned_config(pulses=50)
+        dt = config.loop.interval_duration_s
+        trace = [
+            EnvironmentRecord(timestamp_s=0.0, snr_db=23.0),
+            EnvironmentRecord(timestamp_s=dt, snr_db=17.0),
+        ]
+        seed = 5
+        controller, x, expected = config.controller, config.controller.x_prev, []
+        for i, rec in enumerate(trace):
+            sigma, mean_range = self.window_sigma(config, x, (seed, 1, i), rec.snr_db)
+            error = sigma - config.loop.target_sigma_m
+            expected.append(
+                ProcessingIntervalLog(
+                    interval_index=i,
+                    f2_hz=config.waveform.two_tone.f1 + x,
+                    sigma_d_m=sigma,
+                    mean_range_m=mean_range,
+                    snr_db=rec.snr_db,
+                    controller_error_m=error,
+                    timestamp_s=rec.timestamp_s,
+                )
+            )
+            controller, x = pi_step(controller, error, dt)
+        assert run_adaptive(config, trace, duration_s=2 * dt, seed=seed) == expected
