@@ -19,18 +19,15 @@ from .channel import (
 from .coherence import (
     TWO_NODE_SIGMA_OVER_LAMBDA,
     ArrayScenario,
-    GainSample,
     coherent_gain,
     max_coherent_frequency,
     probability_curve,
-    sample_gain,
     threshold_crossings,
 )
 from .config import (
     ConfigError,
     EstimatorConfig,
     LoopConfig,
-    MonteCarloConfig,
     RunConfig,
     config_from_dict,
     config_to_dict,
@@ -46,9 +43,7 @@ from .control import (
     ziegler_nichols_gains,
 )
 from .freqlock import (
-    OscillatorState,
     SelfMixInput,
-    lock_state_update,
     path_phase,
     self_mix,
     wrap_phase,

@@ -28,6 +28,7 @@ from . import coherence
 from .config import ConfigError, RunConfig, default_config, load_config, save_config
 from .control import find_ultimate_gain, ziegler_nichols_gains
 from .scenario import (
+    _fmt,
     ranging_sigma_plant,
     read_run_log_csv,
     read_trace_csv,
@@ -37,10 +38,6 @@ from .scenario import (
     write_run_log_csv,
 )
 from .waveform import crlb_sigma_r
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -61,6 +58,13 @@ def _parse_grid(spec: str) -> np.ndarray:
             raise ValueError(f"bad grid spec '{spec}': log scale needs positive bounds")
         return np.geomspace(start, stop, num)
     return np.linspace(start, stop, num)
+
+
+def _write_curve(path, header: list[str], xs, ys) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(x), _fmt(y)] for x, y in zip(xs, ys))
 
 
 def _resolve_seed(args, config: RunConfig | None = None) -> int:
@@ -84,13 +88,9 @@ def _cmd_crlb(args) -> int:
     grid = _parse_grid(args.snr_grid)
     if np.any(grid <= 0):
         raise ValueError("SNR grid values must be positive")
-    rows = [(snr, crlb_sigma_r(args.delta_f, snr)) for snr in grid]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["post_snr_2e_n0", "sigma_r_m"])
-        for snr, sigma in rows:
-            writer.writerow([_fmt(snr), _fmt(sigma)])
-    print(f"wrote {len(rows)} points to {args.out}")
+    sigma = [crlb_sigma_r(args.delta_f, snr) for snr in grid]
+    _write_curve(args.out, ["post_snr_2e_n0", "sigma_r_m"], grid, sigma)
+    print(f"wrote {len(sigma)} points to {args.out}")
     return 0
 
 
@@ -109,11 +109,7 @@ def _cmd_montecarlo(args) -> int:
     y = coherence.probability_curve(
         scenario, grid, threshold=args.threshold, trials=args.trials, seed=seed
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_over_lambda", "probability"])
-        for s, p in zip(grid, y):
-            writer.writerow([_fmt(s), _fmt(p)])
+    _write_curve(args.out, ["sigma_over_lambda", "probability"], grid, y)
     crossings = coherence.threshold_crossings(grid, y)
     report = {
         "nodes": args.nodes,

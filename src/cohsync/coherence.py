@@ -9,7 +9,7 @@ the highest carrier frequency a given ranging accuracy can support.
 Phase-error model per secondary node (the primary is the reference and
 carries no error):
 
-    eps = (2*pi/lambda) * delta_d * (1 + sin(theta)) + clock + calib
+    eps = (2*pi/lambda) * delta_d * (1 + sin(theta))
 
 where ``delta_d ~ N(0, sigma_d**2)`` is that node's range-estimate error
 and ``theta`` the beam steering angle.  The ``sin(theta)`` part is the
@@ -40,10 +40,7 @@ class ArrayScenario:
     """Randomization ranges for one Monte-Carlo coherence trial.
 
     ``theta_range`` (rad) and ``node_spacing_range`` (m) bound the
-    uniform draws of steering angle and inter-node spacing;
-    ``clock_phase_error`` is the std (rad) of an extra per-node Gaussian
-    phase term for unlocked-oscillator studies and ``calib_error`` a
-    constant residual calibration phase (rad).
+    uniform draws of steering angle and inter-node spacing.
     """
 
     n_nodes: int
@@ -51,8 +48,6 @@ class ArrayScenario:
     sigma_d: float
     theta_range: tuple[float, float] = (-math.pi / 2, math.pi / 2)
     node_spacing_range: tuple[float, float] | None = None
-    calib_error: float = 0.0
-    clock_phase_error: float = 0.0
     include_link_phase: bool = True
 
     def __post_init__(self):
@@ -73,17 +68,6 @@ class ArrayScenario:
 
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.wavelength
-
-
-@dataclass(frozen=True)
-class GainSample:
-    """One Monte-Carlo draw of the coherent gain."""
-
-    g_c: float
-
-    def __post_init__(self):
-        if self.g_c < 0:
-            raise ValueError("g_c must be >= 0")
 
 
 def coherent_gain(phase_errors, amplitudes=None) -> float:
@@ -115,15 +99,13 @@ def _draw_geometry(scenario: ArrayScenario, trials: int, rng: np.random.Generato
     spacing = rng.uniform(*scenario.node_spacing_range, size=(trials, scenario.n_nodes))
     z_range = rng.standard_normal((trials, scenario.n_nodes))
     z_range[:, 0] = 0.0  # primary node is the phase reference
-    z_clock = rng.standard_normal((trials, scenario.n_nodes))
-    z_clock[:, 0] = 0.0
-    return theta, spacing, z_range, z_clock
+    return theta, spacing, z_range
 
 
 def _gains_from_geometry(
     scenario: ArrayScenario, sigma_d: float, geometry
 ) -> np.ndarray:
-    theta, spacing, z_range, z_clock = geometry
+    theta, spacing, z_range = geometry
     k = scenario.wavenumber()
     sin_t = np.sin(theta)[:, None]
     delta_d = sigma_d * z_range
@@ -132,17 +114,9 @@ def _gains_from_geometry(
     steer_est = k * (spacing + delta_d) * sin_t
     link = k * delta_d if scenario.include_link_phase else 0.0
     eps = steer_true - steer_est - link
-    eps += scenario.clock_phase_error * z_clock + scenario.calib_error
     eps[:, 0] = 0.0
     summed = np.exp(1j * eps).sum(axis=1)
     return np.abs(summed) ** 2 / scenario.n_nodes**2
-
-
-def sample_gain(scenario: ArrayScenario, rng_seed: int) -> GainSample:
-    """Draw one coherent-gain sample; deterministic per seed."""
-    rng = np.random.default_rng(rng_seed)
-    geometry = _draw_geometry(scenario, 1, rng)
-    return GainSample(float(_gains_from_geometry(scenario, scenario.sigma_d, geometry)[0]))
 
 
 def probability_curve(

@@ -8,18 +8,22 @@ ranging pulse, 159.7 us PRI, 25 Msps, 200-pulse windows grouped 40x5,
 separation clamp, 2.45/5.8 GHz carriers, 90 m baseline).
 
 Validation is strict: unknown keys are rejected with the dotted path of
-the offending entry, wrong types likewise.
+the offending entry, wrong types and non-finite numbers likewise (only
+``channel.snr_db`` may be +Infinity, the noise-free mode).  Values the
+model cannot hold, such as a round-trip delay longer than the gap
+between pulses, are rejected here rather than at the first window.
 """
 
 import dataclasses
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import CarrierPlan, ChannelState
+from .channel import ChannelState
 from .control import PiControllerState
-from .waveform import TwoToneSpec, WaveformConfig
+from .waveform import SPEED_OF_LIGHT, WaveformConfig
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,12 @@ class LoopConfig:
     weather_coupling: bool = False
 
     def __post_init__(self):
+        if self.group_size < 1:
+            raise ValueError("group_size must be positive")
         if self.pulses_per_interval % self.group_size != 0:
             raise ValueError("pulses_per_interval must be a multiple of group_size")
+        if self.pulses_per_interval // self.group_size < 2:
+            raise ValueError("pulses_per_interval must hold at least two groups")
         if not self.pulse_period_s > 0:
             raise ValueError("pulse_period_s must be positive")
 
@@ -55,18 +63,6 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class MonteCarloConfig:
-    """Coherence Monte-Carlo defaults for the CLI."""
-
-    n_nodes: int = 2
-    trials: int = 10000
-    threshold: float = 0.9
-    sigma_min_over_lambda: float = 0.01
-    sigma_max_over_lambda: float = 0.20
-    grid_points: int = 60
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a scenario run needs, serializable to one JSON document."""
 
@@ -75,231 +71,172 @@ class RunConfig:
     controller: PiControllerState
     loop: LoopConfig = LoopConfig()
     estimator: EstimatorConfig = EstimatorConfig()
-    montecarlo: MonteCarloConfig = MonteCarloConfig()
     seed: int = 1
+
+    def __post_init__(self):
+        # the echo must arrive before the next pulse leaves; a longer delay
+        # would also size every receive window by the range
+        tau = 2.0 * self.channel.true_range / SPEED_OF_LIGHT
+        listen = self.waveform.pri - self.waveform.ranging_pulse_width
+        if tau > listen:
+            raise ValueError(
+                f"round-trip delay {tau:.3e} s exceeds the {listen:.3e} s between "
+                "the end of a ranging pulse and the next pulse (pri - ranging_pulse_width)"
+            )
 
 
 def default_config() -> RunConfig:
-    two_tone = TwoToneSpec(f1=20e3, f2=3.5e6)
-    waveform = WaveformConfig(
-        two_tone=two_tone,
-        f_d=1.875e6,
-        ranging_pulse_width=143.7e-6,
-        disamb_pulse_width=1.0 / 1.875e6,
-        pri=159.7e-6,
-        sample_rate=25e6,
-    )
-    channel = ChannelState(true_range=90.0, snr_db=20.0, carrier=CarrierPlan())
-    controller = PiControllerState(
-        k_p=1e-5, t_i=3.3, x_prev=two_tone.separation, e_prev=0.0
-    )
-    return RunConfig(waveform=waveform, channel=channel, controller=controller)
+    """The reference operating point: every key at its default."""
+    return config_from_dict({})
 
 
-# JSON field names per section -> (dataclass path, type)
-_WAVEFORM_KEYS = {
-    "f1_hz": float,
-    "f2_hz": float,
-    "disambiguation_hz": float,
-    "ranging_pulse_width_s": float,
-    "disamb_pulse_width_s": float,
-    "pri_s": float,
-    "sample_rate_hz": float,
+# Reference operating values of the fields whose dataclasses set no default.
+_REFERENCE = {
+    "waveform.two_tone.f1": 20e3,
+    "waveform.two_tone.f2": 3.5e6,
+    "waveform.f_d": 1.875e6,
+    "waveform.ranging_pulse_width": 143.7e-6,
+    "waveform.pri": 159.7e-6,
+    "waveform.sample_rate": 25e6,
+    "channel.true_range": 90.0,
+    "channel.snr_db": 20.0,
+    "controller.k_p": 1e-5,
+    "controller.t_i": 3.3,
 }
-_CHANNEL_KEYS = {
-    "true_range_m": float,
-    "snr_db": float,
-    "outbound_carrier_hz": float,
-    "return_carrier_hz": float,
-    "carrier_offset1_hz": float,
-    "carrier_offset2_hz": float,
-    "repeater_gain": float,
+
+# Type of a number that may also be +Infinity (noise-free ``snr_db``).
+_FLOAT_OR_INF = "float or +inf"
+
+# JSON key (dotted with its section) -> (RunConfig attribute path, type).
+# Validation, defaults and both serialization directions derive from this
+# one table; its order is the order of the resolved document.
+_FIELDS = {
+    "waveform.f1_hz": ("waveform.two_tone.f1", float),
+    "waveform.f2_hz": ("waveform.two_tone.f2", float),
+    "waveform.disambiguation_hz": ("waveform.f_d", float),
+    "waveform.ranging_pulse_width_s": ("waveform.ranging_pulse_width", float),
+    "waveform.disamb_pulse_width_s": ("waveform.disamb_pulse_width", float),
+    "waveform.pri_s": ("waveform.pri", float),
+    "waveform.sample_rate_hz": ("waveform.sample_rate", float),
+    "channel.true_range_m": ("channel.true_range", float),
+    "channel.snr_db": ("channel.snr_db", _FLOAT_OR_INF),
+    "channel.outbound_carrier_hz": ("channel.carrier.f_c1", float),
+    "channel.return_carrier_hz": ("channel.carrier.f_c2", float),
+    "channel.carrier_offset1_hz": ("channel.carrier.offset1", float),
+    "channel.carrier_offset2_hz": ("channel.carrier.offset2", float),
+    "channel.repeater_gain": ("channel.repeater_gain", float),
+    "controller.k_p": ("controller.k_p", float),
+    "controller.t_i_s": ("controller.t_i", float),
+    "controller.x_initial_hz": ("controller.x_prev", float),
+    "controller.x_min_hz": ("controller.x_min", float),
+    "controller.x_max_hz": ("controller.x_max", float),
+    "controller.error_scale": ("controller.error_scale", float),
+    "controller.output_scale": ("controller.output_scale", float),
+    "loop.pulses_per_interval": ("loop.pulses_per_interval", int),
+    "loop.group_size": ("loop.group_size", int),
+    "loop.pulse_period_s": ("loop.pulse_period_s", float),
+    "loop.window_pad_samples": ("loop.window_pad_samples", int),
+    "loop.target_sigma_m": ("loop.target_sigma_m", float),
+    "loop.weather_coupling": ("loop.weather_coupling", bool),
+    "estimator.neighbors": ("estimator.neighbors", int),
+    "estimator.oversample": ("estimator.oversample", int),
+    "estimator.interp_taps": ("estimator.interp_taps", int),
+    "estimator.interp_beta": ("estimator.interp_beta", float),
+    "seed": ("seed", int),
 }
-_CONTROLLER_KEYS = {
-    "k_p": float,
-    "t_i_s": float,
-    "x_initial_hz": float,
-    "x_min_hz": float,
-    "x_max_hz": float,
-    "error_scale": float,
-    "output_scale": float,
-}
-_LOOP_KEYS = {
-    "pulses_per_interval": int,
-    "group_size": int,
-    "pulse_period_s": float,
-    "window_pad_samples": int,
-    "target_sigma_m": float,
-    "weather_coupling": bool,
-}
-_ESTIMATOR_KEYS = {
-    "neighbors": int,
-    "oversample": int,
-    "interp_taps": int,
-    "interp_beta": float,
-}
-_MONTECARLO_KEYS = {
-    "n_nodes": int,
-    "trials": int,
-    "threshold": float,
-    "sigma_min_over_lambda": float,
-    "sigma_max_over_lambda": float,
-    "grid_points": int,
-}
-_SECTIONS = {
-    "waveform": _WAVEFORM_KEYS,
-    "channel": _CHANNEL_KEYS,
-    "controller": _CONTROLLER_KEYS,
-    "loop": _LOOP_KEYS,
-    "estimator": _ESTIMATOR_KEYS,
-    "montecarlo": _MONTECARLO_KEYS,
-}
+_SECTIONS = tuple(dict.fromkeys(k.split(".")[0] for k in _FIELDS if "." in k))
+_TOP_LEVEL = tuple(k for k in _FIELDS if "." not in k)
 
 
 class ConfigError(ValueError):
     """Schema violation in a run configuration document."""
 
 
-def _check_section(name: str, data: dict, allowed: dict) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    out = {}
-    for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{name}.{key}'")
-        want = allowed[key]
-        if want is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key '{name}.{key}' must be a boolean")
-        elif want is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key '{name}.{key}' must be an integer")
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key '{name}.{key}' must be a number")
-            value = float(value)
-            if math.isnan(value):
-                raise ConfigError(f"config key '{name}.{key}' must not be NaN")
-        out[key] = value
-    return out
+def _check_value(name: str, value, kind):
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key '{name}' must be a boolean")
+        return value
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"config key '{name}' must be an integer")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key '{name}' must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if math.isnan(value):
+        raise ConfigError(f"config key '{name}' must not be NaN")
+    if math.isinf(value) and not (kind is _FLOAT_OR_INF and value > 0):
+        allowed = "finite or +Infinity" if kind is _FLOAT_OR_INF else "finite"
+        raise ConfigError(f"config key '{name}' must be {allowed}")
+    return value
+
+
+def _entries(doc):
+    """(dotted key, value) for every entry of the document, in table order."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    for key in doc:
+        if key not in _SECTIONS and key not in _TOP_LEVEL:
+            raise ConfigError(f"unknown config key '{key}'")
+    for section in _SECTIONS:
+        data = doc.get(section, {})
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section '{section}' must be an object")
+        for key, value in data.items():
+            yield f"{section}.{key}", value
+    for key in _TOP_LEVEL:
+        if key in doc:
+            yield key, doc[key]
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """Instance of ``cls`` from attribute-path ``values``; absent fields keep defaults."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        path = prefix + f.name
+        if path in values:
+            kwargs[f.name] = values[path]
+        elif dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _build(f.type, values, path + ".")
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a plain dict (e.g. parsed JSON).
 
     Missing keys take their defaults; unknown keys anywhere are rejected
-    with the dotted path of the entry.
+    with the dotted path of the entry.  Two defaults are derived: the
+    disambiguation pulse is one period of its tone, and the initial
+    controller output is the configured tone separation.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    base = default_config()
-    for key in doc:
-        if key not in _SECTIONS and key != "seed":
-            raise ConfigError(f"unknown config key '{key}'")
-
-    wf = _check_section("waveform", doc.get("waveform", {}), _WAVEFORM_KEYS)
-    ch = _check_section("channel", doc.get("channel", {}), _CHANNEL_KEYS)
-    ct = _check_section("controller", doc.get("controller", {}), _CONTROLLER_KEYS)
-    lp = _check_section("loop", doc.get("loop", {}), _LOOP_KEYS)
-    es = _check_section("estimator", doc.get("estimator", {}), _ESTIMATOR_KEYS)
-    mc = _check_section("montecarlo", doc.get("montecarlo", {}), _MONTECARLO_KEYS)
-
-    seed = doc.get("seed", base.seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("config key 'seed' must be an integer")
-
+    values = dict(_REFERENCE)
+    for name, value in _entries(doc):
+        if name not in _FIELDS:
+            raise ConfigError(f"unknown config key '{name}'")
+        path, kind = _FIELDS[name]
+        values[path] = _check_value(name, value, kind)
+    f_d = values["waveform.f_d"]
+    values.setdefault("waveform.disamb_pulse_width", 1.0 / f_d if f_d else math.inf)
+    f1, f2 = values["waveform.two_tone.f1"], values["waveform.two_tone.f2"]
+    values.setdefault("controller.x_prev", f2 - f1)
     try:
-        two_tone = TwoToneSpec(
-            f1=wf.get("f1_hz", base.waveform.two_tone.f1),
-            f2=wf.get("f2_hz", base.waveform.two_tone.f2),
-        )
-        f_d = wf.get("disambiguation_hz", base.waveform.f_d)
-        waveform = WaveformConfig(
-            two_tone=two_tone,
-            f_d=f_d,
-            ranging_pulse_width=wf.get(
-                "ranging_pulse_width_s", base.waveform.ranging_pulse_width
-            ),
-            disamb_pulse_width=wf.get("disamb_pulse_width_s", 1.0 / f_d),
-            pri=wf.get("pri_s", base.waveform.pri),
-            sample_rate=wf.get("sample_rate_hz", base.waveform.sample_rate),
-        )
-        carrier = CarrierPlan(
-            f_c1=ch.get("outbound_carrier_hz", base.channel.carrier.f_c1),
-            f_c2=ch.get("return_carrier_hz", base.channel.carrier.f_c2),
-            offset1=ch.get("carrier_offset1_hz", base.channel.carrier.offset1),
-            offset2=ch.get("carrier_offset2_hz", base.channel.carrier.offset2),
-        )
-        channel = ChannelState(
-            true_range=ch.get("true_range_m", base.channel.true_range),
-            snr_db=ch.get("snr_db", base.channel.snr_db),
-            carrier=carrier,
-            repeater_gain=ch.get("repeater_gain", base.channel.repeater_gain),
-        )
-        controller = PiControllerState(
-            k_p=ct.get("k_p", base.controller.k_p),
-            t_i=ct.get("t_i_s", base.controller.t_i),
-            x_prev=ct.get("x_initial_hz", two_tone.separation),
-            x_min=ct.get("x_min_hz", base.controller.x_min),
-            x_max=ct.get("x_max_hz", base.controller.x_max),
-            error_scale=ct.get("error_scale", base.controller.error_scale),
-            output_scale=ct.get("output_scale", base.controller.output_scale),
-        )
-        loop = dataclasses.replace(base.loop, **{k: lp[k] for k in lp})
-        estimator = dataclasses.replace(base.estimator, **{k: es[k] for k in es})
-        montecarlo = dataclasses.replace(base.montecarlo, **{k: mc[k] for k in mc})
-    except ConfigError:
-        raise
+        return _build(RunConfig, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        waveform=waveform,
-        channel=channel,
-        controller=controller,
-        loop=loop,
-        estimator=estimator,
-        montecarlo=montecarlo,
-        seed=seed,
-    )
 
 
 def config_to_dict(config: RunConfig) -> dict:
     """Fully resolved document (every field explicit) for archiving."""
-    wf, ch, ct = config.waveform, config.channel, config.controller
-    return {
-        "waveform": {
-            "f1_hz": wf.two_tone.f1,
-            "f2_hz": wf.two_tone.f2,
-            "disambiguation_hz": wf.f_d,
-            "ranging_pulse_width_s": wf.ranging_pulse_width,
-            "disamb_pulse_width_s": wf.disamb_pulse_width,
-            "pri_s": wf.pri,
-            "sample_rate_hz": wf.sample_rate,
-        },
-        "channel": {
-            "true_range_m": ch.true_range,
-            "snr_db": ch.snr_db,
-            "outbound_carrier_hz": ch.carrier.f_c1,
-            "return_carrier_hz": ch.carrier.f_c2,
-            "carrier_offset1_hz": ch.carrier.offset1,
-            "carrier_offset2_hz": ch.carrier.offset2,
-            "repeater_gain": ch.repeater_gain,
-        },
-        "controller": {
-            "k_p": ct.k_p,
-            "t_i_s": ct.t_i,
-            "x_initial_hz": ct.x_prev,
-            "x_min_hz": ct.x_min,
-            "x_max_hz": ct.x_max,
-            "error_scale": ct.error_scale,
-            "output_scale": ct.output_scale,
-        },
-        "loop": dataclasses.asdict(config.loop),
-        "estimator": dataclasses.asdict(config.estimator),
-        "montecarlo": dataclasses.asdict(config.montecarlo),
-        "seed": config.seed,
-    }
+    doc: dict = {}
+    for name, (path, _) in _FIELDS.items():
+        section, _, key = name.rpartition(".")
+        target = doc.setdefault(section, {}) if section else doc
+        target[key] = functools.reduce(getattr, path.split("."), config)
+    return doc
 
 
 def load_config(path) -> RunConfig:

@@ -1,4 +1,4 @@
-"""Behavioral model of self-mixing frequency transfer and oscillator lock.
+"""Behavioral model of self-mixing frequency transfer.
 
 The self-mixing receiver splits an incoming two-tone signal and mixes it
 against itself; the filtered mixer output is a tone at the difference
@@ -9,9 +9,7 @@ the amplifier/filter chain that realizes them.
 """
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -26,19 +24,6 @@ class SelfMixInput:
     def __post_init__(self):
         if not 0 < self.f_s1 < self.f_s2:
             raise ValueError(f"need f_s2 > f_s1 > 0, got {self.f_s1}, {self.f_s2}")
-
-
-@dataclass(frozen=True)
-class OscillatorState:
-    """Lock status and accumulated frequency offset of a node's oscillator."""
-
-    locked: bool = False
-    drift_rate: float = 0.0  # Hz/s while unlocked
-    offset: float = 0.0  # Hz
-
-    def __post_init__(self):
-        if self.locked and self.offset != 0.0:
-            raise ValueError("a locked oscillator has zero offset")
 
 
 def wrap_phase(phi: float) -> float:
@@ -66,29 +51,3 @@ def path_phase(frequency: float, distance: float) -> float:
     from .waveform import SPEED_OF_LIGHT
 
     return -2.0 * math.pi * frequency * distance / SPEED_OF_LIGHT
-
-
-def lock_state_update(
-    state: OscillatorState,
-    ref_available: bool,
-    dt: float,
-    rng: np.random.Generator | None = None,
-    random_walk_std: float = 0.0,
-) -> OscillatorState:
-    """Advance an oscillator by ``dt`` seconds.
-
-    Lock acquisition is instantaneous when the reference is present;
-    without it the offset integrates ``drift_rate * dt``, plus an
-    optional seeded random-walk term (``random_walk_std`` in Hz per
-    sqrt(second)) for stress tests.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if ref_available:
-        return replace(state, locked=True, offset=0.0)
-    offset = state.offset + state.drift_rate * dt
-    if random_walk_std > 0.0:
-        if rng is None:
-            raise ValueError("random-walk drift requires an rng")
-        offset += random_walk_std * math.sqrt(dt) * rng.standard_normal()
-    return replace(state, locked=False, offset=offset)

@@ -35,14 +35,12 @@ class RangeEstimate:
     the coarse reference (disambiguation peak, or supplied prior); 0
     means the chain used exactly the lobe the coarse stage pointed at.
     ``gross_error`` marks a disambiguation failure: the coarse delay did
-    not land inside any credible two-tone lobe.  ``snr_post`` is a rough
-    post-matched-filter peak-to-floor estimate, for diagnostics only.
+    not land inside any credible two-tone lobe.
     """
 
     range: float
     peak_lag: float
     ambiguity_index: int
-    snr_post: float
     gross_error: bool = False
 
     def __post_init__(self):
@@ -124,19 +122,6 @@ def _dense_grid_kernel(span: float, n_dense: int, taps: int, beta: float):
     return offsets, gather, weights
 
 
-def _bandlimited_values(
-    samples: np.ndarray, positions: np.ndarray, taps: int, beta: float
-) -> np.ndarray:
-    """Evaluate a critically sampled sequence at fractional positions.
-
-    Kaiser-windowed sinc interpolation with ``taps`` points on each side;
-    indexing is circular, matching the circular correlation the values
-    come from.
-    """
-    gather, weights = _interp_kernel(np.asarray(positions, dtype=float), taps, beta)
-    return (samples[gather % samples.size] * weights).sum(axis=1)
-
-
 def _natural_spline_max(x0: float, h: float, y: np.ndarray) -> tuple[float, float]:
     """Location and value of the maximum of a natural cubic spline.
 
@@ -206,12 +191,6 @@ def _spline_peak(offsets: np.ndarray, values: np.ndarray) -> float:
 def _signed_lag(index: float, n: int) -> float:
     """Map a circular-axis index to a signed lag centred on zero."""
     return index - n if index > n / 2 else index
-
-
-def _floor_estimate(power: np.ndarray) -> float:
-    """Crude noise-floor proxy: mean of the lowest quartile of |R|^2."""
-    k = max(power.size // 4, 1)
-    return float(np.mean(np.partition(power, k - 1)[:k])) or 1e-300
 
 
 def disambiguate_and_refine(
@@ -284,15 +263,10 @@ def disambiguate_and_refine(
     else:
         ambiguity_index = 0
 
-    power = mag**2
-    peak_power = float(np.max(power))
-    snr_post = 10.0 * math.log10(peak_power / _floor_estimate(power))
-
     return RangeEstimate(
         range=max(0.0, SPEED_OF_LIGHT * lag_s / 2.0),
         peak_lag=lag_s,
         ambiguity_index=ambiguity_index,
-        snr_post=snr_post,
         gross_error=gross,
     )
 

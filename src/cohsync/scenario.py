@@ -22,7 +22,7 @@ import csv
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,12 +31,7 @@ import scipy.fft
 from .channel import ChannelState, apply_round_trip_response, noise_power_for
 from .config import EstimatorConfig, LoopConfig, RunConfig
 from .control import pi_step
-from .ranging import (
-    RangeWindowStats,
-    _circular_correlation,
-    disambiguate_and_refine,
-    window_stats,
-)
+from .ranging import _circular_correlation, disambiguate_and_refine, window_stats
 from .waveform import (
     SPEED_OF_LIGHT,
     ComplexBasebandSignal,
@@ -166,8 +161,7 @@ def write_trace_csv(path, records: Sequence[EnvironmentRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(_TRACE_FIELDS)
         for r in records:
-            row = [r.timestamp_s, r.snr_db, r.wind_mps, r.humidity_pct, r.rain_mmhr, r.temp_c]
-            writer.writerow(["" if isinstance(v, float) and math.isnan(v) else _fmt(v) for v in row])
+            writer.writerow(["" if math.isnan(v) else _fmt(v) for v in astuple(r)])
 
 
 def read_trace_csv(path) -> list[EnvironmentRecord]:
@@ -184,20 +178,16 @@ def read_trace_csv(path) -> list[EnvironmentRecord]:
             raise ValueError(f"{path}: unknown trace columns {sorted(unknown)}")
         records = []
         for row in reader:
-            def grab(name):
+            values = {}
+            for name in _TRACE_FIELDS:
                 raw = row.get(name)
-                return math.nan if raw in (None, "") else float(raw)
-
-            records.append(
-                EnvironmentRecord(
-                    timestamp_s=float(row["timestamp_s"]),
-                    snr_db=float(row["snr_db"]),
-                    wind_mps=grab("wind_mps"),
-                    humidity_pct=grab("humidity_pct"),
-                    rain_mmhr=grab("rain_mmhr"),
-                    temp_c=grab("temp_c"),
-                )
-            )
+                values[name] = math.nan if raw in (None, "") else float(raw)
+            for name in ("timestamp_s", "snr_db"):
+                if not math.isfinite(values[name]):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: {name} must be a finite number"
+                    )
+            records.append(EnvironmentRecord(**values))
     if not records:
         raise ValueError(f"{path}: trace has no records")
     times = [r.timestamp_s for r in records]
@@ -211,35 +201,19 @@ def write_run_log_csv(path, logs: Sequence[ProcessingIntervalLog]) -> None:
         writer = csv.writer(fh)
         writer.writerow(_LOG_FIELDS)
         for entry in logs:
-            writer.writerow(
-                [
-                    entry.interval_index,
-                    _fmt(entry.f2_hz),
-                    _fmt(entry.sigma_d_m),
-                    _fmt(entry.mean_range_m),
-                    _fmt(entry.snr_db),
-                    _fmt(entry.controller_error_m),
-                    _fmt(entry.timestamp_s),
-                ]
-            )
+            index, *values = astuple(entry)
+            writer.writerow([index, *map(_fmt, values)])
 
 
 def read_run_log_csv(path) -> list[ProcessingIntervalLog]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != list(_LOG_FIELDS):
+        rows = csv.reader(fh)
+        if next(rows, None) != list(_LOG_FIELDS):
             raise ValueError(f"{path}: not a run log (unexpected header)")
+        # columns follow the field order of ProcessingIntervalLog
         return [
-            ProcessingIntervalLog(
-                interval_index=int(row["interval"]),
-                f2_hz=float(row["f2_hz"]),
-                sigma_d_m=float(row["sigma_d_m"]),
-                mean_range_m=float(row["mean_range_m"]),
-                snr_db=float(row["snr_db"]),
-                controller_error_m=float(row["error_m"]),
-                timestamp_s=float(row["timestamp_s"]),
-            )
-            for row in reader
+            ProcessingIntervalLog(int(index), *map(float, values))
+            for index, *values in filter(None, rows)
         ]
 
 
@@ -271,7 +245,6 @@ def simulate_window(
     estimator: EstimatorConfig = EstimatorConfig(),
     seed=0,
     window_pad_samples: int = 128,
-    use_disambiguation: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
 
@@ -288,17 +261,6 @@ def simulate_window(
     pulse_d = generate_disambiguation(waveform.f_d, fs)
     n_win = effective_window_length(waveform, channel_state, estimator, window_pad_samples)
 
-    frame_r = ComplexBasebandSignal(
-        np.concatenate([pulse_r.samples, np.zeros(n_win - pulse_r.n_samples)]), fs
-    )
-    frame_d = ComplexBasebandSignal(
-        np.concatenate([pulse_d.samples, np.zeros(n_win - pulse_d.n_samples)]), fs
-    )
-    clean_r = apply_round_trip_response(frame_r, channel_state)
-    clean_d = apply_round_trip_response(frame_d, channel_state)
-    sigma2_r = noise_power_for(clean_r, channel_state.snr_db)
-    sigma2_d = noise_power_for(clean_d, channel_state.snr_db)
-
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def with_noise(clean: np.ndarray, sigma2: float) -> np.ndarray:
@@ -308,20 +270,22 @@ def simulate_window(
         noise = rng.standard_normal((n_pulses, n_win, 2))
         return rows + math.sqrt(sigma2 / 2.0) * (noise[..., 0] + 1j * noise[..., 1])
 
-    mf_r_rows = _circular_correlation(with_noise(clean_r.samples, sigma2_r), pulse_r.samples)
-    mf_d_rows = _circular_correlation(with_noise(clean_d.samples, sigma2_d), pulse_d.samples)
+    def matched_rows(pulse: ComplexBasebandSignal) -> np.ndarray:
+        frame = np.concatenate([pulse.samples, np.zeros(n_win - pulse.n_samples)])
+        clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
+        sigma2 = noise_power_for(clean, channel_state.snr_db)
+        return _circular_correlation(with_noise(clean.samples, sigma2), pulse.samples)
 
-    expected_lag = 2.0 * channel_state.true_range / SPEED_OF_LIGHT
+    mf_r_rows = matched_rows(pulse_r)  # the ranging frame draws its noise first
+    mf_d_rows = matched_rows(pulse_d)
+
     ranges = np.empty(n_pulses)
     gross = 0
     for i in range(n_pulses):
-        mf_r = ComplexBasebandSignal(mf_r_rows[i], fs)
-        mf_d = ComplexBasebandSignal(mf_d_rows[i], fs) if use_disambiguation else None
         est = disambiguate_and_refine(
-            mf_r,
-            mf_d,
+            ComplexBasebandSignal(mf_r_rows[i], fs),
+            ComplexBasebandSignal(mf_d_rows[i], fs),
             waveform,
-            expected_lag_s=None if use_disambiguation else expected_lag,
             neighbors=estimator.neighbors,
             oversample=estimator.oversample,
             interp_taps=estimator.interp_taps,
@@ -364,33 +328,29 @@ def _effective_snr(
     return snr
 
 
-def _run(
+def _closed_loop(
     config: RunConfig,
     trace: Sequence[EnvironmentRecord],
-    duration_s: float,
+    n_intervals: int,
+    law: Callable[[float, int], float],
     seed,
-    adaptive: bool,
-    target_sigma_m: float | None = None,
+    stream: int,
+    target_sigma_m: float,
 ) -> list[ProcessingIntervalLog]:
-    if not trace:
-        raise ValueError("trace has no records")
-    if not duration_s > 0:
-        raise ValueError("duration_s must be positive")
-    loop = config.loop
-    target = loop.target_sigma_m if target_sigma_m is None else target_sigma_m
-    dt = loop.interval_duration_s
-    n_intervals = int(duration_s // dt)
-    if n_intervals < 1:
-        raise ValueError("duration shorter than one processing interval")
+    """The interval loop shared by every closed-loop run.
 
-    master = config.seed if seed is None else seed
+    Interval ``i`` simulates one window at the trace's SNR with the tone
+    separation in force, on noise stream ``(seed, stream, i)``, and logs
+    it; ``law(error, i)`` then returns the next separation in Hz.
+    """
+    loop = config.loop
+    dt = loop.interval_duration_s
     times = [r.timestamp_s for r in trace]
     warned: set = set()
-    weather_rng = np.random.default_rng(np.random.SeedSequence((master, 2)))
+    weather_rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
 
-    controller = config.controller
     f1 = config.waveform.two_tone.f1
-    x = controller.x_prev  # tone separation in force, Hz
+    x = config.controller.x_prev  # tone separation in force, Hz
     logs: list[ProcessingIntervalLog] = []
     for i in range(n_intervals):
         t = times[0] + i * dt
@@ -404,11 +364,11 @@ def _run(
             state,
             loop.pulses_per_interval,
             config.estimator,
-            seed=(master, 1, i),
+            seed=(seed, stream, i),
             window_pad_samples=loop.window_pad_samples,
         )
         stats = window_stats(ranges, loop.group_size, loop.pulses_per_interval)
-        error = stats.sigma_d - target
+        error = stats.sigma_d - target_sigma_m
         logs.append(
             ProcessingIntervalLog(
                 interval_index=i,
@@ -420,14 +380,23 @@ def _run(
                 timestamp_s=t,
             )
         )
-        if adaptive:
-            try:
-                controller, x = pi_step(controller, error, dt)
-            except ValueError as exc:
-                raise RuntimeError(
-                    f"controller aborted at interval {i}: {exc}"
-                ) from exc
+        x = law(error, i)
     return logs
+
+
+def _replay(config, trace, duration_s, seed, law, target_sigma_m=None):
+    """Validate a trace replay's inputs and run it on noise stream 1."""
+    if not trace:
+        raise ValueError("trace has no records")
+    if not duration_s > 0:
+        raise ValueError("duration_s must be positive")
+    n_intervals = int(duration_s // config.loop.interval_duration_s)
+    if n_intervals < 1:
+        raise ValueError("duration shorter than one processing interval")
+    if target_sigma_m is None:
+        target_sigma_m = config.loop.target_sigma_m
+    master = config.seed if seed is None else seed
+    return _closed_loop(config, trace, n_intervals, law, master, 1, target_sigma_m)
 
 
 def run_fixed_bandwidth(
@@ -437,7 +406,8 @@ def run_fixed_bandwidth(
     seed=None,
 ) -> list[ProcessingIntervalLog]:
     """Replay a trace with the tone separation held at its configured value."""
-    return _run(config, trace, duration_s, seed, adaptive=False)
+    x0 = config.controller.x_prev
+    return _replay(config, trace, duration_s, seed, lambda error, i: x0)
 
 
 def run_adaptive(
@@ -454,14 +424,22 @@ def run_adaptive(
     becomes the next interval's ``f2 = f1 + x``.  ``target_sigma_m``
     overrides the configured setpoint when given.
     """
-    return _run(config, trace, duration_s, seed, adaptive=True, target_sigma_m=target_sigma_m)
+    controller = config.controller
+    dt = config.loop.interval_duration_s
+
+    def pi_law(error: float, i: int) -> float:
+        nonlocal controller
+        try:
+            controller, x = pi_step(controller, error, dt)
+        except ValueError as exc:
+            raise RuntimeError(f"controller aborted at interval {i}: {exc}") from exc
+        return x
+
+    return _replay(config, trace, duration_s, seed, pi_law, target_sigma_m)
 
 
 def ranging_sigma_plant(
-    config: RunConfig,
-    n_intervals: int = 30,
-    seed: int = 0,
-    x0_hz: float | None = None,
+    config: RunConfig, n_intervals: int = 30, seed: int = 0
 ) -> Callable[[float], np.ndarray]:
     """Closed-loop plant handle for ultimate-gain searches.
 
@@ -472,30 +450,17 @@ def ranging_sigma_plant(
     The per-interval noise streams are frozen per ``seed`` and shared
     across gain evaluations, so the handle is deterministic.
     """
-    loop = config.loop
     ctl = config.controller
-    f1 = config.waveform.two_tone.f1
-    x0 = ctl.x_prev if x0_hz is None else x0_hz
+    target = config.loop.target_sigma_m
+    trace = [EnvironmentRecord(timestamp_s=0.0, snr_db=config.channel.snr_db)]
 
     def plant(k: float) -> np.ndarray:
-        x = x0
-        out = np.empty(n_intervals)
-        for i in range(n_intervals):
-            wf = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f1 + x))
-            ranges, _ = simulate_window(
-                wf,
-                config.channel,
-                loop.pulses_per_interval,
-                config.estimator,
-                seed=(seed, 3, i),
-                window_pad_samples=loop.window_pad_samples,
-            )
-            sigma = window_stats(ranges, loop.group_size, loop.pulses_per_interval).sigma_d
-            out[i] = sigma * ctl.error_scale
-            error_units = (sigma - loop.target_sigma_m) * ctl.error_scale
-            x_next = x0 + k * error_units * ctl.output_scale
-            x = min(max(x_next, ctl.x_min), ctl.x_max)
-        return out
+        def p_law(error: float, i: int) -> float:
+            x_next = ctl.x_prev + k * (error * ctl.error_scale) * ctl.output_scale
+            return min(max(x_next, ctl.x_min), ctl.x_max)
+
+        logs = _closed_loop(config, trace, n_intervals, p_law, seed, 3, target)
+        return np.array([log.sigma_d_m * ctl.error_scale for log in logs])
 
     return plant
 
@@ -506,26 +471,23 @@ def summarize_run(logs: Sequence[ProcessingIntervalLog]) -> dict:
 
     if not logs:
         raise ValueError("no intervals logged")
-    sigma = np.array([l.sigma_d_m for l in logs])
-    f2 = np.array([l.f2_hz for l in logs])
-    mean_sigma = float(sigma.mean())
-    summary = {
+
+    def spread(values) -> dict:
+        a = np.array(values)
+        return {
+            "mean": float(a.mean()),
+            "max": float(a.max()),
+            "min": float(a.min()),
+            "final": float(a[-1]),
+        }
+
+    sigma = spread([l.sigma_d_m for l in logs])
+    return {
         "intervals": len(logs),
-        "sigma_d_m": {
-            "mean": mean_sigma,
-            "max": float(sigma.max()),
-            "min": float(sigma.min()),
-            "final": float(sigma[-1]),
-        },
+        "sigma_d_m": sigma,
         "mean_range_m": float(np.mean([l.mean_range_m for l in logs])),
-        "f2_hz": {
-            "mean": float(f2.mean()),
-            "max": float(f2.max()),
-            "min": float(f2.min()),
-            "final": float(f2[-1]),
-        },
+        "f2_hz": spread([l.f2_hz for l in logs]),
         "max_coherent_frequency_hz": {
-            str(p): max_coherent_frequency(mean_sigma, p) for p in (0.9, 0.8, 0.7)
+            str(p): max_coherent_frequency(sigma["mean"], p) for p in (0.9, 0.8, 0.7)
         },
     }
-    return summary

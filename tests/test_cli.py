@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -242,3 +243,65 @@ class TestTuneCommand:
         assert report["found"] is True
         assert report["k_p"] == pytest.approx(0.45 * report["k_u"], rel=1e-12)
         assert report["t_i_s"] == pytest.approx(0.833 * report["t_u_s"], rel=1e-12)
+
+
+class TestLoadTimeRejection:
+    """Values the model cannot hold fail at load time with one error line."""
+
+    @staticmethod
+    def run_with(tmp_path, capsys, config_text=None, trace_text=None):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config_text or "{}")
+        trace = tmp_path / "trace.csv"
+        if trace_text is None:
+            trace = make_trace(tmp_path)
+        else:
+            trace.write_text(trace_text)
+        rc = main(
+            ["run", "--config", str(cfg), "--trace", str(trace), "--fixed", "--out", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "config_text, fragment",
+        [
+            ('{"channel": {"true_range_m": Infinity}}', "'channel.true_range_m' must be finite"),
+            ('{"loop": {"group_size": 0}}', "group_size must be positive"),
+            ('{"loop": {"pulses_per_interval": 5}}', "at least two groups"),
+            ('{"channel": {"true_range_m": 1e6}}', "round-trip delay"),
+            ('{"waveform": {"pri_s": -Infinity}}', "'waveform.pri_s' must be finite"),
+            ('{"controller": {"k_p": Infinity}}', "'controller.k_p' must be finite"),
+            ('{"channel": {"snr_db": -Infinity}}', "'channel.snr_db' must be finite or +Infinity"),
+            ('{"waveform": {"disambiguation_hz": 0}}', "f_d=0.0"),
+            ('{"channel": {"repeater_gain": 1' + "0" * 400 + "}}", "'channel.repeater_gain' must be finite"),
+        ],
+    )
+    def test_config_value(self, tmp_path, capsys, config_text, fragment):
+        assert fragment in self.run_with(tmp_path, capsys, config_text=config_text)
+
+    @pytest.mark.parametrize(
+        "trace_text, fragment",
+        [
+            ("timestamp_s,snr_db\n0.0,20.0\nnan,20.0\n60.0,20.0\n", "line 3: timestamp_s"),
+            ("timestamp_s,snr_db\n0.0,20.0\n60.0,inf\n", "line 3: snr_db"),
+            ("timestamp_s,snr_db\n0.0,\n", "line 2: snr_db"),
+        ],
+    )
+    def test_trace_value(self, tmp_path, capsys, trace_text, fragment):
+        assert fragment in self.run_with(tmp_path, capsys, trace_text=trace_text)
+
+    def test_noise_free_snr_still_accepted(self):
+        from cohsync import config_from_dict
+
+        assert config_from_dict({"channel": {"snr_db": math.inf}}).channel.snr_db == math.inf
+
+    def test_montecarlo_section_is_unknown(self):
+        from cohsync import ConfigError, config_from_dict
+
+        with pytest.raises(ConfigError, match="unknown config key 'montecarlo'"):
+            config_from_dict({"montecarlo": {"trials": 100}})

@@ -10,7 +10,6 @@ from cohsync import (
     coherent_gain,
     max_coherent_frequency,
     probability_curve,
-    sample_gain,
     threshold_crossings,
 )
 from cohsync.waveform import SPEED_OF_LIGHT
@@ -51,20 +50,7 @@ class TestCoherentGain:
         assert shifted == pytest.approx(g, abs=1e-9)
 
 
-class TestSampleGain:
-    def test_zero_sigma_is_unity(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=0.2, sigma_d=0.0)
-        for seed in range(5):
-            assert sample_gain(scenario, seed).g_c == pytest.approx(1.0)
-
-    def test_seed_determinism(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=0.2, sigma_d=0.01)
-        a = sample_gain(scenario, 42).g_c
-        b = sample_gain(scenario, 42).g_c
-        c = sample_gain(scenario, 43).g_c
-        assert a == b
-        assert a != c
-
+class TestArrayScenario:
     def test_mean_gain_matches_gaussian_quadrature_oracle(self):
         # theta pinned to pi/2: the pair phase error is Gaussian with
         # std 2*pi*0.05*(1 + sin(pi/2)); oracle = dense quadrature of

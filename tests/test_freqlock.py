@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from cohsync import (
     CarrierPlan,
-    OscillatorState,
     SelfMixInput,
-    lock_state_update,
     path_phase,
     residual_baseband_frequency,
     self_mix,
@@ -69,49 +67,6 @@ class TestWrapPhase:
     def test_boundary_maps_to_positive_pi(self):
         assert wrap_phase(math.pi) == pytest.approx(math.pi)
         assert wrap_phase(-math.pi) == pytest.approx(math.pi)
-
-
-class TestLockStateUpdate:
-    def test_locked_with_reference_stays_locked(self):
-        state = OscillatorState(locked=True, drift_rate=1.0, offset=0.0)
-        out = lock_state_update(state, ref_available=True, dt=5.0)
-        assert out.locked and out.offset == 0.0
-
-    def test_unlocked_integrates_drift(self):
-        state = OscillatorState(locked=False, drift_rate=1.0, offset=0.0)
-        out = lock_state_update(state, ref_available=False, dt=10.0)
-        assert not out.locked
-        assert out.offset == pytest.approx(10.0)
-
-    def test_reference_dropout_and_reacquisition(self):
-        # oracle: hand-computed trajectory for 5 s dropout at 2 Hz/s
-        state = OscillatorState(locked=True, drift_rate=2.0, offset=0.0)
-        expected = [2.0, 4.0, 6.0, 8.0, 10.0]
-        for step_expected in expected:
-            state = lock_state_update(state, ref_available=False, dt=1.0)
-            assert state.offset == pytest.approx(step_expected)
-        state = lock_state_update(state, ref_available=True, dt=1.0)
-        assert state.locked and state.offset == 0.0
-
-    def test_random_walk_requires_rng_and_is_seeded(self):
-        state = OscillatorState(locked=False, drift_rate=0.0, offset=0.0)
-        with pytest.raises(ValueError):
-            lock_state_update(state, False, 1.0, random_walk_std=0.5)
-        a = lock_state_update(
-            state, False, 1.0, rng=np.random.default_rng(3), random_walk_std=0.5
-        )
-        b = lock_state_update(
-            state, False, 1.0, rng=np.random.default_rng(3), random_walk_std=0.5
-        )
-        assert a.offset == b.offset != 0.0
-
-    def test_invariant_locked_zero_offset(self):
-        with pytest.raises(ValueError):
-            OscillatorState(locked=True, offset=3.0)
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            lock_state_update(OscillatorState(), True, 0.0)
 
 
 class TestLockedResidualAlgebra:
