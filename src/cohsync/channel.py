@@ -107,6 +107,27 @@ def noise_power_for(clean: ComplexBasebandSignal, snr_db: float) -> float:
     return mean_power / (10.0 ** (snr_db / 10.0))
 
 
+def noisy_rows(
+    clean: np.ndarray, noise_power: float, n_rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n_rows`` copies of ``clean``, each with independent calibrated noise.
+
+    Noise is circularly symmetric white Gaussian with per-sample variance
+    ``noise_power``: one ``(n_rows, 2 n)`` standard-normal draw read as
+    interleaved real and imaginary parts, scaled and offset in place.
+    Draws nothing when ``noise_power`` is 0, and then returns a read-only
+    view of ``clean``.
+    """
+    if noise_power < 0:
+        raise ValueError("noise_power must be >= 0")
+    if noise_power == 0.0:
+        return np.broadcast_to(clean, (n_rows, clean.size))
+    rows = rng.standard_normal((n_rows, 2 * clean.size)).view(np.complex128)
+    rows *= math.sqrt(noise_power / 2.0)
+    rows += clean
+    return rows
+
+
 def propagate_round_trip(
     pulse: ComplexBasebandSignal,
     state: ChannelState,
@@ -122,16 +143,8 @@ def propagate_round_trip(
     """
     clean = apply_round_trip_response(pulse, state)
     sigma2 = noise_power_for(clean, state.snr_db) if noise_power is None else noise_power
-    if sigma2 < 0:
-        raise ValueError("noise_power must be >= 0")
-    if sigma2 == 0.0:
-        return clean
-    rng = np.random.default_rng(rng_seed)
-    n = clean.n_samples
-    noise = math.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    )
-    return ComplexBasebandSignal(clean.samples + noise, clean.sample_rate)
+    rows = noisy_rows(clean.samples, sigma2, 1, np.random.default_rng(rng_seed))
+    return ComplexBasebandSignal(rows[0], clean.sample_rate)
 
 
 def post_snr_from_sample_snr(window_len: int, snr_db: float) -> float:

@@ -28,10 +28,11 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.fft
 
-from .channel import ChannelState, apply_round_trip_response, noise_power_for
+from .channel import ChannelState, apply_round_trip_response, noise_power_for, noisy_rows
 from .config import EstimatorConfig, LoopConfig, RunConfig
 from .control import pi_step
-from .ranging import _circular_correlation, disambiguate_and_refine, window_stats
+from .ranging import _circular_correlation, refine_window, window_stats
+from .ranging import disambiguate_and_refine  # noqa: F401  (traced benchmark runs patch this name)
 from .waveform import (
     SPEED_OF_LIGHT,
     ComplexBasebandSignal,
@@ -238,6 +239,39 @@ def effective_window_length(
     return scipy.fft.next_fast_len(n_pulse + pad)
 
 
+def _matched_filter_rows(
+    waveform: WaveformConfig,
+    channel_state: ChannelState,
+    n_pulses: int,
+    estimator: EstimatorConfig,
+    seed,
+    window_pad_samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter outputs of one window: ``(P, n)`` ranging and disambiguation rows.
+
+    Each cycle propagates one ranging frame and one disambiguation frame
+    (padded to a common window length, hence equal post-processing
+    ``2E/N0``) through the channel with independent noise; the ranging
+    frames draw their noise first.
+    """
+    if n_pulses < 1:
+        raise ValueError("n_pulses must be >= 1")
+    fs = waveform.sample_rate
+    pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
+    pulse_d = generate_disambiguation(waveform.f_d, fs)
+    n_win = effective_window_length(waveform, channel_state, estimator, window_pad_samples)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def matched_rows(pulse: ComplexBasebandSignal) -> np.ndarray:
+        frame = np.concatenate([pulse.samples, np.zeros(n_win - pulse.n_samples)])
+        clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
+        sigma2 = noise_power_for(clean, channel_state.snr_db)
+        rows = noisy_rows(clean.samples, sigma2, n_pulses, rng)
+        return _circular_correlation(rows, pulse.samples)
+
+    return matched_rows(pulse_r), matched_rows(pulse_d)
+
+
 def simulate_window(
     waveform: WaveformConfig,
     channel_state: ChannelState,
@@ -248,52 +282,24 @@ def simulate_window(
 ) -> tuple[np.ndarray, int]:
     """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
 
-    Each cycle propagates one ranging frame and one disambiguation frame
-    (padded to a common window length, hence equal post-processing
-    ``2E/N0``) through the channel with independent noise, matched
-    filters both, and runs the full lobe-selection/refinement chain.
+    Each cycle's matched-filter outputs (see :func:`_matched_filter_rows`)
+    go through lobe selection and refinement as one batch.
     Deterministic for a fixed ``seed``.
     """
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
-    fs = waveform.sample_rate
-    pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    pulse_d = generate_disambiguation(waveform.f_d, fs)
-    n_win = effective_window_length(waveform, channel_state, estimator, window_pad_samples)
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def with_noise(clean: np.ndarray, sigma2: float) -> np.ndarray:
-        rows = np.broadcast_to(clean, (n_pulses, n_win))
-        if sigma2 == 0.0:
-            return rows
-        noise = rng.standard_normal((n_pulses, n_win, 2))
-        return rows + math.sqrt(sigma2 / 2.0) * (noise[..., 0] + 1j * noise[..., 1])
-
-    def matched_rows(pulse: ComplexBasebandSignal) -> np.ndarray:
-        frame = np.concatenate([pulse.samples, np.zeros(n_win - pulse.n_samples)])
-        clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
-        sigma2 = noise_power_for(clean, channel_state.snr_db)
-        return _circular_correlation(with_noise(clean.samples, sigma2), pulse.samples)
-
-    mf_r_rows = matched_rows(pulse_r)  # the ranging frame draws its noise first
-    mf_d_rows = matched_rows(pulse_d)
-
-    ranges = np.empty(n_pulses)
-    gross = 0
-    for i in range(n_pulses):
-        est = disambiguate_and_refine(
-            ComplexBasebandSignal(mf_r_rows[i], fs),
-            ComplexBasebandSignal(mf_d_rows[i], fs),
-            waveform,
-            neighbors=estimator.neighbors,
-            oversample=estimator.oversample,
-            interp_taps=estimator.interp_taps,
-            interp_beta=estimator.interp_beta,
-        )
-        ranges[i] = est.range
-        gross += est.gross_error
-    return ranges, gross
+    mf_r_rows, mf_d_rows = _matched_filter_rows(
+        waveform, channel_state, n_pulses, estimator, seed, window_pad_samples
+    )
+    ranges, _, gross, _ = refine_window(
+        mf_r_rows,
+        mf_d_rows,
+        waveform.sample_rate,
+        waveform,
+        neighbors=estimator.neighbors,
+        oversample=estimator.oversample,
+        interp_taps=estimator.interp_taps,
+        interp_beta=estimator.interp_beta,
+    )
+    return ranges, int(gross.sum())
 
 
 def _lookup(trace: Sequence[EnvironmentRecord], t: float, times, warned: set) -> EnvironmentRecord:

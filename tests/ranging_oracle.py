@@ -1,0 +1,159 @@
+"""Per-pulse reference for the batched range refinement kernel.
+
+This is the estimator as it ran one pulse at a time: a gather-and-sum
+Kaiser-sinc interpolation onto the dense grid and a Thomas solve for the
+natural spline.  The tests feed it and ``cohsync.ranging.refine_window``
+the same matched-filter rows and compare the results.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from cohsync.waveform import SPEED_OF_LIGHT, WaveformConfig
+
+
+def interp_kernel(positions: np.ndarray, taps: int, beta: float):
+    """Kaiser-windowed-sinc weights for fractional positions.
+
+    Returns integer gather offsets (m, 2*taps) relative to each position
+    and the matching weight matrix.
+    """
+    base = np.floor(positions).astype(int)
+    frac = positions - base
+    j = np.arange(-taps + 1, taps + 1)
+    u = frac[:, None] - j[None, :]
+    x = u / taps
+    window = np.where(
+        np.abs(x) <= 1.0,
+        np.i0(beta * np.sqrt(np.clip(1.0 - x**2, 0.0, None))) / np.i0(beta),
+        0.0,
+    )
+    return base[:, None] + j[None, :], np.sinc(u) * window
+
+
+@lru_cache(maxsize=32)
+def dense_grid_kernel(span: float, n_dense: int, taps: int, beta: float):
+    """Grid offsets, gather offsets and weights for the symmetric dense grid."""
+    offsets = np.linspace(-span, span, n_dense)
+    gather, weights = interp_kernel(offsets, taps, beta)
+    return offsets, gather, weights
+
+
+def natural_spline_max(x0: float, h: float, y: np.ndarray) -> tuple[float, float]:
+    """Location and value of the maximum of a natural cubic spline (Thomas solve)."""
+    n = y.size
+    if n < 3:
+        raise ValueError("need at least 3 points for a cubic spline")
+    # Thomas solve of M[i-1] + 4 M[i] + M[i+1] = rhs[i], natural ends M=0
+    rhs = 6.0 * (y[:-2] - 2.0 * y[1:-1] + y[2:]) / (h * h)
+    m_inner = np.zeros(n - 2)
+    cp = np.zeros(n - 2)
+    dp = np.zeros(n - 2)
+    cp[0] = 1.0 / 4.0
+    dp[0] = rhs[0] / 4.0
+    for i in range(1, n - 2):
+        denom = 4.0 - cp[i - 1]
+        cp[i] = 1.0 / denom
+        dp[i] = (rhs[i] - dp[i - 1]) / denom
+    m_inner[-1] = dp[-1]
+    for i in range(n - 4, -1, -1):
+        m_inner[i] = dp[i] - cp[i] * m_inner[i + 1]
+    m = np.concatenate([[0.0], m_inner, [0.0]])
+
+    # per-interval coefficients: S(t) = y + b t + c t^2 + d t^3, t in [0, h]
+    b = (y[1:] - y[:-1]) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c = m[:-1] / 2.0
+    d = (m[1:] - m[:-1]) / (6.0 * h)
+
+    def s_eval(i, t):
+        return y[:-1][i] + b[i] * t + c[i] * t * t + d[i] * t**3
+
+    # candidates: knots plus real roots of S' = b + 2c t + 3d t^2
+    best_x, best_v = x0, y[0]
+    for i in range(n - 1):
+        cands = [0.0, h]
+        disc = 4.0 * c[i] ** 2 - 12.0 * d[i] * b[i]
+        if d[i] != 0.0 and disc >= 0.0:
+            sq = math.sqrt(disc)
+            cands += [(-2.0 * c[i] + sq) / (6.0 * d[i]), (-2.0 * c[i] - sq) / (6.0 * d[i])]
+        elif d[i] == 0.0 and c[i] != 0.0:
+            cands.append(-b[i] / (2.0 * c[i]))
+        for t in cands:
+            if 0.0 <= t <= h:
+                v = s_eval(i, t)
+                if v > best_v:
+                    best_x, best_v = x0 + i * h + t, v
+    return best_x, best_v
+
+
+def spline_peak(offsets: np.ndarray, values: np.ndarray) -> float:
+    """Offset of the spline maximum on the 17 points around the dense argmax."""
+    m = int(np.argmax(values))
+    lo, hi = max(m - 8, 0), min(m + 9, values.size)
+    h = float(offsets[1] - offsets[0])
+    peak_x, _ = natural_spline_max(float(offsets[lo]), h, values[lo:hi])
+    return peak_x
+
+
+def _signed_lag(index: float, n: int) -> float:
+    return index - n if index > n / 2 else index
+
+
+def refine_pulse(
+    mf_ranging: np.ndarray,
+    mf_disamb: np.ndarray | None,
+    sample_rate: float,
+    config: WaveformConfig,
+    *,
+    expected_lag_s: float | None = None,
+    neighbors: int = 4,
+    oversample: int = 64,
+    interp_taps: int = 32,
+    interp_beta: float = 14.0,
+) -> tuple[float, float, bool, int]:
+    """One pulse through lobe selection and refinement.
+
+    Returns (range, peak lag in seconds, gross-error flag, ambiguity index).
+    """
+    mag = np.abs(mf_ranging)
+    n = mag.size
+    fs = sample_rate
+
+    if mf_disamb is not None:
+        coarse = _signed_lag(int(np.argmax(np.abs(mf_disamb))), n)
+    elif expected_lag_s is not None:
+        coarse = expected_lag_s * fs
+    else:
+        raise ValueError("need either a disambiguation output or expected_lag_s")
+
+    separation = config.two_tone.separation
+    spacing = fs / separation if separation > 0 else math.inf
+    half = spacing / 2.0
+
+    gross = False
+    if math.isfinite(half) and 2.0 * half < n:
+        lo = int(np.ceil(coarse - half))
+        hi = int(np.floor(coarse + half))
+        window = np.arange(lo, hi + 1)
+        peak = int(window[np.argmax(mag[window % n])])
+        if peak == lo and mag[(lo - 1) % n] > mag[lo % n]:
+            gross = True
+        elif peak == hi and mag[(hi + 1) % n] > mag[hi % n]:
+            gross = True
+    else:
+        peak = int(_signed_lag(int(np.argmax(mag)), n))
+
+    span = float(neighbors)
+    if math.isfinite(half):
+        span = min(span, half)
+    span = max(span, 1.0)
+    n_dense = max(int(round(2 * span * oversample)), 8) + 1
+    offsets, gather, weights = dense_grid_kernel(span, n_dense, interp_taps, interp_beta)
+    dense = np.abs((mf_ranging[(peak + gather) % n] * weights).sum(axis=1))
+    refined = peak + spline_peak(offsets, dense)
+
+    lag_s = refined / fs
+    ambiguity_index = int(round((peak - coarse) / spacing)) if math.isfinite(spacing) else 0
+    return max(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s, gross, ambiguity_index

@@ -18,6 +18,7 @@ from cohsync import (
     residual_baseband_frequency,
     sample_snr_for_post_snr,
 )
+from cohsync.channel import noisy_rows
 from cohsync.waveform import generate_two_tone
 
 FS = 25e6
@@ -130,6 +131,23 @@ class TestPropagateRoundTrip:
         state = ChannelState(true_range=0.0, snr_db=10.0)
         with pytest.raises(ValueError):
             propagate_round_trip(frame, state, rng_seed=0, noise_power=-1.0)
+
+
+class TestNoisyRows:
+    def test_same_floats_as_interleaved_draw(self):
+        # the (P, 2n) draw read as complex is the (P, n, 2) draw's stream
+        clean = np.exp(2j * np.pi * 0.01 * np.arange(300))
+        rows = noisy_rows(clean, 0.7, 4, np.random.default_rng(3))
+        g = np.random.default_rng(3).standard_normal((4, 300, 2))
+        expected = clean + math.sqrt(0.7 / 2.0) * (g[..., 0] + 1j * g[..., 1])
+        assert np.array_equal(rows, expected)
+
+    def test_noise_free_rows_draw_nothing(self):
+        clean = np.ones(16, dtype=complex)
+        rng = np.random.default_rng(5)
+        rows = noisy_rows(clean, 0.0, 3, rng)
+        assert rows.shape == (3, 16) and np.array_equal(rows[2], clean)
+        assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
 
 
 class TestSnrHelpers:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 from statistics import mean, stdev
 
 import numpy as np
@@ -8,15 +10,20 @@ from cohsync import (
     SPEED_OF_LIGHT,
     ChannelState,
     ComplexBasebandSignal,
+    EstimatorConfig,
+    TwoToneSpec,
     crlb_sigma_r,
+    default_config,
     disambiguate_and_refine,
     matched_filter,
     simulate_window,
     window_stats,
 )
-from cohsync.ranging import _natural_spline_max
+from cohsync.ranging import _interp_matrix, _natural_spline_max, refine_window
+from cohsync.scenario import _matched_filter_rows
 from cohsync.waveform import generate_disambiguation, generate_two_tone
 
+import ranging_oracle
 from conftest import state_for_post_snr
 
 FS = 25e6
@@ -222,7 +229,7 @@ class TestSplineSolver:
             x0 = float(rng.uniform(-4, 4))
             h = float(rng.uniform(0.05, 1.5))
             x = x0 + h * np.arange(n)
-            peak_x, peak_v = _natural_spline_max(x0, h, y)
+            (peak_x,), (peak_v,) = _natural_spline_max(x0, h, y[None, :])
             ref = CubicSpline(x, y, bc_type="natural")
             roots = ref.derivative().roots(extrapolate=False)
             cand = np.concatenate([np.real(roots[np.isreal(roots)]), x[[0, -1]]])
@@ -230,3 +237,91 @@ class TestSplineSolver:
             best = cand[np.argmax(ref(cand))]
             assert peak_v == pytest.approx(float(ref(best)), rel=1e-9, abs=1e-9)
             assert peak_x == pytest.approx(float(best), abs=1e-6)
+
+
+def oracle_window(mf_r, mf_d, waveform, **kwargs):
+    """The per-pulse reference over every row, as arrays like refine_window's."""
+    out = [
+        ranging_oracle.refine_pulse(r, d, waveform.sample_rate, waveform, **kwargs)
+        for r, d in zip(mf_r, mf_d)
+    ]
+    return tuple(np.array(column) for column in zip(*out))
+
+
+def assert_matches_oracle(mf_r, mf_d, waveform):
+    ranges, lags, gross, ambiguity = refine_window(mf_r, mf_d, waveform.sample_rate, waveform)
+    o_ranges, o_lags, o_gross, o_ambiguity = oracle_window(mf_r, mf_d, waveform)
+    assert np.max(np.abs(ranges - o_ranges)) <= 1e-8
+    assert np.array_equal(gross, o_gross)
+    assert np.array_equal(ambiguity, o_ambiguity)
+    return ranges, lags, gross
+
+
+class TestBatchedKernel:
+    """refine_window against the per-pulse reference on identical rows."""
+
+    @pytest.mark.parametrize("snr_db", [-25.0, 13.0, 23.0, math.inf])
+    def test_matches_per_pulse_oracle(self, full_waveform, snr_db):
+        state = ChannelState(true_range=90.0, snr_db=snr_db)
+        gross_total = 0
+        for separation_hz in (0.0, 1e6, 3.5e6, 7.5e6):
+            waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
+            for seed in range(3):
+                mf_r, mf_d = _matched_filter_rows(
+                    waveform, state, 50, EstimatorConfig(), (17, seed), 128
+                )
+                gross_total += assert_matches_oracle(mf_r, mf_d, waveform)[2].sum()
+        if snr_db < 0:
+            assert gross_total > 0  # the gross-error branch was reached
+
+    def test_truncated_spline_window(self, full_waveform):
+        # magnitudes rising (falling) through the lobe window put the dense
+        # argmax on the grid's last (first) point, so the spline window
+        # shrinks to 9 points; an ordinary row rides in the same batch
+        n = 512
+        ramp = np.linspace(0.0, 1.0, n) + 0j
+        lobe = np.zeros(n, dtype=complex)
+        lobe[195:206] = np.hanning(11)
+        spike = np.zeros(n, dtype=complex)
+        spike[200] = 1.0
+        mf_r = np.stack([ramp, ramp[::-1], lobe])
+        mf_d = np.stack([spike, spike, spike])
+        ranges, lags, gross = assert_matches_oracle(mf_r, mf_d, full_waveform)
+        fs = full_waveform.sample_rate
+        half = fs / full_waveform.two_tone.separation / 2  # half a lobe spacing
+        span = min(4.0, half)
+        hi, lo = math.floor(200 + half), math.ceil(200 - half)
+        assert lags[0] * fs == pytest.approx(hi + span, abs=1e-9)
+        assert lags[1] * fs == pytest.approx(lo - span, abs=1e-9)
+        assert lags[2] * fs == pytest.approx(200.0, abs=1e-6)
+        assert gross.tolist() == [True, True, False]
+
+    def test_separation_zero_branch(self, full_waveform):
+        # f2 == f1 (the PI loop clamped at x_min = 0): no lobes, so the
+        # peak is the global magnitude maximum of each row
+        waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3))
+        state = ChannelState(true_range=37.3, snr_db=math.inf)
+        mf_r, mf_d = _matched_filter_rows(waveform, state, 2, EstimatorConfig(), 0, 128)
+        mf_r = mf_r.copy()
+        mf_r[1] = np.roll(mf_r[1], 40)  # a second row, peaked 40 lags later
+        ranges, _, gross = assert_matches_oracle(mf_r, mf_d, waveform)
+        lag_m = SPEED_OF_LIGHT / (2 * waveform.sample_rate)
+        assert ranges[0] == pytest.approx(37.3, abs=0.1)
+        assert ranges[1] - ranges[0] == pytest.approx(40 * lag_m, abs=1e-6)
+        assert not gross.any()
+
+    def test_peak_memory_of_default_window(self):
+        # default config: P = 200 rows of n = 3750 lags; one full-window
+        # magnitude array alone would be 5.7 MiB
+        config = default_config()
+        waveform, estimator = config.waveform, config.estimator
+        mf_r, mf_d = _matched_filter_rows(waveform, config.channel, 200, estimator, 0, 128)
+        assert mf_r.shape == (200, 3750)
+        _interp_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            refine_window(mf_r, mf_d, waveform.sample_rate, waveform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
