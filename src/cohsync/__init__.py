@@ -26,7 +26,6 @@ from .coherence import (
 )
 from .config import (
     ConfigError,
-    EstimatorConfig,
     LoopConfig,
     RunConfig,
     config_from_dict,
@@ -52,6 +51,7 @@ from .ranging import (
     RangeEstimate,
     RangeWindowStats,
     disambiguate_and_refine,
+    effective_window_length,
     matched_filter,
     window_stats,
 )
@@ -59,7 +59,6 @@ from .scenario import (
     EnvironmentRecord,
     ProcessingIntervalLog,
     TraceSegment,
-    effective_window_length,
     ranging_sigma_plant,
     read_run_log_csv,
     read_trace_csv,

@@ -7,7 +7,7 @@ into that one number, because every downstream accuracy result depends
 only on the post-processing energy ratio ``2E/N0``.
 
 SNR convention: ``snr_db`` references the mean power of the clean
-(delayed, shifted, scaled) signal over the full window it is given.
+(delayed, shifted) signal over the full window it is given.
 With ranging and disambiguation frames padded to the same window
 length, both pulses then see the same post-processing ``2E/N0``, equal
 to ``2 * window_len * 10**(snr_db/10)``.
@@ -50,13 +50,10 @@ class ChannelState:
     true_range: float
     snr_db: float
     carrier: CarrierPlan = CarrierPlan()
-    repeater_gain: float = 1.0
 
     def __post_init__(self):
         if self.true_range < 0:
             raise ValueError("true_range must be >= 0")
-        if not self.repeater_gain > 0:
-            raise ValueError("repeater_gain must be positive")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
 
@@ -74,13 +71,14 @@ def residual_baseband_frequency(f_b: float, carrier: CarrierPlan) -> float:
 def apply_round_trip_response(
     pulse: ComplexBasebandSignal, state: ChannelState
 ) -> ComplexBasebandSignal:
-    """Deterministic part of the round trip: delay, shift, scale.
+    """Deterministic part of the round trip: delay and residual shift.
 
     The two-way delay ``2 * true_range / c`` is applied as a spectral
     phase ramp, which is exact for band-limited content and circular
     over the window (callers size the window so the wrap region stays
     empty).  The residual frequency shift ``offset2 - offset1`` is then
-    applied across the window, followed by the repeater amplitude gain.
+    applied across the window.  No amplitude gain is modelled: the SNR
+    is referenced to the received signal, so any gain cancels.
     """
     tau = 2.0 * state.true_range / SPEED_OF_LIGHT
     if tau > pulse.duration:
@@ -96,7 +94,7 @@ def apply_round_trip_response(
     if shift != 0.0:
         t = np.arange(n) / fs
         delayed = delayed * np.exp(2j * np.pi * shift * t)
-    return ComplexBasebandSignal(delayed * state.repeater_gain, fs)
+    return ComplexBasebandSignal(delayed, fs)
 
 
 def noise_power_for(clean: ComplexBasebandSignal, snr_db: float) -> float:
@@ -134,7 +132,7 @@ def propagate_round_trip(
     rng_seed: int,
     noise_power: float | None = None,
 ) -> ComplexBasebandSignal:
-    """Full round trip: delay + residual shift + gain + calibrated noise.
+    """Full round trip: delay + residual shift + calibrated noise.
 
     Noise is circularly symmetric white Gaussian with per-sample variance
     set so the window-average SNR equals ``state.snr_db`` (see the module

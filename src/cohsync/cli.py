@@ -26,7 +26,7 @@ import numpy as np
 
 from . import coherence
 from .config import ConfigError, RunConfig, default_config, load_config, save_config
-from .control import find_ultimate_gain, ziegler_nichols_gains
+from .control import MIN_SERIES_LENGTH, find_ultimate_gain, ziegler_nichols_gains
 from .scenario import (
     _fmt,
     ranging_sigma_plant,
@@ -95,6 +95,8 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    if not 0.0 < args.threshold <= 1.0:
+        raise ValueError(f"--threshold {args.threshold} must lie in (0, 1], the range of the coherent gain")
     if args.trials < 1000:
         print(
             f"warning: {args.trials} trials is below the 1000 recommended "
@@ -103,9 +105,7 @@ def _cmd_montecarlo(args) -> int:
         )
     seed = _resolve_seed(args)
     grid = _parse_grid(args.sigma_grid)  # in units of the wavelength
-    scenario = coherence.ArrayScenario(
-        n_nodes=args.nodes, wavelength=1.0, sigma_d=0.0
-    )
+    scenario = coherence.ArrayScenario(n_nodes=args.nodes, wavelength=1.0)
     y = coherence.probability_curve(
         scenario, grid, threshold=args.threshold, trials=args.trials, seed=seed
     )
@@ -161,6 +161,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    if args.intervals < MIN_SERIES_LENGTH:
+        raise ValueError(
+            f"--intervals {args.intervals} is below {MIN_SERIES_LENGTH}, the fewest "
+            "the oscillation test examines"
+        )
     config = _load_config_arg(args)
     seed = _resolve_seed(args, config)
     k_grid = _parse_grid(args.k_grid)
@@ -202,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="coherent-gain probability curve")
     p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--threshold", type=float, default=0.9, help="gain threshold X")
+    p.add_argument("--threshold", type=float, default=0.9, help="gain threshold X, in (0, 1]")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--sigma-grid", default="0.01:0.2:60", help="sigma_d/lambda grid")
     p.add_argument("--seed", type=int, default=None)
@@ -224,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="ultimate-gain search on the ranging loop")
     p.add_argument("--config", default=None, help="run config JSON")
     p.add_argument("--k-grid", required=True, help="proportional gain grid")
-    p.add_argument("--intervals", type=int, default=30)
+    p.add_argument(
+        "--intervals", type=int, default=30, help=f"plant run length, at least {MIN_SERIES_LENGTH}"
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_tune)

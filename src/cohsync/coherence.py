@@ -13,13 +13,14 @@ carries no error):
 
 where ``delta_d ~ N(0, sigma_d**2)`` is that node's range-estimate error
 and ``theta`` the beam steering angle.  The ``sin(theta)`` part is the
-steering-correction error; the constant part is the phase alignment
-performed over the measured inter-node link itself, which weights the
-range error by the full carrier wavenumber.  Including the link term is
-what reproduces the published two-node sigma_d/lambda thresholds
-(0.0495 / 0.0725 / 0.1040 at probabilities 0.9 / 0.8 / 0.7) to within a
-couple of percent; it can be disabled per scenario for the bare
-steering-projection model.
+steering-correction error: steering with the estimated spacing
+``d + delta_d`` instead of the true ``d`` misses by ``k * delta_d *
+sin(theta)``, whatever ``d`` is, so spacings need not be drawn.  The
+constant part is the phase alignment performed over the measured
+inter-node link itself, which weights the range error by the full
+carrier wavenumber.  Including the link term is what reproduces the
+published two-node sigma_d/lambda thresholds (0.0495 / 0.0725 / 0.1040
+at probabilities 0.9 / 0.8 / 0.7) to within a couple of percent.
 """
 
 import math
@@ -37,34 +38,24 @@ TWO_NODE_SIGMA_OVER_LAMBDA = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
 
 @dataclass(frozen=True)
 class ArrayScenario:
-    """Randomization ranges for one Monte-Carlo coherence trial.
+    """Array size, carrier wavelength (m) and steering-angle range.
 
-    ``theta_range`` (rad) and ``node_spacing_range`` (m) bound the
-    uniform draws of steering angle and inter-node spacing.
+    ``theta_range`` (rad) bounds the uniform draw of the steering angle.
+    The ranging accuracy is not part of the scenario: it is the grid
+    that :func:`probability_curve` sweeps.
     """
 
     n_nodes: int
     wavelength: float
-    sigma_d: float
     theta_range: tuple[float, float] = (-math.pi / 2, math.pi / 2)
-    node_spacing_range: tuple[float, float] | None = None
-    include_link_phase: bool = True
 
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
-        if self.sigma_d < 0:
-            raise ValueError("sigma_d must be >= 0")
         if self.theta_range[0] > self.theta_range[1]:
             raise ValueError("theta_range must be ordered")
-        if self.node_spacing_range is None:
-            object.__setattr__(
-                self,
-                "node_spacing_range",
-                (self.wavelength, 100.0 * self.wavelength),
-            )
 
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.wavelength
@@ -94,27 +85,23 @@ def coherent_gain(phase_errors, amplitudes=None) -> float:
 
 
 def _draw_geometry(scenario: ArrayScenario, trials: int, rng: np.random.Generator):
-    """Draw everything except the sigma_d scaling (enables reuse across a grid)."""
+    """Steering angles and unit range errors of ``trials`` trials.
+
+    Everything except the sigma_d scaling, so one draw serves a whole grid.
+    """
     theta = rng.uniform(*scenario.theta_range, size=trials)
-    spacing = rng.uniform(*scenario.node_spacing_range, size=(trials, scenario.n_nodes))
     z_range = rng.standard_normal((trials, scenario.n_nodes))
     z_range[:, 0] = 0.0  # primary node is the phase reference
-    return theta, spacing, z_range
+    return theta, z_range
 
 
 def _gains_from_geometry(
     scenario: ArrayScenario, sigma_d: float, geometry
 ) -> np.ndarray:
-    theta, spacing, z_range = geometry
+    """Coherent gain of each trial at range-error scale ``sigma_d``."""
+    theta, z_range = geometry
     k = scenario.wavenumber()
-    sin_t = np.sin(theta)[:, None]
-    delta_d = sigma_d * z_range
-    # steering phase with the true spacing versus with the estimated one
-    steer_true = k * spacing * sin_t
-    steer_est = k * (spacing + delta_d) * sin_t
-    link = k * delta_d if scenario.include_link_phase else 0.0
-    eps = steer_true - steer_est - link
-    eps[:, 0] = 0.0
+    eps = (k * sigma_d * (1.0 + np.sin(theta)))[:, None] * z_range
     summed = np.exp(1j * eps).sum(axis=1)
     return np.abs(summed) ** 2 / scenario.n_nodes**2
 
@@ -130,7 +117,7 @@ def probability_curve(
 
     One set of geometry draws is shared across the whole grid (common
     random numbers), which removes Monte-Carlo jitter from the shape of
-    the curve; ``scenario.sigma_d`` is ignored in favour of the grid.
+    the curve.
     """
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.size == 0:

@@ -23,7 +23,13 @@ from pathlib import Path
 
 from .channel import ChannelState
 from .control import PiControllerState
+from .ranging import effective_window_length
 from .waveform import SPEED_OF_LIGHT, WaveformConfig
+
+# Limit on the complex samples of one window's frame array (pulses_per_interval
+# x receive-window length): 256 MiB at 16 bytes a sample.  A window peaks at
+# about four such arrays, so 1 GiB.  The reference 200 x 3750 uses 4.5 %.
+MAX_FRAME_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,6 @@ class LoopConfig:
     pulses_per_interval: int = 200
     group_size: int = 5
     pulse_period_s: float = 0.105
-    window_pad_samples: int = 128
     target_sigma_m: float = 0.010
     weather_coupling: bool = False
 
@@ -53,16 +58,6 @@ class LoopConfig:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Peak-refinement knobs for the range estimator."""
-
-    neighbors: int = 4
-    oversample: int = 64
-    interp_taps: int = 32
-    interp_beta: float = 14.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a scenario run needs, serializable to one JSON document."""
 
@@ -70,7 +65,6 @@ class RunConfig:
     channel: ChannelState
     controller: PiControllerState
     loop: LoopConfig = LoopConfig()
-    estimator: EstimatorConfig = EstimatorConfig()
     seed: int = 1
 
     def __post_init__(self):
@@ -82,6 +76,16 @@ class RunConfig:
             raise ValueError(
                 f"round-trip delay {tau:.3e} s exceeds the {listen:.3e} s between "
                 "the end of a ranging pulse and the next pulse (pri - ranging_pulse_width)"
+            )
+        try:
+            n_win = effective_window_length(self.waveform, self.channel)
+        except OverflowError:  # more samples than any index can count
+            n_win = math.inf
+        pulses = self.loop.pulses_per_interval
+        if pulses * n_win > MAX_FRAME_SAMPLES:
+            raise ValueError(
+                f"a window of {pulses} pulses x {n_win} samples exceeds the limit of "
+                f"{MAX_FRAME_SAMPLES} samples (pulses_per_interval x window length)"
             )
 
 
@@ -115,7 +119,6 @@ _FIELDS = {
     "waveform.f2_hz": ("waveform.two_tone.f2", float),
     "waveform.disambiguation_hz": ("waveform.f_d", float),
     "waveform.ranging_pulse_width_s": ("waveform.ranging_pulse_width", float),
-    "waveform.disamb_pulse_width_s": ("waveform.disamb_pulse_width", float),
     "waveform.pri_s": ("waveform.pri", float),
     "waveform.sample_rate_hz": ("waveform.sample_rate", float),
     "channel.true_range_m": ("channel.true_range", float),
@@ -124,7 +127,6 @@ _FIELDS = {
     "channel.return_carrier_hz": ("channel.carrier.f_c2", float),
     "channel.carrier_offset1_hz": ("channel.carrier.offset1", float),
     "channel.carrier_offset2_hz": ("channel.carrier.offset2", float),
-    "channel.repeater_gain": ("channel.repeater_gain", float),
     "controller.k_p": ("controller.k_p", float),
     "controller.t_i_s": ("controller.t_i", float),
     "controller.x_initial_hz": ("controller.x_prev", float),
@@ -135,13 +137,8 @@ _FIELDS = {
     "loop.pulses_per_interval": ("loop.pulses_per_interval", int),
     "loop.group_size": ("loop.group_size", int),
     "loop.pulse_period_s": ("loop.pulse_period_s", float),
-    "loop.window_pad_samples": ("loop.window_pad_samples", int),
     "loop.target_sigma_m": ("loop.target_sigma_m", float),
     "loop.weather_coupling": ("loop.weather_coupling", bool),
-    "estimator.neighbors": ("estimator.neighbors", int),
-    "estimator.oversample": ("estimator.oversample", int),
-    "estimator.interp_taps": ("estimator.interp_taps", int),
-    "estimator.interp_beta": ("estimator.interp_beta", float),
     "seed": ("seed", int),
 }
 _SECTIONS = tuple(dict.fromkeys(k.split(".")[0] for k in _FIELDS if "." in k))
@@ -209,9 +206,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a plain dict (e.g. parsed JSON).
 
     Missing keys take their defaults; unknown keys anywhere are rejected
-    with the dotted path of the entry.  Two defaults are derived: the
-    disambiguation pulse is one period of its tone, and the initial
-    controller output is the configured tone separation.
+    with the dotted path of the entry.  One default is derived: the
+    initial controller output is the configured tone separation.
     """
     values = dict(_REFERENCE)
     for name, value in _entries(doc):
@@ -219,8 +215,6 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"unknown config key '{name}'")
         path, kind = _FIELDS[name]
         values[path] = _check_value(name, value, kind)
-    f_d = values["waveform.f_d"]
-    values.setdefault("waveform.disamb_pulse_width", 1.0 / f_d if f_d else math.inf)
     f1, f2 = values["waveform.two_tone.f1"], values["waveform.two_tone.f2"]
     values.setdefault("controller.x_prev", f2 - f1)
     try:

@@ -25,6 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# A sustained oscillation shows at least _MIN_PERIODS periods, and a
+# series shorter than MIN_SERIES_LENGTH samples is never examined.
+_MIN_PERIODS = 5
+MIN_SERIES_LENGTH = 8
+
 
 @dataclass(frozen=True)
 class PiControllerState:
@@ -81,18 +86,15 @@ class OscillationReport:
     t_u: float
 
 
-def _detect_oscillation(
-    y: np.ndarray, dt: float, min_periods: int
-) -> float | None:
+def _detect_oscillation(y: np.ndarray, dt: float) -> float | None:
     """Period of a sustained oscillation in ``y``, or None.
 
     Sustained means the peak-to-peak amplitude does not decay between the
     two halves of the post-transient window and the motion is spectrally
-    concentrated (constant period), with at least ``min_periods`` periods
-    observed.
+    concentrated (constant period), with at least five periods observed.
     """
     y = np.asarray(y, dtype=float)
-    if y.size < 8:
+    if y.size < MIN_SERIES_LENGTH:
         return None
     tail = y[y.size // 4 :]
     scale = max(np.max(np.abs(tail)), 1.0)
@@ -122,7 +124,7 @@ def _detect_oscillation(
         if denom != 0:
             b += 0.5 * (s_m - s_p) / denom
     period = z.size / b * dt
-    if period * min_periods > z.size * dt:
+    if period * _MIN_PERIODS > z.size * dt:
         return None  # too few periods to call it sustained
     return period
 
@@ -131,15 +133,14 @@ def find_ultimate_gain(
     plant: Callable[[float], Sequence[float]],
     k_grid: Sequence[float],
     dt: float = 1.0,
-    min_periods: int = 5,
 ) -> OscillationReport | None:
     """Scan proportional gains for the smallest that sustains oscillation.
 
     ``plant(k)`` must return the closed-loop output series under pure
     proportional control with gain ``k``, sampled every ``dt`` seconds,
     and must be deterministic.  Returns the first grid gain whose output
-    oscillates with non-decaying amplitude over at least ``min_periods``
-    periods, together with the measured period; None if no grid gain
+    oscillates with non-decaying amplitude over at least five periods,
+    together with the measured period; None if no grid gain
     oscillates.
     """
     if len(k_grid) == 0:
@@ -147,7 +148,7 @@ def find_ultimate_gain(
     for k in sorted(k_grid):
         if not k > 0:
             raise ValueError("gains must be positive")
-        period = _detect_oscillation(np.asarray(plant(k), float), dt, min_periods)
+        period = _detect_oscillation(np.asarray(plant(k), float), dt)
         if period is not None:
             return OscillationReport(k_u=float(k), t_u=float(period))
     return None

@@ -26,15 +26,18 @@ from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .channel import ChannelState, apply_round_trip_response, noise_power_for, noisy_rows
-from .config import EstimatorConfig, LoopConfig, RunConfig
+from .config import LoopConfig, RunConfig
 from .control import pi_step
-from .ranging import _circular_correlation, refine_window, window_stats
+from .ranging import (
+    _circular_correlation,
+    effective_window_length,
+    refine_window,
+    window_stats,
+)
 from .ranging import disambiguate_and_refine  # noqa: F401  (traced benchmark runs patch this name)
 from .waveform import (
-    SPEED_OF_LIGHT,
     ComplexBasebandSignal,
     TwoToneSpec,
     WaveformConfig,
@@ -218,34 +221,8 @@ def read_run_log_csv(path) -> list[ProcessingIntervalLog]:
         ]
 
 
-def effective_window_length(
-    waveform: WaveformConfig,
-    channel_state: ChannelState,
-    estimator: EstimatorConfig = EstimatorConfig(),
-    window_pad_samples: int = 128,
-) -> int:
-    """Receive-window length (samples) simulate_window will use.
-
-    The padding covers the round-trip delay plus the interpolator's
-    support, then the total is rounded up to an FFT-friendly length.
-    """
-    fs = waveform.sample_rate
-    n_pulse = int(round(waveform.ranging_pulse_width * fs))
-    delay = 2.0 * channel_state.true_range / SPEED_OF_LIGHT * fs
-    pad = max(
-        window_pad_samples,
-        int(math.ceil(delay)) + estimator.interp_taps + estimator.neighbors + 8,
-    )
-    return scipy.fft.next_fast_len(n_pulse + pad)
-
-
 def _matched_filter_rows(
-    waveform: WaveformConfig,
-    channel_state: ChannelState,
-    n_pulses: int,
-    estimator: EstimatorConfig,
-    seed,
-    window_pad_samples: int,
+    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter outputs of one window: ``(P, n)`` ranging and disambiguation rows.
 
@@ -259,7 +236,7 @@ def _matched_filter_rows(
     fs = waveform.sample_rate
     pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
     pulse_d = generate_disambiguation(waveform.f_d, fs)
-    n_win = effective_window_length(waveform, channel_state, estimator, window_pad_samples)
+    n_win = effective_window_length(waveform, channel_state)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def matched_rows(pulse: ComplexBasebandSignal) -> np.ndarray:
@@ -276,9 +253,7 @@ def simulate_window(
     waveform: WaveformConfig,
     channel_state: ChannelState,
     n_pulses: int,
-    estimator: EstimatorConfig = EstimatorConfig(),
     seed=0,
-    window_pad_samples: int = 128,
 ) -> tuple[np.ndarray, int]:
     """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
 
@@ -286,36 +261,29 @@ def simulate_window(
     go through lobe selection and refinement as one batch.
     Deterministic for a fixed ``seed``.
     """
-    mf_r_rows, mf_d_rows = _matched_filter_rows(
-        waveform, channel_state, n_pulses, estimator, seed, window_pad_samples
-    )
-    ranges, _, gross, _ = refine_window(
-        mf_r_rows,
-        mf_d_rows,
-        waveform.sample_rate,
-        waveform,
-        neighbors=estimator.neighbors,
-        oversample=estimator.oversample,
-        interp_taps=estimator.interp_taps,
-        interp_beta=estimator.interp_beta,
-    )
+    mf_r_rows, mf_d_rows = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
+    ranges, _, gross, _ = refine_window(mf_r_rows, mf_d_rows, waveform.sample_rate, waveform)
     return ranges, int(gross.sum())
 
 
-def _lookup(trace: Sequence[EnvironmentRecord], t: float, times, warned: set) -> EnvironmentRecord:
-    """Most recent record at or before t, warning once per hold-over gap."""
+def _lookup(
+    trace: Sequence[EnvironmentRecord], t: float, times, cadence: float, warned: set
+) -> EnvironmentRecord:
+    """Most recent record at or before t, warning once per hold-over gap.
+
+    A gap is a hold-over longer than two ``cadence`` (the trace's median
+    record spacing; infinite for a one-record trace, which never warns).
+    """
     idx = bisect_right(times, t) - 1
     if idx < 0:
         raise ValueError(f"trace does not cover t={t} (starts at {times[0]})")
-    if len(times) > 1:
-        cadence = float(np.median(np.diff(times)))
-        if t - times[idx] > 2.0 * cadence and idx not in warned:
-            warned.add(idx)
-            logger.warning(
-                "trace gap: holding record at t=%.1f s for query t=%.1f s",
-                times[idx],
-                t,
-            )
+    if t - times[idx] > 2.0 * cadence and idx not in warned:
+        warned.add(idx)
+        logger.warning(
+            "trace gap: holding record at t=%.1f s for query t=%.1f s",
+            times[idx],
+            t,
+        )
     return trace[idx]
 
 
@@ -352,6 +320,7 @@ def _closed_loop(
     loop = config.loop
     dt = loop.interval_duration_s
     times = [r.timestamp_s for r in trace]
+    cadence = float(np.median(np.diff(times))) if len(times) > 1 else math.inf
     warned: set = set()
     weather_rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
 
@@ -360,19 +329,12 @@ def _closed_loop(
     logs: list[ProcessingIntervalLog] = []
     for i in range(n_intervals):
         t = times[0] + i * dt
-        rec = _lookup(trace, t, times, warned)
+        rec = _lookup(trace, t, times, cadence, warned)
         snr = _effective_snr(rec, loop, weather_rng)
         f2 = f1 + x
         wf = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f2))
         state = replace(config.channel, snr_db=snr)
-        ranges, _ = simulate_window(
-            wf,
-            state,
-            loop.pulses_per_interval,
-            config.estimator,
-            seed=(seed, stream, i),
-            window_pad_samples=loop.window_pad_samples,
-        )
+        ranges, _ = simulate_window(wf, state, loop.pulses_per_interval, seed=(seed, stream, i))
         stats = window_stats(ranges, loop.group_size, loop.pulses_per_interval)
         error = stats.sigma_d - target_sigma_m
         logs.append(

@@ -83,13 +83,12 @@ class WaveformConfig:
     """Full pulse-train definition: ranging tones plus disambiguation tone.
 
     The disambiguation pulse is one full period of ``f_d``, so its width
-    must equal ``1 / f_d`` to within one sample period.
+    is ``1 / f_d``.
     """
 
     two_tone: TwoToneSpec
     f_d: float
     ranging_pulse_width: float
-    disamb_pulse_width: float
     pri: float
     sample_rate: float
 
@@ -101,11 +100,7 @@ class WaveformConfig:
             raise ValueError(f"f_d={self.f_d} must lie in (0, sample_rate/2)")
         if self.two_tone.f2 >= fs / 2:
             raise ValueError(f"f2={self.two_tone.f2} aliases at sample_rate={fs}")
-        if abs(self.disamb_pulse_width - 1.0 / self.f_d) > 1.0 / fs:
-            raise ValueError(
-                "disamb_pulse_width must be one period of f_d to within a sample"
-            )
-        if self.pri < max(self.ranging_pulse_width, self.disamb_pulse_width):
+        if self.pri < max(self.ranging_pulse_width, 1.0 / self.f_d):
             raise ValueError("pri must cover the longest pulse")
 
 

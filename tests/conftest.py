@@ -22,7 +22,6 @@ def full_waveform() -> WaveformConfig:
         two_tone=FULL_SEPARATION,
         f_d=1.875e6,
         ranging_pulse_width=143.7e-6,
-        disamb_pulse_width=1.0 / 1.875e6,
         pri=159.7e-6,
         sample_rate=25e6,
     )

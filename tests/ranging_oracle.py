@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from cohsync.ranging import INTERP_BETA, INTERP_TAPS, NEIGHBORS, OVERSAMPLE
 from cohsync.waveform import SPEED_OF_LIGHT, WaveformConfig
 
 
@@ -108,10 +109,6 @@ def refine_pulse(
     config: WaveformConfig,
     *,
     expected_lag_s: float | None = None,
-    neighbors: int = 4,
-    oversample: int = 64,
-    interp_taps: int = 32,
-    interp_beta: float = 14.0,
 ) -> tuple[float, float, bool, int]:
     """One pulse through lobe selection and refinement.
 
@@ -145,12 +142,12 @@ def refine_pulse(
     else:
         peak = int(_signed_lag(int(np.argmax(mag)), n))
 
-    span = float(neighbors)
+    span = float(NEIGHBORS)
     if math.isfinite(half):
         span = min(span, half)
     span = max(span, 1.0)
-    n_dense = max(int(round(2 * span * oversample)), 8) + 1
-    offsets, gather, weights = dense_grid_kernel(span, n_dense, interp_taps, interp_beta)
+    n_dense = max(int(round(2 * span * OVERSAMPLE)), 8) + 1
+    offsets, gather, weights = dense_grid_kernel(span, n_dense, INTERP_TAPS, INTERP_BETA)
     dense = np.abs((mf_ranging[(peak + gather) % n] * weights).sum(axis=1))
     refined = peak + spline_peak(offsets, dense)
 

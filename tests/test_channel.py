@@ -173,14 +173,6 @@ class TestChannelState:
         with pytest.raises(ValueError):
             ChannelState(true_range=-1.0, snr_db=10.0)
         with pytest.raises(ValueError):
-            ChannelState(true_range=1.0, snr_db=10.0, repeater_gain=0.0)
-        with pytest.raises(ValueError):
             ChannelState(true_range=1.0, snr_db=math.nan)
         with pytest.raises(ValueError):
             CarrierPlan(f_c1=0.0)
-
-    def test_repeater_gain_scales_amplitude(self, full_waveform):
-        frame, _ = padded_frame(full_waveform)
-        state = ChannelState(true_range=0.0, snr_db=math.inf, repeater_gain=3.0)
-        out = apply_round_trip_response(frame, state)
-        assert np.allclose(out.samples, 3.0 * frame.samples, atol=1e-9)

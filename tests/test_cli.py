@@ -87,6 +87,16 @@ class TestMonteCarloCommand:
         assert set(levels) == {"0.9", "0.8", "0.7"}
         assert levels["0.9"] < levels["0.8"] < levels["0.7"]
 
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "-1", "0"])
+    def test_threshold_outside_gain_range_rejected(self, tmp_path, capsys, threshold):
+        out = tmp_path / "mc.csv"
+        rc = main(["montecarlo", "--threshold", threshold, "--trials", "1000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: --threshold") and len(err.strip().splitlines()) == 1
+        assert "(0, 1]" in err
+        assert not out.exists()
+
     def test_low_trials_warns(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
         rc = main(
@@ -278,7 +288,8 @@ class TestLoadTimeRejection:
             ('{"controller": {"k_p": Infinity}}', "'controller.k_p' must be finite"),
             ('{"channel": {"snr_db": -Infinity}}', "'channel.snr_db' must be finite or +Infinity"),
             ('{"waveform": {"disambiguation_hz": 0}}', "f_d=0.0"),
-            ('{"channel": {"repeater_gain": 1' + "0" * 400 + "}}", "'channel.repeater_gain' must be finite"),
+            ('{"waveform": {"sample_rate_hz": 1' + "0" * 400 + "}}", "'waveform.sample_rate_hz' must be finite"),
+            ('{"waveform": {"sample_rate_hz": 25e9}}', "exceeds the limit"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, config_text, fragment):
@@ -294,6 +305,16 @@ class TestLoadTimeRejection:
     )
     def test_trace_value(self, tmp_path, capsys, trace_text, fragment):
         assert fragment in self.run_with(tmp_path, capsys, trace_text=trace_text)
+
+    @pytest.mark.parametrize("intervals", ["7", "0", "-3"])
+    def test_short_tune_run(self, tmp_path, capsys, intervals):
+        out = tmp_path / "tune.json"
+        rc = main(["tune", "--k-grid", "0.1:1.0:2", "--intervals", intervals, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: --intervals {intervals} is below 8")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_noise_free_snr_still_accepted(self):
         from cohsync import config_from_dict

@@ -59,45 +59,61 @@ class TestArrayScenario:
         scenario = ArrayScenario(
             n_nodes=2,
             wavelength=lam,
-            sigma_d=0.05 * lam,
             theta_range=(math.pi / 2, math.pi / 2),
         )
         from cohsync.coherence import _draw_geometry, _gains_from_geometry
 
         rng = np.random.default_rng(123)
         geometry = _draw_geometry(scenario, 100000, rng)
-        sample = _gains_from_geometry(scenario, scenario.sigma_d, geometry)
+        sample = _gains_from_geometry(scenario, 0.05 * lam, geometry)
         assert sample.mean() == pytest.approx(0.91043435870777, rel=0.01)
+
+    def test_spacing_cancels_from_steering_error(self):
+        # steering with the estimated spacing d + delta_d instead of the
+        # true d, plus the link term: the closed form drops d altogether
+        scenario = ArrayScenario(n_nodes=8, wavelength=0.1)
+        from cohsync.coherence import _draw_geometry, _gains_from_geometry
+
+        rng = np.random.default_rng(7)
+        theta, z = _draw_geometry(scenario, 2000, rng)
+        spacing = rng.uniform(0.1, 10.0, size=z.shape)
+        k, delta_d = scenario.wavenumber(), 0.01 * z
+        steer_true = k * spacing * np.sin(theta)[:, None]
+        steer_est = k * (spacing + delta_d) * np.sin(theta)[:, None]
+        eps = steer_true - steer_est - k * delta_d
+        explicit = np.abs(np.exp(1j * eps).sum(axis=1)) ** 2 / 64
+        closed = _gains_from_geometry(scenario, 0.01, (theta, z))
+        assert np.max(np.abs(closed - explicit)) < 1e-12
 
     def test_scenario_invariants(self):
         with pytest.raises(ValueError):
-            ArrayScenario(n_nodes=1, wavelength=0.1, sigma_d=0.01)
+            ArrayScenario(n_nodes=1, wavelength=0.1)
         with pytest.raises(ValueError):
-            ArrayScenario(n_nodes=2, wavelength=0.0, sigma_d=0.01)
+            ArrayScenario(n_nodes=2, wavelength=0.0)
         with pytest.raises(ValueError):
-            ArrayScenario(n_nodes=2, wavelength=0.1, sigma_d=-1.0)
+            ArrayScenario(n_nodes=2, wavelength=0.1, theta_range=(1.0, -1.0))
 
 
 class TestProbabilityCurve:
     def test_zero_sigma_certain(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0, sigma_d=0.0)
+        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
         y = probability_curve(scenario, [0.0], threshold=0.9, trials=500, seed=1)
         assert y[0] == 1.0
 
     def test_single_trial_is_indicator(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0, sigma_d=0.0)
+        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
         y = probability_curve(scenario, [0.08], threshold=0.9, trials=1, seed=5)
         assert y[0] in (0.0, 1.0)
 
     def test_monotone_non_increasing(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0, sigma_d=0.0)
+        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
         grid = np.linspace(0.0, 0.2, 21)
         y = probability_curve(scenario, grid, trials=3000, seed=2)
         band = 2.0 * np.sqrt(np.maximum(y * (1 - y), 1e-9) / 3000)
         assert np.all(np.diff(y) <= band[:-1])
 
     def test_two_node_thresholds_near_reference(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0, sigma_d=0.0)
+        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
         grid = np.linspace(0.02, 0.16, 36)
         y = probability_curve(scenario, grid, trials=4000, seed=3)
         crossings = threshold_crossings(grid, y)
@@ -105,7 +121,7 @@ class TestProbabilityCurve:
             assert crossings[level] == pytest.approx(reference, rel=0.20)
 
     def test_rejects_empty_grid(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0, sigma_d=0.0)
+        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
         with pytest.raises(ValueError):
             probability_curve(scenario, [], trials=100)
 

@@ -1,6 +1,8 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,11 @@ from cohsync import (
     config_from_dict,
     config_to_dict,
     default_config,
+    effective_window_length,
     load_config,
     save_config,
 )
+from cohsync.config import MAX_FRAME_SAMPLES
 
 # one valid key per section, with a value of the right type
 SECTION_KEYS = {
@@ -19,8 +23,19 @@ SECTION_KEYS = {
     "channel": ("true_range_m", 90.0),
     "controller": ("k_p", 1e-5),
     "loop": ("group_size", 5),
-    "estimator": ("neighbors", 4),
 }
+
+# Keys of earlier versions, each with its old default.  The estimator
+# section went as a whole, so its keys are reported by the section name.
+REMOVED_KEYS = [
+    ("waveform", "disamb_pulse_width_s", 1.0 / 1.875e6, "waveform.disamb_pulse_width_s"),
+    ("channel", "repeater_gain", 1.0, "channel.repeater_gain"),
+    ("loop", "window_pad_samples", 128, "loop.window_pad_samples"),
+    ("estimator", "neighbors", 4, "estimator"),
+    ("estimator", "oversample", 64, "estimator"),
+    ("estimator", "interp_taps", 32, "estimator"),
+    ("estimator", "interp_beta", 14.0, "estimator"),
+]
 
 
 def error_of(doc) -> str:
@@ -41,6 +56,10 @@ class TestUnknownKeys:
         doc = {"channel": {"bogus": 1}, "extra": 2}
         assert error_of(doc) == "unknown config key 'extra'"
 
+    @pytest.mark.parametrize("section, key, value, name", REMOVED_KEYS)
+    def test_removed_key(self, section, key, value, name):
+        assert error_of({section: {key: value}}) == f"unknown config key '{name}'"
+
 
 class TestTypes:
     @pytest.mark.parametrize(
@@ -50,7 +69,7 @@ class TestTypes:
             ("loop", "weather_coupling", "yes", "a boolean"),
             ("loop", "group_size", True, "an integer"),
             ("loop", "group_size", 5.0, "an integer"),
-            ("estimator", "oversample", "64", "an integer"),
+            ("loop", "pulses_per_interval", "200", "an integer"),
             ("channel", "snr_db", True, "a number"),
             ("channel", "snr_db", "20", "a number"),
             ("waveform", "f2_hz", None, "a number"),
@@ -88,13 +107,9 @@ class TestTypes:
 
 class TestDerivedDefaults:
     def test_disamb_pulse_width_follows_disambiguation_tone(self):
-        config = config_from_dict({"waveform": {"disambiguation_hz": 2.5e6}})
-        assert config.waveform.disamb_pulse_width == 1.0 / 2.5e6
-
-    def test_explicit_disamb_pulse_width_kept(self):
-        width = 1.0 / 1.875e6 + 1e-9
-        config = config_from_dict({"waveform": {"disamb_pulse_width_s": width}})
-        assert config.waveform.disamb_pulse_width == width
+        # the pulse is one period of f_d, which the 159.7 us PRI must cover
+        config_from_dict({"waveform": {"disambiguation_hz": 1.0 / 159e-6}})
+        assert "pri must cover" in error_of({"waveform": {"disambiguation_hz": 1.0 / 160e-6}})
 
     def test_x_initial_follows_tone_separation(self):
         config = config_from_dict({"waveform": {"f1_hz": 10e3, "f2_hz": 2e6}})
@@ -114,9 +129,9 @@ class TestInvariantErrors:
         [
             ({"waveform": {"f1_hz": 4e6}}, "need 0 <= f1 <= f2"),
             ({"waveform": {"f2_hz": 20e6}}, "aliases"),
-            ({"waveform": {"disamb_pulse_width_s": 1e-3}}, "disamb_pulse_width"),
+            ({"waveform": {"disambiguation_hz": 20e6}}, "must lie in (0, sample_rate/2)"),
             ({"channel": {"true_range_m": -1.0}}, "true_range must be >= 0"),
-            ({"channel": {"repeater_gain": 0.0}}, "repeater_gain must be positive"),
+            ({"waveform": {"sample_rate_hz": -1.0}}, "sample_rate must be positive"),
             ({"channel": {"outbound_carrier_hz": 0.0}}, "carrier frequencies"),
             ({"controller": {"t_i_s": 0.0}}, "t_i must be positive"),
             ({"controller": {"x_initial_hz": 8e6}}, "outside clamp"),
@@ -171,7 +186,6 @@ class TestRoundTrip:
                     "return_carrier_hz": 2.4e9,
                     "carrier_offset1_hz": 12.0,
                     "carrier_offset2_hz": -3.0,
-                    "repeater_gain": 0.5,
                 },
                 "controller": {
                     "k_p": 0.2,
@@ -186,20 +200,13 @@ class TestRoundTrip:
                     "pulses_per_interval": 100,
                     "group_size": 4,
                     "pulse_period_s": 0.2,
-                    "window_pad_samples": 64,
                     "target_sigma_m": 0.02,
                     "weather_coupling": True,
-                },
-                "estimator": {
-                    "neighbors": 3,
-                    "oversample": 32,
-                    "interp_taps": 16,
-                    "interp_beta": 10.0,
                 },
                 "seed": 99,
             }
         )
-        for section in ("waveform", "channel", "controller", "loop", "estimator"):
+        for section in ("waveform", "channel", "controller", "loop"):
             assert getattr(config, section) != getattr(base, section)
         assert config_from_dict(config_to_dict(config)) == config
 
@@ -207,9 +214,7 @@ class TestRoundTrip:
         doc = config_to_dict(default_config())
         for section, (key, _) in SECTION_KEYS.items():
             assert key in doc[section]
-        assert list(doc)[:5] == ["waveform", "channel", "controller", "loop", "estimator"]
-        assert list(doc)[-1] == "seed"
-        assert doc["waveform"]["disamb_pulse_width_s"] == 1.0 / 1.875e6
+        assert list(doc) == ["waveform", "channel", "controller", "loop", "seed"]
         assert doc["controller"]["x_initial_hz"] == 3.5e6 - 20e3
         json.dumps(doc, allow_nan=False)
 
@@ -217,3 +222,46 @@ class TestRoundTrip:
         base = default_config()
         config = replace(base, loop=replace(base.loop, group_size=10), seed=3)
         assert config_from_dict(config_to_dict(config)) == config
+
+
+class TestMemoryBound:
+    """pulses_per_interval x window length is bounded when the config loads."""
+
+    def test_reference_window_fits_with_margin(self):
+        config = default_config()
+        n_win = effective_window_length(config.waveform, config.channel)
+        assert (config.loop.pulses_per_interval, n_win) == (200, 3750)
+        assert 20 * 200 * n_win <= MAX_FRAME_SAMPLES
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"waveform": {"sample_rate_hz": 25e9}},
+            {"waveform": {"sample_rate_hz": 1e300}},
+            {"loop": {"pulses_per_interval": 10**6}},
+        ],
+    )
+    def test_rejected_before_any_allocation(self, doc):
+        # one frame array of the default window is 12 MB; the smallest
+        # rejected here would be 11.5 GB
+        tracemalloc.start()
+        try:
+            msg = error_of(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"exceeds the limit of {MAX_FRAME_SAMPLES} samples" in msg
+        assert peak < 2**20
+
+
+class TestReadme:
+    def test_config_table_lists_exactly_the_schema_keys(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+        section = section.split("\n## ")[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        listed = [row.split("|")[1].strip() for row in rows[2:]]  # past header and rule
+        keys = []
+        for name, value in config_to_dict(default_config()).items():
+            keys += [f"{name}.{key}" for key in value] if isinstance(value, dict) else [name]
+        assert sorted(listed) == sorted(keys)

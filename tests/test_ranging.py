@@ -10,7 +10,6 @@ from cohsync import (
     SPEED_OF_LIGHT,
     ChannelState,
     ComplexBasebandSignal,
-    EstimatorConfig,
     TwoToneSpec,
     crlb_sigma_r,
     default_config,
@@ -239,10 +238,10 @@ class TestSplineSolver:
             assert peak_x == pytest.approx(float(best), abs=1e-6)
 
 
-def oracle_window(mf_r, mf_d, waveform, **kwargs):
+def oracle_window(mf_r, mf_d, waveform):
     """The per-pulse reference over every row, as arrays like refine_window's."""
     out = [
-        ranging_oracle.refine_pulse(r, d, waveform.sample_rate, waveform, **kwargs)
+        ranging_oracle.refine_pulse(r, d, waveform.sample_rate, waveform)
         for r, d in zip(mf_r, mf_d)
     ]
     return tuple(np.array(column) for column in zip(*out))
@@ -267,9 +266,7 @@ class TestBatchedKernel:
         for separation_hz in (0.0, 1e6, 3.5e6, 7.5e6):
             waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
             for seed in range(3):
-                mf_r, mf_d = _matched_filter_rows(
-                    waveform, state, 50, EstimatorConfig(), (17, seed), 128
-                )
+                mf_r, mf_d = _matched_filter_rows(waveform, state, 50, (17, seed))
                 gross_total += assert_matches_oracle(mf_r, mf_d, waveform)[2].sum()
         if snr_db < 0:
             assert gross_total > 0  # the gross-error branch was reached
@@ -301,7 +298,7 @@ class TestBatchedKernel:
         # peak is the global magnitude maximum of each row
         waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3))
         state = ChannelState(true_range=37.3, snr_db=math.inf)
-        mf_r, mf_d = _matched_filter_rows(waveform, state, 2, EstimatorConfig(), 0, 128)
+        mf_r, mf_d = _matched_filter_rows(waveform, state, 2, 0)
         mf_r = mf_r.copy()
         mf_r[1] = np.roll(mf_r[1], 40)  # a second row, peaked 40 lags later
         ranges, _, gross = assert_matches_oracle(mf_r, mf_d, waveform)
@@ -314,8 +311,8 @@ class TestBatchedKernel:
         # default config: P = 200 rows of n = 3750 lags; one full-window
         # magnitude array alone would be 5.7 MiB
         config = default_config()
-        waveform, estimator = config.waveform, config.estimator
-        mf_r, mf_d = _matched_filter_rows(waveform, config.channel, 200, estimator, 0, 128)
+        waveform = config.waveform
+        mf_r, mf_d = _matched_filter_rows(waveform, config.channel, 200, 0)
         assert mf_r.shape == (200, 3750)
         _interp_matrix.cache_clear()
         tracemalloc.start()

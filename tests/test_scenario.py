@@ -329,14 +329,7 @@ class TestNoiseStreams:
         f1 = config.waveform.two_tone.f1
         waveform = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f1 + separation_hz))
         channel = config.channel if snr_db is None else replace(config.channel, snr_db=snr_db)
-        ranges, _ = simulate_window(
-            waveform,
-            channel,
-            config.loop.pulses_per_interval,
-            config.estimator,
-            seed=seed,
-            window_pad_samples=config.loop.window_pad_samples,
-        )
+        ranges, _ = simulate_window(waveform, channel, config.loop.pulses_per_interval, seed=seed)
         stats = window_stats(ranges, config.loop.group_size, config.loop.pulses_per_interval)
         return stats.sigma_d, stats.mean_range
 
