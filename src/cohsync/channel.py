@@ -11,12 +11,25 @@ SNR convention: ``snr_db`` references the mean power of the clean
 With ranging and disambiguation frames padded to the same window
 length, both pulses then see the same post-processing ``2E/N0``, equal
 to ``2 * window_len * 10**(snr_db/10)``.
+
+Noise is circularly symmetric white Gaussian with the per-sample variance
+that SNR sets.  :func:`noisy_rows` draws it on every sample of a frame,
+for :func:`propagate_round_trip`.  A simulated window only ever reads the
+matched-filter outputs of its frames, so it draws the filtered noise
+directly instead: :func:`matched_noise_rows` draws whole output rows in
+the frequency domain, where white noise has independent bins, and
+:func:`matched_noise_block` draws a block of consecutive output lags with
+the filter's Toeplitz lag covariance.  Filtered Gaussian noise is
+Gaussian and so fixed by its covariance, which both draws reproduce up
+to rounding (Kay, *Fundamentals of Statistical Signal Processing I*,
+1993, ch. 3 and 7); they are exact in distribution, not approximations.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .waveform import SPEED_OF_LIGHT, ComplexBasebandSignal
 
@@ -124,6 +137,59 @@ def noisy_rows(
     rows *= math.sqrt(noise_power / 2.0)
     rows += clean
     return rows
+
+
+def matched_noise_rows(
+    template_spectrum: np.ndarray, noise_power: float, n_rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """White noise through a circular matched filter: ``(n_rows, n)`` output rows.
+
+    ``template_spectrum`` is the template's ``n``-point DFT ``T``.  The DFT
+    of circularly symmetric white Gaussian noise of per-sample variance
+    ``noise_power`` has independent ``CN(0, n * noise_power)`` bins, so
+    the bins are drawn directly and one inverse FFT of their product with
+    ``conj(T)`` is the filter's output noise, with exactly its
+    distribution.  Draws nothing, and returns zeros, when ``noise_power``
+    is 0.
+    """
+    n = template_spectrum.size
+    if noise_power == 0.0:
+        return np.zeros((n_rows, n), dtype=np.complex128)
+    bins = rng.standard_normal((n_rows, 2 * n)).view(np.complex128)
+    bins *= math.sqrt(n * noise_power / 2.0) * np.conj(template_spectrum)
+    return scipy.fft.ifft(bins, axis=1, overwrite_x=True)
+
+
+def matched_noise_block(
+    template_spectrum: np.ndarray,
+    noise_power: float,
+    n_rows: int,
+    width: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``width`` consecutive lags of matched-filter output noise per row.
+
+    The output noise of :func:`matched_noise_rows` is stationary on the
+    circular lag axis: lags ``k`` and ``l`` have covariance
+    ``noise_power * r[(k - l) mod n]``, with ``r = ifft(|T|**2)`` the
+    template's circular autocorrelation, wherever the block starts.  Each
+    row is ``S z`` with ``z ~ CN(0, I)`` and ``S = V sqrt(L)`` from the
+    eigendecomposition ``V L V^H`` of that Toeplitz covariance, so
+    ``S S^H`` is the covariance and the block has exactly the distribution
+    of those lags of a whole row.  The covariance is positive
+    semidefinite; eigenvalues below 0 are rounding and count as 0.
+    Draws nothing, and returns zeros, when ``noise_power`` is 0.
+    """
+    if noise_power == 0.0:
+        return np.zeros((n_rows, width), dtype=np.complex128)
+    autocorrelation = np.fft.ifft(np.abs(template_spectrum) ** 2)
+    k = np.arange(width)
+    covariance = noise_power * autocorrelation[(k[:, None] - k) % autocorrelation.size]
+    eigenvalues, vectors = np.linalg.eigh(covariance)
+    root = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    z = rng.standard_normal((n_rows, 2 * width)).view(np.complex128)
+    z *= math.sqrt(0.5)
+    return z @ root.T
 
 
 def propagate_round_trip(

@@ -28,7 +28,9 @@ from .waveform import SPEED_OF_LIGHT, WaveformConfig
 
 # Limit on the complex samples of one window's frame array (pulses_per_interval
 # x receive-window length): 256 MiB at 16 bytes a sample.  A window peaks at
-# about four such arrays, so 1 GiB.  The reference 200 x 3750 uses 4.5 %.
+# about 1.3 such arrays (tracemalloc on the reference window: 1.05 when the
+# ranging noise is a lag block, 1.3 when it is whole rows), so about 330 MiB.
+# The reference 200 x 3750 uses 4.5 %.
 MAX_FRAME_SAMPLES = 2**24
 
 

@@ -19,16 +19,19 @@ stored as ``x_prev``, so the increment never accumulates beyond the
 limits.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-# A sustained oscillation shows at least _MIN_PERIODS periods, and a
-# series shorter than MIN_SERIES_LENGTH samples is never examined.
+# A sustained oscillation shows at least _MIN_PERIODS periods.  A period
+# spans at least two samples and the detector examines the last three
+# quarters of a series, so MIN_SERIES_LENGTH is the shortest series whose
+# examined tail can hold that many periods; shorter ones are never examined.
 _MIN_PERIODS = 5
-MIN_SERIES_LENGTH = 8
+MIN_SERIES_LENGTH = next(n for n in itertools.count(1) if n - n // 4 >= 2 * _MIN_PERIODS)
 
 
 @dataclass(frozen=True)

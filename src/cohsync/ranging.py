@@ -125,19 +125,64 @@ def _peak_lags(rows: np.ndarray) -> np.ndarray:
     return np.where(index > n / 2, index - n, index)
 
 
-def _take_lags(rows: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """``rows[r, lags[r, k] mod n]``: per-row lags on the circular axis."""
-    return np.take_along_axis(rows, lags % rows.shape[1], axis=1)
+def _take_lags(rows: np.ndarray, lags: np.ndarray, first_lag, n: int) -> np.ndarray:
+    """Per-row lags on the circular axis of length ``n``.
+
+    Row ``r`` of ``rows`` holds lags ``first_lag[r], first_lag[r] + 1, ...``
+    of that axis; whole rows are ``first_lag`` 0 and ``n`` columns.
+    """
+    return np.take_along_axis(rows, (lags - first_lag) % n, axis=1)
+
+
+def _half_spacing(sample_rate: float, config: WaveformConfig) -> float:
+    """Half the two-tone lobe spacing in samples (infinite at separation 0)."""
+    separation = config.two_tone.separation
+    return sample_rate / separation / 2.0 if separation > 0 else math.inf
+
+
+def _lobe_window(coarse: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """First lag ``lo`` and ``hi - lo`` of the lobe window around each coarse delay."""
+    lo = np.ceil(coarse - half).astype(int)
+    return lo, np.floor(coarse + half).astype(int) - lo
+
+
+def _interp_span(half: float) -> float:
+    """Half-span of the dense grid: ``NEIGHBORS``, within half a lobe spacing, at least 1."""
+    return max(min(float(NEIGHBORS), half), 1.0)
+
+
+def lobe_lags(
+    coarse: np.ndarray, n: int, sample_rate: float, config: WaveformConfig
+) -> tuple[np.ndarray, int] | None:
+    """The ranging lags :func:`refine_window` reads, as ``(first_lag, width)``.
+
+    Every lag read for pulse ``r`` lies in ``first_lag[r] .. first_lag[r] +
+    width - 1`` of the circular lag axis of length ``n``: the lobe window
+    around ``coarse[r]`` with one lag either side for the edge test, and
+    the interpolator's support around any peak inside the window.
+    Returns None when the kernel scans whole rows instead, which it does
+    without a lobe window (separation 0, or lobes half a row apart or more).
+    """
+    half = _half_spacing(sample_rate, config)
+    if not (math.isfinite(half) and 2.0 * half < n):
+        return None
+    lo, last = _lobe_window(coarse, half)
+    _, first, matrix = _interp_matrix(_interp_span(half))
+    below = min(first, -1)
+    above = max(first + matrix.shape[0] - 1, 1)
+    return lo + below, int(last.max()) + above - below + 1
 
 
 def effective_window_length(waveform: WaveformConfig, channel_state: ChannelState) -> int:
     """Receive-window length (samples) of every frame of a window.
 
-    The padding covers the round-trip delay plus the interpolator's
-    support, then the total is rounded up to an FFT-friendly length.
+    The window holds the longer of the ranging and disambiguation pulses
+    plus padding for the round-trip delay and the interpolator's support,
+    rounded up to an FFT-friendly length.
     """
     fs = waveform.sample_rate
-    n_pulse = int(round(waveform.ranging_pulse_width * fs))
+    # the sample counts of generate_two_tone and generate_disambiguation
+    n_pulse = max(int(round(waveform.ranging_pulse_width * fs)), int(round(fs / waveform.f_d)))
     delay = 2.0 * channel_state.true_range / SPEED_OF_LIGHT * fs
     pad = max(WINDOW_PAD_SAMPLES, int(math.ceil(delay)) + INTERP_TAPS + NEIGHBORS + 8)
     return scipy.fft.next_fast_len(n_pulse + pad)
@@ -247,19 +292,23 @@ def _spline_peaks(offsets: np.ndarray, dense: np.ndarray) -> np.ndarray:
 
 def refine_window(
     mf_ranging: np.ndarray,
-    mf_disamb: np.ndarray | None,
+    coarse: np.ndarray,
     sample_rate: float,
     config: WaveformConfig,
     *,
-    expected_lag_s: float | None = None,
+    first_lag: np.ndarray | int = 0,
+    n: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lobe selection and peak refinement for a batch of pulses.
 
-    ``mf_ranging`` and ``mf_disamb`` hold one matched-filter output per
-    row, ``(P, n)``, on a common lag axis; the arguments are otherwise
-    those of :func:`disambiguate_and_refine`.  Returns per-pulse arrays
-    ``(range, peak_lag, gross_error, ambiguity_index)`` with the meaning
-    of the :class:`RangeEstimate` fields.
+    Row ``r`` of ``mf_ranging`` holds the ranging matched-filter output of
+    pulse ``r`` at lags ``first_lag[r], first_lag[r] + 1, ...`` of a
+    circular lag axis of length ``n``; the defaults take whole rows
+    (``first_lag`` 0, ``n`` the row length).  Rows may hold just the lags
+    :func:`lobe_lags` names.  ``coarse[r]`` is the pulse's coarse delay in
+    samples (the disambiguation peak, or a prior).  Returns per-pulse
+    arrays ``(range, peak_lag, gross_error, ambiguity_index)`` with the
+    meaning of the :class:`RangeEstimate` fields.
 
     Only the lags the estimator reads are gathered: the lobe window with
     one lag either side for the edge test, and the interpolator's support
@@ -267,26 +316,20 @@ def refine_window(
     against the cached Kaiser-sinc matrix.
     """
     rows = np.asarray(mf_ranging)
-    p, n = rows.shape
+    p = rows.shape[0]
+    n = rows.shape[1] if n is None else n
+    first_lag = np.reshape(first_lag, (-1, 1))
     fs = sample_rate
-    if mf_disamb is not None:
-        coarse = _peak_lags(np.asarray(mf_disamb))
-    elif expected_lag_s is not None:
-        coarse = np.full(p, expected_lag_s * fs)
-    else:
-        raise ValueError("need either a disambiguation output or expected_lag_s")
-
-    separation = config.two_tone.separation
-    spacing = fs / separation if separation > 0 else math.inf
-    half = spacing / 2.0
+    half = _half_spacing(fs, config)
+    spacing = 2.0 * half
 
     gross = np.zeros(p, dtype=bool)
     if math.isfinite(half) and 2.0 * half < n:
-        lo = np.ceil(coarse - half).astype(int)
-        last = np.floor(coarse + half).astype(int) - lo  # hi - lo
+        lo, last = _lobe_window(coarse, half)
         cols = np.arange(int(last.max()) + 1)
         # lags lo - 1 .. hi + 1: the window plus one lag either side
-        mag = np.abs(_take_lags(rows, lo[:, None] + np.arange(-1, cols.size + 1)))
+        lags = lo[:, None] + np.arange(-1, cols.size + 1)
+        mag = np.abs(_take_lags(rows, lags, first_lag, n))
         inside = np.where(cols <= last[:, None], mag[:, 1:-1], -np.inf)
         k = np.argmax(inside, axis=1)
         peak = lo + k
@@ -298,15 +341,14 @@ def refine_window(
         gross = ((k == 0) & (mag[:, 0] > mag[:, 1])) | (
             (k == last) & (mag[r, last + 2] > mag[r, last + 1])
         )
-    else:
+    elif rows.shape[1] == n:
         peak = _peak_lags(rows)
+    else:
+        raise ValueError("without a lobe window the peak search needs whole rows")
 
-    span = float(NEIGHBORS)
-    if math.isfinite(half):
-        span = min(span, half)
-    span = max(span, 1.0)
-    offsets, first, matrix = _interp_matrix(span)
-    segment = _take_lags(rows, peak[:, None] + first + np.arange(matrix.shape[0]))
+    offsets, first, matrix = _interp_matrix(_interp_span(half))
+    lags = peak[:, None] + first + np.arange(matrix.shape[0])
+    segment = _take_lags(rows, lags, first_lag, n)
     dense = np.concatenate([segment.real, segment.imag]) @ matrix
     dense = np.hypot(dense[:p], dense[p:], out=dense[:p])
     lag_s = (peak + _spline_peaks(offsets, dense)) / fs
@@ -335,12 +377,15 @@ def disambiguate_and_refine(
 
     This is :func:`refine_window` on a batch of one pulse.
     """
+    fs = mf_ranging.sample_rate
+    if mf_disamb is not None:
+        coarse = _peak_lags(mf_disamb.samples[None, :])
+    elif expected_lag_s is not None:
+        coarse = np.array([expected_lag_s * fs])
+    else:
+        raise ValueError("need either a disambiguation output or expected_lag_s")
     (range_m,), (lag_s,), (gross,), (ambiguity,) = refine_window(
-        mf_ranging.samples[None, :],
-        None if mf_disamb is None else mf_disamb.samples[None, :],
-        mf_ranging.sample_rate,
-        config,
-        expected_lag_s=expected_lag_s,
+        mf_ranging.samples[None, :], coarse, fs, config
     )
     return RangeEstimate(
         range=float(range_m),

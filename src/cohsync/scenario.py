@@ -12,6 +12,18 @@ seed).  Per-interval noise streams are derived as
 ``SeedSequence((master_seed, stream, interval_index))`` so runs are
 bit-identical across processes.
 
+Noise: a window draws its noise already matched-filtered, on the lags
+the estimator reads (:func:`_matched_filter_rows`).  The clean frames'
+outputs are computed once per window; each pulse adds a whole
+disambiguation row of noise drawn in the frequency domain, then, once
+that row's peak places the lobe window, a correlated block of just the
+ranging lags that refinement reads.  The ranging noise is stationary
+and independent of the disambiguation noise, so the placement leaves
+its distribution exact, and both draws match filtering white noise on
+every sample in distribution (see :mod:`cohsync.channel`).  Draws are
+not the same floats as filtering sampled noise, so seeds give other
+realisations than such a simulation would.
+
 Environment traces are sequences of 1-minute-cadence records.  Weather
 columns are carried as metadata; when ``loop.weather_coupling`` is on,
 a deliberately simple, non-physical mapping modulates the SNR (rain and
@@ -27,12 +39,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import ChannelState, apply_round_trip_response, noise_power_for, noisy_rows
+from .channel import (
+    ChannelState,
+    apply_round_trip_response,
+    matched_noise_block,
+    matched_noise_rows,
+    noise_power_for,
+)
 from .config import LoopConfig, RunConfig
 from .control import pi_step
 from .ranging import (
     _circular_correlation,
+    _peak_lags,
     effective_window_length,
+    lobe_lags,
     refine_window,
     window_stats,
 )
@@ -46,6 +66,18 @@ from .waveform import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Widest ranging block, in lags, that _matched_filter_rows draws as one
+# correlated block; wider lobe windows (tone separations under about 1 MHz
+# at 25 Msps, and separation 0) draw whole rows.  A block costs an
+# eigendecomposition (width**3) and a (P, width) x (width, width) product,
+# whole rows cost normals and an inverse FFT of length n: at P = 200 and
+# n = 3750 a block takes 4 ms at 80 lags and whole rows 56 ms, and the two
+# would cost the same near 320 lags (2-core x86-64, numpy 2.4 with
+# OpenBLAS).  The limit sits lower because from 97 lags OpenBLAS threads
+# the eigendecomposition, whose last digits then depend on the BLAS thread
+# count, and artifacts would no longer be byte-identical across machines.
+_MAX_BLOCK_LAGS = 96
 
 # Illustrative weather-to-SNR coupling, intentionally non-physical; used
 # only when LoopConfig.weather_coupling is enabled.
@@ -223,30 +255,51 @@ def read_run_log_csv(path) -> list[ProcessingIntervalLog]:
 
 def _matched_filter_rows(
     waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched-filter outputs of one window: ``(P, n)`` ranging and disambiguation rows.
+) -> tuple[np.ndarray, np.ndarray | int, int, np.ndarray]:
+    """Matched-filter outputs of one window, on the lags the estimator reads.
 
-    Each cycle propagates one ranging frame and one disambiguation frame
-    (padded to a common window length, hence equal post-processing
-    ``2E/N0``) through the channel with independent noise; the ranging
-    frames draw their noise first.
+    Returns ``(rows, first_lag, n, coarse)``: row ``r`` holds pulse ``r``'s
+    ranging output at lags ``first_lag[r], first_lag[r] + 1, ...`` of the
+    circular lag axis of length ``n`` (the receive window), and
+    ``coarse[r]`` is the lag of its disambiguation peak.
+
+    Each cycle sends one ranging and one disambiguation frame, padded to a
+    common window length (hence equal post-processing ``2E/N0``), through
+    the channel with independent noise, drawn as the module docstring
+    says.  Lobe windows wider than ``_MAX_BLOCK_LAGS`` draw whole ranging
+    rows, like the disambiguation ones.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     fs = waveform.sample_rate
-    pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    pulse_d = generate_disambiguation(waveform.f_d, fs)
-    n_win = effective_window_length(waveform, channel_state)
+    n = effective_window_length(waveform, channel_state)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    def matched_rows(pulse: ComplexBasebandSignal) -> np.ndarray:
-        frame = np.concatenate([pulse.samples, np.zeros(n_win - pulse.n_samples)])
+    def clean_output(pulse: ComplexBasebandSignal):
+        """Noise-free output row, noise power and template spectrum of one frame."""
+        frame = np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)])
         clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
         sigma2 = noise_power_for(clean, channel_state.snr_db)
-        rows = noisy_rows(clean.samples, sigma2, n_pulses, rng)
-        return _circular_correlation(rows, pulse.samples)
+        row = _circular_correlation(clean.samples[None, :], pulse.samples)[0]
+        return row, sigma2, np.fft.fft(pulse.samples, n)
 
-    return matched_rows(pulse_r), matched_rows(pulse_d)
+    clean_d, sigma2_d, spectrum_d = clean_output(generate_disambiguation(waveform.f_d, fs))
+    rows_d = matched_noise_rows(spectrum_d, sigma2_d, n_pulses, rng)
+    rows_d += clean_d
+    coarse = _peak_lags(rows_d)
+    del rows_d
+
+    pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
+    clean_r, sigma2_r, spectrum_r = clean_output(pulse_r)
+    reads = lobe_lags(coarse, n, fs, waveform)
+    if reads is None or reads[1] > _MAX_BLOCK_LAGS:
+        rows = matched_noise_rows(spectrum_r, sigma2_r, n_pulses, rng)
+        rows += clean_r
+        return rows, 0, n, coarse
+    first_lag, width = reads
+    rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng)
+    rows += clean_r[(first_lag[:, None] + np.arange(width)) % n]
+    return rows, first_lag, n, coarse
 
 
 def simulate_window(
@@ -261,8 +314,10 @@ def simulate_window(
     go through lobe selection and refinement as one batch.
     Deterministic for a fixed ``seed``.
     """
-    mf_r_rows, mf_d_rows = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
-    ranges, _, gross, _ = refine_window(mf_r_rows, mf_d_rows, waveform.sample_rate, waveform)
+    rows, first_lag, n, coarse = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
+    ranges, _, gross, _ = refine_window(
+        rows, coarse, waveform.sample_rate, waveform, first_lag=first_lag, n=n
+    )
     return ranges, int(gross.sum())
 
 

@@ -1,9 +1,15 @@
-"""Per-pulse reference for the batched range refinement kernel.
+"""Reference implementations for the window simulation and range refinement.
 
-This is the estimator as it ran one pulse at a time: a gather-and-sum
-Kaiser-sinc interpolation onto the dense grid and a Thomas solve for the
-natural spline.  The tests feed it and ``cohsync.ranging.refine_window``
-the same matched-filter rows and compare the results.
+``matched_filter_rows`` is the window's matched filtering done the long
+way: white noise drawn on every sample of every frame, then a forward
+and an inverse FFT per frame.  The tests compare the statistics of the
+direct noise draws in ``cohsync.scenario`` against it.
+
+``refine_pulse`` is the estimator as it ran one pulse at a time: a
+gather-and-sum Kaiser-sinc interpolation onto the dense grid and a
+Thomas solve for the natural spline.  The tests feed it and
+``cohsync.ranging.refine_window`` the same matched-filter rows and
+compare the results.
 """
 
 import math
@@ -11,8 +17,48 @@ from functools import lru_cache
 
 import numpy as np
 
-from cohsync.ranging import INTERP_BETA, INTERP_TAPS, NEIGHBORS, OVERSAMPLE
-from cohsync.waveform import SPEED_OF_LIGHT, WaveformConfig
+from cohsync.channel import ChannelState, apply_round_trip_response, noise_power_for, noisy_rows
+from cohsync.ranging import (
+    INTERP_BETA,
+    INTERP_TAPS,
+    NEIGHBORS,
+    OVERSAMPLE,
+    _circular_correlation,
+    effective_window_length,
+)
+from cohsync.waveform import (
+    SPEED_OF_LIGHT,
+    ComplexBasebandSignal,
+    WaveformConfig,
+    generate_disambiguation,
+    generate_two_tone,
+)
+
+
+def matched_filter_rows(
+    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whole ``(P, n)`` ranging and disambiguation matched-filter rows of one window.
+
+    Each cycle propagates one ranging frame and one disambiguation frame
+    (padded to a common window length) through the channel with
+    independent time-domain noise; the ranging frames draw their noise
+    first.
+    """
+    fs = waveform.sample_rate
+    pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
+    pulse_d = generate_disambiguation(waveform.f_d, fs)
+    n_win = effective_window_length(waveform, channel_state)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def matched_rows(pulse: ComplexBasebandSignal) -> np.ndarray:
+        frame = np.concatenate([pulse.samples, np.zeros(n_win - pulse.n_samples)])
+        clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
+        sigma2 = noise_power_for(clean, channel_state.snr_db)
+        rows = noisy_rows(clean.samples, sigma2, n_pulses, rng)
+        return _circular_correlation(rows, pulse.samples)
+
+    return matched_rows(pulse_r), matched_rows(pulse_d)
 
 
 def interp_kernel(positions: np.ndarray, taps: int, beta: float):

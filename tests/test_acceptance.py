@@ -35,7 +35,7 @@ from cohsync import (
 from cohsync.cli import main
 
 from conftest import state_for_post_snr
-from test_scenario import TUNED_KP, TUNED_TI, constant_trace, tuned_config
+from test_scenario import TUNED_KP, TUNED_TI, constant_trace, reaches_clamp, tuned_config
 
 REFERENCE_THRESHOLDS = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
 INTERVAL_S = 21.0
@@ -209,7 +209,7 @@ def test_criterion_4_closed_loop_adaptation(adaptive_step_logs):
             stress, constant_trace(6.0, 8), duration_s=8 * INTERVAL_S, seed=9
         )
         assert len(stress_logs) == 8
-        assert stress_logs[-1].f2_hz == pytest.approx(20e3 + 7.5e6)
+        assert reaches_clamp(stress_logs)
         assert stress_logs[-1].sigma_d_m > target
         assert all(20e3 <= l.f2_hz <= 7.52e6 + 1e-6 for l in stress_logs)
 

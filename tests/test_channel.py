@@ -18,8 +18,9 @@ from cohsync import (
     residual_baseband_frequency,
     sample_snr_for_post_snr,
 )
-from cohsync.channel import noisy_rows
-from cohsync.waveform import generate_two_tone
+from cohsync.channel import matched_noise_block, matched_noise_rows, noisy_rows
+from cohsync.ranging import _circular_correlation
+from cohsync.waveform import TwoToneSpec, generate_two_tone
 
 FS = 25e6
 
@@ -148,6 +149,62 @@ class TestNoisyRows:
         rows = noisy_rows(clean, 0.0, 3, rng)
         assert rows.shape == (3, 16) and np.array_equal(rows[2], clean)
         assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
+
+
+class TestMatchedNoise:
+    """Matched-filter noise drawn directly, against its Gaussian model.
+
+    White noise of per-sample variance s2 through the circular matched
+    filter of template T has lag covariance s2 * r[(k - l) mod n], with
+    r = ifft(|T|**2), and zero pseudo-covariance.  Sample moments of N
+    rows carry a standard error of about r[0] * s2 / sqrt(N) per entry,
+    so the bounds sit at five of those.
+    """
+
+    N_LAGS = 640
+    S2 = 0.7
+
+    @pytest.fixture
+    def spectrum(self):
+        pulse = generate_two_tone(TwoToneSpec(20e3, 1.02e6), 20e-6, FS)  # 500 samples
+        return np.fft.fft(pulse.samples, self.N_LAGS)
+
+    def model(self, spectrum, width):
+        r = np.fft.ifft(np.abs(spectrum) ** 2)
+        k = np.arange(width)
+        return self.S2 * r[(k[:, None] - k) % self.N_LAGS]
+
+    def assert_moments(self, block, covariance):
+        n_rows = len(block)
+        bound = 5.0 * covariance[0, 0].real / math.sqrt(n_rows)
+        sample = block.T @ block.conj() / n_rows
+        pseudo = block.T @ block / n_rows
+        assert np.max(np.abs(sample - covariance)) <= bound
+        assert np.max(np.abs(pseudo)) <= bound
+
+    def test_block_covariance_is_the_autocorrelation(self, spectrum):
+        block = matched_noise_block(spectrum, self.S2, 20000, 12, np.random.default_rng(3))
+        assert block.shape == (20000, 12)
+        self.assert_moments(block, self.model(spectrum, 12))
+
+    def test_row_covariance_is_the_autocorrelation(self, spectrum):
+        # lags n - 5 .. n + 6 straddle the circular wrap
+        rows = matched_noise_rows(spectrum, self.S2, 4000, np.random.default_rng(4))
+        assert rows.shape == (4000, self.N_LAGS)
+        self.assert_moments(np.roll(rows, 5, axis=1)[:, :12], self.model(spectrum, 12))
+
+    def test_rows_match_time_domain_noise(self, spectrum):
+        # the reference: white noise on every sample, then the FFT filter
+        pulse = np.fft.ifft(spectrum)[:500]
+        rows = noisy_rows(np.zeros(self.N_LAGS, complex), self.S2, 4000, np.random.default_rng(5))
+        filtered = _circular_correlation(rows, pulse)
+        self.assert_moments(filtered[:, 100:112], self.model(spectrum, 12))
+
+    def test_noise_free_draws_nothing(self, spectrum):
+        rng = np.random.default_rng(6)
+        assert not matched_noise_rows(spectrum, 0.0, 3, rng).any()
+        assert matched_noise_block(spectrum, 0.0, 3, 7, rng).shape == (3, 7)
+        assert rng.standard_normal() == np.random.default_rng(6).standard_normal()
 
 
 class TestSnrHelpers:

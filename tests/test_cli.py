@@ -218,7 +218,7 @@ class TestTuneCommand:
                 "--k-grid",
                 "1e-4:3e-4:2",
                 "--intervals",
-                "12",
+                "16",
                 "--seed",
                 "101",
                 "--out",
@@ -306,13 +306,14 @@ class TestLoadTimeRejection:
     def test_trace_value(self, tmp_path, capsys, trace_text, fragment):
         assert fragment in self.run_with(tmp_path, capsys, trace_text=trace_text)
 
-    @pytest.mark.parametrize("intervals", ["7", "0", "-3"])
+    @pytest.mark.parametrize("intervals", ["12", "7", "0", "-3"])
     def test_short_tune_run(self, tmp_path, capsys, intervals):
+        # 13 is the shortest run whose tail can show five periods of two intervals
         out = tmp_path / "tune.json"
         rc = main(["tune", "--k-grid", "0.1:1.0:2", "--intervals", intervals, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith(f"error: --intervals {intervals} is below 8")
+        assert err.startswith(f"error: --intervals {intervals} is below 13")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 

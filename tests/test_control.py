@@ -174,3 +174,17 @@ class TestFindUltimateGain:
             find_ultimate_gain(lambda k: [0.0] * 50, [])
         with pytest.raises(ValueError):
             find_ultimate_gain(lambda k: [0.0] * 50, [-1.0])
+
+    def test_shortest_series_can_show_an_oscillation(self):
+        # a two-sample limit cycle, the fastest there is: MIN_SERIES_LENGTH
+        # samples are the fewest in which it can be reported
+        from cohsync.control import MIN_SERIES_LENGTH
+
+        def cycle(n):
+            return lambda k: [1.0, -1.0] * (n // 2) + [1.0] * (n % 2)
+
+        assert MIN_SERIES_LENGTH == 13
+        result = find_ultimate_gain(cycle(MIN_SERIES_LENGTH), [1.0], dt=1.0)
+        assert result is not None
+        assert result.t_u == pytest.approx(2.0)
+        assert find_ultimate_gain(cycle(MIN_SERIES_LENGTH - 1), [1.0], dt=1.0) is None

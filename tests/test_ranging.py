@@ -18,8 +18,7 @@ from cohsync import (
     simulate_window,
     window_stats,
 )
-from cohsync.ranging import _interp_matrix, _natural_spline_max, refine_window
-from cohsync.scenario import _matched_filter_rows
+from cohsync.ranging import _interp_matrix, _natural_spline_max, _peak_lags, refine_window
 from cohsync.waveform import generate_disambiguation, generate_two_tone
 
 import ranging_oracle
@@ -248,7 +247,9 @@ def oracle_window(mf_r, mf_d, waveform):
 
 
 def assert_matches_oracle(mf_r, mf_d, waveform):
-    ranges, lags, gross, ambiguity = refine_window(mf_r, mf_d, waveform.sample_rate, waveform)
+    ranges, lags, gross, ambiguity = refine_window(
+        mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform
+    )
     o_ranges, o_lags, o_gross, o_ambiguity = oracle_window(mf_r, mf_d, waveform)
     assert np.max(np.abs(ranges - o_ranges)) <= 1e-8
     assert np.array_equal(gross, o_gross)
@@ -266,7 +267,7 @@ class TestBatchedKernel:
         for separation_hz in (0.0, 1e6, 3.5e6, 7.5e6):
             waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
             for seed in range(3):
-                mf_r, mf_d = _matched_filter_rows(waveform, state, 50, (17, seed))
+                mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed))
                 gross_total += assert_matches_oracle(mf_r, mf_d, waveform)[2].sum()
         if snr_db < 0:
             assert gross_total > 0  # the gross-error branch was reached
@@ -298,7 +299,7 @@ class TestBatchedKernel:
         # peak is the global magnitude maximum of each row
         waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3))
         state = ChannelState(true_range=37.3, snr_db=math.inf)
-        mf_r, mf_d = _matched_filter_rows(waveform, state, 2, 0)
+        mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, 2, 0)
         mf_r = mf_r.copy()
         mf_r[1] = np.roll(mf_r[1], 40)  # a second row, peaked 40 lags later
         ranges, _, gross = assert_matches_oracle(mf_r, mf_d, waveform)
@@ -312,12 +313,12 @@ class TestBatchedKernel:
         # magnitude array alone would be 5.7 MiB
         config = default_config()
         waveform = config.waveform
-        mf_r, mf_d = _matched_filter_rows(waveform, config.channel, 200, 0)
+        mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, config.channel, 200, 0)
         assert mf_r.shape == (200, 3750)
         _interp_matrix.cache_clear()
         tracemalloc.start()
         try:
-            refine_window(mf_r, mf_d, waveform.sample_rate, waveform)
+            refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

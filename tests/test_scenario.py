@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ranging_oracle
 from cohsync import (
     SPEED_OF_LIGHT,
     ChannelState,
@@ -11,6 +16,7 @@ from cohsync import (
     ProcessingIntervalLog,
     TraceSegment,
     TwoToneSpec,
+    config_from_dict,
     crlb_sigma_r,
     default_config,
     effective_window_length,
@@ -30,6 +36,9 @@ from cohsync import (
     write_trace_csv,
     ziegler_nichols_gains,
 )
+import cohsync
+from cohsync import scenario
+from cohsync.ranging import WINDOW_PAD_SAMPLES, _peak_lags, refine_window
 
 # Gains from the ultimate-gain search on the simulated loop at the 23 dB
 # operating point (K_u = 0.2 controller units, T_u = 2 intervals); see
@@ -55,6 +64,15 @@ def constant_trace(snr_db, n_intervals, cadence_s=INTERVAL_S):
         [TraceSegment(duration_s=n_intervals * cadence_s, snr_db=snr_db)],
         cadence_s=cadence_s,
     )
+
+
+def reaches_clamp(logs, f1_hz=20e3, x_max_hz=7.5e6):
+    """Some interval ran at the upper separation clamp.
+
+    The velocity-form PI legitimately steps back off the clamp when the
+    error falls, so no single interval is required to sit on it.
+    """
+    return any(l.f2_hz == pytest.approx(f1_hz + x_max_hz) for l in logs)
 
 
 def predicted_sigma_d(config, snr_db):
@@ -250,10 +268,19 @@ class TestAdaptiveRuns:
         trace = constant_trace(6.0, 10)
         logs = run_adaptive(config, trace, duration_s=10 * INTERVAL_S, seed=9)
         assert len(logs) == 10
-        assert logs[-1].f2_hz == pytest.approx(20e3 + 7.5e6)
+        assert reaches_clamp(logs)
         assert logs[-1].sigma_d_m > config.loop.target_sigma_m
         for l in logs:
             assert 20e3 <= l.f2_hz <= 7.52e6 + 1e-6
+
+    def test_clamp_check_fails_for_held_bandwidth(self):
+        # the clamp-stress run with the separation held at 3.5 MHz never
+        # reaches the clamp, so the check above is not vacuous
+        config = tuned_config(snr_db=6.0)
+        trace = constant_trace(6.0, 8)
+        logs = run_fixed_bandwidth(config, trace, duration_s=8 * INTERVAL_S, seed=9)
+        assert logs[-1].sigma_d_m > config.loop.target_sigma_m
+        assert not reaches_clamp(logs)
 
     def test_target_override_feeds_controller_error(self):
         config = tuned_config(pulses=50)
@@ -371,3 +398,176 @@ class TestNoiseStreams:
             )
             controller, x = pi_step(controller, error, dt)
         assert run_adaptive(config, trace, duration_s=2 * dt, seed=seed) == expected
+
+
+def oracle_window(waveform, state, n_pulses, seed):
+    """``simulate_window`` on the oracle's whole rows of time-domain noise."""
+    mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, n_pulses, seed)
+    ranges, _, gross, _ = refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
+    return ranges, int(gross.sum())
+
+
+def with_separation(waveform, separation_hz):
+    f1 = waveform.two_tone.f1
+    return replace(waveform, two_tone=TwoToneSpec(f1=f1, f2=f1 + separation_hz))
+
+
+class TestDirectNoiseDraws:
+    """The window's direct noise draws against the oracle's time-domain noise.
+
+    Each side pools 3 seeds x 1000 pulses of independent range estimates,
+    drawn from independent streams, so the bounds are four standard
+    errors of the difference: about 1/sqrt(n) for a ratio of sample
+    standard deviations and binomial for gross-error counts.
+    """
+
+    SEEDS = (1, 2, 3)
+
+    def pooled(self, simulate, waveform, state):
+        runs = [simulate(waveform, state, 200, (seed, k)) for seed in self.SEEDS for k in range(5)]
+        return np.concatenate([ranges for ranges, _ in runs]), sum(gross for _, gross in runs)
+
+    @pytest.mark.parametrize("snr_db", [13.0, 23.0])
+    @pytest.mark.parametrize("separation_hz", [1e6, 3.5e6])
+    def test_std_and_bias_match_oracle(self, full_waveform, separation_hz, snr_db):
+        waveform = with_separation(full_waveform, separation_hz)
+        state = ChannelState(true_range=90.0, snr_db=snr_db)
+        direct, gross = self.pooled(simulate_window, waveform, state)
+        oracle, oracle_gross = self.pooled(oracle_window, waveform, state)
+        assert gross == oracle_gross == 0
+        n = direct.size
+        s_direct, s_oracle = direct.std(ddof=1), oracle.std(ddof=1)
+        assert abs(s_direct / s_oracle - 1.0) <= 4.0 / math.sqrt(n)
+        assert abs(direct.mean() - oracle.mean()) <= 4.0 * math.hypot(s_direct, s_oracle) / math.sqrt(n)
+
+    def test_gross_error_rate_matches_oracle(self, full_waveform):
+        state = ChannelState(true_range=90.0, snr_db=-25.0)
+        direct, gross = self.pooled(simulate_window, full_waveform, state)
+        _, oracle_gross = self.pooled(oracle_window, full_waveform, state)
+        n = direct.size
+        rate = (gross + oracle_gross) / (2 * n)
+        assert gross > 0 and oracle_gross > 0
+        assert abs(gross - oracle_gross) <= 4.0 * math.sqrt(2 * n * rate * (1 - rate))
+
+    @pytest.mark.parametrize("separation_hz", [0.0, 1e5, 3.5e6, 7.5e6])
+    def test_noise_free_matches_oracle_and_draws_nothing(
+        self, full_waveform, separation_hz, monkeypatch
+    ):
+        waveform = with_separation(full_waveform, separation_hz)
+        state = ChannelState(true_range=90.0, snr_db=math.inf)
+        expected, _ = oracle_window(waveform, state, 4, 0)
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"a noise-free window called rng.{name}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        ranges, gross = simulate_window(waveform, state, 4, seed=0)
+        assert gross == 0
+        assert np.max(np.abs(ranges - expected)) <= 1e-9
+
+
+class TestBlasThreads:
+    # 0.5 MHz makes a 122-lag lobe window, too wide for a block, whose
+    # eigendecomposition OpenBLAS would thread; 1 MHz makes the widest
+    # block drawn (96 lags)
+    SCRIPT = """
+import hashlib
+from dataclasses import replace
+from cohsync import ChannelState, TwoToneSpec, default_config, simulate_window
+waveform = default_config().waveform
+digest = hashlib.sha256()
+for separation in (0.5e6, 1e6, 3.5e6):
+    tones = TwoToneSpec(20e3, 20e3 + separation)
+    ranges, _ = simulate_window(replace(waveform, two_tone=tones), ChannelState(90.0, 13.0), 200, 4)
+    digest.update(ranges.tobytes())
+print(digest.hexdigest())
+"""
+
+    def test_window_bytes_do_not_depend_on_blas_threads(self):
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            digests.add(result.stdout)
+        assert len(digests) == 1
+
+
+class TestBenchmarkPatchPoints:
+    """Names the benchmark's traced runs patch on ``cohsync.scenario``."""
+
+    NAMES = (
+        "simulate_window",
+        "_circular_correlation",
+        "disambiguate_and_refine",
+        "generate_two_tone",
+        "generate_disambiguation",
+        "apply_round_trip_response",
+        "noise_power_for",
+        "window_stats",
+        "pi_step",
+    )
+
+    def test_names_stay_bound(self):
+        for name in self.NAMES:
+            assert callable(getattr(scenario, name, None)), name
+
+    def test_closed_loop_calls_through_the_names(self, monkeypatch):
+        # every name but disambiguate_and_refine, which no window calls
+        called = set()
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        names = [name for name in self.NAMES if name != "disambiguate_and_refine"]
+        for name in names:
+            monkeypatch.setattr(scenario, name, spy(name, getattr(scenario, name)))
+        trace = constant_trace(23.0, 2, cadence_s=5.25)
+        run_adaptive(tuned_config(pulses=50), trace, duration_s=2 * 5.25, seed=1)
+        assert called == set(names)
+
+    def test_matched_filter_rows_correlate_2d_arrays(self, monkeypatch):
+        # the benchmark counts FFT points from the (rows, n) shape of the
+        # first argument; whole ranging rows and lag blocks both qualify
+        shapes = []
+        real = scenario._circular_correlation
+
+        def spy(rows, template):
+            shapes.append(np.shape(rows))
+            return real(rows, template)
+
+        monkeypatch.setattr(scenario, "_circular_correlation", spy)
+        config = tuned_config(pulses=50)
+        for separation_hz, whole_rows in ((3.5e6, False), (1e5, True), (0.0, True)):
+            waveform = with_separation(config.waveform, separation_hz)
+            rows, _, n, _ = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
+            assert (rows.shape == (50, n)) == whole_rows
+            assert rows.shape[1] <= n
+        assert shapes == [(1, n)] * 6
+
+
+class TestWindowLength:
+    def test_reference_window(self):
+        config = default_config()
+        assert effective_window_length(config.waveform, config.channel) == 3750
+
+    def test_disambiguation_pulse_longer_than_ranging_pulse(self):
+        # one period of 6.3 kHz is 3968 samples, longer than the
+        # 3592-sample ranging pulse, so it sizes the window
+        config = config_from_dict({"waveform": {"disambiguation_hz": 6.3e3}})
+        n = effective_window_length(config.waveform, config.channel)
+        assert n >= 3968 + WINDOW_PAD_SAMPLES
+        ranges, _ = simulate_window(config.waveform, config.channel, 20, seed=1)
+        assert ranges.shape == (20,) and np.all(np.isfinite(ranges))
+        noise_free = replace(config.channel, snr_db=math.inf)
+        ranges, gross = simulate_window(config.waveform, noise_free, 2, seed=1)
+        assert gross == 0
+        assert np.max(np.abs(ranges - 90.0)) < 1e-3
