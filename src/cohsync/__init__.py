@@ -12,7 +12,6 @@ from .channel import (
     ChannelState,
     apply_round_trip_response,
     post_snr_from_sample_snr,
-    propagate_round_trip,
     residual_baseband_frequency,
     sample_snr_for_post_snr,
 )

@@ -13,11 +13,11 @@ length, both pulses then see the same post-processing ``2E/N0``, equal
 to ``2 * window_len * 10**(snr_db/10)``.
 
 Noise is circularly symmetric white Gaussian with the per-sample variance
-that SNR sets.  :func:`noisy_rows` draws it on every sample of a frame,
-for :func:`propagate_round_trip`.  A simulated window only ever reads the
-matched-filter outputs of its frames, so it draws the filtered noise
-directly instead: :func:`matched_noise_rows` draws whole output rows in
-the frequency domain, where white noise has independent bins, and
+that SNR sets (:func:`noise_power_for`).  A simulated window only ever
+reads the matched-filter outputs of its frames, so the filtered noise is
+drawn directly, never on the samples of a frame:
+:func:`matched_noise_rows` draws whole output rows in the frequency
+domain, where white noise has independent bins, and
 :func:`matched_noise_block` draws a block of consecutive output lags with
 the filter's Toeplitz lag covariance.  Filtered Gaussian noise is
 Gaussian and so fixed by its covariance, which both draws reproduce up
@@ -36,21 +36,17 @@ from .waveform import SPEED_OF_LIGHT, ComplexBasebandSignal
 
 @dataclass(frozen=True)
 class CarrierPlan:
-    """Outbound/return carriers and the repeater's oscillator offsets.
+    """The repeater's oscillator offsets, in Hz.
 
-    ``offset1``/``offset2`` are the deviations of the repeater's two
-    carriers from nominal; both are zero when the nodes are frequency
-    locked.
+    ``offset1``/``offset2`` are the deviations of the repeater's outbound
+    and return carriers from nominal; both are zero when the nodes are
+    frequency locked.  Only their difference reaches baseband
+    (:func:`residual_baseband_frequency`), so the carriers themselves are
+    not modelled.
     """
 
-    f_c1: float = 2.45e9
-    f_c2: float = 5.8e9
     offset1: float = 0.0
     offset2: float = 0.0
-
-    def __post_init__(self):
-        if not (self.f_c1 > 0 and self.f_c2 > 0):
-            raise ValueError("carrier frequencies must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,27 +114,6 @@ def noise_power_for(clean: ComplexBasebandSignal, snr_db: float) -> float:
     return mean_power / (10.0 ** (snr_db / 10.0))
 
 
-def noisy_rows(
-    clean: np.ndarray, noise_power: float, n_rows: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``n_rows`` copies of ``clean``, each with independent calibrated noise.
-
-    Noise is circularly symmetric white Gaussian with per-sample variance
-    ``noise_power``: one ``(n_rows, 2 n)`` standard-normal draw read as
-    interleaved real and imaginary parts, scaled and offset in place.
-    Draws nothing when ``noise_power`` is 0, and then returns a read-only
-    view of ``clean``.
-    """
-    if noise_power < 0:
-        raise ValueError("noise_power must be >= 0")
-    if noise_power == 0.0:
-        return np.broadcast_to(clean, (n_rows, clean.size))
-    rows = rng.standard_normal((n_rows, 2 * clean.size)).view(np.complex128)
-    rows *= math.sqrt(noise_power / 2.0)
-    rows += clean
-    return rows
-
-
 def matched_noise_rows(
     template_spectrum: np.ndarray, noise_power: float, n_rows: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -190,25 +165,6 @@ def matched_noise_block(
     z = rng.standard_normal((n_rows, 2 * width)).view(np.complex128)
     z *= math.sqrt(0.5)
     return z @ root.T
-
-
-def propagate_round_trip(
-    pulse: ComplexBasebandSignal,
-    state: ChannelState,
-    rng_seed: int,
-    noise_power: float | None = None,
-) -> ComplexBasebandSignal:
-    """Full round trip: delay + residual shift + calibrated noise.
-
-    Noise is circularly symmetric white Gaussian with per-sample variance
-    set so the window-average SNR equals ``state.snr_db`` (see the module
-    docstring), unless an explicit ``noise_power`` override is given.
-    Deterministic for a fixed ``rng_seed``.
-    """
-    clean = apply_round_trip_response(pulse, state)
-    sigma2 = noise_power_for(clean, state.snr_db) if noise_power is None else noise_power
-    rows = noisy_rows(clean.samples, sigma2, 1, np.random.default_rng(rng_seed))
-    return ComplexBasebandSignal(rows[0], clean.sample_rate)
 
 
 def post_snr_from_sample_snr(window_len: int, snr_db: float) -> float:

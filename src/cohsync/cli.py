@@ -39,6 +39,11 @@ from .scenario import (
 )
 from .waveform import crlb_sigma_r
 
+# Limit on the points of one grid argument.  crlb peaks at about 44 bytes
+# a point (tracemalloc), so about 2.9 MB here; the default sigma grid has
+# 60 points.
+MAX_GRID_POINTS = 2**16
+
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
@@ -49,8 +54,12 @@ def _parse_grid(spec: str) -> np.ndarray:
         num = int(parts[2])
     except ValueError as exc:
         raise ValueError(f"bad grid spec '{spec}': {exc}") from exc
+    if not math.isfinite(stop - start):  # a non-finite bound, or a span past the float range
+        raise ValueError(f"bad grid spec '{spec}': bounds and their span must be finite")
     if num < 1:
         raise ValueError(f"bad grid spec '{spec}': need at least one point")
+    if num > MAX_GRID_POINTS:
+        raise ValueError(f"bad grid spec '{spec}': more than {MAX_GRID_POINTS} points")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ValueError(f"bad grid spec '{spec}': unknown scale '{parts[3]}'")
@@ -105,6 +114,8 @@ def _cmd_montecarlo(args) -> int:
         )
     seed = _resolve_seed(args)
     grid = _parse_grid(args.sigma_grid)  # in units of the wavelength
+    if np.any(grid < 0):
+        raise ValueError("sigma grid values must be >= 0")
     scenario = coherence.ArrayScenario(n_nodes=args.nodes, wavelength=1.0)
     y = coherence.probability_curve(
         scenario, grid, threshold=args.threshold, trials=args.trials, seed=seed

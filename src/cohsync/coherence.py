@@ -31,9 +31,14 @@ import numpy as np
 from .waveform import SPEED_OF_LIGHT
 
 # Two-node sigma_d/lambda thresholds for P(G_c >= 0.9), keyed by that
-# probability.  Defaults for frequency planning; recomputable with
+# probability, for frequency planning; recomputable with
 # probability_curve + threshold_crossings.
 TWO_NODE_SIGMA_OVER_LAMBDA = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
+
+# Limit on trials x n_nodes of one probability curve.  A curve peaks at
+# about 48 bytes per phase error (52 with two nodes; tracemalloc), so about
+# 870 MB here.  The 16-node, 50,000-trial array uses 4.8 %.
+MAX_TRIAL_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -61,27 +66,18 @@ class ArrayScenario:
         return 2.0 * math.pi / self.wavelength
 
 
-def coherent_gain(phase_errors, amplitudes=None) -> float:
-    """Achieved over ideal beamformed power for one error realization.
+def coherent_gain(phase_errors):
+    """Achieved over ideal beamformed power, per error realization.
 
-    ``G_c = |sum_n a_n exp(j eps_n)|**2 / (sum_n a_n)**2``; equals 1 only
-    when all phase errors coincide modulo 2*pi (for positive amplitudes)
-    and is bounded by 1 (Cauchy-Schwarz).
+    ``G_c = |sum_n exp(j eps_n)|**2 / N**2`` over the last axis of a
+    ``(..., N)`` array, so a ``(trials, N)`` array gives one gain per
+    trial and an ``N``-vector a single one.  Equals 1 only when all phase
+    errors coincide modulo 2*pi, and is bounded by 1 (Cauchy-Schwarz).
     """
     eps = np.asarray(phase_errors, dtype=float)
-    if amplitudes is None:
-        amps = np.ones_like(eps)
-    else:
-        amps = np.asarray(amplitudes, dtype=float)
-        if amps.shape != eps.shape:
-            raise ValueError("phase_errors and amplitudes must have equal length")
-        if np.any(amps < 0):
-            raise ValueError("amplitudes must be >= 0")
-    ideal = amps.sum()
-    if ideal == 0:
-        raise ValueError("at least one amplitude must be positive")
-    achieved = np.abs((amps * np.exp(1j * eps)).sum()) ** 2
-    return float(achieved / ideal**2)
+    if eps.ndim == 0 or eps.shape[-1] == 0:
+        raise ValueError("phase_errors needs at least one node on its last axis")
+    return np.abs(np.exp(1j * eps).sum(axis=-1)) ** 2 / eps.shape[-1] ** 2
 
 
 def _draw_geometry(scenario: ArrayScenario, trials: int, rng: np.random.Generator):
@@ -95,15 +91,11 @@ def _draw_geometry(scenario: ArrayScenario, trials: int, rng: np.random.Generato
     return theta, z_range
 
 
-def _gains_from_geometry(
-    scenario: ArrayScenario, sigma_d: float, geometry
-) -> np.ndarray:
-    """Coherent gain of each trial at range-error scale ``sigma_d``."""
+def _phase_errors(scenario: ArrayScenario, sigma_d: float, geometry) -> np.ndarray:
+    """``(trials, N)`` phase errors at range-error scale ``sigma_d``."""
     theta, z_range = geometry
     k = scenario.wavenumber()
-    eps = (k * sigma_d * (1.0 + np.sin(theta)))[:, None] * z_range
-    summed = np.exp(1j * eps).sum(axis=1)
-    return np.abs(summed) ** 2 / scenario.n_nodes**2
+    return (k * sigma_d * (1.0 + np.sin(theta)))[:, None] * z_range
 
 
 def probability_curve(
@@ -124,11 +116,16 @@ def probability_curve(
         raise ValueError("sigma_grid is empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials * scenario.n_nodes > MAX_TRIAL_NODES:
+        raise ValueError(
+            f"{trials} trials x {scenario.n_nodes} nodes exceeds the limit of "
+            f"{MAX_TRIAL_NODES} phase errors (trials x nodes)"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     geometry = _draw_geometry(scenario, trials, rng)
     return np.array(
         [
-            np.mean(_gains_from_geometry(scenario, s, geometry) >= threshold)
+            np.mean(coherent_gain(_phase_errors(scenario, s, geometry)) >= threshold)
             for s in grid
         ]
     )
@@ -150,31 +147,18 @@ def threshold_crossings(
     return out
 
 
-def max_coherent_frequency(
-    sigma_d: float,
-    probability: float,
-    threshold: float = 0.9,
-    ratio_table: dict[float, float] | None = None,
-) -> float:
+def max_coherent_frequency(sigma_d: float, probability: float) -> float:
     """Highest carrier frequency a ranging accuracy supports, in Hz.
 
-    Uses ``f = k * c / sigma_d`` where ``k`` is the sigma_d/lambda
-    threshold at the requested probability of exceeding ``threshold``
-    coherent gain.  Defaults to the cached two-node table for
-    ``threshold == 0.9``; pass a table derived from
-    :func:`threshold_crossings` for other setups.
+    Uses ``f = k * c / sigma_d`` where ``k`` is the cached two-node
+    sigma_d/lambda threshold at the requested probability of exceeding
+    0.9 coherent gain.
     """
     if not sigma_d > 0:
         raise ValueError("sigma_d must be positive")
-    table = ratio_table
-    if table is None:
-        if threshold != 0.9:
-            raise ValueError(
-                "no cached thresholds for this gain threshold; supply ratio_table"
-            )
-        table = TWO_NODE_SIGMA_OVER_LAMBDA
-    if probability not in table:
+    if probability not in TWO_NODE_SIGMA_OVER_LAMBDA:
         raise ValueError(
-            f"probability {probability} not covered; available: {sorted(table)}"
+            f"probability {probability} not covered; "
+            f"available: {sorted(TWO_NODE_SIGMA_OVER_LAMBDA)}"
         )
-    return table[probability] * SPEED_OF_LIGHT / sigma_d
+    return TWO_NODE_SIGMA_OVER_LAMBDA[probability] * SPEED_OF_LIGHT / sigma_d

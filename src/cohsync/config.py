@@ -5,7 +5,10 @@ field has a default equal to the reference experiment's operating value
 where one exists (20 kHz lower tone, 3.5 MHz upper tone, 143.7 us
 ranging pulse, 159.7 us PRI, 25 Msps, 200-pulse windows grouped 40x5,
 105 ms pulse period, 10 mm target, K_p = 1e-5, T_i = 3.3 s, 0..7.5 MHz
-separation clamp, 2.45/5.8 GHz carriers, 90 m baseline).
+separation clamp, frequency-locked carriers, 90 m baseline).  Carrier
+frequencies are not keys, since nothing the model computes reads them;
+nor are the controller's unit scales, which are constants of
+:mod:`cohsync.control`.
 
 Validation is strict: unknown keys are rejected with the dotted path of
 the offending entry, wrong types and non-finite numbers likewise (only
@@ -125,8 +128,6 @@ _FIELDS = {
     "waveform.sample_rate_hz": ("waveform.sample_rate", float),
     "channel.true_range_m": ("channel.true_range", float),
     "channel.snr_db": ("channel.snr_db", _FLOAT_OR_INF),
-    "channel.outbound_carrier_hz": ("channel.carrier.f_c1", float),
-    "channel.return_carrier_hz": ("channel.carrier.f_c2", float),
     "channel.carrier_offset1_hz": ("channel.carrier.offset1", float),
     "channel.carrier_offset2_hz": ("channel.carrier.offset2", float),
     "controller.k_p": ("controller.k_p", float),
@@ -134,8 +135,6 @@ _FIELDS = {
     "controller.x_initial_hz": ("controller.x_prev", float),
     "controller.x_min_hz": ("controller.x_min", float),
     "controller.x_max_hz": ("controller.x_max", float),
-    "controller.error_scale": ("controller.error_scale", float),
-    "controller.output_scale": ("controller.output_scale", float),
     "loop.pulses_per_interval": ("loop.pulses_per_interval", int),
     "loop.group_size": ("loop.group_size", int),
     "loop.pulse_period_s": ("loop.pulse_period_s", float),

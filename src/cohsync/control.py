@@ -9,10 +9,10 @@ metres) to the next tone separation ``x = f2 - f1`` in Hz.  Positive
 error therefore widens the separation.
 
 Unit normalization: the published gain values are dimensionless, so the
-controller scales errors into millimetres (``error_scale``) and outputs
-into MHz (``output_scale``) before applying ``k_p``; with the default
-scales, ``k_p = 1e-5`` moves the separation by a few hundred Hz per
-interval for a 5 mm error.  Both scales are configurable.
+controller scales errors into millimetres (``ERROR_SCALE``) and outputs
+into MHz (``OUTPUT_SCALE``) before applying ``k_p``; with the default
+gains, ``k_p = 1e-5`` moves the separation by a few hundred Hz per
+interval for a 5 mm error.
 
 Anti-windup is by output clamping: the clamped output is what gets
 stored as ``x_prev``, so the increment never accumulates beyond the
@@ -33,10 +33,13 @@ import numpy as np
 _MIN_PERIODS = 5
 MIN_SERIES_LENGTH = next(n for n in itertools.count(1) if n - n // 4 >= 2 * _MIN_PERIODS)
 
+ERROR_SCALE = 1e3  # metres -> controller error units (mm)
+OUTPUT_SCALE = 1e6  # controller output units (MHz) -> Hz
+
 
 @dataclass(frozen=True)
 class PiControllerState:
-    """Gains, unit scales, clamp limits and the one-step memory."""
+    """Gains, clamp limits and the one-step memory."""
 
     k_p: float
     t_i: float
@@ -44,8 +47,6 @@ class PiControllerState:
     e_prev: float = 0.0
     x_min: float = 0.0
     x_max: float = 7.5e6
-    error_scale: float = 1e3  # metres -> controller error units (mm)
-    output_scale: float = 1e6  # controller output units (MHz) -> Hz
 
     def __post_init__(self):
         if not self.t_i > 0:
@@ -54,8 +55,6 @@ class PiControllerState:
             raise ValueError(
                 f"x_prev={self.x_prev} outside clamp [{self.x_min}, {self.x_max}]"
             )
-        if not (self.error_scale > 0 and self.output_scale > 0):
-            raise ValueError("unit scales must be positive")
 
 
 def pi_step(
@@ -66,10 +65,10 @@ def pi_step(
         raise ValueError("error input is NaN")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    e_scaled = e_n * state.error_scale
-    e_prev_scaled = state.e_prev * state.error_scale
+    e_scaled = e_n * ERROR_SCALE
+    e_prev_scaled = state.e_prev * ERROR_SCALE
     increment = state.k_p * ((1.0 + dt / state.t_i) * e_scaled - e_prev_scaled)
-    x_n = state.x_prev + increment * state.output_scale
+    x_n = state.x_prev + increment * OUTPUT_SCALE
     x_n = min(max(x_n, state.x_min), state.x_max)
     return replace(state, x_prev=x_n, e_prev=e_n), x_n
 

@@ -47,7 +47,7 @@ from .channel import (
     noise_power_for,
 )
 from .config import LoopConfig, RunConfig
-from .control import pi_step
+from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
 from .ranging import (
     _circular_correlation,
     _peak_lags,
@@ -364,7 +364,6 @@ def _closed_loop(
     law: Callable[[float, int], float],
     seed,
     stream: int,
-    target_sigma_m: float,
 ) -> list[ProcessingIntervalLog]:
     """The interval loop shared by every closed-loop run.
 
@@ -391,7 +390,7 @@ def _closed_loop(
         state = replace(config.channel, snr_db=snr)
         ranges, _ = simulate_window(wf, state, loop.pulses_per_interval, seed=(seed, stream, i))
         stats = window_stats(ranges, loop.group_size, loop.pulses_per_interval)
-        error = stats.sigma_d - target_sigma_m
+        error = stats.sigma_d - loop.target_sigma_m
         logs.append(
             ProcessingIntervalLog(
                 interval_index=i,
@@ -407,7 +406,7 @@ def _closed_loop(
     return logs
 
 
-def _replay(config, trace, duration_s, seed, law, target_sigma_m=None):
+def _replay(config, trace, duration_s, seed, law):
     """Validate a trace replay's inputs and run it on noise stream 1."""
     if not trace:
         raise ValueError("trace has no records")
@@ -416,10 +415,8 @@ def _replay(config, trace, duration_s, seed, law, target_sigma_m=None):
     n_intervals = int(duration_s // config.loop.interval_duration_s)
     if n_intervals < 1:
         raise ValueError("duration shorter than one processing interval")
-    if target_sigma_m is None:
-        target_sigma_m = config.loop.target_sigma_m
     master = config.seed if seed is None else seed
-    return _closed_loop(config, trace, n_intervals, law, master, 1, target_sigma_m)
+    return _closed_loop(config, trace, n_intervals, law, master, 1)
 
 
 def run_fixed_bandwidth(
@@ -437,15 +434,13 @@ def run_adaptive(
     config: RunConfig,
     trace: Sequence[EnvironmentRecord],
     duration_s: float,
-    target_sigma_m: float | None = None,
     seed=None,
 ) -> list[ProcessingIntervalLog]:
     """Replay a trace with the PI loop retuning the tone separation.
 
-    Each interval feeds ``sigma_d - target`` into the controller and the
-    returned separation (clamped to the configured operating range)
-    becomes the next interval's ``f2 = f1 + x``.  ``target_sigma_m``
-    overrides the configured setpoint when given.
+    Each interval feeds ``sigma_d - loop.target_sigma_m`` into the
+    controller and the returned separation (clamped to the configured
+    operating range) becomes the next interval's ``f2 = f1 + x``.
     """
     controller = config.controller
     dt = config.loop.interval_duration_s
@@ -458,7 +453,7 @@ def run_adaptive(
             raise RuntimeError(f"controller aborted at interval {i}: {exc}") from exc
         return x
 
-    return _replay(config, trace, duration_s, seed, pi_law, target_sigma_m)
+    return _replay(config, trace, duration_s, seed, pi_law)
 
 
 def ranging_sigma_plant(
@@ -474,16 +469,15 @@ def ranging_sigma_plant(
     across gain evaluations, so the handle is deterministic.
     """
     ctl = config.controller
-    target = config.loop.target_sigma_m
     trace = [EnvironmentRecord(timestamp_s=0.0, snr_db=config.channel.snr_db)]
 
     def plant(k: float) -> np.ndarray:
         def p_law(error: float, i: int) -> float:
-            x_next = ctl.x_prev + k * (error * ctl.error_scale) * ctl.output_scale
+            x_next = ctl.x_prev + k * (error * ERROR_SCALE) * OUTPUT_SCALE
             return min(max(x_next, ctl.x_min), ctl.x_max)
 
-        logs = _closed_loop(config, trace, n_intervals, p_law, seed, 3, target)
-        return np.array([log.sigma_d_m * ctl.error_scale for log in logs])
+        logs = _closed_loop(config, trace, n_intervals, p_law, seed, 3)
+        return np.array([log.sigma_d_m * ERROR_SCALE for log in logs])
 
     return plant
 

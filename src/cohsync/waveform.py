@@ -177,8 +177,8 @@ def crlb_sigma_r(delta_f: float, post_snr: float) -> float:
     ``c/2`` factor converts the round-trip delay deviation to one-way
     range.
     """
-    if not delta_f > 0:
-        raise ValueError(f"delta_f must be positive, got {delta_f}")
+    if not 0 < delta_f < math.inf:
+        raise ValueError(f"delta_f must be positive and finite, got {delta_f}")
     if not post_snr > 0:
         raise ValueError(f"post_snr must be positive, got {post_snr}")
     beta = 2.0 * np.pi * delta_f

@@ -1,9 +1,9 @@
 """Reference implementations for the window simulation and range refinement.
 
 ``matched_filter_rows`` is the window's matched filtering done the long
-way: white noise drawn on every sample of every frame, then a forward
-and an inverse FFT per frame.  The tests compare the statistics of the
-direct noise draws in ``cohsync.scenario`` against it.
+way: white noise drawn on every sample of every frame (``noisy_rows``),
+then a forward and an inverse FFT per frame.  The tests compare the
+statistics of the direct noise draws in ``cohsync.scenario`` against it.
 
 ``refine_pulse`` is the estimator as it ran one pulse at a time: a
 gather-and-sum Kaiser-sinc interpolation onto the dense grid and a
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cohsync.channel import ChannelState, apply_round_trip_response, noise_power_for, noisy_rows
+from cohsync.channel import ChannelState, apply_round_trip_response, noise_power_for
 from cohsync.ranging import (
     INTERP_BETA,
     INTERP_TAPS,
@@ -33,6 +33,27 @@ from cohsync.waveform import (
     generate_disambiguation,
     generate_two_tone,
 )
+
+
+def noisy_rows(
+    clean: np.ndarray, noise_power: float, n_rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n_rows`` copies of ``clean``, each with independent calibrated noise.
+
+    Noise is circularly symmetric white Gaussian with per-sample variance
+    ``noise_power``: one ``(n_rows, 2 n)`` standard-normal draw read as
+    interleaved real and imaginary parts, scaled and offset in place.
+    Draws nothing when ``noise_power`` is 0, and then returns a read-only
+    view of ``clean``.
+    """
+    if noise_power < 0:
+        raise ValueError("noise_power must be >= 0")
+    if noise_power == 0.0:
+        return np.broadcast_to(clean, (n_rows, clean.size))
+    rows = rng.standard_normal((n_rows, 2 * clean.size)).view(np.complex128)
+    rows *= math.sqrt(noise_power / 2.0)
+    rows += clean
+    return rows
 
 
 def matched_filter_rows(

@@ -227,11 +227,7 @@ def test_criterion_6_frequency_lock_algebra():
         rng = np.random.default_rng(606)
         for _ in range(100):
             f_b = float(rng.uniform(1e3, 7.5e6))
-            locked = CarrierPlan(
-                f_c1=float(rng.uniform(1e9, 6e9)),
-                f_c2=float(rng.uniform(1e9, 6e9)),
-            )
-            assert residual_baseband_frequency(f_b, locked) == f_b
+            assert residual_baseband_frequency(f_b, CarrierPlan()) == f_b
             o1, o2 = rng.uniform(-5e3, 5e3, 2)
             unlocked = CarrierPlan(offset1=float(o1), offset2=float(o2))
             assert residual_baseband_frequency(f_b, unlocked) == f_b - o1 + o2

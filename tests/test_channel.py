@@ -14,12 +14,12 @@ from cohsync import (
     disambiguate_and_refine,
     matched_filter,
     post_snr_from_sample_snr,
-    propagate_round_trip,
     residual_baseband_frequency,
     sample_snr_for_post_snr,
 )
-from cohsync.channel import matched_noise_block, matched_noise_rows, noisy_rows
+from cohsync.channel import matched_noise_block, matched_noise_rows, noise_power_for
 from cohsync.ranging import _circular_correlation
+from ranging_oracle import noisy_rows
 from cohsync.waveform import TwoToneSpec, generate_two_tone
 
 FS = 25e6
@@ -51,15 +51,17 @@ class TestResidualBasebandFrequency:
 
 
 class TestPropagateRoundTrip:
+    """The round trip's delay and shift, and noise at the calibrated power."""
+
     def test_identity(self, full_waveform):
         frame, _ = padded_frame(full_waveform)
         state = ChannelState(true_range=0.0, snr_db=math.inf)
-        out = propagate_round_trip(frame, state, rng_seed=0)
+        out = apply_round_trip_response(frame, state)
         assert np.allclose(out.samples, frame.samples, atol=1e-10)
 
     def test_90m_delay_lands_at_analytic_lag(self, full_waveform, noise_free_90m):
         frame, pulse = padded_frame(full_waveform)
-        out = propagate_round_trip(frame, noise_free_90m, rng_seed=0)
+        out = apply_round_trip_response(frame, noise_free_90m)
         mf = matched_filter(out, pulse)
         est = disambiguate_and_refine(
             mf, None, full_waveform, expected_lag_s=2 * 90.0 / SPEED_OF_LIGHT
@@ -76,8 +78,8 @@ class TestPropagateRoundTrip:
             snr_db=math.inf,
             carrier=CarrierPlan(offset1=1e3, offset2=1e3),
         )
-        a = propagate_round_trip(frame, shifted, rng_seed=0)
-        b = propagate_round_trip(frame, noise_free_90m, rng_seed=0)
+        a = apply_round_trip_response(frame, shifted)
+        b = apply_round_trip_response(frame, noise_free_90m)
         assert np.array_equal(a.samples, b.samples)
 
     def test_noise_calibration_within_tolerance(self):
@@ -87,8 +89,9 @@ class TestPropagateRoundTrip:
         sig = ComplexBasebandSignal(np.exp(2j * np.pi * 1e6 * t), FS)
         state = ChannelState(true_range=0.0, snr_db=10.0)
         clean = apply_round_trip_response(sig, state)
-        out = propagate_round_trip(sig, state, rng_seed=7)
-        noise = out.samples - clean.samples
+        sigma2 = noise_power_for(clean, state.snr_db)
+        out = noisy_rows(clean.samples, sigma2, 1, np.random.default_rng(7))[0]
+        noise = out - clean.samples
         measured = 10 * np.log10(
             np.mean(np.abs(clean.samples) ** 2) / np.mean(np.abs(noise) ** 2)
         )
@@ -100,7 +103,7 @@ class TestPropagateRoundTrip:
         for r in ranges:
             frame, pulse = padded_frame(full_waveform)
             state = ChannelState(true_range=float(r), snr_db=math.inf)
-            out = propagate_round_trip(frame, state, rng_seed=0)
+            out = apply_round_trip_response(frame, state)
             mf = matched_filter(out, pulse)
             est = disambiguate_and_refine(
                 mf, None, full_waveform, expected_lag_s=2 * r / SPEED_OF_LIGHT
@@ -111,15 +114,6 @@ class TestPropagateRoundTrip:
         back = SPEED_OF_LIGHT * np.asarray(estimated) / 2.0
         assert np.max(np.abs(back - ranges)) < 1e-3
 
-    def test_determinism_per_seed(self, full_waveform):
-        frame, _ = padded_frame(full_waveform)
-        state = ChannelState(true_range=30.0, snr_db=12.0)
-        a = propagate_round_trip(frame, state, rng_seed=123)
-        b = propagate_round_trip(frame, state, rng_seed=123)
-        c = propagate_round_trip(frame, state, rng_seed=124)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
-
     def test_rejects_delay_beyond_window(self):
         sig = ComplexBasebandSignal(np.ones(64), FS)
         # 64 samples at 25 Msps = 2.56 us window; 500 m two-way is 3.3 us
@@ -127,14 +121,10 @@ class TestPropagateRoundTrip:
         with pytest.raises(ValueError):
             apply_round_trip_response(sig, state)
 
-    def test_rejects_negative_noise_power(self, full_waveform):
-        frame, _ = padded_frame(full_waveform)
-        state = ChannelState(true_range=0.0, snr_db=10.0)
-        with pytest.raises(ValueError):
-            propagate_round_trip(frame, state, rng_seed=0, noise_power=-1.0)
-
 
 class TestNoisyRows:
+    """The reference's noise drawn on every sample (``ranging_oracle``)."""
+
     def test_same_floats_as_interleaved_draw(self):
         # the (P, 2n) draw read as complex is the (P, n, 2) draw's stream
         clean = np.exp(2j * np.pi * 0.01 * np.arange(300))
@@ -231,5 +221,3 @@ class TestChannelState:
             ChannelState(true_range=-1.0, snr_db=10.0)
         with pytest.raises(ValueError):
             ChannelState(true_range=1.0, snr_db=math.nan)
-        with pytest.raises(ValueError):
-            CarrierPlan(f_c1=0.0)

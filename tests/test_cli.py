@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from cohsync import crlb_sigma_r, read_run_log_csv, summarize_run
-from cohsync.cli import main
+from cohsync.cli import MAX_GRID_POINTS, main
+from cohsync.coherence import MAX_TRIAL_NODES
 from cohsync.scenario import TraceSegment, synthesize_trace, write_trace_csv
 
 
@@ -111,6 +113,59 @@ class TestMonteCarloCommand:
         main(["montecarlo", "--trials", "1000", "--sigma-grid", "0.01:0.1:4", "--out", str(out)])
         report = json.loads((tmp_path / "mc.report.json").read_text())
         assert report["seed"] == 77
+
+
+class TestArgumentBounds:
+    """Grid and size arguments the model cannot represent fail before any allocation."""
+
+    @staticmethod
+    def rejected(tmp_path, capsys, argv) -> str:
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+        assert peak < 2**20
+        return err
+
+    @pytest.mark.parametrize(
+        "grid", ["nan:0.1:3", "0.01:inf:3", "-inf:0.1:3", "0.01:1e400:3", "-1e308:1e308:3"]
+    )
+    def test_non_finite_sigma_grid(self, tmp_path, capsys, grid):
+        err = self.rejected(tmp_path, capsys, ["montecarlo", f"--sigma-grid={grid}"])
+        assert "bounds and their span must be finite" in err
+
+    def test_negative_sigma(self, tmp_path, capsys):
+        err = self.rejected(tmp_path, capsys, ["montecarlo", "--sigma-grid=-0.1:0.1:3"])
+        assert "sigma grid values must be >= 0" in err
+
+    @pytest.mark.parametrize("delta_f", ["inf", "nan", "-1e6"])
+    def test_delta_f_not_positive_and_finite(self, tmp_path, capsys, delta_f):
+        argv = ["crlb", f"--delta-f={delta_f}", "--snr-grid", "1e4:1e8:5:log"]
+        assert "delta_f must be positive and finite" in self.rejected(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["montecarlo", "--trials", str(10**12)], "exceeds the limit of"),
+            (["montecarlo", "--nodes", str(10**12)], "exceeds the limit of"),
+            (["montecarlo", "--sigma-grid", f"0.01:0.2:{10**12}"], "points"),
+            (["crlb", "--delta-f", "3.75e6", "--snr-grid", f"1:10:{10**12}"], "points"),
+        ],
+    )
+    def test_oversized(self, tmp_path, capsys, argv, fragment):
+        assert fragment in self.rejected(tmp_path, capsys, argv)
+
+    def test_reference_runs_fit_with_margin(self):
+        # the benchmark's 16-node, 50,000-trial curve and the 60-point default grid
+        assert 20 * 16 * 50_000 <= MAX_TRIAL_NODES
+        assert 20 * 60 <= MAX_GRID_POINTS
 
 
 class TestRunCommand:

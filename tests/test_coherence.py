@@ -28,15 +28,24 @@ class TestCoherentGain:
         # closed form |1 + exp(j d)|^2 / 4 = cos^2(d/2)
         assert coherent_gain([0.0, math.pi / 2]) == pytest.approx(0.5, rel=1e-12)
 
-    def test_amplitude_weighting(self):
-        g = coherent_gain([0.0, math.pi], amplitudes=[3.0, 1.0])
-        assert g == pytest.approx((3 - 1) ** 2 / 16)
-
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            coherent_gain([0.0, 0.0], amplitudes=[0.0, 0.0])
+            coherent_gain([])
         with pytest.raises(ValueError):
-            coherent_gain([0.0, 0.0], amplitudes=[1.0])
+            coherent_gain(0.0)
+        with pytest.raises(ValueError):
+            coherent_gain(np.zeros((3, 0)))
+
+    def test_batch_rows_equal_single_calls(self):
+        eps = np.random.default_rng(11).normal(0.0, 1.5, size=(200, 16))
+        batch = coherent_gain(eps)
+        assert batch.shape == (200,)
+        assert np.array_equal(batch, [coherent_gain(row) for row in eps])
+
+    def test_two_node_batch_is_cos_squared(self):
+        eps = np.random.default_rng(12).uniform(-10.0, 10.0, size=(500, 2))
+        expected = np.cos((eps[:, 1] - eps[:, 0]) / 2) ** 2
+        assert np.max(np.abs(coherent_gain(eps) - expected)) <= 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -61,18 +70,18 @@ class TestArrayScenario:
             wavelength=lam,
             theta_range=(math.pi / 2, math.pi / 2),
         )
-        from cohsync.coherence import _draw_geometry, _gains_from_geometry
+        from cohsync.coherence import _draw_geometry, _phase_errors
 
         rng = np.random.default_rng(123)
         geometry = _draw_geometry(scenario, 100000, rng)
-        sample = _gains_from_geometry(scenario, 0.05 * lam, geometry)
+        sample = coherent_gain(_phase_errors(scenario, 0.05 * lam, geometry))
         assert sample.mean() == pytest.approx(0.91043435870777, rel=0.01)
 
     def test_spacing_cancels_from_steering_error(self):
         # steering with the estimated spacing d + delta_d instead of the
         # true d, plus the link term: the closed form drops d altogether
         scenario = ArrayScenario(n_nodes=8, wavelength=0.1)
-        from cohsync.coherence import _draw_geometry, _gains_from_geometry
+        from cohsync.coherence import _draw_geometry, _phase_errors
 
         rng = np.random.default_rng(7)
         theta, z = _draw_geometry(scenario, 2000, rng)
@@ -82,7 +91,7 @@ class TestArrayScenario:
         steer_est = k * (spacing + delta_d) * np.sin(theta)[:, None]
         eps = steer_true - steer_est - k * delta_d
         explicit = np.abs(np.exp(1j * eps).sum(axis=1)) ** 2 / 64
-        closed = _gains_from_geometry(scenario, 0.01, (theta, z))
+        closed = coherent_gain(_phase_errors(scenario, 0.01, (theta, z)))
         assert np.max(np.abs(closed - explicit)) < 1e-12
 
     def test_scenario_invariants(self):
@@ -144,15 +153,8 @@ class TestMaxCoherentFrequency:
             2 * max_coherent_frequency(0.010, 0.9), rel=1e-12
         )
 
-    def test_custom_table_from_curve(self):
-        table = {0.5: 0.2}
-        f = max_coherent_frequency(0.010, 0.5, threshold=0.8, ratio_table=table)
-        assert f == pytest.approx(0.2 * SPEED_OF_LIGHT / 0.010)
-
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
             max_coherent_frequency(0.010, 0.95)
-        with pytest.raises(ValueError):
-            max_coherent_frequency(0.010, 0.9, threshold=0.8)
         with pytest.raises(ValueError):
             max_coherent_frequency(0.0, 0.9)

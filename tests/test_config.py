@@ -35,6 +35,10 @@ REMOVED_KEYS = [
     ("estimator", "oversample", 64, "estimator"),
     ("estimator", "interp_taps", 32, "estimator"),
     ("estimator", "interp_beta", 14.0, "estimator"),
+    ("channel", "outbound_carrier_hz", 2.45e9, "channel.outbound_carrier_hz"),
+    ("channel", "return_carrier_hz", 5.8e9, "channel.return_carrier_hz"),
+    ("controller", "error_scale", 1e3, "controller.error_scale"),
+    ("controller", "output_scale", 1e6, "controller.output_scale"),
 ]
 
 
@@ -132,10 +136,10 @@ class TestInvariantErrors:
             ({"waveform": {"disambiguation_hz": 20e6}}, "must lie in (0, sample_rate/2)"),
             ({"channel": {"true_range_m": -1.0}}, "true_range must be >= 0"),
             ({"waveform": {"sample_rate_hz": -1.0}}, "sample_rate must be positive"),
-            ({"channel": {"outbound_carrier_hz": 0.0}}, "carrier frequencies"),
+            ({"loop": {"group_size": 0}}, "group_size must be positive"),
             ({"controller": {"t_i_s": 0.0}}, "t_i must be positive"),
             ({"controller": {"x_initial_hz": 8e6}}, "outside clamp"),
-            ({"controller": {"error_scale": -1.0}}, "unit scales"),
+            ({"channel": {"true_range_m": 1e6}}, "round-trip delay"),
             ({"loop": {"pulses_per_interval": 201}}, "multiple of group_size"),
             ({"loop": {"pulse_period_s": 0.0}}, "pulse_period_s must be positive"),
         ],
@@ -182,8 +186,6 @@ class TestRoundTrip:
                 "channel": {
                     "true_range_m": 250.0,
                     "snr_db": math.inf,
-                    "outbound_carrier_hz": 900e6,
-                    "return_carrier_hz": 2.4e9,
                     "carrier_offset1_hz": 12.0,
                     "carrier_offset2_hz": -3.0,
                 },
@@ -193,8 +195,6 @@ class TestRoundTrip:
                     "x_initial_hz": 1e6,
                     "x_min_hz": 5e5,
                     "x_max_hz": 6e6,
-                    "error_scale": 1.0,
-                    "output_scale": 1.0,
                 },
                 "loop": {
                     "pulses_per_interval": 100,

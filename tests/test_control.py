@@ -11,6 +11,7 @@ from cohsync import (
     pi_step,
     ziegler_nichols_gains,
 )
+from cohsync.control import ERROR_SCALE, OUTPUT_SCALE
 
 
 def make_state(**overrides):
@@ -53,7 +54,7 @@ class TestPiStep:
         x0, e0 = state.x_prev, state.e_prev
         for e in errors:
             state, x = pi_step(state, float(e), dt)
-        scale = state.output_scale * state.error_scale
+        scale = OUTPUT_SCALE * ERROR_SCALE
         positional = (
             x0
             + k_p * (errors[-1] - e0) * scale

@@ -38,6 +38,7 @@ from cohsync import (
 )
 import cohsync
 from cohsync import scenario
+from cohsync.control import ERROR_SCALE, OUTPUT_SCALE
 from cohsync.ranging import WINDOW_PAD_SAMPLES, _peak_lags, refine_window
 
 # Gains from the ultimate-gain search on the simulated loop at the 23 dB
@@ -284,10 +285,9 @@ class TestAdaptiveRuns:
 
     def test_target_override_feeds_controller_error(self):
         config = tuned_config(pulses=50)
+        config = replace(config, loop=replace(config.loop, target_sigma_m=0.02))
         trace = constant_trace(23.0, 2, cadence_s=5.25)
-        logs = run_adaptive(
-            config, trace, duration_s=2 * 5.25, target_sigma_m=0.02, seed=12
-        )
+        logs = run_adaptive(config, trace, duration_s=2 * 5.25, seed=12)
         assert logs[0].controller_error_m == pytest.approx(
             logs[0].sigma_d_m - 0.02, rel=1e-12
         )
@@ -367,9 +367,9 @@ class TestNoiseStreams:
         x, expected = x0, []
         for i in range(2):
             sigma, _ = self.window_sigma(config, x, (seed, 3, i))
-            expected.append(sigma * ctl.error_scale)
-            error_units = (sigma - config.loop.target_sigma_m) * ctl.error_scale
-            x = min(max(x0 + k * error_units * ctl.output_scale, ctl.x_min), ctl.x_max)
+            expected.append(sigma * ERROR_SCALE)
+            error_units = (sigma - config.loop.target_sigma_m) * ERROR_SCALE
+            x = min(max(x0 + k * error_units * OUTPUT_SCALE, ctl.x_min), ctl.x_max)
         plant = ranging_sigma_plant(config, n_intervals=2, seed=seed)
         assert list(plant(k)) == expected
 
