@@ -23,6 +23,23 @@ the filter's Toeplitz lag covariance.  Filtered Gaussian noise is
 Gaussian and so fixed by its covariance, which both draws reproduce up
 to rounding (Kay, *Fundamentals of Statistical Signal Processing I*,
 1993, ch. 3 and 7); they are exact in distribution, not approximations.
+
+Of a disambiguation output row a window reads only the peak lag, and
+:func:`matched_noise_peaks` draws that peak without the whole row where a
+certificate allows.  Every output lag of template ``p`` obeys
+``|noise[k]| <= ||p||_1 * max_j |w_j|`` over the white input samples
+``w_j`` it reads.  So each row draws ``w`` exactly on the input samples of
+the lags within one and a half template lengths of the clean peak, takes
+their output maximum ``M`` by direct correlation, and draws the largest
+modulus ``R`` of the other ``m`` input samples from its law: ``|w|**2`` is
+exponential, so ``R**2 = -noise_power * log(1 - U**(1/m))`` for uniform
+``U`` (David & Nagaraja, *Order Statistics*, 3rd ed., 2003).  When
+``max_far |clean| + ||p||_1 * max(R, max_near |w|) < M`` no other lag can
+win, and the near argmax is the row's peak.  Otherwise the row is
+completed exactly around ``R`` (at a uniform place, the other moduli from
+the law truncated below it) and scanned whole.  Either way the peak has
+the distribution of a whole row's peak.  Templates whose near samples
+would cover the window draw whole rows.
 """
 
 import math
@@ -165,6 +182,135 @@ def matched_noise_block(
     z = rng.standard_normal((n_rows, 2 * width)).view(np.complex128)
     z *= math.sqrt(0.5)
     return z @ root.T
+
+
+# Rows per chunk when whole matched-filter rows are scanned for their peaks;
+# keeps the magnitude temporaries small next to the rows themselves.
+_ROW_CHUNK = 16
+
+
+def peak_indices(rows: np.ndarray) -> np.ndarray:
+    """Index of each row's largest modulus (the first of equal ones)."""
+    return np.concatenate(
+        [
+            np.argmax(np.abs(rows[start : start + _ROW_CHUNK]), axis=1)
+            for start in range(0, len(rows), _ROW_CHUNK)
+        ]
+    )
+
+
+def _max_modulus(
+    noise_power: float, m: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Largest modulus among ``m`` i.i.d. ``CN(0, noise_power)`` samples, ``size`` times.
+
+    ``|w|**2 / noise_power`` is Exp(1), so the largest of ``m`` has the CDF
+    ``(1 - exp(-x))**m`` and the inverse CDF ``-log(1 - U**(1/m))``
+    (David & Nagaraja, 2003, ch. 2); ``U**(1/m)`` is formed as
+    ``exp(log(U) / m)`` so that ``1 - U**(1/m)`` keeps its digits.
+    """
+    with np.errstate(divide="ignore"):  # U = 0 is a largest modulus of 0
+        top = -np.log(-np.expm1(np.log(rng.random(size)) / m))
+    return np.sqrt(noise_power * top)
+
+
+def _complete_noise(
+    near: np.ndarray, r_max: np.ndarray, noise_power: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Rows of ``n`` noise samples that start with ``near``, given their largest other modulus.
+
+    Row ``i`` starts with ``near[i]``.  Its other ``m = n - near.shape[1]``
+    samples are i.i.d. ``CN(0, noise_power)`` conditioned on their largest
+    modulus being ``r_max[i]``: that modulus at a uniformly drawn place,
+    and the other ``m - 1`` moduli from the law of one modulus truncated
+    below ``r_max[i]``, by inverse CDF, all with uniform phases.  When
+    ``near`` is ``CN(0, noise_power)`` and ``r_max`` is drawn by
+    :func:`_max_modulus`, each row is white ``CN(0, noise_power)`` noise.
+    """
+    rows, width = near.shape
+    m = n - width
+    below = -np.expm1(-(r_max**2) / noise_power)  # P(|w| < r_max) of one sample
+    moduli = rng.random((rows, m)) * below[:, None]
+    moduli = np.sqrt(-noise_power * np.log1p(-moduli))
+    moduli[np.arange(rows), rng.integers(m, size=rows)] = r_max
+    phase = 2.0 * np.pi * rng.random((rows, m))
+    full = np.empty((rows, n), dtype=np.complex128)
+    full[:, :width] = near
+    far = full[:, width:]
+    far.real = moduli * np.cos(phase)
+    far.imag = moduli * np.sin(phase)
+    return full
+
+
+def _certify(
+    clean_row: np.ndarray, template: np.ndarray, near: np.ndarray, r_max: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Near peak of each row, and whether no other lag can beat it.
+
+    ``clean_row`` is the noise-free output, rotated so that its first
+    ``k = near.shape[1] - template.size + 1`` lags are the near ones, and
+    row ``i`` of ``near`` holds the input noise those lags read, in the
+    same rotation.  ``r_max[i]`` is the largest modulus of the other input
+    samples.  Returns the argmax over the near lags of ``|clean + noise|``,
+    by direct correlation, and the certificate
+    ``max_far |clean| + ||p||_1 * max(r_max, max |near|) < max_near |clean + noise|``,
+    under which that argmax is the whole row's whatever the other samples.
+    """
+    n_lags = near.shape[1] - template.size + 1
+    output = np.tile(clean_row[:n_lags], (len(near), 1))
+    for j, tap in enumerate(np.conj(template)):
+        output += tap * near[:, j : j + n_lags]
+    output = np.abs(output)
+    reach = np.abs(template).sum() * np.maximum(r_max, np.abs(near).max(axis=1))
+    certified = np.abs(clean_row[n_lags:]).max() + reach < output.max(axis=1)
+    return np.argmax(output, axis=1), certified
+
+
+def matched_noise_peaks(
+    clean_row: np.ndarray,
+    template: np.ndarray,
+    noise_power: float,
+    n_rows: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak index of ``|clean_row + noise|`` for ``n_rows`` draws of matched-filter noise.
+
+    ``clean_row`` is the noise-free output of the circular matched filter
+    of ``template`` on a window of ``n`` samples, and the noise is white
+    noise of per-sample variance ``noise_power`` through that filter.
+    Returns the peak indices, which have exactly the distribution of the
+    peaks of whole rows, and per row whether the certificate of the module
+    docstring placed the peak without a whole row.  Draws nothing when
+    ``noise_power`` is 0.
+    """
+    n, length = clean_row.size, template.size
+    magnitude = np.abs(clean_row)
+    if noise_power == 0.0:
+        return np.full(n_rows, np.argmax(magnitude)), np.ones(n_rows, dtype=bool)
+    spectrum = np.fft.fft(template, n)
+    half = -(-3 * length // 2)  # near lags either side of the clean peak
+    n_inputs = 2 * half + length
+    if n_inputs >= n:
+        rows = matched_noise_rows(spectrum, noise_power, n_rows, rng)
+        rows += clean_row
+        return peak_indices(rows), np.zeros(n_rows, dtype=bool)
+    first = int(np.argmax(magnitude)) - half
+    clean_row = np.roll(clean_row, -first)  # lag first + k at index k
+    near = rng.standard_normal((n_rows, 2 * n_inputs)).view(np.complex128)
+    near *= math.sqrt(noise_power / 2.0)
+    r_max = _max_modulus(noise_power, n - n_inputs, n_rows, rng)
+    peak, certified = _certify(clean_row, template, near, r_max)
+
+    pending = np.flatnonzero(~certified)
+    for start in range(0, pending.size, _ROW_CHUNK):
+        rows = pending[start : start + _ROW_CHUNK]
+        full = _complete_noise(near[rows], r_max[rows], noise_power, n, rng)
+        full = scipy.fft.fft(full, axis=1, overwrite_x=True)
+        full *= np.conj(spectrum)
+        full = scipy.fft.ifft(full, axis=1, overwrite_x=True)
+        full += clean_row
+        peak[rows] = peak_indices(full)
+    return (first + peak) % n, certified
 
 
 def post_snr_from_sample_snr(window_len: int, snr_db: float) -> float:

@@ -44,6 +44,34 @@ from .waveform import crlb_sigma_r
 # 60 points.
 MAX_GRID_POINTS = 2**16
 
+# glibc's mallopt parameters, and the values main fixes them to.  Blocks up
+# to the mmap threshold come from the heap, and freed heap up to the trim
+# threshold stays mapped for reuse.  16 MiB covers a window's and a 16-node,
+# 50,000-trial curve's temporaries (at most 12.8 MB).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 32 << 20
+
+
+def _pin_allocator() -> None:
+    """Fix glibc's malloc thresholds for this process (nothing without glibc).
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far.  Whether a command's multi-megabyte numpy temporaries are reused
+    from the heap, or mapped and page-faulted afresh on every call, then
+    depends on what the process happened to free before.  Fixed thresholds
+    make it the same from the first command on.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
@@ -251,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -36,8 +36,8 @@ from .waveform import SPEED_OF_LIGHT
 TWO_NODE_SIGMA_OVER_LAMBDA = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
 
 # Limit on trials x n_nodes of one probability curve.  A curve peaks at
-# about 48 bytes per phase error (52 with two nodes; tracemalloc), so about
-# 870 MB here.  The 16-node, 50,000-trial array uses 4.8 %.
+# about 34 bytes per phase error (48 with two nodes; tracemalloc), so about
+# 800 MB here.  The 16-node, 50,000-trial array uses 4.8 %.
 MAX_TRIAL_NODES = 2**24
 
 
@@ -77,7 +77,9 @@ def coherent_gain(phase_errors):
     eps = np.asarray(phase_errors, dtype=float)
     if eps.ndim == 0 or eps.shape[-1] == 0:
         raise ValueError("phase_errors needs at least one node on its last axis")
-    return np.abs(np.exp(1j * eps).sum(axis=-1)) ** 2 / eps.shape[-1] ** 2
+    phasors = 1j * eps
+    np.exp(phasors, out=phasors)
+    return np.abs(phasors.sum(axis=-1)) ** 2 / eps.shape[-1] ** 2
 
 
 def _draw_geometry(scenario: ArrayScenario, trials: int, rng: np.random.Generator):

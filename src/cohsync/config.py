@@ -31,9 +31,10 @@ from .waveform import SPEED_OF_LIGHT, WaveformConfig
 
 # Limit on the complex samples of one window's frame array (pulses_per_interval
 # x receive-window length): 256 MiB at 16 bytes a sample.  A window peaks at
-# about 1.3 such arrays (tracemalloc on the reference window: 1.05 when the
-# ranging noise is a lag block, 1.3 when it is whole rows), so about 330 MiB.
-# The reference 200 x 3750 uses 4.5 %.
+# about 1.25 such arrays when the ranging noise is whole rows, so about
+# 320 MiB (tracemalloc on 200 x 3750 windows: 1.23-1.24 with whole ranging
+# rows, 0.24-0.32 with a lag block, 1.06 with whole disambiguation rows from
+# a 3968-sample pulse).  The reference 200 x 3750 uses 4.5 %.
 MAX_FRAME_SAMPLES = 2**24
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .channel import ChannelState
+from .channel import ChannelState, peak_indices
 from .waveform import SPEED_OF_LIGHT, ComplexBasebandSignal, WaveformConfig
 
 # Refinement half-span in samples (clipped to half a lobe spacing so the
@@ -108,21 +108,14 @@ def _circular_correlation(rows: np.ndarray, template: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=1)
 
 
-# Rows per chunk when a whole matched-filter row must be scanned; keeps the
-# magnitude temporaries small next to the (P, n) rows themselves.
-_ROW_CHUNK = 16
+def _signed_lags(index: np.ndarray, n: int) -> np.ndarray:
+    """Signed lags of indices on the circular lag axis of length ``n`` (past n/2 negative)."""
+    return np.where(index > n / 2, index - n, index)
 
 
 def _peak_lags(rows: np.ndarray) -> np.ndarray:
-    """Signed lag of each row's magnitude peak (indices past n/2 are negative)."""
-    n = rows.shape[1]
-    index = np.concatenate(
-        [
-            np.argmax(np.abs(rows[start : start + _ROW_CHUNK]), axis=1)
-            for start in range(0, len(rows), _ROW_CHUNK)
-        ]
-    )
-    return np.where(index > n / 2, index - n, index)
+    """Signed lag of each row's magnitude peak."""
+    return _signed_lags(peak_indices(rows), rows.shape[1])
 
 
 def _take_lags(rows: np.ndarray, lags: np.ndarray, first_lag, n: int) -> np.ndarray:

@@ -14,14 +14,18 @@ bit-identical across processes.
 
 Noise: a window draws its noise already matched-filtered, on the lags
 the estimator reads (:func:`_matched_filter_rows`).  The clean frames'
-outputs are computed once per window; each pulse adds a whole
-disambiguation row of noise drawn in the frequency domain, then, once
-that row's peak places the lobe window, a correlated block of just the
-ranging lags that refinement reads.  The ranging noise is stationary
-and independent of the disambiguation noise, so the placement leaves
-its distribution exact, and both draws match filtering white noise on
-every sample in distribution (see :mod:`cohsync.channel`).  Draws are
-not the same floats as filtering sampled noise, so seeds give other
+outputs are computed once per window.  Each pulse's disambiguation peak
+is drawn by the certificate of :mod:`cohsync.channel`: the input noise
+on the few dozen samples around the clean peak and the largest modulus
+of the rest settle it (at the reference waveform every pulse from
+-10 dB up, none at -20 dB), and rows they do not settle are completed
+and scanned whole.  Once the peak
+places the lobe window, a correlated block of just the ranging lags
+that refinement reads is drawn.  The ranging noise is stationary,
+independent of the disambiguation noise and drawn from its own stream,
+so the placement leaves its distribution exact, and both draws match
+filtering white noise on every sample in distribution.  Draws are not
+the same floats as filtering sampled noise, so seeds give other
 realisations than such a simulation would.
 
 Environment traces are sequences of 1-minute-cadence records.  Weather
@@ -43,6 +47,7 @@ from .channel import (
     ChannelState,
     apply_round_trip_response,
     matched_noise_block,
+    matched_noise_peaks,
     matched_noise_rows,
     noise_power_for,
 )
@@ -50,7 +55,7 @@ from .config import LoopConfig, RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
 from .ranging import (
     _circular_correlation,
-    _peak_lags,
+    _signed_lags,
     effective_window_length,
     lobe_lags,
     refine_window,
@@ -267,37 +272,39 @@ def _matched_filter_rows(
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
     says.  Lobe windows wider than ``_MAX_BLOCK_LAGS`` draw whole ranging
-    rows, like the disambiguation ones.
+    rows.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    # one stream per frame, in the order a cycle sends them, so the ranging
+    # noise does not depend on how many numbers the disambiguation draw took
+    rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
 
     def clean_output(pulse: ComplexBasebandSignal):
-        """Noise-free output row, noise power and template spectrum of one frame."""
+        """Noise-free output row and noise power of one frame."""
         frame = np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)])
         clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
         sigma2 = noise_power_for(clean, channel_state.snr_db)
         row = _circular_correlation(clean.samples[None, :], pulse.samples)[0]
-        return row, sigma2, np.fft.fft(pulse.samples, n)
+        return row, sigma2
 
-    clean_d, sigma2_d, spectrum_d = clean_output(generate_disambiguation(waveform.f_d, fs))
-    rows_d = matched_noise_rows(spectrum_d, sigma2_d, n_pulses, rng)
-    rows_d += clean_d
-    coarse = _peak_lags(rows_d)
-    del rows_d
+    pulse_d = generate_disambiguation(waveform.f_d, fs)
+    clean_d, sigma2_d = clean_output(pulse_d)
+    index, _ = matched_noise_peaks(clean_d, pulse_d.samples, sigma2_d, n_pulses, rng_d)
+    coarse = _signed_lags(index, n)
 
     pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    clean_r, sigma2_r, spectrum_r = clean_output(pulse_r)
+    clean_r, sigma2_r = clean_output(pulse_r)
+    spectrum_r = np.fft.fft(pulse_r.samples, n)
     reads = lobe_lags(coarse, n, fs, waveform)
     if reads is None or reads[1] > _MAX_BLOCK_LAGS:
-        rows = matched_noise_rows(spectrum_r, sigma2_r, n_pulses, rng)
+        rows = matched_noise_rows(spectrum_r, sigma2_r, n_pulses, rng_r)
         rows += clean_r
         return rows, 0, n, coarse
     first_lag, width = reads
-    rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng)
+    rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
     rows += clean_r[(first_lag[:, None] + np.arange(width)) % n]
     return rows, first_lag, n, coarse
 

@@ -17,12 +17,31 @@ from cohsync import (
     residual_baseband_frequency,
     sample_snr_for_post_snr,
 )
-from cohsync.channel import matched_noise_block, matched_noise_rows, noise_power_for
-from cohsync.ranging import _circular_correlation
+from cohsync.channel import (
+    _certify,
+    _complete_noise,
+    _max_modulus,
+    matched_noise_block,
+    matched_noise_peaks,
+    matched_noise_rows,
+    noise_power_for,
+)
+from cohsync.ranging import _circular_correlation, effective_window_length
 from ranging_oracle import noisy_rows
-from cohsync.waveform import TwoToneSpec, generate_two_tone
+from cohsync.waveform import TwoToneSpec, generate_disambiguation, generate_two_tone
+from scipy import stats
 
 FS = 25e6
+
+
+def assert_moments(block, covariance):
+    """Sample covariance and pseudo-covariance of the rows within five standard errors."""
+    n_rows = len(block)
+    bound = 5.0 * covariance[0, 0].real / math.sqrt(n_rows)
+    sample = block.T @ block.conj() / n_rows
+    pseudo = block.T @ block / n_rows
+    assert np.max(np.abs(sample - covariance)) <= bound
+    assert np.max(np.abs(pseudo)) <= bound
 
 
 def padded_frame(waveform_cfg, pad=128):
@@ -164,37 +183,94 @@ class TestMatchedNoise:
         k = np.arange(width)
         return self.S2 * r[(k[:, None] - k) % self.N_LAGS]
 
-    def assert_moments(self, block, covariance):
-        n_rows = len(block)
-        bound = 5.0 * covariance[0, 0].real / math.sqrt(n_rows)
-        sample = block.T @ block.conj() / n_rows
-        pseudo = block.T @ block / n_rows
-        assert np.max(np.abs(sample - covariance)) <= bound
-        assert np.max(np.abs(pseudo)) <= bound
-
     def test_block_covariance_is_the_autocorrelation(self, spectrum):
         block = matched_noise_block(spectrum, self.S2, 20000, 12, np.random.default_rng(3))
         assert block.shape == (20000, 12)
-        self.assert_moments(block, self.model(spectrum, 12))
+        assert_moments(block, self.model(spectrum, 12))
 
     def test_row_covariance_is_the_autocorrelation(self, spectrum):
         # lags n - 5 .. n + 6 straddle the circular wrap
         rows = matched_noise_rows(spectrum, self.S2, 4000, np.random.default_rng(4))
         assert rows.shape == (4000, self.N_LAGS)
-        self.assert_moments(np.roll(rows, 5, axis=1)[:, :12], self.model(spectrum, 12))
+        assert_moments(np.roll(rows, 5, axis=1)[:, :12], self.model(spectrum, 12))
 
     def test_rows_match_time_domain_noise(self, spectrum):
         # the reference: white noise on every sample, then the FFT filter
         pulse = np.fft.ifft(spectrum)[:500]
         rows = noisy_rows(np.zeros(self.N_LAGS, complex), self.S2, 4000, np.random.default_rng(5))
         filtered = _circular_correlation(rows, pulse)
-        self.assert_moments(filtered[:, 100:112], self.model(spectrum, 12))
+        assert_moments(filtered[:, 100:112], self.model(spectrum, 12))
 
     def test_noise_free_draws_nothing(self, spectrum):
         rng = np.random.default_rng(6)
         assert not matched_noise_rows(spectrum, 0.0, 3, rng).any()
         assert matched_noise_block(spectrum, 0.0, 3, 7, rng).shape == (3, 7)
         assert rng.standard_normal() == np.random.default_rng(6).standard_normal()
+
+
+class TestCertifiedPeaks:
+    """The disambiguation peak placed from the lags near the clean peak.
+
+    The near lags and their input samples are drawn exactly, the largest
+    modulus R of the other m input samples from its law, and rows the
+    certificate cannot settle are completed around R.
+    """
+
+    S2 = 0.7
+
+    @staticmethod
+    def disambiguation_row(full_waveform, snr_db):
+        """Clean disambiguation output, its template and noise power at 90 m."""
+        state = ChannelState(true_range=90.0, snr_db=snr_db)
+        n = effective_window_length(full_waveform, state)
+        pulse = generate_disambiguation(full_waveform.f_d, FS)
+        frame = ComplexBasebandSignal(np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)]), FS)
+        clean = apply_round_trip_response(frame, state)
+        row = _circular_correlation(clean.samples[None, :], pulse.samples)[0]
+        return row, pulse.samples, noise_power_for(clean, snr_db)
+
+    @pytest.mark.parametrize("snr_db", [13.0, 23.0])
+    def test_certifies_every_pulse_at_operating_snr(self, full_waveform, snr_db):
+        row, template, s2 = self.disambiguation_row(full_waveform, snr_db)
+        index, certified = matched_noise_peaks(row, template, s2, 2000, np.random.default_rng(1))
+        assert certified.all()
+        assert index.shape == (2000,)
+
+    def test_largest_modulus_follows_the_exp_max_law(self):
+        m = 500
+        r = _max_modulus(self.S2, m, 4000, np.random.default_rng(2))
+        cdf = lambda x: (-np.expm1(-(x**2) / self.S2)) ** m
+        assert stats.kstest(r, cdf).pvalue > 0.01
+
+    def test_completed_rows_are_white(self):
+        # 21 given samples of 40, then the other 19 around their largest
+        # modulus: together white CN(0, S2) noise
+        n, width, n_rows = 40, 21, 20000
+        rng = np.random.default_rng(3)
+        near = math.sqrt(self.S2 / 2.0) * rng.standard_normal((n_rows, 2 * width)).view(complex)
+        r_max = _max_modulus(self.S2, n - width, n_rows, rng)
+        rows = _complete_noise(near, r_max, self.S2, n, rng)
+        assert np.array_equal(rows[:, :width], near)
+        assert np.allclose(np.abs(rows[:, width:]).max(axis=1), r_max, rtol=1e-12, atol=0.0)
+        assert_moments(rows, self.S2 * np.eye(n))
+
+    @pytest.mark.parametrize("snr_db", [-15.0, -25.0])
+    def test_certified_peaks_hold_for_every_completion(self, full_waveform, snr_db):
+        # 41 near lags around the clean peak read 53 input samples; every
+        # row completed around them and R must peak where the certificate
+        # says.  At -15 dB it settles some pulses but not all; at -25 dB
+        # it settles none unless its bound is too small.
+        row, template, s2 = self.disambiguation_row(full_waveform, snr_db)
+        n, n_rows = row.size, 2000
+        rotated = np.roll(row, 20 - int(np.argmax(np.abs(row))))
+        rng = np.random.default_rng(5)
+        near = math.sqrt(s2 / 2.0) * rng.standard_normal((n_rows, 2 * 53)).view(complex)
+        r_max = _max_modulus(s2, n - 53, n_rows, rng)
+        peak, certified = _certify(rotated, template, near, r_max)
+        full = _circular_correlation(_complete_noise(near, r_max, s2, n, rng), template) + rotated
+        assert np.array_equal(np.argmax(np.abs(full), axis=1)[certified], peak[certified])
+        if snr_db == -15.0:
+            assert 0 < certified.sum() < n_rows
 
 
 class TestSnrHelpers:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from cohsync import crlb_sigma_r, read_run_log_csv, summarize_run
+import cohsync
 from cohsync.cli import MAX_GRID_POINTS, main
 from cohsync.coherence import MAX_TRIAL_NODES
 from cohsync.scenario import TraceSegment, synthesize_trace, write_trace_csv
@@ -30,6 +35,37 @@ def small_config(tmp_path, **controller):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+class TestAllocator:
+    # a fresh process runs one command, then frees and reallocates about
+    # 6 MB of 1-2 MB numpy temporaries a pass; with glibc's default dynamic
+    # thresholds every pass trims the heap and faults about 1,000 pages in
+    SCRIPT = """
+import resource, sys
+import numpy as np
+from cohsync.cli import main
+main(["crlb", "--delta-f", "1e6", "--snr-grid", "1e4:1e5:2", "--out", sys.argv[1]])
+def temporaries():
+    draws = np.random.default_rng(1).standard_normal((20, 3750, 2))
+    frames = draws[..., 0] + 1j * draws[..., 1]
+    return float(np.abs(np.fft.ifft(np.fft.fft(frames, axis=1), axis=1)).sum())
+temporaries()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    temporaries()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    def test_freed_temporaries_are_reused_after_main(self, tmp_path):
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "crlb.csv")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert int(result.stdout.split()[-1]) < 200  # pages faulted over ten passes
 
 
 class TestCrlbCommand:

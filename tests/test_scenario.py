@@ -37,9 +37,10 @@ from cohsync import (
     ziegler_nichols_gains,
 )
 import cohsync
-from cohsync import scenario
+from cohsync import channel, scenario
 from cohsync.control import ERROR_SCALE, OUTPUT_SCALE
 from cohsync.ranging import WINDOW_PAD_SAMPLES, _peak_lags, refine_window
+from scipy import stats
 
 # Gains from the ultimate-gain search on the simulated loop at the 23 dB
 # operating point (K_u = 0.2 controller units, T_u = 2 intervals); see
@@ -467,19 +468,53 @@ class TestDirectNoiseDraws:
         assert np.max(np.abs(ranges - expected)) <= 1e-9
 
 
+class TestCoarseLagLaw:
+    """Coarse lags of the window's draw against the oracle's whole rows.
+
+    At -15 dB the certificate settles about 60 % of the pulses and the
+    rest are completed rows; at -20 and -25 dB it settles none, and at
+    -25 dB lags far from the clean peak win often.  Each side pools 2000
+    pulses.  Lags more than 3 from the clean peak share a bin on each
+    side, lags more than 20 away (outside the certificate's near lags)
+    one more, and a chi-square test of homogeneity must not reject at the
+    0.1 % level.
+    """
+
+    @pytest.mark.parametrize("snr_db", [-15.0, -20.0, -25.0])
+    def test_histogram_matches_oracle(self, full_waveform, snr_db):
+        state = ChannelState(true_range=90.0, snr_db=snr_db)
+        seeds = [(seed, 7) for seed in range(10)]
+        direct = [scenario._matched_filter_rows(full_waveform, state, 200, s)[3] for s in seeds]
+        oracle = [
+            _peak_lags(ranging_oracle.matched_filter_rows(full_waveform, state, 200, s)[1])
+            for s in seeds
+        ]
+        peak = round(2 * 90.0 / SPEED_OF_LIGHT * full_waveform.sample_rate)
+
+        def histogram(coarse):
+            offset = np.concatenate(coarse) - peak
+            bins = np.where(np.abs(offset) > 20, 9, np.clip(offset, -4, 4) + 4)
+            return np.bincount(bins, minlength=10)
+
+        table = np.array([histogram(direct), histogram(oracle)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] > 1  # the argmax varies
+        assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
 class TestBlasThreads:
     # 0.5 MHz makes a 122-lag lobe window, too wide for a block, whose
     # eigendecomposition OpenBLAS would thread; 1 MHz makes the widest
-    # block drawn (96 lags)
+    # block drawn (96 lags); at -20 dB every disambiguation row is completed
     SCRIPT = """
 import hashlib
 from dataclasses import replace
 from cohsync import ChannelState, TwoToneSpec, default_config, simulate_window
 waveform = default_config().waveform
 digest = hashlib.sha256()
-for separation in (0.5e6, 1e6, 3.5e6):
+for separation, snr_db in ((0.5e6, 13.0), (1e6, 13.0), (3.5e6, 13.0), (3.5e6, -20.0)):
     tones = TwoToneSpec(20e3, 20e3 + separation)
-    ranges, _ = simulate_window(replace(waveform, two_tone=tones), ChannelState(90.0, 13.0), 200, 4)
+    ranges, _ = simulate_window(replace(waveform, two_tone=tones), ChannelState(90.0, snr_db), 200, 4)
     digest.update(ranges.tobytes())
 print(digest.hexdigest())
 """
@@ -571,3 +606,22 @@ class TestWindowLength:
         ranges, gross = simulate_window(config.waveform, noise_free, 2, seed=1)
         assert gross == 0
         assert np.max(np.abs(ranges - 90.0)) < 1e-3
+
+    def test_long_disambiguation_pulse_draws_whole_rows(self, monkeypatch):
+        # the near lags of a 3968-sample pulse and their inputs would cover
+        # the window, so its noise is drawn as whole rows
+        config = config_from_dict(
+            {"waveform": {"disambiguation_hz": 6.3e3}, "channel": {"snr_db": 13.0}}
+        )
+        n = effective_window_length(config.waveform, config.channel)
+        calls = []
+        real = channel.matched_noise_rows
+
+        def spy(spectrum, noise_power, n_rows, rng):
+            calls.append((spectrum.size, n_rows))
+            return real(spectrum, noise_power, n_rows, rng)
+
+        monkeypatch.setattr(channel, "matched_noise_rows", spy)
+        ranges, gross = simulate_window(config.waveform, config.channel, 200, seed=2)
+        assert calls == [(n, 200)]
+        assert gross == 0
