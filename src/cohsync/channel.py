@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .waveform import SPEED_OF_LIGHT, ComplexBasebandSignal
 
@@ -149,7 +148,7 @@ def matched_noise_rows(
         return np.zeros((n_rows, n), dtype=np.complex128)
     bins = rng.standard_normal((n_rows, 2 * n)).view(np.complex128)
     bins *= math.sqrt(n * noise_power / 2.0) * np.conj(template_spectrum)
-    return scipy.fft.ifft(bins, axis=1, overwrite_x=True)
+    return np.fft.ifft(bins, axis=1, out=bins)
 
 
 def matched_noise_block(
@@ -305,9 +304,9 @@ def matched_noise_peaks(
     for start in range(0, pending.size, _ROW_CHUNK):
         rows = pending[start : start + _ROW_CHUNK]
         full = _complete_noise(near[rows], r_max[rows], noise_power, n, rng)
-        full = scipy.fft.fft(full, axis=1, overwrite_x=True)
+        np.fft.fft(full, axis=1, out=full)
         full *= np.conj(spectrum)
-        full = scipy.fft.ifft(full, axis=1, overwrite_x=True)
+        np.fft.ifft(full, axis=1, out=full)
         full += clean_row
         peak[rows] = peak_indices(full)
     return (first + peak) % n, certified

@@ -26,16 +26,8 @@ from pathlib import Path
 
 from .channel import ChannelState
 from .control import PiControllerState
-from .ranging import effective_window_length
+from .ranging import MAX_FRAME_SAMPLES, effective_window_length
 from .waveform import SPEED_OF_LIGHT, WaveformConfig
-
-# Limit on the complex samples of one window's frame array (pulses_per_interval
-# x receive-window length): 256 MiB at 16 bytes a sample.  A window peaks at
-# about 1.25 such arrays when the ranging noise is whole rows, so about
-# 320 MiB (tracemalloc on 200 x 3750 windows: 1.23-1.24 with whole ranging
-# rows, 0.24-0.32 with a lag block, 1.06 with whole disambiguation rows from
-# a 3968-sample pulse).  The reference 200 x 3750 uses 4.5 %.
-MAX_FRAME_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,7 @@ class RunConfig:
             )
         try:
             n_win = effective_window_length(self.waveform, self.channel)
-        except OverflowError:  # more samples than any index can count
+        except OverflowError:  # past the frame limit, or past any integer
             n_win = math.inf
         pulses = self.loop.pulses_per_interval
         if pulses * n_win > MAX_FRAME_SAMPLES:

@@ -23,11 +23,11 @@ the single-cycle :func:`disambiguate_and_refine` is a batch of one.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .channel import ChannelState, peak_indices
 from .waveform import SPEED_OF_LIGHT, ComplexBasebandSignal, WaveformConfig
@@ -42,6 +42,15 @@ INTERP_BETA = 14.0
 
 # Floor of the receive-window padding, in samples.
 WINDOW_PAD_SAMPLES = 128
+
+# Limit on the complex samples of one window's frame array (pulses_per_interval
+# x receive-window length): 256 MiB at 16 bytes a sample.  A window peaks at
+# about 1.25 such arrays when the ranging noise is whole rows, so about
+# 320 MiB (tracemalloc on 200 x 3750 windows: 1.23-1.24 with whole ranging
+# rows, 0.24-0.32 with a lag block, 1.06 with whole disambiguation rows from
+# a 3968-sample pulse).  The reference 200 x 3750 uses 4.5 %.  It also bounds
+# the receive window alone (effective_window_length).
+MAX_FRAME_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -171,14 +180,42 @@ def effective_window_length(waveform: WaveformConfig, channel_state: ChannelStat
 
     The window holds the longer of the ranging and disambiguation pulses
     plus padding for the round-trip delay and the interpolator's support,
-    rounded up to an FFT-friendly length.
+    rounded up to the next 11-smooth length (no prime factor above 11),
+    which the FFT transforms fastest.  Raises OverflowError for a window
+    longer than ``MAX_FRAME_SAMPLES``.
     """
     fs = waveform.sample_rate
     # the sample counts of generate_two_tone and generate_disambiguation
     n_pulse = max(int(round(waveform.ranging_pulse_width * fs)), int(round(fs / waveform.f_d)))
     delay = 2.0 * channel_state.true_range / SPEED_OF_LIGHT * fs
     pad = max(WINDOW_PAD_SAMPLES, int(math.ceil(delay)) + INTERP_TAPS + NEIGHBORS + 8)
-    return scipy.fft.next_fast_len(n_pulse + pad)
+    return _next_fast_len(n_pulse + pad)
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth length at or above ``target`` (scipy's ``next_fast_len``).
+
+    Raises OverflowError, without searching, when ``target`` exceeds
+    ``MAX_FRAME_SAMPLES``.
+    """
+    if target > MAX_FRAME_SAMPLES:
+        raise OverflowError(f"a {target}-sample window exceeds {MAX_FRAME_SAMPLES} samples")
+    lengths = _fast_lengths()
+    return lengths[bisect_left(lengths, target)]
+
+
+@lru_cache(maxsize=1)
+def _fast_lengths() -> tuple[int, ...]:
+    """Every 11-smooth number up to ``MAX_FRAME_SAMPLES``, ascending."""
+    lengths = [1]
+    for prime in (2, 3, 5, 7, 11):
+        powers = []
+        for m in lengths:
+            while m <= MAX_FRAME_SAMPLES:
+                powers.append(m)
+                m *= prime
+        lengths = powers
+    return tuple(sorted(lengths))
 
 
 @lru_cache(maxsize=4)

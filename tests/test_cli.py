@@ -6,12 +6,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cohsync import crlb_sigma_r, read_run_log_csv, summarize_run
 import cohsync
 from cohsync.cli import MAX_GRID_POINTS, main
 from cohsync.coherence import MAX_TRIAL_NODES
+from cohsync.ranging import MAX_FRAME_SAMPLES, _fast_lengths, _next_fast_len
 from cohsync.scenario import TraceSegment, synthesize_trace, write_trace_csv
 
 
@@ -66,6 +68,51 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         assert int(result.stdout.split()[-1]) < 200  # pages faulted over ten passes
+
+
+class TestNoScipy:
+    """numpy does every transform, so no command path loads scipy."""
+
+    SCRIPT = """
+import json, sys
+from pathlib import Path
+import cohsync.cli
+out, config, trace = map(Path, sys.argv[1:])
+cohsync.cli.main(["crlb", "--delta-f", "1e6", "--snr-grid", "1e4:1e5:2", "--out", str(out / "crlb.csv")])
+cohsync.cli.main(["run", "--config", str(config), "--trace", str(trace), "--adaptive",
+                  "--seed", "3", "--out", str(out / "run")])
+cohsync.cli.main(["montecarlo", "--trials", "100", "--sigma-grid", "0.0:0.1:3",
+                  "--seed", "3", "--out", str(out / "mc.csv")])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        trace, config = make_trace(tmp_path, intervals=2), small_config(tmp_path)
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path), str(config), str(trace)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+            timeout=120,
+        )
+        assert (tmp_path / "run" / "run_log.csv").is_file()
+        assert json.loads(result.stdout.splitlines()[-1]) == []
+
+    def test_fast_length_is_scipys(self):
+        from scipy.fft import next_fast_len
+
+        assert all(_next_fast_len(t) == next_fast_len(t) for t in range(1, 2**16 + 1))
+        # every length above 2**16, the target just past it, and random targets
+        smooth = [n for n in _fast_lengths() if n > 2**16]
+        rng = np.random.default_rng(8)
+        targets = smooth + [n + 1 for n in smooth[:-1]]
+        targets += rng.integers(2**16, MAX_FRAME_SAMPLES, 2000, endpoint=True).tolist()
+        assert all(_next_fast_len(t) == next_fast_len(t) for t in targets)
+        assert _next_fast_len(MAX_FRAME_SAMPLES) == MAX_FRAME_SAMPLES
+
+    @pytest.mark.parametrize("target", [MAX_FRAME_SAMPLES + 1, 2**61, 2**63 + 1, 10**300])
+    def test_fast_length_past_the_frame_limit_overflows(self, target):
+        with pytest.raises(OverflowError):
+            _next_fast_len(target)
 
 
 class TestCrlbCommand:

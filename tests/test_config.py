@@ -254,6 +254,13 @@ class TestMemoryBound:
         assert peak < 2**20
 
 
+def test_window_too_long_for_any_fft_hits_the_frame_limit():
+    # about 4.3e18 samples: past the lengths an FFT library can plan, but
+    # still the frame limit's error, not the FFT library's
+    msg = error_of({"waveform": {"sample_rate_hz": 3e22}})
+    assert f"exceeds the limit of {MAX_FRAME_SAMPLES} samples" in msg
+
+
 class TestReadme:
     def test_config_table_lists_exactly_the_schema_keys(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -401,10 +401,21 @@ class TestNoiseStreams:
         assert run_adaptive(config, trace, duration_s=2 * dt, seed=seed) == expected
 
 
+def oracle_refined(waveform, state, n_pulses, seed):
+    """``refine_window`` on the oracle's whole rows of time-domain noise."""
+    mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, n_pulses, seed)
+    return refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
+
+
+def direct_refined(waveform, state, n_pulses, seed):
+    """``refine_window`` on the window's direct draws, as ``simulate_window`` runs it."""
+    rows, first_lag, n, coarse = scenario._matched_filter_rows(waveform, state, n_pulses, seed)
+    return refine_window(rows, coarse, waveform.sample_rate, waveform, first_lag=first_lag, n=n)
+
+
 def oracle_window(waveform, state, n_pulses, seed):
     """``simulate_window`` on the oracle's whole rows of time-domain noise."""
-    mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, n_pulses, seed)
-    ranges, _, gross, _ = refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
+    ranges, _, gross, _ = oracle_refined(waveform, state, n_pulses, seed)
     return ranges, int(gross.sum())
 
 
@@ -449,6 +460,29 @@ class TestDirectNoiseDraws:
         rate = (gross + oracle_gross) / (2 * n)
         assert gross > 0 and oracle_gross > 0
         assert abs(gross - oracle_gross) <= 4.0 * math.sqrt(2 * n * rate * (1 - rate))
+
+    def test_lobe_slip_law_matches_oracle(self, full_waveform):
+        # A far disambiguation peak still finds a lobe maximum, so it shows
+        # as a slip, not a gross error.  refine_window's ambiguity index
+        # counts lobes from the coarse lag, whose lobe window always holds
+        # the peak, so the slip is counted in lobes from the true delay.
+        # Slips beyond 3 lobes share a bin on each side; a chi-square test
+        # of homogeneity must not reject at the 0.1 % level.
+        state = ChannelState(true_range=90.0, snr_db=-25.0)
+        fs = full_waveform.sample_rate
+        true_lag = 2 * 90.0 / SPEED_OF_LIGHT * fs
+        spacing = fs / full_waveform.two_tone.separation
+        seeds = [(seed, k) for seed in self.SEEDS for k in range(5)]
+
+        def histogram(refined):
+            peak_lag = np.concatenate([refined(full_waveform, state, 200, s)[1] for s in seeds])
+            slips = np.rint((peak_lag * fs - true_lag) / spacing).astype(int)
+            return np.bincount(np.clip(slips, -4, 4) + 4, minlength=9)
+
+        table = np.array([histogram(direct_refined), histogram(oracle_refined)])
+        assert table[1, [0, -1]].sum() > 0  # the oracle's pulses slip beyond 3 lobes
+        table = table[:, table.sum(axis=0) > 0]
+        assert stats.chi2_contingency(table).pvalue > 1e-3
 
     @pytest.mark.parametrize("separation_hz", [0.0, 1e5, 3.5e6, 7.5e6])
     def test_noise_free_matches_oracle_and_draws_nothing(
