@@ -322,7 +322,7 @@ def simulate_window(
     Deterministic for a fixed ``seed``.
     """
     rows, first_lag, n, coarse = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
-    ranges, _, gross, _ = refine_window(
+    ranges, _, gross = refine_window(
         rows, coarse, waveform.sample_rate, waveform, first_lag=first_lag, n=n
     )
     return ranges, int(gross.sum())

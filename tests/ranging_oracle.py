@@ -6,8 +6,9 @@ then a forward and an inverse FFT per frame.  The tests compare the
 statistics of the direct noise draws in ``cohsync.scenario`` against it.
 
 ``refine_pulse`` is the estimator as it ran one pulse at a time: a
-gather-and-sum Kaiser-sinc interpolation onto the dense grid and a
-Thomas solve for the natural spline.  The tests feed it and
+gather-and-sum Kaiser-sinc interpolation onto the dense grid (the
+1/``OVERSAMPLE``-sample lattice points within the span) and a Thomas
+solve for the natural spline.  The tests feed it and
 ``cohsync.ranging.refine_window`` the same matched-filter rows and
 compare the results.
 """
@@ -102,9 +103,9 @@ def interp_kernel(positions: np.ndarray, taps: int, beta: float):
 
 
 @lru_cache(maxsize=32)
-def dense_grid_kernel(span: float, n_dense: int, taps: int, beta: float):
-    """Grid offsets, gather offsets and weights for the symmetric dense grid."""
-    offsets = np.linspace(-span, span, n_dense)
+def dense_grid_kernel(half_points: int, oversample: int, taps: int, beta: float):
+    """Grid offsets ``m / oversample`` (``|m| <= half_points``), gather offsets and weights."""
+    offsets = np.arange(-half_points, half_points + 1) / oversample
     gather, weights = interp_kernel(offsets, taps, beta)
     return offsets, gather, weights
 
@@ -176,10 +177,10 @@ def refine_pulse(
     config: WaveformConfig,
     *,
     expected_lag_s: float | None = None,
-) -> tuple[float, float, bool, int]:
+) -> tuple[float, float, bool]:
     """One pulse through lobe selection and refinement.
 
-    Returns (range, peak lag in seconds, gross-error flag, ambiguity index).
+    Returns (range, peak lag in seconds, gross-error flag).
     """
     mag = np.abs(mf_ranging)
     n = mag.size
@@ -213,11 +214,10 @@ def refine_pulse(
     if math.isfinite(half):
         span = min(span, half)
     span = max(span, 1.0)
-    n_dense = max(int(round(2 * span * OVERSAMPLE)), 8) + 1
-    offsets, gather, weights = dense_grid_kernel(span, n_dense, INTERP_TAPS, INTERP_BETA)
+    half_points = math.floor(span * OVERSAMPLE)
+    offsets, gather, weights = dense_grid_kernel(half_points, OVERSAMPLE, INTERP_TAPS, INTERP_BETA)
     dense = np.abs((mf_ranging[(peak + gather) % n] * weights).sum(axis=1))
     refined = peak + spline_peak(offsets, dense)
 
     lag_s = refined / fs
-    ambiguity_index = int(round((peak - coarse) / spacing)) if math.isfinite(spacing) else 0
-    return max(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s, gross, ambiguity_index
+    return max(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s, gross

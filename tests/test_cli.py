@@ -115,6 +115,28 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
             _next_fast_len(target)
 
 
+class TestInterpTableIsLazy:
+    """Importing the CLI and loading a config leave the interpolation table unbuilt."""
+
+    SCRIPT = """
+import sys
+import cohsync.cli
+from cohsync.config import load_config
+from cohsync.ranging import _interp_table
+load_config(sys.argv[1])
+print(_interp_table.cache_info().currsize)
+"""
+
+    def test_setup_builds_no_table(self, tmp_path):
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(small_config(tmp_path))],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+            timeout=120,
+        )
+        assert result.stdout.split() == ["0"]
+
+
 class TestCrlbCommand:
     def test_curve_matches_library(self, tmp_path, capsys):
         out = tmp_path / "crlb.csv"

@@ -18,7 +18,15 @@ from cohsync import (
     simulate_window,
     window_stats,
 )
-from cohsync.ranging import _interp_matrix, _natural_spline_max, _peak_lags, refine_window
+from cohsync.ranging import (
+    INTERP_BETA,
+    INTERP_TAPS,
+    _interp_matrix,
+    _interp_table,
+    _natural_spline_max,
+    _peak_lags,
+    refine_window,
+)
 from cohsync.waveform import generate_disambiguation, generate_two_tone
 
 import ranging_oracle
@@ -88,6 +96,18 @@ class TestDisambiguateAndRefine:
         assert gross == 0
         assert np.max(np.abs(ranges - 90.0)) < 1e-3
 
+    @pytest.mark.parametrize("true_range", [0.0, 10.0, 37.3, 90.0, 151.7])
+    @pytest.mark.parametrize("separation_hz", [3.5e6, 4.4e6, 5.5e6, 7.5e6])
+    def test_noise_free_error_across_lattice_spans(self, full_waveform, separation_hz, true_range):
+        # above 3.125 MHz half a lobe spacing is under NEIGHBORS samples, so
+        # the dense grid is a shorter run of the lattice at each separation
+        waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
+        state = ChannelState(true_range=true_range, snr_db=math.inf)
+        ranges, gross = simulate_window(waveform, state, 2, seed=0)
+        assert gross == 0
+        bound = 1e-4 if separation_hz == 7.5e6 else 5e-4
+        assert np.max(np.abs(ranges - true_range)) < bound
+
     def test_zero_delay(self, full_waveform):
         state = ChannelState(true_range=0.0, snr_db=math.inf)
         pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
@@ -98,7 +118,6 @@ class TestDisambiguateAndRefine:
             matched_filter(received, pulse), matched_filter(rx_d, disamb), full_waveform
         )
         assert est.range == pytest.approx(0.0, abs=1e-3)
-        assert est.ambiguity_index == 0
         assert not est.gross_error
 
     def test_ambiguity_offset_without_disambiguation(self, full_waveform):
@@ -125,7 +144,6 @@ class TestDisambiguateAndRefine:
             # off by exactly k ambiguity periods
             error = abs(est.range - true_range)
             assert error == pytest.approx(k * ambiguity_m, abs=2e-3)
-            assert est.ambiguity_index == 0
             assert est.range == pytest.approx(base_range, abs=2e-3)
 
     def test_gross_error_flag_on_monotone_neighborhood(self, full_waveform):
@@ -247,13 +265,10 @@ def oracle_window(mf_r, mf_d, waveform):
 
 
 def assert_matches_oracle(mf_r, mf_d, waveform):
-    ranges, lags, gross, ambiguity = refine_window(
-        mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform
-    )
-    o_ranges, o_lags, o_gross, o_ambiguity = oracle_window(mf_r, mf_d, waveform)
+    ranges, lags, gross = refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
+    o_ranges, o_lags, o_gross = oracle_window(mf_r, mf_d, waveform)
     assert np.max(np.abs(ranges - o_ranges)) <= 1e-8
     assert np.array_equal(gross, o_gross)
-    assert np.array_equal(ambiguity, o_ambiguity)
     return ranges, lags, gross
 
 
@@ -287,7 +302,7 @@ class TestBatchedKernel:
         ranges, lags, gross = assert_matches_oracle(mf_r, mf_d, full_waveform)
         fs = full_waveform.sample_rate
         half = fs / full_waveform.two_tone.separation / 2  # half a lobe spacing
-        span = min(4.0, half)
+        span = math.floor(64 * min(4.0, half)) / 64  # the last lattice point within it
         hi, lo = math.floor(200 + half), math.ceil(200 - half)
         assert lags[0] * fs == pytest.approx(hi + span, abs=1e-9)
         assert lags[1] * fs == pytest.approx(lo - span, abs=1e-9)
@@ -315,7 +330,7 @@ class TestBatchedKernel:
         waveform = config.waveform
         mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, config.channel, 200, 0)
         assert mf_r.shape == (200, 3750)
-        _interp_matrix.cache_clear()
+        _interp_table.cache_clear()
         tracemalloc.start()
         try:
             refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
@@ -323,3 +338,47 @@ class TestBatchedKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+def scattered(gather, weights):
+    """First lag and dense ``(L, n)`` matrix of the oracle's gather offsets and weights."""
+    first = int(gather.min())
+    matrix = np.zeros((int(gather.max()) - first + 1, len(gather)))
+    matrix[gather - first, np.arange(len(gather))[:, None]] = weights
+    return first, matrix
+
+
+class TestInterpTable:
+    """The one Kaiser-sinc table and the views of it the refinement reads."""
+
+    def test_built_once_across_separations(self, full_waveform):
+        _interp_table.cache_clear()
+        state = ChannelState(true_range=90.0, snr_db=23.0)
+        for separation_hz in (3.3e6, 4.4e6, 5.5e6, 7.5e6):
+            waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
+            simulate_window(waveform, state, 10, seed=0)
+        assert _interp_table.cache_info().misses == 1
+
+    @pytest.mark.parametrize("span", [1.0, 25 / 7.5 / 2, 2.5, 25 / 4.4 / 2, 25 / 3.3 / 2, 4.0])
+    def test_matrix_is_the_kernel_on_the_lattice(self, span):
+        offsets, first, matrix = _interp_matrix(span)
+        m = math.floor(64 * span)
+        assert np.array_equal(offsets, np.arange(-m, m + 1) / 64)
+        expected_first, expected = scattered(
+            *ranging_oracle.interp_kernel(offsets, INTERP_TAPS, INTERP_BETA)
+        )
+        assert first == expected_first
+        assert np.array_equal(matrix, expected)
+        assert np.shares_memory(matrix, _interp_table()[2])
+
+    def test_full_table_is_the_linspace_grid(self):
+        # separations up to 3.125 MHz read the whole table, so their
+        # estimates are those of a np.linspace(-4, 4, 513) grid, to the bit
+        grid = np.linspace(-4.0, 4.0, 513)
+        offsets, first, matrix = _interp_table()
+        expected_first, expected = scattered(
+            *ranging_oracle.interp_kernel(grid, INTERP_TAPS, INTERP_BETA)
+        )
+        assert offsets.tobytes() == grid.tobytes()
+        assert first == expected_first
+        assert matrix.tobytes() == expected.tobytes()

@@ -415,7 +415,7 @@ def direct_refined(waveform, state, n_pulses, seed):
 
 def oracle_window(waveform, state, n_pulses, seed):
     """``simulate_window`` on the oracle's whole rows of time-domain noise."""
-    ranges, _, gross, _ = oracle_refined(waveform, state, n_pulses, seed)
+    ranges, _, gross = oracle_refined(waveform, state, n_pulses, seed)
     return ranges, int(gross.sum())
 
 
@@ -463,9 +463,9 @@ class TestDirectNoiseDraws:
 
     def test_lobe_slip_law_matches_oracle(self, full_waveform):
         # A far disambiguation peak still finds a lobe maximum, so it shows
-        # as a slip, not a gross error.  refine_window's ambiguity index
-        # counts lobes from the coarse lag, whose lobe window always holds
-        # the peak, so the slip is counted in lobes from the true delay.
+        # as a slip, not a gross error.  The selected peak always lies in
+        # the lobe window around the coarse lag, so a slip shows only
+        # against the true delay, and is counted in lobes from it.
         # Slips beyond 3 lobes share a bin on each side; a chi-square test
         # of homogeneity must not reject at the 0.1 % level.
         state = ChannelState(true_range=90.0, snr_db=-25.0)
