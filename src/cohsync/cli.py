@@ -46,8 +46,8 @@ MAX_GRID_POINTS = 2**16
 
 # glibc's mallopt parameters, and the values main fixes them to.  Blocks up
 # to the mmap threshold come from the heap, and freed heap up to the trim
-# threshold stays mapped for reuse.  16 MiB covers a window's and a 16-node,
-# 50,000-trial curve's temporaries (at most 12.8 MB).
+# threshold stays mapped for reuse.  16 MiB covers a window's temporaries
+# and a 16-node, 50,000-trial curve's geometry draw (6.4 MB).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 32 << 20
 
@@ -131,6 +131,11 @@ def _cmd_crlb(args) -> int:
     return 0
 
 
+def _by_level(values: dict[float, float]) -> dict[str, float | None]:
+    """Per-level values keyed as JSON strings, NaN written as null."""
+    return {str(level): (None if math.isnan(v) else v) for level, v in values.items()}
+
+
 def _cmd_montecarlo(args) -> int:
     if not 0.0 < args.threshold <= 1.0:
         raise ValueError(f"--threshold {args.threshold} must lie in (0, 1], the range of the coherent gain")
@@ -150,14 +155,15 @@ def _cmd_montecarlo(args) -> int:
     )
     _write_curve(args.out, ["sigma_over_lambda", "probability"], grid, y)
     crossings = coherence.threshold_crossings(grid, y)
+    crossing_errors = coherence.crossing_standard_errors(grid, y, args.trials)
     report = {
         "nodes": args.nodes,
         "threshold": args.threshold,
         "trials": args.trials,
         "seed": seed,
-        "sigma_over_lambda_at_probability": {
-            str(level): (None if math.isnan(v) else v) for level, v in crossings.items()
-        },
+        "sigma_over_lambda_at_probability": _by_level(crossings),
+        "sigma_over_lambda_standard_error": _by_level(crossing_errors),
+        "probability_standard_error": coherence.binomial_standard_error(y, args.trials).tolist(),
     }
     report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

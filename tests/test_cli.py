@@ -194,6 +194,25 @@ class TestMonteCarloCommand:
         assert set(levels) == {"0.9", "0.8", "0.7"}
         assert levels["0.9"] < levels["0.8"] < levels["0.7"]
 
+    def test_report_carries_standard_errors(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        argv = ["montecarlo", "--trials", "2000", "--sigma-grid", "0.0:0.16:17", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        y = np.array([float(r.split(",")[1]) for r in out.read_text().strip().splitlines()[1:]])
+        report = json.loads((tmp_path / "mc.report.json").read_text())
+        assert np.allclose(report["probability_standard_error"], np.sqrt(y * (1 - y) / 2000), rtol=1e-12, atol=0)
+        errors = report["sigma_over_lambda_standard_error"]
+        assert set(errors) == {"0.9", "0.8", "0.7"}
+        assert all(0 < e < 0.01 for e in errors.values())
+
+    def test_standard_error_null_where_level_not_crossed(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        argv = ["montecarlo", "--trials", "1000", "--sigma-grid", "0.0:0.01:3", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads((tmp_path / "mc.report.json").read_text())
+        assert report["sigma_over_lambda_at_probability"] == {"0.9": None, "0.8": None, "0.7": None}
+        assert report["sigma_over_lambda_standard_error"] == {"0.9": None, "0.8": None, "0.7": None}
+
     @pytest.mark.parametrize("threshold", ["nan", "1.5", "-1", "0"])
     def test_threshold_outside_gain_range_rejected(self, tmp_path, capsys, threshold):
         out = tmp_path / "mc.csv"

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 
 from cohsync import (
     ArrayScenario,
+    coherence,
     coherent_gain,
     max_coherent_frequency,
     probability_curve,
     threshold_crossings,
+)
+from cohsync.coherence import (
+    _draw_geometry,
+    _phase_errors,
+    binomial_standard_error,
+    crossing_standard_errors,
 )
 from cohsync.waveform import SPEED_OF_LIGHT
 
@@ -150,6 +157,90 @@ class TestProbabilityCurve:
     def test_crossings_nan_outside_range(self):
         out = threshold_crossings([0.01, 0.02], [0.5, 0.4], levels=(0.9,))
         assert math.isnan(out[0.9])
+
+    def test_reversed_grid_gives_same_crossings(self):
+        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        grid = np.linspace(0.02, 0.16, 29)
+        y = probability_curve(scenario, grid, trials=4000, seed=3)
+        ascending = threshold_crossings(grid, y)
+        assert threshold_crossings(grid[::-1], y[::-1]) == ascending
+        assert all(0.02 < v < 0.16 for v in ascending.values())
+
+    def test_peak_memory_of_benchmark_curve(self):
+        # 16 nodes x 50,000 trials: the geometry draw (6.5 MiB) plus the
+        # chunk buffers; a curve that held whole-array phasors peaked at 26 MiB
+        scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
+        tracemalloc.start()
+        try:
+            probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
+def fresh_exp_curve(scenario, grid, threshold, trials, seed):
+    """Reference curve: fresh phase errors and exponentials at every sigma."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    geometry = _draw_geometry(scenario, trials, rng)
+    return np.array(
+        [np.mean(coherent_gain(_phase_errors(scenario, s, geometry)) >= threshold) for s in grid]
+    )
+
+
+class TestCurveRecurrence:
+    """The stepped phasors give the per-point reference's probabilities bit for bit."""
+
+    @pytest.mark.parametrize(
+        "nodes, grid, threshold, trials, seed",
+        [
+            (16, np.linspace(0.02, 0.05, 7), 0.9, 50000, 1),  # the benchmark's array
+            (2, np.linspace(0.01, 0.2, 60), 0.9, 10000, 0),  # the CLI default grid
+            (2, np.linspace(0.02, 0.16, 57), 0.9, 10000, 42),
+            (4, np.geomspace(0.005, 0.3, 40), 0.9, 5000, 2),
+            (2, np.linspace(0.16, 0.02, 29), 0.9, 4000, 3),
+            (3, np.array([0.0, 0.04, 0.04, 0.08, 0.0, 0.08]), 0.9, 3000, 4),
+            (2, np.linspace(0.1, 0.0, 11), 1.0, 3000, 5),  # back to sigma 0 at X = 1
+            (5, np.array([0.07]), 0.8, 3000, 6),
+            (16, np.linspace(0.01, 0.2, 30), 0.9, 2500, 7),  # 2 chunks and 452 rows
+        ],
+    )
+    def test_matches_fresh_exponentials(self, nodes, grid, threshold, trials, seed):
+        scenario = ArrayScenario(n_nodes=nodes, wavelength=1.0)
+        y = probability_curve(scenario, grid, threshold=threshold, trials=trials, seed=seed)
+        expected = fresh_exp_curve(scenario, grid, threshold, trials, seed)
+        assert np.array_equal(y, expected)
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 700])  # one row a chunk, all rows in one
+    def test_independent_of_chunk_size(self, monkeypatch, chunk):
+        scenario = ArrayScenario(n_nodes=3, wavelength=1.0)
+        grid = np.linspace(0.01, 0.2, 20)
+        y = probability_curve(scenario, grid, trials=700, seed=8)
+        monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", chunk)
+        assert np.array_equal(probability_curve(scenario, grid, trials=700, seed=8), y)
+
+
+class TestStandardErrors:
+    def test_binomial_standard_error(self):
+        se = binomial_standard_error([0.0, 0.5, 0.9, 1.0], 400)
+        assert np.allclose(se, [0.0, 0.025, 0.015, 0.0], rtol=1e-12, atol=0.0)
+
+    def test_crossing_error_is_level_error_over_segment_slope(self):
+        # Y falls with slope -2 on [0, 0.1] and -4 on [0.1, 0.2]
+        grid, y = [0.0, 0.1, 0.2], [1.0, 0.8, 0.4]
+        out = crossing_standard_errors(grid, y, 100, levels=(0.9, 0.7))
+        assert out[0.9] == pytest.approx(math.sqrt(0.9 * 0.1 / 100) / 2, rel=1e-12)
+        assert out[0.7] == pytest.approx(math.sqrt(0.7 * 0.3 / 100) / 4, rel=1e-12)
+        assert crossing_standard_errors(grid[::-1], y[::-1], 100, levels=(0.9, 0.7)) == out
+
+    def test_nan_where_not_crossed_or_flat(self):
+        out = crossing_standard_errors([0.01, 0.02], [0.5, 0.4], 1000, levels=(0.9,))
+        assert math.isnan(out[0.9])
+        # the level is the flat top of the curve: crossed, but with no slope
+        grid, y = [0.0, 0.05, 0.1], [1.0, 1.0, 0.5]
+        assert threshold_crossings(grid, y, levels=(1.0,))[1.0] == 0.0
+        assert math.isnan(crossing_standard_errors(grid, y, 1000, levels=(1.0,))[1.0])
+        assert math.isnan(crossing_standard_errors([0.05], [0.9], 1000, levels=(0.9,))[0.9])
 
 
 class TestMaxCoherentFrequency:
