@@ -39,7 +39,9 @@ win, and the near argmax is the row's peak.  Otherwise the row is
 completed exactly around ``R`` (at a uniform place, the other moduli from
 the law truncated below it) and scanned whole.  Either way the peak has
 the distribution of a whole row's peak.  Templates whose near samples
-would cover the window draw whole rows.
+would cover the window draw whole rows.  The noise-free part of this (the
+rotated clean row, the template's DFT, ``||p||_1`` and ``max_far |clean|``)
+is a :class:`PeakSearch`, built once per clean row and template.
 """
 
 import math
@@ -93,8 +95,19 @@ def residual_baseband_frequency(f_b: float, carrier: CarrierPlan) -> float:
     return f_b - carrier.offset1 + carrier.offset2
 
 
+def delay_ramp(n: int, sample_rate: float, true_range: float) -> np.ndarray:
+    """Spectral phase ramp of the two-way delay over an ``n``-sample window."""
+    tau = 2.0 * true_range / SPEED_OF_LIGHT
+    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    return np.exp(-2j * np.pi * freqs * tau)
+
+
 def apply_round_trip_response(
-    pulse: ComplexBasebandSignal, state: ChannelState
+    pulse: ComplexBasebandSignal,
+    state: ChannelState,
+    *,
+    spectrum: np.ndarray | None = None,
+    ramp: np.ndarray | None = None,
 ) -> ComplexBasebandSignal:
     """Deterministic part of the round trip: delay and residual shift.
 
@@ -104,6 +117,10 @@ def apply_round_trip_response(
     empty).  The residual frequency shift ``offset2 - offset1`` is then
     applied across the window.  No amplitude gain is modelled: the SNR
     is referenced to the received signal, so any gain cancels.
+
+    A caller that already holds the pulse's DFT (``spectrum``) or the
+    window's :func:`delay_ramp` (``ramp``) passes them in; they are not
+    computed again.
     """
     tau = 2.0 * state.true_range / SPEED_OF_LIGHT
     if tau > pulse.duration:
@@ -112,9 +129,11 @@ def apply_round_trip_response(
         )
     n = pulse.n_samples
     fs = pulse.sample_rate
-    spectrum = np.fft.fft(pulse.samples)
-    freqs = np.fft.fftfreq(n, d=1.0 / fs)
-    delayed = np.fft.ifft(spectrum * np.exp(-2j * np.pi * freqs * tau))
+    if spectrum is None:
+        spectrum = np.fft.fft(pulse.samples)
+    if ramp is None:
+        ramp = delay_ramp(n, fs, state.true_range)
+    delayed = np.fft.ifft(spectrum * ramp)
     shift = residual_baseband_frequency(0.0, state.carrier)
     if shift != 0.0:
         t = np.arange(n) / fs
@@ -124,10 +143,14 @@ def apply_round_trip_response(
 
 def noise_power_for(clean: ComplexBasebandSignal, snr_db: float) -> float:
     """Complex noise variance that realizes ``snr_db`` over this window."""
+    return scaled_noise_power(clean.energy / clean.n_samples, snr_db)
+
+
+def scaled_noise_power(power_0db: float, snr_db: float) -> float:
+    """Noise variance at ``snr_db`` of a window whose variance at 0 dB is ``power_0db``."""
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
-    mean_power = clean.energy / clean.n_samples
-    return mean_power / (10.0 ** (snr_db / 10.0))
+    return power_0db / (10.0 ** (snr_db / 10.0))
 
 
 def matched_noise_rows(
@@ -241,75 +264,111 @@ def _complete_noise(
     return full
 
 
+@dataclass(frozen=True, eq=False)
+class PeakSearch:
+    """The noise-free work of :func:`matched_noise_peaks` for one clean row and template.
+
+    It depends on neither the noise power nor the noise, so one search
+    serves every window of a run (:func:`peak_search` builds it).
+    ``clean_row`` is the noise-free output rotated so that lag ``first +
+    k`` sits at index ``k``: the near lags, which read the ``n_inputs``
+    input samples, come first.  Where those inputs would cover the window
+    the rows are drawn whole and ``first`` is 0.
+    """
+
+    template: np.ndarray
+    spectrum: np.ndarray  # the template's n-point DFT
+    clean_row: np.ndarray
+    first: int
+    n_inputs: int
+    peak: int  # index of the clean row's largest modulus
+    reach: float  # ||template||_1
+    far_max: float  # largest clean modulus off the near lags
+
+
+def peak_search(clean_row: np.ndarray, template: np.ndarray) -> PeakSearch:
+    """The :class:`PeakSearch` of ``clean_row``, the noise-free output of ``template``'s filter."""
+    n, length = clean_row.size, template.size
+    magnitude = np.abs(clean_row)
+    peak = int(np.argmax(magnitude))
+    half = -(-3 * length // 2)  # near lags either side of the clean peak
+    n_inputs = 2 * half + length
+    first = peak - half if n_inputs < n else 0
+    far = np.roll(magnitude, -first)[2 * half + 1 :]
+    return PeakSearch(
+        template=template,
+        spectrum=np.fft.fft(template, n),
+        clean_row=np.roll(clean_row, -first),
+        first=first,
+        n_inputs=n_inputs,
+        peak=peak,
+        reach=float(np.abs(template).sum()),
+        far_max=float(far.max()) if far.size else math.inf,
+    )
+
+
 def _certify(
-    clean_row: np.ndarray, template: np.ndarray, near: np.ndarray, r_max: np.ndarray
+    search: PeakSearch, near: np.ndarray, r_max: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Near peak of each row, and whether no other lag can beat it.
 
-    ``clean_row`` is the noise-free output, rotated so that its first
-    ``k = near.shape[1] - template.size + 1`` lags are the near ones, and
-    row ``i`` of ``near`` holds the input noise those lags read, in the
-    same rotation.  ``r_max[i]`` is the largest modulus of the other input
-    samples.  Returns the argmax over the near lags of ``|clean + noise|``,
-    by direct correlation, and the certificate
+    Row ``i`` of ``near`` holds the ``search.n_inputs`` input noise
+    samples the near lags read, in the rotation of ``search.clean_row``,
+    and ``r_max[i]`` is the largest modulus of the other input samples.
+    Returns the argmax over the near lags of ``|clean + noise|``, by
+    direct correlation, and the certificate
     ``max_far |clean| + ||p||_1 * max(r_max, max |near|) < max_near |clean + noise|``,
     under which that argmax is the whole row's whatever the other samples.
     """
+    template = search.template
     n_lags = near.shape[1] - template.size + 1
-    output = np.tile(clean_row[:n_lags], (len(near), 1))
+    output = np.tile(search.clean_row[:n_lags], (len(near), 1))
     for j, tap in enumerate(np.conj(template)):
         output += tap * near[:, j : j + n_lags]
     output = np.abs(output)
-    reach = np.abs(template).sum() * np.maximum(r_max, np.abs(near).max(axis=1))
-    certified = np.abs(clean_row[n_lags:]).max() + reach < output.max(axis=1)
+    reach = search.reach * np.maximum(r_max, np.abs(near).max(axis=1))
+    certified = search.far_max + reach < output.max(axis=1)
     return np.argmax(output, axis=1), certified
 
 
 def matched_noise_peaks(
-    clean_row: np.ndarray,
-    template: np.ndarray,
+    search: PeakSearch,
     noise_power: float,
     n_rows: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak index of ``|clean_row + noise|`` for ``n_rows`` draws of matched-filter noise.
 
-    ``clean_row`` is the noise-free output of the circular matched filter
-    of ``template`` on a window of ``n`` samples, and the noise is white
+    ``search`` holds the noise-free output of the circular matched filter
+    of a template on a window of ``n`` samples, and the noise is white
     noise of per-sample variance ``noise_power`` through that filter.
     Returns the peak indices, which have exactly the distribution of the
     peaks of whole rows, and per row whether the certificate of the module
     docstring placed the peak without a whole row.  Draws nothing when
     ``noise_power`` is 0.
     """
-    n, length = clean_row.size, template.size
-    magnitude = np.abs(clean_row)
+    n = search.clean_row.size
     if noise_power == 0.0:
-        return np.full(n_rows, np.argmax(magnitude)), np.ones(n_rows, dtype=bool)
-    spectrum = np.fft.fft(template, n)
-    half = -(-3 * length // 2)  # near lags either side of the clean peak
-    n_inputs = 2 * half + length
-    if n_inputs >= n:
-        rows = matched_noise_rows(spectrum, noise_power, n_rows, rng)
-        rows += clean_row
+        return np.full(n_rows, search.peak), np.ones(n_rows, dtype=bool)
+    if search.n_inputs >= n:
+        rows = matched_noise_rows(search.spectrum, noise_power, n_rows, rng)
+        rows += search.clean_row
         return peak_indices(rows), np.zeros(n_rows, dtype=bool)
-    first = int(np.argmax(magnitude)) - half
-    clean_row = np.roll(clean_row, -first)  # lag first + k at index k
-    near = rng.standard_normal((n_rows, 2 * n_inputs)).view(np.complex128)
+    near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
     near *= math.sqrt(noise_power / 2.0)
-    r_max = _max_modulus(noise_power, n - n_inputs, n_rows, rng)
-    peak, certified = _certify(clean_row, template, near, r_max)
+    r_max = _max_modulus(noise_power, n - search.n_inputs, n_rows, rng)
+    peak, certified = _certify(search, near, r_max)
 
     pending = np.flatnonzero(~certified)
     for start in range(0, pending.size, _ROW_CHUNK):
         rows = pending[start : start + _ROW_CHUNK]
         full = _complete_noise(near[rows], r_max[rows], noise_power, n, rng)
         np.fft.fft(full, axis=1, out=full)
-        full *= np.conj(spectrum)
+        full *= np.conj(search.spectrum)
         np.fft.ifft(full, axis=1, out=full)
-        full += clean_row
+        full += search.clean_row
         peak[rows] = peak_indices(full)
-    return (first + peak) % n, certified
+    return (search.first + peak) % n, certified
 
 
 def post_snr_from_sample_snr(window_len: int, snr_db: float) -> float:

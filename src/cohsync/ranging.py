@@ -104,15 +104,19 @@ def matched_filter(
         raise ValueError("received window must be at least as long as the template")
     if not template.energy > 0:
         raise ValueError("template has zero energy")
-    out = _circular_correlation(received.samples[None, :], template.samples)[0]
+    spectrum = np.fft.fft(template.samples, received.n_samples)
+    out = _circular_correlation(received.samples[None, :], spectrum)[0]
     return ComplexBasebandSignal(out, received.sample_rate)
 
 
-def _circular_correlation(rows: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Batched circular cross-correlation (rows against one template)."""
-    n = rows.shape[1]
+def _circular_correlation(rows: np.ndarray, template_spectrum: np.ndarray) -> np.ndarray:
+    """Batched circular cross-correlation of rows against one template.
+
+    ``template_spectrum`` is the template's DFT at the rows' length,
+    ``np.fft.fft(template, n)``.
+    """
     spectrum = np.fft.fft(rows, axis=1)
-    spectrum *= np.conj(np.fft.fft(template, n))
+    spectrum *= np.conj(template_spectrum)
     return np.fft.ifft(spectrum, axis=1)
 
 
@@ -318,21 +322,67 @@ def _natural_spline_max(
     return x0 + interval * h + t[r, interval, k], v[r, interval, k]
 
 
-def _spline_peaks(offsets: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Offset of the spline maximum near each row's dense argmax.
+# Relative gap below which two squared magnitudes may order two points
+# otherwise than their np.hypot values do, far above the few ulps that
+# either computation rounds by; and the range of squared magnitudes within
+# which that bound holds (no overflow, no loss of digits to subnormals).
+_TIE_GAP = 1e-13
+_NORMAL_SQUARES = (1e-290, 1e300)
 
+# Rows of squared dense magnitudes held at once: 64 rows of the widest grid
+# (513 points) take 263 KB, small next to the dense grid of a 200-pulse
+# window (1.6 MB), which the hypot refinement's peak memory already held.
+_SQUARE_ROWS = 64
+
+
+def _dense_argmax(parts: np.ndarray) -> np.ndarray:
+    """Index of each row's largest ``np.hypot(re, im)``, the first of equal ones.
+
+    ``parts`` stacks the real and imaginary parts, ``re, im = parts``.
+    The squared magnitudes order the points as hypot does, except among
+    points within rounding of the largest.  So the argmax of the squares
+    stands unless the row's runner-up comes within ``_TIE_GAP`` of it, or
+    the largest square lies outside ``_NORMAL_SQUARES``; only such rows
+    take hypot over the whole row.
+    """
+    re, im = parts
+    with np.errstate(over="ignore"):  # overflowed rows take hypot
+        squares = np.einsum("kij,kij->ij", parts, parts)  # no temporaries
+    rows = np.arange(len(squares))
+    best = np.argmax(squares, axis=1)
+    top = squares[rows, best]
+    squares[rows, best] = -np.inf
+    runner_up = squares.max(axis=1)
+    lo, hi = _NORMAL_SQUARES
+    settled = (runner_up < top * (1.0 - _TIE_GAP)) & (top >= lo) & (top <= hi)
+    doubt = np.flatnonzero(~settled)
+    if doubt.size:
+        best[doubt] = np.argmax(np.hypot(re[doubt], im[doubt]), axis=1)
+    return best
+
+
+def _spline_peaks(offsets: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Offset of the spline maximum near each row's dense magnitude argmax.
+
+    The dense magnitudes are ``np.hypot(re, im)``, ``re, im = parts``.
     Each spline is fitted to the 17 grid points around the argmax, fewer
     where the argmax lies within 8 points of either grid end; the
-    analytic extremum removes the dense-grid quantization.
+    analytic extremum removes the dense-grid quantization.  Magnitudes
+    are computed only on those points (the argmax comes from
+    :func:`_dense_argmax`).
     """
-    m = np.argmax(dense, axis=1)
+    re, im = parts
+    m = np.concatenate(
+        [_dense_argmax(parts[:, s : s + _SQUARE_ROWS]) for s in range(0, len(re), _SQUARE_ROWS)]
+    )
     lo = np.maximum(m - 8, 0)
-    width = np.minimum(m + 9, dense.shape[1]) - lo
+    width = np.minimum(m + 9, re.shape[1]) - lo
     h = float(offsets[1] - offsets[0])
-    peaks = np.empty(len(dense))
+    peaks = np.empty(len(re))
     for w in np.unique(width):  # one group unless a window is truncated
         rows = np.flatnonzero(width == w)
-        y = dense[rows[:, None], lo[rows, None] + np.arange(w)]
+        index = (rows[:, None], lo[rows, None] + np.arange(w))
+        y = np.hypot(re[index], im[index])
         peaks[rows], _ = _natural_spline_max(offsets[lo[rows]], h, y)
     return peaks
 
@@ -360,7 +410,12 @@ def refine_window(
     Only the lags the estimator reads are gathered: the lobe window with
     one lag either side for the edge test, and the interpolator's support
     around each selected peak.  Dense interpolation is one matrix product
-    against a view of the process's one Kaiser-sinc table.
+    against a view of the process's one Kaiser-sinc table.  Dense
+    magnitudes are computed only where they are read: each row's argmax
+    comes from the squared magnitudes, and a row where another point
+    comes within rounding of its largest takes ``np.hypot`` over the row,
+    so the argmax is always that of ``np.hypot`` (see
+    :func:`_dense_argmax`); the spline's 17 points then take ``np.hypot``.
     """
     rows = np.asarray(mf_ranging)
     p = rows.shape[0]
@@ -396,8 +451,7 @@ def refine_window(
     lags = peak[:, None] + first + np.arange(matrix.shape[0])
     segment = _take_lags(rows, lags, first_lag, n)
     dense = np.concatenate([segment.real, segment.imag]) @ matrix
-    dense = np.hypot(dense[:p], dense[p:], out=dense[:p])
-    lag_s = (peak + _spline_peaks(offsets, dense)) / fs
+    lag_s = (peak + _spline_peaks(offsets, dense.reshape(2, p, -1))) / fs
     return np.maximum(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s, gross
 
 

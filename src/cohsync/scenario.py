@@ -13,13 +13,22 @@ seed).  Per-interval noise streams are derived as
 bit-identical across processes.
 
 Noise: a window draws its noise already matched-filtered, on the lags
-the estimator reads (:func:`_matched_filter_rows`).  The clean frames'
-outputs are computed once per window.  Each pulse's disambiguation peak
-is drawn by the certificate of :mod:`cohsync.channel`: the input noise
-on the few dozen samples around the clean peak and the largest modulus
-of the rest settle it (at the reference waveform every pulse from
--10 dB up, none at -20 dB), and rows they do not settle are completed
-and scanned whole.  Once the peak
+the estimator reads (:func:`_matched_filter_rows`).  The noise-free
+disambiguation frame (its pulse, clean output, noise power at 0 dB, the
+certificate's rotated row, template DFT, ``||p||_1`` and far maximum,
+and the delay ramp) does not change within a run, so a run builds it
+once and its windows share it (the ``memo`` of :func:`simulate_window`).
+What a window still repeats is the ranging frame, whose tones the loop
+retunes every interval: its pulse, one template DFT that serves the
+channel, the correlation and the noise draw, the round trip's inverse
+transform, the correlation's forward and inverse transforms, and the
+inverse transform of the lag block's autocorrelation.
+
+Each pulse's disambiguation peak is drawn by the certificate of
+:mod:`cohsync.channel`: the input noise on the few dozen samples around
+the clean peak and the largest modulus of the rest settle it (at the
+reference waveform every pulse from -10 dB up, none at -20 dB), and rows
+they do not settle are completed and scanned whole.  Once the peak
 places the lobe window, a correlated block of just the ranging lags
 that refinement reads is drawn.  The ranging noise is stationary,
 independent of the disambiguation noise and drawn from its own stream,
@@ -45,11 +54,15 @@ import numpy as np
 
 from .channel import (
     ChannelState,
+    PeakSearch,
     apply_round_trip_response,
+    delay_ramp,
     matched_noise_block,
     matched_noise_peaks,
     matched_noise_rows,
     noise_power_for,
+    peak_search,
+    scaled_noise_power,
 )
 from .config import LoopConfig, RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
@@ -258,8 +271,47 @@ def read_run_log_csv(path) -> list[ProcessingIntervalLog]:
         ]
 
 
+@dataclass(frozen=True, eq=False)
+class _DisambiguationFrame:
+    """The noise-free disambiguation work of a window, the same in every window of a run."""
+
+    search: PeakSearch
+    power_0db: float  # its noise power at 0 dB SNR
+    ramp: np.ndarray  # the receive window's delay ramp, which the ranging frame shares
+
+
+def _clean_output(
+    pulse: ComplexBasebandSignal, n: int, channel_state: ChannelState, ramp: np.ndarray
+) -> tuple[np.ndarray, ComplexBasebandSignal, np.ndarray]:
+    """Template spectrum, noise-free received frame and output row of one frame.
+
+    The frame is ``pulse`` padded to the ``n``-sample receive window; its
+    DFT is the template's, so one FFT serves the channel and the filter.
+    """
+    spectrum = np.fft.fft(pulse.samples, n)
+    frame = np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)])
+    clean = apply_round_trip_response(
+        ComplexBasebandSignal(frame, pulse.sample_rate), channel_state, spectrum=spectrum, ramp=ramp
+    )
+    row = _circular_correlation(clean.samples[None, :], spectrum)[0]
+    return spectrum, clean, row
+
+
+def _disambiguation_frame(
+    f_d: float, fs: float, n: int, channel_state: ChannelState
+) -> _DisambiguationFrame:
+    ramp = delay_ramp(n, fs, channel_state.true_range)
+    pulse = generate_disambiguation(f_d, fs)
+    _, clean, row = _clean_output(pulse, n, channel_state, ramp)
+    return _DisambiguationFrame(peak_search(row, pulse.samples), noise_power_for(clean, 0.0), ramp)
+
+
 def _matched_filter_rows(
-    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
+    waveform: WaveformConfig,
+    channel_state: ChannelState,
+    n_pulses: int,
+    seed,
+    memo: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray | int, int, np.ndarray]:
     """Matched-filter outputs of one window, on the lags the estimator reads.
 
@@ -272,7 +324,9 @@ def _matched_filter_rows(
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
     says.  Lobe windows wider than ``_MAX_BLOCK_LAGS`` draw whole ranging
-    rows.
+    rows.  The noise-free disambiguation frame is taken from ``memo``
+    (see :func:`simulate_window`) when it holds one for this geometry, and
+    stored there otherwise.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -282,22 +336,19 @@ def _matched_filter_rows(
     # noise does not depend on how many numbers the disambiguation draw took
     rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
 
-    def clean_output(pulse: ComplexBasebandSignal):
-        """Noise-free output row and noise power of one frame."""
-        frame = np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)])
-        clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
-        sigma2 = noise_power_for(clean, channel_state.snr_db)
-        row = _circular_correlation(clean.samples[None, :], pulse.samples)[0]
-        return row, sigma2
-
-    pulse_d = generate_disambiguation(waveform.f_d, fs)
-    clean_d, sigma2_d = clean_output(pulse_d)
-    index, _ = matched_noise_peaks(clean_d, pulse_d.samples, sigma2_d, n_pulses, rng_d)
+    # every input of the disambiguation frame but the SNR
+    key = (waveform.f_d, fs, n, channel_state.true_range, channel_state.carrier)
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = _disambiguation_frame(waveform.f_d, fs, n, channel_state)
+    frame_d = memo[key]
+    sigma2_d = scaled_noise_power(frame_d.power_0db, channel_state.snr_db)
+    index, _ = matched_noise_peaks(frame_d.search, sigma2_d, n_pulses, rng_d)
     coarse = _signed_lags(index, n)
 
     pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    clean_r, sigma2_r = clean_output(pulse_r)
-    spectrum_r = np.fft.fft(pulse_r.samples, n)
+    spectrum_r, clean, clean_r = _clean_output(pulse_r, n, channel_state, frame_d.ramp)
+    sigma2_r = noise_power_for(clean, channel_state.snr_db)
     reads = lobe_lags(coarse, n, fs, waveform)
     if reads is None or reads[1] > _MAX_BLOCK_LAGS:
         rows = matched_noise_rows(spectrum_r, sigma2_r, n_pulses, rng_r)
@@ -314,14 +365,20 @@ def simulate_window(
     channel_state: ChannelState,
     n_pulses: int,
     seed=0,
+    memo: dict | None = None,
 ) -> tuple[np.ndarray, int]:
     """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
 
     Each cycle's matched-filter outputs (see :func:`_matched_filter_rows`)
     go through lobe selection and refinement as one batch.
-    Deterministic for a fixed ``seed``.
+    Deterministic for a fixed ``seed``.  ``memo`` is a dict that the
+    windows of one run share: it keeps their noise-free disambiguation
+    frame, keyed on every input it depends on, so that only the first
+    window builds it.  Windows get the same bytes with it or without.
     """
-    rows, first_lag, n, coarse = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
+    rows, first_lag, n, coarse = _matched_filter_rows(
+        waveform, channel_state, n_pulses, seed, memo
+    )
     ranges, _, gross = refine_window(
         rows, coarse, waveform.sample_rate, waveform, first_lag=first_lag, n=n
     )
@@ -383,6 +440,7 @@ def _closed_loop(
     times = [r.timestamp_s for r in trace]
     cadence = float(np.median(np.diff(times))) if len(times) > 1 else math.inf
     warned: set = set()
+    memo: dict = {}  # the run's noise-free disambiguation frame (simulate_window)
     weather_rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
 
     f1 = config.waveform.two_tone.f1
@@ -395,7 +453,9 @@ def _closed_loop(
         f2 = f1 + x
         wf = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f2))
         state = replace(config.channel, snr_db=snr)
-        ranges, _ = simulate_window(wf, state, loop.pulses_per_interval, seed=(seed, stream, i))
+        ranges, _ = simulate_window(
+            wf, state, loop.pulses_per_interval, seed=(seed, stream, i), memo=memo
+        )
         stats = window_stats(ranges, loop.group_size, loop.pulses_per_interval)
         error = stats.sigma_d - loop.target_sigma_m
         logs.append(

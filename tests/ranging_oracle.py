@@ -78,7 +78,7 @@ def matched_filter_rows(
         clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
         sigma2 = noise_power_for(clean, channel_state.snr_db)
         rows = noisy_rows(clean.samples, sigma2, n_pulses, rng)
-        return _circular_correlation(rows, pulse.samples)
+        return _circular_correlation(rows, np.fft.fft(pulse.samples, n_win))
 
     return matched_rows(pulse_r), matched_rows(pulse_d)
 

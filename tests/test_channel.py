@@ -25,6 +25,7 @@ from cohsync.channel import (
     matched_noise_peaks,
     matched_noise_rows,
     noise_power_for,
+    peak_search,
 )
 from cohsync.ranging import _circular_correlation, effective_window_length
 from ranging_oracle import noisy_rows
@@ -198,7 +199,7 @@ class TestMatchedNoise:
         # the reference: white noise on every sample, then the FFT filter
         pulse = np.fft.ifft(spectrum)[:500]
         rows = noisy_rows(np.zeros(self.N_LAGS, complex), self.S2, 4000, np.random.default_rng(5))
-        filtered = _circular_correlation(rows, pulse)
+        filtered = _circular_correlation(rows, np.fft.fft(pulse, self.N_LAGS))
         assert_moments(filtered[:, 100:112], self.model(spectrum, 12))
 
     def test_noise_free_draws_nothing(self, spectrum):
@@ -226,13 +227,14 @@ class TestCertifiedPeaks:
         pulse = generate_disambiguation(full_waveform.f_d, FS)
         frame = ComplexBasebandSignal(np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)]), FS)
         clean = apply_round_trip_response(frame, state)
-        row = _circular_correlation(clean.samples[None, :], pulse.samples)[0]
+        row = _circular_correlation(clean.samples[None, :], np.fft.fft(pulse.samples, n))[0]
         return row, pulse.samples, noise_power_for(clean, snr_db)
 
     @pytest.mark.parametrize("snr_db", [13.0, 23.0])
     def test_certifies_every_pulse_at_operating_snr(self, full_waveform, snr_db):
         row, template, s2 = self.disambiguation_row(full_waveform, snr_db)
-        index, certified = matched_noise_peaks(row, template, s2, 2000, np.random.default_rng(1))
+        search = peak_search(row, template)
+        index, certified = matched_noise_peaks(search, s2, 2000, np.random.default_rng(1))
         assert certified.all()
         assert index.shape == (2000,)
 
@@ -266,8 +268,11 @@ class TestCertifiedPeaks:
         rng = np.random.default_rng(5)
         near = math.sqrt(s2 / 2.0) * rng.standard_normal((n_rows, 2 * 53)).view(complex)
         r_max = _max_modulus(s2, n - 53, n_rows, rng)
-        peak, certified = _certify(rotated, template, near, r_max)
-        full = _circular_correlation(_complete_noise(near, r_max, s2, n, rng), template) + rotated
+        search = peak_search(row, template)
+        assert search.n_inputs == 53 and np.array_equal(search.clean_row, rotated)
+        peak, certified = _certify(search, near, r_max)
+        spectrum = np.fft.fft(template, n)
+        full = _circular_correlation(_complete_noise(near, r_max, s2, n, rng), spectrum) + rotated
         assert np.array_equal(np.argmax(np.abs(full), axis=1)[certified], peak[certified])
         if snr_db == -15.0:
             assert 0 < certified.sum() < n_rows

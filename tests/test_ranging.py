@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from statistics import mean, stdev
 
@@ -18,9 +19,11 @@ from cohsync import (
     simulate_window,
     window_stats,
 )
+from cohsync import ranging
 from cohsync.ranging import (
     INTERP_BETA,
     INTERP_TAPS,
+    _dense_argmax,
     _interp_matrix,
     _interp_table,
     _natural_spline_max,
@@ -338,6 +341,130 @@ class TestBatchedKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+def hypot_spline_peaks(offsets, parts):
+    """The spline refinement on np.hypot of every dense point, argmax included."""
+    dense = np.hypot(*parts)
+    m = np.argmax(dense, axis=1)
+    lo = np.maximum(m - 8, 0)
+    width = np.minimum(m + 9, dense.shape[1]) - lo
+    h = float(offsets[1] - offsets[0])
+    peaks = np.empty(len(dense))
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        y = dense[rows[:, None], lo[rows, None] + np.arange(w)]
+        peaks[rows], _ = _natural_spline_max(offsets[lo[rows]], h, y)
+    return peaks
+
+
+def assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform):
+    """refine_window's outputs carry the bytes of the np.hypot reference's."""
+    out = refine_window(mf_r, coarse, waveform.sample_rate, waveform)
+    with monkeypatch.context() as patch:
+        patch.setattr(ranging, "_spline_peaks", hypot_spline_peaks)
+        expected = refine_window(mf_r, coarse, waveform.sample_rate, waveform)
+    for a, b in zip(out, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def runner_up_gaps(parts):
+    """Relative gap between each row's largest and second largest np.hypot."""
+    dense = np.sort(np.hypot(*parts), axis=1)
+    return 1.0 - dense[:, -2] / dense[:, -1]
+
+
+class TestDenseArgmax:
+    """Dense magnitudes are formed only where the spline reads them.
+
+    The argmax comes from squared magnitudes, which can order two points
+    within rounding of each other otherwise than np.hypot does; the
+    guard hands such rows to np.hypot, so every result keeps the bytes of
+    a refinement that takes np.hypot of every dense point.
+    """
+
+    def test_exact_and_one_ulp_ties(self):
+        rng = np.random.default_rng(11)
+        n_rows, n_dense = 400, 129
+        re = rng.uniform(-0.5, 0.5, (n_rows, n_dense))
+        im = rng.uniform(-0.5, 0.5, (n_rows, n_dense))
+        x, y = rng.uniform(0.6, 1.0, (2, n_rows))
+        # rows 0..99 tie exactly, the rest are 1 ulp apart in each part,
+        # either order and either part larger
+        x2 = np.where(np.arange(n_rows) < 100, x, np.nextafter(x, np.inf))
+        y2 = np.where(np.arange(n_rows) < 100, y, np.nextafter(y, -np.inf))
+        swap = np.arange(n_rows) % 2 == 1
+        x2, y2 = np.where(swap, y2, x2), np.where(swap, x2, y2)
+        i, j = np.sort(rng.choice(n_dense, (n_rows, 2)), axis=1).T
+        j = np.where(i == j, (i + 1) % n_dense, j)
+        rows = np.arange(n_rows)
+        re[rows, i], im[rows, i] = x, y
+        re[rows, j], im[rows, j] = x2, y2
+        expected = np.argmax(np.hypot(re, im), axis=1)
+        # the squares alone would pick another point on some rows
+        assert np.any(np.argmax(re * re + im * im, axis=1) != expected)
+        assert np.array_equal(_dense_argmax(np.stack([re, im])), expected)
+
+    def test_pythagorean_ties_and_extreme_scales(self):
+        # (3, 4), (5, 0), (4, 3), (0, 5) tie in both; the scaled copies put
+        # the squares among subnormals or past overflow, the last rows hold
+        # zeros, a NaN and infinities
+        base = np.array([[3.0, 5.0, 4.0, 0.0, 1.0], [4.0, 0.0, 3.0, 5.0, 2.0]])
+        re, im = [], []
+        for scale in (1.0, 1e-160, 1e-170, 1e155, 1e160, -1.0):
+            re.append(scale * base[0])
+            im.append(scale * base[1])
+        re += [np.zeros(5), np.array([1.0, np.nan, 2.0, 0.0, 0.0]), np.array([0.0, np.inf, 1.0, np.inf, 0.0])]
+        im += [np.zeros(5), np.array([0.0, 0.0, 3.0, 0.0, 0.0]), np.array([0.0, np.nan, 1.0, 1.0, 0.0])]
+        # squares a few hundred subnormal steps large round 100.4 + 100.4
+        # to 200 below 200.6 to 201, though the first point is the larger
+        unit = 2.0**-537  # squares to the smallest subnormal
+        a, c = math.sqrt(100.4) * unit, math.sqrt(200.6) * unit
+        re.append(np.array([0.0, a, c, 0.0, 0.0]))
+        im.append(np.array([0.0, a, 0.0, 0.0, 0.0]))
+        re, im = np.array(re), np.array(im)
+        expected = np.argmax(np.hypot(re, im), axis=1)
+        assert np.argmax(re[-1] ** 2 + im[-1] ** 2) != expected[-1] == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no new floating-point warnings either
+            assert np.array_equal(_dense_argmax(np.stack([re, im])), expected)
+
+    def test_symmetric_lobes(self, monkeypatch):
+        # samples symmetric about lag 200.5, with two humps, make the dense
+        # magnitudes symmetric too: a pair of equal maxima, up to rounding.
+        # At 3.5 MHz the dense grid spans 3.58 samples either side of the
+        # integer peak, so it holds both maxima of the pair
+        waveform = default_config().waveform
+        n = 512
+        distance = np.abs(np.arange(n) - 200.5)
+        mf_r = np.array([
+            (np.exp(-(((distance - gap) / width) ** 2))) * np.exp(1j * phase)
+            for gap in (0.5, 1.0, 1.5, 2.0) for width in (0.7, 1.0, 1.5, 2.5) for phase in (0.0, 0.3, 2.0)
+        ])
+        coarse = np.full(len(mf_r), 200.0)
+        seen = []
+        real = ranging._dense_argmax
+
+        def spy(parts):
+            seen.append(runner_up_gaps(parts))
+            return real(parts)
+
+        monkeypatch.setattr(ranging, "_dense_argmax", spy)
+        assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform)
+        # the guard was reached: exact ties and near-ties among the rows
+        assert np.any(seen[0] == 0.0) and np.any((seen[0] > 0.0) & (seen[0] < 1e-13))
+
+    @pytest.mark.parametrize("snr_db", [-25.0, 13.0, 23.0, math.inf])
+    def test_batched_kernel_grid(self, monkeypatch, full_waveform, snr_db):
+        # TestBatchedKernel's windows, three seeds to a batch of 150 rows,
+        # so that the squared magnitudes span several row chunks
+        state = ChannelState(true_range=90.0, snr_db=snr_db)
+        for separation_hz in (0.0, 1e6, 3.5e6, 7.5e6):
+            waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
+            windows = [ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed)) for seed in range(3)]
+            mf_r = np.concatenate([r for r, _ in windows])
+            coarse = np.concatenate([_peak_lags(d) for _, d in windows])
+            assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform)
 
 
 def scattered(gather, weights):

@@ -11,6 +11,7 @@ import pytest
 import ranging_oracle
 from cohsync import (
     SPEED_OF_LIGHT,
+    CarrierPlan,
     ChannelState,
     EnvironmentRecord,
     ProcessingIntervalLog,
@@ -564,6 +565,77 @@ print(digest.hexdigest())
             )
             digests.add(result.stdout)
         assert len(digests) == 1
+
+
+class TestDisambiguationMemo:
+    """A run builds its noise-free disambiguation frame once.
+
+    Windows that share a memo must give the bytes of windows that build
+    everything themselves, whatever order geometries come in; a key that
+    left out one input of the frame would hand a window another
+    geometry's frame.
+    """
+
+    @staticmethod
+    def geometries():
+        """(waveform, channel) pairs; each after the first changes one input of the first.
+
+        Only the pulse-width variant changes the window length, so the
+        others test the key's fields other than ``n``.
+        """
+        config = default_config()
+        base_w = with_separation(config.waveform, 3.5e6)
+        base_c = replace(config.channel, snr_db=13.0)
+        return [
+            (base_w, base_c),
+            (base_w, replace(base_c, true_range=93.0)),
+            (replace(base_w, f_d=2.0e5), base_c),
+            (base_w, replace(base_c, carrier=CarrierPlan(offset1=150.0, offset2=-250.0))),
+            (replace(base_w, sample_rate=25.01e6), base_c),
+            (replace(base_w, ranging_pulse_width=150e-6), base_c),  # another window length
+            # what the memo must not hold: the SNR and the ranging tones
+            (base_w, replace(base_c, snr_db=23.0)),
+            (with_separation(base_w, 1.8e6), base_c),
+        ]
+
+    def test_memo_windows_equal_cold_windows(self):
+        geometries = self.geometries()
+        n = {effective_window_length(w, c) for w, c in geometries}
+        assert len(n) == 2  # only the pulse-width variant changes the window length
+        order = [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 3, 1, 4, 2, 5]
+        memo = {}
+        for step, index in enumerate(order):
+            waveform, state = geometries[index]
+            shared = simulate_window(waveform, state, 40, seed=(5, step), memo=memo)
+            cold = simulate_window(waveform, state, 40, seed=(5, step))
+            assert shared[0].tobytes() == cold[0].tobytes() and shared[1] == cold[1], (step, index)
+        assert len(memo) == 6  # one frame per geometry, none for the SNR or the tones
+
+    def test_one_build_per_run(self, monkeypatch):
+        calls = []
+        real = scenario.generate_disambiguation
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "generate_disambiguation", spy)
+        config = tuned_config(pulses=50)
+        trace = constant_trace(23.0, 4, cadence_s=5.25)
+        first = run_adaptive(config, trace, duration_s=4 * 5.25, seed=1)
+        assert len(first) == 4 and len(calls) == 1
+        # a second run starts cold and gets the same log
+        assert run_adaptive(config, trace, duration_s=4 * 5.25, seed=1) == first
+        assert len(calls) == 2
+        run_fixed_bandwidth(config, trace, duration_s=3 * 5.25, seed=1)
+        assert len(calls) == 3
+        plant = ranging_sigma_plant(config, n_intervals=3, seed=0)
+        plant(0.1)
+        plant(0.2)
+        assert len(calls) == 5  # one per plant call
+        # standalone windows build their own
+        simulate_window(config.waveform, config.channel, 10, seed=0)
+        assert len(calls) == 6
 
 
 class TestBenchmarkPatchPoints:
