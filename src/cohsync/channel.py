@@ -369,19 +369,3 @@ def matched_noise_peaks(
         full += search.clean_row
         peak[rows] = peak_indices(full)
     return (search.first + peak) % n, certified
-
-
-def post_snr_from_sample_snr(window_len: int, snr_db: float) -> float:
-    """Post-processing ``2E/N0`` implied by a window-average sample SNR."""
-    if window_len <= 0:
-        raise ValueError("window_len must be positive")
-    return 2.0 * window_len * 10.0 ** (snr_db / 10.0)
-
-
-def sample_snr_for_post_snr(window_len: int, post_snr: float) -> float:
-    """Window-average sample SNR (dB) that realizes a target ``2E/N0``."""
-    if window_len <= 0:
-        raise ValueError("window_len must be positive")
-    if not post_snr > 0:
-        raise ValueError("post_snr must be positive")
-    return 10.0 * math.log10(post_snr / (2.0 * window_len))

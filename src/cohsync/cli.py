@@ -109,7 +109,10 @@ def _resolve_seed(args, config: RunConfig | None = None) -> int:
         return args.seed
     env = os.environ.get("COHSYNC_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"COHSYNC_SEED must be an integer, got {env!r}") from None
     if config is not None:
         return config.seed
     return 0

@@ -38,7 +38,6 @@ class LoopConfig:
     group_size: int = 5
     pulse_period_s: float = 0.105
     target_sigma_m: float = 0.010
-    weather_coupling: bool = False
 
     def __post_init__(self):
         if self.group_size < 1:
@@ -132,7 +131,6 @@ _FIELDS = {
     "loop.group_size": ("loop.group_size", int),
     "loop.pulse_period_s": ("loop.pulse_period_s", float),
     "loop.target_sigma_m": ("loop.target_sigma_m", float),
-    "loop.weather_coupling": ("loop.weather_coupling", bool),
     "seed": ("seed", int),
 }
 _SECTIONS = tuple(dict.fromkeys(k.split(".")[0] for k in _FIELDS if "." in k))
@@ -144,10 +142,6 @@ class ConfigError(ValueError):
 
 
 def _check_value(name: str, value, kind):
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key '{name}' must be a boolean")
-        return value
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key '{name}' must be an integer")

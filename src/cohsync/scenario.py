@@ -37,10 +37,9 @@ filtering white noise on every sample in distribution.  Draws are not
 the same floats as filtering sampled noise, so seeds give other
 realisations than such a simulation would.
 
-Environment traces are sequences of 1-minute-cadence records.  Weather
-columns are carried as metadata; when ``loop.weather_coupling`` is on,
-a deliberately simple, non-physical mapping modulates the SNR (rain and
-humidity subtract dB, wind adds seeded jitter) for qualitative demos.
+Environment traces are sequences of 1-minute-cadence records.  A trace
+file's weather columns are checked and dropped: the weather reaches the
+loop through the SNR column.
 """
 
 import csv
@@ -64,7 +63,7 @@ from .channel import (
     peak_search,
     scaled_noise_power,
 )
-from .config import LoopConfig, RunConfig
+from .config import RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
 from .ranging import (
     _circular_correlation,
@@ -97,46 +96,13 @@ logger = logging.getLogger(__name__)
 # count, and artifacts would no longer be byte-identical across machines.
 _MAX_BLOCK_LAGS = 96
 
-# Illustrative weather-to-SNR coupling, intentionally non-physical; used
-# only when LoopConfig.weather_coupling is enabled.
-RAIN_DB_PER_MMHR = 0.12
-HUMIDITY_DB_PER_PCT_OVER_60 = 0.02
-WIND_JITTER_DB_PER_MPS = 0.15
-
 
 @dataclass(frozen=True)
 class EnvironmentRecord:
-    """One environment sample; weather fields are optional metadata."""
+    """One environment sample: the SNR in force from ``timestamp_s`` on."""
 
     timestamp_s: float
     snr_db: float
-    wind_mps: float = math.nan
-    humidity_pct: float = math.nan
-    rain_mmhr: float = math.nan
-    temp_c: float = math.nan
-
-
-@dataclass(frozen=True)
-class TraceSegment:
-    """One piece of a synthetic environment program.
-
-    ``snr_db_end`` turns the segment into a linear ramp; a positive
-    ``fluctuation_std_db`` adds a stationary AR(1) perturbation with
-    coefficient ``ar_coeff``.  ``start_s``, when given, must match the
-    end of the previous segment (segments are contiguous by
-    construction).
-    """
-
-    duration_s: float
-    snr_db: float
-    snr_db_end: float | None = None
-    fluctuation_std_db: float = 0.0
-    ar_coeff: float = 0.9
-    wind_mps: float = math.nan
-    humidity_pct: float = math.nan
-    rain_mmhr: float = math.nan
-    temp_c: float = math.nan
-    start_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -152,55 +118,6 @@ class ProcessingIntervalLog:
     timestamp_s: float
 
 
-def synthesize_trace(
-    segments: Sequence[TraceSegment],
-    seed: int = 0,
-    cadence_s: float = 60.0,
-    start_s: float = 0.0,
-) -> list[EnvironmentRecord]:
-    """Render a piecewise SNR/weather program to cadence-spaced records."""
-    if not segments:
-        raise ValueError("no segments given")
-    records: list[EnvironmentRecord] = []
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t = start_s
-    for idx, seg in enumerate(segments):
-        if seg.start_s is not None:
-            if seg.start_s < t - 1e-9:
-                raise ValueError(f"segment {idx} overlaps the previous one")
-            if seg.start_s > t + 1e-9:
-                raise ValueError(f"segment {idx} leaves a gap before it")
-        n = int(round(seg.duration_s / cadence_s))
-        if n < 1:
-            raise ValueError(f"segment {idx} shorter than one cadence interval")
-        fluct = np.zeros(n)
-        if seg.fluctuation_std_db > 0.0:
-            if not 0.0 <= seg.ar_coeff < 1.0:
-                raise ValueError("ar_coeff must lie in [0, 1)")
-            g = rng.standard_normal(n)
-            fluct[0] = seg.fluctuation_std_db * g[0]
-            drive = math.sqrt(1.0 - seg.ar_coeff**2) * seg.fluctuation_std_db
-            for k in range(1, n):
-                fluct[k] = seg.ar_coeff * fluct[k - 1] + drive * g[k]
-        for k in range(n):
-            frac = k / n
-            snr = seg.snr_db
-            if seg.snr_db_end is not None:
-                snr += (seg.snr_db_end - seg.snr_db) * frac
-            records.append(
-                EnvironmentRecord(
-                    timestamp_s=t + k * cadence_s,
-                    snr_db=snr + fluct[k],
-                    wind_mps=seg.wind_mps,
-                    humidity_pct=seg.humidity_pct,
-                    rain_mmhr=seg.rain_mmhr,
-                    temp_c=seg.temp_c,
-                )
-            )
-        t += n * cadence_s
-    return records
-
-
 _TRACE_FIELDS = ("timestamp_s", "snr_db", "wind_mps", "humidity_pct", "rain_mmhr", "temp_c")
 _LOG_FIELDS = ("interval", "f2_hz", "sigma_d_m", "mean_range_m", "snr_db", "error_m", "timestamp_s")
 
@@ -210,16 +127,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_trace_csv(path, records: Sequence[EnvironmentRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_FIELDS)
-        for r in records:
-            writer.writerow(["" if math.isnan(v) else _fmt(v) for v in astuple(r)])
-
-
 def read_trace_csv(path) -> list[EnvironmentRecord]:
-    """Parse a trace CSV; only timestamp_s and snr_db columns are required."""
+    """Parse a trace CSV; only timestamp_s and snr_db columns are required.
+
+    The optional weather columns must hold numbers or nothing, and are
+    not kept.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -233,15 +146,21 @@ def read_trace_csv(path) -> list[EnvironmentRecord]:
         records = []
         for row in reader:
             values = {}
-            for name in _TRACE_FIELDS:
-                raw = row.get(name)
-                values[name] = math.nan if raw in (None, "") else float(raw)
+            for name in reader.fieldnames:
+                raw = row[name]
+                try:
+                    values[name] = math.nan if raw in (None, "") else float(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}, column '{name}': "
+                        f"{raw!r} is not a number"
+                    ) from None
             for name in ("timestamp_s", "snr_db"):
                 if not math.isfinite(values[name]):
                     raise ValueError(
                         f"{path}: line {reader.line_num}: {name} must be a finite number"
                     )
-            records.append(EnvironmentRecord(**values))
+            records.append(EnvironmentRecord(values["timestamp_s"], values["snr_db"]))
     if not records:
         raise ValueError(f"{path}: trace has no records")
     times = [r.timestamp_s for r in records]
@@ -406,21 +325,6 @@ def _lookup(
     return trace[idx]
 
 
-def _effective_snr(
-    rec: EnvironmentRecord, loop: LoopConfig, rng: np.random.Generator
-) -> float:
-    if not loop.weather_coupling:
-        return rec.snr_db
-    snr = rec.snr_db
-    if not math.isnan(rec.rain_mmhr):
-        snr -= RAIN_DB_PER_MMHR * rec.rain_mmhr
-    if not math.isnan(rec.humidity_pct):
-        snr -= HUMIDITY_DB_PER_PCT_OVER_60 * max(0.0, rec.humidity_pct - 60.0)
-    if not math.isnan(rec.wind_mps) and rec.wind_mps > 0:
-        snr += rng.normal(0.0, WIND_JITTER_DB_PER_MPS * rec.wind_mps)
-    return snr
-
-
 def _closed_loop(
     config: RunConfig,
     trace: Sequence[EnvironmentRecord],
@@ -441,15 +345,13 @@ def _closed_loop(
     cadence = float(np.median(np.diff(times))) if len(times) > 1 else math.inf
     warned: set = set()
     memo: dict = {}  # the run's noise-free disambiguation frame (simulate_window)
-    weather_rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
 
     f1 = config.waveform.two_tone.f1
     x = config.controller.x_prev  # tone separation in force, Hz
     logs: list[ProcessingIntervalLog] = []
     for i in range(n_intervals):
         t = times[0] + i * dt
-        rec = _lookup(trace, t, times, cadence, warned)
-        snr = _effective_snr(rec, loop, weather_rng)
+        snr = _lookup(trace, t, times, cadence, warned).snr_db
         f2 = f1 + x
         wf = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f2))
         state = replace(config.channel, snr_db=snr)
@@ -477,8 +379,8 @@ def _replay(config, trace, duration_s, seed, law):
     """Validate a trace replay's inputs and run it on noise stream 1."""
     if not trace:
         raise ValueError("trace has no records")
-    if not duration_s > 0:
-        raise ValueError("duration_s must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
     n_intervals = int(duration_s // config.loop.interval_duration_s)
     if n_intervals < 1:
         raise ValueError("duration shorter than one processing interval")

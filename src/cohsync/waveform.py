@@ -2,10 +2,10 @@
 
 Everything here works on uniformly sampled complex baseband sequences.
 The two ranging tones are rendered at their positive offsets ``f1`` and
-``f2`` (carrier handling lives in :mod:`cohsync.channel`), so spectral
-moments are taken about the spectral centroid.  With that convention the
-mean-squared bandwidth of a long two-tone pulse converges to
-``(2*pi*delta_f)**2`` where ``delta_f = (f2 - f1) / 2``.
+``f2`` (carrier handling lives in :mod:`cohsync.channel`).  About its
+spectral centroid, a long two-tone pulse has mean-squared bandwidth
+``(2*pi*delta_f)**2`` where ``delta_f = (f2 - f1) / 2``; the accuracy
+bound :func:`crlb_sigma_r` takes that bandwidth.
 """
 
 import math
@@ -148,24 +148,6 @@ def generate_disambiguation(f_d: float, sample_rate: float) -> ComplexBasebandSi
         raise ValueError("disambiguation pulse must span at least 2 samples")
     t = np.arange(n) / sample_rate
     return ComplexBasebandSignal(np.exp(2j * np.pi * f_d * t), sample_rate)
-
-
-def mean_squared_bandwidth(signal: ComplexBasebandSignal) -> float:
-    """Second central moment of the power spectrum, in (rad/s)^2.
-
-    Discrete approximation of the integral form: the DFT power spectrum
-    weights ``(2*pi*f)**2`` deviations about the spectral centroid.
-    Taking the moment about the centroid removes the carrier-offset term,
-    so a pure two-tone pulse converges to ``(2*pi*delta_f)**2``.
-    """
-    spectrum = np.fft.fft(signal.samples)
-    power = np.abs(spectrum) ** 2
-    total = power.sum()
-    if not total > 0:
-        raise ValueError("signal has zero energy")
-    omega = 2.0 * np.pi * np.fft.fftfreq(signal.n_samples, d=1.0 / signal.sample_rate)
-    centroid = float((omega * power).sum() / total)
-    return float((((omega - centroid) ** 2) * power).sum() / total)
 
 
 def crlb_sigma_r(delta_f: float, post_snr: float) -> float:

@@ -1,15 +1,12 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from cohsync import (
-    CarrierPlan,
-    ChannelState,
-    TwoToneSpec,
-    WaveformConfig,
-    effective_window_length,
-    sample_snr_for_post_snr,
-)
+from cohsync.channel import CarrierPlan, ChannelState
+from cohsync.ranging import effective_window_length
+from cohsync.scenario import EnvironmentRecord
+from cohsync.waveform import TwoToneSpec, WaveformConfig
 
 # Operating-point waveform: 20 kHz / 7.52 MHz tones (delta_f = 3.75 MHz),
 # 1.875 MHz disambiguation tone, 143.7 us ranging pulse, 25 Msps.
@@ -39,5 +36,24 @@ def state_for_post_snr(
     probe = ChannelState(true_range=true_range, snr_db=0.0)
     n_win = effective_window_length(waveform, probe)
     return ChannelState(
-        true_range=true_range, snr_db=sample_snr_for_post_snr(n_win, post_snr)
+        true_range=true_range, snr_db=10.0 * math.log10(post_snr / (2.0 * n_win))
     )
+
+
+def post_snr_for(window_len: int, snr_db: float) -> float:
+    """Post-processing 2E/N0 of a frame padded to ``window_len`` samples at ``snr_db``."""
+    return 2.0 * window_len * 10.0 ** (snr_db / 10.0)
+
+
+def step_trace(*steps, cadence_s: float = 60.0) -> list[EnvironmentRecord]:
+    """Piecewise-constant trace: ``steps`` are ``(n_records, snr_db)`` pairs in time order."""
+    snrs = [snr_db for n_records, snr_db in steps for _ in range(n_records)]
+    return [EnvironmentRecord(k * cadence_s, snr_db) for k, snr_db in enumerate(snrs)]
+
+
+def write_trace(path, records) -> Path:
+    """Write ``records`` as a two-column trace CSV; returns the path."""
+    path = Path(path)
+    rows = ["timestamp_s,snr_db", *(f"{r.timestamp_s!r},{r.snr_db!r}" for r in records)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path

@@ -13,28 +13,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from cohsync import (
-    SPEED_OF_LIGHT,
-    CarrierPlan,
-    ChannelState,
-    SelfMixInput,
-    TraceSegment,
-    crlb_sigma_r,
-    default_config,
-    effective_window_length,
-    max_coherent_frequency,
-    path_phase,
-    post_snr_from_sample_snr,
-    residual_baseband_frequency,
-    run_adaptive,
-    self_mix,
-    simulate_window,
-    synthesize_trace,
-    wrap_phase,
-)
+from cohsync.channel import CarrierPlan, ChannelState, residual_baseband_frequency
 from cohsync.cli import main
+from cohsync.coherence import max_coherent_frequency
+from cohsync.config import default_config
+from cohsync.freqlock import SelfMixInput, path_phase, self_mix, wrap_phase
+from cohsync.ranging import effective_window_length
+from cohsync.scenario import run_adaptive, simulate_window
+from cohsync.waveform import SPEED_OF_LIGHT, crlb_sigma_r
 
-from conftest import state_for_post_snr
+from conftest import post_snr_for, state_for_post_snr, step_trace, write_trace
 from test_scenario import TUNED_KP, TUNED_TI, constant_trace, reaches_clamp, tuned_config
 
 REFERENCE_THRESHOLDS = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
@@ -136,20 +124,20 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
         assert worst < 0.5 * ambiguity_m, f"worst error {worst:.2f} m"
 
         # with disambiguation disabled, k-period offsets alias to 20 m * k
-        import cohsync
+        from cohsync import channel, ranging, waveform
 
-        pulse = cohsync.generate_two_tone(full_waveform.two_tone, 143.7e-6, 25e6)
+        pulse = waveform.generate_two_tone(full_waveform.two_tone, 143.7e-6, 25e6)
         prior_lag = 2 * 90.0 / SPEED_OF_LIGHT
         for k in (1, 2, 3):
             true_range = 90.0 + k * ambiguity_m
-            frame = cohsync.ComplexBasebandSignal(
+            frame = waveform.ComplexBasebandSignal(
                 np.concatenate([pulse.samples, np.zeros(256)]), 25e6
             )
-            rx = cohsync.apply_round_trip_response(
+            rx = channel.apply_round_trip_response(
                 frame, ChannelState(true_range=true_range, snr_db=math.inf)
             )
-            est = cohsync.disambiguate_and_refine(
-                cohsync.matched_filter(rx, pulse),
+            est = ranging.disambiguate_and_refine(
+                ranging.matched_filter(rx, pulse),
                 None,
                 full_waveform,
                 expected_lag_s=prior_lag,
@@ -162,13 +150,7 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
 @pytest.fixture(scope="module")
 def adaptive_step_logs():
     config = tuned_config()
-    trace = synthesize_trace(
-        [
-            TraceSegment(duration_s=12 * INTERVAL_S, snr_db=23.0),
-            TraceSegment(duration_s=31 * INTERVAL_S, snr_db=13.0),
-        ],
-        cadence_s=INTERVAL_S,
-    )
+    trace = step_trace((12, 23.0), (31, 13.0), cadence_s=INTERVAL_S)
     return config, run_adaptive(config, trace, duration_s=42 * INTERVAL_S, seed=7)
 
 
@@ -194,7 +176,7 @@ def test_criterion_4_closed_loop_adaptation(adaptive_step_logs):
         )
 
         n_win = effective_window_length(config.waveform, config.channel)
-        rho_post = post_snr_from_sample_snr(n_win, 13.0)
+        rho_post = post_snr_for(n_win, 13.0)
         x_star = SPEED_OF_LIGHT / (
             2 * math.pi * math.sqrt(5.0) * math.sqrt(rho_post) * target
         )
@@ -255,10 +237,7 @@ def test_criterion_7_determinism(montecarlo_artifacts, tmp_path):
         assert rerun.read_bytes() == art["curve_bytes"]
 
         # scenario path: adaptive CLI run repeated byte-for-byte
-        from cohsync.scenario import write_trace_csv
-
-        trace_path = tmp_path / "trace.csv"
-        write_trace_csv(trace_path, constant_trace(23.0, 3, cadence_s=5.25))
+        trace_path = write_trace(tmp_path / "trace.csv", constant_trace(23.0, 3, cadence_s=5.25))
         config_path = tmp_path / "config.json"
         config_path.write_text(
             json.dumps(

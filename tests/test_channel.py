@@ -5,31 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsync import (
-    SPEED_OF_LIGHT,
+from cohsync.channel import (
     CarrierPlan,
     ChannelState,
-    ComplexBasebandSignal,
-    apply_round_trip_response,
-    disambiguate_and_refine,
-    matched_filter,
-    post_snr_from_sample_snr,
-    residual_baseband_frequency,
-    sample_snr_for_post_snr,
-)
-from cohsync.channel import (
     _certify,
     _complete_noise,
     _max_modulus,
+    apply_round_trip_response,
     matched_noise_block,
     matched_noise_peaks,
     matched_noise_rows,
     noise_power_for,
     peak_search,
+    residual_baseband_frequency,
 )
-from cohsync.ranging import _circular_correlation, effective_window_length
+from cohsync.ranging import (
+    _circular_correlation,
+    disambiguate_and_refine,
+    effective_window_length,
+    matched_filter,
+)
+from cohsync.waveform import (
+    SPEED_OF_LIGHT,
+    ComplexBasebandSignal,
+    TwoToneSpec,
+    generate_disambiguation,
+    generate_two_tone,
+)
 from ranging_oracle import noisy_rows
-from cohsync.waveform import TwoToneSpec, generate_disambiguation, generate_two_tone
 from scipy import stats
 
 FS = 25e6
@@ -276,24 +279,6 @@ class TestCertifiedPeaks:
         assert np.array_equal(np.argmax(np.abs(full), axis=1)[certified], peak[certified])
         if snr_db == -15.0:
             assert 0 < certified.sum() < n_rows
-
-
-class TestSnrHelpers:
-    def test_round_trip(self):
-        snr = sample_snr_for_post_snr(3750, 1e6)
-        assert post_snr_from_sample_snr(3750, snr) == pytest.approx(1e6, rel=1e-12)
-
-    def test_post_snr_scale(self):
-        # 2E/N0 doubles with the window when the per-sample SNR is fixed
-        assert post_snr_from_sample_snr(2000, 3.0) == pytest.approx(
-            2 * post_snr_from_sample_snr(1000, 3.0)
-        )
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            sample_snr_for_post_snr(0, 1e6)
-        with pytest.raises(ValueError):
-            sample_snr_for_post_snr(1000, 0.0)
 
 
 class TestChannelState:

@@ -9,22 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohsync import crlb_sigma_r, read_run_log_csv, summarize_run
 import cohsync
+from conftest import post_snr_for, step_trace, write_trace
 from cohsync.cli import MAX_GRID_POINTS, main
 from cohsync.coherence import MAX_TRIAL_NODES
 from cohsync.ranging import MAX_FRAME_SAMPLES, _fast_lengths, _next_fast_len
-from cohsync.scenario import TraceSegment, synthesize_trace, write_trace_csv
+from cohsync.scenario import read_run_log_csv, summarize_run
+from cohsync.waveform import crlb_sigma_r
 
 
 def make_trace(tmp_path, snr_db=23.0, intervals=3, cadence_s=5.25):
-    path = tmp_path / "trace.csv"
-    records = synthesize_trace(
-        [TraceSegment(duration_s=intervals * cadence_s, snr_db=snr_db)],
-        cadence_s=cadence_s,
-    )
-    write_trace_csv(path, records)
-    return path
+    return write_trace(tmp_path / "trace.csv", step_trace((intervals, snr_db), cadence_s=cadence_s))
 
 
 def small_config(tmp_path, **controller):
@@ -238,6 +233,14 @@ class TestMonteCarloCommand:
         report = json.loads((tmp_path / "mc.report.json").read_text())
         assert report["seed"] == 77
 
+    def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COHSYNC_SEED", "abc")
+        out = tmp_path / "mc.csv"
+        rc = main(["montecarlo", "--trials", "1000", "--sigma-grid", "0.01:0.1:4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: COHSYNC_SEED must be an integer, got 'abc'\n"
+        assert not out.exists()
+
 
 class TestArgumentBounds:
     """Grid and size arguments the model cannot represent fail before any allocation."""
@@ -325,19 +328,12 @@ class TestRunCommand:
         assert resolved["channel"]["snr_db"] == 23.0
 
         # reported accuracy sits within a factor two of the bound
-        import math
-
-        from cohsync import (
-            ChannelState,
-            config_from_dict,
-            crlb_sigma_r,
-            effective_window_length,
-            post_snr_from_sample_snr,
-        )
+        from cohsync.config import config_from_dict
+        from cohsync.ranging import effective_window_length
 
         config = config_from_dict(json.loads(config_path.read_text()))
         n_win = effective_window_length(config.waveform, config.channel)
-        rho = post_snr_from_sample_snr(n_win, 23.0)
+        rho = post_snr_for(n_win, 23.0)
         predicted = crlb_sigma_r(config.waveform.two_tone.delta_f, rho) / math.sqrt(5)
         assert predicted / 2 < summary["sigma_d_m"]["mean"] < predicted * 2
 
@@ -366,6 +362,28 @@ class TestRunCommand:
             assert rc == 0
             outs.append((out_dir / "run_log.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_weather_columns_do_not_reach_the_run(self, tmp_path):
+        # the weather reaches the loop only through the SNR column
+        plain = write_trace(tmp_path / "plain.csv", step_trace((2, 23.0), (2, 13.0), cadence_s=5.25))
+        weather = tmp_path / "weather.csv"
+        weather.write_text(
+            "timestamp_s,snr_db,wind_mps,humidity_pct,rain_mmhr,temp_c\n"
+            "0.0,23.0,12.0,95.0,25.0,4.5\n5.25,23.0,,80.0,0.5,\n"
+            "10.5,13.0,3.0,99.0,40.0,-2.0\n15.75,13.0,0.0,,,30.0\n"
+        )
+        config = small_config(tmp_path)
+        logs = []
+        for trace in (plain, weather):
+            out_dir = tmp_path / trace.stem
+            argv = ["run", "--config", str(config), "--trace", str(trace), "--adaptive",
+                    "--duration-s", "21.0", "--seed", "9", "--out", str(out_dir)]
+            assert main(argv) == 0
+            logs.append((out_dir / "run_log.csv").read_bytes())
+        assert logs[0] == logs[1]
+        assert [l.snr_db for l in read_run_log_csv(tmp_path / "weather" / "run_log.csv")] == [
+            23.0, 23.0, 13.0, 13.0
+        ]
 
     def test_empty_trace_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "empty.csv"
@@ -497,12 +515,12 @@ class TestLoadTimeRejection:
         assert not out.exists()
 
     def test_noise_free_snr_still_accepted(self):
-        from cohsync import config_from_dict
+        from cohsync.config import config_from_dict
 
         assert config_from_dict({"channel": {"snr_db": math.inf}}).channel.snr_db == math.inf
 
     def test_montecarlo_section_is_unknown(self):
-        from cohsync import ConfigError, config_from_dict
+        from cohsync.config import ConfigError, config_from_dict
 
         with pytest.raises(ConfigError, match="unknown config key 'montecarlo'"):
             config_from_dict({"montecarlo": {"trials": 100}})

@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsync import (
-    ArrayScenario,
-    coherence,
-    coherent_gain,
-    max_coherent_frequency,
-    probability_curve,
-    threshold_crossings,
-)
+from cohsync import coherence
 from cohsync.coherence import (
+    ArrayScenario,
     _draw_geometry,
     _phase_errors,
     binomial_standard_error,
+    coherent_gain,
     crossing_standard_errors,
+    max_coherent_frequency,
+    probability_curve,
+    threshold_crossings,
 )
 from cohsync.waveform import SPEED_OF_LIGHT
 

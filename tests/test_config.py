@@ -6,16 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from cohsync import (
+from cohsync.config import (
+    MAX_FRAME_SAMPLES,
     ConfigError,
     config_from_dict,
     config_to_dict,
     default_config,
-    effective_window_length,
     load_config,
     save_config,
 )
-from cohsync.config import MAX_FRAME_SAMPLES
+from cohsync.ranging import effective_window_length
 
 # one valid key per section, with a value of the right type
 SECTION_KEYS = {
@@ -25,7 +25,7 @@ SECTION_KEYS = {
     "loop": ("group_size", 5),
 }
 
-# Keys of earlier versions, each with its old default.  The estimator
+# Keys of earlier versions, each with a value they took.  The estimator
 # section went as a whole, so its keys are reported by the section name.
 REMOVED_KEYS = [
     ("waveform", "disamb_pulse_width_s", 1.0 / 1.875e6, "waveform.disamb_pulse_width_s"),
@@ -39,6 +39,7 @@ REMOVED_KEYS = [
     ("channel", "return_carrier_hz", 5.8e9, "channel.return_carrier_hz"),
     ("controller", "error_scale", 1e3, "controller.error_scale"),
     ("controller", "output_scale", 1e6, "controller.output_scale"),
+    ("loop", "weather_coupling", True, "loop.weather_coupling"),
 ]
 
 
@@ -69,8 +70,6 @@ class TestTypes:
     @pytest.mark.parametrize(
         "section, key, value, want",
         [
-            ("loop", "weather_coupling", 1, "a boolean"),
-            ("loop", "weather_coupling", "yes", "a boolean"),
             ("loop", "group_size", True, "an integer"),
             ("loop", "group_size", 5.0, "an integer"),
             ("loop", "pulses_per_interval", "200", "an integer"),
@@ -87,9 +86,6 @@ class TestTypes:
         config = config_from_dict({"channel": {"true_range_m": 120}})
         assert config.channel.true_range == 120.0
         assert isinstance(config.channel.true_range, float)
-
-    def test_bool_accepted_for_boolean(self):
-        assert config_from_dict({"loop": {"weather_coupling": True}}).loop.weather_coupling
 
     def test_nan_rejected(self):
         msg = error_of({"controller": {"k_p": math.nan}})
@@ -201,7 +197,6 @@ class TestRoundTrip:
                     "group_size": 4,
                     "pulse_period_s": 0.2,
                     "target_sigma_m": 0.02,
-                    "weather_coupling": True,
                 },
                 "seed": 99,
             }

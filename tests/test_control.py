@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsync import (
+from cohsync.control import (
     PiControllerState,
     find_ultimate_gain,
     pi_step,

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsync import (
-    CarrierPlan,
-    SelfMixInput,
-    path_phase,
-    residual_baseband_frequency,
-    self_mix,
-    wrap_phase,
-)
+from cohsync.channel import CarrierPlan, residual_baseband_frequency
+from cohsync.freqlock import SelfMixInput, path_phase, self_mix, wrap_phase
 from cohsync.waveform import SPEED_OF_LIGHT
 
 

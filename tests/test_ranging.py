@@ -7,19 +7,9 @@ from statistics import mean, stdev
 import numpy as np
 import pytest
 
-from cohsync import (
-    SPEED_OF_LIGHT,
-    ChannelState,
-    ComplexBasebandSignal,
-    TwoToneSpec,
-    crlb_sigma_r,
-    default_config,
-    disambiguate_and_refine,
-    matched_filter,
-    simulate_window,
-    window_stats,
-)
 from cohsync import ranging
+from cohsync.channel import ChannelState
+from cohsync.config import default_config
 from cohsync.ranging import (
     INTERP_BETA,
     INTERP_TAPS,
@@ -28,9 +18,20 @@ from cohsync.ranging import (
     _interp_table,
     _natural_spline_max,
     _peak_lags,
+    disambiguate_and_refine,
+    matched_filter,
     refine_window,
+    window_stats,
 )
-from cohsync.waveform import generate_disambiguation, generate_two_tone
+from cohsync.scenario import simulate_window
+from cohsync.waveform import (
+    SPEED_OF_LIGHT,
+    ComplexBasebandSignal,
+    TwoToneSpec,
+    crlb_sigma_r,
+    generate_disambiguation,
+    generate_two_tone,
+)
 
 import ranging_oracle
 from conftest import state_for_post_snr
@@ -137,7 +138,7 @@ class TestDisambiguateAndRefine:
             frame = ComplexBasebandSignal(
                 np.concatenate([pulse.samples, np.zeros(256)]), FS
             )
-            from cohsync import apply_round_trip_response
+            from cohsync.channel import apply_round_trip_response
 
             rx = apply_round_trip_response(frame, state)
             est = disambiguate_and_refine(
@@ -184,7 +185,7 @@ class TestEstimatorStatistics:
     def test_std_decreases_with_wider_separation(self, full_waveform):
         from dataclasses import replace
 
-        from cohsync import TwoToneSpec
+        from cohsync.waveform import TwoToneSpec
 
         narrow = replace(full_waveform, two_tone=TwoToneSpec(20e3, 2.02e6))
         post = 1e5

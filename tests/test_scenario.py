@@ -9,21 +9,28 @@ import numpy as np
 import pytest
 
 import ranging_oracle
-from cohsync import (
-    SPEED_OF_LIGHT,
-    CarrierPlan,
-    ChannelState,
-    EnvironmentRecord,
-    ProcessingIntervalLog,
-    TraceSegment,
-    TwoToneSpec,
-    config_from_dict,
-    crlb_sigma_r,
-    default_config,
-    effective_window_length,
+from conftest import post_snr_for, step_trace, write_trace
+import cohsync
+from cohsync import channel, scenario
+from cohsync.channel import CarrierPlan, ChannelState
+from cohsync.config import config_from_dict, default_config
+from cohsync.control import (
+    ERROR_SCALE,
+    OUTPUT_SCALE,
     find_ultimate_gain,
     pi_step,
-    post_snr_from_sample_snr,
+    ziegler_nichols_gains,
+)
+from cohsync.ranging import (
+    WINDOW_PAD_SAMPLES,
+    _peak_lags,
+    effective_window_length,
+    refine_window,
+    window_stats,
+)
+from cohsync.scenario import (
+    EnvironmentRecord,
+    ProcessingIntervalLog,
     ranging_sigma_plant,
     read_run_log_csv,
     read_trace_csv,
@@ -31,16 +38,9 @@ from cohsync import (
     run_fixed_bandwidth,
     simulate_window,
     summarize_run,
-    synthesize_trace,
-    window_stats,
     write_run_log_csv,
-    write_trace_csv,
-    ziegler_nichols_gains,
 )
-import cohsync
-from cohsync import channel, scenario
-from cohsync.control import ERROR_SCALE, OUTPUT_SCALE
-from cohsync.ranging import WINDOW_PAD_SAMPLES, _peak_lags, refine_window
+from cohsync.waveform import SPEED_OF_LIGHT, TwoToneSpec, crlb_sigma_r
 from scipy import stats
 
 # Gains from the ultimate-gain search on the simulated loop at the 23 dB
@@ -63,10 +63,7 @@ def tuned_config(snr_db=23.0, x0_hz=3.5e6, pulses=200):
 
 
 def constant_trace(snr_db, n_intervals, cadence_s=INTERVAL_S):
-    return synthesize_trace(
-        [TraceSegment(duration_s=n_intervals * cadence_s, snr_db=snr_db)],
-        cadence_s=cadence_s,
-    )
+    return step_trace((n_intervals, snr_db), cadence_s=cadence_s)
 
 
 def reaches_clamp(logs, f1_hz=20e3, x_max_hz=7.5e6):
@@ -80,78 +77,20 @@ def reaches_clamp(logs, f1_hz=20e3, x_max_hz=7.5e6):
 
 def predicted_sigma_d(config, snr_db):
     n_win = effective_window_length(config.waveform, config.channel)
-    rho = post_snr_from_sample_snr(n_win, snr_db)
+    rho = post_snr_for(n_win, snr_db)
     delta_f = config.waveform.two_tone.delta_f
     return crlb_sigma_r(delta_f, rho) / math.sqrt(config.loop.group_size)
 
 
-class TestSynthesizeTrace:
-    def test_constant_segment(self):
-        records = synthesize_trace([TraceSegment(duration_s=300.0, snr_db=15.0)])
-        assert len(records) == 5
-        assert all(r.snr_db == 15.0 for r in records)
-        assert [r.timestamp_s for r in records] == [0.0, 60.0, 120.0, 180.0, 240.0]
-
-    def test_step_program_exact_boundary(self):
-        records = synthesize_trace(
-            [
-                TraceSegment(duration_s=120.0, snr_db=20.0),
-                TraceSegment(duration_s=120.0, snr_db=10.0),
-            ]
-        )
-        assert [r.snr_db for r in records] == [20.0, 20.0, 10.0, 10.0]
-        assert records[2].timestamp_s == 120.0
-
-    def test_ramp_segment(self):
-        records = synthesize_trace(
-            [TraceSegment(duration_s=240.0, snr_db=10.0, snr_db_end=18.0)]
-        )
-        snrs = [r.snr_db for r in records]
-        assert snrs == pytest.approx([10.0, 12.0, 14.0, 16.0])
-
-    def test_ar1_fluctuation_statistics_and_determinism(self):
-        seg = TraceSegment(
-            duration_s=60.0 * 4000, snr_db=20.0, fluctuation_std_db=1.5, ar_coeff=0.5
-        )
-        a = synthesize_trace([seg], seed=9)
-        b = synthesize_trace([seg], seed=9)
-        assert [r.snr_db for r in a] == [r.snr_db for r in b]
-        std = np.std([r.snr_db for r in a])
-        assert std == pytest.approx(1.5, rel=0.10)
-
-    def test_rejects_overlap_and_gap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            synthesize_trace(
-                [
-                    TraceSegment(duration_s=120.0, snr_db=20.0),
-                    TraceSegment(duration_s=60.0, snr_db=10.0, start_s=60.0),
-                ]
-            )
-        with pytest.raises(ValueError, match="gap"):
-            synthesize_trace(
-                [
-                    TraceSegment(duration_s=120.0, snr_db=20.0),
-                    TraceSegment(duration_s=60.0, snr_db=10.0, start_s=600.0),
-                ]
-            )
-
-
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
-        records = synthesize_trace(
-            [TraceSegment(duration_s=180.0, snr_db=17.5, wind_mps=4.0, rain_mmhr=0.2)]
-        )
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, records)
-        back = read_trace_csv(path)
-        assert back == records
+        records = step_trace((2, 17.5), (1, 0.1), (2, -3.25), cadence_s=5.25)
+        assert read_trace_csv(write_trace(tmp_path / "trace.csv", records)) == records
 
     def test_missing_optional_columns_permitted(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("timestamp_s,snr_db\n0.0,20.0\n60.0,21.0\n")
-        records = read_trace_csv(path)
-        assert len(records) == 2
-        assert math.isnan(records[0].wind_mps)
+        assert read_trace_csv(path) == [EnvironmentRecord(0.0, 20.0), EnvironmentRecord(60.0, 21.0)]
 
     def test_rejects_bad_traces(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -166,6 +105,12 @@ class TestTraceCsv:
         disordered.write_text("timestamp_s,snr_db\n60.0,1.0\n0.0,2.0\n")
         with pytest.raises(ValueError, match="increasing"):
             read_trace_csv(disordered)
+        for row in ("0.0,1.0,abc", "abc,1.0,2.0"):
+            bad = tmp_path / "bad.csv"
+            bad.write_text(f"timestamp_s,snr_db,wind_mps\n-60.0,1.0,2.0\n{row}\n")
+            column = "wind_mps" if row.endswith("abc") else "timestamp_s"
+            with pytest.raises(ValueError, match=rf"bad\.csv: line 3, column '{column}': 'abc' is not a number"):
+                read_trace_csv(bad)
 
 
 class TestRunLoop:
@@ -181,13 +126,7 @@ class TestRunLoop:
 
     def test_fixed_run_snr_step_scales_sigma_by_sqrt10(self):
         config = tuned_config()
-        trace = synthesize_trace(
-            [
-                TraceSegment(duration_s=3 * INTERVAL_S, snr_db=23.0),
-                TraceSegment(duration_s=3 * INTERVAL_S, snr_db=13.0),
-            ],
-            cadence_s=INTERVAL_S,
-        )
+        trace = step_trace((3, 23.0), (3, 13.0), cadence_s=INTERVAL_S)
         logs = run_fixed_bandwidth(config, trace, duration_s=6 * INTERVAL_S, seed=6)
         before = np.mean([l.sigma_d_m for l in logs[:3]])
         after = np.mean([l.sigma_d_m for l in logs[3:]])
@@ -248,6 +187,9 @@ class TestRunLoop:
         trace = constant_trace(23.0, 2)
         with pytest.raises(ValueError):
             run_fixed_bandwidth(config, trace, duration_s=1.0)
+        for duration_s in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="duration_s"):
+                run_fixed_bandwidth(config, trace, duration_s=duration_s)
 
 
 class TestAdaptiveRuns:
@@ -258,7 +200,7 @@ class TestAdaptiveRuns:
         sigma_tail = np.mean([l.sigma_d_m for l in logs[-5:]])
         assert abs(sigma_tail - config.loop.target_sigma_m) <= 2e-3
         n_win = effective_window_length(config.waveform, config.channel)
-        rho = post_snr_from_sample_snr(n_win, 23.0)
+        rho = post_snr_for(n_win, 23.0)
         x_star = SPEED_OF_LIGHT / (
             2 * math.pi * math.sqrt(5.0) * math.sqrt(rho) * config.loop.target_sigma_m
         )
@@ -293,16 +235,6 @@ class TestAdaptiveRuns:
         assert logs[0].controller_error_m == pytest.approx(
             logs[0].sigma_d_m - 0.02, rel=1e-12
         )
-
-    def test_weather_coupling_changes_effective_snr(self):
-        config = tuned_config(pulses=50)
-        coupled = replace(config, loop=replace(config.loop, weather_coupling=True))
-        seg = TraceSegment(duration_s=2 * INTERVAL_S, snr_db=23.0, rain_mmhr=20.0)
-        trace = synthesize_trace([seg], cadence_s=INTERVAL_S)
-        plain = run_fixed_bandwidth(config, trace, duration_s=INTERVAL_S, seed=4)
-        wet = run_fixed_bandwidth(coupled, trace, duration_s=INTERVAL_S, seed=4)
-        assert plain[0].snr_db == 23.0
-        assert wet[0].snr_db < 23.0
 
 
 class TestTuningPipeline:
@@ -544,7 +476,10 @@ class TestBlasThreads:
     SCRIPT = """
 import hashlib
 from dataclasses import replace
-from cohsync import ChannelState, TwoToneSpec, default_config, simulate_window
+from cohsync.channel import ChannelState
+from cohsync.config import default_config
+from cohsync.scenario import simulate_window
+from cohsync.waveform import TwoToneSpec
 waveform = default_config().waveform
 digest = hashlib.sha256()
 for separation, snr_db in ((0.5e6, 13.0), (1e6, 13.0), (3.5e6, 13.0), (3.5e6, -20.0)):

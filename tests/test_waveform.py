@@ -3,17 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from cohsync import (
+from cohsync.waveform import (
     SPEED_OF_LIGHT,
     ComplexBasebandSignal,
     TwoToneSpec,
     crlb_sigma_r,
     generate_disambiguation,
     generate_two_tone,
-    mean_squared_bandwidth,
 )
 
 FS = 25e6
@@ -87,65 +84,6 @@ class TestGenerateDisambiguation:
             generate_disambiguation(13e6, FS)
         with pytest.raises(ValueError):
             generate_disambiguation(0.0, FS)
-
-
-class TestMeanSquaredBandwidth:
-    def test_symmetric_tone_pair_closed_form(self):
-        # tones at +/- 3.75 MHz, several hundred envelope periods long
-        delta_f = 3.75e6
-        n = 3592
-        t = np.arange(n) / FS
-        samples = np.exp(-2j * np.pi * delta_f * t) + np.exp(2j * np.pi * delta_f * t)
-        beta2 = mean_squared_bandwidth(ComplexBasebandSignal(samples, FS))
-        assert beta2 == pytest.approx((2 * np.pi * delta_f) ** 2, rel=0.01)
-
-    def test_generated_two_tone_closed_form(self):
-        pulse = generate_two_tone(TwoToneSpec(20e3, 7.52e6), 143.7e-6, FS)
-        beta2 = mean_squared_bandwidth(pulse)
-        assert beta2 == pytest.approx((2 * np.pi * 3.75e6) ** 2, rel=0.01)
-
-    def test_dc_only_is_zero(self):
-        sig = ComplexBasebandSignal(np.ones(256), FS)
-        assert mean_squared_bandwidth(sig) == pytest.approx(0.0, abs=1e-6)
-
-    def test_matches_double_summation_dft_oracle(self):
-        # oracle: O(n^2) DFT by explicit loops, then the same central moment
-        rng = np.random.default_rng(42)
-        n = 64
-        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        spectrum = []
-        for m in range(n):
-            acc = 0j
-            for k in range(n):
-                acc += samples[k] * cmath.exp(-2j * cmath.pi * m * k / n)
-            spectrum.append(acc)
-        power = np.array([abs(v) ** 2 for v in spectrum])
-        omega = 2 * np.pi * np.fft.fftfreq(n, d=1.0 / FS)
-        centroid = (omega * power).sum() / power.sum()
-        oracle = (((omega - centroid) ** 2) * power).sum() / power.sum()
-        value = mean_squared_bandwidth(ComplexBasebandSignal(samples, FS))
-        assert value == pytest.approx(oracle, rel=1e-9)
-
-    def test_rejects_zero_energy(self):
-        with pytest.raises(ValueError):
-            mean_squared_bandwidth(ComplexBasebandSignal(np.zeros(16), FS))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-1e3, 1e3, allow_nan=False),
-                st.floats(-1e3, 1e3, allow_nan=False),
-            ),
-            min_size=4,
-            max_size=64,
-        )
-    )
-    def test_parseval_consistency(self, pairs):
-        samples = np.array([complex(re, im) for re, im in pairs])
-        time_energy = float(np.sum(np.abs(samples) ** 2))
-        spectral_energy = float(np.sum(np.abs(np.fft.fft(samples)) ** 2)) / len(samples)
-        assert spectral_energy == pytest.approx(time_energy, rel=1e-9, abs=1e-9)
 
 
 class TestCrlbSigmaR:
