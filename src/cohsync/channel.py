@@ -42,6 +42,12 @@ the distribution of a whole row's peak.  Templates whose near samples
 would cover the window draw whole rows.  The noise-free part of this (the
 rotated clean row, the template's DFT, ``||p||_1`` and ``max_far |clean|``)
 is a :class:`PeakSearch`, built once per clean row and template.
+
+Whole rows are drawn and reduced ``_ROW_CHUNK`` rows at a time
+(:func:`noisy_row_chunks`), so no ``(rows, n)`` array is held.  The chunks
+take the normals in the order one :func:`matched_noise_rows` call of all
+the rows would, and each row's inverse FFT does not depend on the rows it
+shares a call with, so they hold exactly that call's rows.
 """
 
 import math
@@ -206,19 +212,42 @@ def matched_noise_block(
     return z @ root.T
 
 
-# Rows per chunk when whole matched-filter rows are scanned for their peaks;
-# keeps the magnitude temporaries small next to the rows themselves.
+# Rows per chunk when whole matched-filter rows are drawn or scanned for their
+# peaks: a chunk of 3750-sample rows and its magnitudes take about 1.4 MB.
 _ROW_CHUNK = 16
+
+
+def _row_chunks(n_rows: int):
+    """Slices of ``_ROW_CHUNK`` consecutive rows (fewer in the last) that cover ``n_rows``."""
+    for start in range(0, n_rows, _ROW_CHUNK):
+        yield slice(start, min(start + _ROW_CHUNK, n_rows))
 
 
 def peak_indices(rows: np.ndarray) -> np.ndarray:
     """Index of each row's largest modulus (the first of equal ones)."""
     return np.concatenate(
-        [
-            np.argmax(np.abs(rows[start : start + _ROW_CHUNK]), axis=1)
-            for start in range(0, len(rows), _ROW_CHUNK)
-        ]
+        [np.argmax(np.abs(rows[chunk]), axis=1) for chunk in _row_chunks(len(rows))]
     )
+
+
+def noisy_row_chunks(
+    template_spectrum: np.ndarray,
+    clean_row: np.ndarray,
+    noise_power: float,
+    n_rows: int,
+    rng: np.random.Generator,
+):
+    """``n_rows`` rows of ``clean_row`` plus matched-filter noise, ``_ROW_CHUNK`` at a time.
+
+    Yields ``(rows, chunk)``, the slice of row numbers and their ``(len,
+    n)`` outputs; a caller keeps what it reads of a chunk before it asks
+    for the next.  The rows are exactly those of ``clean_row +
+    matched_noise_rows(template_spectrum, noise_power, n_rows, rng)``.
+    """
+    for rows in _row_chunks(n_rows):
+        chunk = matched_noise_rows(template_spectrum, noise_power, rows.stop - rows.start, rng)
+        chunk += clean_row
+        yield rows, chunk
 
 
 def _max_modulus(
@@ -351,17 +380,20 @@ def matched_noise_peaks(
     if noise_power == 0.0:
         return np.full(n_rows, search.peak), np.ones(n_rows, dtype=bool)
     if search.n_inputs >= n:
-        rows = matched_noise_rows(search.spectrum, noise_power, n_rows, rng)
-        rows += search.clean_row
-        return peak_indices(rows), np.zeros(n_rows, dtype=bool)
+        peak = np.empty(n_rows, dtype=np.intp)
+        for rows, chunk in noisy_row_chunks(
+            search.spectrum, search.clean_row, noise_power, n_rows, rng
+        ):
+            peak[rows] = peak_indices(chunk)
+        return peak, np.zeros(n_rows, dtype=bool)
     near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
     near *= math.sqrt(noise_power / 2.0)
     r_max = _max_modulus(noise_power, n - search.n_inputs, n_rows, rng)
     peak, certified = _certify(search, near, r_max)
 
     pending = np.flatnonzero(~certified)
-    for start in range(0, pending.size, _ROW_CHUNK):
-        rows = pending[start : start + _ROW_CHUNK]
+    for chunk in _row_chunks(pending.size):
+        rows = pending[chunk]
         full = _complete_noise(near[rows], r_max[rows], noise_power, n, rng)
         np.fft.fft(full, axis=1, out=full)
         full *= np.conj(search.spectrum)

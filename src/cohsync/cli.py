@@ -142,6 +142,8 @@ def _by_level(values: dict[float, float]) -> dict[str, float | None]:
 def _cmd_montecarlo(args) -> int:
     if not 0.0 < args.threshold <= 1.0:
         raise ValueError(f"--threshold {args.threshold} must lie in (0, 1], the range of the coherent gain")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.trials < 1000:
         print(
             f"warning: {args.trials} trials is below the 1000 recommended "

@@ -47,12 +47,15 @@ INTERP_BETA = 14.0
 WINDOW_PAD_SAMPLES = 128
 
 # Limit on the complex samples of one window's frame array (pulses_per_interval
-# x receive-window length): 256 MiB at 16 bytes a sample.  A window peaks at
-# about 1.25 such arrays when the ranging noise is whole rows, so about
-# 320 MiB (tracemalloc on 200 x 3750 windows: 1.23-1.24 with whole ranging
-# rows, 0.24-0.32 with a lag block, 1.06 with whole disambiguation rows from
-# a 3968-sample pulse).  The reference 200 x 3750 uses 4.5 %.  It also bounds
-# the receive window alone (effective_window_length).
+# x receive-window length): 256 MiB at 16 bytes a sample.  Whole matched-filter
+# rows are drawn 16 at a time and cut to the lags refinement reads, so by
+# tracemalloc a 200 x 3750 window peaks at 0.17-0.38 such arrays at tone
+# separation 0 and at 0.1-7.5 MHz, and 0.2-0.35 with whole disambiguation rows
+# from a 3968-sample pulse.  Lobe windows that approach the receive window's
+# width peak higher, since lobe selection gathers the whole lobe window:
+# 0.5 arrays at 50 kHz, 1.0 at 20 kHz and 3.0 at 6.8 kHz, so at most about
+# 770 MiB.  The reference 200 x 3750 uses 4.5 %.  It also bounds the receive
+# window alone (effective_window_length).
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -165,8 +168,9 @@ def lobe_lags(
     width - 1`` of the circular lag axis of length ``n``: the lobe window
     around ``coarse[r]`` with one lag either side for the edge test, and
     the interpolator's support around any peak inside the window.
-    Returns None when the kernel scans whole rows instead, which it does
-    without a lobe window (separation 0, or lobes half a row apart or more).
+    Returns None without a lobe window (separation 0, or lobes half a row
+    apart or more): the kernel then reads :func:`peak_support` around each
+    row's peak.
     """
     half = _half_spacing(sample_rate, config)
     if not (math.isfinite(half) and 2.0 * half < n):
@@ -176,6 +180,18 @@ def lobe_lags(
     below = min(first, -1)
     above = max(first + matrix.shape[0] - 1, 1)
     return lo + below, int(last.max()) + above - below + 1
+
+
+def peak_support() -> tuple[int, int]:
+    """The ranging lags :func:`refine_window` reads around a peak found without a lobe window.
+
+    Returns ``(first, width)``: the lags ``peak + first .. peak + first +
+    width - 1``, the interpolator's support.  Rows that hold just these
+    lags, ``first_lag = peak + first``, give refinement the peak they were
+    cut around, so it does not scan whole rows for it.
+    """
+    _, first, matrix = _interp_matrix(float(NEIGHBORS))
+    return first, matrix.shape[0]
 
 
 def effective_window_length(waveform: WaveformConfig, channel_state: ChannelState) -> int:
@@ -402,7 +418,9 @@ def refine_window(
     pulse ``r`` at lags ``first_lag[r], first_lag[r] + 1, ...`` of a
     circular lag axis of length ``n``; the defaults take whole rows
     (``first_lag`` 0, ``n`` the row length).  Rows may hold just the lags
-    :func:`lobe_lags` names.  ``coarse[r]`` is the pulse's coarse delay in
+    :func:`lobe_lags` names or, without a lobe window, just the
+    :func:`peak_support` around each row's peak; refinement then takes the
+    peak from ``first_lag``.  ``coarse[r]`` is the pulse's coarse delay in
     samples (the disambiguation peak, or a prior).  Returns per-pulse
     arrays ``(range, peak_lag, gross_error)`` with the meaning of the
     :class:`RangeEstimate` fields.
@@ -424,6 +442,7 @@ def refine_window(
     fs = sample_rate
     half = _half_spacing(fs, config)
 
+    offsets, first, matrix = _interp_matrix(_interp_span(half))
     gross = np.zeros(p, dtype=bool)
     if math.isfinite(half) and 2.0 * half < n:
         lo, last = _lobe_window(coarse, half)
@@ -444,10 +463,13 @@ def refine_window(
         )
     elif rows.shape[1] == n:
         peak = _peak_lags(rows)
+    elif rows.shape[1] == matrix.shape[0]:
+        peak = first_lag[:, 0] - first  # rows hold the support around their peaks
     else:
-        raise ValueError("without a lobe window the peak search needs whole rows")
+        raise ValueError(
+            "without a lobe window the rows must be whole or the support around their peaks"
+        )
 
-    offsets, first, matrix = _interp_matrix(_interp_span(half))
     lags = peak[:, None] + first + np.arange(matrix.shape[0])
     segment = _take_lags(rows, lags, first_lag, n)
     dense = np.concatenate([segment.real, segment.imag]) @ matrix

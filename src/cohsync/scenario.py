@@ -30,12 +30,17 @@ the clean peak and the largest modulus of the rest settle it (at the
 reference waveform every pulse from -10 dB up, none at -20 dB), and rows
 they do not settle are completed and scanned whole.  Once the peak
 places the lobe window, a correlated block of just the ranging lags
-that refinement reads is drawn.  The ranging noise is stationary,
-independent of the disambiguation noise and drawn from its own stream,
-so the placement leaves its distribution exact, and both draws match
-filtering white noise on every sample in distribution.  Draws are not
-the same floats as filtering sampled noise, so seeds give other
-realisations than such a simulation would.
+that refinement reads is drawn.  Lobe windows too wide for a block, and
+windows without one, draw whole ranging rows 16 at a time and keep only
+what refinement reads of them: the lobe window, or the interpolator's
+support around each row's peak, found as its chunk is drawn.  No window
+holds a pulses x window-length array, and the chunked draws carry
+exactly the bytes of one whole-array draw.  The ranging noise is
+stationary, independent of the disambiguation noise and drawn from its
+own stream, so the placement leaves its distribution exact, and both
+draws match filtering white noise on every sample in distribution.
+Draws are not the same floats as filtering sampled noise, so seeds give
+other realisations than such a simulation would.
 
 Environment traces are sequences of 1-minute-cadence records.  A trace
 file's weather columns are checked and dropped: the weather reaches the
@@ -58,8 +63,8 @@ from .channel import (
     delay_ramp,
     matched_noise_block,
     matched_noise_peaks,
-    matched_noise_rows,
     noise_power_for,
+    noisy_row_chunks,
     peak_search,
     scaled_noise_power,
 )
@@ -67,9 +72,11 @@ from .config import RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
 from .ranging import (
     _circular_correlation,
+    _peak_lags,
     _signed_lags,
     effective_window_length,
     lobe_lags,
+    peak_support,
     refine_window,
     window_stats,
 )
@@ -89,10 +96,11 @@ logger = logging.getLogger(__name__)
 # at 25 Msps, and separation 0) draw whole rows.  A block costs an
 # eigendecomposition (width**3) and a (P, width) x (width, width) product,
 # whole rows cost normals and an inverse FFT of length n: at P = 200 and
-# n = 3750 a block takes 4 ms at 80 lags and whole rows 56 ms, and the two
-# would cost the same near 320 lags (2-core x86-64, numpy 2.4 with
-# OpenBLAS).  The limit sits lower because from 97 lags OpenBLAS threads
-# the eigendecomposition, whose last digits then depend on the BLAS thread
+# n = 3750 a block takes 3 ms at 80 lags, 4.5 ms at 96 and 17 ms at 200,
+# and streamed whole rows 43 ms, 28 ms of it the normals, so the two would
+# cost the same near 300 lags (2-core x86-64, numpy 2.4 with OpenBLAS).
+# The limit sits lower because from 97 lags OpenBLAS threads the
+# eigendecomposition, whose last digits then depend on the BLAS thread
 # count, and artifacts would no longer be byte-identical across machines.
 _MAX_BLOCK_LAGS = 96
 
@@ -131,12 +139,16 @@ def read_trace_csv(path) -> list[EnvironmentRecord]:
     """Parse a trace CSV; only timestamp_s and snr_db columns are required.
 
     The optional weather columns must hold numbers or nothing, and are
-    not kept.
+    not kept.  A column named twice, or a row with more cells than the
+    header, is rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty trace file")
+        for i, name in enumerate(reader.fieldnames):
+            if name in reader.fieldnames[:i]:
+                raise ValueError(f"{path}: column '{name}' appears twice in the header")
         for required in ("timestamp_s", "snr_db"):
             if required not in reader.fieldnames:
                 raise ValueError(f"{path}: missing required column '{required}'")
@@ -145,6 +157,12 @@ def read_trace_csv(path) -> list[EnvironmentRecord]:
             raise ValueError(f"{path}: unknown trace columns {sorted(unknown)}")
         records = []
         for row in reader:
+            if None in row:  # DictReader's key for the cells past the header
+                columns = len(reader.fieldnames)
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {columns + len(row[None])} cells, "
+                    f"but the header names {columns} columns"
+                )
             values = {}
             for name in reader.fieldnames:
                 raw = row[name]
@@ -237,13 +255,17 @@ def _matched_filter_rows(
     Returns ``(rows, first_lag, n, coarse)``: row ``r`` holds pulse ``r``'s
     ranging output at lags ``first_lag[r], first_lag[r] + 1, ...`` of the
     circular lag axis of length ``n`` (the receive window), and
-    ``coarse[r]`` is the lag of its disambiguation peak.
+    ``coarse[r]`` is the lag of its disambiguation peak.  The lags are
+    those :func:`lobe_lags` names or, without a lobe window, the
+    :func:`peak_support` around the row's peak.
 
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
-    says.  Lobe windows wider than ``_MAX_BLOCK_LAGS`` draw whole ranging
-    rows.  The noise-free disambiguation frame is taken from ``memo``
+    says.  Lobe windows wider than ``_MAX_BLOCK_LAGS``, and windows
+    without one, draw whole ranging rows 16 at a time
+    (:func:`noisy_row_chunks`) and keep those lags of each chunk.  The
+    noise-free disambiguation frame is taken from ``memo``
     (see :func:`simulate_window`) when it holds one for this geometry, and
     stored there otherwise.
     """
@@ -269,13 +291,22 @@ def _matched_filter_rows(
     spectrum_r, clean, clean_r = _clean_output(pulse_r, n, channel_state, frame_d.ramp)
     sigma2_r = noise_power_for(clean, channel_state.snr_db)
     reads = lobe_lags(coarse, n, fs, waveform)
-    if reads is None or reads[1] > _MAX_BLOCK_LAGS:
-        rows = matched_noise_rows(spectrum_r, sigma2_r, n_pulses, rng_r)
-        rows += clean_r
-        return rows, 0, n, coarse
-    first_lag, width = reads
-    rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
-    rows += clean_r[(first_lag[:, None] + np.arange(width)) % n]
+    if reads is not None and reads[1] <= _MAX_BLOCK_LAGS:
+        first_lag, width = reads
+        rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
+        rows += clean_r[(first_lag[:, None] + np.arange(width)) % n]
+        return rows, first_lag, n, coarse
+    if reads is None:  # cut each row around its peak, found as the chunk is drawn
+        first, width = peak_support()
+        first_lag = np.empty(n_pulses, dtype=np.intp)
+    else:
+        first_lag, width = reads
+    rows = np.empty((n_pulses, width), dtype=np.complex128)
+    for chunk, noisy in noisy_row_chunks(spectrum_r, clean_r, sigma2_r, n_pulses, rng_r):
+        if reads is None:
+            first_lag[chunk] = _peak_lags(noisy) + first
+        lags = (first_lag[chunk, None] + np.arange(width)) % n
+        rows[chunk] = np.take_along_axis(noisy, lags, axis=1)
     return rows, first_lag, n, coarse
 
 

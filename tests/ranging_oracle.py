@@ -5,6 +5,10 @@ way: white noise drawn on every sample of every frame (``noisy_rows``),
 then a forward and an inverse FFT per frame.  The tests compare the
 statistics of the direct noise draws in ``cohsync.scenario`` against it.
 
+``whole_array_window`` is ``cohsync.scenario.simulate_window`` with the
+window's whole-row draws held as one ``(P, n)`` array each, as the window
+drew them before it streamed them: the tests require the same bytes.
+
 ``refine_pulse`` is the estimator as it ran one pulse at a time: a
 gather-and-sum Kaiser-sinc interpolation onto the dense grid (the
 1/``OVERSAMPLE``-sample lattice points within the span) and a Thomas
@@ -18,14 +22,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from cohsync.channel import ChannelState, apply_round_trip_response, noise_power_for
+from cohsync import scenario
+from cohsync.channel import (
+    ChannelState,
+    apply_round_trip_response,
+    matched_noise_peaks,
+    matched_noise_rows,
+    noise_power_for,
+    scaled_noise_power,
+)
 from cohsync.ranging import (
     INTERP_BETA,
     INTERP_TAPS,
     NEIGHBORS,
     OVERSAMPLE,
     _circular_correlation,
+    _signed_lags,
     effective_window_length,
+    refine_window,
 )
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
@@ -81,6 +95,36 @@ def matched_filter_rows(
         return _circular_correlation(rows, np.fft.fft(pulse.samples, n_win))
 
     return matched_rows(pulse_r), matched_rows(pulse_d)
+
+
+def whole_array_window(
+    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
+) -> tuple[np.ndarray, int]:
+    """``simulate_window`` with every whole-row draw one ``(P, n)`` array.
+
+    For windows whose ranging rows are whole (no lag block): one
+    ``matched_noise_rows`` call draws all the ranging rows, which
+    ``refine_window`` scans whole, and a template whose near samples cover
+    the window gets all its disambiguation rows from one call, scanned by
+    one argmax.  Every other step is the window's.
+    """
+    fs = waveform.sample_rate
+    n = effective_window_length(waveform, channel_state)
+    rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    frame = scenario._disambiguation_frame(waveform.f_d, fs, n, channel_state)
+    search = frame.search
+    sigma2_d = scaled_noise_power(frame.power_0db, channel_state.snr_db)
+    if search.n_inputs >= n:
+        rows = matched_noise_rows(search.spectrum, sigma2_d, n_pulses, rng_d) + search.clean_row
+        index = np.argmax(np.abs(rows), axis=1)
+    else:
+        index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, rng_d)
+    pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
+    spectrum, clean, clean_row = scenario._clean_output(pulse, n, channel_state, frame.ramp)
+    sigma2_r = noise_power_for(clean, channel_state.snr_db)
+    rows = matched_noise_rows(spectrum, sigma2_r, n_pulses, rng_r) + clean_row
+    ranges, _, gross = refine_window(rows, _signed_lags(index, n), fs, waveform)
+    return ranges, int(gross.sum())
 
 
 def interp_kernel(positions: np.ndarray, taps: int, beta: float):

@@ -226,6 +226,14 @@ class TestMonteCarloCommand:
         assert rc == 0
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_fail_before_the_warning(self, tmp_path, capsys, trials):
+        out = tmp_path / "mc.csv"
+        rc = main(["montecarlo", "--trials", trials, "--sigma-grid", "0.01:0.1:4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COHSYNC_SEED", "77")
         out = tmp_path / "mc.csv"

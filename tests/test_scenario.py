@@ -11,7 +11,7 @@ import pytest
 import ranging_oracle
 from conftest import post_snr_for, step_trace, write_trace
 import cohsync
-from cohsync import channel, scenario
+from cohsync import channel, ranging, scenario
 from cohsync.channel import CarrierPlan, ChannelState
 from cohsync.config import config_from_dict, default_config
 from cohsync.control import (
@@ -111,6 +111,14 @@ class TestTraceCsv:
             column = "wind_mps" if row.endswith("abc") else "timestamp_s"
             with pytest.raises(ValueError, match=rf"bad\.csv: line 3, column '{column}': 'abc' is not a number"):
                 read_trace_csv(bad)
+        extra = tmp_path / "extra.csv"
+        extra.write_text("timestamp_s,snr_db\n-60,20\n0,20,99\n")
+        with pytest.raises(ValueError, match=r"extra\.csv: line 3: 3 cells, but the header names 2 columns"):
+            read_trace_csv(extra)
+        twice = tmp_path / "twice.csv"
+        twice.write_text("timestamp_s,snr_db,snr_db\n0,20,5\n")
+        with pytest.raises(ValueError, match=r"twice\.csv: column 'snr_db' appears twice"):
+            read_trace_csv(twice)
 
 
 class TestRunLoop:
@@ -146,11 +154,17 @@ class TestRunLoop:
         assert stamps == [0.0, 21.0, 42.0]
 
     def test_sigma_respects_averaged_bound(self):
-        # per-interval sigma estimates carry chi^2 noise (40 groups), so
-        # the bound check is mean-based with a generous per-interval floor
-        config = tuned_config(snr_db=20.0)
-        trace = constant_trace(20.0, 6)
-        logs = run_fixed_bandwidth(config, trace, duration_s=6 * INTERVAL_S, seed=8)
+        # per-interval sigma estimates carry chi^2 noise, so the bound
+        # check is mean-based with a generous per-interval floor.  At 1000
+        # pulses (200 groups) an interval's sigma/bound spread by 5.2 %
+        # over 200 seeds (11 % at 200 pulses, where 8 % of seeds failed):
+        # the floor sits 4.7 and the mean bound 4.3 standard deviations
+        # away, a false-alarm rate of 2e-5 by a normal fit.  More intervals
+        # would only lower the minimum.
+        config = tuned_config(snr_db=20.0, pulses=1000)
+        dt = config.loop.interval_duration_s
+        trace = constant_trace(20.0, 6, cadence_s=dt)
+        logs = run_fixed_bandwidth(config, trace, duration_s=6 * dt, seed=8)
         bound = predicted_sigma_d(config, 20.0)
         sigmas = np.array([l.sigma_d_m for l in logs])
         assert sigmas.mean() >= 0.9 * bound
@@ -435,6 +449,49 @@ class TestDirectNoiseDraws:
         assert np.max(np.abs(ranges - expected)) <= 1e-9
 
 
+class TestStreamedRows:
+    """Whole matched-filter rows are drawn and reduced 16 at a time."""
+
+    @pytest.mark.parametrize("snr_db", [6.0, 13.0, 23.0, math.inf])
+    @pytest.mark.parametrize(
+        "disambiguation_hz, separation_hz",
+        [(None, 0.0), (None, 1e5), (None, 0.29e6), (None, 0.5e6), (6.3e3, 0.0), (6.3e3, 0.29e6)],
+    )
+    def test_same_bytes_as_whole_arrays(self, disambiguation_hz, separation_hz, snr_db):
+        # 50 pulses: three full chunks and a partial one.  A 6.3 kHz
+        # disambiguation pulse draws whole disambiguation rows too.
+        overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
+        config = config_from_dict({"waveform": overrides})
+        waveform = with_separation(config.waveform, separation_hz)
+        state = replace(config.channel, snr_db=snr_db)
+        n = effective_window_length(waveform, state)
+        reads = ranging.lobe_lags(np.zeros(1), n, waveform.sample_rate, waveform)
+        assert reads is None or reads[1] > scenario._MAX_BLOCK_LAGS  # whole ranging rows
+        ranges, gross = simulate_window(waveform, state, 50, seed=(4, 2))
+        expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
+        assert ranges.tobytes() == expected.tobytes()
+        assert gross == expected_gross
+
+    @pytest.mark.parametrize("separation_hz", [0.0, 0.29e6])
+    def test_peak_memory_is_a_third_of_a_frame_array(self, separation_hz):
+        # a frame array is P x n complex samples; a window that holds its
+        # whole ranging rows at once peaks above 1.2 of them
+        import tracemalloc
+
+        config = default_config()
+        waveform = with_separation(config.waveform, separation_hz)
+        state = replace(config.channel, snr_db=13.0)
+        simulate_window(waveform, state, 2, seed=0)  # the process's tables
+        n = effective_window_length(waveform, state)
+        tracemalloc.start()
+        try:
+            simulate_window(waveform, state, 800, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.35 * 800 * n * 16
+
+
 class TestCoarseLagLaw:
     """Coarse lags of the window's draw against the oracle's whole rows.
 
@@ -612,7 +669,10 @@ class TestBenchmarkPatchPoints:
 
     def test_matched_filter_rows_correlate_2d_arrays(self, monkeypatch):
         # the benchmark counts FFT points from the (rows, n) shape of the
-        # first argument; whole ranging rows and lag blocks both qualify
+        # first argument, which is only ever a 2-D clean row; a window
+        # keeps a lag block (3.5 MHz), the lobe window of streamed whole
+        # rows (0.1 MHz) or the interpolator's support around each streamed
+        # row's peak (separation 0), never whole rows
         shapes = []
         real = scenario._circular_correlation
 
@@ -622,11 +682,14 @@ class TestBenchmarkPatchPoints:
 
         monkeypatch.setattr(scenario, "_circular_correlation", spy)
         config = tuned_config(pulses=50)
-        for separation_hz, whole_rows in ((3.5e6, False), (1e5, True), (0.0, True)):
+        support = ranging.peak_support()[1]
+        for separation_hz, streamed in ((3.5e6, False), (1e5, True), (0.0, True)):
             waveform = with_separation(config.waveform, separation_hz)
-            rows, _, n, _ = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
-            assert (rows.shape == (50, n)) == whole_rows
-            assert rows.shape[1] <= n
+            rows, _, n, coarse = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
+            reads = ranging.lobe_lags(coarse, n, waveform.sample_rate, waveform)
+            width = support if reads is None else reads[1]
+            assert rows.shape == (50, width) and width < n
+            assert (reads is None or width > scenario._MAX_BLOCK_LAGS) == streamed
         assert shapes == [(1, n)] * 6
 
 
@@ -650,7 +713,7 @@ class TestWindowLength:
 
     def test_long_disambiguation_pulse_draws_whole_rows(self, monkeypatch):
         # the near lags of a 3968-sample pulse and their inputs would cover
-        # the window, so its noise is drawn as whole rows
+        # the window, so its noise is drawn as whole rows, 16 at a time
         config = config_from_dict(
             {"waveform": {"disambiguation_hz": 6.3e3}, "channel": {"snr_db": 13.0}}
         )
@@ -664,5 +727,5 @@ class TestWindowLength:
 
         monkeypatch.setattr(channel, "matched_noise_rows", spy)
         ranges, gross = simulate_window(config.waveform, config.channel, 200, seed=2)
-        assert calls == [(n, 200)]
+        assert calls == [(n, 16)] * 12 + [(n, 8)]
         assert gross == 0
