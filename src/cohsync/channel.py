@@ -44,14 +44,21 @@ rotated clean row, the template's DFT, ``||p||_1`` and ``max_far |clean|``)
 is a :class:`PeakSearch`, built once per clean row and template.
 
 Whole rows are drawn and reduced ``_ROW_CHUNK`` rows at a time
-(:func:`noisy_row_chunks`), so no ``(rows, n)`` array is held.  The chunks
-take the normals in the order one :func:`matched_noise_rows` call of all
-the rows would, and each row's inverse FFT does not depend on the rows it
-shares a call with, so they hold exactly that call's rows.
+(:func:`map_row_chunks`), so no ``(rows, n)`` array is held.  Chunk ``j``
+of a frame draws from its own stream, the child of the frame's seed
+sequence with spawn index ``j``, so its rows depend on neither the other
+chunks nor the order the chunks run in (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).  Each row's inverse FFT does not
+depend on the rows it shares a call with either, so the chunks run on a
+pool of threads, one a core up to ``_MAX_WORKERS``, and give the same
+bytes at any worker count.  The pool is created by the first whole-row
+draw; windows that draw none start no thread.
 """
 
 import math
+import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -213,8 +220,30 @@ def matched_noise_block(
 
 
 # Rows per chunk when whole matched-filter rows are drawn or scanned for their
-# peaks: a chunk of 3750-sample rows and its magnitudes take about 1.4 MB.
+# peaks: a chunk of 3750-sample rows and its magnitudes take about 1.4 MB, and
+# each chunk draws from its own stream (map_row_chunks).
 _ROW_CHUNK = 16
+
+# Most threads that draw chunks at once, whatever the host's core count.  Each
+# chunk in flight holds about 1.2 MiB at the reference window, so by
+# tracemalloc a P = 800 draw peaks at 0.06-0.08 of its frame array inline and
+# 0.13-0.15 on four threads, below refinement's 0.24-0.29 (TestStreamedRows
+# allows 0.35).
+_MAX_WORKERS = 4
+_WORKERS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    _MAX_WORKERS,
+)
+_pool = None  # the ThreadPoolExecutor of _WORKERS threads, created on first use
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _row_chunks(n_rows: int):
@@ -223,31 +252,92 @@ def _row_chunks(n_rows: int):
         yield slice(start, min(start + _ROW_CHUNK, n_rows))
 
 
-def peak_indices(rows: np.ndarray) -> np.ndarray:
-    """Index of each row's largest modulus (the first of equal ones)."""
-    return np.concatenate(
-        [np.argmax(np.abs(rows[chunk]), axis=1) for chunk in _row_chunks(len(rows))]
+def _chunk_stream(seed: np.random.SeedSequence, index: int) -> np.random.Generator:
+    """The stream of chunk ``index``: ``seed``'s child with that spawn index.
+
+    Equal to the generator of ``seed.spawn(index + 1)[index]`` on a fresh
+    ``seed``, without spawning the earlier children.
+    """
+    child = np.random.SeedSequence(
+        seed.entropy, spawn_key=(*seed.spawn_key, index), pool_size=seed.pool_size
     )
+    return np.random.default_rng(child)
 
 
-def noisy_row_chunks(
+def map_row_chunks(
+    n_rows: int,
+    draw: Callable[[slice, np.random.Generator | None], np.ndarray],
+    reduce: Callable[[slice, np.ndarray], None],
+    rng: np.random.Generator | None,
+) -> None:
+    """Call ``reduce(rows, draw(rows, stream))`` on each chunk of ``n_rows`` rows.
+
+    ``rows`` is a slice of :func:`_row_chunks`, and chunk ``j``'s
+    ``stream`` is :func:`_chunk_stream` of ``rng``'s seed sequence and
+    ``j``, or None when ``rng`` is None (a draw that takes no numbers).
+    ``reduce`` keeps what the caller reads of the chunk, in its rows of
+    the caller's arrays.  With more than one chunk and ``_WORKERS`` above
+    1 the chunks run on the module's thread pool, so neither ``draw`` nor
+    ``reduce`` may touch anything but their own rows; the results do not
+    depend on how many threads run them.
+    """
+    chunks = list(_row_chunks(n_rows))
+    seed = None if rng is None else rng.bit_generator.seed_seq
+
+    def run(j: int) -> None:
+        stream = None if seed is None else _chunk_stream(seed, j)
+        reduce(chunks[j], draw(chunks[j], stream))
+
+    if _WORKERS < 2 or len(chunks) < 2:
+        for j in range(len(chunks)):
+            run(j)
+        return
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="cohsync-rows")
+    for _ in _pool.map(run, range(len(chunks))):  # reading each result re-raises its error
+        pass
+
+
+def _row_peaks(chunk: np.ndarray) -> np.ndarray:
+    """Index of each row's largest modulus (the first of equal ones)."""
+    return np.argmax(np.abs(chunk), axis=1)
+
+
+def peak_indices(rows: np.ndarray) -> np.ndarray:
+    """Index of each row's largest modulus (the first of equal ones), a chunk at a time."""
+    peak = np.empty(len(rows), dtype=np.intp)
+
+    def keep_peaks(chunk: slice, part: np.ndarray) -> None:
+        peak[chunk] = _row_peaks(part)
+
+    map_row_chunks(len(rows), lambda chunk, _: rows[chunk], keep_peaks, None)
+    return peak
+
+
+def map_noisy_rows(
     template_spectrum: np.ndarray,
     clean_row: np.ndarray,
     noise_power: float,
     n_rows: int,
     rng: np.random.Generator,
-):
-    """``n_rows`` rows of ``clean_row`` plus matched-filter noise, ``_ROW_CHUNK`` at a time.
+    reduce: Callable[[slice, np.ndarray], None],
+) -> None:
+    """:func:`map_row_chunks` over ``n_rows`` rows of ``clean_row`` plus matched-filter noise.
 
-    Yields ``(rows, chunk)``, the slice of row numbers and their ``(len,
-    n)`` outputs; a caller keeps what it reads of a chunk before it asks
-    for the next.  The rows are exactly those of ``clean_row +
-    matched_noise_rows(template_spectrum, noise_power, n_rows, rng)``.
+    Each chunk is ``clean_row + matched_noise_rows(template_spectrum,
+    noise_power, len, stream)`` on its own stream.  At ``noise_power`` 0
+    every row is ``clean_row`` and no stream is derived from ``rng``.
     """
-    for rows in _row_chunks(n_rows):
-        chunk = matched_noise_rows(template_spectrum, noise_power, rows.stop - rows.start, rng)
+
+    def draw(rows: slice, stream: np.random.Generator | None) -> np.ndarray:
+        chunk = matched_noise_rows(template_spectrum, noise_power, rows.stop - rows.start, stream)
         chunk += clean_row
-        yield rows, chunk
+        return chunk
+
+    map_row_chunks(n_rows, draw, reduce, rng if noise_power else None)
 
 
 def _max_modulus(
@@ -373,18 +463,21 @@ def matched_noise_peaks(
     noise of per-sample variance ``noise_power`` through that filter.
     Returns the peak indices, which have exactly the distribution of the
     peaks of whole rows, and per row whether the certificate of the module
-    docstring placed the peak without a whole row.  Draws nothing when
-    ``noise_power`` is 0.
+    docstring placed the peak without a whole row.  The near samples and
+    largest moduli come from ``rng``; whole and completed rows are drawn
+    by :func:`map_row_chunks`, each chunk on its own child stream of
+    ``rng``.  Draws nothing when ``noise_power`` is 0.
     """
     n = search.clean_row.size
     if noise_power == 0.0:
         return np.full(n_rows, search.peak), np.ones(n_rows, dtype=bool)
     if search.n_inputs >= n:
         peak = np.empty(n_rows, dtype=np.intp)
-        for rows, chunk in noisy_row_chunks(
-            search.spectrum, search.clean_row, noise_power, n_rows, rng
-        ):
-            peak[rows] = peak_indices(chunk)
+
+        def keep_peaks(rows: slice, chunk: np.ndarray) -> None:
+            peak[rows] = _row_peaks(chunk)
+
+        map_noisy_rows(search.spectrum, search.clean_row, noise_power, n_rows, rng, keep_peaks)
         return peak, np.zeros(n_rows, dtype=bool)
     near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
     near *= math.sqrt(noise_power / 2.0)
@@ -392,12 +485,17 @@ def matched_noise_peaks(
     peak, certified = _certify(search, near, r_max)
 
     pending = np.flatnonzero(~certified)
-    for chunk in _row_chunks(pending.size):
-        rows = pending[chunk]
-        full = _complete_noise(near[rows], r_max[rows], noise_power, n, rng)
+
+    def complete(rows: slice, stream: np.random.Generator) -> np.ndarray:
+        full = _complete_noise(near[pending[rows]], r_max[pending[rows]], noise_power, n, stream)
         np.fft.fft(full, axis=1, out=full)
         full *= np.conj(search.spectrum)
         np.fft.ifft(full, axis=1, out=full)
         full += search.clean_row
-        peak[rows] = peak_indices(full)
+        return full
+
+    def keep_completed_peaks(rows: slice, full: np.ndarray) -> None:
+        peak[pending[rows]] = _row_peaks(full)
+
+    map_row_chunks(pending.size, complete, keep_completed_peaks, rng)
     return (search.first + peak) % n, certified

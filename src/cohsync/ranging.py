@@ -48,10 +48,12 @@ WINDOW_PAD_SAMPLES = 128
 
 # Limit on the complex samples of one window's frame array (pulses_per_interval
 # x receive-window length): 256 MiB at 16 bytes a sample.  Whole matched-filter
-# rows are drawn 16 at a time and cut to the lags refinement reads, so by
-# tracemalloc a 200 x 3750 window peaks at 0.17-0.38 such arrays at tone
-# separation 0 and at 0.1-7.5 MHz, and 0.2-0.35 with whole disambiguation rows
-# from a 3968-sample pulse.  Lobe windows that approach the receive window's
+# rows are drawn 16 at a time, at most 4 chunks at once on threads, and cut to
+# the lags refinement reads, so by tracemalloc a 200 x 3750 window peaks at
+# 0.17-0.38 such arrays at tone separation 0 and at 0.1-7.5 MHz, and 0.2-0.35
+# with whole disambiguation rows from a 3968-sample pulse; at P = 800 the draw
+# itself peaks at 0.06-0.08 inline and 0.13-0.15 on 4 threads, below
+# refinement's 0.24-0.29.  Lobe windows that approach the receive window's
 # width peak higher, since lobe selection gathers the whole lobe window:
 # 0.5 arrays at 50 kHz, 1.0 at 20 kHz and 3.0 at 6.8 kHz, so at most about
 # 770 MiB.  The reference 200 x 3750 uses 4.5 %.  It also bounds the receive

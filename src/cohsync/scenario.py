@@ -34,11 +34,14 @@ that refinement reads is drawn.  Lobe windows too wide for a block, and
 windows without one, draw whole ranging rows 16 at a time and keep only
 what refinement reads of them: the lobe window, or the interpolator's
 support around each row's peak, found as its chunk is drawn.  No window
-holds a pulses x window-length array, and the chunked draws carry
-exactly the bytes of one whole-array draw.  The ranging noise is
-stationary, independent of the disambiguation noise and drawn from its
-own stream, so the placement leaves its distribution exact, and both
-draws match filtering white noise on every sample in distribution.
+holds a pulses x window-length array.  Each chunk draws from its own
+stream and the chunks run on a thread per core
+(:func:`cohsync.channel.map_row_chunks`), with the same bytes at any
+thread count; windows with a lag block start no thread.  The ranging
+noise is stationary, independent of the disambiguation noise and drawn
+from its own stream, so the placement leaves its distribution exact,
+and both draws match filtering white noise on every sample in
+distribution.
 Draws are not the same floats as filtering sampled noise, so seeds give
 other realisations than such a simulation would.
 
@@ -61,10 +64,10 @@ from .channel import (
     PeakSearch,
     apply_round_trip_response,
     delay_ramp,
+    map_noisy_rows,
     matched_noise_block,
     matched_noise_peaks,
     noise_power_for,
-    noisy_row_chunks,
     peak_search,
     scaled_noise_power,
 )
@@ -97,11 +100,12 @@ logger = logging.getLogger(__name__)
 # eigendecomposition (width**3) and a (P, width) x (width, width) product,
 # whole rows cost normals and an inverse FFT of length n: at P = 200 and
 # n = 3750 a block takes 3 ms at 80 lags, 4.5 ms at 96 and 17 ms at 200,
-# and streamed whole rows 43 ms, 28 ms of it the normals, so the two would
-# cost the same near 300 lags (2-core x86-64, numpy 2.4 with OpenBLAS).
-# The limit sits lower because from 97 lags OpenBLAS threads the
+# and streamed whole rows 43 ms on one thread, 28 ms of it the normals, and
+# about 28 ms on two (2-core x86-64, numpy 2.4 with OpenBLAS).  The limit is
+# set by determinism, not cost: from 97 lags OpenBLAS threads the
 # eigendecomposition, whose last digits then depend on the BLAS thread
 # count, and artifacts would no longer be byte-identical across machines.
+# Whole rows give the same bytes at any thread count.
 _MAX_BLOCK_LAGS = 96
 
 
@@ -263,8 +267,9 @@ def _matched_filter_rows(
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
     says.  Lobe windows wider than ``_MAX_BLOCK_LAGS``, and windows
-    without one, draw whole ranging rows 16 at a time
-    (:func:`noisy_row_chunks`) and keep those lags of each chunk.  The
+    without one, draw whole ranging rows 16 at a time, each chunk on its
+    own stream and possibly its own thread (:func:`map_noisy_rows`), and
+    keep those lags of each chunk in its rows of the result.  The
     noise-free disambiguation frame is taken from ``memo``
     (see :func:`simulate_window`) when it holds one for this geometry, and
     stored there otherwise.
@@ -302,11 +307,14 @@ def _matched_filter_rows(
     else:
         first_lag, width = reads
     rows = np.empty((n_pulses, width), dtype=np.complex128)
-    for chunk, noisy in noisy_row_chunks(spectrum_r, clean_r, sigma2_r, n_pulses, rng_r):
+
+    def keep_read_lags(chunk: slice, noisy: np.ndarray) -> None:
         if reads is None:
             first_lag[chunk] = _peak_lags(noisy) + first
         lags = (first_lag[chunk, None] + np.arange(width)) % n
         rows[chunk] = np.take_along_axis(noisy, lags, axis=1)
+
+    map_noisy_rows(spectrum_r, clean_r, sigma2_r, n_pulses, rng_r, keep_read_lags)
     return rows, first_lag, n, coarse
 
 

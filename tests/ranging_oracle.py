@@ -6,8 +6,9 @@ then a forward and an inverse FFT per frame.  The tests compare the
 statistics of the direct noise draws in ``cohsync.scenario`` against it.
 
 ``whole_array_window`` is ``cohsync.scenario.simulate_window`` with the
-window's whole-row draws held as one ``(P, n)`` array each, as the window
-drew them before it streamed them: the tests require the same bytes.
+window's whole-row draws held as one ``(P, n)`` array each, built serially
+from the per-chunk streams the window draws its chunks from: the tests
+require the same bytes.
 
 ``refine_pulse`` is the estimator as it ran one pulse at a time: a
 gather-and-sum Kaiser-sinc interpolation onto the dense grid (the
@@ -97,32 +98,46 @@ def matched_filter_rows(
     return matched_rows(pulse_r), matched_rows(pulse_d)
 
 
+def whole_rows(spectrum, clean_row, noise_power, n_pulses, seed_seq) -> np.ndarray:
+    """One ``(P, n)`` array of ``clean_row`` plus matched-filter noise, 16 rows a stream.
+
+    Rows ``16 j .. 16 j + 15`` take their noise from the ``j``-th child
+    that ``seed_seq`` spawns, as the window's chunk ``j`` does.
+    """
+    sizes = [min(16, n_pulses - start) for start in range(0, n_pulses, 16)]
+    streams = map(np.random.default_rng, seed_seq.spawn(len(sizes)))
+    noise = [
+        matched_noise_rows(spectrum, noise_power, size, rng) for size, rng in zip(sizes, streams)
+    ]
+    return np.concatenate(noise) + clean_row
+
+
 def whole_array_window(
     waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
 ) -> tuple[np.ndarray, int]:
     """``simulate_window`` with every whole-row draw one ``(P, n)`` array.
 
-    For windows whose ranging rows are whole (no lag block): one
-    ``matched_noise_rows`` call draws all the ranging rows, which
-    ``refine_window`` scans whole, and a template whose near samples cover
-    the window gets all its disambiguation rows from one call, scanned by
-    one argmax.  Every other step is the window's.
+    For windows whose ranging rows are whole (no lag block): the ranging
+    rows are one ``whole_rows`` array, which ``refine_window`` scans
+    whole, and a template whose near samples cover the window gets all
+    its disambiguation rows as one array, scanned by one argmax.  Every
+    other step is the window's.
     """
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
-    rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    seed_r, seed_d = np.random.SeedSequence(seed).spawn(2)
     frame = scenario._disambiguation_frame(waveform.f_d, fs, n, channel_state)
     search = frame.search
     sigma2_d = scaled_noise_power(frame.power_0db, channel_state.snr_db)
     if search.n_inputs >= n:
-        rows = matched_noise_rows(search.spectrum, sigma2_d, n_pulses, rng_d) + search.clean_row
+        rows = whole_rows(search.spectrum, search.clean_row, sigma2_d, n_pulses, seed_d)
         index = np.argmax(np.abs(rows), axis=1)
     else:
-        index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, rng_d)
+        index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, np.random.default_rng(seed_d))
     pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
     spectrum, clean, clean_row = scenario._clean_output(pulse, n, channel_state, frame.ramp)
     sigma2_r = noise_power_for(clean, channel_state.snr_db)
-    rows = matched_noise_rows(spectrum, sigma2_r, n_pulses, rng_r) + clean_row
+    rows = whole_rows(spectrum, clean_row, sigma2_r, n_pulses, seed_r)
     ranges, _, gross = refine_window(rows, _signed_lags(index, n), fs, waveform)
     return ranges, int(gross.sum())
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cohsync
+from cohsync import cli
 from conftest import post_snr_for, step_trace, write_trace
 from cohsync.cli import MAX_GRID_POINTS, main
 from cohsync.coherence import MAX_TRIAL_NODES
@@ -130,6 +131,103 @@ print(_interp_table.cache_info().currsize)
             timeout=120,
         )
         assert result.stdout.split() == ["0"]
+
+
+class TestRowPoolIsLazy:
+    """Windows that draw no whole rows import no executor and start no thread."""
+
+    SCRIPT = """
+import sys, threading
+from dataclasses import replace
+import cohsync.cli
+from cohsync import channel
+from cohsync.config import default_config
+from cohsync.scenario import simulate_window
+from cohsync.waveform import TwoToneSpec
+config = default_config()
+for separation in (3.5e6, 0.0):  # a lag block, then whole ranging rows
+    waveform = replace(config.waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation))
+    simulate_window(waveform, config.channel, 200, seed=1)
+    print("concurrent.futures" in sys.modules, threading.active_count())
+print(channel._WORKERS)
+"""
+
+    def test_block_window_starts_no_thread(self):
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+            timeout=120,
+        )
+        block, whole, workers = result.stdout.splitlines()
+        assert block == "False 1"
+        threads = 1 if int(workers) < 2 else 1 + int(workers)
+        assert whole == f"{int(workers) > 1} {threads}"
+
+
+    FORK = """
+import os, signal
+from dataclasses import replace
+from cohsync import channel
+from cohsync.config import default_config
+from cohsync.scenario import simulate_window
+from cohsync.waveform import TwoToneSpec
+channel._WORKERS = 2
+config = default_config()
+waveform = replace(config.waveform, two_tone=TwoToneSpec(20e3, 20e3))
+simulate_window(waveform, config.channel, 40, seed=1)  # the parent's pool
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child that waited on its parent's threads would hang
+    simulate_window(waveform, config.channel, 40, seed=1)
+    os._exit(0)
+print(os.waitpid(pid, 0)[1])
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_forked_child_draws_on_its_own_pool(self):
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.FORK],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+            timeout=120,
+        )
+        assert result.stdout.split() == ["0"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+class TestBlasPin:
+    SCRIPT = """
+import ctypes, sys
+from cohsync import cli
+cli.main(["crlb", "--delta-f", "1e6", "--snr-grid", "1e4:1e5:2", "--out", sys.argv[1]])
+library = ctypes.CDLL(cli._openblas_library())
+for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+    getter = getattr(library, name, None)
+    if getter is not None:
+        getter.restype = ctypes.c_int
+        print(getter())
+        break
+"""
+
+    def test_main_runs_openblas_on_one_thread(self, tmp_path):
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "crlb.csv")],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert result.stdout.split()[-1] == "1"
+
+    def test_no_openblas_mapped_is_a_no_op(self, monkeypatch):
+        import ctypes
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("_pin_blas loaded a library")
+
+        monkeypatch.setattr(cli, "_openblas_library", lambda: None)
+        monkeypatch.setattr(ctypes, "CDLL", no_load)
+        assert cli._pin_blas() is None
 
 
 class TestCrlbCommand:

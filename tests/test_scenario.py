@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -449,6 +450,19 @@ class TestDirectNoiseDraws:
         assert np.max(np.abs(ranges - expected)) <= 1e-9
 
 
+def on_workers(monkeypatch, workers, run):
+    """``run()`` with whole-row chunks drawn inline (1) or on a fresh pool of ``workers`` threads."""
+    monkeypatch.setattr(channel, "_WORKERS", workers)
+    monkeypatch.setattr(channel, "_pool", None)
+    try:
+        result = run()
+        assert (channel._pool is not None) == (workers > 1)
+        return result
+    finally:
+        if channel._pool is not None:
+            channel._pool.shutdown()
+
+
 class TestStreamedRows:
     """Whole matched-filter rows are drawn and reduced 16 at a time."""
 
@@ -457,9 +471,10 @@ class TestStreamedRows:
         "disambiguation_hz, separation_hz",
         [(None, 0.0), (None, 1e5), (None, 0.29e6), (None, 0.5e6), (6.3e3, 0.0), (6.3e3, 0.29e6)],
     )
-    def test_same_bytes_as_whole_arrays(self, disambiguation_hz, separation_hz, snr_db):
+    def test_same_bytes_as_whole_arrays(self, disambiguation_hz, separation_hz, snr_db, monkeypatch):
         # 50 pulses: three full chunks and a partial one.  A 6.3 kHz
-        # disambiguation pulse draws whole disambiguation rows too.
+        # disambiguation pulse draws whole disambiguation rows too.  The
+        # window runs inline and on 2 and 3 threads.
         overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
         config = config_from_dict({"waveform": overrides})
         waveform = with_separation(config.waveform, separation_hz)
@@ -467,10 +482,34 @@ class TestStreamedRows:
         n = effective_window_length(waveform, state)
         reads = ranging.lobe_lags(np.zeros(1), n, waveform.sample_rate, waveform)
         assert reads is None or reads[1] > scenario._MAX_BLOCK_LAGS  # whole ranging rows
-        ranges, gross = simulate_window(waveform, state, 50, seed=(4, 2))
         expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
-        assert ranges.tobytes() == expected.tobytes()
-        assert gross == expected_gross
+        for workers in (1, 2, 3):
+            ranges, gross = on_workers(
+                monkeypatch, workers, lambda: simulate_window(waveform, state, 50, seed=(4, 2))
+            )
+            assert ranges.tobytes() == expected.tobytes(), workers
+            assert gross == expected_gross
+
+    def test_completed_rows_same_bytes_on_any_worker_count(self, monkeypatch):
+        # at -20 dB the certificate settles next to no pulse, so the
+        # disambiguation rows are completed, 16 rows a stream
+        config = default_config()
+        state = replace(config.channel, snr_db=-20.0)
+        completed = []
+        real = channel._complete_noise
+
+        def spy(near, *args):
+            completed.append(len(near))
+            return real(near, *args)
+
+        monkeypatch.setattr(channel, "_complete_noise", spy)
+        digests = set()
+        for workers in (1, 2, 3):
+            ranges, _ = on_workers(
+                monkeypatch, workers, lambda: simulate_window(config.waveform, state, 50, seed=(4, 2))
+            )
+            digests.add(ranges.tobytes())
+        assert len(completed) > 3 and len(digests) == 1
 
     @pytest.mark.parametrize("separation_hz", [0.0, 0.29e6])
     def test_peak_memory_is_a_third_of_a_frame_array(self, separation_hz):
@@ -727,5 +766,5 @@ class TestWindowLength:
 
         monkeypatch.setattr(channel, "matched_noise_rows", spy)
         ranges, gross = simulate_window(config.waveform, config.channel, 200, seed=2)
-        assert calls == [(n, 16)] * 12 + [(n, 8)]
+        assert Counter(calls) == Counter([(n, 16)] * 12 + [(n, 8)])  # threads record in any order
         assert gross == 0
