@@ -18,10 +18,11 @@ reads the matched-filter outputs of its frames, so the filtered noise is
 drawn directly, never on the samples of a frame:
 :func:`matched_noise_rows` draws whole output rows in the frequency
 domain, where white noise has independent bins, and
-:func:`matched_noise_block` draws a block of consecutive output lags with
-the filter's Toeplitz lag covariance.  Filtered Gaussian noise is
-Gaussian and so fixed by its covariance, which both draws reproduce up
-to rounding (Kay, *Fundamentals of Statistical Signal Processing I*,
+:func:`matched_noise_block` draws a block of consecutive output lags
+through the Cholesky factor of their Toeplitz covariance, factored on
+one OpenBLAS thread whatever the thread count.  Filtered Gaussian noise
+is Gaussian and so fixed by its covariance, which both draws reproduce
+up to rounding (Kay, *Fundamentals of Statistical Signal Processing I*,
 1993, ch. 3 and 7); they are exact in distribution, not approximations.
 
 Of a disambiguation output row a window reads only the peak lag, and
@@ -57,6 +58,7 @@ draw; windows that draw none start no thread.
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -200,23 +202,79 @@ def matched_noise_block(
     circular lag axis: lags ``k`` and ``l`` have covariance
     ``noise_power * r[(k - l) mod n]``, with ``r = ifft(|T|**2)`` the
     template's circular autocorrelation, wherever the block starts.  Each
-    row is ``S z`` with ``z ~ CN(0, I)`` and ``S = V sqrt(L)`` from the
-    eigendecomposition ``V L V^H`` of that Toeplitz covariance, so
-    ``S S^H`` is the covariance and the block has exactly the distribution
-    of those lags of a whole row.  The covariance is positive
-    semidefinite; eigenvalues below 0 are rounding and count as 0.
-    Draws nothing, and returns zeros, when ``noise_power`` is 0.
+    row is ``S z`` with ``z ~ CN(0, I)`` and ``S`` the Cholesky factor of
+    that Toeplitz covariance ``C`` (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 4.2), so the block has exactly the
+    distribution of those lags of a whole row.  The factor exists for
+    ``width <= n - L + 1``, ``L`` the template's length: ``C`` is a
+    principal submatrix of the circulant with eigenvalues ``noise_power *
+    |T_k|**2``, so ``x^H C x = noise_power * sum_k |T_k|**2 |X_k|**2``
+    with ``X`` the ``n``-point DFT of ``x``, and some bin is neither one
+    of the at most ``L - 1`` zeros of ``T`` nor one of the at most
+    ``width - 1`` of a nonzero ``X``.  Draws nothing, and returns zeros,
+    when ``noise_power`` is 0.
     """
     if noise_power == 0.0:
         return np.zeros((n_rows, width), dtype=np.complex128)
     autocorrelation = np.fft.ifft(np.abs(template_spectrum) ** 2)
     k = np.arange(width)
     covariance = noise_power * autocorrelation[(k[:, None] - k) % autocorrelation.size]
-    eigenvalues, vectors = np.linalg.eigh(covariance)
-    root = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    with _blas_lock:  # the count is process-wide: no window restores it under another
+        getter, setter = openblas_threads()
+        count = getter()
+        setter(1)  # OpenBLAS threads the factor from about 64 rows, changing its digits
+        try:
+            root = np.linalg.cholesky(covariance)
+        finally:
+            setter(count)
     z = rng.standard_normal((n_rows, 2 * width)).view(np.complex128)
     z *= math.sqrt(0.5)
     return z @ root.T
+
+
+# OpenBLAS's thread-count getters and setters, in the order tried: numpy's wheels
+# bundle scipy-openblas with its symbols renamed, other builds link the plain one.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas = None  # (getter, setter) of the thread count, found on first use
+_blas_lock = threading.Lock()
+
+
+def _openblas_library() -> str | None:
+    """Path of the OpenBLAS library mapped into this process, if any (Linux only)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
+                    return fields[5].rstrip("\n")
+    except OSError:
+        pass
+    return None
+
+
+def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]]:
+    """OpenBLAS's thread-count getter and setter; ones that do nothing without OpenBLAS."""
+    global _blas
+    if _blas is None:
+        import ctypes
+
+        path, found = _openblas_library(), (lambda: 1, lambda count: None)
+        try:
+            library = ctypes.CDLL(path) if path else None
+        except OSError:  # replaced on disk since it was mapped
+            library = None
+        for names in _OPENBLAS_THREADS if library is not None else ():
+            getter, setter = (getattr(library, name, None) for name in names)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                found = (getter, setter)
+                break
+        _blas = found
+    return _blas
 
 
 # Rows per chunk when whole matched-filter rows are drawn or scanned for their

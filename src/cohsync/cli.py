@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence
+from .channel import openblas_threads
 from .config import ConfigError, RunConfig, default_config, load_config, save_config
 from .control import MIN_SERIES_LENGTH, find_ultimate_gain, ziegler_nichols_gains
 from .scenario import (
@@ -53,11 +54,6 @@ MAX_GRID_POINTS = 2**16
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 32 << 20
 
-# Thread-count setters of OpenBLAS, in the order tried: numpy's wheels
-# bundle scipy-openblas with its symbols renamed, other builds link the
-# plain library.
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
-
 
 def _pin_allocator() -> None:
     """Fix glibc's malloc thresholds for this process (nothing without glibc).
@@ -81,44 +77,9 @@ def _pin_allocator() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def _openblas_library() -> str | None:
-    """Path of the OpenBLAS library mapped into this process, if any (Linux only)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.split(maxsplit=5)
-                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
-                    return fields[5].rstrip("\n")
-    except OSError:
-        pass
-    return None
-
-
 def _pin_blas() -> None:
-    """Run numpy's OpenBLAS on one thread (nothing where no OpenBLAS is loaded).
-
-    The BLAS calls left on command paths are small: refinement's GEMM
-    and the lag block's eigendecomposition and product.  Threaded, they
-    wake OpenBLAS workers that spin on the cores the whole-row draw runs
-    on, and under another process's load each call pays a thread
-    wake-up.  Results do not change: TestBlasThreads checks a window's
-    bytes at 1 and 2 threads.
-    """
-    path = _openblas_library()
-    if path is None:
-        return
-    import ctypes
-
-    try:
-        library = ctypes.CDLL(path)
-    except OSError:
-        return
-    for name in _OPENBLAS_SETTERS:
-        setter = getattr(library, name, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
+    """Run numpy's OpenBLAS on one thread: its workers would spin on the whole-row draw's cores."""
+    openblas_threads()[1](1)
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -47,17 +47,14 @@ INTERP_BETA = 14.0
 WINDOW_PAD_SAMPLES = 128
 
 # Limit on the complex samples of one window's frame array (pulses_per_interval
-# x receive-window length): 256 MiB at 16 bytes a sample.  Whole matched-filter
-# rows are drawn 16 at a time, at most 4 chunks at once on threads, and cut to
-# the lags refinement reads, so by tracemalloc a 200 x 3750 window peaks at
-# 0.17-0.38 such arrays at tone separation 0 and at 0.1-7.5 MHz, and 0.2-0.35
-# with whole disambiguation rows from a 3968-sample pulse; at P = 800 the draw
-# itself peaks at 0.06-0.08 inline and 0.13-0.15 on 4 threads, below
-# refinement's 0.24-0.29.  Lobe windows that approach the receive window's
-# width peak higher, since lobe selection gathers the whole lobe window:
-# 0.5 arrays at 50 kHz, 1.0 at 20 kHz and 3.0 at 6.8 kHz, so at most about
-# 770 MiB.  The reference 200 x 3750 uses 4.5 %.  It also bounds the receive
-# window alone (effective_window_length).
+# x receive-window length): 256 MiB at 16 bytes a sample.  No window holds such
+# an array: lobe windows up to 159 lags (from about 0.285 MHz) are lag blocks,
+# and whole rows are drawn 16 at a time and cut to the lags refinement reads.
+# By tracemalloc a 200 x 3750 window peaks at 0.15-0.37 such arrays at
+# separation 0 and at 0.1-7.5 MHz.  Lobe windows that approach the receive
+# window's width peak higher, since lobe selection gathers the whole lobe
+# window: 0.5 arrays at 50 kHz, 1.0 at 20 kHz and 3.0 at 6.8 kHz, so at most
+# about 770 MiB.  It also bounds the receive window alone.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -288,9 +285,14 @@ def _interp_table():
 
 
 @lru_cache(maxsize=16)
-def _spline_system_inverse(n: int) -> np.ndarray:
-    """Inverse of the natural spline's tridiag(1, 4, 1) system on ``n`` uniform knots."""
+def _spline_system_inverse(n: int, h: float) -> np.ndarray:
+    """Map from second differences to the natural spline's interior second derivatives.
+
+    That is ``6 / h**2`` times the transposed inverse of its tridiag(1, 4, 1)
+    system on ``n`` uniform knots ``h`` apart.
+    """
     inverse = np.linalg.inv(4.0 * np.eye(n - 2) + np.eye(n - 2, k=1) + np.eye(n - 2, k=-1))
+    inverse = (6.0 / (h * h)) * inverse.T
     inverse.flags.writeable = False
     return inverse
 
@@ -311,8 +313,7 @@ def _natural_spline_max(
     if n < 3:
         raise ValueError("need at least 3 points for a cubic spline")
     m = np.zeros((rows, n))
-    rhs = 6.0 * (y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) / (h * h)
-    m[:, 1:-1] = rhs @ _spline_system_inverse(n).T
+    m[:, 1:-1] = (y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) @ _spline_system_inverse(n, h)
 
     # per-interval coefficients: S(t) = y + b t + c t^2 + d t^3, t in [0, h]
     b = (y[:, 1:] - y[:, :-1]) / h - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
@@ -320,19 +321,18 @@ def _natural_spline_max(
     d = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
 
     # candidates per interval, in order: both knots, then the real roots
-    # of S' = b + 2c t + 3d t^2 (NaN where a root does not exist)
+    # of S' = b + 2c t + 3d t^2; a root that does not exist is NaN or
+    # infinite, and so falls outside [0, h]
     t = np.empty(b.shape + (4,))
-    t[..., 0] = 0.0
-    t[..., 1] = h
+    t[..., :2] = 0.0, h
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = 4.0 * c**2 - 12.0 * d * b
-        sq = np.sqrt(disc)
-        cubic = (d != 0.0) & (disc >= 0.0)
-        vertex = np.where((d == 0.0) & (c != 0.0), -b / (2.0 * c), np.nan)
-        t[..., 2] = np.where(cubic, (-2.0 * c + sq) / (6.0 * d), vertex)
-        t[..., 3] = np.where(cubic, (-2.0 * c - sq) / (6.0 * d), np.nan)
-    b, c, d, y0 = (a[..., None] for a in (b, c, d, y[:, :-1]))
-    v = y0 + b * t + c * t * t + d * t**3
+        sq = np.sqrt(4.0 * c**2 - 12.0 * d * b)
+        t[..., 2] = (-2.0 * c + sq) / (6.0 * d)
+        t[..., 3] = (-2.0 * c - sq) / (6.0 * d)
+        flat = d == 0.0  # S' is linear there: its one root is the vertex
+        t[flat, 2] = -b[flat] / (2.0 * c[flat])
+        b, c, d, y0 = (a[..., None] for a in (b, c, d, y[:, :-1]))
+        v = y0 + t * (b + t * (c + t * d))  # NaN at infinite roots, rejected below
     v[~((t >= 0.0) & (t <= h))] = -np.inf
     best = np.argmax(v.reshape(rows, -1), axis=1)
     interval, k = np.divmod(best, 4)

@@ -15,14 +15,12 @@ bit-identical across processes.
 Noise: a window draws its noise already matched-filtered, on the lags
 the estimator reads (:func:`_matched_filter_rows`).  The noise-free
 disambiguation frame (its pulse, clean output, noise power at 0 dB, the
-certificate's rotated row, template DFT, ``||p||_1`` and far maximum,
-and the delay ramp) does not change within a run, so a run builds it
-once and its windows share it (the ``memo`` of :func:`simulate_window`).
-What a window still repeats is the ranging frame, whose tones the loop
-retunes every interval: its pulse, one template DFT that serves the
-channel, the correlation and the noise draw, the round trip's inverse
-transform, the correlation's forward and inverse transforms, and the
-inverse transform of the lag block's autocorrelation.
+certificate's :class:`~cohsync.channel.PeakSearch` and the delay ramp)
+does not change within a run, so a run builds it once and its windows
+share it (the ``memo`` of :func:`simulate_window`).  A window still
+builds the ranging frame, whose tones the loop retunes every interval:
+its pulse and template DFT, the round trip, the clean correlation, and
+the lag block's autocorrelation and Cholesky factor.
 
 Each pulse's disambiguation peak is drawn by the certificate of
 :mod:`cohsync.channel`: the input noise on the few dozen samples around
@@ -30,20 +28,20 @@ the clean peak and the largest modulus of the rest settle it (at the
 reference waveform every pulse from -10 dB up, none at -20 dB), and rows
 they do not settle are completed and scanned whole.  Once the peak
 places the lobe window, a correlated block of just the ranging lags
-that refinement reads is drawn.  Lobe windows too wide for a block, and
+that refinement reads is drawn, up to ``n - L + 1`` lags (159 at the
+reference waveform, so from about 0.285 MHz).  Wider lobe windows, and
 windows without one, draw whole ranging rows 16 at a time and keep only
-what refinement reads of them: the lobe window, or the interpolator's
-support around each row's peak, found as its chunk is drawn.  No window
-holds a pulses x window-length array.  Each chunk draws from its own
-stream and the chunks run on a thread per core
-(:func:`cohsync.channel.map_row_chunks`), with the same bytes at any
-thread count; windows with a lag block start no thread.  The ranging
-noise is stationary, independent of the disambiguation noise and drawn
-from its own stream, so the placement leaves its distribution exact,
-and both draws match filtering white noise on every sample in
-distribution.
-Draws are not the same floats as filtering sampled noise, so seeds give
-other realisations than such a simulation would.
+the lobe window, or the interpolator's support around each row's peak,
+found as its chunk is drawn.  No window holds a pulses x window-length
+array.  Each chunk draws from its own stream and the chunks run on a
+thread per core (:func:`cohsync.channel.map_row_chunks`), with the same
+bytes at any thread count; windows with a lag block start no thread.
+The ranging noise is stationary, independent of the disambiguation
+noise and drawn from its own stream, so the placement leaves its
+distribution exact, and both draws match filtering white noise on every
+sample in distribution.  Draws are not the same floats as filtering
+sampled noise, so seeds give other realisations than such a simulation
+would.
 
 Environment traces are sequences of 1-minute-cadence records.  A trace
 file's weather columns are checked and dropped: the weather reaches the
@@ -93,21 +91,6 @@ from .waveform import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Widest ranging block, in lags, that _matched_filter_rows draws as one
-# correlated block; wider lobe windows (tone separations under about 1 MHz
-# at 25 Msps, and separation 0) draw whole rows.  A block costs an
-# eigendecomposition (width**3) and a (P, width) x (width, width) product,
-# whole rows cost normals and an inverse FFT of length n: at P = 200 and
-# n = 3750 a block takes 3 ms at 80 lags, 4.5 ms at 96 and 17 ms at 200,
-# and streamed whole rows 43 ms on one thread, 28 ms of it the normals, and
-# about 28 ms on two (2-core x86-64, numpy 2.4 with OpenBLAS).  The limit is
-# set by determinism, not cost: from 97 lags OpenBLAS threads the
-# eigendecomposition, whose last digits then depend on the BLAS thread
-# count, and artifacts would no longer be byte-identical across machines.
-# Whole rows give the same bytes at any thread count.
-_MAX_BLOCK_LAGS = 96
-
 
 @dataclass(frozen=True)
 class EnvironmentRecord:
@@ -266,12 +249,11 @@ def _matched_filter_rows(
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
-    says.  Lobe windows wider than ``_MAX_BLOCK_LAGS``, and windows
-    without one, draw whole ranging rows 16 at a time, each chunk on its
-    own stream and possibly its own thread (:func:`map_noisy_rows`), and
-    keep those lags of each chunk in its rows of the result.  The
-    noise-free disambiguation frame is taken from ``memo``
-    (see :func:`simulate_window`) when it holds one for this geometry, and
+    says: lobe windows of up to ``n - L + 1`` lags, ``L`` the ranging
+    pulse's length, as one block, and wider ones, and windows without one,
+    as whole rows streamed by :func:`map_noisy_rows`.  The noise-free
+    disambiguation frame is taken from ``memo`` (see
+    :func:`simulate_window`) when it holds one for this geometry, and
     stored there otherwise.
     """
     if n_pulses < 1:
@@ -296,16 +278,15 @@ def _matched_filter_rows(
     spectrum_r, clean, clean_r = _clean_output(pulse_r, n, channel_state, frame_d.ramp)
     sigma2_r = noise_power_for(clean, channel_state.snr_db)
     reads = lobe_lags(coarse, n, fs, waveform)
-    if reads is not None and reads[1] <= _MAX_BLOCK_LAGS:
-        first_lag, width = reads
-        rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
-        rows += clean_r[(first_lag[:, None] + np.arange(width)) % n]
-        return rows, first_lag, n, coarse
     if reads is None:  # cut each row around its peak, found as the chunk is drawn
         first, width = peak_support()
         first_lag = np.empty(n_pulses, dtype=np.intp)
     else:
         first_lag, width = reads
+    if reads is not None and width <= n - pulse_r.n_samples + 1:
+        rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
+        rows += clean_r[(first_lag[:, None] + np.arange(width)) % n]
+        return rows, first_lag, n, coarse
     rows = np.empty((n_pulses, width), dtype=np.complex128)
 
     def keep_read_lags(chunk: slice, noisy: np.ndarray) -> None:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohsync.channel import (
@@ -188,9 +188,45 @@ class TestMatchedNoise:
         return self.S2 * r[(k[:, None] - k) % self.N_LAGS]
 
     def test_block_covariance_is_the_autocorrelation(self, spectrum):
-        block = matched_noise_block(spectrum, self.S2, 20000, 12, np.random.default_rng(3))
-        assert block.shape == (20000, 12)
-        assert_moments(block, self.model(spectrum, 12))
+        for width in (12, self.N_LAGS - 500 + 1):  # and the widest block, n - L + 1 lags
+            block = matched_noise_block(spectrum, self.S2, 20000, width, np.random.default_rng(3))
+            assert block.shape == (20000, width)
+            assert_moments(block, self.model(spectrum, width))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=st.integers(2, 400),
+        pad=st.integers(1, 300),
+        separation=st.floats(0.29e6, 7.5e6),
+    )
+    @example(length=2, pad=1, separation=0.29e6)  # the shortest pulse
+    @example(length=3592, pad=1, separation=3.5e6)  # a pulse that nearly fills the window
+    @example(length=3592, pad=158, separation=3.5e6)  # the reference; tones on DFT bins
+    @example(length=1250, pad=1250, separation=7.45e6)  # tones on DFT bins, n = 2 L
+    def test_widest_block_factor_exists(self, length, pad, separation):
+        # at n - L + 1 lags the covariance is positive definite, so the
+        # factor exists and reproduces it
+        n = length + pad
+        pulse = generate_two_tone(TwoToneSpec(20e3, 20e3 + separation), length / FS, FS)
+        spectrum = np.fft.fft(pulse.samples, n)
+        factors = []
+        real = np.linalg.cholesky
+
+        def spy(covariance):
+            factors.append((covariance, real(covariance)))
+            return factors[-1][1]
+
+        width = n - length + 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", spy)
+            matched_noise_block(spectrum, self.S2, 1, width, np.random.default_rng(0))
+        ((covariance, root),) = factors
+        r = np.fft.ifft(np.abs(spectrum) ** 2)
+        k = np.arange(width)
+        model = self.S2 * r[(k[:, None] - k) % n]
+        assert np.array_equal(covariance, model)
+        assert np.all(np.isfinite(root))
+        assert np.max(np.abs(root @ root.conj().T - model)) <= 1e-12 * model[0, 0].real
 
     def test_row_covariance_is_the_autocorrelation(self, spectrum):
         # lags n - 5 .. n + 6 straddle the circular wrap

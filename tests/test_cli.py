@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cohsync
-from cohsync import cli
+from cohsync import channel, cli
 from conftest import post_snr_for, step_trace, write_trace
 from cohsync.cli import MAX_GRID_POINTS, main
 from cohsync.coherence import MAX_TRIAL_NODES
@@ -199,9 +199,9 @@ print(os.waitpid(pid, 0)[1])
 class TestBlasPin:
     SCRIPT = """
 import ctypes, sys
-from cohsync import cli
+from cohsync import channel, cli
 cli.main(["crlb", "--delta-f", "1e6", "--snr-grid", "1e4:1e5:2", "--out", sys.argv[1]])
-library = ctypes.CDLL(cli._openblas_library())
+library = ctypes.CDLL(channel._openblas_library())
 for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
     getter = getattr(library, name, None)
     if getter is not None:
@@ -225,7 +225,8 @@ for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
         def no_load(*args, **kwargs):
             raise AssertionError("_pin_blas loaded a library")
 
-        monkeypatch.setattr(cli, "_openblas_library", lambda: None)
+        monkeypatch.setattr(channel, "_openblas_library", lambda: None)
+        monkeypatch.setattr(channel, "_blas", None)  # look the library up again
         monkeypatch.setattr(ctypes, "CDLL", no_load)
         assert cli._pin_blas() is None
 

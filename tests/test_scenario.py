@@ -41,7 +41,7 @@ from cohsync.scenario import (
     summarize_run,
     write_run_log_csv,
 )
-from cohsync.waveform import SPEED_OF_LIGHT, TwoToneSpec, crlb_sigma_r
+from cohsync.waveform import SPEED_OF_LIGHT, TwoToneSpec, crlb_sigma_r, generate_two_tone
 from scipy import stats
 
 # Gains from the ultimate-gain search on the simulated loop at the 23 dB
@@ -372,6 +372,12 @@ def with_separation(waveform, separation_hz):
     return replace(waveform, two_tone=TwoToneSpec(f1=f1, f2=f1 + separation_hz))
 
 
+def widest_block(waveform, n):
+    """Most lags drawn as one block: ``n - L + 1``, ``L`` the ranging pulse's length."""
+    pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, waveform.sample_rate)
+    return n - pulse.n_samples + 1
+
+
 class TestDirectNoiseDraws:
     """The window's direct noise draws against the oracle's time-domain noise.
 
@@ -469,19 +475,22 @@ class TestStreamedRows:
     @pytest.mark.parametrize("snr_db", [6.0, 13.0, 23.0, math.inf])
     @pytest.mark.parametrize(
         "disambiguation_hz, separation_hz",
-        [(None, 0.0), (None, 1e5), (None, 0.29e6), (None, 0.5e6), (6.3e3, 0.0), (6.3e3, 0.29e6)],
+        [(None, 0.0), (None, 1e5), (None, 0.2e6), (None, 0.28e6), (6.3e3, 0.0), (6.3e3, 0.05e6)],
     )
     def test_same_bytes_as_whole_arrays(self, disambiguation_hz, separation_hz, snr_db, monkeypatch):
         # 50 pulses: three full chunks and a partial one.  A 6.3 kHz
-        # disambiguation pulse draws whole disambiguation rows too.  The
-        # window runs inline and on 2 and 3 threads.
+        # disambiguation pulse draws whole disambiguation rows too.  Lobe
+        # windows are 322, 196 and 160 lags at 0.1, 0.2 and 0.28 MHz, over
+        # the widest block (159), and 572 at 50 kHz, over the 6.3 kHz
+        # pulse's longer window's 505.  The window runs inline and on 2
+        # and 3 threads.
         overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
         config = config_from_dict({"waveform": overrides})
         waveform = with_separation(config.waveform, separation_hz)
         state = replace(config.channel, snr_db=snr_db)
         n = effective_window_length(waveform, state)
         reads = ranging.lobe_lags(np.zeros(1), n, waveform.sample_rate, waveform)
-        assert reads is None or reads[1] > scenario._MAX_BLOCK_LAGS  # whole ranging rows
+        assert reads is None or reads[1] > widest_block(waveform, n)  # whole ranging rows
         expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
         for workers in (1, 2, 3):
             ranges, gross = on_workers(
@@ -511,10 +520,11 @@ class TestStreamedRows:
             digests.add(ranges.tobytes())
         assert len(completed) > 3 and len(digests) == 1
 
-    @pytest.mark.parametrize("separation_hz", [0.0, 0.29e6])
+    @pytest.mark.parametrize("separation_hz", [0.0, 0.2e6, 0.29e6])
     def test_peak_memory_is_a_third_of_a_frame_array(self, separation_hz):
         # a frame array is P x n complex samples; a window that holds its
-        # whole ranging rows at once peaks above 1.2 of them
+        # whole ranging rows at once peaks above 1.2 of them.  0 and
+        # 0.2 MHz stream whole ranging rows, 0.29 MHz draws a 158-lag block
         import tracemalloc
 
         config = default_config()
@@ -566,9 +576,9 @@ class TestCoarseLagLaw:
 
 
 class TestBlasThreads:
-    # 0.5 MHz makes a 122-lag lobe window, too wide for a block, whose
-    # eigendecomposition OpenBLAS would thread; 1 MHz makes the widest
-    # block drawn (96 lags); at -20 dB every disambiguation row is completed
+    # 0.5 MHz makes a 122-lag block and 1 MHz a 96-lag one, both wide
+    # enough that OpenBLAS would thread their Cholesky factor; at -20 dB
+    # every disambiguation row is completed
     SCRIPT = """
 import hashlib
 from dataclasses import replace
@@ -596,6 +606,49 @@ print(digest.hexdigest())
             )
             digests.add(result.stdout)
         assert len(digests) == 1
+
+    RESTORE = """
+import ctypes, sys, threading
+import numpy as np
+from cohsync import channel
+from cohsync.config import default_config
+from cohsync.scenario import simulate_window
+config = default_config()
+simulate_window(config.waveform, config.channel, 20, seed=1)  # a 77-lag block
+# more threads than cores factor 96-lag blocks at once, switching often
+spectrum = np.fft.fft(np.exp(0.3j * np.arange(3592)), 3750)
+draw = lambda: channel.matched_noise_block(spectrum, 1.0, 4, 96, np.random.default_rng(0))
+expected = draw().tobytes()
+sys.setswitchinterval(1e-6)
+blocks = []
+def work():
+    for _ in range(50):
+        blocks.append(draw().tobytes())
+threads = [threading.Thread(target=work) for _ in range(6)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+assert blocks == [expected] * 300
+library = ctypes.CDLL(channel._openblas_library())
+for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+    getter = getattr(library, name, None)
+    if getter is not None:
+        getter.restype = ctypes.c_int
+        print(getter())
+        break
+"""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_blocks_restore_the_thread_count(self):
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.RESTORE],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert result.stdout.split() == ["2"]
 
 
 class TestDisambiguationMemo:
@@ -728,7 +781,7 @@ class TestBenchmarkPatchPoints:
             reads = ranging.lobe_lags(coarse, n, waveform.sample_rate, waveform)
             width = support if reads is None else reads[1]
             assert rows.shape == (50, width) and width < n
-            assert (reads is None or width > scenario._MAX_BLOCK_LAGS) == streamed
+            assert (reads is None or width > widest_block(waveform, n)) == streamed
         assert shapes == [(1, n)] * 6
 
 
