@@ -27,6 +27,7 @@ from cohsync import scenario
 from cohsync.channel import (
     ChannelState,
     apply_round_trip_response,
+    matched_noise_block,
     matched_noise_peaks,
     matched_noise_rows,
     noise_power_for,
@@ -40,6 +41,7 @@ from cohsync.ranging import (
     _circular_correlation,
     _signed_lags,
     effective_window_length,
+    lobe_lags,
     refine_window,
 )
 from cohsync.waveform import (
@@ -117,11 +119,11 @@ def whole_array_window(
 ) -> tuple[np.ndarray, int]:
     """``simulate_window`` with every whole-row draw one ``(P, n)`` array.
 
-    For windows whose ranging rows are whole (no lag block): the ranging
-    rows are one ``whole_rows`` array, which ``refine_window`` scans
-    whole, and a template whose near samples cover the window gets all
-    its disambiguation rows as one array, scanned by one argmax.  Every
-    other step is the window's.
+    Whole ranging rows are one ``whole_rows`` array, which
+    ``refine_window`` scans whole; a lobe window of up to ``n - L + 1``
+    lags is one ``matched_noise_block`` draw, as the window's.  A template
+    whose near samples cover the window gets all its disambiguation rows
+    as one array, scanned by one argmax.  Every other step is the window's.
     """
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
@@ -137,8 +139,16 @@ def whole_array_window(
     pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
     spectrum, clean, clean_row = scenario._clean_output(pulse, n, channel_state, frame.ramp)
     sigma2_r = noise_power_for(clean, channel_state.snr_db)
+    coarse = _signed_lags(index, n)
+    reads = lobe_lags(coarse, n, fs, waveform)
+    if reads is not None and reads[1] <= n - pulse.n_samples + 1:
+        first_lag, width = reads
+        noise = matched_noise_block(spectrum, sigma2_r, n_pulses, width, np.random.default_rng(seed_r))
+        rows = noise + clean_row[(first_lag[:, None] + np.arange(width)) % n]
+        ranges, _, gross = refine_window(rows, coarse, fs, waveform, first_lag=first_lag, n=n)
+        return ranges, int(gross.sum())
     rows = whole_rows(spectrum, clean_row, sigma2_r, n_pulses, seed_r)
-    ranges, _, gross = refine_window(rows, _signed_lags(index, n), fs, waveform)
+    ranges, _, gross = refine_window(rows, coarse, fs, waveform)
     return ranges, int(gross.sum())
 
 

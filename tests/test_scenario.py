@@ -456,13 +456,16 @@ class TestDirectNoiseDraws:
         assert np.max(np.abs(ranges - expected)) <= 1e-9
 
 
-def on_workers(monkeypatch, workers, run):
-    """``run()`` with whole-row chunks drawn inline (1) or on a fresh pool of ``workers`` threads."""
+def on_workers(monkeypatch, workers, run, streams=True):
+    """``run()`` with whole-row chunks drawn inline (1) or on a fresh pool of ``workers`` threads.
+
+    ``streams`` says whether ``run`` draws whole rows, and so starts the pool.
+    """
     monkeypatch.setattr(channel, "_WORKERS", workers)
     monkeypatch.setattr(channel, "_pool", None)
     try:
         result = run()
-        assert (channel._pool is not None) == (workers > 1)
+        assert (channel._pool is not None) == (workers > 1 and streams)
         return result
     finally:
         if channel._pool is not None:
@@ -472,29 +475,36 @@ def on_workers(monkeypatch, workers, run):
 class TestStreamedRows:
     """Whole matched-filter rows are drawn and reduced 16 at a time."""
 
+    # (disambiguation, separation) pairs whose ranging rows are drawn as one lag block
+    BLOCK_DRAWS = [(None, 0.29e6), (None, 0.5e6), (6.3e3, 0.29e6)]
+
     @pytest.mark.parametrize("snr_db", [6.0, 13.0, 23.0, math.inf])
     @pytest.mark.parametrize(
         "disambiguation_hz, separation_hz",
-        [(None, 0.0), (None, 1e5), (None, 0.2e6), (None, 0.28e6), (6.3e3, 0.0), (6.3e3, 0.05e6)],
+        [(None, 0.0), (None, 1e5), (None, 0.2e6), (None, 0.28e6), (6.3e3, 0.0), (6.3e3, 0.05e6)]
+        + BLOCK_DRAWS,
     )
     def test_same_bytes_as_whole_arrays(self, disambiguation_hz, separation_hz, snr_db, monkeypatch):
         # 50 pulses: three full chunks and a partial one.  A 6.3 kHz
         # disambiguation pulse draws whole disambiguation rows too.  Lobe
         # windows are 322, 196 and 160 lags at 0.1, 0.2 and 0.28 MHz, over
         # the widest block (159), and 572 at 50 kHz, over the 6.3 kHz
-        # pulse's longer window's 505.  The window runs inline and on 2
-        # and 3 threads.
+        # pulse's longer window's 505; at 0.29 and 0.5 MHz they fit a
+        # block.  The window runs inline and on 2 and 3 threads.
         overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
         config = config_from_dict({"waveform": overrides})
         waveform = with_separation(config.waveform, separation_hz)
         state = replace(config.channel, snr_db=snr_db)
         n = effective_window_length(waveform, state)
         reads = ranging.lobe_lags(np.zeros(1), n, waveform.sample_rate, waveform)
-        assert reads is None or reads[1] > widest_block(waveform, n)  # whole ranging rows
+        whole = reads is None or reads[1] > widest_block(waveform, n)
+        assert whole == ((disambiguation_hz, separation_hz) not in self.BLOCK_DRAWS)
         expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
+        # beside a lag block only noisy 6.3 kHz disambiguation rows stream whole
+        streams = whole or (disambiguation_hz is not None and snr_db < math.inf)
         for workers in (1, 2, 3):
             ranges, gross = on_workers(
-                monkeypatch, workers, lambda: simulate_window(waveform, state, 50, seed=(4, 2))
+                monkeypatch, workers, lambda: simulate_window(waveform, state, 50, seed=(4, 2)), streams
             )
             assert ranges.tobytes() == expected.tobytes(), workers
             assert gross == expected_gross
