@@ -52,8 +52,8 @@ chunks nor the order the chunks run in (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).  Each row's inverse FFT does not
 depend on the rows it shares a call with either, so the chunks run on a
 pool of threads, one a core up to ``_MAX_WORKERS``, and give the same
-bytes at any worker count.  The pool is created by the first whole-row
-draw; windows that draw none start no thread.
+bytes at any worker count.  The pool, :func:`map_chunks`, also runs
+probability curves; windows that draw no whole rows start no thread.
 """
 
 import math
@@ -282,11 +282,11 @@ def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]]:
 # each chunk draws from its own stream (map_row_chunks).
 _ROW_CHUNK = 16
 
-# Most threads that draw chunks at once, whatever the host's core count.  Each
-# chunk in flight holds about 1.2 MiB at the reference window, so by
+# Most threads that run chunks at once, whatever the host's core count.  Each
+# row chunk in flight holds about 1.2 MiB at the reference window, so by
 # tracemalloc a P = 800 draw peaks at 0.06-0.08 of its frame array inline and
 # 0.13-0.15 on four threads, below refinement's 0.24-0.29 (TestStreamedRows
-# allows 0.35).
+# allows 0.35).  Each curve chunk holds about 0.7 MiB (coherence).
 _MAX_WORKERS = 4
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
@@ -304,10 +304,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _row_chunks(n_rows: int):
-    """Slices of ``_ROW_CHUNK`` consecutive rows (fewer in the last) that cover ``n_rows``."""
-    for start in range(0, n_rows, _ROW_CHUNK):
-        yield slice(start, min(start + _ROW_CHUNK, n_rows))
+def map_chunks(run: Callable[[int], object], n_chunks: int) -> list:
+    """``[run(j) for j in range(n_chunks)]``: inline for one chunk or
+    ``_WORKERS`` 1, else on the module's pool of ``_WORKERS`` threads,
+    created on first use.  Each call may touch only what its chunk owns."""
+    if _WORKERS < 2 or n_chunks < 2:
+        return [run(j) for j in range(n_chunks)]
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="cohsync")
+    return list(_pool.map(run, range(n_chunks)))  # reading each result re-raises its error
 
 
 def _chunk_stream(seed: np.random.SeedSequence, index: int) -> np.random.Generator:
@@ -330,33 +338,20 @@ def map_row_chunks(
 ) -> None:
     """Call ``reduce(rows, draw(rows, stream))`` on each chunk of ``n_rows`` rows.
 
-    ``rows`` is a slice of :func:`_row_chunks`, and chunk ``j``'s
-    ``stream`` is :func:`_chunk_stream` of ``rng``'s seed sequence and
-    ``j``, or None when ``rng`` is None (a draw that takes no numbers).
-    ``reduce`` keeps what the caller reads of the chunk, in its rows of
-    the caller's arrays.  With more than one chunk and ``_WORKERS`` above
-    1 the chunks run on the module's thread pool, so neither ``draw`` nor
-    ``reduce`` may touch anything but their own rows; the results do not
-    depend on how many threads run them.
+    Chunk ``j`` is ``_ROW_CHUNK`` rows (fewer in the last), drawn on
+    :func:`_chunk_stream` of ``rng``'s seed sequence and ``j``, or on None
+    when ``rng`` is None (a draw that takes no numbers).  ``reduce`` keeps
+    what the caller reads of it, in its rows of the caller's arrays.  The
+    chunks run by :func:`map_chunks`, so neither ``draw`` nor ``reduce``
+    may touch anything but their own rows.
     """
-    chunks = list(_row_chunks(n_rows))
     seed = None if rng is None else rng.bit_generator.seed_seq
 
     def run(j: int) -> None:
-        stream = None if seed is None else _chunk_stream(seed, j)
-        reduce(chunks[j], draw(chunks[j], stream))
+        rows = slice(j * _ROW_CHUNK, min((j + 1) * _ROW_CHUNK, n_rows))
+        reduce(rows, draw(rows, None if seed is None else _chunk_stream(seed, j)))
 
-    if _WORKERS < 2 or len(chunks) < 2:
-        for j in range(len(chunks)):
-            run(j)
-        return
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="cohsync-rows")
-    for _ in _pool.map(run, range(len(chunks))):  # reading each result re-raises its error
-        pass
+    map_chunks(run, -(-n_rows // _ROW_CHUNK))
 
 
 def _row_peaks(chunk: np.ndarray) -> np.ndarray:

@@ -49,8 +49,8 @@ MAX_GRID_POINTS = 2**16
 # to the mmap threshold come from the heap, and freed heap up to the trim
 # threshold stays mapped for reuse.  16 MiB covers a window's temporaries
 # and a 16-node, 50,000-trial curve's geometry draw (6.4 MB).  One arena
-# keeps the whole-row draw's threads (channel.map_row_chunks) allocating
-# from the main heap, which those thresholds govern.
+# keeps the threads of channel.map_chunks, which draw whole rows and run
+# curve chunks, allocating from the main heap, which those thresholds govern.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 << 20, 32 << 20
 

@@ -23,14 +23,10 @@ published two-node sigma_d/lambda thresholds (0.0495 / 0.0725 / 0.1040
 at probabilities 0.9 / 0.8 / 0.7) to within a couple of percent.
 
 Since ``eps = sigma_d * a`` with ``a`` fixed per trial and node, the
-phasors ``exp(j eps)`` along an arithmetic sigma_d grid form a geometric
-sequence.  ``probability_curve`` therefore pays one complex exponential
-for the first grid point and for each distinct grid step, and steps from
-point to point by a complex multiply (the trigonometric recurrence of
-Press et al., *Numerical Recipes*, 3rd ed., 2007, section 5.4).  Each
-multiply adds about one ulp, so after ``j`` steps a gain differs from a
-fresh exponential's by about ``j * 1e-16``: about 1e-11 at a 65,536-point
-grid, far below the Monte-Carlo standard error.
+phasors along an arithmetic sigma_d grid form a geometric sequence, which
+``probability_curve`` steps by one complex multiply a point (Press et
+al., *Numerical Recipes*, 3rd ed., 2007, section 5.4), in chunks of
+trials on the threads of :func:`cohsync.channel.map_chunks`.
 """
 
 import math
@@ -38,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import map_chunks
 from .waveform import SPEED_OF_LIGHT
 
 # Two-node sigma_d/lambda thresholds for P(G_c >= 0.9), keyed by that
@@ -46,19 +43,15 @@ from .waveform import SPEED_OF_LIGHT
 TWO_NODE_SIGMA_OVER_LAMBDA = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
 
 # Limit on trials x n_nodes of one probability curve.  A curve peaks at
-# about 8.6 bytes per phase error (12 with two nodes; tracemalloc), the
-# geometry draw, plus about 1.5 MiB of chunk buffers, so at most about
-# 200 MB here.  The 16-node, 50,000-trial array uses 4.8 %.
+# about 8.5 bytes per phase error (12 with two nodes; tracemalloc), the
+# geometry draw, plus 0.7 MiB of chunk buffers per worker thread, so at
+# most about 204 MB here.  The 16-node, 50,000-trial array uses 4.8 %.
 MAX_TRIAL_NODES = 2**24
 
-# Phase errors per chunk of probability_curve's trials: a chunk's phasors,
-# step factors and gains (about 0.6 MiB) stay in cache across the grid.
+# Phase errors per chunk of probability_curve's trials.  Each worker holds a
+# chunk's phase errors, phasors, step factor and a temporary, 0.7 MiB at 48
+# bytes a phase error.  Larger chunks run faster but raise peak RSS.
 _CHUNK_PHASE_ERRORS = 2**14
-# Step factors probability_curve keeps per chunk (256 KiB each at 2**14
-# phase errors).  A linear grid of up to 65,536 points has about 4 to 19
-# distinct step floats, of which the 16 most frequent cover over 99.99 %
-# of the steps.
-_KEPT_STEP_FACTORS = 16
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ def coherent_gain(phase_errors):
     eps = np.asarray(phase_errors, dtype=float)
     if eps.ndim == 0 or eps.shape[-1] == 0:
         raise ValueError("phase_errors needs at least one node on its last axis")
-    return _phasor_gain(_unit_phasors(eps))
+    return np.abs(_unit_phasors(eps).sum(axis=-1)) ** 2 / eps.shape[-1] ** 2
 
 
 def _unit_phasors(x: np.ndarray) -> np.ndarray:
@@ -113,9 +106,15 @@ def _unit_phasors(x: np.ndarray) -> np.ndarray:
     return phasors
 
 
-def _phasor_gain(phasors: np.ndarray) -> np.ndarray:
-    """``|sum_n p_n|**2 / N**2`` over the last axis of unit phasors."""
-    return np.abs(phasors.sum(axis=-1)) ** 2 / phasors.shape[-1] ** 2
+def _magnitude_floor(threshold: float, n: int) -> float:
+    """The least ``|total|`` whose gain ``|total|**2 / n**2`` reaches ``threshold``
+    in (0, 1]; the gain's floats rise with ``|total|``, so both count the same trials."""
+    h = math.sqrt(threshold) * n
+    while h * h / n**2 >= threshold:
+        h = math.nextafter(h, 0.0)
+    while h * h / n**2 < threshold:
+        h = math.nextafter(h, math.inf)
+    return h
 
 
 def _draw_geometry(scenario: ArrayScenario, trials: int, rng: np.random.Generator):
@@ -149,23 +148,27 @@ def probability_curve(
     random numbers), which removes Monte-Carlo jitter from the shape of
     the curve.  The grid may come in any order and repeat points.
 
-    Trials run in chunks of about ``_CHUNK_PHASE_ERRORS`` phase errors.  A
-    chunk's phasors start from ``exp(j grid[0] a)``, with ``a`` the phase
-    errors at unit sigma_d, and are multiplied by ``exp(j (grid[i] -
-    grid[i-1]) a)`` at each next point.  A chunk computes each factor of
-    a repeated step once (for the ``_KEPT_STEP_FACTORS`` most frequent
-    steps), so a linear grid pays a handful of exponentials and a log
-    grid one per point.  A point at sigma_d = 0
-    restarts from exact unit phasors.  After ``i`` steps the gains differ
-    from a fresh ``exp(j grid[i] a)``'s by about ``i * 1e-16``, about
-    1e-11 at a 65,536-point grid: a trial flips only if its gain lies
-    that close to ``threshold``.
+    Trials run in chunks of about ``_CHUNK_PHASE_ERRORS`` phase errors,
+    holding the secondary nodes' phasors node-major (the primary's is 1).
+    A chunk starts from ``exp(j grid[0] a)``, ``a`` the phase errors at
+    unit sigma_d, and multiplies by ``exp(j s a)`` a point: ``s`` is the
+    mean step if every point lies within 4 ulps of ``max|grid|`` of
+    ``grid[0] + i s`` (two exponentials a chunk), else ``grid[i] -
+    grid[i-1]`` (one exponential per nonzero step that differs from the
+    last).  A point at sigma_d = 0 restarts from exact unit phasors.  After
+    ``i`` steps a gain is within ``i * 2e-16`` of a fresh exponential's
+    (7e-17 measured), plus a few ulps of the largest phase: a trial flips
+    only if its gain is that close to ``threshold``.  The chunks run by
+    :func:`cohsync.channel.map_chunks` after the geometry draw and return
+    integer hit counts, so the curve has the same bytes at any worker count.
     """
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sigma_grid is empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} must lie in (0, 1], the range of a coherent gain")
     if trials * scenario.n_nodes > MAX_TRIAL_NODES:
         raise ValueError(
             f"{trials} trials x {scenario.n_nodes} nodes exceeds the limit of "
@@ -173,31 +176,32 @@ def probability_curve(
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     theta, z_range = _draw_geometry(scenario, trials, rng)
-    sigmas, steps = grid.tolist(), np.diff(grid).tolist()
-    # the factors of the most frequent repeated steps are kept for a chunk
-    values, counts = np.unique(steps, return_counts=True)
-    frequent = np.argsort(-counts, kind="stable")[:_KEPT_STEP_FACTORS]
-    kept = set(values[frequent][counts[frequent] > 1].tolist())
-    rows = max(1, _CHUNK_PHASE_ERRORS // scenario.n_nodes)
-    hits = np.zeros(grid.size, dtype=np.int64)
-    for start in range(0, trials, rows):
-        chunk = slice(start, start + rows)
-        a = _phase_errors(scenario, 1.0, (theta[chunk], z_range[chunk]))
-        phasors = _unit_phasors(sigmas[0] * a)
-        hits[0] += np.count_nonzero(_phasor_gain(phasors) >= threshold)
-        factors = {}
-        for i, step in enumerate(steps, start=1):
-            if sigmas[i] == 0.0:
+    # an arithmetic grid steps by its mean step: the first step's float would drift
+    mean = float(grid[-1] - grid[0]) / max(grid.size - 1, 1)
+    drift = np.abs(grid - grid[0] - mean * np.arange(grid.size))
+    arithmetic = np.all(drift <= 4 * np.spacing(np.abs(grid).max()))
+    steps = [mean] * (grid.size - 1) if arithmetic else np.diff(grid).tolist()
+    sigmas, n, k = grid.tolist(), scenario.n_nodes, scenario.wavenumber()
+    rows, floor = max(1, _CHUNK_PHASE_ERRORS // n), _magnitude_floor(threshold, n)
+
+    def chunk_hits(j: int) -> list[int]:
+        chunk = slice(j * rows, (j + 1) * rows)
+        a = np.multiply(z_range[chunk, 1:].T, k * (1.0 + np.sin(theta[chunk])), order="C")
+        total, size, hit = (np.empty(a.shape[1], dtype=t) for t in (complex, float, bool))
+        phasors, hits, last = _unit_phasors(sigmas[0] * a), [], None
+        for sigma, step in zip(sigmas, [0.0] + steps):  # a step of 0 multiplies by 1
+            if sigma == 0.0:
                 phasors[...] = 1.0
-            else:
-                factor = factors.get(step)
-                if factor is None:
-                    factor = _unit_phasors(step * a)
-                    if step in kept:
-                        factors[step] = factor
+            elif step:
+                if step != last:
+                    factor, last = _unit_phasors(step * a), step
                 phasors *= factor
-            hits[i] += np.count_nonzero(_phasor_gain(phasors) >= threshold)
-    return hits / trials
+            # into the chunk's buffers, so no allocation a point
+            np.add(np.add.reduce(phasors, axis=0, out=total), 1.0, out=total)
+            hits.append(np.count_nonzero(np.greater_equal(np.abs(total, out=size), floor, out=hit)))
+        return hits
+
+    return np.sum(map_chunks(chunk_hits, -(-trials // rows)), axis=0) / trials
 
 
 def threshold_crossings(

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsync import coherence
+from cohsync import channel, coherence
 from cohsync.coherence import (
     ArrayScenario,
     _draw_geometry,
@@ -216,6 +217,159 @@ class TestCurveRecurrence:
         y = probability_curve(scenario, grid, trials=700, seed=8)
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", chunk)
         assert np.array_equal(probability_curve(scenario, grid, trials=700, seed=8), y)
+
+
+def on_workers(monkeypatch, workers, run):
+    """``run()`` with chunks run inline (1) or on a fresh pool of ``workers`` threads."""
+    monkeypatch.setattr(channel, "_WORKERS", workers)
+    monkeypatch.setattr(channel, "_pool", None)
+    try:
+        result = run()
+        assert (channel._pool is not None) == (workers > 1)
+        return result
+    finally:
+        if channel._pool is not None:
+            channel._pool.shutdown()
+
+
+def counting(monkeypatch, name):
+    """Wrap ``coherence.<name>`` to count its calls."""
+    calls, inner = [0], getattr(coherence, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(coherence, name, wrapper)
+    return calls
+
+
+def recording_magnitudes(monkeypatch, keep):
+    """Give ``coherence`` a numpy that keeps a copy of the ``|total|`` array
+    of each ``greater_equal`` call whose number ``keep`` accepts."""
+    calls, kept = [0], {}
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def greater_equal(self, x, *args, **kwargs):
+            calls[0] += 1
+            if keep(calls[0]):
+                kept[calls[0]] = x.copy()
+            return np.greater_equal(x, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "np", Numpy())
+    return kept
+
+
+class TestCurveChunks:
+    """Chunks of trials step one factor per arithmetic grid and run on channel's pool."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, workers):
+        scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
+        grid = np.linspace(0.02, 0.05, 7)  # the benchmark's array, 49 chunks
+
+        def curve():
+            return probability_curve(scenario, grid, trials=50000, seed=1).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch between nearly every bytecode
+        try:
+            assert on_workers(monkeypatch, workers, curve) == on_workers(monkeypatch, 1, curve)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(channel, "_WORKERS", 2)
+        monkeypatch.setattr(channel, "_pool", None)
+        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        probability_curve(scenario, np.linspace(0.02, 0.16, 57), trials=8000, seed=1)
+        assert channel._pool is None
+
+    def test_linear_grid_pays_two_exponentials_a_chunk(self, monkeypatch):
+        # 2 chunks of 32 trials; the last point's gains against fresh
+        # exponentials, within the docstring's 2e-16 a step (about 0.3 of
+        # that; stepping by the first step's float reads 1.6 times it here)
+        scenario, trials, seed = ArrayScenario(n_nodes=3, wavelength=1.0), 64, 5
+        grid = np.linspace(0.3, 0.5, 2**16)
+        geometry = _draw_geometry(scenario, trials, np.random.default_rng(np.random.SeedSequence(seed)))
+        fresh = coherent_gain(_phase_errors(scenario, grid[-1], geometry))
+        monkeypatch.setattr(channel, "_WORKERS", 1)
+        monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 3 * 32)
+        exponentials = counting(monkeypatch, "_unit_phasors")
+        last = recording_magnitudes(monkeypatch, lambda call: call % grid.size == 0)
+        probability_curve(scenario, grid, trials=trials, seed=seed)
+        assert exponentials[0] == 2 * 2
+        gains = np.concatenate([last[call] for call in sorted(last)]) ** 2 / 3**2
+        assert gains.shape == fresh.shape
+        assert np.max(np.abs(gains - fresh)) <= (grid.size - 1) * 2e-16
+
+    def test_log_grid_pays_one_exponential_a_step(self, monkeypatch):
+        scenario = ArrayScenario(n_nodes=4, wavelength=1.0)
+        monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 4 * 40)
+        exponentials = counting(monkeypatch, "_unit_phasors")
+        probability_curve(scenario, np.geomspace(0.005, 0.3, 40), trials=100, seed=2)
+        assert exponentials[0] == 3 * (1 + 39)
+
+    @pytest.mark.parametrize("nodes", [2, 3, 16, 1000])
+    @pytest.mark.parametrize("threshold", [1e-300, 0.5, 0.7, 0.9, 1.0 - 2**-53, 1.0])
+    def test_magnitude_floor_is_the_gains_threshold(self, nodes, threshold):
+        floor = coherence._magnitude_floor(threshold, nodes)
+        below = np.nextafter(floor, 0.0)
+        gain = np.abs(np.array([below, floor])) ** 2 / nodes**2  # coherent_gain's formula
+        assert gain[0] < threshold <= gain[1]
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_threshold_outside_gain_range(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            probability_curve(ArrayScenario(n_nodes=2, wavelength=1.0), [0.05], threshold=threshold)
+
+
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def two_node_probability(sigma_over_lambda, threshold=0.9, nodes=200):
+    """Exact two-node ``P(G_c >= threshold)`` of the coherence module's model.
+
+    ``G_c = cos(eps/2)**2`` with ``eps ~ N(0, s**2)`` and ``s = 2 pi
+    (sigma_d/lambda) (1 + sin theta)`` reaches ``threshold`` on the wraps
+    ``|eps - 2 pi m| <= 2 acos(sqrt(threshold))``: given theta, a sum of
+    normal-CDF differences, here over ``|m| <= 6`` (10 s or more up to
+    sigma_d/lambda = 0.3), averaged over theta uniform on (-pi/2, pi/2)
+    by Gauss-Legendre nodes.
+    """
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    s = 2 * math.pi * sigma_over_lambda * (1.0 + np.sin(x * math.pi / 2)) * math.sqrt(2.0)
+    half, wraps = 2.0 * math.acos(math.sqrt(threshold)), 2 * math.pi * np.arange(-6, 7)[:, None]
+    inside = (_erf((wraps + half) / s) - _erf((wraps - half) / s)).astype(float)
+    return float(np.dot(weights, inside.sum(axis=0)) / 4)
+
+
+class TestTwoNodeOracle:
+    """The Monte Carlo and the shipped two-node table against the exact integral."""
+
+    def test_oracle_converges(self):
+        for sigma in (0.02, 0.0725, 0.3):
+            assert two_node_probability(sigma) == pytest.approx(
+                two_node_probability(sigma, nodes=400), abs=1e-12
+            )
+        assert two_node_probability(1e-4) == pytest.approx(1.0, abs=1e-12)
+
+    def test_table_matches_oracle(self):
+        for level, table in coherence.TWO_NODE_SIGMA_OVER_LAMBDA.items():
+            lo, hi = 0.01, 0.3  # bisection: the probability falls with sigma
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if two_node_probability(mid) > level else (lo, mid)
+            assert table == pytest.approx(lo, rel=0.02)
+
+    def test_curve_within_four_standard_errors(self):
+        grid = np.linspace(0.02, 0.16, 57)  # the benchmark's two-node curve
+        y = probability_curve(ArrayScenario(n_nodes=2, wavelength=1.0), grid, trials=10000, seed=1)
+        exact = np.array([two_node_probability(sigma) for sigma in grid])
+        assert np.all(np.abs(y - exact) <= 4 * binomial_standard_error(exact, 10000))
 
 
 class TestStandardErrors:
