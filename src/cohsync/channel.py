@@ -52,8 +52,9 @@ chunks nor the order the chunks run in (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).  Each row's inverse FFT does not
 depend on the rows it shares a call with either, so the chunks run on a
 pool of threads, one a core up to ``_MAX_WORKERS``, and give the same
-bytes at any worker count.  The pool, :func:`map_chunks`, also runs
-probability curves; windows that draw no whole rows start no thread.
+bytes at any worker count.  Probability curves use both: their chunks of
+trials draw their geometry from these chunk streams and run on the pool,
+:func:`map_chunks`.  Windows that draw no whole rows start no thread.
 """
 
 import math
@@ -286,7 +287,7 @@ _ROW_CHUNK = 16
 # row chunk in flight holds about 1.2 MiB at the reference window, so by
 # tracemalloc a P = 800 draw peaks at 0.06-0.08 of its frame array inline and
 # 0.13-0.15 on four threads, below refinement's 0.24-0.29 (TestStreamedRows
-# allows 0.35).  Each curve chunk holds about 0.7 MiB (coherence).
+# allows 0.35).  Each curve chunk holds about 0.6 MiB (coherence).
 _MAX_WORKERS = 4
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,

@@ -24,9 +24,10 @@ at probabilities 0.9 / 0.8 / 0.7) to within a couple of percent.
 
 Since ``eps = sigma_d * a`` with ``a`` fixed per trial and node, the
 phasors along an arithmetic sigma_d grid form a geometric sequence, which
-``probability_curve`` steps by one complex multiply a point (Press et
-al., *Numerical Recipes*, 3rd ed., 2007, section 5.4), in chunks of
-trials on the threads of :func:`cohsync.channel.map_chunks`.
+``probability_curve`` steps by one complex multiply a point from a power
+of the step factor, or a fresh start (Press et al., *Numerical Recipes*,
+3rd ed., 2007, section 5.4), in chunks of trials that draw their own
+geometry on the threads of :func:`cohsync.channel.map_chunks`.
 """
 
 import math
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import map_chunks
+from .channel import _chunk_stream, map_chunks
 from .waveform import SPEED_OF_LIGHT
 
 # Two-node sigma_d/lambda thresholds for P(G_c >= 0.9), keyed by that
@@ -42,15 +43,14 @@ from .waveform import SPEED_OF_LIGHT
 # probability_curve + threshold_crossings.
 TWO_NODE_SIGMA_OVER_LAMBDA = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
 
-# Limit on trials x n_nodes of one probability curve.  A curve peaks at
-# about 8.5 bytes per phase error (12 with two nodes; tracemalloc), the
-# geometry draw, plus 0.7 MiB of chunk buffers per worker thread, so at
-# most about 204 MB here.  The 16-node, 50,000-trial array uses 4.8 %.
+# Limit on trials x n_nodes of one probability curve.  Chunks draw their own
+# geometry, so it bounds run time, not memory: at it a curve takes about 0.8 s
+# on 7 points and 2.3 s on 60 on two cores.  The benchmark's array uses 4.8 %.
 MAX_TRIAL_NODES = 2**24
 
 # Phase errors per chunk of probability_curve's trials.  Each worker holds a
-# chunk's phase errors, phasors, step factor and a temporary, 0.7 MiB at 48
-# bytes a phase error.  Larger chunks run faster but raise peak RSS.
+# chunk's unit phase errors, phasors, step factor and a temporary, 0.6 MiB
+# at 40 bytes a phase error.  Larger chunks run faster but raise peak RSS.
 _CHUNK_PHASE_ERRORS = 2**14
 
 
@@ -117,22 +117,16 @@ def _magnitude_floor(threshold: float, n: int) -> float:
     return h
 
 
-def _draw_geometry(scenario: ArrayScenario, trials: int, rng: np.random.Generator):
-    """Steering angles and unit range errors of ``trials`` trials.
-
-    Everything except the sigma_d scaling, so one draw serves a whole grid.
-    """
-    theta = rng.uniform(*scenario.theta_range, size=trials)
-    z_range = rng.standard_normal((trials, scenario.n_nodes))
-    z_range[:, 0] = 0.0  # primary node is the phase reference
-    return theta, z_range
-
-
-def _phase_errors(scenario: ArrayScenario, sigma_d: float, geometry) -> np.ndarray:
-    """``(trials, N)`` phase errors at range-error scale ``sigma_d``."""
-    theta, z_range = geometry
-    k = scenario.wavenumber()
-    return (k * sigma_d * (1.0 + np.sin(theta)))[:, None] * z_range
+def _chunk_geometry(scenario: ArrayScenario, seed, j: int, rows: int, trials: int) -> np.ndarray:
+    """``(N - 1, r)`` phase errors at unit sigma_d of the ``r <= rows`` trials
+    from ``j * rows`` of ``trials``: steering angles, then the secondary
+    nodes' unit range errors scaled in place by ``k (1 + sin theta)``, from
+    chunk ``j``'s stream of ``seed`` (:func:`cohsync.channel._chunk_stream`)."""
+    rng, r = _chunk_stream(seed, j), min(rows, trials - j * rows)
+    theta = rng.uniform(*scenario.theta_range, size=r)
+    a = rng.standard_normal((scenario.n_nodes - 1, r))
+    a *= scenario.wavenumber() * (1.0 + np.sin(theta))
+    return a
 
 
 def probability_curve(
@@ -142,25 +136,26 @@ def probability_curve(
     trials: int = 10000,
     seed: int = 0,
 ) -> np.ndarray:
-    """``Y = P(G_c >= threshold)`` over a grid of sigma_d values (metres).
+    """``Y = P(G_c >= threshold)`` over a grid of sigma_d values (metres), in
+    any order and with repeats, on one set of geometry draws (common random
+    numbers, so the curve's shape carries no Monte-Carlo jitter).
 
-    One set of geometry draws is shared across the whole grid (common
-    random numbers), which removes Monte-Carlo jitter from the shape of
-    the curve.  The grid may come in any order and repeat points.
-
-    Trials run in chunks of about ``_CHUNK_PHASE_ERRORS`` phase errors,
-    holding the secondary nodes' phasors node-major (the primary's is 1).
-    A chunk starts from ``exp(j grid[0] a)``, ``a`` the phase errors at
-    unit sigma_d, and multiplies by ``exp(j s a)`` a point: ``s`` is the
-    mean step if every point lies within 4 ulps of ``max|grid|`` of
-    ``grid[0] + i s`` (two exponentials a chunk), else ``grid[i] -
-    grid[i-1]`` (one exponential per nonzero step that differs from the
-    last).  A point at sigma_d = 0 restarts from exact unit phasors.  After
-    ``i`` steps a gain is within ``i * 2e-16`` of a fresh exponential's
-    (7e-17 measured), plus a few ulps of the largest phase: a trial flips
-    only if its gain is that close to ``threshold``.  The chunks run by
-    :func:`cohsync.channel.map_chunks` after the geometry draw and return
+    Trials run in chunks of about ``_CHUNK_PHASE_ERRORS`` phase errors on
+    the threads of :func:`cohsync.channel.map_chunks`.  Each chunk draws its
+    own geometry from its own stream (:func:`_chunk_geometry`), holds the
+    secondary nodes' phasors node-major (the primary's is 1) and returns
     integer hit counts, so the curve has the same bytes at any worker count.
+    A chunk multiplies by ``exp(j s a)`` a point, ``a`` the unit phase
+    errors: ``s`` is the mean step if every point lies within 4 ulps of
+    ``max|grid|`` of ``grid[0] + i s``, else ``grid[i] - grid[i-1]`` (one
+    exponential per nonzero step that differs from the last).  It starts
+    from ``exp(j s a)**q`` by repeated squaring if ``grid[0]`` also lies
+    that close to ``q s`` for an integer ``q`` in [0, 32], so pays one
+    exponential, else from ``exp(j grid[0] a)``.  A point at sigma_d = 0
+    restarts from exact unit phasors.  ``i`` steps on, a gain is within
+    ``(q + i) * 2e-16`` of a fresh exponential's (``q`` 0 after a fresh
+    start) plus a few ulps of the largest phase: a trial flips only if its
+    gain is that close to ``threshold``.
     """
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.size == 0:
@@ -174,21 +169,25 @@ def probability_curve(
             f"{trials} trials x {scenario.n_nodes} nodes exceeds the limit of "
             f"{MAX_TRIAL_NODES} phase errors (trials x nodes)"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    theta, z_range = _draw_geometry(scenario, trials, rng)
     # an arithmetic grid steps by its mean step: the first step's float would drift
     mean = float(grid[-1] - grid[0]) / max(grid.size - 1, 1)
-    drift = np.abs(grid - grid[0] - mean * np.arange(grid.size))
-    arithmetic = np.all(drift <= 4 * np.spacing(np.abs(grid).max()))
+    ulps = 4 * np.spacing(np.abs(grid).max())
+    arithmetic = np.all(np.abs(grid - grid[0] - mean * np.arange(grid.size)) <= ulps)
     steps = [mean] * (grid.size - 1) if arithmetic else np.diff(grid).tolist()
-    sigmas, n, k = grid.tolist(), scenario.n_nodes, scenario.wavenumber()
+    q = round(grid[0] / mean) if arithmetic and mean else -1
+    power = 0 <= q <= 32 and abs(grid[0] - q * mean) <= ulps
+    sigmas, n, seed_seq = grid.tolist(), scenario.n_nodes, np.random.SeedSequence(seed)
     rows, floor = max(1, _CHUNK_PHASE_ERRORS // n), _magnitude_floor(threshold, n)
 
     def chunk_hits(j: int) -> list[int]:
-        chunk = slice(j * rows, (j + 1) * rows)
-        a = np.multiply(z_range[chunk, 1:].T, k * (1.0 + np.sin(theta[chunk])), order="C")
+        a, hits = _chunk_geometry(scenario, seed_seq, j, rows, trials), []
         total, size, hit = (np.empty(a.shape[1], dtype=t) for t in (complex, float, bool))
-        phasors, hits, last = _unit_phasors(sigmas[0] * a), [], None
+        factor, last = (_unit_phasors(mean * a), mean) if power else (None, None)
+        phasors = np.ones_like(factor) if power else _unit_phasors(sigmas[0] * a)
+        for bit in bin(q)[2:] if power else "":  # factor**q, squaring from the leading bit
+            phasors *= phasors
+            if bit == "1":
+                phasors *= factor
         for sigma, step in zip(sigmas, [0.0] + steps):  # a step of 0 multiplies by 1
             if sigma == 0.0:
                 phasors[...] = 1.0

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from cohsync import channel, coherence
 from cohsync.coherence import (
     ArrayScenario,
-    _draw_geometry,
-    _phase_errors,
+    _chunk_geometry,
     binomial_standard_error,
     coherent_gain,
     crossing_standard_errors,
@@ -22,6 +21,29 @@ from cohsync.coherence import (
 from cohsync.waveform import SPEED_OF_LIGHT
 
 PAPER_THRESHOLDS = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
+
+
+def curve_geometry(scenario, trials, seed):
+    """The ``(N - 1, trials)`` unit phase errors of a curve, drawn chunk by
+    chunk as :func:`probability_curve` draws them."""
+    rows, seed_seq = max(1, coherence._CHUNK_PHASE_ERRORS // scenario.n_nodes), np.random.SeedSequence(seed)
+    chunks = range(-(-trials // rows))
+    return np.concatenate([_chunk_geometry(scenario, seed_seq, j, rows, trials) for j in chunks], axis=1)
+
+
+def drawn_by_hand(scenario, seed, j, r):
+    """Steering angles and ``(N - 1, r)`` unit normals of chunk ``j``'s
+    stream, in the order the chunk draws them."""
+    rng = channel._chunk_stream(np.random.SeedSequence(seed), j)
+    return rng.uniform(*scenario.theta_range, size=r), rng.standard_normal((scenario.n_nodes - 1, r))
+
+
+def gains_at(a, sigma):
+    """Coherent gain of each trial at ``sigma``: phase errors ``sigma * a``
+    by fresh exponentials, the primary node's 0 in front."""
+    eps = np.zeros((a.shape[1], a.shape[0] + 1))
+    eps[:, 1:] = (sigma * a).T
+    return coherent_gain(eps)
 
 
 class TestCoherentGain:
@@ -89,28 +111,23 @@ class TestArrayScenario:
             wavelength=lam,
             theta_range=(math.pi / 2, math.pi / 2),
         )
-        from cohsync.coherence import _draw_geometry, _phase_errors
-
-        rng = np.random.default_rng(123)
-        geometry = _draw_geometry(scenario, 100000, rng)
-        sample = coherent_gain(_phase_errors(scenario, 0.05 * lam, geometry))
+        sample = gains_at(curve_geometry(scenario, 100000, 123), 0.05 * lam)
         assert sample.mean() == pytest.approx(0.91043435870777, rel=0.01)
 
     def test_spacing_cancels_from_steering_error(self):
         # steering with the estimated spacing d + delta_d instead of the
         # true d, plus the link term: the closed form drops d altogether
-        scenario = ArrayScenario(n_nodes=8, wavelength=0.1)
-        from cohsync.coherence import _draw_geometry, _phase_errors
-
-        rng = np.random.default_rng(7)
-        theta, z = _draw_geometry(scenario, 2000, rng)
-        spacing = rng.uniform(0.1, 10.0, size=z.shape)
+        # (the primary node's range error is 0)
+        scenario, seed_seq = ArrayScenario(n_nodes=8, wavelength=0.1), np.random.SeedSequence(7)
+        theta, z = drawn_by_hand(scenario, 7, 0, 2000)
+        z = np.concatenate([np.zeros((1, 2000)), z]).T
+        spacing = np.random.default_rng(7).uniform(0.1, 10.0, size=z.shape)
         k, delta_d = scenario.wavenumber(), 0.01 * z
         steer_true = k * spacing * np.sin(theta)[:, None]
         steer_est = k * (spacing + delta_d) * np.sin(theta)[:, None]
         eps = steer_true - steer_est - k * delta_d
         explicit = np.abs(np.exp(1j * eps).sum(axis=1)) ** 2 / 64
-        closed = coherent_gain(_phase_errors(scenario, 0.01, (theta, z)))
+        closed = gains_at(_chunk_geometry(scenario, seed_seq, 0, 2000, 2000), 0.01)
         assert np.max(np.abs(closed - explicit)) < 1e-12
 
     def test_scenario_invariants(self):
@@ -166,8 +183,9 @@ class TestProbabilityCurve:
         assert all(0.02 < v < 0.16 for v in ascending.values())
 
     def test_peak_memory_of_benchmark_curve(self):
-        # 16 nodes x 50,000 trials: the geometry draw (6.5 MiB) plus the
-        # chunk buffers; a curve that held whole-array phasors peaked at 26 MiB
+        # 16 nodes x 50,000 trials: the chunk buffers; a curve that held
+        # whole-array phasors peaked at 26 MiB, one that drew the whole
+        # geometry first at 7.2 MiB
         scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
         tracemalloc.start()
         try:
@@ -177,18 +195,25 @@ class TestProbabilityCurve:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_peak_memory_on_four_workers(self, monkeypatch):
+        # each chunk draws its own geometry: four chunks in flight peak at
+        # about 3.1 MiB, where a whole-geometry draw first took 9.9
+        scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
 
-def fresh_exp_curve(scenario, grid, threshold, trials, seed):
-    """Reference curve: fresh phase errors and exponentials at every sigma."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    geometry = _draw_geometry(scenario, trials, rng)
-    return np.array(
-        [np.mean(coherent_gain(_phase_errors(scenario, s, geometry)) >= threshold) for s in grid]
-    )
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert on_workers(monkeypatch, 4, traced_peak) < 4 * 2**20
 
 
 class TestCurveRecurrence:
-    """The stepped phasors give the per-point reference's probabilities bit for bit."""
+    """The stepped phasors give the per-point reference's probabilities, up
+    to trials whose gain lies within the docstring's bound of the threshold."""
 
     @pytest.mark.parametrize(
         "nodes, grid, threshold, trials, seed",
@@ -205,18 +230,33 @@ class TestCurveRecurrence:
         ],
     )
     def test_matches_fresh_exponentials(self, nodes, grid, threshold, trials, seed):
+        # i steps after a start of q (at most 32) steps, a gain is within
+        # (q + i) 2e-16 of a fresh exponential's plus a few ulps of the
+        # largest phase, so only trials that close to the threshold may
+        # flip; at X = 1 those are the trials of tiny phase errors
         scenario = ArrayScenario(n_nodes=nodes, wavelength=1.0)
         y = probability_curve(scenario, grid, threshold=threshold, trials=trials, seed=seed)
-        expected = fresh_exp_curve(scenario, grid, threshold, trials, seed)
-        assert np.array_equal(y, expected)
+        a = curve_geometry(scenario, trials, seed)
+        gains = np.array([gains_at(a, s) for s in grid])  # fresh exponentials, a row a point
+        flips = np.rint(np.abs(y * trials - np.sum(gains >= threshold, axis=1)))
+        bound = (32 + grid.size) * 2e-16 + 8 * np.spacing(np.abs(grid).max() * np.abs(a).max())
+        assert np.all(flips <= np.sum(np.abs(gains - threshold) <= bound, axis=1))
+        assert np.all(flips[grid == 0.0] == 0)
 
     @pytest.mark.parametrize("chunk", [1, 3 * 700])  # one row a chunk, all rows in one
-    def test_independent_of_chunk_size(self, monkeypatch, chunk):
-        scenario = ArrayScenario(n_nodes=3, wavelength=1.0)
-        grid = np.linspace(0.01, 0.2, 20)
-        y = probability_curve(scenario, grid, trials=700, seed=8)
+    def test_trial_draws_from_its_chunks_stream(self, monkeypatch, chunk):
+        # trial t is row t % rows of chunk t // rows, whatever the other chunks
+        scenario, trials, seed = ArrayScenario(n_nodes=3, wavelength=1.0), 700, 8
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", chunk)
-        assert np.array_equal(probability_curve(scenario, grid, trials=700, seed=8), y)
+        rows, hand = max(1, chunk // 3), []
+        for j in range(-(-trials // rows)):
+            theta, z = drawn_by_hand(scenario, seed, j, min(rows, trials - j * rows))
+            hand.append(scenario.wavenumber() * (1.0 + np.sin(theta)) * z)
+        a = np.concatenate(hand, axis=1)
+        assert np.array_equal(curve_geometry(scenario, trials, seed), a)
+        grid = np.linspace(0.01, 0.2, 20)
+        expected = np.mean([gains_at(a, s) >= 0.9 for s in grid], axis=1)
+        assert np.array_equal(probability_curve(scenario, grid, trials=trials, seed=seed), expected)
 
 
 def on_workers(monkeypatch, workers, run):
@@ -293,11 +333,10 @@ class TestCurveChunks:
         # exponentials, within the docstring's 2e-16 a step (about 0.3 of
         # that; stepping by the first step's float reads 1.6 times it here)
         scenario, trials, seed = ArrayScenario(n_nodes=3, wavelength=1.0), 64, 5
-        grid = np.linspace(0.3, 0.5, 2**16)
-        geometry = _draw_geometry(scenario, trials, np.random.default_rng(np.random.SeedSequence(seed)))
-        fresh = coherent_gain(_phase_errors(scenario, grid[-1], geometry))
+        grid = np.linspace(0.3, 0.5, 2**16)  # 0.3 is no small multiple of the step
         monkeypatch.setattr(channel, "_WORKERS", 1)
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 3 * 32)
+        fresh = gains_at(curve_geometry(scenario, trials, seed), grid[-1])
         exponentials = counting(monkeypatch, "_unit_phasors")
         last = recording_magnitudes(monkeypatch, lambda call: call % grid.size == 0)
         probability_curve(scenario, grid, trials=trials, seed=seed)
@@ -305,6 +344,38 @@ class TestCurveChunks:
         gains = np.concatenate([last[call] for call in sorted(last)]) ** 2 / 3**2
         assert gains.shape == fresh.shape
         assert np.max(np.abs(gains - fresh)) <= (grid.size - 1) * 2e-16
+
+    @pytest.mark.parametrize(
+        "grid, per_chunk",
+        [
+            (np.linspace(0.02, 0.05, 7), 1),  # the benchmark's array: 4 steps to the start
+            (np.linspace(0.02, 0.16, 57), 1),  # criterion 1's: 8 steps
+            (np.linspace(0.0, 0.2, 21), 1),  # from 0: the start is unit phasors
+            (np.linspace(0.01, 0.2, 60), 2),  # the CLI default: 0.01 is 3.1 steps
+            (np.linspace(0.16, 0.02, 29), 2),  # descending: -32 steps
+        ],
+    )
+    def test_step_multiple_grid_pays_one_exponential_a_chunk(self, monkeypatch, grid, per_chunk):
+        monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 4 * 25)
+        exponentials = counting(monkeypatch, "_unit_phasors")
+        probability_curve(ArrayScenario(n_nodes=4, wavelength=1.0), grid, trials=100, seed=3)
+        assert exponentials[0] == 4 * per_chunk
+
+    def test_power_start_stays_within_the_bound(self, monkeypatch):
+        # a start of q = 27 steps (square and multiply) and 2**16 - 1 steps
+        # on: the last point's gains against fresh exponentials, within the
+        # docstring's (q + i) 2e-16 (about 0.34 of it)
+        scenario, trials, seed, q = ArrayScenario(n_nodes=3, wavelength=1.0), 64, 5, 27
+        grid = 0.5 / (q + 2**16 - 1) * np.arange(q, q + 2**16)
+        monkeypatch.setattr(channel, "_WORKERS", 1)
+        monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 3 * 32)
+        fresh = gains_at(curve_geometry(scenario, trials, seed), grid[-1])
+        exponentials = counting(monkeypatch, "_unit_phasors")
+        last = recording_magnitudes(monkeypatch, lambda call: call % grid.size == 0)
+        probability_curve(scenario, grid, trials=trials, seed=seed)
+        assert exponentials[0] == 2 * 1
+        gains = np.concatenate([last[call] for call in sorted(last)]) ** 2 / 3**2
+        assert np.max(np.abs(gains - fresh)) <= (q + grid.size - 1) * 2e-16
 
     def test_log_grid_pays_one_exponential_a_step(self, monkeypatch):
         scenario = ArrayScenario(n_nodes=4, wavelength=1.0)
