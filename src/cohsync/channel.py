@@ -31,7 +31,8 @@ certificate allows.  Every output lag of template ``p`` obeys
 ``|noise[k]| <= ||p||_1 * max_j |w_j|`` over the white input samples
 ``w_j`` it reads.  So each row draws ``w`` exactly on the input samples of
 the lags within one and a half template lengths of the clean peak, takes
-their output maximum ``M`` by direct correlation, and draws the largest
+their output maximum ``M`` by one product with the template's Toeplitz
+matrix, and draws the largest
 modulus ``R`` of the other ``m`` input samples from its law: ``|w|**2`` is
 exponential, so ``R**2 = -noise_power * log(1 - U**(1/m))`` for uniform
 ``U`` (David & Nagaraja, *Order Statistics*, 3rd ed., 2003).  When
@@ -41,8 +42,8 @@ completed exactly around ``R`` (at a uniform place, the other moduli from
 the law truncated below it) and scanned whole.  Either way the peak has
 the distribution of a whole row's peak.  Templates whose near samples
 would cover the window draw whole rows.  The noise-free part of this (the
-rotated clean row, the template's DFT, ``||p||_1`` and ``max_far |clean|``)
-is a :class:`PeakSearch`, built once per clean row and template.
+rotated clean row, the template's DFT and Toeplitz matrix, ``||p||_1`` and
+``max_far |clean|``) is a :class:`PeakSearch`, built once per clean row and template.
 
 Whole rows are drawn and reduced ``_ROW_CHUNK`` rows at a time
 (:func:`map_row_chunks`), so no ``(rows, n)`` array is held.  Chunk ``j``
@@ -445,12 +446,13 @@ class PeakSearch:
     serves every window of a run (:func:`peak_search` builds it).
     ``clean_row`` is the noise-free output rotated so that lag ``first +
     k`` sits at index ``k``: the near lags, which read the ``n_inputs``
-    input samples, come first.  Where those inputs would cover the window
-    the rows are drawn whole and ``first`` is 0.
+    input samples, come first; input rows times ``toeplitz`` are their
+    output on the near lags.  Where those inputs would cover the window the
+    rows are drawn whole, ``first`` is 0 and ``toeplitz`` None.
     """
 
-    template: np.ndarray
     spectrum: np.ndarray  # the template's n-point DFT
+    toeplitz: np.ndarray | None
     clean_row: np.ndarray
     first: int
     n_inputs: int
@@ -468,9 +470,14 @@ def peak_search(clean_row: np.ndarray, template: np.ndarray) -> PeakSearch:
     n_inputs = 2 * half + length
     first = peak - half if n_inputs < n else 0
     far = np.roll(magnitude, -first)[2 * half + 1 :]
+    toeplitz = None
+    if n_inputs < n:  # column k reads inputs k .. k + length - 1
+        toeplitz = np.zeros((n_inputs, 2 * half + 1), dtype=np.complex128)
+        k = np.arange(2 * half + 1)
+        toeplitz[k + np.arange(length)[:, None], k] = np.conj(template)[:, None]
     return PeakSearch(
-        template=template,
         spectrum=np.fft.fft(template, n),
+        toeplitz=toeplitz,
         clean_row=np.roll(clean_row, -first),
         first=first,
         n_inputs=n_inputs,
@@ -493,11 +500,8 @@ def _certify(
     ``max_far |clean| + ||p||_1 * max(r_max, max |near|) < max_near |clean + noise|``,
     under which that argmax is the whole row's whatever the other samples.
     """
-    template = search.template
-    n_lags = near.shape[1] - template.size + 1
-    output = np.tile(search.clean_row[:n_lags], (len(near), 1))
-    for j, tap in enumerate(np.conj(template)):
-        output += tap * near[:, j : j + n_lags]
+    output = near @ search.toeplitz
+    output += search.clean_row[: output.shape[1]]
     output = np.abs(output)
     reach = search.reach * np.maximum(r_max, np.abs(near).max(axis=1))
     certified = search.far_max + reach < output.max(axis=1)

@@ -149,13 +149,13 @@ def probability_curve(
     errors: ``s`` is the mean step if every point lies within 4 ulps of
     ``max|grid|`` of ``grid[0] + i s``, else ``grid[i] - grid[i-1]`` (one
     exponential per nonzero step that differs from the last).  It starts
-    from ``exp(j s a)**q`` by repeated squaring if ``grid[0]`` also lies
-    that close to ``q s`` for an integer ``q`` in [0, 32], so pays one
-    exponential, else from ``exp(j grid[0] a)``.  A point at sigma_d = 0
-    restarts from exact unit phasors.  ``i`` steps on, a gain is within
-    ``(q + i) * 2e-16`` of a fresh exponential's (``q`` 0 after a fresh
-    start) plus a few ulps of the largest phase: a trial flips only if its
-    gain is that close to ``threshold``.
+    from ``exp(j s a)**q`` by repeated squaring (of the conjugate for q < 0)
+    if ``grid[0]`` also lies that close to ``q s`` for an integer ``|q| <=
+    32``, so pays one exponential, else from ``exp(j grid[0] a)``.  A point
+    at sigma_d = 0 restarts from exact unit phasors.  ``i`` steps on, a
+    gain is within ``(|q| + i) * 2e-16`` of a fresh exponential's (``q`` 0
+    after a fresh start) plus a few ulps of the largest phase: a trial
+    flips only if its gain is that close to ``threshold``.
     """
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.size == 0:
@@ -174,8 +174,8 @@ def probability_curve(
     ulps = 4 * np.spacing(np.abs(grid).max())
     arithmetic = np.all(np.abs(grid - grid[0] - mean * np.arange(grid.size)) <= ulps)
     steps = [mean] * (grid.size - 1) if arithmetic else np.diff(grid).tolist()
-    q = round(grid[0] / mean) if arithmetic and mean else -1
-    power = 0 <= q <= 32 and abs(grid[0] - q * mean) <= ulps
+    q = round(grid[0] / mean) if arithmetic and mean else None
+    power = q is not None and abs(q) <= 32 and abs(grid[0] - q * mean) <= ulps
     sigmas, n, seed_seq = grid.tolist(), scenario.n_nodes, np.random.SeedSequence(seed)
     rows, floor = max(1, _CHUNK_PHASE_ERRORS // n), _magnitude_floor(threshold, n)
 
@@ -184,10 +184,11 @@ def probability_curve(
         total, size, hit = (np.empty(a.shape[1], dtype=t) for t in (complex, float, bool))
         factor, last = (_unit_phasors(mean * a), mean) if power else (None, None)
         phasors = np.ones_like(factor) if power else _unit_phasors(sigmas[0] * a)
-        for bit in bin(q)[2:] if power else "":  # factor**q, squaring from the leading bit
+        base = np.conj(factor) if power and q < 0 else factor  # factor**-1 on the unit circle
+        for bit in bin(abs(q))[2:] if power else "":  # base**|q|, squaring from the leading bit
             phasors *= phasors
             if bit == "1":
-                phasors *= factor
+                phasors *= base
         for sigma, step in zip(sigmas, [0.0] + steps):  # a step of 0 multiplies by 1
             if sigma == 0.0:
                 phasors[...] = 1.0

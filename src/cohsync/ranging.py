@@ -21,8 +21,11 @@ interpolation table, built once per process, serves every tone
 separation.  Measured noise-free bias with the refinement constants
 below is under 0.1 mm at 25 Msps with a 7.5 MHz tone separation.
 
-Steps 2-5 run on all cycles of a window at once (:func:`refine_window`);
-the single-cycle :func:`disambiguate_and_refine` is a batch of one.
+Steps 3-5 run on all cycles of a window at once.  Lobe selection runs
+where the rows are held, on a lag block (:func:`select_lobes`) or whole
+rows (:func:`select_rows`), and keeps each pulse's peak lag, gross-error
+flag and interpolator support, the one shape :func:`refine_window`
+takes.  The single-cycle :func:`disambiguate_and_refine` is a batch of one.
 """
 
 import math
@@ -49,12 +52,12 @@ WINDOW_PAD_SAMPLES = 128
 # Limit on the complex samples of one window's frame array (pulses_per_interval
 # x receive-window length): 256 MiB at 16 bytes a sample.  No window holds such
 # an array: lobe windows up to 159 lags (from about 0.285 MHz) are lag blocks,
-# and whole rows are drawn 16 at a time and cut to the lags refinement reads.
-# By tracemalloc a 200 x 3750 window peaks at 0.15-0.37 such arrays at
-# separation 0 and at 0.1-7.5 MHz.  Lobe windows that approach the receive
-# window's width peak higher, since lobe selection gathers the whole lobe
-# window: 0.5 arrays at 50 kHz, 1.0 at 20 kHz and 3.0 at 6.8 kHz, so at most
-# about 770 MiB.  It also bounds the receive window alone.
+# and whole rows are drawn and their lobes selected 16 rows at a time.  By
+# tracemalloc an 800 x 3750 window peaks at 0.12-0.21 such arrays at every
+# separation from 0 to 7.5 MHz, most of it refinement's dense grid, so about
+# 55 MiB at the limit; a 200-pulse window weighs its chunks more, up to 0.56 at
+# 6.8 kHz, where the lobe window is nearly the receive window.  It also bounds
+# the receive window alone.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -132,15 +135,6 @@ def _peak_lags(rows: np.ndarray) -> np.ndarray:
     return _signed_lags(peak_indices(rows), rows.shape[1])
 
 
-def _take_lags(rows: np.ndarray, lags: np.ndarray, first_lag, n: int) -> np.ndarray:
-    """Per-row lags on the circular axis of length ``n``.
-
-    Row ``r`` of ``rows`` holds lags ``first_lag[r], first_lag[r] + 1, ...``
-    of that axis; whole rows are ``first_lag`` 0 and ``n`` columns.
-    """
-    return np.take_along_axis(rows, (lags - first_lag) % n, axis=1)
-
-
 def _half_spacing(sample_rate: float, config: WaveformConfig) -> float:
     """Half the two-tone lobe spacing in samples (infinite at separation 0)."""
     separation = config.two_tone.separation
@@ -161,36 +155,85 @@ def _interp_span(half: float) -> float:
 def lobe_lags(
     coarse: np.ndarray, n: int, sample_rate: float, config: WaveformConfig
 ) -> tuple[np.ndarray, int] | None:
-    """The ranging lags :func:`refine_window` reads, as ``(first_lag, width)``.
+    """The ranging lags lobe selection reads, as ``(first_lag, width)``.
 
     Every lag read for pulse ``r`` lies in ``first_lag[r] .. first_lag[r] +
     width - 1`` of the circular lag axis of length ``n``: the lobe window
     around ``coarse[r]`` with one lag either side for the edge test, and
-    the interpolator's support around any peak inside the window.
-    Returns None without a lobe window (separation 0, or lobes half a row
-    apart or more): the kernel then reads :func:`peak_support` around each
-    row's peak.
+    the :func:`peak_support` around any peak inside the window.  Returns
+    None without a lobe window (separation 0, or lobes half a row apart
+    or more): selection then takes each row's peak.
     """
     half = _half_spacing(sample_rate, config)
     if not (math.isfinite(half) and 2.0 * half < n):
         return None
     lo, last = _lobe_window(coarse, half)
-    _, first, matrix = _interp_matrix(_interp_span(half))
+    first, width = peak_support(sample_rate, config)
     below = min(first, -1)
-    above = max(first + matrix.shape[0] - 1, 1)
-    return lo + below, int(last.max()) + above - below + 1
+    return lo + below, int(last.max()) + max(first + width - 1, 1) - below + 1
 
 
-def peak_support() -> tuple[int, int]:
-    """The ranging lags :func:`refine_window` reads around a peak found without a lobe window.
+def peak_support(sample_rate: float, config: WaveformConfig) -> tuple[int, int]:
+    """The lags :func:`refine_window` reads around a pulse's peak, as ``(first, width)``.
 
-    Returns ``(first, width)``: the lags ``peak + first .. peak + first +
-    width - 1``, the interpolator's support.  Rows that hold just these
-    lags, ``first_lag = peak + first``, give refinement the peak they were
-    cut around, so it does not scan whole rows for it.
+    That is the lags ``peak + first .. peak + first + width - 1``, the
+    interpolator's support for the tone separation: 72 lags from
+    ``peak - 35`` while half a lobe spacing spans ``NEIGHBORS`` samples,
+    fewer above 3.125 MHz at 25 Msps.
     """
-    _, first, matrix = _interp_matrix(float(NEIGHBORS))
+    _, first, matrix = _interp_matrix(_interp_span(_half_spacing(sample_rate, config)))
     return first, matrix.shape[0]
+
+
+def select_lobes(
+    rows: np.ndarray, coarse: np.ndarray, sample_rate: float, config: WaveformConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lobe selection on rows that hold the lags :func:`lobe_lags` names.
+
+    Row ``r`` holds pulse ``r``'s ranging output at lags ``first_lag[r],
+    first_lag[r] + 1, ...`` (``first_lag`` as :func:`lobe_lags` returns it
+    for ``coarse``, any width that covers it), so the lobe windows, with
+    one lag either side, are one column range of the rows.  Returns
+    ``(support, peak, gross)``: each pulse's :func:`peak_support` at its
+    lobe peak, the peak's lag and the gross-error flag of
+    :class:`RangeEstimate`.
+    """
+    lo, last = _lobe_window(coarse, _half_spacing(sample_rate, config))
+    first, width = peak_support(sample_rate, config)
+    below = min(first, -1)  # lag lo - 1 is column -1 - below
+    mag = np.abs(rows[:, -1 - below : int(last.max()) + 2 - below])
+    inside = np.where(np.arange(mag.shape[1] - 2) <= last[:, None], mag[:, 1:-1], -np.inf)
+    k = np.argmax(inside, axis=1)
+    # The nearest credible lobe peak lies farther than half a spacing away
+    # exactly when the in-window argmax sits on the window edge and the
+    # magnitude keeps rising beyond it (no local maximum inside the window).
+    r = np.arange(len(rows))
+    gross = ((k == 0) & (mag[:, 0] > mag[:, 1])) | (
+        (k == last) & (mag[r, last + 2] > mag[r, last + 1])
+    )
+    support = np.take_along_axis(rows, (k + first - below)[:, None] + np.arange(width), axis=1)
+    return support, lo + k, gross
+
+
+def select_rows(
+    rows: np.ndarray, coarse: np.ndarray, sample_rate: float, config: WaveformConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`select_lobes` on whole rows, the circular lag axis of their length.
+
+    Each row is cut to its :func:`lobe_lags`, or without a lobe window to
+    the :func:`peak_support` around its magnitude peak, which no gross
+    error flags.
+    """
+    n = rows.shape[1]
+    reads = lobe_lags(coarse, n, sample_rate, config)
+    if reads is not None:
+        first_lag, width = reads
+        cut = np.take_along_axis(rows, (first_lag[:, None] + np.arange(width)) % n, axis=1)
+        return select_lobes(cut, coarse, sample_rate, config)
+    peak = _peak_lags(rows)
+    first, width = peak_support(sample_rate, config)
+    support = np.take_along_axis(rows, (peak[:, None] + first + np.arange(width)) % n, axis=1)
+    return support, peak, np.zeros(len(rows), dtype=bool)
 
 
 def effective_window_length(waveform: WaveformConfig, channel_state: ChannelState) -> int:
@@ -406,77 +449,28 @@ def _spline_peaks(offsets: np.ndarray, parts: np.ndarray) -> np.ndarray:
 
 
 def refine_window(
-    mf_ranging: np.ndarray,
-    coarse: np.ndarray,
-    sample_rate: float,
-    config: WaveformConfig,
-    *,
-    first_lag: np.ndarray | int = 0,
-    n: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lobe selection and peak refinement for a batch of pulses.
+    support: np.ndarray, peak: np.ndarray, sample_rate: float, config: WaveformConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak refinement for a batch of pulses whose lobe peaks are selected.
 
-    Row ``r`` of ``mf_ranging`` holds the ranging matched-filter output of
-    pulse ``r`` at lags ``first_lag[r], first_lag[r] + 1, ...`` of a
-    circular lag axis of length ``n``; the defaults take whole rows
-    (``first_lag`` 0, ``n`` the row length).  Rows may hold just the lags
-    :func:`lobe_lags` names or, without a lobe window, just the
-    :func:`peak_support` around each row's peak; refinement then takes the
-    peak from ``first_lag``.  ``coarse[r]`` is the pulse's coarse delay in
-    samples (the disambiguation peak, or a prior).  Returns per-pulse
-    arrays ``(range, peak_lag, gross_error)`` with the meaning of the
+    Row ``r`` of ``support`` holds pulse ``r``'s ranging matched-filter
+    output on the :func:`peak_support` around its selected peak lag
+    ``peak[r]`` (:func:`select_lobes` or :func:`select_rows` give both).
+    Returns per-pulse arrays ``(range, peak_lag)`` with the meaning of the
     :class:`RangeEstimate` fields.
 
-    Only the lags the estimator reads are gathered: the lobe window with
-    one lag either side for the edge test, and the interpolator's support
-    around each selected peak.  Dense interpolation is one matrix product
-    against a view of the process's one Kaiser-sinc table.  Dense
-    magnitudes are computed only where they are read: each row's argmax
-    comes from the squared magnitudes, and a row where another point
-    comes within rounding of its largest takes ``np.hypot`` over the row,
-    so the argmax is always that of ``np.hypot`` (see
-    :func:`_dense_argmax`); the spline's 17 points then take ``np.hypot``.
+    Dense interpolation is one matrix product against a view of the
+    process's one Kaiser-sinc table.  Dense magnitudes are computed only
+    where they are read: each row's argmax comes from the squared
+    magnitudes, and a row where another point comes within rounding of its
+    largest takes ``np.hypot`` over the row, so the argmax is always that
+    of ``np.hypot`` (see :func:`_dense_argmax`); the spline's 17 points
+    then take ``np.hypot``.
     """
-    rows = np.asarray(mf_ranging)
-    p = rows.shape[0]
-    n = rows.shape[1] if n is None else n
-    first_lag = np.reshape(first_lag, (-1, 1))
-    fs = sample_rate
-    half = _half_spacing(fs, config)
-
-    offsets, first, matrix = _interp_matrix(_interp_span(half))
-    gross = np.zeros(p, dtype=bool)
-    if math.isfinite(half) and 2.0 * half < n:
-        lo, last = _lobe_window(coarse, half)
-        cols = np.arange(int(last.max()) + 1)
-        # lags lo - 1 .. hi + 1: the window plus one lag either side
-        lags = lo[:, None] + np.arange(-1, cols.size + 1)
-        mag = np.abs(_take_lags(rows, lags, first_lag, n))
-        inside = np.where(cols <= last[:, None], mag[:, 1:-1], -np.inf)
-        k = np.argmax(inside, axis=1)
-        peak = lo + k
-        # The nearest credible lobe peak lies farther than half a spacing
-        # away exactly when the in-window argmax sits on the window edge
-        # and the magnitude keeps rising beyond it (no local maximum
-        # inside the window).
-        r = np.arange(p)
-        gross = ((k == 0) & (mag[:, 0] > mag[:, 1])) | (
-            (k == last) & (mag[r, last + 2] > mag[r, last + 1])
-        )
-    elif rows.shape[1] == n:
-        peak = _peak_lags(rows)
-    elif rows.shape[1] == matrix.shape[0]:
-        peak = first_lag[:, 0] - first  # rows hold the support around their peaks
-    else:
-        raise ValueError(
-            "without a lobe window the rows must be whole or the support around their peaks"
-        )
-
-    lags = peak[:, None] + first + np.arange(matrix.shape[0])
-    segment = _take_lags(rows, lags, first_lag, n)
-    dense = np.concatenate([segment.real, segment.imag]) @ matrix
-    lag_s = (peak + _spline_peaks(offsets, dense.reshape(2, p, -1))) / fs
-    return np.maximum(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s, gross
+    offsets, _, matrix = _interp_matrix(_interp_span(_half_spacing(sample_rate, config)))
+    dense = np.concatenate([support.real, support.imag]) @ matrix
+    lag_s = (peak + _spline_peaks(offsets, dense.reshape(2, len(support), -1))) / sample_rate
+    return np.maximum(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s
 
 
 def disambiguate_and_refine(
@@ -494,7 +488,7 @@ def disambiguate_and_refine(
     as ``expected_lag_s`` instead, which models running without a
     disambiguation pulse against a prior delay.
 
-    This is :func:`refine_window` on a batch of one pulse.
+    This is :func:`select_rows`, then :func:`refine_window`, on one pulse.
     """
     fs = mf_ranging.sample_rate
     if mf_disamb is not None:
@@ -503,7 +497,8 @@ def disambiguate_and_refine(
         coarse = np.array([expected_lag_s * fs])
     else:
         raise ValueError("need either a disambiguation output or expected_lag_s")
-    (range_m,), (lag_s,), (gross,) = refine_window(mf_ranging.samples[None, :], coarse, fs, config)
+    support, peak, (gross,) = select_rows(mf_ranging.samples[None, :], coarse, fs, config)
+    (range_m,), (lag_s,) = refine_window(support, peak, fs, config)
     return RangeEstimate(range=float(range_m), peak_lag=float(lag_s), gross_error=bool(gross))
 
 

@@ -28,14 +28,15 @@ the clean peak and the largest modulus of the rest settle it (at the
 reference waveform every pulse from -10 dB up, none at -20 dB), and rows
 they do not settle are completed and scanned whole.  Once the peak
 places the lobe window, a correlated block of just the ranging lags
-that refinement reads is drawn, up to ``n - L + 1`` lags (159 at the
-reference waveform, so from about 0.285 MHz).  Wider lobe windows, and
-windows without one, draw whole ranging rows 16 at a time and keep only
-the lobe window, or the interpolator's support around each row's peak,
-found as its chunk is drawn.  No window holds a pulses x window-length
-array.  Each chunk draws from its own stream and the chunks run on a
-thread per core (:func:`cohsync.channel.map_row_chunks`), with the same
-bytes at any thread count; windows with a lag block start no thread.
+that lobe selection reads is drawn, up to ``n - L + 1`` lags (159 at
+the reference waveform, so from about 0.285 MHz), and selected at once.
+Wider lobe windows, and windows without one, draw whole ranging rows 16
+at a time and select each chunk as it is drawn.  Either way a window
+keeps only the interpolator's support around each selected peak, never
+a pulses x window-length array.  Each chunk draws from its own stream
+and the chunks run on a thread per core
+(:func:`cohsync.channel.map_row_chunks`), with the same bytes at any
+thread count; windows with a lag block start no thread.
 The ranging noise is stationary, independent of the disambiguation
 noise and drawn from its own stream, so the placement leaves its
 distribution exact, and both draws match filtering white noise on every
@@ -56,6 +57,7 @@ from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import (
     ChannelState,
@@ -73,12 +75,13 @@ from .config import RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
 from .ranging import (
     _circular_correlation,
-    _peak_lags,
     _signed_lags,
     effective_window_length,
     lobe_lags,
     peak_support,
     refine_window,
+    select_lobes,
+    select_rows,
     window_stats,
 )
 from .ranging import disambiguate_and_refine  # noqa: F401  (traced benchmark runs patch this name)
@@ -236,22 +239,21 @@ def _matched_filter_rows(
     n_pulses: int,
     seed,
     memo: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray | int, int, np.ndarray]:
-    """Matched-filter outputs of one window, on the lags the estimator reads.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Selected ranging lobes of one window, drawn on the lags selection reads.
 
-    Returns ``(rows, first_lag, n, coarse)``: row ``r`` holds pulse ``r``'s
-    ranging output at lags ``first_lag[r], first_lag[r] + 1, ...`` of the
-    circular lag axis of length ``n`` (the receive window), and
-    ``coarse[r]`` is the lag of its disambiguation peak.  The lags are
-    those :func:`lobe_lags` names or, without a lobe window, the
-    :func:`peak_support` around the row's peak.
+    Returns ``(support, peak, gross, coarse)``: ``support``, ``peak`` and
+    ``gross`` as :func:`select_lobes` returns them, which
+    :func:`refine_window` takes, and ``coarse[r]`` the lag of pulse
+    ``r``'s disambiguation peak.
 
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
-    says: lobe windows of up to ``n - L + 1`` lags, ``L`` the ranging
-    pulse's length, as one block, and wider ones, and windows without one,
-    as whole rows streamed by :func:`map_noisy_rows`.  The noise-free
+    says: the :func:`lobe_lags` of windows up to ``n - L + 1`` lags, ``L``
+    the ranging pulse's length, as one block that selection reads once,
+    and wider ones, and windows without one, as whole rows streamed by
+    :func:`map_noisy_rows` and selected a chunk at a time.  The noise-free
     disambiguation frame is taken from ``memo`` (see
     :func:`simulate_window`) when it holds one for this geometry, and
     stored there otherwise.
@@ -278,25 +280,22 @@ def _matched_filter_rows(
     spectrum_r, clean, clean_r = _clean_output(pulse_r, n, channel_state, frame_d.ramp)
     sigma2_r = noise_power_for(clean, channel_state.snr_db)
     reads = lobe_lags(coarse, n, fs, waveform)
-    if reads is None:  # cut each row around its peak, found as the chunk is drawn
-        first, width = peak_support()
-        first_lag = np.empty(n_pulses, dtype=np.intp)
-    else:
+    if reads is not None and reads[1] <= n - pulse_r.n_samples + 1:
         first_lag, width = reads
-    if reads is not None and width <= n - pulse_r.n_samples + 1:
         rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
-        rows += clean_r[(first_lag[:, None] + np.arange(width)) % n]
-        return rows, first_lag, n, coarse
-    rows = np.empty((n_pulses, width), dtype=np.complex128)
+        # row r adds clean lags first_lag[r] .. on, a window of the row wrapped once
+        wrapped = np.concatenate([clean_r, clean_r[: width - 1]])
+        rows += sliding_window_view(wrapped, width)[first_lag % n]
+        return (*select_lobes(rows, coarse, fs, waveform), coarse)
+    support = np.empty((n_pulses, peak_support(fs, waveform)[1]), dtype=np.complex128)
+    peak = np.empty(n_pulses, dtype=np.intp)
+    gross = np.empty(n_pulses, dtype=bool)
 
-    def keep_read_lags(chunk: slice, noisy: np.ndarray) -> None:
-        if reads is None:
-            first_lag[chunk] = _peak_lags(noisy) + first
-        lags = (first_lag[chunk, None] + np.arange(width)) % n
-        rows[chunk] = np.take_along_axis(noisy, lags, axis=1)
+    def select_chunk(chunk: slice, noisy: np.ndarray) -> None:
+        support[chunk], peak[chunk], gross[chunk] = select_rows(noisy, coarse[chunk], fs, waveform)
 
-    map_noisy_rows(spectrum_r, clean_r, sigma2_r, n_pulses, rng_r, keep_read_lags)
-    return rows, first_lag, n, coarse
+    map_noisy_rows(spectrum_r, clean_r, sigma2_r, n_pulses, rng_r, select_chunk)
+    return support, peak, gross, coarse
 
 
 def simulate_window(
@@ -308,19 +307,16 @@ def simulate_window(
 ) -> tuple[np.ndarray, int]:
     """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
 
-    Each cycle's matched-filter outputs (see :func:`_matched_filter_rows`)
-    go through lobe selection and refinement as one batch.
-    Deterministic for a fixed ``seed``.  ``memo`` is a dict that the
-    windows of one run share: it keeps their noise-free disambiguation
-    frame, keyed on every input it depends on, so that only the first
-    window builds it.  Windows get the same bytes with it or without.
+    Each cycle's lobe is selected as its rows are drawn (see
+    :func:`_matched_filter_rows`), and the selected peaks are refined as
+    one batch.  Deterministic for a fixed ``seed``.  ``memo`` is a dict
+    that the windows of one run share: it keeps their noise-free
+    disambiguation frame, keyed on every input it depends on, so that
+    only the first window builds it.  Windows get the same bytes with it
+    or without.
     """
-    rows, first_lag, n, coarse = _matched_filter_rows(
-        waveform, channel_state, n_pulses, seed, memo
-    )
-    ranges, _, gross = refine_window(
-        rows, coarse, waveform.sample_rate, waveform, first_lag=first_lag, n=n
-    )
+    support, peak, gross, _ = _matched_filter_rows(waveform, channel_state, n_pulses, seed, memo)
+    ranges, _ = refine_window(support, peak, waveform.sample_rate, waveform)
     return ranges, int(gross.sum())
 
 

@@ -14,8 +14,8 @@ require the same bytes.
 gather-and-sum Kaiser-sinc interpolation onto the dense grid (the
 1/``OVERSAMPLE``-sample lattice points within the span) and a Thomas
 solve for the natural spline.  The tests feed it and
-``cohsync.ranging.refine_window`` the same matched-filter rows and
-compare the results.
+``select_and_refine`` (``cohsync.ranging.select_rows``, then
+``refine_window``) the same matched-filter rows and compare the results.
 """
 
 import math
@@ -43,6 +43,8 @@ from cohsync.ranging import (
     effective_window_length,
     lobe_lags,
     refine_window,
+    select_lobes,
+    select_rows,
 )
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
@@ -120,7 +122,7 @@ def whole_array_window(
     """``simulate_window`` with every whole-row draw one ``(P, n)`` array.
 
     Whole ranging rows are one ``whole_rows`` array, which
-    ``refine_window`` scans whole; a lobe window of up to ``n - L + 1``
+    ``select_rows`` scans whole; a lobe window of up to ``n - L + 1``
     lags is one ``matched_noise_block`` draw, as the window's.  A template
     whose near samples cover the window gets all its disambiguation rows
     as one array, scanned by one argmax.  Every other step is the window's.
@@ -145,11 +147,17 @@ def whole_array_window(
         first_lag, width = reads
         noise = matched_noise_block(spectrum, sigma2_r, n_pulses, width, np.random.default_rng(seed_r))
         rows = noise + clean_row[(first_lag[:, None] + np.arange(width)) % n]
-        ranges, _, gross = refine_window(rows, coarse, fs, waveform, first_lag=first_lag, n=n)
-        return ranges, int(gross.sum())
+        support, peak, gross = select_lobes(rows, coarse, fs, waveform)
+        return refine_window(support, peak, fs, waveform)[0], int(gross.sum())
     rows = whole_rows(spectrum, clean_row, sigma2_r, n_pulses, seed_r)
-    ranges, _, gross = refine_window(rows, coarse, fs, waveform)
+    ranges, _, gross = select_and_refine(rows, coarse, waveform)
     return ranges, int(gross.sum())
+
+
+def select_and_refine(rows: np.ndarray, coarse: np.ndarray, waveform: WaveformConfig):
+    """``(range, peak_lag, gross_error)`` arrays of whole matched-filter rows."""
+    support, peak, gross = select_rows(rows, coarse, waveform.sample_rate, waveform)
+    return (*refine_window(support, peak, waveform.sample_rate, waveform), gross)
 
 
 def interp_kernel(positions: np.ndarray, taps: int, beta: float):

