@@ -361,17 +361,6 @@ def _row_peaks(chunk: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(chunk), axis=1)
 
 
-def peak_indices(rows: np.ndarray) -> np.ndarray:
-    """Index of each row's largest modulus (the first of equal ones), a chunk at a time."""
-    peak = np.empty(len(rows), dtype=np.intp)
-
-    def keep_peaks(chunk: slice, part: np.ndarray) -> None:
-        peak[chunk] = _row_peaks(part)
-
-    map_row_chunks(len(rows), lambda chunk, _: rows[chunk], keep_peaks, None)
-    return peak
-
-
 def map_noisy_rows(
     template_spectrum: np.ndarray,
     clean_row: np.ndarray,

@@ -1,8 +1,10 @@
-"""Range estimation chain: matched filter, lobe selection, peak refinement.
+"""Range estimation chain: lobe selection and peak refinement.
 
 The estimation pipeline for one ranging cycle is
 
-1. matched-filter the received ranging and disambiguation pulses,
+1. matched-filter the received ranging and disambiguation pulses
+   (:func:`_circular_correlation`; a window draws its noise already
+   filtered, see :mod:`cohsync.scenario`),
 2. take the disambiguation peak as the coarse delay,
 3. select the two-tone correlation lobe nearest that coarse delay
    (lobes repeat every ``1 / (f2 - f1)`` seconds),
@@ -21,11 +23,11 @@ interpolation table, built once per process, serves every tone
 separation.  Measured noise-free bias with the refinement constants
 below is under 0.1 mm at 25 Msps with a 7.5 MHz tone separation.
 
-Steps 3-5 run on all cycles of a window at once.  Lobe selection runs
-where the rows are held, on a lag block (:func:`select_lobes`) or whole
-rows (:func:`select_rows`), and keeps each pulse's peak lag, gross-error
-flag and interpolator support, the one shape :func:`refine_window`
-takes.  The single-cycle :func:`disambiguate_and_refine` is a batch of one.
+Steps 3-5 run on all cycles of a window at once; one cycle is a batch
+of one.  Lobe selection runs where the rows are held, on a lag block
+(:func:`select_lobes`) or whole rows (:func:`select_rows`), and keeps
+each pulse's peak lag, gross-error flag and interpolator support, the
+one shape :func:`refine_window` takes.
 """
 
 import math
@@ -35,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelState, peak_indices
-from .waveform import SPEED_OF_LIGHT, ComplexBasebandSignal, WaveformConfig
+from .channel import ChannelState
+from .waveform import SPEED_OF_LIGHT, WaveformConfig
 
 # Refinement half-span in samples (clipped to half a lobe spacing so the
 # fit never strays into the adjacent lobe), dense evaluation factor of the
@@ -53,29 +55,12 @@ WINDOW_PAD_SAMPLES = 128
 # x receive-window length): 256 MiB at 16 bytes a sample.  No window holds such
 # an array: lobe windows up to 159 lags (from about 0.285 MHz) are lag blocks,
 # and whole rows are drawn and their lobes selected 16 rows at a time.  By
-# tracemalloc an 800 x 3750 window peaks at 0.12-0.21 such arrays at every
-# separation from 0 to 7.5 MHz, most of it refinement's dense grid, so about
-# 55 MiB at the limit; a 200-pulse window weighs its chunks more, up to 0.56 at
-# 6.8 kHz, where the lobe window is nearly the receive window.  It also bounds
-# the receive window alone.
+# tracemalloc an 800 x 3750 window at 13 dB peaks at 0.12-0.23 such arrays at
+# every separation from 0 to 7.5 MHz, most of it refinement's dense grid and
+# its squared magnitudes, so about 60 MiB at the limit; a 200-pulse window
+# weighs its chunks more, up to 0.43-0.55 at 6.8-10 kHz, where the lobe window
+# is nearly the receive window.  It also bounds the receive window alone.
 MAX_FRAME_SAMPLES = 2**24
-
-
-@dataclass(frozen=True)
-class RangeEstimate:
-    """One refined range measurement.
-
-    ``gross_error`` marks a disambiguation failure: the coarse delay did
-    not land inside any credible two-tone lobe.
-    """
-
-    range: float
-    peak_lag: float
-    gross_error: bool = False
-
-    def __post_init__(self):
-        if self.range < 0:
-            raise ValueError("range must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,32 +78,16 @@ class RangeWindowStats:
     mean_range: float
 
 
-def matched_filter(
-    received: ComplexBasebandSignal, template: ComplexBasebandSignal
-) -> ComplexBasebandSignal:
-    """Cross-correlate ``received`` against ``template`` via the FFT.
-
-    Output sample ``k`` is ``sum_j received[(j + k) mod N] * conj(template[j])``
-    over the template support, i.e. the circular cross-correlation of the
-    full received window.  Lags ``0 .. N - M`` are the full-overlap region
-    and equal the linear cross-correlation there; indices near ``N`` hold
-    the negative lags (exactly, provided the transmit frame carries at
-    least that much zero padding).
-    """
-    if received.n_samples < template.n_samples:
-        raise ValueError("received window must be at least as long as the template")
-    if not template.energy > 0:
-        raise ValueError("template has zero energy")
-    spectrum = np.fft.fft(template.samples, received.n_samples)
-    out = _circular_correlation(received.samples[None, :], spectrum)[0]
-    return ComplexBasebandSignal(out, received.sample_rate)
-
-
 def _circular_correlation(rows: np.ndarray, template_spectrum: np.ndarray) -> np.ndarray:
     """Batched circular cross-correlation of rows against one template.
 
-    ``template_spectrum`` is the template's DFT at the rows' length,
-    ``np.fft.fft(template, n)``.
+    ``template_spectrum`` is the template's DFT at the rows' length ``N``,
+    ``np.fft.fft(template, N)``.  Output lag ``k`` of a row is ``sum_j
+    row[(j + k) mod N] * conj(template[j])`` over the template support.
+    Lags ``0 .. N - M`` (``M`` the template's length) are the full-overlap
+    region and equal the linear cross-correlation there; indices near
+    ``N`` hold the negative lags (exactly, provided the transmit frame
+    carries at least that much zero padding).
     """
     spectrum = np.fft.fft(rows, axis=1)
     spectrum *= np.conj(template_spectrum)
@@ -128,11 +97,6 @@ def _circular_correlation(rows: np.ndarray, template_spectrum: np.ndarray) -> np
 def _signed_lags(index: np.ndarray, n: int) -> np.ndarray:
     """Signed lags of indices on the circular lag axis of length ``n`` (past n/2 negative)."""
     return np.where(index > n / 2, index - n, index)
-
-
-def _peak_lags(rows: np.ndarray) -> np.ndarray:
-    """Signed lag of each row's magnitude peak."""
-    return _signed_lags(peak_indices(rows), rows.shape[1])
 
 
 def _half_spacing(sample_rate: float, config: WaveformConfig) -> float:
@@ -195,8 +159,9 @@ def select_lobes(
     for ``coarse``, any width that covers it), so the lobe windows, with
     one lag either side, are one column range of the rows.  Returns
     ``(support, peak, gross)``: each pulse's :func:`peak_support` at its
-    lobe peak, the peak's lag and the gross-error flag of
-    :class:`RangeEstimate`.
+    lobe peak, the peak's lag and its gross-error flag, which marks a
+    disambiguation failure: the coarse delay did not land inside any
+    credible two-tone lobe.
     """
     lo, last = _lobe_window(coarse, _half_spacing(sample_rate, config))
     first, width = peak_support(sample_rate, config)
@@ -230,7 +195,7 @@ def select_rows(
         first_lag, width = reads
         cut = np.take_along_axis(rows, (first_lag[:, None] + np.arange(width)) % n, axis=1)
         return select_lobes(cut, coarse, sample_rate, config)
-    peak = _peak_lags(rows)
+    peak = _signed_lags(np.argmax(np.abs(rows), axis=1), n)
     first, width = peak_support(sample_rate, config)
     support = np.take_along_axis(rows, (peak[:, None] + first + np.arange(width)) % n, axis=1)
     return support, peak, np.zeros(len(rows), dtype=bool)
@@ -390,11 +355,6 @@ def _natural_spline_max(
 _TIE_GAP = 1e-13
 _NORMAL_SQUARES = (1e-290, 1e300)
 
-# Rows of squared dense magnitudes held at once: 64 rows of the widest grid
-# (513 points) take 263 KB, small next to the dense grid of a 200-pulse
-# window (1.6 MB), which the hypot refinement's peak memory already held.
-_SQUARE_ROWS = 64
-
 
 def _dense_argmax(parts: np.ndarray) -> np.ndarray:
     """Index of each row's largest ``np.hypot(re, im)``, the first of equal ones.
@@ -433,9 +393,7 @@ def _spline_peaks(offsets: np.ndarray, parts: np.ndarray) -> np.ndarray:
     :func:`_dense_argmax`).
     """
     re, im = parts
-    m = np.concatenate(
-        [_dense_argmax(parts[:, s : s + _SQUARE_ROWS]) for s in range(0, len(re), _SQUARE_ROWS)]
-    )
+    m = _dense_argmax(parts)
     lo = np.maximum(m - 8, 0)
     width = np.minimum(m + 9, re.shape[1]) - lo
     h = float(offsets[1] - offsets[0])
@@ -456,8 +414,8 @@ def refine_window(
     Row ``r`` of ``support`` holds pulse ``r``'s ranging matched-filter
     output on the :func:`peak_support` around its selected peak lag
     ``peak[r]`` (:func:`select_lobes` or :func:`select_rows` give both).
-    Returns per-pulse arrays ``(range, peak_lag)`` with the meaning of the
-    :class:`RangeEstimate` fields.
+    Returns per-pulse arrays ``(range, peak_lag)``: the one-way range in
+    metres (at least 0) and the refined lag in seconds.
 
     Dense interpolation is one matrix product against a view of the
     process's one Kaiser-sinc table.  Dense magnitudes are computed only
@@ -473,35 +431,6 @@ def refine_window(
     return np.maximum(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s
 
 
-def disambiguate_and_refine(
-    mf_ranging: ComplexBasebandSignal,
-    mf_disamb: ComplexBasebandSignal | None,
-    config: WaveformConfig,
-    *,
-    expected_lag_s: float | None = None,
-) -> RangeEstimate:
-    """Select the correct two-tone lobe and refine its peak to a range.
-
-    ``mf_ranging`` and ``mf_disamb`` are matched-filter outputs on a
-    common lag axis (both from :func:`matched_filter` over equal-length
-    windows).  If ``mf_disamb`` is None the coarse delay must be supplied
-    as ``expected_lag_s`` instead, which models running without a
-    disambiguation pulse against a prior delay.
-
-    This is :func:`select_rows`, then :func:`refine_window`, on one pulse.
-    """
-    fs = mf_ranging.sample_rate
-    if mf_disamb is not None:
-        coarse = _peak_lags(mf_disamb.samples[None, :])
-    elif expected_lag_s is not None:
-        coarse = np.array([expected_lag_s * fs])
-    else:
-        raise ValueError("need either a disambiguation output or expected_lag_s")
-    support, peak, (gross,) = select_rows(mf_ranging.samples[None, :], coarse, fs, config)
-    (range_m,), (lag_s,) = refine_window(support, peak, fs, config)
-    return RangeEstimate(range=float(range_m), peak_lag=float(lag_s), gross_error=bool(gross))
-
-
 def window_stats(
     estimates, group_size: int = 5, window: int = 200
 ) -> RangeWindowStats:
@@ -515,7 +444,7 @@ def window_stats(
     est = np.asarray(estimates, dtype=float)
     if est.ndim != 1 or est.size != window:
         raise ValueError(f"expected exactly {window} estimates, got {est.size}")
-    if window % group_size != 0 or group_size < 1:
+    if group_size < 1 or window % group_size != 0:
         raise ValueError("window must be a positive multiple of group_size")
     if window // group_size < 2:
         raise ValueError("need at least two groups for a standard deviation")

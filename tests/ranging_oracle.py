@@ -10,6 +10,10 @@ window's whole-row draws held as one ``(P, n)`` array each, built serially
 from the per-chunk streams the window draws its chunks from: the tests
 require the same bytes.
 
+``correlate`` matched-filters one received frame and ``peak_lags`` finds
+each row's magnitude peak a row at a time: a pulse is a batch of one, so
+the tests feed such rows to ``select_and_refine`` with ``P = 1``.
+
 ``refine_pulse`` is the estimator as it ran one pulse at a time: a
 gather-and-sum Kaiser-sinc interpolation onto the dense grid (the
 1/``OVERSAMPLE``-sample lattice points within the span) and a Thomas
@@ -100,6 +104,17 @@ def matched_filter_rows(
         return _circular_correlation(rows, np.fft.fft(pulse.samples, n_win))
 
     return matched_rows(pulse_r), matched_rows(pulse_d)
+
+
+def correlate(received: ComplexBasebandSignal, template: ComplexBasebandSignal) -> np.ndarray:
+    """The matched-filter row of one received frame: the window's correlation on a batch of one."""
+    spectrum = np.fft.fft(template.samples, received.n_samples)
+    return _circular_correlation(received.samples[None, :], spectrum)[0]
+
+
+def peak_lags(rows: np.ndarray) -> np.ndarray:
+    """Signed lag of each row's magnitude peak, one row's magnitudes held at a time."""
+    return _signed_lags(np.array([np.argmax(np.abs(row)) for row in rows]), rows.shape[1])
 
 
 def whole_rows(spectrum, clean_row, noise_power, n_pulses, seed_seq) -> np.ndarray:

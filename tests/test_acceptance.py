@@ -22,6 +22,7 @@ from cohsync.ranging import effective_window_length
 from cohsync.scenario import run_adaptive, simulate_window
 from cohsync.waveform import SPEED_OF_LIGHT, crlb_sigma_r
 
+import ranging_oracle
 from conftest import post_snr_for, state_for_post_snr, step_trace, write_trace
 from test_scenario import TUNED_KP, TUNED_TI, constant_trace, reaches_clamp, tuned_config
 
@@ -130,7 +131,7 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
         assert worst < 0.5 * ambiguity_m, f"worst error {worst:.2f} m"
 
         # with disambiguation disabled, k-period offsets alias to 20 m * k
-        from cohsync import channel, ranging, waveform
+        from cohsync import channel, waveform
 
         pulse = waveform.generate_two_tone(full_waveform.two_tone, 143.7e-6, 25e6)
         prior_lag = 2 * 90.0 / SPEED_OF_LIGHT
@@ -142,13 +143,12 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
             rx = channel.apply_round_trip_response(
                 frame, ChannelState(true_range=true_range, snr_db=math.inf)
             )
-            est = ranging.disambiguate_and_refine(
-                ranging.matched_filter(rx, pulse),
-                None,
+            (range_m,), _, _ = ranging_oracle.select_and_refine(
+                ranging_oracle.correlate(rx, pulse)[None],
+                np.array([prior_lag * 25e6]),
                 full_waveform,
-                expected_lag_s=prior_lag,
             )
-            assert abs(est.range - true_range) == pytest.approx(
+            assert abs(range_m - true_range) == pytest.approx(
                 k * ambiguity_m, abs=2e-3
             )
 

@@ -19,12 +19,7 @@ from cohsync.channel import (
     peak_search,
     residual_baseband_frequency,
 )
-from cohsync.ranging import (
-    _circular_correlation,
-    disambiguate_and_refine,
-    effective_window_length,
-    matched_filter,
-)
+from cohsync.ranging import _circular_correlation, effective_window_length
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
     ComplexBasebandSignal,
@@ -32,7 +27,7 @@ from cohsync.waveform import (
     generate_disambiguation,
     generate_two_tone,
 )
-from ranging_oracle import noisy_rows
+from ranging_oracle import correlate, noisy_rows, select_and_refine
 from scipy import stats
 
 FS = 25e6
@@ -85,14 +80,13 @@ class TestPropagateRoundTrip:
     def test_90m_delay_lands_at_analytic_lag(self, full_waveform, noise_free_90m):
         frame, pulse = padded_frame(full_waveform)
         out = apply_round_trip_response(frame, noise_free_90m)
-        mf = matched_filter(out, pulse)
-        est = disambiguate_and_refine(
-            mf, None, full_waveform, expected_lag_s=2 * 90.0 / SPEED_OF_LIGHT
-        )
+        mf = correlate(out, pulse)
+        coarse = np.array([2 * 90.0 / SPEED_OF_LIGHT * FS])
+        (range_m,), (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
         expected_lag = 2 * 90.0 / SPEED_OF_LIGHT
-        assert est.peak_lag == pytest.approx(expected_lag, abs=1e-12)
-        assert est.peak_lag * FS == pytest.approx(15.0, abs=0.05)
-        assert est.range == pytest.approx(90.0, abs=1e-3)
+        assert peak_lag == pytest.approx(expected_lag, abs=1e-12)
+        assert peak_lag * FS == pytest.approx(15.0, abs=0.05)
+        assert range_m == pytest.approx(90.0, abs=1e-3)
 
     def test_equal_offsets_produce_zero_shift(self, full_waveform, noise_free_90m):
         frame, _ = padded_frame(full_waveform)
@@ -127,11 +121,10 @@ class TestPropagateRoundTrip:
             frame, pulse = padded_frame(full_waveform)
             state = ChannelState(true_range=float(r), snr_db=math.inf)
             out = apply_round_trip_response(frame, state)
-            mf = matched_filter(out, pulse)
-            est = disambiguate_and_refine(
-                mf, None, full_waveform, expected_lag_s=2 * r / SPEED_OF_LIGHT
-            )
-            estimated.append(est.peak_lag)
+            mf = correlate(out, pulse)
+            coarse = np.array([2 * r / SPEED_OF_LIGHT * FS])
+            _, (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
+            estimated.append(peak_lag)
         slope = np.polyfit(ranges, estimated, 1)[0]
         assert slope == pytest.approx(2.0 / SPEED_OF_LIGHT, rel=1e-6)
         back = SPEED_OF_LIGHT * np.asarray(estimated) / 2.0

@@ -17,9 +17,6 @@ from cohsync.ranging import (
     _interp_matrix,
     _interp_table,
     _natural_spline_max,
-    _peak_lags,
-    disambiguate_and_refine,
-    matched_filter,
     window_stats,
 )
 from cohsync.scenario import simulate_window
@@ -47,21 +44,20 @@ def frame_with_delay_samples(pulse, delay, total):
 class TestMatchedFilter:
     def test_autocorrelation_identity(self, full_waveform):
         pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
-        mf = matched_filter(pulse, pulse)
-        mags = np.abs(mf.samples)
+        mags = np.abs(ranging_oracle.correlate(pulse, pulse))
         assert int(np.argmax(mags)) == 0
         assert mags[0] == pytest.approx(pulse.energy, rel=1e-12)
 
     def test_delayed_copy_peaks_at_40(self, full_waveform):
         pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
         received = frame_with_delay_samples(pulse, 40, pulse.n_samples + 128)
-        mf = matched_filter(received, pulse)
-        assert int(np.argmax(np.abs(mf.samples))) == 40
+        mf = ranging_oracle.correlate(received, pulse)
+        assert int(np.argmax(np.abs(mf))) == 40
 
     def test_disambiguation_self_output_single_lobe(self):
         pulse = generate_disambiguation(1.875e6, FS)
         received = frame_with_delay_samples(pulse, 30, pulse.n_samples + 64)
-        mags = np.abs(matched_filter(received, pulse).samples)
+        mags = np.abs(ranging_oracle.correlate(received, pulse))
         floor = mags.max() / math.sqrt(2.0)  # -3 dB of peak
         above = mags >= floor
         # local maxima above -3 dB: only the main lobe itself
@@ -76,21 +72,13 @@ class TestMatchedFilter:
         template = ComplexBasebandSignal(
             rng.standard_normal(90) + 1j * rng.standard_normal(90), FS
         )
-        mf = matched_filter(received, template)
+        mf = ranging_oracle.correlate(received, template)
         direct = np.correlate(received.samples, template.samples, mode="full")
         # full-overlap lags 0 .. N-M map to direct index lag + M - 1
         n, m = 300, 90
-        ours = mf.samples[: n - m + 1]
+        ours = mf[: n - m + 1]
         theirs = direct[m - 1 : n]  # full-overlap lags 0 .. N - M
         assert np.max(np.abs(ours - theirs)) <= 1e-6 * np.max(np.abs(theirs))
-
-    def test_rejects_degenerate_inputs(self, full_waveform):
-        pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
-        short = ComplexBasebandSignal(np.ones(8), FS)
-        with pytest.raises(ValueError):
-            matched_filter(short, pulse)
-        with pytest.raises(ValueError):
-            matched_filter(pulse, ComplexBasebandSignal(np.zeros(8), FS))
 
 
 class TestDisambiguateAndRefine:
@@ -117,11 +105,12 @@ class TestDisambiguateAndRefine:
         received = frame_with_delay_samples(pulse, 0, pulse.n_samples + 128)
         disamb = generate_disambiguation(full_waveform.f_d, FS)
         rx_d = frame_with_delay_samples(disamb, 0, pulse.n_samples + 128)
-        est = disambiguate_and_refine(
-            matched_filter(received, pulse), matched_filter(rx_d, disamb), full_waveform
+        coarse = ranging_oracle.peak_lags(ranging_oracle.correlate(rx_d, disamb)[None])
+        (range_m,), _, (gross,) = ranging_oracle.select_and_refine(
+            ranging_oracle.correlate(received, pulse)[None], coarse, full_waveform
         )
-        assert est.range == pytest.approx(0.0, abs=1e-3)
-        assert not est.gross_error
+        assert range_m == pytest.approx(0.0, abs=1e-3)
+        assert not gross
 
     def test_ambiguity_offset_without_disambiguation(self, full_waveform):
         # with the lobe chosen against a stale prior, a k-period delay
@@ -140,31 +129,26 @@ class TestDisambiguateAndRefine:
             from cohsync.channel import apply_round_trip_response
 
             rx = apply_round_trip_response(frame, state)
-            est = disambiguate_and_refine(
-                matched_filter(rx, pulse), None, full_waveform, expected_lag_s=prior_lag
+            mf = ranging_oracle.correlate(rx, pulse)
+            (range_m,), _, _ = ranging_oracle.select_and_refine(
+                mf[None], np.array([prior_lag * FS]), full_waveform
             )
             # the estimator stays on the prior's lobe, so the report is
             # off by exactly k ambiguity periods
-            error = abs(est.range - true_range)
+            error = abs(range_m - true_range)
             assert error == pytest.approx(k * ambiguity_m, abs=2e-3)
-            assert est.range == pytest.approx(base_range, abs=2e-3)
+            assert range_m == pytest.approx(base_range, abs=2e-3)
 
     def test_gross_error_flag_on_monotone_neighborhood(self, full_waveform):
         # correlation magnitude rising straight through the selection
         # window forces the in-window argmax onto the boundary
         n = 512
-        ramp = ComplexBasebandSignal(np.linspace(0.0, 1.0, n) + 0j, FS)
+        ramp = np.linspace(0.0, 1.0, n) + 0j
         spike = np.zeros(n, dtype=complex)
         spike[200] = 1.0
-        est = disambiguate_and_refine(
-            ramp, ComplexBasebandSignal(spike, FS), full_waveform
-        )
-        assert est.gross_error
-
-    def test_requires_coarse_source(self, full_waveform):
-        sig = ComplexBasebandSignal(np.ones(64), FS)
-        with pytest.raises(ValueError):
-            disambiguate_and_refine(sig, None, full_waveform)
+        coarse = ranging_oracle.peak_lags(spike[None])
+        _, _, (gross,) = ranging_oracle.select_and_refine(ramp[None], coarse, full_waveform)
+        assert gross
 
 
 class TestEstimatorStatistics:
@@ -235,6 +219,8 @@ class TestWindowStats:
             window_stats(np.zeros(199))
         with pytest.raises(ValueError):
             window_stats(np.zeros(200), group_size=3)
+        with pytest.raises(ValueError):
+            window_stats(np.zeros(200), group_size=0)
 
 
 class TestSplineSolver:
@@ -268,7 +254,7 @@ def oracle_window(mf_r, mf_d, waveform):
 
 
 def assert_matches_oracle(mf_r, mf_d, waveform):
-    ranges, lags, gross = ranging_oracle.select_and_refine(mf_r, _peak_lags(mf_d), waveform)
+    ranges, lags, gross = ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
     o_ranges, o_lags, o_gross = oracle_window(mf_r, mf_d, waveform)
     assert np.max(np.abs(ranges - o_ranges)) <= 1e-8
     assert np.array_equal(gross, o_gross)
@@ -336,7 +322,7 @@ class TestBatchedKernel:
         _interp_table.cache_clear()
         tracemalloc.start()
         try:
-            ranging_oracle.select_and_refine(mf_r, _peak_lags(mf_d), waveform)
+            ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,14 +442,13 @@ class TestDenseArgmax:
 
     @pytest.mark.parametrize("snr_db", [-25.0, 13.0, 23.0, math.inf])
     def test_batched_kernel_grid(self, monkeypatch, full_waveform, snr_db):
-        # TestBatchedKernel's windows, three seeds to a batch of 150 rows,
-        # so that the squared magnitudes span several row chunks
+        # TestBatchedKernel's windows, three seeds to a batch of 150 rows
         state = ChannelState(true_range=90.0, snr_db=snr_db)
         for separation_hz in (0.0, 1e6, 3.5e6, 7.5e6):
             waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
             windows = [ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed)) for seed in range(3)]
             mf_r = np.concatenate([r for r, _ in windows])
-            coarse = np.concatenate([_peak_lags(d) for _, d in windows])
+            coarse = np.concatenate([ranging_oracle.peak_lags(d) for _, d in windows])
             assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform)
 
 

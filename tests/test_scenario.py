@@ -12,7 +12,7 @@ import pytest
 import ranging_oracle
 from conftest import post_snr_for, step_trace, write_trace
 import cohsync
-from cohsync import channel, ranging, scenario
+from cohsync import channel, cli, coherence, ranging, scenario
 from cohsync.channel import CarrierPlan, ChannelState
 from cohsync.config import config_from_dict, default_config
 from cohsync.control import (
@@ -24,7 +24,6 @@ from cohsync.control import (
 )
 from cohsync.ranging import (
     WINDOW_PAD_SAMPLES,
-    _peak_lags,
     effective_window_length,
     refine_window,
     window_stats,
@@ -352,7 +351,7 @@ class TestNoiseStreams:
 def oracle_refined(waveform, state, n_pulses, seed):
     """Selection and refinement on the oracle's whole rows of time-domain noise."""
     mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, n_pulses, seed)
-    return ranging_oracle.select_and_refine(mf_r, _peak_lags(mf_d), waveform)
+    return ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
 
 
 def direct_refined(waveform, state, n_pulses, seed):
@@ -541,7 +540,7 @@ class TestStreamedRows:
         # and 6.8 kHz to 0.2 MHz stream whole ranging rows, the lobe window
         # nearly n lags wide at 6.8 kHz; from 0.29 MHz the lags are one
         # block.  Selecting each chunk's lobes as it is drawn keeps every
-        # window at 0.12-0.21; gathering all pulses' lobe windows at once
+        # window at 0.12-0.23; gathering all pulses' lobe windows at once
         # reads 2.97 at 6.8 kHz
         import tracemalloc
 
@@ -577,7 +576,7 @@ class TestCoarseLagLaw:
         seeds = [(seed, 7) for seed in range(10)]
         direct = [scenario._matched_filter_rows(full_waveform, state, 200, s)[3] for s in seeds]
         oracle = [
-            _peak_lags(ranging_oracle.matched_filter_rows(full_waveform, state, 200, s)[1])
+            ranging_oracle.peak_lags(ranging_oracle.matched_filter_rows(full_waveform, state, 200, s)[1])
             for s in seeds
         ]
         peak = round(2 * 90.0 / SPEED_OF_LIGHT * full_waveform.sample_rate)
@@ -741,7 +740,12 @@ class TestDisambiguationMemo:
 
 
 class TestBenchmarkPatchPoints:
-    """Names the benchmark's traced runs patch on ``cohsync.scenario``."""
+    """Names the benchmark patches or wraps on cohsync's modules.
+
+    Its traced runs span the scenario, cli and coherence names below, and
+    every run wraps its workload's step function (``simulate_window`` or
+    ``probability_curve``) and ``cli.main``.
+    """
 
     NAMES = (
         "simulate_window",
@@ -754,13 +758,31 @@ class TestBenchmarkPatchPoints:
         "window_stats",
         "pi_step",
     )
+    CLI_NAMES = (
+        "main",
+        "load_config",
+        "save_config",
+        "read_trace_csv",
+        "write_run_log_csv",
+        "read_run_log_csv",
+        "summarize_run",
+        "run_adaptive",
+        "run_fixed_bandwidth",
+        "find_ultimate_gain",
+        "ranging_sigma_plant",
+    )
+    COHERENCE_NAMES = ("probability_curve", "threshold_crossings")
 
     def test_names_stay_bound(self):
-        for name in self.NAMES:
-            assert callable(getattr(scenario, name, None)), name
+        for module, names in (
+            (scenario, self.NAMES),
+            (cli, self.CLI_NAMES),
+            (coherence, self.COHERENCE_NAMES),
+        ):
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
     def test_closed_loop_calls_through_the_names(self, monkeypatch):
-        # every name but disambiguate_and_refine, which no window calls
         called = set()
 
         def spy(name, real):
@@ -770,12 +792,11 @@ class TestBenchmarkPatchPoints:
 
             return wrapper
 
-        names = [name for name in self.NAMES if name != "disambiguate_and_refine"]
-        for name in names:
+        for name in self.NAMES:
             monkeypatch.setattr(scenario, name, spy(name, getattr(scenario, name)))
         trace = constant_trace(23.0, 2, cadence_s=5.25)
         run_adaptive(tuned_config(pulses=50), trace, duration_s=2 * 5.25, seed=1)
-        assert called == set(names)
+        assert called == set(self.NAMES)
 
     def test_matched_filter_rows_correlate_2d_arrays(self, monkeypatch):
         # the benchmark counts FFT points from the (rows, n) shape of the
