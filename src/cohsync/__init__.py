@@ -3,8 +3,8 @@
 Desk-scale simulator and analysis library for phase/frequency
 coordination of distributed RF transceivers: spectrally sparse ranging
 waveforms, a cooperative round-trip channel, a matched-filter range
-estimator with ambiguity resolution, self-mixing frequency transfer, an
-adaptive PI bandwidth loop, and coherent-gain Monte-Carlo analysis.
+estimator with ambiguity resolution, an adaptive PI bandwidth loop, and
+coherent-gain Monte-Carlo analysis.
 The API is imported from the submodules, e.g.
 ``from cohsync.scenario import run_adaptive``.
 """

@@ -6,11 +6,14 @@ Antenna gains, cable losses and repeater noise figure are all folded
 into that one number, because every downstream accuracy result depends
 only on the post-processing energy ratio ``2E/N0``.
 
-SNR convention: ``snr_db`` references the mean power of the clean
-(delayed, shifted) signal over the full window it is given.
-With ranging and disambiguation frames padded to the same window
-length, both pulses then see the same post-processing ``2E/N0``, equal
-to ``2 * window_len * 10**(snr_db/10)``.
+A frame is a complex128 array over the receive window, and the round
+trip takes it as its DFT, which is also the matched filter's template
+spectrum.  SNR convention: ``snr_db`` references the mean power of the
+clean (delayed, shifted) frame over the whole window.  With ranging and
+disambiguation frames padded to the same window length, both pulses
+then see the same post-processing ``2E/N0``, equal to ``2 * window_len
+* 10**(snr_db/10)``; a finite ``snr_db`` must give that ratio as a
+positive finite float (:func:`snr_ratio`), and +inf means no noise.
 
 Noise is circularly symmetric white Gaussian with the per-sample variance
 that SNR sets (:func:`noise_power_for`).  A simulated window only ever
@@ -66,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from .waveform import SPEED_OF_LIGHT, ComplexBasebandSignal
+from .waveform import SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,8 @@ class CarrierPlan:
 class ChannelState:
     """One-way geometry plus link quality for a round trip.
 
-    ``snr_db`` may be ``math.inf`` to disable noise entirely.
+    ``snr_db`` may be ``math.inf`` to disable noise entirely; otherwise
+    :func:`snr_ratio` must accept it.
     """
 
     true_range: float
@@ -98,8 +102,7 @@ class ChannelState:
     def __post_init__(self):
         if self.true_range < 0:
             raise ValueError("true_range must be >= 0")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        snr_ratio(self.snr_db)
 
 
 def residual_baseband_frequency(f_b: float, carrier: CarrierPlan) -> float:
@@ -120,54 +123,55 @@ def delay_ramp(n: int, sample_rate: float, true_range: float) -> np.ndarray:
 
 
 def apply_round_trip_response(
-    pulse: ComplexBasebandSignal,
-    state: ChannelState,
-    *,
-    spectrum: np.ndarray | None = None,
-    ramp: np.ndarray | None = None,
-) -> ComplexBasebandSignal:
-    """Deterministic part of the round trip: delay and residual shift.
+    spectrum: np.ndarray, ramp: np.ndarray, state: ChannelState, sample_rate: float
+) -> np.ndarray:
+    """The received frame: the transmitted one's DFT ``spectrum`` delayed and shifted.
 
-    The two-way delay ``2 * true_range / c`` is applied as a spectral
-    phase ramp, which is exact for band-limited content and circular
-    over the window (callers size the window so the wrap region stays
-    empty).  The residual frequency shift ``offset2 - offset1`` is then
-    applied across the window.  No amplitude gain is modelled: the SNR
-    is referenced to the received signal, so any gain cancels.
-
-    A caller that already holds the pulse's DFT (``spectrum``) or the
-    window's :func:`delay_ramp` (``ramp``) passes them in; they are not
-    computed again.
+    The two-way delay ``2 * true_range / c`` is the window's phase ramp
+    ``ramp`` (:func:`delay_ramp`), exact for band-limited content and
+    circular over the ``n``-sample window (callers size the window so the
+    wrap region stays empty).  The residual frequency shift ``offset2 -
+    offset1`` is then applied across the window.  No amplitude gain is
+    modelled: the SNR is referenced to the received signal, so any gain
+    cancels.
     """
+    n = spectrum.size
     tau = 2.0 * state.true_range / SPEED_OF_LIGHT
-    if tau > pulse.duration:
+    if tau > n / sample_rate:
         raise ValueError(
-            f"round-trip delay {tau:.3e} s exceeds the {pulse.duration:.3e} s window"
+            f"round-trip delay {tau:.3e} s exceeds the {n / sample_rate:.3e} s window"
         )
-    n = pulse.n_samples
-    fs = pulse.sample_rate
-    if spectrum is None:
-        spectrum = np.fft.fft(pulse.samples)
-    if ramp is None:
-        ramp = delay_ramp(n, fs, state.true_range)
     delayed = np.fft.ifft(spectrum * ramp)
     shift = residual_baseband_frequency(0.0, state.carrier)
     if shift != 0.0:
-        t = np.arange(n) / fs
+        t = np.arange(n) / sample_rate
         delayed = delayed * np.exp(2j * np.pi * shift * t)
-    return ComplexBasebandSignal(delayed, fs)
+    return delayed
 
 
-def noise_power_for(clean: ComplexBasebandSignal, snr_db: float) -> float:
-    """Complex noise variance that realizes ``snr_db`` over this window."""
-    return scaled_noise_power(clean.energy / clean.n_samples, snr_db)
+def noise_power_for(clean: np.ndarray, snr_db: float) -> float:
+    """Complex noise variance that realizes ``snr_db`` over the window ``clean`` fills."""
+    return scaled_noise_power(float(np.sum(np.abs(clean) ** 2)) / clean.size, snr_db)
+
+
+def snr_ratio(snr_db: float) -> float:
+    """The linear SNR ``10**(snr_db / 10)``, infinite at ``snr_db`` +inf (no noise).
+
+    Raises ValueError where a finite ``snr_db`` has no positive finite
+    float ratio: above about 3082 dB, below about -3236 dB, or NaN.
+    """
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # only a finite snr_db overflows
+        ratio = 0.0
+    if not ratio > 0.0:
+        raise ValueError(f"snr_db={snr_db} has no positive finite linear ratio 10**(snr_db/10)")
+    return ratio
 
 
 def scaled_noise_power(power_0db: float, snr_db: float) -> float:
     """Noise variance at ``snr_db`` of a window whose variance at 0 dB is ``power_0db``."""
-    if math.isinf(snr_db) and snr_db > 0:
-        return 0.0
-    return power_0db / (10.0 ** (snr_db / 10.0))
+    return power_0db / snr_ratio(snr_db)
 
 
 def matched_noise_rows(
@@ -450,8 +454,11 @@ class PeakSearch:
     far_max: float  # largest clean modulus off the near lags
 
 
-def peak_search(clean_row: np.ndarray, template: np.ndarray) -> PeakSearch:
-    """The :class:`PeakSearch` of ``clean_row``, the noise-free output of ``template``'s filter."""
+def peak_search(clean_row: np.ndarray, template: np.ndarray, spectrum: np.ndarray) -> PeakSearch:
+    """The :class:`PeakSearch` of ``clean_row``, the noise-free output of ``template``'s filter.
+
+    ``spectrum`` is the template's DFT at the row's length, ``np.fft.fft(template, n)``.
+    """
     n, length = clean_row.size, template.size
     magnitude = np.abs(clean_row)
     peak = int(np.argmax(magnitude))
@@ -465,7 +472,7 @@ def peak_search(clean_row: np.ndarray, template: np.ndarray) -> PeakSearch:
         k = np.arange(2 * half + 1)
         toeplitz[k + np.arange(length)[:, None], k] = np.conj(template)[:, None]
     return PeakSearch(
-        spectrum=np.fft.fft(template, n),
+        spectrum=spectrum,
         toeplitz=toeplitz,
         clean_row=np.roll(clean_row, -first),
         first=first,

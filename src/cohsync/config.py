@@ -14,7 +14,9 @@ Validation is strict: unknown keys are rejected with the dotted path of
 the offending entry, wrong types and non-finite numbers likewise (only
 ``channel.snr_db`` may be +Infinity, the noise-free mode).  Values the
 model cannot hold, such as a round-trip delay longer than the gap
-between pulses, are rejected here rather than at the first window.
+between pulses, a separation clamp whose tones alias, or an SNR without
+a positive finite linear ratio, are rejected here rather than at the
+first window.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from pathlib import Path
 from .channel import ChannelState
 from .control import PiControllerState
 from .ranging import MAX_FRAME_SAMPLES, effective_window_length
-from .waveform import SPEED_OF_LIGHT, WaveformConfig
+from .waveform import SPEED_OF_LIGHT, TwoToneSpec, WaveformConfig
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,13 @@ class RunConfig:
                 f"round-trip delay {tau:.3e} s exceeds the {listen:.3e} s between "
                 "the end of a ranging pulse and the next pulse (pri - ranging_pulse_width)"
             )
+        # a loop may drive the separation to either clamp: the waveform must hold both
+        f1 = self.waveform.two_tone.f1
+        for key, x in (("x_min_hz", self.controller.x_min), ("x_max_hz", self.controller.x_max)):
+            try:
+                dataclasses.replace(self.waveform, two_tone=TwoToneSpec(f1, f1 + x))
+            except ValueError as exc:
+                raise ValueError(f"controller.{key}={x}: {exc}") from None
         try:
             n_win = effective_window_length(self.waveform, self.channel)
         except OverflowError:  # past the frame limit, or past any integer

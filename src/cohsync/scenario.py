@@ -70,6 +70,7 @@ from .channel import (
     noise_power_for,
     peak_search,
     scaled_noise_power,
+    snr_ratio,
 )
 from .config import RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
@@ -84,13 +85,7 @@ from .ranging import (
     select_rows,
     window_stats,
 )
-from .waveform import (
-    ComplexBasebandSignal,
-    TwoToneSpec,
-    WaveformConfig,
-    generate_disambiguation,
-    generate_two_tone,
-)
+from .waveform import TwoToneSpec, WaveformConfig, generate_disambiguation, generate_two_tone
 
 logger = logging.getLogger(__name__)
 
@@ -132,9 +127,10 @@ def _fmt(value: float) -> str:
 def read_trace_csv(path) -> list[EnvironmentRecord]:
     """Parse a trace CSV; only timestamp_s and snr_db columns are required.
 
-    The optional weather columns must hold numbers or nothing, and are
-    not kept.  A column named twice, or a row with more cells than the
-    header, is rejected.
+    Each ``snr_db`` must give a positive finite linear ratio
+    (:func:`~cohsync.channel.snr_ratio`).  The optional weather columns
+    must hold numbers or nothing, and are not kept.  A column named
+    twice, or a row with more cells than the header, is rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -172,6 +168,10 @@ def read_trace_csv(path) -> list[EnvironmentRecord]:
                     raise ValueError(
                         f"{path}: line {reader.line_num}: {name} must be a finite number"
                     )
+            try:
+                snr_ratio(values["snr_db"])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             records.append(EnvironmentRecord(values["timestamp_s"], values["snr_db"]))
     if not records:
         raise ValueError(f"{path}: trace has no records")
@@ -212,19 +212,17 @@ class _DisambiguationFrame:
 
 
 def _clean_output(
-    pulse: ComplexBasebandSignal, n: int, channel_state: ChannelState, ramp: np.ndarray
-) -> tuple[np.ndarray, ComplexBasebandSignal, np.ndarray]:
+    pulse: np.ndarray, ramp: np.ndarray, channel_state: ChannelState, fs: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Template spectrum, noise-free received frame and output row of one frame.
 
-    The frame is ``pulse`` padded to the ``n``-sample receive window; its
-    DFT is the template's, so one FFT serves the channel and the filter.
+    The transmitted frame is ``pulse`` zero-padded to the receive window
+    of ``ramp``'s length.  The round trip takes it as its DFT, which is
+    also the template's, so one FFT serves the channel and the filter.
     """
-    spectrum = np.fft.fft(pulse.samples, n)
-    frame = np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)])
-    clean = apply_round_trip_response(
-        ComplexBasebandSignal(frame, pulse.sample_rate), channel_state, spectrum=spectrum, ramp=ramp
-    )
-    row = _circular_correlation(clean.samples[None, :], spectrum)[0]
+    spectrum = np.fft.fft(pulse, ramp.size)
+    clean = apply_round_trip_response(spectrum, ramp, channel_state, fs)
+    row = _circular_correlation(clean[None, :], spectrum)[0]
     return spectrum, clean, row
 
 
@@ -233,8 +231,9 @@ def _disambiguation_frame(
 ) -> _DisambiguationFrame:
     ramp = delay_ramp(n, fs, channel_state.true_range)
     pulse = generate_disambiguation(f_d, fs)
-    _, clean, row = _clean_output(pulse, n, channel_state, ramp)
-    return _DisambiguationFrame(peak_search(row, pulse.samples), noise_power_for(clean, 0.0), ramp)
+    spectrum, clean, row = _clean_output(pulse, ramp, channel_state, fs)
+    search = peak_search(row, pulse, spectrum)
+    return _DisambiguationFrame(search, noise_power_for(clean, 0.0), ramp)
 
 
 def _matched_filter_rows(
@@ -281,10 +280,10 @@ def _matched_filter_rows(
     coarse = _signed_lags(index, n)
 
     pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    spectrum_r, clean, clean_r = _clean_output(pulse_r, n, channel_state, frame_d.ramp)
+    spectrum_r, clean, clean_r = _clean_output(pulse_r, frame_d.ramp, channel_state, fs)
     sigma2_r = noise_power_for(clean, channel_state.snr_db)
     reads = lobe_lags(coarse, n, fs, waveform)
-    if reads is not None and reads[1] <= n - pulse_r.n_samples + 1:
+    if reads is not None and reads[1] <= n - pulse_r.size + 1:
         first_lag, width = reads
         rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
         # row r adds clean lags first_lag[r] .. on, a window of the row wrapped once
@@ -493,7 +492,9 @@ def summarize_run(logs: Sequence[ProcessingIntervalLog]) -> dict:
         "sigma_d_m": sigma,
         "mean_range_m": float(np.mean([l.mean_range_m for l in logs])),
         "f2_hz": spread([l.f2_hz for l in logs]),
+        # a mean sigma_d of 0 bounds no frequency: null, as the CLI writes NaN
         "max_coherent_frequency_hz": {
-            str(p): max_coherent_frequency(sigma["mean"], p) for p in (0.9, 0.8, 0.7)
+            str(p): max_coherent_frequency(sigma["mean"], p) if sigma["mean"] > 0 else None
+            for p in (0.9, 0.8, 0.7)
         },
     }

@@ -1,7 +1,8 @@
 """Spectrally sparse ranging waveforms and the accuracy bound they obey.
 
-Everything here works on uniformly sampled complex baseband sequences.
-The two ranging tones are rendered at their positive offsets ``f1`` and
+A pulse is a complex128 array of uniformly sampled complex baseband;
+the sample rate travels with the call, not with the array.  The two
+ranging tones are rendered at their positive offsets ``f1`` and
 ``f2`` (carrier handling lives in :mod:`cohsync.channel`).  About its
 spectral centroid, a long two-tone pulse has mean-squared bandwidth
 ``(2*pi*delta_f)**2`` where ``delta_f = (f2 - f1) / 2``; the accuracy
@@ -14,44 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexBasebandSignal:
-    """A uniformly sampled complex baseband waveform.
-
-    Parameters
-    ----------
-    samples : ndarray of complex
-        Dimensionless complex amplitudes.
-    sample_rate : float
-        Sample rate in Hz. Must be positive.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D sequence")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        """Span of the sample grid in seconds."""
-        return self.n_samples / self.sample_rate
-
-    @property
-    def energy(self) -> float:
-        """Sum of |s[k]|^2 over all samples."""
-        return float(np.sum(np.abs(self.samples) ** 2))
 
 
 @dataclass(frozen=True)
@@ -104,10 +67,8 @@ class WaveformConfig:
             raise ValueError("pri must cover the longest pulse")
 
 
-def generate_two_tone(
-    spec: TwoToneSpec, width: float, sample_rate: float
-) -> ComplexBasebandSignal:
-    """Render a two-tone ranging pulse of the given width.
+def generate_two_tone(spec: TwoToneSpec, width: float, sample_rate: float) -> np.ndarray:
+    """Render a two-tone ranging pulse of the given width, as complex samples.
 
     The pulse is ``exp(j*2*pi*f1*t) + exp(j*2*pi*f2*t)`` with both tones
     phase-zero at the first sample; the sample count is ``round(width *
@@ -131,12 +92,11 @@ def generate_two_tone(
     if n < 2:
         raise ValueError("pulse must span at least 2 samples")
     t = np.arange(n) / sample_rate
-    samples = np.exp(2j * np.pi * spec.f1 * t) + np.exp(2j * np.pi * spec.f2 * t)
-    return ComplexBasebandSignal(samples, sample_rate)
+    return np.exp(2j * np.pi * spec.f1 * t) + np.exp(2j * np.pi * spec.f2 * t)
 
 
-def generate_disambiguation(f_d: float, sample_rate: float) -> ComplexBasebandSignal:
-    """Render exactly one period of a single complex tone at ``f_d``.
+def generate_disambiguation(f_d: float, sample_rate: float) -> np.ndarray:
+    """Render exactly one period of a single complex tone at ``f_d``, as complex samples.
 
     A one-period pulse keeps the matched-filter output down to a single
     lobe, which is what makes it usable for ambiguity resolution.
@@ -147,7 +107,7 @@ def generate_disambiguation(f_d: float, sample_rate: float) -> ComplexBasebandSi
     if n < 2:
         raise ValueError("disambiguation pulse must span at least 2 samples")
     t = np.arange(n) / sample_rate
-    return ComplexBasebandSignal(np.exp(2j * np.pi * f_d * t), sample_rate)
+    return np.exp(2j * np.pi * f_d * t)
 
 
 def crlb_sigma_r(delta_f: float, post_snr: float) -> float:

@@ -6,10 +6,15 @@ frequency whose phase is the difference of the received tone phases.
 That difference tone is the frequency reference the secondary node locks
 its oscillator to.  Only the frequency/phase relations are modelled, not
 the amplifier/filter chain that realizes them.
+
+No command runs this model, so it lives with the tests: acceptance
+criterion 6 and ``test_freqlock.py`` check its algebra.
 """
 
 import math
 from dataclasses import dataclass
+
+from cohsync.waveform import SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,4 @@ def self_mix(inp: SelfMixInput) -> tuple[float, float]:
 
 def path_phase(frequency: float, distance: float) -> float:
     """Propagation phase ``-2*pi*f*d/c`` of a tone over ``distance`` metres."""
-    from .waveform import SPEED_OF_LIGHT
-
     return -2.0 * math.pi * frequency * distance / SPEED_OF_LIGHT

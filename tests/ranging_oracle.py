@@ -10,7 +10,8 @@ window's whole-row draws held as one ``(P, n)`` array each, built serially
 from the per-chunk streams the window draws its chunks from: the tests
 require the same bytes.
 
-``correlate`` matched-filters one received frame and ``peak_lags`` finds
+``round_trip`` sends one frame through the channel, ``correlate``
+matched-filters one received frame and ``peak_lags`` finds
 each row's magnitude peak a row at a time: a pulse is a batch of one, so
 the tests feed such rows to ``select_and_refine`` with ``P = 1``.
 
@@ -31,6 +32,7 @@ from cohsync import scenario
 from cohsync.channel import (
     ChannelState,
     apply_round_trip_response,
+    delay_ramp,
     matched_noise_block,
     matched_noise_peaks,
     matched_noise_rows,
@@ -52,7 +54,6 @@ from cohsync.ranging import (
 )
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
-    ComplexBasebandSignal,
     WaveformConfig,
     generate_disambiguation,
     generate_two_tone,
@@ -96,20 +97,26 @@ def matched_filter_rows(
     n_win = effective_window_length(waveform, channel_state)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    def matched_rows(pulse: ComplexBasebandSignal) -> np.ndarray:
-        frame = np.concatenate([pulse.samples, np.zeros(n_win - pulse.n_samples)])
-        clean = apply_round_trip_response(ComplexBasebandSignal(frame, fs), channel_state)
+    def matched_rows(pulse: np.ndarray) -> np.ndarray:
+        frame = np.concatenate([pulse, np.zeros(n_win - pulse.size)])
+        clean = round_trip(frame, channel_state, fs)
         sigma2 = noise_power_for(clean, channel_state.snr_db)
-        rows = noisy_rows(clean.samples, sigma2, n_pulses, rng)
-        return _circular_correlation(rows, np.fft.fft(pulse.samples, n_win))
+        rows = noisy_rows(clean, sigma2, n_pulses, rng)
+        return _circular_correlation(rows, np.fft.fft(pulse, n_win))
 
     return matched_rows(pulse_r), matched_rows(pulse_d)
 
 
-def correlate(received: ComplexBasebandSignal, template: ComplexBasebandSignal) -> np.ndarray:
+def round_trip(frame: np.ndarray, state: ChannelState, fs: float) -> np.ndarray:
+    """The noise-free received ``frame``: the round trip of its DFT over its own length."""
+    ramp = delay_ramp(frame.size, fs, state.true_range)
+    return apply_round_trip_response(np.fft.fft(frame), ramp, state, fs)
+
+
+def correlate(received: np.ndarray, template: np.ndarray) -> np.ndarray:
     """The matched-filter row of one received frame: the window's correlation on a batch of one."""
-    spectrum = np.fft.fft(template.samples, received.n_samples)
-    return _circular_correlation(received.samples[None, :], spectrum)[0]
+    spectrum = np.fft.fft(template, received.size)
+    return _circular_correlation(received[None, :], spectrum)[0]
 
 
 def peak_lags(rows: np.ndarray) -> np.ndarray:
@@ -154,11 +161,11 @@ def whole_array_window(
     else:
         index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, np.random.default_rng(seed_d))
     pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    spectrum, clean, clean_row = scenario._clean_output(pulse, n, channel_state, frame.ramp)
+    spectrum, clean, clean_row = scenario._clean_output(pulse, frame.ramp, channel_state, fs)
     sigma2_r = noise_power_for(clean, channel_state.snr_db)
     coarse = _signed_lags(index, n)
     reads = lobe_lags(coarse, n, fs, waveform)
-    if reads is not None and reads[1] <= n - pulse.n_samples + 1:
+    if reads is not None and reads[1] <= n - pulse.size + 1:
         first_lag, width = reads
         noise = matched_noise_block(spectrum, sigma2_r, n_pulses, width, np.random.default_rng(seed_r))
         rows = noise + clean_row[(first_lag[:, None] + np.arange(width)) % n]

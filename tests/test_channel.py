@@ -12,6 +12,7 @@ from cohsync.channel import (
     _complete_noise,
     _max_modulus,
     apply_round_trip_response,
+    delay_ramp,
     matched_noise_block,
     matched_noise_peaks,
     matched_noise_rows,
@@ -22,12 +23,11 @@ from cohsync.channel import (
 from cohsync.ranging import _circular_correlation, effective_window_length
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
-    ComplexBasebandSignal,
     TwoToneSpec,
     generate_disambiguation,
     generate_two_tone,
 )
-from ranging_oracle import correlate, noisy_rows, select_and_refine
+from ranging_oracle import correlate, noisy_rows, round_trip, select_and_refine
 from scipy import stats
 
 FS = 25e6
@@ -47,9 +47,7 @@ def padded_frame(waveform_cfg, pad=128):
     pulse = generate_two_tone(
         waveform_cfg.two_tone, waveform_cfg.ranging_pulse_width, FS
     )
-    return ComplexBasebandSignal(
-        np.concatenate([pulse.samples, np.zeros(pad)]), FS
-    ), pulse
+    return np.concatenate([pulse, np.zeros(pad)]), pulse
 
 
 class TestResidualBasebandFrequency:
@@ -74,12 +72,12 @@ class TestPropagateRoundTrip:
     def test_identity(self, full_waveform):
         frame, _ = padded_frame(full_waveform)
         state = ChannelState(true_range=0.0, snr_db=math.inf)
-        out = apply_round_trip_response(frame, state)
-        assert np.allclose(out.samples, frame.samples, atol=1e-10)
+        out = round_trip(frame, state, FS)
+        assert np.allclose(out, frame, atol=1e-10)
 
     def test_90m_delay_lands_at_analytic_lag(self, full_waveform, noise_free_90m):
         frame, pulse = padded_frame(full_waveform)
-        out = apply_round_trip_response(frame, noise_free_90m)
+        out = round_trip(frame, noise_free_90m, FS)
         mf = correlate(out, pulse)
         coarse = np.array([2 * 90.0 / SPEED_OF_LIGHT * FS])
         (range_m,), (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
@@ -95,22 +93,22 @@ class TestPropagateRoundTrip:
             snr_db=math.inf,
             carrier=CarrierPlan(offset1=1e3, offset2=1e3),
         )
-        a = apply_round_trip_response(frame, shifted)
-        b = apply_round_trip_response(frame, noise_free_90m)
-        assert np.array_equal(a.samples, b.samples)
+        a = round_trip(frame, shifted, FS)
+        b = round_trip(frame, noise_free_90m, FS)
+        assert np.array_equal(a, b)
 
     def test_noise_calibration_within_tolerance(self):
         # 1.2e5 samples, requested 10 dB; measured within +/- 0.3 dB
         n = 120000
         t = np.arange(n) / FS
-        sig = ComplexBasebandSignal(np.exp(2j * np.pi * 1e6 * t), FS)
+        sig = np.exp(2j * np.pi * 1e6 * t)
         state = ChannelState(true_range=0.0, snr_db=10.0)
-        clean = apply_round_trip_response(sig, state)
+        clean = round_trip(sig, state, FS)
         sigma2 = noise_power_for(clean, state.snr_db)
-        out = noisy_rows(clean.samples, sigma2, 1, np.random.default_rng(7))[0]
-        noise = out - clean.samples
+        out = noisy_rows(clean, sigma2, 1, np.random.default_rng(7))[0]
+        noise = out - clean
         measured = 10 * np.log10(
-            np.mean(np.abs(clean.samples) ** 2) / np.mean(np.abs(noise) ** 2)
+            np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noise) ** 2)
         )
         assert measured == pytest.approx(10.0, abs=0.3)
 
@@ -120,7 +118,7 @@ class TestPropagateRoundTrip:
         for r in ranges:
             frame, pulse = padded_frame(full_waveform)
             state = ChannelState(true_range=float(r), snr_db=math.inf)
-            out = apply_round_trip_response(frame, state)
+            out = round_trip(frame, state, FS)
             mf = correlate(out, pulse)
             coarse = np.array([2 * r / SPEED_OF_LIGHT * FS])
             _, (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
@@ -131,11 +129,11 @@ class TestPropagateRoundTrip:
         assert np.max(np.abs(back - ranges)) < 1e-3
 
     def test_rejects_delay_beyond_window(self):
-        sig = ComplexBasebandSignal(np.ones(64), FS)
+        spectrum = np.fft.fft(np.ones(64, dtype=complex))
         # 64 samples at 25 Msps = 2.56 us window; 500 m two-way is 3.3 us
         state = ChannelState(true_range=500.0, snr_db=math.inf)
         with pytest.raises(ValueError):
-            apply_round_trip_response(sig, state)
+            apply_round_trip_response(spectrum, delay_ramp(64, FS, 500.0), state, FS)
 
 
 class TestNoisyRows:
@@ -173,7 +171,7 @@ class TestMatchedNoise:
     @pytest.fixture
     def spectrum(self):
         pulse = generate_two_tone(TwoToneSpec(20e3, 1.02e6), 20e-6, FS)  # 500 samples
-        return np.fft.fft(pulse.samples, self.N_LAGS)
+        return np.fft.fft(pulse, self.N_LAGS)
 
     def model(self, spectrum, width):
         r = np.fft.ifft(np.abs(spectrum) ** 2)
@@ -201,7 +199,7 @@ class TestMatchedNoise:
         # factor exists and reproduces it
         n = length + pad
         pulse = generate_two_tone(TwoToneSpec(20e3, 20e3 + separation), length / FS, FS)
-        spectrum = np.fft.fft(pulse.samples, n)
+        spectrum = np.fft.fft(pulse, n)
         factors = []
         real = np.linalg.cholesky
 
@@ -257,15 +255,14 @@ class TestCertifiedPeaks:
         state = ChannelState(true_range=90.0, snr_db=snr_db)
         n = effective_window_length(full_waveform, state)
         pulse = generate_disambiguation(full_waveform.f_d, FS)
-        frame = ComplexBasebandSignal(np.concatenate([pulse.samples, np.zeros(n - pulse.n_samples)]), FS)
-        clean = apply_round_trip_response(frame, state)
-        row = _circular_correlation(clean.samples[None, :], np.fft.fft(pulse.samples, n))[0]
-        return row, pulse.samples, noise_power_for(clean, snr_db)
+        clean = round_trip(np.concatenate([pulse, np.zeros(n - pulse.size)]), state, FS)
+        row = _circular_correlation(clean[None, :], np.fft.fft(pulse, n))[0]
+        return row, pulse, noise_power_for(clean, snr_db)
 
     @pytest.mark.parametrize("snr_db", [13.0, 23.0])
     def test_certifies_every_pulse_at_operating_snr(self, full_waveform, snr_db):
         row, template, s2 = self.disambiguation_row(full_waveform, snr_db)
-        search = peak_search(row, template)
+        search = peak_search(row, template, np.fft.fft(template, row.size))
         index, certified = matched_noise_peaks(search, s2, 2000, np.random.default_rng(1))
         assert certified.all()
         assert index.shape == (2000,)
@@ -300,10 +297,10 @@ class TestCertifiedPeaks:
         rng = np.random.default_rng(5)
         near = math.sqrt(s2 / 2.0) * rng.standard_normal((n_rows, 2 * 53)).view(complex)
         r_max = _max_modulus(s2, n - 53, n_rows, rng)
-        search = peak_search(row, template)
+        spectrum = np.fft.fft(template, n)
+        search = peak_search(row, template, spectrum)
         assert search.n_inputs == 53 and np.array_equal(search.clean_row, rotated)
         peak, certified = _certify(search, near, r_max)
-        spectrum = np.fft.fft(template, n)
         full = _circular_correlation(_complete_noise(near, r_max, s2, n, rng), spectrum) + rotated
         assert np.array_equal(np.argmax(np.abs(full), axis=1)[certified], peak[certified])
         if snr_db == -15.0:

@@ -67,7 +67,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 class TestNoScipy:
-    """numpy does every transform, so no command path loads scipy."""
+    """numpy does every transform, so no command path loads scipy.
+
+    The commands also load every module under ``src/cohsync/`` and no
+    other, so no module that only the tests use sits in the package.
+    """
 
     SCRIPT = """
 import json, sys
@@ -79,6 +83,7 @@ cohsync.cli.main(["run", "--config", str(config), "--trace", str(trace), "--adap
                   "--seed", "3", "--out", str(out / "run")])
 cohsync.cli.main(["montecarlo", "--trials", "100", "--sigma-grid", "0.0:0.1:3",
                   "--seed", "3", "--out", str(out / "mc.csv")])
+print(json.dumps(sorted(m for m in sys.modules if m == "cohsync" or m.startswith("cohsync."))))
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
@@ -92,6 +97,12 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
         )
         assert (tmp_path / "run" / "run_log.csv").is_file()
         assert json.loads(result.stdout.splitlines()[-1]) == []
+        package = Path(cohsync.__file__).parent
+        modules = sorted(
+            "cohsync" if path.stem == "__init__" else f"cohsync.{path.stem}"
+            for path in package.glob("*.py")
+        )
+        assert json.loads(result.stdout.splitlines()[-2]) == modules
 
     def test_fast_length_is_scipys(self):
         from scipy.fft import next_fast_len
@@ -492,6 +503,18 @@ class TestRunCommand:
             23.0, 23.0, 13.0, 13.0
         ]
 
+    def test_spreadless_run_writes_null_frequencies(self, tmp_path):
+        # at 330 dB every pulse ranges alike, so sigma_d is 0 and no finite
+        # carrier frequency bounds the coherent gain
+        trace = write_trace(tmp_path / "trace.csv", step_trace((2, 330.0), cadence_s=5.25))
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", str(small_config(tmp_path)), "--trace", str(trace), "--fixed",
+                "--duration-s", "10.5", "--seed", "3", "--out", str(out_dir)]
+        assert main(argv) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["sigma_d_m"]["mean"] == 0.0
+        assert summary["max_coherent_frequency_hz"] == {"0.9": None, "0.8": None, "0.7": None}
+
     def test_empty_trace_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "empty.csv"
         bad.write_text("timestamp_s,snr_db\n")
@@ -594,6 +617,10 @@ class TestLoadTimeRejection:
             ('{"waveform": {"disambiguation_hz": 0}}', "f_d=0.0"),
             ('{"waveform": {"sample_rate_hz": 1' + "0" * 400 + "}}", "'waveform.sample_rate_hz' must be finite"),
             ('{"waveform": {"sample_rate_hz": 25e9}}', "exceeds the limit"),
+            ('{"controller": {"x_max_hz": 2e7}}', "f2=20020000.0 aliases"),
+            ('{"controller": {"x_min_hz": -1e3}}', "controller.x_min_hz=-1000.0"),
+            ('{"channel": {"snr_db": 4000}}', "snr_db=4000.0 has no positive finite"),
+            ('{"channel": {"snr_db": -4000}}', "snr_db=-4000.0 has no positive finite"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, config_text, fragment):
@@ -605,6 +632,8 @@ class TestLoadTimeRejection:
             ("timestamp_s,snr_db\n0.0,20.0\nnan,20.0\n60.0,20.0\n", "line 3: timestamp_s"),
             ("timestamp_s,snr_db\n0.0,20.0\n60.0,inf\n", "line 3: snr_db"),
             ("timestamp_s,snr_db\n0.0,\n", "line 2: snr_db"),
+            ("timestamp_s,snr_db\n0.0,20.0\n60.0,4000\n", "line 3: snr_db=4000.0 has no"),
+            ("timestamp_s,snr_db\n0.0,-4000\n", "line 2: snr_db=-4000.0 has no"),
         ],
     )
     def test_trace_value(self, tmp_path, capsys, trace_text, fragment):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsync.channel import CarrierPlan, residual_baseband_frequency
-from cohsync.freqlock import SelfMixInput, path_phase, self_mix, wrap_phase
+from freqlock_model import SelfMixInput, path_phase, self_mix, wrap_phase
 from cohsync.waveform import SPEED_OF_LIGHT
 
 

@@ -374,7 +374,7 @@ def with_separation(waveform, separation_hz):
 def widest_block(waveform, n):
     """Most lags drawn as one block: ``n - L + 1``, ``L`` the ranging pulse's length."""
     pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, waveform.sample_rate)
-    return n - pulse.n_samples + 1
+    return n - pulse.size + 1
 
 
 class TestDirectNoiseDraws:
