@@ -16,9 +16,11 @@ then see the same post-processing ``2E/N0``, equal to ``2 * window_len
 positive finite float (:func:`snr_ratio`), and +inf means no noise.
 
 Noise is circularly symmetric white Gaussian with the per-sample variance
-that SNR sets (:func:`noise_power_for`).  A simulated window only ever
-reads the matched-filter outputs of its frames, so the filtered noise is
-drawn directly, never on the samples of a frame:
+that SNR sets: a frame's variance at 0 dB (:func:`noise_power_for`) over
+the linear SNR (:func:`scaled_noise_power`).  The draws below take a
+positive variance; a noise-free window calls none of them.  A simulated
+window only ever reads the matched-filter outputs of its frames, so the
+filtered noise is drawn directly, never on the samples of a frame:
 :func:`matched_noise_rows` draws whole output rows in the frequency
 domain, where white noise has independent bins, and
 :func:`matched_noise_block` draws a block of consecutive output lags
@@ -61,6 +63,7 @@ trials draw their geometry from these chunk streams and run on the pool,
 :func:`map_chunks`.  Windows that draw no whole rows start no thread.
 """
 
+import functools
 import math
 import os
 import threading
@@ -115,11 +118,14 @@ def residual_baseband_frequency(f_b: float, carrier: CarrierPlan) -> float:
     return f_b - carrier.offset1 + carrier.offset2
 
 
+@functools.lru_cache(maxsize=1)  # a window's two frames share the last window's ramp
 def delay_ramp(n: int, sample_rate: float, true_range: float) -> np.ndarray:
-    """Spectral phase ramp of the two-way delay over an ``n``-sample window."""
+    """Read-only spectral phase ramp of the two-way delay over an ``n``-sample window."""
     tau = 2.0 * true_range / SPEED_OF_LIGHT
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    return np.exp(-2j * np.pi * freqs * tau)
+    ramp = np.exp(-2j * np.pi * freqs * tau)
+    ramp.flags.writeable = False
+    return ramp
 
 
 def apply_round_trip_response(
@@ -149,9 +155,9 @@ def apply_round_trip_response(
     return delayed
 
 
-def noise_power_for(clean: np.ndarray, snr_db: float) -> float:
-    """Complex noise variance that realizes ``snr_db`` over the window ``clean`` fills."""
-    return scaled_noise_power(float(np.sum(np.abs(clean) ** 2)) / clean.size, snr_db)
+def noise_power_for(clean: np.ndarray) -> float:
+    """Complex noise variance that realizes 0 dB over the window ``clean`` fills."""
+    return float(np.sum(np.abs(clean) ** 2)) / clean.size
 
 
 def snr_ratio(snr_db: float) -> float:
@@ -184,12 +190,9 @@ def matched_noise_rows(
     ``noise_power`` has independent ``CN(0, n * noise_power)`` bins, so
     the bins are drawn directly and one inverse FFT of their product with
     ``conj(T)`` is the filter's output noise, with exactly its
-    distribution.  Draws nothing, and returns zeros, when ``noise_power``
-    is 0.
+    distribution.
     """
     n = template_spectrum.size
-    if noise_power == 0.0:
-        return np.zeros((n_rows, n), dtype=np.complex128)
     bins = rng.standard_normal((n_rows, 2 * n)).view(np.complex128)
     bins *= math.sqrt(n * noise_power / 2.0) * np.conj(template_spectrum)
     return np.fft.ifft(bins, axis=1, out=bins)
@@ -217,11 +220,8 @@ def matched_noise_block(
     |T_k|**2``, so ``x^H C x = noise_power * sum_k |T_k|**2 |X_k|**2``
     with ``X`` the ``n``-point DFT of ``x``, and some bin is neither one
     of the at most ``L - 1`` zeros of ``T`` nor one of the at most
-    ``width - 1`` of a nonzero ``X``.  Draws nothing, and returns zeros,
-    when ``noise_power`` is 0.
+    ``width - 1`` of a nonzero ``X``.
     """
-    if noise_power == 0.0:
-        return np.zeros((n_rows, width), dtype=np.complex128)
     autocorrelation = np.fft.ifft(np.abs(template_spectrum) ** 2)
     k = np.arange(width)
     covariance = noise_power * autocorrelation[(k[:, None] - k) % autocorrelation.size]
@@ -338,24 +338,22 @@ def _chunk_stream(seed: np.random.SeedSequence, index: int) -> np.random.Generat
 
 def map_row_chunks(
     n_rows: int,
-    draw: Callable[[slice, np.random.Generator | None], np.ndarray],
+    draw: Callable[[slice, np.random.Generator], np.ndarray],
     reduce: Callable[[slice, np.ndarray], None],
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> None:
     """Call ``reduce(rows, draw(rows, stream))`` on each chunk of ``n_rows`` rows.
 
     Chunk ``j`` is ``_ROW_CHUNK`` rows (fewer in the last), drawn on
-    :func:`_chunk_stream` of ``rng``'s seed sequence and ``j``, or on None
-    when ``rng`` is None (a draw that takes no numbers).  ``reduce`` keeps
+    :func:`_chunk_stream` of ``rng``'s seed sequence and ``j``.  ``reduce`` keeps
     what the caller reads of it, in its rows of the caller's arrays.  The
     chunks run by :func:`map_chunks`, so neither ``draw`` nor ``reduce``
     may touch anything but their own rows.
     """
-    seed = None if rng is None else rng.bit_generator.seed_seq
 
     def run(j: int) -> None:
         rows = slice(j * _ROW_CHUNK, min((j + 1) * _ROW_CHUNK, n_rows))
-        reduce(rows, draw(rows, None if seed is None else _chunk_stream(seed, j)))
+        reduce(rows, draw(rows, _chunk_stream(rng.bit_generator.seed_seq, j)))
 
     map_chunks(run, -(-n_rows // _ROW_CHUNK))
 
@@ -376,16 +374,15 @@ def map_noisy_rows(
     """:func:`map_row_chunks` over ``n_rows`` rows of ``clean_row`` plus matched-filter noise.
 
     Each chunk is ``clean_row + matched_noise_rows(template_spectrum,
-    noise_power, len, stream)`` on its own stream.  At ``noise_power`` 0
-    every row is ``clean_row`` and no stream is derived from ``rng``.
+    noise_power, len, stream)`` on its own stream.
     """
 
-    def draw(rows: slice, stream: np.random.Generator | None) -> np.ndarray:
+    def draw(rows: slice, stream: np.random.Generator) -> np.ndarray:
         chunk = matched_noise_rows(template_spectrum, noise_power, rows.stop - rows.start, stream)
         chunk += clean_row
         return chunk
 
-    map_row_chunks(n_rows, draw, reduce, rng if noise_power else None)
+    map_row_chunks(n_rows, draw, reduce, rng)
 
 
 def _max_modulus(
@@ -436,7 +433,7 @@ class PeakSearch:
     """The noise-free work of :func:`matched_noise_peaks` for one clean row and template.
 
     It depends on neither the noise power nor the noise, so one search
-    serves every window of a run (:func:`peak_search` builds it).
+    serves every window of its geometry (:func:`peak_search` builds it).
     ``clean_row`` is the noise-free output rotated so that lag ``first +
     k`` sits at index ``k``: the near lags, which read the ``n_inputs``
     input samples, come first; input rows times ``toeplitz`` are their
@@ -457,7 +454,8 @@ class PeakSearch:
 def peak_search(clean_row: np.ndarray, template: np.ndarray, spectrum: np.ndarray) -> PeakSearch:
     """The :class:`PeakSearch` of ``clean_row``, the noise-free output of ``template``'s filter.
 
-    ``spectrum`` is the template's DFT at the row's length, ``np.fft.fft(template, n)``.
+    ``spectrum`` is the template's DFT at the row's length, ``np.fft.fft(template, n)``;
+    the search keeps it as given, and makes its other arrays read-only.
     """
     n, length = clean_row.size, template.size
     magnitude = np.abs(clean_row)
@@ -471,10 +469,13 @@ def peak_search(clean_row: np.ndarray, template: np.ndarray, spectrum: np.ndarra
         toeplitz = np.zeros((n_inputs, 2 * half + 1), dtype=np.complex128)
         k = np.arange(2 * half + 1)
         toeplitz[k + np.arange(length)[:, None], k] = np.conj(template)[:, None]
+        toeplitz.flags.writeable = False
+    rotated = np.roll(clean_row, -first)
+    rotated.flags.writeable = False
     return PeakSearch(
         spectrum=spectrum,
         toeplitz=toeplitz,
-        clean_row=np.roll(clean_row, -first),
+        clean_row=rotated,
         first=first,
         n_inputs=n_inputs,
         peak=peak,
@@ -520,11 +521,9 @@ def matched_noise_peaks(
     docstring placed the peak without a whole row.  The near samples and
     largest moduli come from ``rng``; whole and completed rows are drawn
     by :func:`map_row_chunks`, each chunk on its own child stream of
-    ``rng``.  Draws nothing when ``noise_power`` is 0.
+    ``rng``.
     """
     n = search.clean_row.size
-    if noise_power == 0.0:
-        return np.full(n_rows, search.peak), np.ones(n_rows, dtype=bool)
     if search.n_inputs >= n:
         peak = np.empty(n_rows, dtype=np.intp)
 

@@ -114,17 +114,18 @@ def _write_curve(path, header: list[str], xs, ys) -> None:
 
 
 def _resolve_seed(args, config: RunConfig | None = None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+    source, seed = "--seed", getattr(args, "seed", None)
     env = os.environ.get("COHSYNC_SEED")
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            source, seed = "COHSYNC_SEED", int(env)
         except ValueError:
             raise ValueError(f"COHSYNC_SEED must be an integer, got {env!r}") from None
-    if config is not None:
-        return config.seed
-    return 0
+    if seed is None:
+        return 0 if config is None else config.seed
+    if seed < 0:  # numpy's seed sequences take none
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load_config_arg(args) -> RunConfig:

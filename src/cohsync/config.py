@@ -67,6 +67,8 @@ class RunConfig:
     seed: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's seed sequences take none
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         # the echo must arrive before the next pulse leaves; a longer delay
         # would also size every receive window by the range
         tau = 2.0 * self.channel.true_range / SPEED_OF_LIGHT

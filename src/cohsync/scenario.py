@@ -13,14 +13,19 @@ seed).  Per-interval noise streams are derived as
 bit-identical across processes.
 
 Noise: a window draws its noise already matched-filtered, on the lags
-the estimator reads (:func:`_matched_filter_rows`).  The noise-free
-disambiguation frame (its pulse, clean output, noise power at 0 dB, the
-certificate's :class:`~cohsync.channel.PeakSearch` and the delay ramp)
-does not change within a run, so a run builds it once and its windows
-share it (the ``memo`` of :func:`simulate_window`).  A window still
-builds the ranging frame, whose tones the loop retunes every interval:
-its pulse and template DFT, the round trip, the clean correlation, and
-the lag block's autocorrelation and Cholesky factor.
+the estimator reads (:func:`_matched_filter_rows`).  Its two noise-free
+frames depend on the waveform and the geometry but not on the SNR, so
+each is a function of exactly those inputs, cached per process for the
+last two of each (:func:`_disambiguation_frame`, the certificate's
+:class:`~cohsync.channel.PeakSearch` and noise power at 0 dB;
+:func:`_ranging_frame`, the template DFT, clean output row, noise power
+at 0 dB and pulse length).  Every window of a run shares the first, and
+windows whose tones repeat (a fixed run, an adaptive loop held at a
+clamp) share the second, so they pay only for their noise; a warm cache
+gives the same bytes as a cold one.  The SNR enters a window only as
+the noise power it scales (:func:`~cohsync.channel.scaled_noise_power`),
+and at +inf a window draws nothing.  A window still builds its lag
+block's autocorrelation and Cholesky factor.
 
 Each pulse's disambiguation peak is drawn by the certificate of
 :mod:`cohsync.channel`: the input noise on the few dozen samples around
@@ -54,6 +59,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import astuple, dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -202,46 +208,44 @@ def read_run_log_csv(path) -> list[ProcessingIntervalLog]:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class _DisambiguationFrame:
-    """The noise-free disambiguation work of a window, the same in every window of a run."""
-
-    search: PeakSearch
-    power_0db: float  # its noise power at 0 dB SNR
-    ramp: np.ndarray  # the receive window's delay ramp, which the ranging frame shares
-
-
 def _clean_output(
-    pulse: np.ndarray, ramp: np.ndarray, channel_state: ChannelState, fs: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Template spectrum, noise-free received frame and output row of one frame.
+    pulse: np.ndarray, n: int, geometry: ChannelState, fs: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only template spectrum and clean output row of a frame, and its noise power at 0 dB.
 
-    The transmitted frame is ``pulse`` zero-padded to the receive window
-    of ``ramp``'s length.  The round trip takes it as its DFT, which is
-    also the template's, so one FFT serves the channel and the filter.
+    The transmitted frame is ``pulse`` zero-padded to the ``n``-sample
+    receive window.  The round trip takes it as its DFT, which is also
+    the template's, so one FFT serves the channel and the filter.
     """
-    spectrum = np.fft.fft(pulse, ramp.size)
-    clean = apply_round_trip_response(spectrum, ramp, channel_state, fs)
+    spectrum = np.fft.fft(pulse, n)
+    ramp = delay_ramp(n, fs, geometry.true_range)
+    clean = apply_round_trip_response(spectrum, ramp, geometry, fs)
     row = _circular_correlation(clean[None, :], spectrum)[0]
-    return spectrum, clean, row
+    spectrum.flags.writeable = row.flags.writeable = False
+    return spectrum, row, noise_power_for(clean)
 
 
+@lru_cache(maxsize=2)
 def _disambiguation_frame(
-    f_d: float, fs: float, n: int, channel_state: ChannelState
-) -> _DisambiguationFrame:
-    ramp = delay_ramp(n, fs, channel_state.true_range)
+    f_d: float, fs: float, n: int, geometry: ChannelState
+) -> tuple[PeakSearch, float]:
+    """The disambiguation frame's peak search and noise power; ``geometry`` is at 0 dB."""
     pulse = generate_disambiguation(f_d, fs)
-    spectrum, clean, row = _clean_output(pulse, ramp, channel_state, fs)
-    search = peak_search(row, pulse, spectrum)
-    return _DisambiguationFrame(search, noise_power_for(clean, 0.0), ramp)
+    spectrum, row, power_0db = _clean_output(pulse, n, geometry, fs)
+    return peak_search(row, pulse, spectrum), power_0db
+
+
+@lru_cache(maxsize=2)
+def _ranging_frame(
+    tones: TwoToneSpec, width_s: float, fs: float, n: int, geometry: ChannelState
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The ranging frame's :func:`_clean_output` and pulse length; ``geometry`` is at 0 dB."""
+    pulse = generate_two_tone(tones, width_s, fs)
+    return (*_clean_output(pulse, n, geometry, fs), pulse.size)
 
 
 def _matched_filter_rows(
-    waveform: WaveformConfig,
-    channel_state: ChannelState,
-    n_pulses: int,
-    seed,
-    memo: dict | None = None,
+    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Selected ranging lobes of one window, drawn on the lags selection reads.
 
@@ -256,34 +260,29 @@ def _matched_filter_rows(
     says: the :func:`lobe_lags` of windows up to ``n - L + 1`` lags, ``L``
     the ranging pulse's length, as one block that selection reads once,
     and wider ones, and windows without one, as whole rows streamed by
-    :func:`map_noisy_rows` and selected a chunk at a time.  The noise-free
-    disambiguation frame is taken from ``memo`` (see
-    :func:`simulate_window`) when it holds one for this geometry, and
-    stored there otherwise.
+    :func:`map_noisy_rows` and selected a chunk at a time.  Without noise
+    every pulse's rows are the clean ones, and nothing is drawn.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
+    geometry, snr_db = replace(channel_state, snr_db=0.0), channel_state.snr_db
+    search, power_d = _disambiguation_frame(waveform.f_d, fs, n, geometry)
+    spectrum_r, clean_r, power_r, length = _ranging_frame(
+        waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
+    )
+    if snr_db == math.inf:
+        coarse = _signed_lags(np.full(n_pulses, search.peak), n)
+        return (*select_rows(np.broadcast_to(clean_r, (n_pulses, n)), coarse, fs, waveform), coarse)
     # one stream per frame, in the order a cycle sends them, so the ranging
     # noise does not depend on how many numbers the disambiguation draw took
     rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-
-    # every input of the disambiguation frame but the SNR
-    key = (waveform.f_d, fs, n, channel_state.true_range, channel_state.carrier)
-    memo = {} if memo is None else memo
-    if key not in memo:
-        memo[key] = _disambiguation_frame(waveform.f_d, fs, n, channel_state)
-    frame_d = memo[key]
-    sigma2_d = scaled_noise_power(frame_d.power_0db, channel_state.snr_db)
-    index, _ = matched_noise_peaks(frame_d.search, sigma2_d, n_pulses, rng_d)
+    index, _ = matched_noise_peaks(search, scaled_noise_power(power_d, snr_db), n_pulses, rng_d)
     coarse = _signed_lags(index, n)
-
-    pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    spectrum_r, clean, clean_r = _clean_output(pulse_r, frame_d.ramp, channel_state, fs)
-    sigma2_r = noise_power_for(clean, channel_state.snr_db)
+    sigma2_r = scaled_noise_power(power_r, snr_db)
     reads = lobe_lags(coarse, n, fs, waveform)
-    if reads is not None and reads[1] <= n - pulse_r.size + 1:
+    if reads is not None and reads[1] <= n - length + 1:
         first_lag, width = reads
         rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
         # row r adds clean lags first_lag[r] .. on, a window of the row wrapped once
@@ -302,23 +301,16 @@ def _matched_filter_rows(
 
 
 def simulate_window(
-    waveform: WaveformConfig,
-    channel_state: ChannelState,
-    n_pulses: int,
-    seed=0,
-    memo: dict | None = None,
+    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed=0
 ) -> tuple[np.ndarray, int]:
     """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
 
     Each cycle's lobe is selected as its rows are drawn (see
     :func:`_matched_filter_rows`), and the selected peaks are refined as
-    one batch.  Deterministic for a fixed ``seed``.  ``memo`` is a dict
-    that the windows of one run share: it keeps their noise-free
-    disambiguation frame, keyed on every input it depends on, so that
-    only the first window builds it.  Windows get the same bytes with it
-    or without.
+    one batch.  Deterministic for a fixed ``seed``, whatever the frame
+    caches hold.
     """
-    support, peak, gross, _ = _matched_filter_rows(waveform, channel_state, n_pulses, seed, memo)
+    support, peak, gross, _ = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
     ranges, _ = disambiguate_and_refine(support, peak, waveform.sample_rate, waveform)
     return ranges, int(gross.sum())
 
@@ -363,7 +355,6 @@ def _closed_loop(
     times = [r.timestamp_s for r in trace]
     cadence = float(np.median(np.diff(times))) if len(times) > 1 else math.inf
     warned: set = set()
-    memo: dict = {}  # the run's noise-free disambiguation frame (simulate_window)
 
     f1 = config.waveform.two_tone.f1
     x = config.controller.x_prev  # tone separation in force, Hz
@@ -374,9 +365,7 @@ def _closed_loop(
         f2 = f1 + x
         wf = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f2))
         state = replace(config.channel, snr_db=snr)
-        ranges, _ = simulate_window(
-            wf, state, loop.pulses_per_interval, seed=(seed, stream, i), memo=memo
-        )
+        ranges, _ = simulate_window(wf, state, loop.pulses_per_interval, seed=(seed, stream, i))
         stats = window_stats(ranges, loop.group_size, loop.pulses_per_interval)
         error = stats.sigma_d - loop.target_sigma_m
         logs.append(

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cohsync import channel, scenario
 from cohsync.channel import CarrierPlan, ChannelState
 from cohsync.ranging import effective_window_length
 from cohsync.scenario import EnvironmentRecord
@@ -11,6 +12,24 @@ from cohsync.waveform import TwoToneSpec, WaveformConfig
 # Operating-point waveform: 20 kHz / 7.52 MHz tones (delta_f = 3.75 MHz),
 # 1.875 MHz disambiguation tone, 143.7 us ranging pulse, 25 Msps.
 FULL_SEPARATION = TwoToneSpec(f1=20e3, f2=7.52e6)
+
+
+def clear_frame_caches() -> None:
+    """Empty the process's frame and delay-ramp caches."""
+    for cached in (scenario._disambiguation_frame, scenario._ranging_frame, channel.delay_ramp):
+        cached.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_frame_caches():
+    """Start every test with empty frame caches.
+
+    A test that patches a frame builder's callees (``scenario.generate_*``,
+    ``apply_round_trip_response``) would otherwise leave its frame for
+    later tests, and a test that spies on those callees would see none of
+    them called on a frame an earlier test built.
+    """
+    clear_frame_caches()
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ solve for the natural spline.  The tests feed it and
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -100,7 +101,7 @@ def matched_filter_rows(
     def matched_rows(pulse: np.ndarray) -> np.ndarray:
         frame = np.concatenate([pulse, np.zeros(n_win - pulse.size)])
         clean = round_trip(frame, channel_state, fs)
-        sigma2 = noise_power_for(clean, channel_state.snr_db)
+        sigma2 = scaled_noise_power(noise_power_for(clean), channel_state.snr_db)
         rows = noisy_rows(clean, sigma2, n_pulses, rng)
         return _circular_correlation(rows, np.fft.fft(pulse, n_win))
 
@@ -147,28 +148,36 @@ def whole_array_window(
     ``select_rows`` scans whole; a lobe window of up to ``n - L + 1``
     lags is one ``matched_noise_block`` draw, as the window's.  A template
     whose near samples cover the window gets all its disambiguation rows
-    as one array, scanned by one argmax.  Every other step is the window's.
+    as one array, scanned by one argmax.  Without noise every pulse takes
+    the clean disambiguation peak and the clean ranging lags.  Every other
+    step is the window's.
     """
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
     seed_r, seed_d = np.random.SeedSequence(seed).spawn(2)
-    frame = scenario._disambiguation_frame(waveform.f_d, fs, n, channel_state)
-    search = frame.search
-    sigma2_d = scaled_noise_power(frame.power_0db, channel_state.snr_db)
-    if search.n_inputs >= n:
+    geometry = replace(channel_state, snr_db=0.0)
+    search, power_d = scenario._disambiguation_frame(waveform.f_d, fs, n, geometry)
+    sigma2_d = scaled_noise_power(power_d, channel_state.snr_db)
+    if sigma2_d == 0.0:
+        index = np.full(n_pulses, search.peak)
+    elif search.n_inputs >= n:
         rows = whole_rows(search.spectrum, search.clean_row, sigma2_d, n_pulses, seed_d)
         index = np.argmax(np.abs(rows), axis=1)
     else:
         index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, np.random.default_rng(seed_d))
-    pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
-    spectrum, clean, clean_row = scenario._clean_output(pulse, frame.ramp, channel_state, fs)
-    sigma2_r = noise_power_for(clean, channel_state.snr_db)
+    spectrum, clean_row, power_r, length = scenario._ranging_frame(
+        waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
+    )
+    sigma2_r = scaled_noise_power(power_r, channel_state.snr_db)
     coarse = _signed_lags(index, n)
     reads = lobe_lags(coarse, n, fs, waveform)
-    if reads is not None and reads[1] <= n - pulse.size + 1:
+    if reads is not None and reads[1] <= n - length + 1:
         first_lag, width = reads
-        noise = matched_noise_block(spectrum, sigma2_r, n_pulses, width, np.random.default_rng(seed_r))
-        rows = noise + clean_row[(first_lag[:, None] + np.arange(width)) % n]
+        rows = clean_row[(first_lag[:, None] + np.arange(width)) % n]
+        if sigma2_r > 0.0:
+            rows = rows + matched_noise_block(
+                spectrum, sigma2_r, n_pulses, width, np.random.default_rng(seed_r)
+            )
         support, peak, gross = select_lobes(rows, coarse, fs, waveform)
         return refine_window(support, peak, fs, waveform)[0], int(gross.sum())
     rows = whole_rows(spectrum, clean_row, sigma2_r, n_pulses, seed_r)

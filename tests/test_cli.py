@@ -359,6 +359,26 @@ class TestMonteCarloCommand:
         assert capsys.readouterr().err == "error: COHSYNC_SEED must be an integer, got 'abc'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, env, source",
+        [
+            (["--seed", "-3"], None, "--seed"),
+            ([], "-2", "COHSYNC_SEED"),
+            (["--seed", "-3"], "5", "--seed"),  # the flag wins over the variable
+        ],
+    )
+    def test_negative_seed_names_its_source(self, tmp_path, monkeypatch, capsys, flag, env, source):
+        # numpy's seed sequences take no negative entropy; the error names
+        # the input before any work starts
+        if env is not None:
+            monkeypatch.setenv("COHSYNC_SEED", env)
+        out = tmp_path / "mc.csv"
+        rc = main(["montecarlo", "--trials", "1000", "--sigma-grid", "0.01:0.1:4", *flag, "--out", str(out)])
+        assert rc == 1
+        value = flag[1] if flag else env
+        assert capsys.readouterr().err == f"error: {source} must be a non-negative integer, got {value}\n"
+        assert not out.exists()
+
 
 class TestArgumentBounds:
     """Grid and size arguments the model cannot represent fail before any allocation."""
@@ -582,6 +602,25 @@ class TestTuneCommand:
         assert report["t_i_s"] == pytest.approx(0.833 * report["t_u_s"], rel=1e-12)
 
 
+class TestWarmCache:
+    """Frames cached by an earlier command give the bytes a fresh process gives."""
+
+    def test_tune_twice_in_process_equals_a_fresh_process(self, tmp_path):
+        # k = 1.0 drives the loop from clamp to clamp, so its windows reuse
+        # cached ranging frames; the second command starts with every frame cached
+        config = small_config(tmp_path, x_initial_hz=1.8e6)
+        argv = ["tune", "--config", str(config), "--k-grid", "0.1:1.0:2", "--intervals", "16", "--seed", "3"]
+        outs = [tmp_path / f"tune{k}.json" for k in range(3)]
+        for out in outs[:2]:
+            assert main([*argv, "--out", str(out)]) == 0
+        src = str(Path(cohsync.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-m", "cohsync.cli", *argv, "--out", str(outs[2])],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True, timeout=120,
+        )
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 class TestLoadTimeRejection:
     """Values the model cannot hold fail at load time with one error line."""
 
@@ -621,6 +660,7 @@ class TestLoadTimeRejection:
             ('{"controller": {"x_min_hz": -1e3}}', "controller.x_min_hz=-1000.0"),
             ('{"channel": {"snr_db": 4000}}', "snr_db=4000.0 has no positive finite"),
             ('{"channel": {"snr_db": -4000}}', "snr_db=-4000.0 has no positive finite"),
+            ('{"seed": -1}', "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, config_text, fragment):

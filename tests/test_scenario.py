@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ranging_oracle
-from conftest import post_snr_for, step_trace, write_trace
+from conftest import clear_frame_caches, post_snr_for, step_trace, write_trace
 import cohsync
 from cohsync import channel, cli, coherence, ranging, scenario
 from cohsync.channel import CarrierPlan, ChannelState
@@ -501,8 +501,9 @@ class TestStreamedRows:
         whole = reads is None or reads[1] > widest_block(waveform, n)
         assert whole == ((disambiguation_hz, separation_hz) not in self.BLOCK_DRAWS)
         expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
-        # beside a lag block only noisy 6.3 kHz disambiguation rows stream whole
-        streams = whole or (disambiguation_hz is not None and snr_db < math.inf)
+        # beside a lag block only 6.3 kHz disambiguation rows stream whole;
+        # a noise-free window draws nothing
+        streams = snr_db < math.inf and (whole or disambiguation_hz is not None)
         for workers in (1, 2, 3):
             ranges, gross = on_workers(
                 monkeypatch, workers, lambda: simulate_window(waveform, state, 50, seed=(4, 2)), streams
@@ -668,13 +669,12 @@ for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
         assert result.stdout.split() == ["2"]
 
 
-class TestDisambiguationMemo:
-    """A run builds its noise-free disambiguation frame once.
+class TestFrameCache:
+    """Each frame is built once per process for every input but the SNR.
 
-    Windows that share a memo must give the bytes of windows that build
-    everything themselves, whatever order geometries come in; a key that
-    left out one input of the frame would hand a window another
-    geometry's frame.
+    Warm windows must give the bytes of windows built on empty caches,
+    whatever order geometries come in; a key that left out one input of
+    a frame would hand a window another geometry's frame.
     """
 
     @staticmethod
@@ -682,7 +682,7 @@ class TestDisambiguationMemo:
         """(waveform, channel) pairs; each after the first changes one input of the first.
 
         Only the pulse-width variant changes the window length, so the
-        others test the key's fields other than ``n``.
+        others test the keys' fields other than ``n``.
         """
         config = default_config()
         base_w = with_separation(config.waveform, 3.5e6)
@@ -694,49 +694,67 @@ class TestDisambiguationMemo:
             (base_w, replace(base_c, carrier=CarrierPlan(offset1=150.0, offset2=-250.0))),
             (replace(base_w, sample_rate=25.01e6), base_c),
             (replace(base_w, ranging_pulse_width=150e-6), base_c),  # another window length
-            # what the memo must not hold: the SNR and the ranging tones
-            (base_w, replace(base_c, snr_db=23.0)),
-            (with_separation(base_w, 1.8e6), base_c),
+            (base_w, replace(base_c, snr_db=23.0)),  # what no key may hold: the SNR
+            (with_separation(base_w, 1.8e6), base_c),  # the ranging tones only
         ]
 
-    def test_memo_windows_equal_cold_windows(self):
+    def test_warm_windows_equal_cold_windows(self):
         geometries = self.geometries()
         n = {effective_window_length(w, c) for w, c in geometries}
         assert len(n) == 2  # only the pulse-width variant changes the window length
         order = [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 3, 1, 4, 2, 5]
-        memo = {}
+        cold = []
         for step, index in enumerate(order):
-            waveform, state = geometries[index]
-            shared = simulate_window(waveform, state, 40, seed=(5, step), memo=memo)
-            cold = simulate_window(waveform, state, 40, seed=(5, step))
-            assert shared[0].tobytes() == cold[0].tobytes() and shared[1] == cold[1], (step, index)
-        assert len(memo) == 6  # one frame per geometry, none for the SNR or the tones
+            clear_frame_caches()
+            cold.append(simulate_window(*geometries[index], 40, seed=(5, step)))
+        clear_frame_caches()
+        for step, index in enumerate(order):
+            warm = simulate_window(*geometries[index], 40, seed=(5, step))
+            assert warm[0].tobytes() == cold[step][0].tobytes(), (step, index)
+            assert warm[1] == cold[step][1], (step, index)
+        # each cache holds two frames: geometry 0 comes back every other
+        # window, and shares its disambiguation frame with 6 and 7 and its
+        # ranging frame with 2 (the disambiguation tone) and 6
+        assert scenario._disambiguation_frame.cache_info()[:2] == (8, 11)
+        assert scenario._ranging_frame.cache_info()[:2] == (8, 11)
 
-    def test_one_build_per_run(self, monkeypatch):
-        calls = []
-        real = scenario.generate_disambiguation
+    def test_one_build_per_distinct_input(self, monkeypatch):
+        builds = Counter()
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def spy(name, real):
+            def build(*args):
+                builds[name] += 1
+                return real(*args)
 
-        monkeypatch.setattr(scenario, "generate_disambiguation", spy)
+            return build
+
+        for name in ("generate_disambiguation", "generate_two_tone"):
+            monkeypatch.setattr(scenario, name, spy(name, getattr(scenario, name)))
+        once = Counter(generate_disambiguation=1, generate_two_tone=1)
         config = tuned_config(pulses=50)
-        trace = constant_trace(23.0, 4, cadence_s=5.25)
-        first = run_adaptive(config, trace, duration_s=4 * 5.25, seed=1)
-        assert len(first) == 4 and len(calls) == 1
-        # a second run starts cold and gets the same log
-        assert run_adaptive(config, trace, duration_s=4 * 5.25, seed=1) == first
-        assert len(calls) == 2
-        run_fixed_bandwidth(config, trace, duration_s=3 * 5.25, seed=1)
-        assert len(calls) == 3
-        plant = ranging_sigma_plant(config, n_intervals=3, seed=0)
-        plant(0.1)
-        plant(0.2)
-        assert len(calls) == 5  # one per plant call
-        # standalone windows build their own
-        simulate_window(config.waveform, config.channel, 10, seed=0)
-        assert len(calls) == 6
+        trace = step_trace((2, 23.0), (2, 13.0), cadence_s=5.25)
+        first = run_fixed_bandwidth(config, trace, duration_s=4 * 5.25, seed=1)
+        assert [log.snr_db for log in first] == [23.0, 23.0, 13.0, 13.0]
+        assert builds == once  # the SNR is in no key
+        # a later run builds nothing, and logs the same
+        assert run_fixed_bandwidth(config, trace, duration_s=4 * 5.25, seed=1) == first
+        assert builds == once
+        # other tones build a ranging frame only
+        simulate_window(with_separation(config.waveform, 1.8e6), config.channel, 10, seed=0)
+        assert builds == once + Counter(generate_two_tone=1)
+
+    def test_cached_arrays_are_read_only(self):
+        waveform, state = self.geometries()[0]
+        fs, geometry = waveform.sample_rate, replace(state, snr_db=0.0)
+        n = effective_window_length(waveform, state)
+        search, _ = scenario._disambiguation_frame(waveform.f_d, fs, n, geometry)
+        spectrum, row, _, _ = scenario._ranging_frame(
+            waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
+        )
+        ramp = channel.delay_ramp(n, fs, state.true_range)
+        for array in (search.spectrum, search.toeplitz, search.clean_row, spectrum, row, ramp):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestBenchmarkPatchPoints:
@@ -800,7 +818,9 @@ class TestBenchmarkPatchPoints:
 
     def test_matched_filter_rows_correlate_2d_arrays(self, monkeypatch):
         # the benchmark counts FFT points from the (rows, n) shape of the
-        # first argument, which is only ever a 2-D clean row; a window
+        # first argument, which is only ever a 2-D clean row: one for the
+        # disambiguation frame, which the three windows share, and one for
+        # each window's ranging frame.  A window
         # keeps just the interpolator's support around each selected peak,
         # whether it draws a lag block (3.5 MHz) or streams whole rows with
         # a lobe window (0.1 MHz) or without one (separation 0)
@@ -821,7 +841,7 @@ class TestBenchmarkPatchPoints:
             width = ranging.peak_support(waveform.sample_rate, waveform)[1]
             assert support.shape == (50, width) and width < n
             assert (reads is None or reads[1] > widest_block(waveform, n)) == streamed
-        assert shapes == [(1, n)] * 6
+        assert shapes == [(1, n)] * 4
 
 
 class TestWindowLength:
