@@ -10,13 +10,13 @@ frequencies are not keys, since nothing the model computes reads them;
 nor are the controller's unit scales, which are constants of
 :mod:`cohsync.control`.
 
-Validation is strict: unknown keys are rejected with the dotted path of
-the offending entry, wrong types and non-finite numbers likewise (only
-``channel.snr_db`` may be +Infinity, the noise-free mode).  Values the
-model cannot hold, such as a round-trip delay longer than the gap
-between pulses, a separation clamp whose tones alias, or an SNR without
-a positive finite linear ratio, are rejected here rather than at the
-first window.
+Validation is strict: unknown keys, wrong types and non-finite numbers
+are rejected with the dotted path of the entry (only ``channel.snr_db``
+may be +Infinity, the noise-free mode), a key named twice in one object
+by its name.  Values the model cannot hold, such as a round-trip delay
+longer than the gap between pulses, a separation clamp whose tones
+alias, a ranging pulse under 2 samples, or an SNR without a positive
+finite linear ratio, are rejected here rather than at the first window.
 """
 
 import dataclasses
@@ -232,11 +232,21 @@ def config_to_dict(config: RunConfig) -> dict:
     return doc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads``'s object hook: the object's entries, each key named once."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config key '{key}' appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON config file (syntax errors keep their line)."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     return config_from_dict(doc)

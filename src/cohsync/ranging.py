@@ -7,7 +7,9 @@ The estimation pipeline for one ranging cycle is
    filtered, see :mod:`cohsync.scenario`),
 2. take the disambiguation peak as the coarse delay,
 3. select the two-tone correlation lobe nearest that coarse delay
-   (lobes repeat every ``1 / (f2 - f1)`` seconds),
+   (lobes repeat every ``1 / (f2 - f1)`` seconds): the coarse delay is a
+   whole lag ``c``, so the credible lobes lie in ``c - h .. c + h``, ``h``
+   the whole samples in half a lobe spacing, one width for the frame,
 4. refine the selected lobe peak to sub-sample precision,
 5. convert the refined lag to one-way range via ``c * lag / 2``.
 
@@ -105,36 +107,28 @@ def _half_spacing(sample_rate: float, config: WaveformConfig) -> float:
     return sample_rate / separation / 2.0 if separation > 0 else math.inf
 
 
-def _lobe_window(coarse: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
-    """First lag ``lo`` and ``hi - lo`` of the lobe window around each coarse delay."""
-    lo = np.ceil(coarse - half).astype(int)
-    return lo, np.floor(coarse + half).astype(int) - lo
-
-
 def _interp_span(half: float) -> float:
     """Half-span of the dense grid: ``NEIGHBORS``, within half a lobe spacing, at least 1."""
     return max(min(float(NEIGHBORS), half), 1.0)
 
 
-def lobe_lags(
-    coarse: np.ndarray, n: int, sample_rate: float, config: WaveformConfig
-) -> tuple[np.ndarray, int] | None:
-    """The ranging lags lobe selection reads, as ``(first_lag, width)``.
+def lobe_lags(n: int, sample_rate: float, config: WaveformConfig) -> tuple[int, int] | None:
+    """The ranging lags lobe selection reads, fixed by the frame, as ``(offset, width)``.
 
-    Every lag read for pulse ``r`` lies in ``first_lag[r] .. first_lag[r] +
-    width - 1`` of the circular lag axis of length ``n``: the lobe window
-    around ``coarse[r]`` with one lag either side for the edge test, and
-    the :func:`peak_support` around any peak inside the window.  Returns
-    None without a lobe window (separation 0, or lobes half a row apart
-    or more): selection then takes each row's peak.
+    A pulse with coarse lag ``c`` reads lags ``c + offset .. c + offset +
+    width - 1`` of the circular lag axis of length ``n``: its lobe window
+    ``c - h .. c + h`` (``h`` the whole samples in half a lobe spacing), one
+    lag either side for the edge test, and the :func:`peak_support` around
+    any peak inside the window.  None without a lobe window (separation 0,
+    or lobes half a row apart or more): selection takes each row's peak.
     """
     half = _half_spacing(sample_rate, config)
     if not (math.isfinite(half) and 2.0 * half < n):
         return None
-    lo, last = _lobe_window(coarse, half)
+    h = math.floor(half)
     first, width = peak_support(sample_rate, config)
     below = min(first, -1)
-    return lo + below, int(last.max()) + max(first + width - 1, 1) - below + 1
+    return below - h, 2 * h + max(first + width - 1, 1) - below + 1
 
 
 def peak_support(sample_rate: float, config: WaveformConfig) -> tuple[int, int]:
@@ -154,30 +148,24 @@ def select_lobes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lobe selection on rows that hold the lags :func:`lobe_lags` names.
 
-    Row ``r`` holds pulse ``r``'s ranging output at lags ``first_lag[r],
-    first_lag[r] + 1, ...`` (``first_lag`` as :func:`lobe_lags` returns it
-    for ``coarse``, any width that covers it), so the lobe windows, with
-    one lag either side, are one column range of the rows.  Returns
-    ``(support, peak, gross)``: each pulse's :func:`peak_support` at its
-    lobe peak, the peak's lag and its gross-error flag, which marks a
-    disambiguation failure: the coarse delay did not land inside any
-    credible two-tone lobe.
+    Row ``r`` holds pulse ``r``'s ranging output at lags ``coarse[r] +
+    offset, coarse[r] + offset + 1, ...`` (whole ``coarse`` lags, at least
+    :func:`lobe_lags`'s width), so every lobe window, with one lag either
+    side, is the same column range.  Returns ``(support, peak, gross)``:
+    each pulse's :func:`peak_support` at its lobe peak, the peak's lag and
+    its gross-error flag, which marks a disambiguation failure: the coarse
+    delay did not land inside any credible two-tone lobe.
     """
-    lo, last = _lobe_window(coarse, _half_spacing(sample_rate, config))
+    h = math.floor(_half_spacing(sample_rate, config))
     first, width = peak_support(sample_rate, config)
-    below = min(first, -1)  # lag lo - 1 is column -1 - below
-    mag = np.abs(rows[:, -1 - below : int(last.max()) + 2 - below])
-    inside = np.where(np.arange(mag.shape[1] - 2) <= last[:, None], mag[:, 1:-1], -np.inf)
-    k = np.argmax(inside, axis=1)
-    # The nearest credible lobe peak lies farther than half a spacing away
-    # exactly when the in-window argmax sits on the window edge and the
-    # magnitude keeps rising beyond it (no local maximum inside the window).
-    r = np.arange(len(rows))
-    gross = ((k == 0) & (mag[:, 0] > mag[:, 1])) | (
-        (k == last) & (mag[r, last + 2] > mag[r, last + 1])
-    )
+    below = min(first, -1)  # lag coarse - h - 1 is column -1 - below
+    mag = np.abs(rows[:, -1 - below : 2 * h + 2 - below])
+    k = np.argmax(mag[:, 1:-1], axis=1)
+    # no credible lobe peak lies within the window exactly when the argmax
+    # sits on its edge and the magnitude keeps rising beyond it
+    gross = ((k == 0) & (mag[:, 0] > mag[:, 1])) | ((k == 2 * h) & (mag[:, -1] > mag[:, -2]))
     support = np.take_along_axis(rows, (k + first - below)[:, None] + np.arange(width), axis=1)
-    return support, lo + k, gross
+    return support, coarse - h + k, gross
 
 
 def select_rows(
@@ -185,15 +173,15 @@ def select_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`select_lobes` on whole rows, the circular lag axis of their length.
 
-    Each row is cut to its :func:`lobe_lags`, or without a lobe window to
-    the :func:`peak_support` around its magnitude peak, which no gross
-    error flags.
+    Row ``r`` is cut to the :func:`lobe_lags` ``coarse[r] + offset ..``,
+    or without a lobe window to the :func:`peak_support` around its
+    magnitude peak, which no gross error flags.
     """
     n = rows.shape[1]
-    reads = lobe_lags(coarse, n, sample_rate, config)
+    reads = lobe_lags(n, sample_rate, config)
     if reads is not None:
-        first_lag, width = reads
-        cut = np.take_along_axis(rows, (first_lag[:, None] + np.arange(width)) % n, axis=1)
+        offset, width = reads
+        cut = np.take_along_axis(rows, (coarse[:, None] + offset + np.arange(width)) % n, axis=1)
         return select_lobes(cut, coarse, sample_rate, config)
     peak = _signed_lags(np.argmax(np.abs(rows), axis=1), n)
     first, width = peak_support(sample_rate, config)

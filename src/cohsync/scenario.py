@@ -249,10 +249,9 @@ def _matched_filter_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Selected ranging lobes of one window, drawn on the lags selection reads.
 
-    Returns ``(support, peak, gross, coarse)``: ``support``, ``peak`` and
-    ``gross`` as :func:`select_lobes` returns them, which
-    :func:`refine_window` takes, and ``coarse[r]`` the lag of pulse
-    ``r``'s disambiguation peak.
+    Returns ``(support, peak, gross, coarse)``: the first three as
+    :func:`select_lobes` returns them, for :func:`refine_window`, and
+    ``coarse[r]``, the whole lag of pulse ``r``'s disambiguation peak.
 
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
@@ -281,13 +280,13 @@ def _matched_filter_rows(
     index, _ = matched_noise_peaks(search, scaled_noise_power(power_d, snr_db), n_pulses, rng_d)
     coarse = _signed_lags(index, n)
     sigma2_r = scaled_noise_power(power_r, snr_db)
-    reads = lobe_lags(coarse, n, fs, waveform)
+    reads = lobe_lags(n, fs, waveform)
     if reads is not None and reads[1] <= n - length + 1:
-        first_lag, width = reads
+        offset, width = reads
         rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
-        # row r adds clean lags first_lag[r] .. on, a window of the row wrapped once
+        # row r adds clean lags coarse[r] + offset .. on, a window of the row wrapped once
         wrapped = np.concatenate([clean_r, clean_r[: width - 1]])
-        rows += sliding_window_view(wrapped, width)[first_lag % n]
+        rows += sliding_window_view(wrapped, width)[(coarse + offset) % n]
         return (*select_lobes(rows, coarse, fs, waveform), coarse)
     support = np.empty((n_pulses, peak_support(fs, waveform)[1]), dtype=np.complex128)
     peak = np.empty(n_pulses, dtype=np.intp)

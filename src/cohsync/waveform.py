@@ -63,6 +63,8 @@ class WaveformConfig:
             raise ValueError(f"f_d={self.f_d} must lie in (0, sample_rate/2)")
         if self.two_tone.f2 >= fs / 2:
             raise ValueError(f"f2={self.two_tone.f2} aliases at sample_rate={fs}")
+        if not round(self.ranging_pulse_width * fs) >= 2:  # generate_two_tone's count
+            raise ValueError(f"ranging_pulse_width={self.ranging_pulse_width} s is under 2 samples")
         if self.pri < max(self.ranging_pulse_width, 1.0 / self.f_d):
             raise ValueError("pri must cover the longest pulse")
 

@@ -1,0 +1,141 @@
+"""SHA-256 of every artifact a change to the estimator must keep byte for byte.
+
+Run from anywhere, on the checkout that holds this file:
+
+    python tests/artifact_hashes.py --seeds 1 7919
+
+Each command runs in a fresh ``python -m cohsync.cli`` process on this
+checkout's ``src/``, and standard output gets one ``seed name sha256``
+line per artifact, so ``diff`` between the outputs of two checkouts is
+the check.  The set:
+
+- the adaptive-step run's ``run_log.csv`` and ``summary.json``;
+- the tune-scan ``tune.json``;
+- the 16-node Monte-Carlo ``curve.csv`` and ``curve.report.json``;
+- fixed runs at 0.15 MHz with ``carrier_offset1_hz`` 50 (whole rows cut
+  to a lobe window), at separation 0 (whole rows, no lobe window) and at
+  7.5 MHz and -3 dB;
+- noise-free 50-pulse windows at 0, 0.15, 3.5 and 7.5 MHz, whose ranges
+  a fresh ``python -c`` process hashes, since a trace holds no infinite
+  SNR.
+
+pytest does not collect this file (it is no ``test_*.py``).
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+# The adaptive-step and tune-scan inputs, copied from cohbench/run.py.
+INTERVAL_S = 21.0  # 200 pulses x 105 ms
+STEP_AT, STEP_INTERVALS = 12, 42
+TUNED = {"k_p": 0.09, "t_i_s": 34.99, "x_initial_hz": 3.5e6}
+K_GRID_SPEC, TUNE_INTERVALS = "0.1:1.0:2", 24
+MC_ARGS = ["--nodes", "16", "--trials", "50000", "--sigma-grid", "0.02:0.05:7"]
+
+F1_HZ = 20e3
+# name -> (waveform and channel keys, constant trace SNR in dB)
+FIXED_RUNS = {
+    "fixed-0.15MHz-offset50": ({"waveform": {"f2_hz": F1_HZ + 0.15e6},
+                                "channel": {"carrier_offset1_hz": 50.0}}, 20.0),
+    "fixed-sep0": ({"waveform": {"f2_hz": F1_HZ}}, 20.0),
+    "fixed-7.5MHz-minus3dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, -3.0),
+}
+FIXED_INTERVALS = 3
+NOISE_FREE_SEPARATIONS_HZ = (0.0, 0.15e6, 3.5e6, 7.5e6)
+
+NOISE_FREE_WINDOWS = """
+import hashlib, math, sys
+from dataclasses import replace
+from cohsync.config import default_config
+from cohsync.scenario import simulate_window
+from cohsync.waveform import TwoToneSpec
+config = default_config()
+f1, state = config.waveform.two_tone.f1, replace(config.channel, snr_db=math.inf)
+for separation in map(float, sys.argv[2:]):
+    waveform = replace(config.waveform, two_tone=TwoToneSpec(f1, f1 + separation))
+    ranges, gross = simulate_window(waveform, state, 50, int(sys.argv[1]))
+    digest = hashlib.sha256(ranges.tobytes() + str(gross).encode()).hexdigest()
+    print(f"noise-free-{separation / 1e6:g}MHz/ranges", digest)
+"""
+
+
+def cli(*argv: str) -> None:
+    subprocess.run([sys.executable, "-m", "cohsync.cli", *argv], env=ENV, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def trace(path: Path, snr_db, intervals: int) -> Path:
+    """A trace of ``intervals + 1`` records one interval apart; ``snr_db(k)`` for record k."""
+    rows = [f"{k * INTERVAL_S!r},{snr_db(k)!r}" for k in range(intervals + 1)]
+    path.write_text("\n".join(["timestamp_s,snr_db", *rows]) + "\n")
+    return path
+
+
+def config(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def artifacts(seed: int, work: Path):
+    """``(name, sha256)`` of every artifact at ``seed``, written under ``work``."""
+    s = str(seed)
+    out = work / "adaptive-step"
+    cli("run", "--config", str(config(work / "adaptive.json", {"channel": {"snr_db": 23.0},
+                                                                "controller": TUNED})),
+        "--trace", str(trace(work / "step.csv", lambda k: 23.0 if k < STEP_AT else 13.0,
+                             STEP_INTERVALS)),
+        "--adaptive", "--seed", s, "--out", str(out))
+    yield "adaptive-step/run_log.csv", digest(out / "run_log.csv")
+    yield "adaptive-step/summary.json", digest(out / "summary.json")
+
+    out = work / "tune.json"
+    cli("tune", "--config", str(config(work / "tune-config.json", {"channel": {"snr_db": 20.0}})),
+        "--k-grid", K_GRID_SPEC, "--intervals", str(TUNE_INTERVALS), "--seed", s, "--out", str(out))
+    yield "tune-scan/tune.json", digest(out)
+
+    out = work / "curve.csv"
+    cli("montecarlo", *MC_ARGS, "--seed", s, "--out", str(out))
+    yield "montecarlo-16/curve.csv", digest(out)
+    yield "montecarlo-16/curve.report.json", digest(work / "curve.report.json")
+
+    for name, (doc, snr_db) in FIXED_RUNS.items():
+        out = work / name
+        cli("run", "--config", str(config(work / f"{name}.json", doc)),
+            "--trace", str(trace(work / f"{name}.csv", lambda k: snr_db, FIXED_INTERVALS)),
+            "--fixed", "--seed", s, "--out", str(out))
+        yield f"{name}/run_log.csv", digest(out / "run_log.csv")
+        yield f"{name}/summary.json", digest(out / "summary.json")
+
+    lines = subprocess.run(
+        [sys.executable, "-c", NOISE_FREE_WINDOWS, s, *map(repr, NOISE_FREE_SEPARATIONS_HZ)],
+        env=ENV, check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    for line in lines:
+        yield tuple(line.split())
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7919])
+    args = parser.parse_args()
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, sha in artifacts(seed, Path(tmp)):
+                print(seed, name, sha, flush=True)
+
+
+if __name__ == "__main__":
+    main()

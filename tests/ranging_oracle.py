@@ -170,10 +170,10 @@ def whole_array_window(
     )
     sigma2_r = scaled_noise_power(power_r, channel_state.snr_db)
     coarse = _signed_lags(index, n)
-    reads = lobe_lags(coarse, n, fs, waveform)
+    reads = lobe_lags(n, fs, waveform)
     if reads is not None and reads[1] <= n - length + 1:
-        first_lag, width = reads
-        rows = clean_row[(first_lag[:, None] + np.arange(width)) % n]
+        offset, width = reads
+        rows = clean_row[(coarse[:, None] + offset + np.arange(width)) % n]
         if sigma2_r > 0.0:
             rows = rows + matched_noise_block(
                 spectrum, sigma2_r, n_pulses, width, np.random.default_rng(seed_r)

@@ -143,7 +143,7 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
             )
             (range_m,), _, _ = ranging_oracle.select_and_refine(
                 ranging_oracle.correlate(rx, pulse)[None],
-                np.array([prior_lag * 25e6]),
+                np.array([round(prior_lag * 25e6)]),
                 full_waveform,
             )
             assert abs(range_m - true_range) == pytest.approx(

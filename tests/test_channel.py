@@ -80,7 +80,7 @@ class TestPropagateRoundTrip:
         frame, pulse = padded_frame(full_waveform)
         out = round_trip(frame, noise_free_90m, FS)
         mf = correlate(out, pulse)
-        coarse = np.array([2 * 90.0 / SPEED_OF_LIGHT * FS])
+        coarse = np.array([round(2 * 90.0 / SPEED_OF_LIGHT * FS)])
         (range_m,), (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
         expected_lag = 2 * 90.0 / SPEED_OF_LIGHT
         assert peak_lag == pytest.approx(expected_lag, abs=1e-12)
@@ -121,7 +121,7 @@ class TestPropagateRoundTrip:
             state = ChannelState(true_range=float(r), snr_db=math.inf)
             out = round_trip(frame, state, FS)
             mf = correlate(out, pulse)
-            coarse = np.array([2 * r / SPEED_OF_LIGHT * FS])
+            coarse = np.array([round(2 * r / SPEED_OF_LIGHT * FS)])
             _, (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
             estimated.append(peak_lag)
         slope = np.polyfit(ranges, estimated, 1)[0]

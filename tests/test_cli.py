@@ -661,6 +661,11 @@ class TestLoadTimeRejection:
             ('{"channel": {"snr_db": 4000}}', "snr_db=4000.0 has no positive finite"),
             ('{"channel": {"snr_db": -4000}}', "snr_db=-4000.0 has no positive finite"),
             ('{"seed": -1}', "seed must be a non-negative integer, got -1"),
+            ('{"channel": {"snr_db": 20, "snr_db": 30}}', "config key 'snr_db' appears twice"),
+            ('{"seed": 3, "seed": 4}', "config key 'seed' appears twice"),
+            ('{"waveform": {"ranging_pulse_width_s": 0}}', "ranging_pulse_width=0.0 s is under 2"),
+            ('{"waveform": {"ranging_pulse_width_s": -1e-4}}', "ranging_pulse_width=-0.0001 s is under 2"),
+            ('{"waveform": {"ranging_pulse_width_s": 1e-9}}', "ranging_pulse_width=1e-09 s is under 2"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, config_text, fragment):

@@ -122,7 +122,7 @@ class TestDisambiguateAndRefine:
             rx = ranging_oracle.round_trip(frame, state, FS)
             mf = ranging_oracle.correlate(rx, pulse)
             (range_m,), _, _ = ranging_oracle.select_and_refine(
-                mf[None], np.array([prior_lag * FS]), full_waveform
+                mf[None], np.array([round(prior_lag * FS)]), full_waveform
             )
             # the estimator stays on the prior's lobe, so the report is
             # off by exactly k ambiguity periods
@@ -259,7 +259,9 @@ class TestBatchedKernel:
     def test_matches_per_pulse_oracle(self, full_waveform, snr_db):
         state = ChannelState(true_range=90.0, snr_db=snr_db)
         gross_total = 0
-        for separation_hz in (0.0, 1e6, 3.5e6, 7.5e6):
+        # half a spacing is exactly 4 samples at 3.125 MHz, and 0.125 MHz
+        # cuts whole rows to a lobe window
+        for separation_hz in (0.0, 0.125e6, 1e6, 3.125e6, 3.5e6, 7.5e6):
             waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
             for seed in range(3):
                 mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed))
@@ -418,7 +420,7 @@ class TestDenseArgmax:
             (np.exp(-(((distance - gap) / width) ** 2))) * np.exp(1j * phase)
             for gap in (0.5, 1.0, 1.5, 2.0) for width in (0.7, 1.0, 1.5, 2.5) for phase in (0.0, 0.3, 2.0)
         ])
-        coarse = np.full(len(mf_r), 200.0)
+        coarse = np.full(len(mf_r), 200)
         seen = []
         real = ranging._dense_argmax
 

@@ -497,7 +497,7 @@ class TestStreamedRows:
         waveform = with_separation(config.waveform, separation_hz)
         state = replace(config.channel, snr_db=snr_db)
         n = effective_window_length(waveform, state)
-        reads = ranging.lobe_lags(np.zeros(1), n, waveform.sample_rate, waveform)
+        reads = ranging.lobe_lags(n, waveform.sample_rate, waveform)
         whole = reads is None or reads[1] > widest_block(waveform, n)
         assert whole == ((disambiguation_hz, separation_hz) not in self.BLOCK_DRAWS)
         expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
@@ -835,9 +835,9 @@ class TestBenchmarkPatchPoints:
         config = tuned_config(pulses=50)
         for separation_hz, streamed in ((3.5e6, False), (1e5, True), (0.0, True)):
             waveform = with_separation(config.waveform, separation_hz)
-            support, _, _, coarse = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
+            support, _, _, _ = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
             n = effective_window_length(waveform, config.channel)
-            reads = ranging.lobe_lags(coarse, n, waveform.sample_rate, waveform)
+            reads = ranging.lobe_lags(n, waveform.sample_rate, waveform)
             width = ranging.peak_support(waveform.sample_rate, waveform)[1]
             assert support.shape == (50, width) and width < n
             assert (reads is None or reads[1] > widest_block(waveform, n)) == streamed
