@@ -51,16 +51,17 @@ rotated clean row, the template's DFT and Toeplitz matrix, ``||p||_1`` and
 ``max_far |clean|``) is a :class:`PeakSearch`, built once per clean row and template.
 
 Whole rows are drawn and reduced ``_ROW_CHUNK`` rows at a time
-(:func:`map_row_chunks`), so no ``(rows, n)`` array is held.  Chunk ``j``
-of a frame draws from its own stream, the child of the frame's seed
-sequence with spawn index ``j``, so its rows depend on neither the other
-chunks nor the order the chunks run in (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011).  Each row's inverse FFT does not
-depend on the rows it shares a call with either, so the chunks run on a
-pool of threads, one a core up to ``_MAX_WORKERS``, and give the same
-bytes at any worker count.  Probability curves use both: their chunks of
-trials draw their geometry from these chunk streams and run on the pool,
-:func:`map_chunks`.  Windows that draw no whole rows start no thread.
+(:func:`map_row_chunks`), each chunk returning what it keeps, so no
+``(rows, n)`` array is held.  Chunk ``j`` of a frame draws from its own
+stream, the child of the frame's seed sequence with spawn index ``j``,
+so its rows depend on neither the other chunks nor the order the chunks
+run in (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011).  Each row's inverse FFT does not depend on the rows it shares
+a call with either, so the chunks run on a pool of threads, one a core
+up to ``_MAX_WORKERS``, and give the same bytes at any worker count.
+Probability curves use both: their chunks of trials draw their geometry
+from these chunk streams and run on the pool, :func:`map_chunks`.
+Windows that draw no whole rows start no thread.
 """
 
 import functools
@@ -339,26 +340,25 @@ def _chunk_stream(seed: np.random.SeedSequence, index: int) -> np.random.Generat
 def map_row_chunks(
     n_rows: int,
     draw: Callable[[slice, np.random.Generator], np.ndarray],
-    reduce: Callable[[slice, np.ndarray], None],
+    reduce: Callable[[slice, np.ndarray], object],
     rng: np.random.Generator,
-) -> None:
-    """Call ``reduce(rows, draw(rows, stream))`` on each chunk of ``n_rows`` rows.
+) -> list:
+    """``[reduce(rows, draw(rows, stream))]`` over the chunks of ``n_rows`` rows, in order.
 
     Chunk ``j`` is ``_ROW_CHUNK`` rows (fewer in the last), drawn on
-    :func:`_chunk_stream` of ``rng``'s seed sequence and ``j``.  ``reduce`` keeps
-    what the caller reads of it, in its rows of the caller's arrays.  The
-    chunks run by :func:`map_chunks`, so neither ``draw`` nor ``reduce``
-    may touch anything but their own rows.
+    :func:`_chunk_stream` of ``rng``'s seed sequence and ``j``.  The
+    chunks run by :func:`map_chunks`, so ``draw`` and ``reduce`` may only
+    read what they share, and return what they make.
     """
 
-    def run(j: int) -> None:
+    def run(j: int):
         rows = slice(j * _ROW_CHUNK, min((j + 1) * _ROW_CHUNK, n_rows))
-        reduce(rows, draw(rows, _chunk_stream(rng.bit_generator.seed_seq, j)))
+        return reduce(rows, draw(rows, _chunk_stream(rng.bit_generator.seed_seq, j)))
 
-    map_chunks(run, -(-n_rows // _ROW_CHUNK))
+    return map_chunks(run, -(-n_rows // _ROW_CHUNK))
 
 
-def _row_peaks(chunk: np.ndarray) -> np.ndarray:
+def _row_peaks(rows: slice, chunk: np.ndarray) -> np.ndarray:
     """Index of each row's largest modulus (the first of equal ones)."""
     return np.argmax(np.abs(chunk), axis=1)
 
@@ -369,8 +369,8 @@ def map_noisy_rows(
     noise_power: float,
     n_rows: int,
     rng: np.random.Generator,
-    reduce: Callable[[slice, np.ndarray], None],
-) -> None:
+    reduce: Callable[[slice, np.ndarray], object],
+) -> list:
     """:func:`map_row_chunks` over ``n_rows`` rows of ``clean_row`` plus matched-filter noise.
 
     Each chunk is ``clean_row + matched_noise_rows(template_spectrum,
@@ -382,7 +382,7 @@ def map_noisy_rows(
         chunk += clean_row
         return chunk
 
-    map_row_chunks(n_rows, draw, reduce, rng)
+    return map_row_chunks(n_rows, draw, reduce, rng)
 
 
 def _max_modulus(
@@ -525,13 +525,10 @@ def matched_noise_peaks(
     """
     n = search.clean_row.size
     if search.n_inputs >= n:
-        peak = np.empty(n_rows, dtype=np.intp)
-
-        def keep_peaks(rows: slice, chunk: np.ndarray) -> None:
-            peak[rows] = _row_peaks(chunk)
-
-        map_noisy_rows(search.spectrum, search.clean_row, noise_power, n_rows, rng, keep_peaks)
-        return peak, np.zeros(n_rows, dtype=bool)
+        chunks = map_noisy_rows(
+            search.spectrum, search.clean_row, noise_power, n_rows, rng, _row_peaks
+        )
+        return np.concatenate(chunks), np.zeros(n_rows, dtype=bool)
     near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
     near *= math.sqrt(noise_power / 2.0)
     r_max = _max_modulus(noise_power, n - search.n_inputs, n_rows, rng)
@@ -547,8 +544,6 @@ def matched_noise_peaks(
         full += search.clean_row
         return full
 
-    def keep_completed_peaks(rows: slice, full: np.ndarray) -> None:
-        peak[pending[rows]] = _row_peaks(full)
-
-    map_row_chunks(pending.size, complete, keep_completed_peaks, rng)
+    if pending.size:
+        peak[pending] = np.concatenate(map_row_chunks(pending.size, complete, _row_peaks, rng))
     return (search.first + peak) % n, certified

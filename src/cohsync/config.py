@@ -205,8 +205,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a plain dict (e.g. parsed JSON).
 
     Missing keys take their defaults; unknown keys anywhere are rejected
-    with the dotted path of the entry.  One default is derived: the
-    initial controller output is the configured tone separation.
+    with the dotted path of the entry.  The upper tone and the initial
+    controller output fix each other, ``f2_hz = f1_hz + x_initial_hz``:
+    either one given sets the other, and both given must agree.
     """
     values = dict(_REFERENCE)
     for name, value in _entries(doc):
@@ -215,7 +216,19 @@ def config_from_dict(doc: dict) -> RunConfig:
         path, kind = _FIELDS[name]
         values[path] = _check_value(name, value, kind)
     f1, f2 = values["waveform.two_tone.f1"], values["waveform.two_tone.f2"]
-    values.setdefault("controller.x_prev", f2 - f1)
+    derived = "controller.x_prev" in values and "f2_hz" not in doc.get("waveform", {})
+    x = values.setdefault("controller.x_prev", f2 - f1)
+    if derived:
+        values["waveform.two_tone.f2"] = f1 + x
+        try:
+            _build(WaveformConfig, values, "waveform.")
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (f2 is f1_hz + controller.x_initial_hz)") from exc
+    elif not math.isclose(f2, f1 + x, rel_tol=1e-12):
+        raise ConfigError(
+            "config keys 'waveform.f2_hz' and 'controller.x_initial_hz' disagree: "
+            f"{f2} - {f1} != {x}"
+        )
     try:
         return _build(RunConfig, values)
     except ValueError as exc:

@@ -9,7 +9,7 @@ The estimation pipeline for one ranging cycle is
 3. select the two-tone correlation lobe nearest that coarse delay
    (lobes repeat every ``1 / (f2 - f1)`` seconds): the coarse delay is a
    whole lag ``c``, so the credible lobes lie in ``c - h .. c + h``, ``h``
-   the whole samples in half a lobe spacing, one width for the frame,
+   the whole samples in half a lobe spacing,
 4. refine the selected lobe peak to sub-sample precision,
 5. convert the refined lag to one-way range via ``c * lag / 2``.
 
@@ -26,7 +26,9 @@ separation.  Measured noise-free bias with the refinement constants
 below is under 0.1 mm at 25 Msps with a 7.5 MHz tone separation.
 
 Steps 3-5 run on all cycles of a window at once; one cycle is a batch
-of one.  Lobe selection runs where the rows are held, on a lag block
+of one.  What steps 3-4 read of a frame depends only on its lag count,
+sample rate and tone separation: one :class:`Readout` (:func:`readout`).
+Lobe selection runs where the rows are held, on a lag block
 (:func:`select_lobes`) or whole rows (:func:`select_rows`), and keeps
 each pulse's peak lag, gross-error flag and interpolator support, the
 one shape :func:`refine_window` takes.
@@ -101,92 +103,84 @@ def _signed_lags(index: np.ndarray, n: int) -> np.ndarray:
     return np.where(index > n / 2, index - n, index)
 
 
-def _half_spacing(sample_rate: float, config: WaveformConfig) -> float:
-    """Half the two-tone lobe spacing in samples (infinite at separation 0)."""
-    separation = config.two_tone.separation
-    return sample_rate / separation / 2.0 if separation > 0 else math.inf
-
-
-def _interp_span(half: float) -> float:
-    """Half-span of the dense grid: ``NEIGHBORS``, within half a lobe spacing, at least 1."""
-    return max(min(float(NEIGHBORS), half), 1.0)
-
-
-def lobe_lags(n: int, sample_rate: float, config: WaveformConfig) -> tuple[int, int] | None:
-    """The ranging lags lobe selection reads, fixed by the frame, as ``(offset, width)``.
+@dataclass(frozen=True, eq=False)
+class Readout:
+    """What the estimator reads of a frame's ranging output, fixed by the frame.
 
     A pulse with coarse lag ``c`` reads lags ``c + offset .. c + offset +
-    width - 1`` of the circular lag axis of length ``n``: its lobe window
-    ``c - h .. c + h`` (``h`` the whole samples in half a lobe spacing), one
-    lag either side for the edge test, and the :func:`peak_support` around
-    any peak inside the window.  None without a lobe window (separation 0,
-    or lobes half a row apart or more): selection takes each row's peak.
-    """
-    half = _half_spacing(sample_rate, config)
-    if not (math.isfinite(half) and 2.0 * half < n):
-        return None
-    h = math.floor(half)
-    first, width = peak_support(sample_rate, config)
-    below = min(first, -1)
-    return below - h, 2 * h + max(first + width - 1, 1) - below + 1
-
-
-def peak_support(sample_rate: float, config: WaveformConfig) -> tuple[int, int]:
-    """The lags :func:`refine_window` reads around a pulse's peak, as ``(first, width)``.
-
-    That is the lags ``peak + first .. peak + first + width - 1``, the
-    interpolator's support for the tone separation: 72 lags from
+    width - 1``: its lobe window ``c - h .. c + h``, one lag either side
+    for the edge test, and the support around any peak inside it.  Without
+    a lobe window (separation 0, or lobes half a row apart or more) ``h``,
+    ``offset`` and ``width`` are None, and selection takes each row's peak.
+    Refinement reads the ``support`` lags from ``peak + first`` (72 from
     ``peak - 35`` while half a lobe spacing spans ``NEIGHBORS`` samples,
-    fewer above 3.125 MHz at 25 Msps.
+    fewer above 3.125 MHz at 25 Msps), which ``matrix`` maps to the dense
+    grid at ``offsets``, views of :func:`_interp_table`.
     """
-    _, first, matrix = _interp_matrix(_interp_span(_half_spacing(sample_rate, config)))
-    return first, matrix.shape[0]
+
+    sample_rate: float
+    h: int | None
+    offset: int | None
+    width: int | None
+    first: int
+    support: int
+    offsets: np.ndarray
+    matrix: np.ndarray
+
+
+@lru_cache(maxsize=2)
+def readout(n: int, sample_rate: float, separation: float) -> Readout:
+    """The :class:`Readout` of ``n``-lag frames at ``sample_rate``, tones ``separation`` apart."""
+    half = sample_rate / separation / 2.0 if separation > 0 else math.inf
+    # the dense grid's half-span: NEIGHBORS, within half a lobe spacing, at least 1
+    offsets, first, matrix = _interp_matrix(max(min(float(NEIGHBORS), half), 1.0))
+    support = matrix.shape[0]
+    if not (math.isfinite(half) and 2.0 * half < n):
+        return Readout(sample_rate, None, None, None, first, support, offsets, matrix)
+    h, below = math.floor(half), min(first, -1)
+    width = 2 * h + max(first + support - 1, 1) - below + 1
+    return Readout(sample_rate, h, below - h, width, first, support, offsets, matrix)
 
 
 def select_lobes(
-    rows: np.ndarray, coarse: np.ndarray, sample_rate: float, config: WaveformConfig
+    rows: np.ndarray, coarse: np.ndarray, reads: Readout
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lobe selection on rows that hold the lags :func:`lobe_lags` names.
+    """Lobe selection on rows that hold the lags ``reads`` names.
 
     Row ``r`` holds pulse ``r``'s ranging output at lags ``coarse[r] +
-    offset, coarse[r] + offset + 1, ...`` (whole ``coarse`` lags, at least
-    :func:`lobe_lags`'s width), so every lobe window, with one lag either
-    side, is the same column range.  Returns ``(support, peak, gross)``:
-    each pulse's :func:`peak_support` at its lobe peak, the peak's lag and
-    its gross-error flag, which marks a disambiguation failure: the coarse
-    delay did not land inside any credible two-tone lobe.
+    reads.offset ..`` (whole ``coarse`` lags, at least ``reads.width``), so
+    every lobe window, with one lag either side, is the same column range.
+    Returns ``(support, peak, gross)``: each pulse's ``reads.support`` lags
+    around its lobe peak, the peak's lag and its gross-error flag, which
+    marks a disambiguation failure: the coarse delay did not land inside
+    any credible two-tone lobe.
     """
-    h = math.floor(_half_spacing(sample_rate, config))
-    first, width = peak_support(sample_rate, config)
-    below = min(first, -1)  # lag coarse - h - 1 is column -1 - below
-    mag = np.abs(rows[:, -1 - below : 2 * h + 2 - below])
+    h, edge = reads.h, -reads.h - 1 - reads.offset  # lag coarse - h - 1 is column edge
+    mag = np.abs(rows[:, edge : edge + 2 * h + 3])
     k = np.argmax(mag[:, 1:-1], axis=1)
     # no credible lobe peak lies within the window exactly when the argmax
     # sits on its edge and the magnitude keeps rising beyond it
     gross = ((k == 0) & (mag[:, 0] > mag[:, 1])) | ((k == 2 * h) & (mag[:, -1] > mag[:, -2]))
-    support = np.take_along_axis(rows, (k + first - below)[:, None] + np.arange(width), axis=1)
-    return support, coarse - h + k, gross
+    columns = (k + edge + 1 + reads.first)[:, None] + np.arange(reads.support)
+    return np.take_along_axis(rows, columns, axis=1), coarse - h + k, gross
 
 
 def select_rows(
-    rows: np.ndarray, coarse: np.ndarray, sample_rate: float, config: WaveformConfig
+    rows: np.ndarray, coarse: np.ndarray, reads: Readout
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`select_lobes` on whole rows, the circular lag axis of their length.
 
-    Row ``r`` is cut to the :func:`lobe_lags` ``coarse[r] + offset ..``,
-    or without a lobe window to the :func:`peak_support` around its
-    magnitude peak, which no gross error flags.
+    Row ``r`` is cut to the lags ``coarse[r] + reads.offset ..``, or
+    without a lobe window to the support around its magnitude peak, which
+    no gross error flags.
     """
     n = rows.shape[1]
-    reads = lobe_lags(n, sample_rate, config)
-    if reads is not None:
-        offset, width = reads
-        cut = np.take_along_axis(rows, (coarse[:, None] + offset + np.arange(width)) % n, axis=1)
-        return select_lobes(cut, coarse, sample_rate, config)
+    if reads.h is not None:
+        columns = (coarse[:, None] + reads.offset + np.arange(reads.width)) % n
+        return select_lobes(np.take_along_axis(rows, columns, axis=1), coarse, reads)
     peak = _signed_lags(np.argmax(np.abs(rows), axis=1), n)
-    first, width = peak_support(sample_rate, config)
-    support = np.take_along_axis(rows, (peak[:, None] + first + np.arange(width)) % n, axis=1)
-    return support, peak, np.zeros(len(rows), dtype=bool)
+    columns = (peak[:, None] + reads.first + np.arange(reads.support)) % n
+    return np.take_along_axis(rows, columns, axis=1), peak, np.zeros(len(rows), dtype=bool)
 
 
 def effective_window_length(waveform: WaveformConfig, channel_state: ChannelState) -> int:
@@ -395,12 +389,12 @@ def _spline_peaks(offsets: np.ndarray, parts: np.ndarray) -> np.ndarray:
 
 
 def refine_window(
-    support: np.ndarray, peak: np.ndarray, sample_rate: float, config: WaveformConfig
+    support: np.ndarray, peak: np.ndarray, reads: Readout
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak refinement for a batch of pulses whose lobe peaks are selected.
 
     Row ``r`` of ``support`` holds pulse ``r``'s ranging matched-filter
-    output on the :func:`peak_support` around its selected peak lag
+    output on the ``reads.support`` lags around its selected peak lag
     ``peak[r]`` (:func:`select_lobes` or :func:`select_rows` give both).
     Returns per-pulse arrays ``(range, peak_lag)``: the one-way range in
     metres (at least 0) and the refined lag in seconds.
@@ -413,9 +407,9 @@ def refine_window(
     of ``np.hypot`` (see :func:`_dense_argmax`); the spline's 17 points
     then take ``np.hypot``.
     """
-    offsets, _, matrix = _interp_matrix(_interp_span(_half_spacing(sample_rate, config)))
-    dense = np.concatenate([support.real, support.imag]) @ matrix
-    lag_s = (peak + _spline_peaks(offsets, dense.reshape(2, len(support), -1))) / sample_rate
+    dense = np.concatenate([support.real, support.imag]) @ reads.matrix
+    offset = _spline_peaks(reads.offsets, dense.reshape(2, len(support), -1))
+    lag_s = (peak + offset) / reads.sample_rate
     return np.maximum(0.0, SPEED_OF_LIGHT * lag_s / 2.0), lag_s
 
 

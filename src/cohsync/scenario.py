@@ -32,16 +32,16 @@ Each pulse's disambiguation peak is drawn by the certificate of
 the clean peak and the largest modulus of the rest settle it (at the
 reference waveform every pulse from -10 dB up, none at -20 dB), and rows
 they do not settle are completed and scanned whole.  Once the peak
-places the lobe window, a correlated block of just the ranging lags
-that lobe selection reads is drawn, up to ``n - L + 1`` lags (159 at
-the reference waveform, so from about 0.285 MHz), and selected at once.
-Wider lobe windows, and windows without one, draw whole ranging rows 16
-at a time and select each chunk as it is drawn.  Either way a window
-keeps only the interpolator's support around each selected peak, never
-a pulses x window-length array.  Each chunk draws from its own stream
-and the chunks run on a thread per core
-(:func:`cohsync.channel.map_row_chunks`), with the same bytes at any
-thread count; windows with a lag block start no thread.
+places the lobe window, a correlated block of the lags selection reads
+(the frame's :class:`~cohsync.ranging.Readout`) is drawn, up to
+``n - L + 1`` lags (159 at the reference waveform, so from about
+0.285 MHz), and selected at once.  Wider lobe windows, and windows
+without one, draw whole ranging rows 16 at a time, each chunk returning
+its selection.  Either way a window keeps only the interpolator's
+support around each selected peak, never a pulses x window-length
+array.  Each chunk draws from its own stream and the chunks run on a
+thread per core (:func:`cohsync.channel.map_row_chunks`), with the same
+bytes at any thread count; windows with a lag block start no thread.
 The ranging noise is stationary, independent of the disambiguation
 noise and drawn from its own stream, so the placement leaves its
 distribution exact, and both draws match filtering white noise on every
@@ -84,8 +84,7 @@ from .ranging import (
     _circular_correlation,
     _signed_lags,
     effective_window_length,
-    lobe_lags,
-    peak_support,
+    readout,
     refine_window,
     select_lobes,
     select_rows,
@@ -136,9 +135,10 @@ def read_trace_csv(path) -> list[EnvironmentRecord]:
     Each ``snr_db`` must give a positive finite linear ratio
     (:func:`~cohsync.channel.snr_ratio`).  The optional weather columns
     must hold numbers or nothing, and are not kept.  A column named
-    twice, or a row with more cells than the header, is rejected.
+    twice, or a row with more cells than the header, is rejected; a
+    leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty trace file")
@@ -256,7 +256,7 @@ def _matched_filter_rows(
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
-    says: the :func:`lobe_lags` of windows up to ``n - L + 1`` lags, ``L``
+    says: the :func:`readout` lags of windows up to ``n - L + 1`` lags, ``L``
     the ranging pulse's length, as one block that selection reads once,
     and wider ones, and windows without one, as whole rows streamed by
     :func:`map_noisy_rows` and selected a chunk at a time.  Without noise
@@ -271,32 +271,27 @@ def _matched_filter_rows(
     spectrum_r, clean_r, power_r, length = _ranging_frame(
         waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
     )
+    reads = readout(n, fs, waveform.two_tone.separation)
     if snr_db == math.inf:
         coarse = _signed_lags(np.full(n_pulses, search.peak), n)
-        return (*select_rows(np.broadcast_to(clean_r, (n_pulses, n)), coarse, fs, waveform), coarse)
+        return (*select_rows(np.broadcast_to(clean_r, (n_pulses, n)), coarse, reads), coarse)
     # one stream per frame, in the order a cycle sends them, so the ranging
     # noise does not depend on how many numbers the disambiguation draw took
     rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     index, _ = matched_noise_peaks(search, scaled_noise_power(power_d, snr_db), n_pulses, rng_d)
     coarse = _signed_lags(index, n)
     sigma2_r = scaled_noise_power(power_r, snr_db)
-    reads = lobe_lags(n, fs, waveform)
-    if reads is not None and reads[1] <= n - length + 1:
-        offset, width = reads
-        rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, width, rng_r)
+    if reads.h is not None and reads.width <= n - length + 1:
+        rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, reads.width, rng_r)
         # row r adds clean lags coarse[r] + offset .. on, a window of the row wrapped once
-        wrapped = np.concatenate([clean_r, clean_r[: width - 1]])
-        rows += sliding_window_view(wrapped, width)[(coarse + offset) % n]
-        return (*select_lobes(rows, coarse, fs, waveform), coarse)
-    support = np.empty((n_pulses, peak_support(fs, waveform)[1]), dtype=np.complex128)
-    peak = np.empty(n_pulses, dtype=np.intp)
-    gross = np.empty(n_pulses, dtype=bool)
-
-    def select_chunk(chunk: slice, noisy: np.ndarray) -> None:
-        support[chunk], peak[chunk], gross[chunk] = select_rows(noisy, coarse[chunk], fs, waveform)
-
-    map_noisy_rows(spectrum_r, clean_r, sigma2_r, n_pulses, rng_r, select_chunk)
-    return support, peak, gross, coarse
+        wrapped = np.concatenate([clean_r, clean_r[: reads.width - 1]])
+        rows += sliding_window_view(wrapped, reads.width)[(coarse + reads.offset) % n]
+        return (*select_lobes(rows, coarse, reads), coarse)
+    chunks = map_noisy_rows(
+        spectrum_r, clean_r, sigma2_r, n_pulses, rng_r,
+        lambda rows, noisy: select_rows(noisy, coarse[rows], reads),
+    )
+    return (*map(np.concatenate, zip(*chunks)), coarse)
 
 
 def simulate_window(
@@ -310,7 +305,9 @@ def simulate_window(
     caches hold.
     """
     support, peak, gross, _ = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
-    ranges, _ = disambiguate_and_refine(support, peak, waveform.sample_rate, waveform)
+    n = effective_window_length(waveform, channel_state)
+    reads = readout(n, waveform.sample_rate, waveform.two_tone.separation)
+    ranges, _ = disambiguate_and_refine(support, peak, reads)
     return ranges, int(gross.sum())
 
 

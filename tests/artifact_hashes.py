@@ -13,8 +13,10 @@ the check.  The set:
 - the tune-scan ``tune.json``;
 - the 16-node Monte-Carlo ``curve.csv`` and ``curve.report.json``;
 - fixed runs at 0.15 MHz with ``carrier_offset1_hz`` 50 (whole rows cut
-  to a lobe window), at separation 0 (whole rows, no lobe window) and at
-  7.5 MHz and -3 dB;
+  to a lobe window), at separation 0 (whole rows, no lobe window), at
+  7.5 MHz and -3 dB, at 3.5 MHz and -20 dB (every disambiguation row
+  completed around its largest far modulus) and with a 6.3 kHz
+  disambiguation tone at 13 dB (disambiguation rows drawn whole);
 - noise-free 50-pulse windows at 0, 0.15, 3.5 and 7.5 MHz, whose ranges
   a fresh ``python -c`` process hashes, since a trace holds no infinite
   SNR.
@@ -48,6 +50,8 @@ FIXED_RUNS = {
                                 "channel": {"carrier_offset1_hz": 50.0}}, 20.0),
     "fixed-sep0": ({"waveform": {"f2_hz": F1_HZ}}, 20.0),
     "fixed-7.5MHz-minus3dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, -3.0),
+    "fixed-3.5MHz-minus20dB": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, -20.0),
+    "fixed-disamb6.3kHz": ({"waveform": {"disambiguation_hz": 6.3e3}}, 13.0),
 }
 FIXED_INTERVALS = 3
 NOISE_FREE_SEPARATIONS_HZ = (0.0, 0.15e6, 3.5e6, 7.5e6)

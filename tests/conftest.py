@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cohsync import channel, scenario
+from cohsync import channel, ranging, scenario
 from cohsync.channel import CarrierPlan, ChannelState
 from cohsync.ranging import effective_window_length
 from cohsync.scenario import EnvironmentRecord
@@ -15,8 +15,13 @@ FULL_SEPARATION = TwoToneSpec(f1=20e3, f2=7.52e6)
 
 
 def clear_frame_caches() -> None:
-    """Empty the process's frame and delay-ramp caches."""
-    for cached in (scenario._disambiguation_frame, scenario._ranging_frame, channel.delay_ramp):
+    """Empty the process's frame, readout and delay-ramp caches."""
+    for cached in (
+        scenario._disambiguation_frame,
+        scenario._ranging_frame,
+        ranging.readout,
+        channel.delay_ramp,
+    ):
         cached.cache_clear()
 
 

@@ -48,7 +48,7 @@ from cohsync.ranging import (
     _circular_correlation,
     _signed_lags,
     effective_window_length,
-    lobe_lags,
+    readout,
     refine_window,
     select_lobes,
     select_rows,
@@ -170,16 +170,15 @@ def whole_array_window(
     )
     sigma2_r = scaled_noise_power(power_r, channel_state.snr_db)
     coarse = _signed_lags(index, n)
-    reads = lobe_lags(n, fs, waveform)
-    if reads is not None and reads[1] <= n - length + 1:
-        offset, width = reads
-        rows = clean_row[(coarse[:, None] + offset + np.arange(width)) % n]
+    reads = readout(n, fs, waveform.two_tone.separation)
+    if reads.h is not None and reads.width <= n - length + 1:
+        rows = clean_row[(coarse[:, None] + reads.offset + np.arange(reads.width)) % n]
         if sigma2_r > 0.0:
             rows = rows + matched_noise_block(
-                spectrum, sigma2_r, n_pulses, width, np.random.default_rng(seed_r)
+                spectrum, sigma2_r, n_pulses, reads.width, np.random.default_rng(seed_r)
             )
-        support, peak, gross = select_lobes(rows, coarse, fs, waveform)
-        return refine_window(support, peak, fs, waveform)[0], int(gross.sum())
+        support, peak, gross = select_lobes(rows, coarse, reads)
+        return refine_window(support, peak, reads)[0], int(gross.sum())
     rows = whole_rows(spectrum, clean_row, sigma2_r, n_pulses, seed_r)
     ranges, _, gross = select_and_refine(rows, coarse, waveform)
     return ranges, int(gross.sum())
@@ -187,8 +186,9 @@ def whole_array_window(
 
 def select_and_refine(rows: np.ndarray, coarse: np.ndarray, waveform: WaveformConfig):
     """``(range, peak_lag, gross_error)`` arrays of whole matched-filter rows."""
-    support, peak, gross = select_rows(rows, coarse, waveform.sample_rate, waveform)
-    return (*refine_window(support, peak, waveform.sample_rate, waveform), gross)
+    reads = readout(rows.shape[1], waveform.sample_rate, waveform.two_tone.separation)
+    support, peak, gross = select_rows(rows, coarse, reads)
+    return (*refine_window(support, peak, reads), gross)
 
 
 def interp_kernel(positions: np.ndarray, taps: int, beta: float):

@@ -119,6 +119,32 @@ class TestDerivedDefaults:
         config = config_from_dict({"controller": {"x_initial_hz": 1.8e6}})
         assert config.controller.x_prev == 1.8e6
 
+    def test_x_initial_alone_sets_upper_tone(self):
+        # a run's first interval sends f1 + x_initial_hz, and the resolved
+        # document records that tone, so it reloads to the same config
+        doc = {"waveform": {"f1_hz": 10e3}, "controller": {"x_initial_hz": 3.5e6}}
+        config = config_from_dict(doc)
+        assert config.waveform.two_tone.f2 == 10e3 + 3.5e6
+        resolved = config_to_dict(config)
+        assert resolved["waveform"]["f2_hz"] == 10e3 + 3.5e6
+        assert config_from_dict(resolved) == config
+
+    def test_conflicting_upper_tone_and_x_initial_rejected(self):
+        msg = error_of({"waveform": {"f2_hz": 1e6}, "controller": {"x_initial_hz": 3.5e6}})
+        assert "'waveform.f2_hz'" in msg and "'controller.x_initial_hz'" in msg
+
+    def test_agreeing_upper_tone_and_x_initial_accepted(self):
+        doc = {"waveform": {"f2_hz": 2e6}, "controller": {"x_initial_hz": 1.98e6}}
+        config = config_from_dict(doc)
+        assert config.waveform.two_tone.f2 == 2e6 and config.controller.x_prev == 1.98e6
+
+    @pytest.mark.parametrize(
+        "x_initial_hz, fragment", [(-1e6, "need 0 <= f1 <= f2"), (13e6, "aliases")]
+    )
+    def test_invalid_derived_upper_tone_names_x_initial(self, x_initial_hz, fragment):
+        msg = error_of({"controller": {"x_initial_hz": x_initial_hz, "x_max_hz": 13e6}})
+        assert fragment in msg and "controller.x_initial_hz" in msg
+
     def test_defaults_are_reference_operating_point(self):
         assert config_from_dict({}) == default_config()
 
@@ -188,7 +214,7 @@ class TestRoundTrip:
                 "controller": {
                     "k_p": 0.2,
                     "t_i_s": 12.0,
-                    "x_initial_hz": 1e6,
+                    "x_initial_hz": 4.99e6,  # f2_hz - f1_hz, as they must agree
                     "x_min_hz": 5e5,
                     "x_max_hz": 6e6,
                 },

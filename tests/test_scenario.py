@@ -87,6 +87,14 @@ class TestTraceCsv:
         records = step_trace((2, 17.5), (1, 0.1), (2, -3.25), cadence_s=5.25)
         assert read_trace_csv(write_trace(tmp_path / "trace.csv", records)) == records
 
+    def test_byte_order_mark_and_crlf_read_as_plain(self, tmp_path):
+        # spreadsheet programs save CSV as UTF-8 with a byte-order mark
+        records = step_trace((2, 17.5), (1, -3.25))
+        plain = write_trace(tmp_path / "plain.csv", records)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_trace_csv(marked) == read_trace_csv(plain) == records
+
     def test_missing_optional_columns_permitted(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("timestamp_s,snr_db\n0.0,20.0\n60.0,21.0\n")
@@ -357,7 +365,9 @@ def oracle_refined(waveform, state, n_pulses, seed):
 def direct_refined(waveform, state, n_pulses, seed):
     """``refine_window`` on the window's selected draws, as ``simulate_window`` runs it."""
     support, peak, gross, _ = scenario._matched_filter_rows(waveform, state, n_pulses, seed)
-    return (*refine_window(support, peak, waveform.sample_rate, waveform), gross)
+    n = effective_window_length(waveform, state)
+    reads = ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
+    return (*refine_window(support, peak, reads), gross)
 
 
 def oracle_window(waveform, state, n_pulses, seed):
@@ -471,6 +481,79 @@ def on_workers(monkeypatch, workers, run, streams=True):
             channel._pool.shutdown()
 
 
+class TestRowChunks:
+    """Row chunks return their reductions in chunk order, each on its own stream."""
+
+    @staticmethod
+    def disambiguation_search(snr_db):
+        """The reference disambiguation frame's peak search and noise power at ``snr_db``."""
+        config = default_config()
+        waveform, geometry = config.waveform, replace(config.channel, snr_db=0.0)
+        n = effective_window_length(waveform, geometry)
+        fs = waveform.sample_rate
+        search, power = scenario._disambiguation_frame(waveform.f_d, fs, n, geometry)
+        return search, channel.scaled_noise_power(power, snr_db)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [0, 1, 16, 17, 40])
+    def test_map_row_chunks_returns_each_reduction_in_order(self, monkeypatch, n_rows, workers):
+        def draw(rows, stream):
+            return stream.standard_normal((rows.stop - rows.start, 3))
+
+        def reduce(rows, chunk):
+            return rows.start, rows.stop, chunk.sum(axis=1)
+
+        got = on_workers(
+            monkeypatch,
+            workers,
+            lambda: channel.map_row_chunks(n_rows, draw, reduce, np.random.default_rng(11)),
+            n_rows > 16,
+        )
+        starts = range(0, n_rows, 16)
+        streams = map(np.random.default_rng, np.random.SeedSequence(11).spawn(len(starts)))
+        expected = [
+            reduce(rows, draw(rows, stream))
+            for rows, stream in zip((slice(a, min(a + 16, n_rows)) for a in starts), streams)
+        ]
+        assert len(got) == len(expected) == len(starts)
+        for (start, stop, values), (start_e, stop_e, values_e) in zip(got, expected):
+            assert (start, stop) == (start_e, stop_e)
+            assert values.tobytes() == values_e.tobytes()
+
+    def test_every_row_certified_runs_no_chunk(self, monkeypatch):
+        # at 23 dB the certificate settles every pulse, so nothing is completed
+        search, s2 = self.disambiguation_search(23.0)
+        monkeypatch.setattr(channel, "_complete_noise", None)  # a completion would fail
+        index, certified = channel.matched_noise_peaks(search, s2, 40, np.random.default_rng(5))
+        assert certified.all()
+        assert np.array_equal(index, np.full(40, search.peak))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_row_certified_completes_each_chunk_on_its_stream(self, monkeypatch, workers):
+        # at -20 dB the certificate settles no pulse: every row is completed
+        # around its largest far modulus, 16 rows a stream
+        search, s2 = self.disambiguation_search(-20.0)
+        n, n_rows = search.clean_row.size, 40
+        index, certified = on_workers(
+            monkeypatch,
+            workers,
+            lambda: channel.matched_noise_peaks(search, s2, n_rows, np.random.default_rng(5)),
+        )
+        assert not certified.any()
+        rng = np.random.default_rng(5)
+        near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
+        near *= math.sqrt(s2 / 2.0)
+        r_max = channel._max_modulus(s2, n - search.n_inputs, n_rows, rng)
+        streams = map(np.random.default_rng, np.random.SeedSequence(5).spawn(3))
+        expected = []
+        for start, stream in zip(range(0, n_rows, 16), streams):
+            rows = slice(start, start + 16)
+            noise = channel._complete_noise(near[rows], r_max[rows], s2, n, stream)
+            full = np.fft.ifft(np.fft.fft(noise, axis=1) * np.conj(search.spectrum), axis=1)
+            expected.append(np.argmax(np.abs(full + search.clean_row), axis=1))
+        assert np.array_equal(index, (search.first + np.concatenate(expected)) % n)
+
+
 class TestStreamedRows:
     """Whole matched-filter rows are drawn and reduced 16 at a time."""
 
@@ -497,8 +580,8 @@ class TestStreamedRows:
         waveform = with_separation(config.waveform, separation_hz)
         state = replace(config.channel, snr_db=snr_db)
         n = effective_window_length(waveform, state)
-        reads = ranging.lobe_lags(n, waveform.sample_rate, waveform)
-        whole = reads is None or reads[1] > widest_block(waveform, n)
+        reads = ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
+        whole = reads.h is None or reads.width > widest_block(waveform, n)
         assert whole == ((disambiguation_hz, separation_hz) not in self.BLOCK_DRAWS)
         expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
         # beside a lag block only 6.3 kHz disambiguation rows stream whole;
@@ -837,10 +920,9 @@ class TestBenchmarkPatchPoints:
             waveform = with_separation(config.waveform, separation_hz)
             support, _, _, _ = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
             n = effective_window_length(waveform, config.channel)
-            reads = ranging.lobe_lags(n, waveform.sample_rate, waveform)
-            width = ranging.peak_support(waveform.sample_rate, waveform)[1]
-            assert support.shape == (50, width) and width < n
-            assert (reads is None or reads[1] > widest_block(waveform, n)) == streamed
+            reads = ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
+            assert support.shape == (50, reads.support) and reads.support < n
+            assert (reads.h is None or reads.width > widest_block(waveform, n)) == streamed
         assert shapes == [(1, n)] * 4
 
 
