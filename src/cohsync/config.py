@@ -16,7 +16,8 @@ may be +Infinity, the noise-free mode), a key named twice in one object
 by its name.  Values the model cannot hold, such as a round-trip delay
 longer than the gap between pulses, a separation clamp whose tones
 alias, a ranging pulse under 2 samples, or an SNR without a positive
-finite linear ratio, are rejected here rather than at the first window.
+finite linear ratio, are rejected here rather than at the first window;
+a rejection that concerns one field names that field's key.
 """
 
 import dataclasses
@@ -223,7 +224,8 @@ def config_from_dict(doc: dict) -> RunConfig:
         try:
             _build(WaveformConfig, values, "waveform.")
         except ValueError as exc:
-            raise ConfigError(f"{exc} (f2 is f1_hz + controller.x_initial_hz)") from exc
+            note = " (f2 is f1_hz + controller.x_initial_hz)" if "f2" in str(exc) else ""
+            raise ConfigError(_keyed(exc) + note) from exc
     elif not math.isclose(f2, f1 + x, rel_tol=1e-12):
         raise ConfigError(
             "config keys 'waveform.f2_hz' and 'controller.x_initial_hz' disagree: "
@@ -232,7 +234,14 @@ def config_from_dict(doc: dict) -> RunConfig:
     try:
         return _build(RunConfig, values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(_keyed(exc)) from exc
+
+
+def _keyed(exc: ValueError) -> str:
+    """A dataclass's rejection, led by the config key of the field its message starts with."""
+    field = str(exc).partition(" ")[0].partition("=")[0]
+    keys = [key for key, (path, _) in _FIELDS.items() if path.rpartition(".")[2] == field]
+    return f"config key '{keys[0]}': {exc}" if keys else str(exc)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -9,14 +9,16 @@ checkout's ``src/``, and standard output gets one ``seed name sha256``
 line per artifact, so ``diff`` between the outputs of two checkouts is
 the check.  The set:
 
-- the adaptive-step run's ``run_log.csv`` and ``summary.json``;
+- the adaptive-step run's ``run_log.csv``, ``summary.json`` and
+  ``resolved_config.json``;
 - the tune-scan ``tune.json``;
 - the 16-node Monte-Carlo ``curve.csv`` and ``curve.report.json``;
 - fixed runs at 0.15 MHz with ``carrier_offset1_hz`` 50 (whole rows cut
   to a lobe window), at separation 0 (whole rows, no lobe window), at
   7.5 MHz and -3 dB, at 3.5 MHz and -20 dB (every disambiguation row
   completed around its largest far modulus) and with a 6.3 kHz
-  disambiguation tone at 13 dB (disambiguation rows drawn whole);
+  disambiguation tone at 13 dB (disambiguation rows drawn whole), each
+  with the same three files as the adaptive-step run;
 - noise-free 50-pulse windows at 0, 0.15, 3.5 and 7.5 MHz, whose ranges
   a fresh ``python -c`` process hashes, since a trace holds no infinite
   SNR.
@@ -104,6 +106,7 @@ def artifacts(seed: int, work: Path):
         "--adaptive", "--seed", s, "--out", str(out))
     yield "adaptive-step/run_log.csv", digest(out / "run_log.csv")
     yield "adaptive-step/summary.json", digest(out / "summary.json")
+    yield "adaptive-step/resolved_config.json", digest(out / "resolved_config.json")
 
     out = work / "tune.json"
     cli("tune", "--config", str(config(work / "tune-config.json", {"channel": {"snr_db": 20.0}})),
@@ -122,6 +125,7 @@ def artifacts(seed: int, work: Path):
             "--fixed", "--seed", s, "--out", str(out))
         yield f"{name}/run_log.csv", digest(out / "run_log.csv")
         yield f"{name}/summary.json", digest(out / "summary.json")
+        yield f"{name}/resolved_config.json", digest(out / "resolved_config.json")
 
     lines = subprocess.run(
         [sys.executable, "-c", NOISE_FREE_WINDOWS, s, *map(repr, NOISE_FREE_SEPARATIONS_HZ)],

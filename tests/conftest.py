@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import cohsync
 from cohsync import channel, ranging, scenario
 from cohsync.channel import CarrierPlan, ChannelState
+from cohsync.config import default_config
 from cohsync.ranging import effective_window_length
 from cohsync.scenario import EnvironmentRecord
 from cohsync.waveform import TwoToneSpec, WaveformConfig
@@ -12,6 +19,70 @@ from cohsync.waveform import TwoToneSpec, WaveformConfig
 # Operating-point waveform: 20 kHz / 7.52 MHz tones (delta_f = 3.75 MHz),
 # 1.875 MHz disambiguation tone, 143.7 us ranging pulse, 25 Msps.
 FULL_SEPARATION = TwoToneSpec(f1=20e3, f2=7.52e6)
+
+# Gains from the ultimate-gain search on the simulated loop at the 23 dB
+# operating point (K_u = 0.2 controller units, T_u = 2 intervals); see
+# test_tuning_pipeline_smoke for the live pipeline check.
+TUNED_KP = 0.09
+TUNED_TI = 34.99
+
+INTERVAL_S = 21.0  # 200 pulses x 105 ms
+
+# The ``src`` directory of the cohsync these tests import.
+SRC = str(Path(cohsync.__file__).resolve().parents[1])
+
+# Appended to a fresh interpreter's script: prints OpenBLAS's thread count.
+PRINT_BLAS_THREADS = """
+import ctypes
+from cohsync import channel
+library = ctypes.CDLL(channel._openblas_library())
+for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+    getter = getattr(library, name, None)
+    if getter is not None:
+        getter.restype = ctypes.c_int
+        print(getter())
+        break
+"""
+
+
+def run_python(*argv: str, env: dict | None = None) -> str:
+    """Standard output of ``python *argv`` in a fresh interpreter on :data:`SRC`.
+
+    ``env`` entries override the inherited environment's.
+    """
+    result = subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return result.stdout
+
+
+def traced_peak(run):
+    """``(run(), peak bytes tracemalloc traced during the call)``."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def on_workers(monkeypatch, workers, run, starts_pool=True):
+    """``run()`` with chunks run inline (1) or on a fresh pool of ``workers`` threads.
+
+    ``starts_pool`` says whether ``run`` maps more than one chunk, and so
+    starts the pool when ``workers`` exceeds 1.
+    """
+    monkeypatch.setattr(channel, "_WORKERS", workers)
+    monkeypatch.setattr(channel, "_pool", None)
+    try:
+        result = run()
+        assert (channel._pool is not None) == (workers > 1 and starts_pool)
+        return result
+    finally:
+        if channel._pool is not None:
+            channel._pool.shutdown()
 
 
 def clear_frame_caches() -> None:
@@ -67,6 +138,29 @@ def state_for_post_snr(
 def post_snr_for(window_len: int, snr_db: float) -> float:
     """Post-processing 2E/N0 of a frame padded to ``window_len`` samples at ``snr_db``."""
     return 2.0 * window_len * 10.0 ** (snr_db / 10.0)
+
+
+def tuned_config(snr_db=23.0, x0_hz=3.5e6, pulses=200):
+    base = default_config()
+    return replace(
+        base,
+        channel=replace(base.channel, snr_db=snr_db),
+        controller=replace(base.controller, k_p=TUNED_KP, t_i=TUNED_TI, x_prev=x0_hz),
+        loop=replace(base.loop, pulses_per_interval=pulses),
+    )
+
+
+def constant_trace(snr_db, n_intervals, cadence_s=INTERVAL_S):
+    return step_trace((n_intervals, snr_db), cadence_s=cadence_s)
+
+
+def reaches_clamp(logs, f1_hz=20e3, x_max_hz=7.5e6):
+    """Some interval ran at the upper separation clamp.
+
+    The velocity-form PI legitimately steps back off the clamp when the
+    error falls, so no single interval is required to sit on it.
+    """
+    return any(l.f2_hz == pytest.approx(f1_hz + x_max_hz) for l in logs)
 
 
 def step_trace(*steps, cadence_s: float = 60.0) -> list[EnvironmentRecord]:

@@ -23,11 +23,12 @@ from cohsync.scenario import run_adaptive, simulate_window
 from cohsync.waveform import SPEED_OF_LIGHT, crlb_sigma_r
 
 import ranging_oracle
-from conftest import post_snr_for, state_for_post_snr, step_trace, write_trace
-from test_scenario import TUNED_KP, TUNED_TI, constant_trace, reaches_clamp, tuned_config
+from conftest import (
+    INTERVAL_S, TUNED_KP, TUNED_TI, constant_trace, post_snr_for, reaches_clamp, state_for_post_snr,
+    step_trace, tuned_config, write_trace,
+)
 
 REFERENCE_THRESHOLDS = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
-INTERVAL_S = 21.0
 
 
 @contextmanager

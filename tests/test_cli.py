@@ -1,9 +1,7 @@
 import json
 import math
 import os
-import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +9,9 @@ import pytest
 
 import cohsync
 from cohsync import channel, cli
-from conftest import post_snr_for, step_trace, write_trace
+from conftest import (
+    PRINT_BLAS_THREADS, post_snr_for, run_python, step_trace, traced_peak, write_trace,
+)
 from cohsync.cli import MAX_GRID_POINTS, main
 from cohsync.coherence import MAX_TRIAL_NODES
 from cohsync.ranging import MAX_FRAME_SAMPLES, _fast_lengths, _next_fast_len
@@ -57,13 +57,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
     def test_freed_temporaries_are_reused_after_main(self, tmp_path):
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "crlb.csv")],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        assert int(result.stdout.split()[-1]) < 200  # pages faulted over ten passes
+        stdout = run_python("-c", self.SCRIPT, str(tmp_path / "crlb.csv"))
+        assert int(stdout.split()[-1]) < 200  # pages faulted over ten passes
 
 
 class TestNoScipy:
@@ -89,20 +84,15 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
     def test_commands_load_no_scipy(self, tmp_path):
         trace, config = make_trace(tmp_path, intervals=2), small_config(tmp_path)
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path), str(config), str(trace)],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-            timeout=120,
-        )
+        stdout = run_python("-c", self.SCRIPT, str(tmp_path), str(config), str(trace))
         assert (tmp_path / "run" / "run_log.csv").is_file()
-        assert json.loads(result.stdout.splitlines()[-1]) == []
+        assert json.loads(stdout.splitlines()[-1]) == []
         package = Path(cohsync.__file__).parent
         modules = sorted(
             "cohsync" if path.stem == "__init__" else f"cohsync.{path.stem}"
             for path in package.glob("*.py")
         )
-        assert json.loads(result.stdout.splitlines()[-2]) == modules
+        assert json.loads(stdout.splitlines()[-2]) == modules
 
     def test_fast_length_is_scipys(self):
         from scipy.fft import next_fast_len
@@ -135,13 +125,7 @@ print(_interp_table.cache_info().currsize)
 """
 
     def test_setup_builds_no_table(self, tmp_path):
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(small_config(tmp_path))],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-            timeout=120,
-        )
-        assert result.stdout.split() == ["0"]
+        assert run_python("-c", self.SCRIPT, str(small_config(tmp_path))).split() == ["0"]
 
 
 class TestRowPoolIsLazy:
@@ -164,13 +148,7 @@ print(channel._WORKERS)
 """
 
     def test_block_window_starts_no_thread(self):
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-            timeout=120,
-        )
-        block, whole, workers = result.stdout.splitlines()
+        block, whole, workers = run_python("-c", self.SCRIPT).splitlines()
         assert block == "False 1"
         threads = 1 if int(workers) < 2 else 1 + int(workers)
         assert whole == f"{int(workers) > 1} {threads}"
@@ -197,38 +175,22 @@ print(os.waitpid(pid, 0)[1])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
     def test_forked_child_draws_on_its_own_pool(self):
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", self.FORK],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-            timeout=120,
-        )
-        assert result.stdout.split() == ["0"]
+        assert run_python("-c", self.FORK).split() == ["0"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 class TestBlasPin:
     SCRIPT = """
-import ctypes, sys
-from cohsync import channel, cli
+import sys
+from cohsync import cli
 cli.main(["crlb", "--delta-f", "1e6", "--snr-grid", "1e4:1e5:2", "--out", sys.argv[1]])
-library = ctypes.CDLL(channel._openblas_library())
-for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-    getter = getattr(library, name, None)
-    if getter is not None:
-        getter.restype = ctypes.c_int
-        print(getter())
-        break
-"""
+""" + PRINT_BLAS_THREADS
 
     def test_main_runs_openblas_on_one_thread(self, tmp_path):
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "crlb.csv")],
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
-            capture_output=True, text=True, check=True, timeout=120,
+        stdout = run_python(
+            "-c", self.SCRIPT, str(tmp_path / "crlb.csv"), env={"OPENBLAS_NUM_THREADS": "2"}
         )
-        assert result.stdout.split()[-1] == "1"
+        assert stdout.split()[-1] == "1"
 
     def test_no_openblas_mapped_is_a_no_op(self, monkeypatch):
         import ctypes
@@ -386,12 +348,7 @@ class TestArgumentBounds:
     @staticmethod
     def rejected(tmp_path, capsys, argv) -> str:
         out = tmp_path / "out.csv"
-        tracemalloc.start()
-        try:
-            rc = main([*argv, "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: main([*argv, "--out", str(out)]))
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -613,12 +570,36 @@ class TestWarmCache:
         outs = [tmp_path / f"tune{k}.json" for k in range(3)]
         for out in outs[:2]:
             assert main([*argv, "--out", str(out)]) == 0
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        subprocess.run(
-            [sys.executable, "-m", "cohsync.cli", *argv, "--out", str(outs[2])],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True, timeout=120,
-        )
+        run_python("-m", "cohsync.cli", *argv, "--out", str(outs[2]))
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+class TestConfigSnr:
+    """``channel.snr_db`` is the ``tune`` plant's SNR; ``run`` reads every SNR from its trace."""
+
+    def test_run_ignores_it_and_tune_reads_it(self, tmp_path, monkeypatch):
+        # the trace ends at 10.5 s and the run lasts five 5.25 s intervals,
+        # so its last two intervals hold the last record
+        trace, logs, series = make_trace(tmp_path), [], []
+        real = cli.ranging_sigma_plant
+
+        def recording(config, **kwargs):
+            plant = real(config, **kwargs)
+            return lambda k: series.append(plant(k)) or series[-1]
+
+        monkeypatch.setattr(cli, "ranging_sigma_plant", recording)
+        for snr_db in (0.0, 40.0):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"channel": {"snr_db": snr_db}, "loop": {"pulses_per_interval": 50}}))
+            out, argv = tmp_path / f"run{snr_db}", ["--config", str(config), "--seed", "3"]
+            run = ["--trace", str(trace), "--fixed", "--duration-s", "26.25", "--out", str(out)]
+            assert main(["run", *argv, *run]) == 0
+            logs.append((out / "run_log.csv").read_bytes())
+            tune = ["--k-grid", "0.1:0.1:1", "--intervals", "13", "--out", str(out / "tune.json")]
+            assert main(["tune", *argv, *tune]) == 0
+        assert logs[0] == logs[1]
+        assert [log.snr_db for log in read_run_log_csv(out / "run_log.csv")] == [23.0] * 5
+        assert len(series) == 2 and series[0].mean() > 10 * series[1].mean()
 
 
 class TestLoadTimeRejection:
@@ -666,6 +647,13 @@ class TestLoadTimeRejection:
             ('{"waveform": {"ranging_pulse_width_s": 0}}', "ranging_pulse_width=0.0 s is under 2"),
             ('{"waveform": {"ranging_pulse_width_s": -1e-4}}', "ranging_pulse_width=-0.0001 s is under 2"),
             ('{"waveform": {"ranging_pulse_width_s": 1e-9}}', "ranging_pulse_width=1e-09 s is under 2"),
+            ('{"controller": {"x_initial_hz": 8e6}}',
+             "config key 'controller.x_initial_hz': x_prev=8000000.0 outside clamp [0.0, 7500000.0]"),
+            ('{"controller": {"t_i_s": 0}}', "config key 'controller.t_i_s': t_i must be positive"),
+            ('{"channel": {"true_range_m": -1}}', "config key 'channel.true_range_m': true_range must be >= 0"),
+            ('{"waveform": {"sample_rate_hz": 0}}',
+             "config key 'waveform.sample_rate_hz': sample_rate must be positive"),
+            ('{"waveform": {"pri_s": 1e-6}}', "config key 'waveform.pri_s': pri must cover the longest pulse"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, config_text, fragment):

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from cohsync.coherence import (
     threshold_crossings,
 )
 from cohsync.waveform import SPEED_OF_LIGHT
+from conftest import on_workers, traced_peak
 
 PAPER_THRESHOLDS = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
 
@@ -75,12 +75,7 @@ class TestCoherentGain:
         # the Monte Carlo's 50,000 x 16 phase errors: one complex copy is
         # 12.2 MiB, two would be 24.4
         eps = np.random.default_rng(13).normal(0.0, 1.5, size=(50000, 16))
-        tracemalloc.start()
-        try:
-            coherent_gain(eps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: coherent_gain(eps))
         assert peak < 16 * 2**20
 
     def test_two_node_batch_is_cos_squared(self):
@@ -187,12 +182,9 @@ class TestProbabilityCurve:
         # whole-array phasors peaked at 26 MiB, one that drew the whole
         # geometry first at 7.2 MiB
         scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
-        tracemalloc.start()
-        try:
-            probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
+        )
         assert peak < 12 * 2**20
 
     def test_peak_memory_on_four_workers(self, monkeypatch):
@@ -200,15 +192,11 @@ class TestProbabilityCurve:
         # about 3.1 MiB, where a whole-geometry draw first took 9.9
         scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
 
-        def traced_peak():
-            tracemalloc.start()
-            try:
-                probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def curve():
+            return probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
 
-        assert on_workers(monkeypatch, 4, traced_peak) < 4 * 2**20
+        _, peak = on_workers(monkeypatch, 4, lambda: traced_peak(curve))
+        assert peak < 4 * 2**20
 
 
 class TestCurveRecurrence:
@@ -257,19 +245,6 @@ class TestCurveRecurrence:
         grid = np.linspace(0.01, 0.2, 20)
         expected = np.mean([gains_at(a, s) >= 0.9 for s in grid], axis=1)
         assert np.array_equal(probability_curve(scenario, grid, trials=trials, seed=seed), expected)
-
-
-def on_workers(monkeypatch, workers, run):
-    """``run()`` with chunks run inline (1) or on a fresh pool of ``workers`` threads."""
-    monkeypatch.setattr(channel, "_WORKERS", workers)
-    monkeypatch.setattr(channel, "_pool", None)
-    try:
-        result = run()
-        assert (channel._pool is not None) == (workers > 1)
-        return result
-    finally:
-        if channel._pool is not None:
-            channel._pool.shutdown()
 
 
 def counting(monkeypatch, name):
@@ -322,11 +297,11 @@ class TestCurveChunks:
             sys.setswitchinterval(interval)
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(channel, "_WORKERS", 2)
-        monkeypatch.setattr(channel, "_pool", None)
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
-        probability_curve(scenario, np.linspace(0.02, 0.16, 57), trials=8000, seed=1)
-        assert channel._pool is None
+        scenario, grid = ArrayScenario(n_nodes=2, wavelength=1.0), np.linspace(0.02, 0.16, 57)
+        on_workers(
+            monkeypatch, 2, lambda: probability_curve(scenario, grid, trials=8000, seed=1),
+            starts_pool=False,
+        )
 
     def test_linear_grid_pays_two_exponentials_a_chunk(self, monkeypatch):
         # 2 chunks of 32 trials; the last point's gains against fresh

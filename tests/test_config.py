@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from cohsync.config import (
     save_config,
 )
 from cohsync.ranging import effective_window_length
+from conftest import traced_peak
 
 # one valid key per section, with a value of the right type
 SECTION_KEYS = {
@@ -145,6 +145,10 @@ class TestDerivedDefaults:
         msg = error_of({"controller": {"x_initial_hz": x_initial_hz, "x_max_hz": 13e6}})
         assert fragment in msg and "controller.x_initial_hz" in msg
 
+    def test_other_waveform_errors_do_not_blame_x_initial(self):
+        msg = error_of({"controller": {"x_initial_hz": 1e6}, "waveform": {"pri_s": 1e-6}})
+        assert msg == "config key 'waveform.pri_s': pri must cover the longest pulse"
+
     def test_defaults_are_reference_operating_point(self):
         assert config_from_dict({}) == default_config()
 
@@ -265,12 +269,7 @@ class TestMemoryBound:
     def test_rejected_before_any_allocation(self, doc):
         # one frame array of the default window is 12 MB; the smallest
         # rejected here would be 11.5 GB
-        tracemalloc.start()
-        try:
-            msg = error_of(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        msg, peak = traced_peak(lambda: error_of(doc))
         assert f"exceeds the limit of {MAX_FRAME_SAMPLES} samples" in msg
         assert peak < 2**20
 

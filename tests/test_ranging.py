@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 from statistics import mean, stdev
@@ -29,7 +28,7 @@ from cohsync.waveform import (
 )
 
 import ranging_oracle
-from conftest import state_for_post_snr
+from conftest import state_for_post_snr, traced_peak
 
 FS = 25e6
 
@@ -313,12 +312,9 @@ class TestBatchedKernel:
         mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, config.channel, 200, 0)
         assert mf_r.shape == (200, 3750)
         _interp_table.cache_clear()
-        tracemalloc.start()
-        try:
-            ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
+        )
         assert peak <= 4 * 2**20
 
 

@@ -1,17 +1,16 @@
 import math
-import os
-import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ranging_oracle
-from conftest import clear_frame_caches, post_snr_for, step_trace, write_trace
-import cohsync
+from conftest import (
+    INTERVAL_S, PRINT_BLAS_THREADS, clear_frame_caches, constant_trace, on_workers, post_snr_for,
+    reaches_clamp, run_python, step_trace, traced_peak, tuned_config, write_trace,
+)
 from cohsync import channel, cli, coherence, ranging, scenario
 from cohsync.channel import CarrierPlan, ChannelState
 from cohsync.config import config_from_dict, default_config
@@ -42,38 +41,6 @@ from cohsync.scenario import (
 )
 from cohsync.waveform import SPEED_OF_LIGHT, TwoToneSpec, crlb_sigma_r, generate_two_tone
 from scipy import stats
-
-# Gains from the ultimate-gain search on the simulated loop at the 23 dB
-# operating point (K_u = 0.2 controller units, T_u = 2 intervals); see
-# test_tuning_pipeline_smoke for the live pipeline check.
-TUNED_KP = 0.09
-TUNED_TI = 34.99
-
-INTERVAL_S = 21.0  # 200 pulses x 105 ms
-
-
-def tuned_config(snr_db=23.0, x0_hz=3.5e6, pulses=200):
-    base = default_config()
-    return replace(
-        base,
-        channel=replace(base.channel, snr_db=snr_db),
-        controller=replace(base.controller, k_p=TUNED_KP, t_i=TUNED_TI, x_prev=x0_hz),
-        loop=replace(base.loop, pulses_per_interval=pulses),
-    )
-
-
-def constant_trace(snr_db, n_intervals, cadence_s=INTERVAL_S):
-    return step_trace((n_intervals, snr_db), cadence_s=cadence_s)
-
-
-def reaches_clamp(logs, f1_hz=20e3, x_max_hz=7.5e6):
-    """Some interval ran at the upper separation clamp.
-
-    The velocity-form PI legitimately steps back off the clamp when the
-    error falls, so no single interval is required to sit on it.
-    """
-    return any(l.f2_hz == pytest.approx(f1_hz + x_max_hz) for l in logs)
-
 
 def predicted_sigma_d(config, snr_db):
     n_win = effective_window_length(config.waveform, config.channel)
@@ -465,22 +432,6 @@ class TestDirectNoiseDraws:
         assert np.max(np.abs(ranges - expected)) <= 1e-9
 
 
-def on_workers(monkeypatch, workers, run, streams=True):
-    """``run()`` with whole-row chunks drawn inline (1) or on a fresh pool of ``workers`` threads.
-
-    ``streams`` says whether ``run`` draws whole rows, and so starts the pool.
-    """
-    monkeypatch.setattr(channel, "_WORKERS", workers)
-    monkeypatch.setattr(channel, "_pool", None)
-    try:
-        result = run()
-        assert (channel._pool is not None) == (workers > 1 and streams)
-        return result
-    finally:
-        if channel._pool is not None:
-            channel._pool.shutdown()
-
-
 class TestRowChunks:
     """Row chunks return their reductions in chunk order, each on its own stream."""
 
@@ -626,19 +577,12 @@ class TestStreamedRows:
         # block.  Selecting each chunk's lobes as it is drawn keeps every
         # window at 0.12-0.23; gathering all pulses' lobe windows at once
         # reads 2.97 at 6.8 kHz
-        import tracemalloc
-
         config = default_config()
         waveform = with_separation(config.waveform, separation_hz)
         state = replace(config.channel, snr_db=13.0)
         simulate_window(waveform, state, 2, seed=0)  # the process's tables
         n = effective_window_length(waveform, state)
-        tracemalloc.start()
-        try:
-            simulate_window(waveform, state, 800, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: simulate_window(waveform, state, 800, seed=1))
         assert peak <= 0.35 * 800 * n * 16
 
 
@@ -697,19 +641,13 @@ print(digest.hexdigest())
 """
 
     def test_window_bytes_do_not_depend_on_blas_threads(self):
-        src = str(Path(cohsync.__file__).resolve().parents[1])
         digests = set()
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-            result = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT],
-                env=env, capture_output=True, text=True, check=True, timeout=120,
-            )
-            digests.add(result.stdout)
+            digests.add(run_python("-c", self.SCRIPT, env={"OPENBLAS_NUM_THREADS": threads}))
         assert len(digests) == 1
 
     RESTORE = """
-import ctypes, sys, threading
+import sys, threading
 import numpy as np
 from cohsync import channel
 from cohsync.config import default_config
@@ -732,24 +670,12 @@ for thread in threads:
     thread.join(timeout=60)
 assert not any(thread.is_alive() for thread in threads)
 assert blocks == [expected] * 300
-library = ctypes.CDLL(channel._openblas_library())
-for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-    getter = getattr(library, name, None)
-    if getter is not None:
-        getter.restype = ctypes.c_int
-        print(getter())
-        break
-"""
+""" + PRINT_BLAS_THREADS
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
     def test_blocks_restore_the_thread_count(self):
-        src = str(Path(cohsync.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", self.RESTORE],
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
-            capture_output=True, text=True, check=True, timeout=120,
-        )
-        assert result.stdout.split() == ["2"]
+        stdout = run_python("-c", self.RESTORE, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert stdout.split() == ["2"]
 
 
 class TestFrameCache:
