@@ -21,11 +21,11 @@ the linear SNR (:func:`scaled_noise_power`).  The draws below take a
 positive variance; a noise-free window calls none of them.  A simulated
 window only ever reads the matched-filter outputs of its frames, so the
 filtered noise is drawn directly, never on the samples of a frame:
-:func:`matched_noise_rows` draws whole output rows in the frequency
-domain, where white noise has independent bins, and
-:func:`matched_noise_block` draws a block of consecutive output lags
-through the Cholesky factor of their Toeplitz covariance, factored on
-one OpenBLAS thread whatever the thread count.  Filtered Gaussian noise
+:func:`matched_noise_rows` draws whole disambiguation output rows in the
+frequency domain, where white noise has independent bins, and
+:func:`matched_noise_block` draws the block of consecutive ranging output
+lags a pulse reads through the Cholesky factor of their Toeplitz
+covariance, factored on one OpenBLAS thread whatever the thread count.  Filtered Gaussian noise
 is Gaussian and so fixed by its covariance, which both draws reproduce
 up to rounding (Kay, *Fundamentals of Statistical Signal Processing I*,
 1993, ch. 3 and 7); they are exact in distribution, not approximations.
@@ -50,7 +50,7 @@ would cover the window draw whole rows.  The noise-free part of this (the
 rotated clean row, the template's DFT and Toeplitz matrix, ``||p||_1`` and
 ``max_far |clean|``) is a :class:`PeakSearch`, built once per clean row and template.
 
-Whole rows are drawn and reduced ``_ROW_CHUNK`` rows at a time
+Whole disambiguation rows are drawn and reduced ``_ROW_CHUNK`` rows at a time
 (:func:`map_row_chunks`), each chunk returning what it keeps, so no
 ``(rows, n)`` array is held.  Chunk ``j`` of a frame draws from its own
 stream, the child of the frame's seed sequence with spawn index ``j``,
@@ -290,10 +290,10 @@ def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]]:
 _ROW_CHUNK = 16
 
 # Most threads that run chunks at once, whatever the host's core count.  Each
-# row chunk in flight holds about 1.2 MiB at the reference window, so by
-# tracemalloc a P = 800 draw peaks at 0.06-0.08 of its frame array inline and
-# 0.13-0.15 on four threads, below refinement's 0.24-0.29 (TestStreamedRows
-# allows 0.35).  Each curve chunk holds about 0.6 MiB (coherence).
+# row chunk in flight holds about 1.2 MiB at the reference window, so a P = 800
+# window of whole 6.3 kHz disambiguation rows peaks at 0.19-0.21 of its frame
+# array by tracemalloc (TestStreamedRows allows 0.35).  Each curve chunk holds
+# about 0.6 MiB (coherence).
 _MAX_WORKERS = 4
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,

@@ -4,7 +4,7 @@ The JSON document mirrors the dataclasses section by section.  Every
 field has a default equal to the reference experiment's operating value
 where one exists (20 kHz lower tone, 3.5 MHz upper tone, 143.7 us
 ranging pulse, 159.7 us PRI, 25 Msps, 200-pulse windows grouped 40x5,
-105 ms pulse period, 10 mm target, K_p = 1e-5, T_i = 3.3 s, 0..7.5 MHz
+105 ms pulse period, 10 mm target, K_p = 1e-5, T_i = 3.3 s, 0.3..7.5 MHz
 separation clamp, frequency-locked carriers, 90 m baseline).  Carrier
 frequencies are not keys, since nothing the model computes reads them;
 nor are the controller's unit scales, which are constants of
@@ -15,9 +15,10 @@ are rejected with the dotted path of the entry (only ``channel.snr_db``
 may be +Infinity, the noise-free mode), a key named twice in one object
 by its name.  Values the model cannot hold, such as a round-trip delay
 longer than the gap between pulses, a separation clamp whose tones
-alias, a ranging pulse under 2 samples, or an SNR without a positive
-finite linear ratio, are rejected here rather than at the first window;
-a rejection that concerns one field names that field's key.
+alias or whose lower end reads more lags than a lag block holds, a
+ranging pulse under 2 samples, or an SNR without a positive finite
+linear ratio, are rejected here rather than at the first window; a
+rejection that concerns one field names that field's key.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from .channel import ChannelState
 from .control import PiControllerState
-from .ranging import MAX_FRAME_SAMPLES, effective_window_length
+from .ranging import MAX_FRAME_SAMPLES, check_separation, effective_window_length
 from .waveform import SPEED_OF_LIGHT, TwoToneSpec, WaveformConfig
 
 
@@ -96,6 +97,7 @@ class RunConfig:
                 f"a window of {pulses} pulses x {n_win} samples exceeds the limit of "
                 f"{MAX_FRAME_SAMPLES} samples (pulses_per_interval x window length)"
             )
+        check_separation(self.controller.x_min, self.waveform, n_win, "controller.x_min_hz")
 
 
 def default_config() -> RunConfig:
@@ -224,7 +226,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         try:
             _build(WaveformConfig, values, "waveform.")
         except ValueError as exc:
-            note = " (f2 is f1_hz + controller.x_initial_hz)" if "f2" in str(exc) else ""
+            note = " (f2 is f1_hz + controller.x_initial_hz)" if str(exc).startswith("f2") else ""
             raise ConfigError(_keyed(exc) + note) from exc
     elif not math.isclose(f2, f1 + x, rel_tol=1e-12):
         raise ConfigError(

@@ -45,7 +45,7 @@ class PiControllerState:
     t_i: float
     x_prev: float
     e_prev: float = 0.0
-    x_min: float = 0.0
+    x_min: float = 0.3e6
     x_max: float = 7.5e6
 
     def __post_init__(self):

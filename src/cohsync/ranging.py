@@ -28,10 +28,10 @@ below is under 0.1 mm at 25 Msps with a 7.5 MHz tone separation.
 Steps 3-5 run on all cycles of a window at once; one cycle is a batch
 of one.  What steps 3-4 read of a frame depends only on its lag count,
 sample rate and tone separation: one :class:`Readout` (:func:`readout`).
-Lobe selection runs where the rows are held, on a lag block
-(:func:`select_lobes`) or whole rows (:func:`select_rows`), and keeps
-each pulse's peak lag, gross-error flag and interpolator support, the
-one shape :func:`refine_window` takes.
+A window draws them as one lag block a pulse, which bounds the
+separation from below (:func:`check_separation`).  Lobe selection
+(:func:`select_lobes`) keeps each pulse's peak lag, gross-error flag and
+interpolator support, the one shape :func:`refine_window` takes.
 """
 
 import math
@@ -57,13 +57,11 @@ WINDOW_PAD_SAMPLES = 128
 
 # Limit on the complex samples of one window's frame array (pulses_per_interval
 # x receive-window length): 256 MiB at 16 bytes a sample.  No window holds such
-# an array: lobe windows up to 159 lags (from about 0.285 MHz) are lag blocks,
-# and whole rows are drawn and their lobes selected 16 rows at a time.  By
-# tracemalloc an 800 x 3750 window at 13 dB peaks at 0.12-0.23 such arrays at
-# every separation from 0 to 7.5 MHz, most of it refinement's dense grid and
-# its squared magnitudes, so about 60 MiB at the limit; a 200-pulse window
-# weighs its chunks more, up to 0.43-0.55 at 6.8-10 kHz, where the lobe window
-# is nearly the receive window.  It also bounds the receive window alone.
+# an array: its ranging lags are one block of at most 159 lags a pulse at the
+# reference waveform, and whole disambiguation rows are drawn 16 at a time.  By
+# tracemalloc an 800 x 3750 window at 13 dB peaks at 0.12-0.23 such arrays from
+# 0.29 to 7.5 MHz, mostly refinement's dense grid and its squared magnitudes,
+# so about 60 MiB at the limit.  It also bounds the receive window alone.
 MAX_FRAME_SAMPLES = 2**24
 
 
@@ -108,10 +106,8 @@ class Readout:
     """What the estimator reads of a frame's ranging output, fixed by the frame.
 
     A pulse with coarse lag ``c`` reads lags ``c + offset .. c + offset +
-    width - 1``: its lobe window ``c - h .. c + h``, one lag either side
-    for the edge test, and the support around any peak inside it.  Without
-    a lobe window (separation 0, or lobes half a row apart or more) ``h``,
-    ``offset`` and ``width`` are None, and selection takes each row's peak.
+    width - 1``: its lobe window ``c - h .. c + h`` and the support around
+    any peak in it, which covers the edge test's lag either side.
     Refinement reads the ``support`` lags from ``peak + first`` (72 from
     ``peak - 35`` while half a lobe spacing spans ``NEIGHBORS`` samples,
     fewer above 3.125 MHz at 25 Msps), which ``matrix`` maps to the dense
@@ -119,9 +115,9 @@ class Readout:
     """
 
     sample_rate: float
-    h: int | None
-    offset: int | None
-    width: int | None
+    h: int
+    offset: int
+    width: int
     first: int
     support: int
     offsets: np.ndarray
@@ -131,15 +127,33 @@ class Readout:
 @lru_cache(maxsize=2)
 def readout(n: int, sample_rate: float, separation: float) -> Readout:
     """The :class:`Readout` of ``n``-lag frames at ``sample_rate``, tones ``separation`` apart."""
-    half = sample_rate / separation / 2.0 if separation > 0 else math.inf
+    half = sample_rate / separation / 2.0
     # the dense grid's half-span: NEIGHBORS, within half a lobe spacing, at least 1
     offsets, first, matrix = _interp_matrix(max(min(float(NEIGHBORS), half), 1.0))
-    support = matrix.shape[0]
-    if not (math.isfinite(half) and 2.0 * half < n):
-        return Readout(sample_rate, None, None, None, first, support, offsets, matrix)
-    h, below = math.floor(half), min(first, -1)
-    width = 2 * h + max(first + support - 1, 1) - below + 1
-    return Readout(sample_rate, h, below - h, width, first, support, offsets, matrix)
+    h, support = math.floor(half), matrix.shape[0]
+    return Readout(sample_rate, h, first - h, 2 * h + support, first, support, offsets, matrix)
+
+
+def check_separation(
+    separation: float, waveform: WaveformConfig, n: int, name: str = "tone separation"
+) -> None:
+    """Raise ValueError, naming ``name``, unless tones ``separation`` apart read one lag block.
+
+    A block of ``n``-lag frames holds ``n - L + 1`` lags, ``L`` the ranging
+    pulse's length (:func:`~cohsync.channel.matched_noise_block`), and a
+    :class:`Readout` reads ``2 h + 2 (NEIGHBORS + INTERP_TAPS)`` of them,
+    ``h`` the whole samples in half a lobe spacing (at least ``NEIGHBORS``
+    near the floor, by the window's padding): the floor is 25e6 / 88 Hz at
+    the reference waveform.  The lags are counted, so no table is built.
+    """
+    fs = waveform.sample_rate
+    lags = n - int(round(waveform.ranging_pulse_width * fs)) + 1  # generate_two_tone's count
+    h_max = lags // 2 - NEIGHBORS - INTERP_TAPS
+    if not (separation > 0 and fs / separation / 2.0 < h_max + 1):  # readout's h <= h_max
+        raise ValueError(
+            f"{name}={separation} Hz must exceed {fs / (2.0 * (h_max + 1))} Hz, "
+            f"where its lobe window and refinement support fit a block of {lags} lags"
+        )
 
 
 def select_lobes(
@@ -163,24 +177,6 @@ def select_lobes(
     gross = ((k == 0) & (mag[:, 0] > mag[:, 1])) | ((k == 2 * h) & (mag[:, -1] > mag[:, -2]))
     columns = (k + edge + 1 + reads.first)[:, None] + np.arange(reads.support)
     return np.take_along_axis(rows, columns, axis=1), coarse - h + k, gross
-
-
-def select_rows(
-    rows: np.ndarray, coarse: np.ndarray, reads: Readout
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`select_lobes` on whole rows, the circular lag axis of their length.
-
-    Row ``r`` is cut to the lags ``coarse[r] + reads.offset ..``, or
-    without a lobe window to the support around its magnitude peak, which
-    no gross error flags.
-    """
-    n = rows.shape[1]
-    if reads.h is not None:
-        columns = (coarse[:, None] + reads.offset + np.arange(reads.width)) % n
-        return select_lobes(np.take_along_axis(rows, columns, axis=1), coarse, reads)
-    peak = _signed_lags(np.argmax(np.abs(rows), axis=1), n)
-    columns = (peak[:, None] + reads.first + np.arange(reads.support)) % n
-    return np.take_along_axis(rows, columns, axis=1), peak, np.zeros(len(rows), dtype=bool)
 
 
 def effective_window_length(waveform: WaveformConfig, channel_state: ChannelState) -> int:
@@ -395,17 +391,12 @@ def refine_window(
 
     Row ``r`` of ``support`` holds pulse ``r``'s ranging matched-filter
     output on the ``reads.support`` lags around its selected peak lag
-    ``peak[r]`` (:func:`select_lobes` or :func:`select_rows` give both).
-    Returns per-pulse arrays ``(range, peak_lag)``: the one-way range in
-    metres (at least 0) and the refined lag in seconds.
-
-    Dense interpolation is one matrix product against a view of the
-    process's one Kaiser-sinc table.  Dense magnitudes are computed only
-    where they are read: each row's argmax comes from the squared
-    magnitudes, and a row where another point comes within rounding of its
-    largest takes ``np.hypot`` over the row, so the argmax is always that
-    of ``np.hypot`` (see :func:`_dense_argmax`); the spline's 17 points
-    then take ``np.hypot``.
+    ``peak[r]`` (:func:`select_lobes` gives both).  Returns per-pulse
+    arrays ``(range, peak_lag)``: the one-way range in metres (at least 0)
+    and the refined lag in seconds.  Dense interpolation is one matrix
+    product against a view of the process's one Kaiser-sinc table; the
+    dense argmax and the spline's 17 magnitudes are those of ``np.hypot``
+    (:func:`_spline_peaks`).
     """
     dense = np.concatenate([support.real, support.imag]) @ reads.matrix
     offset = _spline_peaks(reads.offsets, dense.reshape(2, len(support), -1))

@@ -31,17 +31,13 @@ Each pulse's disambiguation peak is drawn by the certificate of
 :mod:`cohsync.channel`: the input noise on the few dozen samples around
 the clean peak and the largest modulus of the rest settle it (at the
 reference waveform every pulse from -10 dB up, none at -20 dB), and rows
-they do not settle are completed and scanned whole.  Once the peak
-places the lobe window, a correlated block of the lags selection reads
-(the frame's :class:`~cohsync.ranging.Readout`) is drawn, up to
-``n - L + 1`` lags (159 at the reference waveform, so from about
-0.285 MHz), and selected at once.  Wider lobe windows, and windows
-without one, draw whole ranging rows 16 at a time, each chunk returning
-its selection.  Either way a window keeps only the interpolator's
-support around each selected peak, never a pulses x window-length
-array.  Each chunk draws from its own stream and the chunks run on a
+they do not settle are completed and scanned whole, 16 at a time on a
 thread per core (:func:`cohsync.channel.map_row_chunks`), with the same
-bytes at any thread count; windows with a lag block start no thread.
+bytes at any thread count.  Once the peak places the lobe window, a
+correlated block of the lags selection reads (the frame's
+:class:`~cohsync.ranging.Readout`, at most ``n - L + 1`` lags: see
+:func:`~cohsync.ranging.check_separation`) is drawn and selected at
+once, so a window keeps only the interpolator's support around each peak.
 The ranging noise is stationary, independent of the disambiguation
 noise and drawn from its own stream, so the placement leaves its
 distribution exact, and both draws match filtering white noise on every
@@ -70,7 +66,6 @@ from .channel import (
     PeakSearch,
     apply_round_trip_response,
     delay_ramp,
-    map_noisy_rows,
     matched_noise_block,
     matched_noise_peaks,
     noise_power_for,
@@ -83,11 +78,11 @@ from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
 from .ranging import (
     _circular_correlation,
     _signed_lags,
+    check_separation,
     effective_window_length,
     readout,
     refine_window,
     select_lobes,
-    select_rows,
     window_stats,
 )
 from .waveform import TwoToneSpec, WaveformConfig, generate_disambiguation, generate_two_tone
@@ -238,10 +233,9 @@ def _disambiguation_frame(
 @lru_cache(maxsize=2)
 def _ranging_frame(
     tones: TwoToneSpec, width_s: float, fs: float, n: int, geometry: ChannelState
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """The ranging frame's :func:`_clean_output` and pulse length; ``geometry`` is at 0 dB."""
-    pulse = generate_two_tone(tones, width_s, fs)
-    return (*_clean_output(pulse, n, geometry, fs), pulse.size)
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ranging frame's :func:`_clean_output`; ``geometry`` is at 0 dB."""
+    return _clean_output(generate_two_tone(tones, width_s, fs), n, geometry, fs)
 
 
 def _matched_filter_rows(
@@ -256,42 +250,36 @@ def _matched_filter_rows(
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
-    says: the :func:`readout` lags of windows up to ``n - L + 1`` lags, ``L``
-    the ranging pulse's length, as one block that selection reads once,
-    and wider ones, and windows without one, as whole rows streamed by
-    :func:`map_noisy_rows` and selected a chunk at a time.  Without noise
-    every pulse's rows are the clean ones, and nothing is drawn.
+    says; without noise nothing is drawn.  Raises ValueError for tones too
+    close for their :func:`readout` lags to fit a block
+    (:func:`check_separation`).
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
+    check_separation(waveform.two_tone.separation, waveform, n)
     geometry, snr_db = replace(channel_state, snr_db=0.0), channel_state.snr_db
     search, power_d = _disambiguation_frame(waveform.f_d, fs, n, geometry)
-    spectrum_r, clean_r, power_r, length = _ranging_frame(
+    spectrum_r, clean_r, power_r = _ranging_frame(
         waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
     )
     reads = readout(n, fs, waveform.two_tone.separation)
     if snr_db == math.inf:
-        coarse = _signed_lags(np.full(n_pulses, search.peak), n)
-        return (*select_rows(np.broadcast_to(clean_r, (n_pulses, n)), coarse, reads), coarse)
-    # one stream per frame, in the order a cycle sends them, so the ranging
-    # noise does not depend on how many numbers the disambiguation draw took
-    rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    index, _ = matched_noise_peaks(search, scaled_noise_power(power_d, snr_db), n_pulses, rng_d)
+        index = np.full(n_pulses, search.peak)
+    else:
+        # one stream per frame, in the order a cycle sends them, so the ranging
+        # noise does not depend on how many numbers the disambiguation draw took
+        rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        index, _ = matched_noise_peaks(search, scaled_noise_power(power_d, snr_db), n_pulses, rng_d)
     coarse = _signed_lags(index, n)
-    sigma2_r = scaled_noise_power(power_r, snr_db)
-    if reads.h is not None and reads.width <= n - length + 1:
-        rows = matched_noise_block(spectrum_r, sigma2_r, n_pulses, reads.width, rng_r)
-        # row r adds clean lags coarse[r] + offset .. on, a window of the row wrapped once
-        wrapped = np.concatenate([clean_r, clean_r[: reads.width - 1]])
-        rows += sliding_window_view(wrapped, reads.width)[(coarse + reads.offset) % n]
-        return (*select_lobes(rows, coarse, reads), coarse)
-    chunks = map_noisy_rows(
-        spectrum_r, clean_r, sigma2_r, n_pulses, rng_r,
-        lambda rows, noisy: select_rows(noisy, coarse[rows], reads),
-    )
-    return (*map(np.concatenate, zip(*chunks)), coarse)
+    # row r holds clean lags coarse[r] + offset .. on, a window of the row wrapped once
+    wrapped = np.concatenate([clean_r, clean_r[: reads.width - 1]])
+    rows = sliding_window_view(wrapped, reads.width)[(coarse + reads.offset) % n]
+    if snr_db < math.inf:
+        sigma2_r = scaled_noise_power(power_r, snr_db)
+        rows += matched_noise_block(spectrum_r, sigma2_r, n_pulses, reads.width, rng_r)
+    return (*select_lobes(rows, coarse, reads), coarse)
 
 
 def simulate_window(
@@ -299,8 +287,8 @@ def simulate_window(
 ) -> tuple[np.ndarray, int]:
     """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
 
-    Each cycle's lobe is selected as its rows are drawn (see
-    :func:`_matched_filter_rows`), and the selected peaks are refined as
+    Each cycle's lobe is selected as its lags are drawn
+    (:func:`_matched_filter_rows`), and the selected peaks are refined as
     one batch.  Deterministic for a fixed ``seed``, whatever the frame
     caches hold.
     """

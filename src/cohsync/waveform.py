@@ -30,7 +30,9 @@ class TwoToneSpec:
 
     def __post_init__(self):
         if not 0 <= self.f1 <= self.f2:
-            raise ValueError(f"need 0 <= f1 <= f2, got f1={self.f1}, f2={self.f2}")
+            bad = "f2" if 0 <= self.f1 else "f1"  # lead with the tone at fault
+            got = f"got f1={self.f1}, f2={self.f2}"
+            raise ValueError(f"{bad}={getattr(self, bad)}: need 0 <= f1 <= f2, {got}")
 
     @property
     def delta_f(self) -> float:

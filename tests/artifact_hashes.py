@@ -13,15 +13,16 @@ the check.  The set:
   ``resolved_config.json``;
 - the tune-scan ``tune.json``;
 - the 16-node Monte-Carlo ``curve.csv`` and ``curve.report.json``;
-- fixed runs at 0.15 MHz with ``carrier_offset1_hz`` 50 (whole rows cut
-  to a lobe window), at separation 0 (whole rows, no lobe window), at
-  7.5 MHz and -3 dB, at 3.5 MHz and -20 dB (every disambiguation row
-  completed around its largest far modulus) and with a 6.3 kHz
-  disambiguation tone at 13 dB (disambiguation rows drawn whole), each
-  with the same three files as the adaptive-step run;
-- noise-free 50-pulse windows at 0, 0.15, 3.5 and 7.5 MHz, whose ranges
-  a fresh ``python -c`` process hashes, since a trace holds no infinite
-  SNR.
+- fixed runs at the default clamp's 0.3 MHz with ``carrier_offset1_hz``
+  50 (an unlocked carrier), at 0.285 MHz, just above the separation floor
+  (158 of the 159 lags a block holds), at 7.5 MHz and -3 dB, at 3.5 MHz
+  and -20 dB (every disambiguation row completed around its largest far
+  modulus) and with a 6.3 kHz disambiguation tone at 13 dB
+  (disambiguation rows drawn whole), each with the same three files as
+  the adaptive-step run;
+- noise-free 50-pulse windows at 0.285, 0.3, 3.5 and 7.5 MHz, whose
+  ranges a fresh ``python -c`` process hashes, since a trace holds no
+  infinite SNR.
 
 pytest does not collect this file (it is no ``test_*.py``).
 """
@@ -48,15 +49,16 @@ MC_ARGS = ["--nodes", "16", "--trials", "50000", "--sigma-grid", "0.02:0.05:7"]
 F1_HZ = 20e3
 # name -> (waveform and channel keys, constant trace SNR in dB)
 FIXED_RUNS = {
-    "fixed-0.15MHz-offset50": ({"waveform": {"f2_hz": F1_HZ + 0.15e6},
-                                "channel": {"carrier_offset1_hz": 50.0}}, 20.0),
-    "fixed-sep0": ({"waveform": {"f2_hz": F1_HZ}}, 20.0),
+    "fixed-0.3MHz-offset50": ({"waveform": {"f2_hz": F1_HZ + 0.3e6},
+                               "channel": {"carrier_offset1_hz": 50.0}}, 20.0),
+    "fixed-0.285MHz": ({"waveform": {"f2_hz": F1_HZ + 0.285e6},
+                        "controller": {"x_min_hz": 0.285e6}}, 20.0),
     "fixed-7.5MHz-minus3dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, -3.0),
     "fixed-3.5MHz-minus20dB": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, -20.0),
     "fixed-disamb6.3kHz": ({"waveform": {"disambiguation_hz": 6.3e3}}, 13.0),
 }
 FIXED_INTERVALS = 3
-NOISE_FREE_SEPARATIONS_HZ = (0.0, 0.15e6, 3.5e6, 7.5e6)
+NOISE_FREE_SEPARATIONS_HZ = (0.285e6, 0.3e6, 3.5e6, 7.5e6)
 
 NOISE_FREE_WINDOWS = """
 import hashlib, math, sys

@@ -19,8 +19,9 @@ the tests feed such rows to ``select_and_refine`` with ``P = 1``.
 gather-and-sum Kaiser-sinc interpolation onto the dense grid (the
 1/``OVERSAMPLE``-sample lattice points within the span) and a Thomas
 solve for the natural spline.  The tests feed it and
-``select_and_refine`` (``cohsync.ranging.select_rows``, then
-``refine_window``) the same matched-filter rows and compare the results.
+``select_and_refine`` (whole rows cut to the lags each pulse's readout
+names, then ``cohsync.ranging.select_lobes`` and ``refine_window``) the
+same matched-filter rows and compare the results.
 """
 
 import math
@@ -51,7 +52,6 @@ from cohsync.ranging import (
     readout,
     refine_window,
     select_lobes,
-    select_rows,
 )
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
@@ -144,13 +144,11 @@ def whole_array_window(
 ) -> tuple[np.ndarray, int]:
     """``simulate_window`` with every whole-row draw one ``(P, n)`` array.
 
-    Whole ranging rows are one ``whole_rows`` array, which
-    ``select_rows`` scans whole; a lobe window of up to ``n - L + 1``
-    lags is one ``matched_noise_block`` draw, as the window's.  A template
-    whose near samples cover the window gets all its disambiguation rows
-    as one array, scanned by one argmax.  Without noise every pulse takes
-    the clean disambiguation peak and the clean ranging lags.  Every other
-    step is the window's.
+    A template whose near samples cover the window gets all its
+    disambiguation rows as one array, scanned by one argmax.  The ranging
+    lags are one ``matched_noise_block`` draw, as the window's.  Without
+    noise every pulse takes the clean disambiguation peak and the clean
+    ranging lags.  Every other step is the window's.
     """
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
@@ -165,29 +163,31 @@ def whole_array_window(
         index = np.argmax(np.abs(rows), axis=1)
     else:
         index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, np.random.default_rng(seed_d))
-    spectrum, clean_row, power_r, length = scenario._ranging_frame(
+    spectrum, clean_row, power_r = scenario._ranging_frame(
         waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
     )
     sigma2_r = scaled_noise_power(power_r, channel_state.snr_db)
     coarse = _signed_lags(index, n)
     reads = readout(n, fs, waveform.two_tone.separation)
-    if reads.h is not None and reads.width <= n - length + 1:
-        rows = clean_row[(coarse[:, None] + reads.offset + np.arange(reads.width)) % n]
-        if sigma2_r > 0.0:
-            rows = rows + matched_noise_block(
-                spectrum, sigma2_r, n_pulses, reads.width, np.random.default_rng(seed_r)
-            )
-        support, peak, gross = select_lobes(rows, coarse, reads)
-        return refine_window(support, peak, reads)[0], int(gross.sum())
-    rows = whole_rows(spectrum, clean_row, sigma2_r, n_pulses, seed_r)
-    ranges, _, gross = select_and_refine(rows, coarse, waveform)
-    return ranges, int(gross.sum())
+    rows = clean_row[(coarse[:, None] + reads.offset + np.arange(reads.width)) % n]
+    if sigma2_r > 0.0:
+        rows = rows + matched_noise_block(
+            spectrum, sigma2_r, n_pulses, reads.width, np.random.default_rng(seed_r)
+        )
+    support, peak, gross = select_lobes(rows, coarse, reads)
+    return refine_window(support, peak, reads)[0], int(gross.sum())
 
 
 def select_and_refine(rows: np.ndarray, coarse: np.ndarray, waveform: WaveformConfig):
-    """``(range, peak_lag, gross_error)`` arrays of whole matched-filter rows."""
-    reads = readout(rows.shape[1], waveform.sample_rate, waveform.two_tone.separation)
-    support, peak, gross = select_rows(rows, coarse, reads)
+    """``(range, peak_lag, gross_error)`` arrays of whole matched-filter rows.
+
+    Row ``r`` is cut to the lags ``coarse[r] + reads.offset ..`` that its
+    readout names, on the circular lag axis of the rows' length.
+    """
+    n = rows.shape[1]
+    reads = readout(n, waveform.sample_rate, waveform.two_tone.separation)
+    columns = (coarse[:, None] + reads.offset + np.arange(reads.width)) % n
+    support, peak, gross = select_lobes(np.take_along_axis(rows, columns, axis=1), coarse, reads)
     return (*refine_window(support, peak, reads), gross)
 
 

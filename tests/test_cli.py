@@ -133,16 +133,14 @@ class TestRowPoolIsLazy:
 
     SCRIPT = """
 import sys, threading
-from dataclasses import replace
 import cohsync.cli
 from cohsync import channel
-from cohsync.config import default_config
+from cohsync.config import config_from_dict
 from cohsync.scenario import simulate_window
-from cohsync.waveform import TwoToneSpec
-config = default_config()
-for separation in (3.5e6, 0.0):  # a lag block, then whole ranging rows
-    waveform = replace(config.waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation))
-    simulate_window(waveform, config.channel, 200, seed=1)
+# a lag block beside certified disambiguation peaks, then whole 6.3 kHz rows
+for waveform in ({}, {"disambiguation_hz": 6.3e3}):
+    config = config_from_dict({"waveform": waveform})
+    simulate_window(config.waveform, config.channel, 200, seed=1)
     print("concurrent.futures" in sys.modules, threading.active_count())
 print(channel._WORKERS)
 """
@@ -156,19 +154,16 @@ print(channel._WORKERS)
 
     FORK = """
 import os, signal
-from dataclasses import replace
 from cohsync import channel
-from cohsync.config import default_config
+from cohsync.config import config_from_dict
 from cohsync.scenario import simulate_window
-from cohsync.waveform import TwoToneSpec
 channel._WORKERS = 2
-config = default_config()
-waveform = replace(config.waveform, two_tone=TwoToneSpec(20e3, 20e3))
-simulate_window(waveform, config.channel, 40, seed=1)  # the parent's pool
+config = config_from_dict({"waveform": {"disambiguation_hz": 6.3e3}})  # whole rows
+simulate_window(config.waveform, config.channel, 40, seed=1)  # the parent's pool
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)  # a child that waited on its parent's threads would hang
-    simulate_window(waveform, config.channel, 40, seed=1)
+    simulate_window(config.waveform, config.channel, 40, seed=1)
     os._exit(0)
 print(os.waitpid(pid, 0)[1])
 """
@@ -639,6 +634,14 @@ class TestLoadTimeRejection:
             ('{"waveform": {"sample_rate_hz": 25e9}}', "exceeds the limit"),
             ('{"controller": {"x_max_hz": 2e7}}', "f2=20020000.0 aliases"),
             ('{"controller": {"x_min_hz": -1e3}}', "controller.x_min_hz=-1000.0"),
+            ('{"controller": {"x_min_hz": 2.8e5}}', "controller.x_min_hz=280000.0 Hz must exceed 284090.9"),
+            ('{"waveform": {"f1_hz": -5}}',
+             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 <= f2, got f1=-5.0, f2=3500000.0"),
+            # f1 is at fault, so no note on the upper tone derived from it follows
+            ('{"waveform": {"f1_hz": -5}, "controller": {"x_initial_hz": 1e6}}',
+             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 <= f2, got f1=-5.0, f2=999995.0\n"),
+            ('{"waveform": {"f2_hz": 10000.0}}',
+             "config key 'waveform.f2_hz': f2=10000.0: need 0 <= f1 <= f2, got f1=20000.0, f2=10000.0"),
             ('{"channel": {"snr_db": 4000}}', "snr_db=4000.0 has no positive finite"),
             ('{"channel": {"snr_db": -4000}}', "snr_db=-4000.0 has no positive finite"),
             ('{"seed": -1}', "seed must be a non-negative integer, got -1"),
@@ -648,7 +651,7 @@ class TestLoadTimeRejection:
             ('{"waveform": {"ranging_pulse_width_s": -1e-4}}', "ranging_pulse_width=-0.0001 s is under 2"),
             ('{"waveform": {"ranging_pulse_width_s": 1e-9}}', "ranging_pulse_width=1e-09 s is under 2"),
             ('{"controller": {"x_initial_hz": 8e6}}',
-             "config key 'controller.x_initial_hz': x_prev=8000000.0 outside clamp [0.0, 7500000.0]"),
+             "config key 'controller.x_initial_hz': x_prev=8000000.0 outside clamp [300000.0, 7500000.0]"),
             ('{"controller": {"t_i_s": 0}}', "config key 'controller.t_i_s': t_i must be positive"),
             ('{"channel": {"true_range_m": -1}}', "config key 'channel.true_range_m': true_range must be >= 0"),
             ('{"waveform": {"sample_rate_hz": 0}}',

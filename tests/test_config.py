@@ -14,7 +14,9 @@ from cohsync.config import (
     load_config,
     save_config,
 )
-from cohsync.ranging import effective_window_length
+from cohsync.ranging import check_separation, effective_window_length, readout
+from cohsync.scenario import simulate_window
+from cohsync.waveform import TwoToneSpec
 from conftest import traced_peak
 
 # one valid key per section, with a value of the right type
@@ -272,6 +274,55 @@ class TestMemoryBound:
         msg, peak = traced_peak(lambda: error_of(doc))
         assert f"exceeds the limit of {MAX_FRAME_SAMPLES} samples" in msg
         assert peak < 2**20
+
+
+class TestSeparationFloor:
+    """The separation clamp's lower end must read its lags as one lag block.
+
+    At the reference waveform a block holds ``n - L + 1 = 159`` lags, and
+    a readout reads ``2 h + 72``, so ``h <= 43`` and the separation must
+    exceed 25e6 / 88 Hz; at 50 Msps the window is 7350 lags, the block 166
+    and the floor 50e6 / 96 Hz.
+    """
+
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"controller": {"x_min_hz": 2.8e5}},
+             "controller.x_min_hz=280000.0 Hz must exceed 284090.909"),
+            ({"controller": {"x_min_hz": 0.0}}, "controller.x_min_hz=0.0 Hz must exceed 284090.909"),
+            ({"waveform": {"sample_rate_hz": 50e6}},
+             "controller.x_min_hz=300000.0 Hz must exceed 520833.333"),
+        ],
+    )
+    def test_sub_floor_clamp_rejected(self, doc, fragment):
+        assert fragment in error_of(doc)
+
+    def test_clamp_above_floor_accepted(self):
+        assert config_from_dict({"controller": {"x_min_hz": 2.85e5}}).controller.x_min == 2.85e5
+        config = config_from_dict({"waveform": {"sample_rate_hz": 50e6}, "controller": {"x_min_hz": 5.3e5}})
+        assert config.waveform.sample_rate == 50e6
+
+    @pytest.mark.parametrize("sample_rate, floor", [(25e6, 25e6 / 88), (50e6, 50e6 / 96)])
+    def test_floor_is_where_the_readout_outgrows_the_block(self, sample_rate, floor):
+        # the load-time rule counts lags arithmetically; the readout, which
+        # builds the table, must agree on either side of the floor
+        waveform = replace(default_config().waveform, sample_rate=sample_rate)
+        n = effective_window_length(waveform, default_config().channel)
+        block = n - round(waveform.ranging_pulse_width * sample_rate) + 1
+        below, above = floor * (1 - 1e-12), floor * (1 + 1e-12)
+        assert readout(n, sample_rate, below).width > block >= readout(n, sample_rate, above).width
+        with pytest.raises(ValueError, match="must exceed"):
+            check_separation(below, waveform, n)
+        check_separation(above, waveform, n)
+
+    def test_window_below_floor_rejected_with_the_same_message(self):
+        config = default_config()
+        tones = TwoToneSpec(20e3, 20e3 + 2.8e5)
+        with pytest.raises(ValueError) as window:
+            simulate_window(replace(config.waveform, two_tone=tones), config.channel, 2, seed=0)
+        message = str(window.value).replace("tone separation=", "controller.x_min_hz=")
+        assert error_of({"controller": {"x_min_hz": 2.8e5}}) == message
 
 
 def test_window_too_long_for_any_fft_hits_the_frame_limit():

@@ -8,7 +8,7 @@ import pytest
 
 from cohsync import ranging
 from cohsync.channel import ChannelState
-from cohsync.config import default_config
+from cohsync.config import config_from_dict, default_config
 from cohsync.ranging import (
     INTERP_BETA,
     INTERP_TAPS,
@@ -259,8 +259,8 @@ class TestBatchedKernel:
         state = ChannelState(true_range=90.0, snr_db=snr_db)
         gross_total = 0
         # half a spacing is exactly 4 samples at 3.125 MHz, and 0.125 MHz
-        # cuts whole rows to a lobe window
-        for separation_hz in (0.0, 0.125e6, 1e6, 3.125e6, 3.5e6, 7.5e6):
+        # cuts whole rows to a lobe window wider than any lag block
+        for separation_hz in (0.125e6, 1e6, 3.125e6, 3.5e6, 7.5e6):
             waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
             for seed in range(3):
                 mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed))
@@ -291,18 +291,14 @@ class TestBatchedKernel:
         assert gross.tolist() == [True, True, False]
 
     def test_separation_zero_branch(self, full_waveform):
-        # f2 == f1 (the PI loop clamped at x_min = 0): no lobes, so the
-        # peak is the global magnitude maximum of each row
+        # f2 == f1 has no lobes and no two-tone bound: a window rejects it,
+        # and a config whose clamp reaches it fails at load
         waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3))
         state = ChannelState(true_range=37.3, snr_db=math.inf)
-        mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, 2, 0)
-        mf_r = mf_r.copy()
-        mf_r[1] = np.roll(mf_r[1], 40)  # a second row, peaked 40 lags later
-        ranges, _, gross = assert_matches_oracle(mf_r, mf_d, waveform)
-        lag_m = SPEED_OF_LIGHT / (2 * waveform.sample_rate)
-        assert ranges[0] == pytest.approx(37.3, abs=0.1)
-        assert ranges[1] - ranges[0] == pytest.approx(40 * lag_m, abs=1e-6)
-        assert not gross.any()
+        with pytest.raises(ValueError, match=r"tone separation=0\.0 Hz must exceed 284090\.9"):
+            simulate_window(waveform, state, 2, seed=0)
+        with pytest.raises(ValueError, match=r"controller\.x_min_hz=0\.0 Hz must exceed"):
+            config_from_dict({"controller": {"x_min_hz": 0.0}})
 
     def test_peak_memory_of_default_window(self):
         # default config: P = 200 rows of n = 3750 lags; one full-window
@@ -433,7 +429,7 @@ class TestDenseArgmax:
     def test_batched_kernel_grid(self, monkeypatch, full_waveform, snr_db):
         # TestBatchedKernel's windows, three seeds to a batch of 150 rows
         state = ChannelState(true_range=90.0, snr_db=snr_db)
-        for separation_hz in (0.0, 1e6, 3.5e6, 7.5e6):
+        for separation_hz in (1e6, 3.5e6, 7.5e6):
             waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
             windows = [ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed)) for seed in range(3)]
             mf_r = np.concatenate([r for r, _ in windows])

@@ -420,13 +420,18 @@ class TestDirectNoiseDraws:
     ):
         waveform = with_separation(full_waveform, separation_hz)
         state = ChannelState(true_range=90.0, snr_db=math.inf)
-        expected, _ = oracle_window(waveform, state, 4, 0)
+        below_floor = separation_hz < 0.29e6  # 0 and 0.1 MHz: rejected
+        expected = None if below_floor else oracle_window(waveform, state, 4, 0)[0]
 
         class NoDraws:
             def __getattr__(self, name):
                 raise AssertionError(f"a noise-free window called rng.{name}")
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        if below_floor:
+            with pytest.raises(ValueError, match="must exceed"):
+                simulate_window(waveform, state, 4, seed=0)
+            return
         ranges, gross = simulate_window(waveform, state, 4, seed=0)
         assert gross == 0
         assert np.max(np.abs(ranges - expected)) <= 1e-9
@@ -520,24 +525,32 @@ class TestStreamedRows:
     )
     def test_same_bytes_as_whole_arrays(self, disambiguation_hz, separation_hz, snr_db, monkeypatch):
         # 50 pulses: three full chunks and a partial one.  A 6.3 kHz
-        # disambiguation pulse draws whole disambiguation rows too.  Lobe
-        # windows are 322, 196 and 160 lags at 0.1, 0.2 and 0.28 MHz, over
-        # the widest block (159), and 572 at 50 kHz, over the 6.3 kHz
-        # pulse's longer window's 505; at 0.29 and 0.5 MHz they fit a
-        # block.  At 6.8 and 10 kHz they are 3748 and 2572 of the 3750
-        # lags.  The window runs inline and on 2 and 3 threads.
+        # disambiguation pulse draws whole disambiguation rows.  At 0.29 and
+        # 0.5 MHz the lags each pulse reads fit a block (158 and 122 of the
+        # widest block's 159 lags, 158 of 505 beside the 6.3 kHz pulse's
+        # longer window).  The other pairs read more lags than a block holds
+        # (160 to 3748 at the reference window, 572 of 505 at 50 kHz beside
+        # the 6.3 kHz pulse) or have no lobes (separation 0); a window
+        # rejects them at every SNR before it draws.  The window runs inline
+        # and on 2 and 3 threads.
         overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
         config = config_from_dict({"waveform": overrides})
         waveform = with_separation(config.waveform, separation_hz)
         state = replace(config.channel, snr_db=snr_db)
         n = effective_window_length(waveform, state)
-        reads = ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
-        whole = reads.h is None or reads.width > widest_block(waveform, n)
-        assert whole == ((disambiguation_hz, separation_hz) not in self.BLOCK_DRAWS)
+        fits = separation_hz > 0 and (
+            ranging.readout(n, waveform.sample_rate, separation_hz).width <= widest_block(waveform, n)
+        )
+        assert fits == ((disambiguation_hz, separation_hz) in self.BLOCK_DRAWS)
+        if not fits:
+            with pytest.raises(ValueError, match="must exceed"):
+                on_workers(monkeypatch, 2, lambda: simulate_window(waveform, state, 50, seed=(4, 2)))
+            assert channel._pool is None
+            return
         expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
-        # beside a lag block only 6.3 kHz disambiguation rows stream whole;
-        # a noise-free window draws nothing
-        streams = snr_db < math.inf and (whole or disambiguation_hz is not None)
+        # only 6.3 kHz disambiguation rows stream whole; a noise-free window
+        # draws nothing
+        streams = snr_db < math.inf and disambiguation_hz is not None
         for workers in (1, 2, 3):
             ranges, gross = on_workers(
                 monkeypatch, workers, lambda: simulate_window(waveform, state, 50, seed=(4, 2)), streams
@@ -570,14 +583,34 @@ class TestStreamedRows:
         "separation_hz", [0.0, 6.8e3, 1e4, 2e4, 5e4, 0.2e6, 0.29e6, 3.5e6, 7.5e6]
     )
     def test_peak_memory_is_a_third_of_a_frame_array(self, separation_hz):
-        # a frame array is P x n complex samples; a window that holds its
-        # whole ranging rows at once peaks above 1.2 of them.  Separation 0
-        # and 6.8 kHz to 0.2 MHz stream whole ranging rows, the lobe window
-        # nearly n lags wide at 6.8 kHz; from 0.29 MHz the lags are one
-        # block.  Selecting each chunk's lobes as it is drawn keeps every
-        # window at 0.12-0.23; gathering all pulses' lobe windows at once
-        # reads 2.97 at 6.8 kHz
+        # a frame array is P x n complex samples; a window that held its
+        # whole ranging rows at once would peak above 1.2 of them.  From
+        # 0.29 MHz the lags each pulse reads are one block, and every window
+        # stays at 0.12-0.23.  Below the floor (0.284 MHz) a window is
+        # rejected before it builds a frame: under 32 KiB, about half of
+        # one 3750-sample row
         config = default_config()
+        waveform = with_separation(config.waveform, separation_hz)
+        state = replace(config.channel, snr_db=13.0)
+        n = effective_window_length(waveform, state)
+        if separation_hz < 0.29e6:
+
+            def rejected():
+                with pytest.raises(ValueError, match="must exceed"):
+                    simulate_window(waveform, state, 800, seed=1)
+
+            assert traced_peak(rejected)[1] <= 2**15
+            return
+        simulate_window(waveform, state, 2, seed=0)  # the process's tables
+        _, peak = traced_peak(lambda: simulate_window(waveform, state, 800, seed=1))
+        assert peak <= 0.35 * 800 * n * 16
+
+    @pytest.mark.parametrize("separation_hz", [0.2e6, 3.5e6])
+    def test_peak_memory_with_whole_disambiguation_rows(self, separation_hz):
+        # the 6.3 kHz pulse's rows are drawn whole and scanned 16 at a time:
+        # 0.19-0.21 of a frame array; its longer window puts the floor at
+        # 57.6 kHz, so 0.2 MHz is a block there
+        config = config_from_dict({"waveform": {"disambiguation_hz": 6.3e3}})
         waveform = with_separation(config.waveform, separation_hz)
         state = replace(config.channel, snr_db=13.0)
         simulate_window(waveform, state, 2, seed=0)  # the process's tables
@@ -757,7 +790,7 @@ class TestFrameCache:
         fs, geometry = waveform.sample_rate, replace(state, snr_db=0.0)
         n = effective_window_length(waveform, state)
         search, _ = scenario._disambiguation_frame(waveform.f_d, fs, n, geometry)
-        spectrum, row, _, _ = scenario._ranging_frame(
+        spectrum, row, _ = scenario._ranging_frame(
             waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
         )
         ramp = channel.delay_ramp(n, fs, state.true_range)
@@ -829,10 +862,10 @@ class TestBenchmarkPatchPoints:
         # the benchmark counts FFT points from the (rows, n) shape of the
         # first argument, which is only ever a 2-D clean row: one for the
         # disambiguation frame, which the three windows share, and one for
-        # each window's ranging frame.  A window
-        # keeps just the interpolator's support around each selected peak,
-        # whether it draws a lag block (3.5 MHz) or streams whole rows with
-        # a lobe window (0.1 MHz) or without one (separation 0)
+        # each window's ranging frame.  A window keeps just the
+        # interpolator's support around each selected peak, drawn from a
+        # block of lags whether the block is narrow (3.5 MHz) or nearly
+        # the widest (0.29 MHz)
         shapes = []
         real = scenario._circular_correlation
 
@@ -842,13 +875,13 @@ class TestBenchmarkPatchPoints:
 
         monkeypatch.setattr(scenario, "_circular_correlation", spy)
         config = tuned_config(pulses=50)
-        for separation_hz, streamed in ((3.5e6, False), (1e5, True), (0.0, True)):
+        for separation_hz in (3.5e6, 0.5e6, 0.29e6):
             waveform = with_separation(config.waveform, separation_hz)
             support, _, _, _ = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
             n = effective_window_length(waveform, config.channel)
             reads = ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
             assert support.shape == (50, reads.support) and reads.support < n
-            assert (reads.h is None or reads.width > widest_block(waveform, n)) == streamed
+            assert reads.width <= widest_block(waveform, n)
         assert shapes == [(1, n)] * 4
 
 
