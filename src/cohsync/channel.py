@@ -46,13 +46,14 @@ win, and the near argmax is the row's peak.  Otherwise the row is
 completed exactly around ``R`` (at a uniform place, the other moduli from
 the law truncated below it) and scanned whole.  Either way the peak has
 the distribution of a whole row's peak.  Templates whose near samples
-would cover the window draw whole rows.  The noise-free part of this (the
-rotated clean row, the template's DFT and Toeplitz matrix, ``||p||_1`` and
-``max_far |clean|``) is a :class:`PeakSearch`, built once per clean row and template.
+would cover the window, or whose near product would cost more than a whole
+row, draw whole rows.  The noise-free part of this (the rotated clean row,
+the template's DFT and Toeplitz matrix, ``||p||_1`` and ``max_far |clean|``)
+is a :class:`PeakSearch`, built once per clean row and template.
 
-Whole disambiguation rows are drawn and reduced ``_ROW_CHUNK`` rows at a time
-(:func:`map_row_chunks`), each chunk returning what it keeps, so no
-``(rows, n)`` array is held.  Chunk ``j`` of a frame draws from its own
+Whole and completed disambiguation rows are drawn and scanned for their
+peaks ``_ROW_CHUNK`` rows at a time by one kernel (:func:`_row_peaks`), so
+no ``(rows, n)`` array is held.  Chunk ``j`` of a frame draws from its own
 stream, the child of the frame's seed sequence with spawn index ``j``,
 so its rows depend on neither the other chunks nor the order the chunks
 run in (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -286,7 +287,7 @@ def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]]:
 
 # Rows per chunk when whole matched-filter rows are drawn or scanned for their
 # peaks: a chunk of 3750-sample rows and its magnitudes take about 1.4 MB, and
-# each chunk draws from its own stream (map_row_chunks).
+# each chunk draws from its own stream (_row_peaks).
 _ROW_CHUNK = 16
 
 # Most threads that run chunks at once, whatever the host's core count.  Each
@@ -337,52 +338,26 @@ def _chunk_stream(seed: np.random.SeedSequence, index: int) -> np.random.Generat
     return np.random.default_rng(child)
 
 
-def map_row_chunks(
+def _row_peaks(
+    clean_row: np.ndarray,
     n_rows: int,
     draw: Callable[[slice, np.random.Generator], np.ndarray],
-    reduce: Callable[[slice, np.ndarray], object],
     rng: np.random.Generator,
-) -> list:
-    """``[reduce(rows, draw(rows, stream))]`` over the chunks of ``n_rows`` rows, in order.
+) -> np.ndarray:
+    """Index of the largest modulus (the first of equal ones) of each row ``clean_row + noise``.
 
-    Chunk ``j`` is ``_ROW_CHUNK`` rows (fewer in the last), drawn on
-    :func:`_chunk_stream` of ``rng``'s seed sequence and ``j``.  The
-    chunks run by :func:`map_chunks`, so ``draw`` and ``reduce`` may only
-    read what they share, and return what they make.
+    Chunk ``j`` is rows ``_ROW_CHUNK * j`` on (fewer in the last), whose noise ``draw(rows,
+    stream)`` makes on :func:`_chunk_stream` of ``rng``'s seed sequence and ``j``; the chunks
+    run by :func:`map_chunks`, so ``draw`` may only read what they share.
     """
 
-    def run(j: int):
+    def run(j: int) -> np.ndarray:
         rows = slice(j * _ROW_CHUNK, min((j + 1) * _ROW_CHUNK, n_rows))
-        return reduce(rows, draw(rows, _chunk_stream(rng.bit_generator.seed_seq, j)))
-
-    return map_chunks(run, -(-n_rows // _ROW_CHUNK))
-
-
-def _row_peaks(rows: slice, chunk: np.ndarray) -> np.ndarray:
-    """Index of each row's largest modulus (the first of equal ones)."""
-    return np.argmax(np.abs(chunk), axis=1)
-
-
-def map_noisy_rows(
-    template_spectrum: np.ndarray,
-    clean_row: np.ndarray,
-    noise_power: float,
-    n_rows: int,
-    rng: np.random.Generator,
-    reduce: Callable[[slice, np.ndarray], object],
-) -> list:
-    """:func:`map_row_chunks` over ``n_rows`` rows of ``clean_row`` plus matched-filter noise.
-
-    Each chunk is ``clean_row + matched_noise_rows(template_spectrum,
-    noise_power, len, stream)`` on its own stream.
-    """
-
-    def draw(rows: slice, stream: np.random.Generator) -> np.ndarray:
-        chunk = matched_noise_rows(template_spectrum, noise_power, rows.stop - rows.start, stream)
+        chunk = draw(rows, _chunk_stream(rng.bit_generator.seed_seq, j))
         chunk += clean_row
-        return chunk
+        return np.argmax(np.abs(chunk), axis=1)
 
-    return map_row_chunks(n_rows, draw, reduce, rng)
+    return np.concatenate(map_chunks(run, -(-n_rows // _ROW_CHUNK)))
 
 
 def _max_modulus(
@@ -428,17 +403,24 @@ def _complete_noise(
     return full
 
 
+# Multiply-adds of the certificate's near product that cost about one whole-row
+# sample (its draw, inverse FFT and scan): 0.10-0.18 ns against 37-55 ns on one
+# OpenBLAS thread of a 2-core Xeon.  A 3750-sample window so draws whole rows from
+# a 283-sample template on (an 88.5 kHz disambiguation tone at 25 Msps).
+_ROW_SAMPLE_MACS = 256
+
+
 @dataclass(frozen=True, eq=False)
 class PeakSearch:
     """The noise-free work of :func:`matched_noise_peaks` for one clean row and template.
 
     It depends on neither the noise power nor the noise, so one search
-    serves every window of its geometry (:func:`peak_search` builds it).
-    ``clean_row`` is the noise-free output rotated so that lag ``first +
-    k`` sits at index ``k``: the near lags, which read the ``n_inputs``
-    input samples, come first; input rows times ``toeplitz`` are their
-    output on the near lags.  Where those inputs would cover the window the
-    rows are drawn whole, ``first`` is 0 and ``toeplitz`` None.
+    serves every window of its geometry (:func:`peak_search` builds it,
+    and decides there how the rows are drawn).  ``clean_row`` is the
+    noise-free output rotated so that lag ``first + k`` sits at index
+    ``k``: the near lags, which read the ``n_inputs`` input samples, come
+    first; input rows times ``toeplitz`` are their output on the near
+    lags.  ``toeplitz`` None means whole rows, and ``first`` is then 0.
     """
 
     spectrum: np.ndarray  # the template's n-point DFT
@@ -455,19 +437,21 @@ def peak_search(clean_row: np.ndarray, template: np.ndarray, spectrum: np.ndarra
     """The :class:`PeakSearch` of ``clean_row``, the noise-free output of ``template``'s filter.
 
     ``spectrum`` is the template's DFT at the row's length, ``np.fft.fft(template, n)``;
-    the search keeps it as given, and makes its other arrays read-only.
+    the search keeps it as given, and makes its other arrays read-only.  Rows are drawn whole
+    where the near inputs cover the window or their product costs more than a whole row.
     """
     n, length = clean_row.size, template.size
     magnitude = np.abs(clean_row)
     peak = int(np.argmax(magnitude))
     half = -(-3 * length // 2)  # near lags either side of the clean peak
-    n_inputs = 2 * half + length
-    first = peak - half if n_inputs < n else 0
-    far = np.roll(magnitude, -first)[2 * half + 1 :]
+    n_inputs, n_near = 2 * half + length, 2 * half + 1
+    certifies = n_inputs < n and n_inputs * n_near <= _ROW_SAMPLE_MACS * n
+    first = peak - half if certifies else 0
+    far = np.roll(magnitude, -first)[n_near:]
     toeplitz = None
-    if n_inputs < n:  # column k reads inputs k .. k + length - 1
-        toeplitz = np.zeros((n_inputs, 2 * half + 1), dtype=np.complex128)
-        k = np.arange(2 * half + 1)
+    if certifies:  # column k reads inputs k .. k + length - 1
+        toeplitz = np.zeros((n_inputs, n_near), dtype=np.complex128)
+        k = np.arange(n_near)
         toeplitz[k + np.arange(length)[:, None], k] = np.conj(template)[:, None]
         toeplitz.flags.writeable = False
     rotated = np.roll(clean_row, -first)
@@ -519,16 +503,16 @@ def matched_noise_peaks(
     Returns the peak indices, which have exactly the distribution of the
     peaks of whole rows, and per row whether the certificate of the module
     docstring placed the peak without a whole row.  The near samples and
-    largest moduli come from ``rng``; whole and completed rows are drawn
-    by :func:`map_row_chunks`, each chunk on its own child stream of
-    ``rng``.
+    largest moduli come from ``rng``; whole and completed rows are scanned
+    by :func:`_row_peaks`, each chunk on its own child stream of ``rng``.
     """
     n = search.clean_row.size
-    if search.n_inputs >= n:
-        chunks = map_noisy_rows(
-            search.spectrum, search.clean_row, noise_power, n_rows, rng, _row_peaks
-        )
-        return np.concatenate(chunks), np.zeros(n_rows, dtype=bool)
+    if search.toeplitz is None:
+
+        def whole(rows: slice, stream: np.random.Generator) -> np.ndarray:
+            return matched_noise_rows(search.spectrum, noise_power, rows.stop - rows.start, stream)
+
+        return _row_peaks(search.clean_row, n_rows, whole, rng), np.zeros(n_rows, dtype=bool)
     near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
     near *= math.sqrt(noise_power / 2.0)
     r_max = _max_modulus(noise_power, n - search.n_inputs, n_rows, rng)
@@ -540,10 +524,8 @@ def matched_noise_peaks(
         full = _complete_noise(near[pending[rows]], r_max[pending[rows]], noise_power, n, stream)
         np.fft.fft(full, axis=1, out=full)
         full *= np.conj(search.spectrum)
-        np.fft.ifft(full, axis=1, out=full)
-        full += search.clean_row
-        return full
+        return np.fft.ifft(full, axis=1, out=full)
 
     if pending.size:
-        peak[pending] = np.concatenate(map_row_chunks(pending.size, complete, _row_peaks, rng))
+        peak[pending] = _row_peaks(search.clean_row, pending.size, complete, rng)
     return (search.first + peak) % n, certified

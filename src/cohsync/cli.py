@@ -29,7 +29,9 @@ from .channel import openblas_threads
 from .config import ConfigError, RunConfig, default_config, load_config, save_config
 from .control import MIN_SERIES_LENGTH, find_ultimate_gain, ziegler_nichols_gains
 from .scenario import (
+    MAX_INTERVALS,
     _fmt,
+    interval_count,
     ranging_sigma_plant,
     read_run_log_csv,
     read_trace_csv,
@@ -191,10 +193,11 @@ def _cmd_run(args) -> int:
     config = _load_config_arg(args)
     seed = _resolve_seed(args, config)
     trace = read_trace_csv(args.trace)
-    duration = args.duration_s
+    duration, name = args.duration_s, "--duration-s"
     if duration is None:
-        duration = trace[-1].timestamp_s - trace[0].timestamp_s
-        duration = max(duration, config.loop.interval_duration_s)
+        duration = max(trace[-1].timestamp_s - trace[0].timestamp_s, config.loop.interval_duration_s)
+        name = f"{args.trace}: the span of its timestamps"
+    interval_count(duration, config.loop.interval_duration_s, name)
     runner = run_adaptive if args.adaptive else run_fixed_bandwidth
     logs = runner(config, trace, duration, seed=seed)
 
@@ -226,6 +229,8 @@ def _cmd_tune(args) -> int:
             f"--intervals {args.intervals} is below {MIN_SERIES_LENGTH}, the fewest "
             "the oscillation test examines"
         )
+    if args.intervals > MAX_INTERVALS:
+        raise ValueError(f"--intervals {args.intervals} exceeds the limit of {MAX_INTERVALS}")
     config = _load_config_arg(args)
     seed = _resolve_seed(args, config)
     k_grid = _parse_grid(args.k_grid)
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="run config JSON")
     p.add_argument("--k-grid", required=True, help="proportional gain grid")
     p.add_argument(
-        "--intervals", type=int, default=30, help=f"plant run length, at least {MIN_SERIES_LENGTH}"
+        "--intervals", type=int, default=30, help=f"plant run length, {MIN_SERIES_LENGTH} to {MAX_INTERVALS}"
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="report JSON path")

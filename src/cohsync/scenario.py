@@ -32,7 +32,7 @@ Each pulse's disambiguation peak is drawn by the certificate of
 the clean peak and the largest modulus of the rest settle it (at the
 reference waveform every pulse from -10 dB up, none at -20 dB), and rows
 they do not settle are completed and scanned whole, 16 at a time on a
-thread per core (:func:`cohsync.channel.map_row_chunks`), with the same
+thread per core (:func:`cohsync.channel._row_peaks`), with the same
 bytes at any thread count.  Once the peak places the lobe window, a
 correlated block of the lags selection reads (the frame's
 :class:`~cohsync.ranging.Readout`, at most ``n - L + 1`` lags: see
@@ -76,6 +76,7 @@ from .channel import (
 from .config import RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
 from .ranging import (
+    Readout,
     _circular_correlation,
     _signed_lags,
     check_separation,
@@ -88,6 +89,11 @@ from .ranging import (
 from .waveform import TwoToneSpec, WaveformConfig, generate_disambiguation, generate_two_tone
 
 logger = logging.getLogger(__name__)
+
+# Most processing intervals one run or plant simulates.  A seven-day trace at
+# the reference 21 s interval holds 28,800; at about 320 bytes an interval,
+# the limit's run log takes about 0.34 GB.
+MAX_INTERVALS = 2**20
 
 # A window's one refinement call goes through this name: traced benchmark
 # runs wrap it to time the refinement (their ``ranging.refine`` span).
@@ -240,12 +246,12 @@ def _ranging_frame(
 
 def _matched_filter_rows(
     waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Readout]:
     """Selected ranging lobes of one window, drawn on the lags selection reads.
 
-    Returns ``(support, peak, gross, coarse)``: the first three as
-    :func:`select_lobes` returns them, for :func:`refine_window`, and
-    ``coarse[r]``, the whole lag of pulse ``r``'s disambiguation peak.
+    Returns ``(support, peak, gross, coarse, reads)``: the first three as
+    :func:`select_lobes` returns them, ``coarse[r]``, the whole lag of pulse
+    ``r``'s disambiguation peak, and the :func:`readout` they were read by.
 
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
@@ -279,7 +285,7 @@ def _matched_filter_rows(
     if snr_db < math.inf:
         sigma2_r = scaled_noise_power(power_r, snr_db)
         rows += matched_noise_block(spectrum_r, sigma2_r, n_pulses, reads.width, rng_r)
-    return (*select_lobes(rows, coarse, reads), coarse)
+    return (*select_lobes(rows, coarse, reads), coarse, reads)
 
 
 def simulate_window(
@@ -292,9 +298,7 @@ def simulate_window(
     one batch.  Deterministic for a fixed ``seed``, whatever the frame
     caches hold.
     """
-    support, peak, gross, _ = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
-    n = effective_window_length(waveform, channel_state)
-    reads = readout(n, waveform.sample_rate, waveform.two_tone.separation)
+    support, peak, gross, _, reads = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
     ranges, _ = disambiguate_and_refine(support, peak, reads)
     return ranges, int(gross.sum())
 
@@ -367,15 +371,23 @@ def _closed_loop(
     return logs
 
 
+def interval_count(duration_s: float, interval_s: float, name: str = "duration_s") -> int:
+    """Whole intervals of ``interval_s`` in ``duration_s``: 1 to ``MAX_INTERVALS``, else
+    ValueError naming the duration ``name``."""
+    count = duration_s // interval_s  # nan for a duration that is not finite
+    if not 1 <= count <= MAX_INTERVALS:
+        raise ValueError(
+            f"{name} ({duration_s} s) holds {count:.4g} processing intervals of {interval_s} s "
+            f"(loop.pulses_per_interval x loop.pulse_period_s), not 1 to {MAX_INTERVALS}"
+        )
+    return int(count)
+
+
 def _replay(config, trace, duration_s, seed, law):
     """Validate a trace replay's inputs and run it on noise stream 1."""
     if not trace:
         raise ValueError("trace has no records")
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
-    n_intervals = int(duration_s // config.loop.interval_duration_s)
-    if n_intervals < 1:
-        raise ValueError("duration shorter than one processing interval")
+    n_intervals = interval_count(duration_s, config.loop.interval_duration_s)
     master = config.seed if seed is None else seed
     return _closed_loop(config, trace, n_intervals, law, master, 1)
 

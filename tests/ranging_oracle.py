@@ -158,7 +158,7 @@ def whole_array_window(
     sigma2_d = scaled_noise_power(power_d, channel_state.snr_db)
     if sigma2_d == 0.0:
         index = np.full(n_pulses, search.peak)
-    elif search.n_inputs >= n:
+    elif search.toeplitz is None:
         rows = whole_rows(search.spectrum, search.clean_row, sigma2_d, n_pulses, seed_d)
         index = np.argmax(np.abs(rows), axis=1)
     else:

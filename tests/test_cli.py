@@ -374,9 +374,25 @@ class TestArgumentBounds:
             (["montecarlo", "--nodes", str(10**12)], "exceeds the limit of"),
             (["montecarlo", "--sigma-grid", f"0.01:0.2:{10**12}"], "points"),
             (["crlb", "--delta-f", "3.75e6", "--snr-grid", f"1:10:{10**12}"], "points"),
+            (["tune", "--k-grid", "0.1:1.0:2", "--intervals", str(2**20 + 1)],
+             "--intervals 1048577 exceeds the limit of 1048576"),
         ],
     )
     def test_oversized(self, tmp_path, capsys, argv, fragment):
+        assert fragment in self.rejected(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize(
+        "duration, fragment",
+        [
+            ("1e308", "--duration-s (1e+308 s) holds 1.905e+307 processing intervals of 5.25 s"),
+            ("inf", "--duration-s (inf s) holds nan processing intervals"),
+            ("5.0", "--duration-s (5.0 s) holds 0 processing intervals"),
+        ],
+    )
+    def test_run_interval_count(self, tmp_path, capsys, duration, fragment):
+        # a run holds 1 to 2**20 intervals: 1e308 s would run 1.9e307 of them
+        argv = ["run", "--config", str(small_config(tmp_path)), "--trace", str(make_trace(tmp_path)),
+                "--fixed", "--duration-s", duration]
         assert fragment in self.rejected(tmp_path, capsys, argv)
 
     def test_reference_runs_fit_with_margin(self):
@@ -657,6 +673,9 @@ class TestLoadTimeRejection:
             ('{"waveform": {"sample_rate_hz": 0}}',
              "config key 'waveform.sample_rate_hz': sample_rate must be positive"),
             ('{"waveform": {"pri_s": 1e-6}}', "config key 'waveform.pri_s': pri must cover the longest pulse"),
+            # the count of 2e-318 s intervals in the trace overflows the float range
+            ('{"loop": {"pulse_period_s": 1e-320}}',
+             "holds inf processing intervals of 1.99998e-318 s (loop.pulses_per_interval x loop.pulse_period_s)"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, config_text, fragment):
@@ -670,6 +689,8 @@ class TestLoadTimeRejection:
             ("timestamp_s,snr_db\n0.0,\n", "line 2: snr_db"),
             ("timestamp_s,snr_db\n0.0,20.0\n60.0,4000\n", "line 3: snr_db=4000.0 has no"),
             ("timestamp_s,snr_db\n0.0,-4000\n", "line 2: snr_db=-4000.0 has no"),
+            ("timestamp_s,snr_db\n0.0,20.0\n1e308,20.0\n",
+             "the span of its timestamps (1e+308 s) holds 4.762e+306 processing intervals of 21.0 s"),
         ],
     )
     def test_trace_value(self, tmp_path, capsys, trace_text, fragment):

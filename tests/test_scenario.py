@@ -331,9 +331,7 @@ def oracle_refined(waveform, state, n_pulses, seed):
 
 def direct_refined(waveform, state, n_pulses, seed):
     """``refine_window`` on the window's selected draws, as ``simulate_window`` runs it."""
-    support, peak, gross, _ = scenario._matched_filter_rows(waveform, state, n_pulses, seed)
-    n = effective_window_length(waveform, state)
-    reads = ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
+    support, peak, gross, _, reads = scenario._matched_filter_rows(waveform, state, n_pulses, seed)
     return (*refine_window(support, peak, reads), gross)
 
 
@@ -438,7 +436,7 @@ class TestDirectNoiseDraws:
 
 
 class TestRowChunks:
-    """Row chunks return their reductions in chunk order, each on its own stream."""
+    """Row chunks return their rows' peaks in row order, each chunk on its own stream."""
 
     @staticmethod
     def disambiguation_search(snr_db):
@@ -451,30 +449,30 @@ class TestRowChunks:
         return search, channel.scaled_noise_power(power, snr_db)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n_rows", [0, 1, 16, 17, 40])
+    @pytest.mark.parametrize("n_rows", [1, 16, 17, 40])
     def test_map_row_chunks_returns_each_reduction_in_order(self, monkeypatch, n_rows, workers):
-        def draw(rows, stream):
-            return stream.standard_normal((rows.stop - rows.start, 3))
+        clean_row = np.linspace(0.0, 1.5, 8) * np.exp(1j * np.arange(8))
+        drawn = []
 
-        def reduce(rows, chunk):
-            return rows.start, rows.stop, chunk.sum(axis=1)
+        def draw(rows, stream):
+            drawn.append((rows.start, rows.stop))
+            return stream.standard_normal((rows.stop - rows.start, 16)).view(np.complex128)
 
         got = on_workers(
             monkeypatch,
             workers,
-            lambda: channel.map_row_chunks(n_rows, draw, reduce, np.random.default_rng(11)),
+            lambda: channel._row_peaks(clean_row, n_rows, draw, np.random.default_rng(11)),
             n_rows > 16,
         )
         starts = range(0, n_rows, 16)
         streams = map(np.random.default_rng, np.random.SeedSequence(11).spawn(len(starts)))
         expected = [
-            reduce(rows, draw(rows, stream))
-            for rows, stream in zip((slice(a, min(a + 16, n_rows)) for a in starts), streams)
+            np.argmax(np.abs(clean_row + s.standard_normal((min(16, n_rows - a), 16)).view(complex)), 1)
+            for a, s in zip(starts, streams)
         ]
-        assert len(got) == len(expected) == len(starts)
-        for (start, stop, values), (start_e, stop_e, values_e) in zip(got, expected):
-            assert (start, stop) == (start_e, stop_e)
-            assert values.tobytes() == values_e.tobytes()
+        assert sorted(drawn) == [(a, min(a + 16, n_rows)) for a in starts]
+        assert got.shape == (n_rows,)
+        assert got.tobytes() == np.concatenate(expected).tobytes()
 
     def test_every_row_certified_runs_no_chunk(self, monkeypatch):
         # at 23 dB the certificate settles every pulse, so nothing is completed
@@ -616,6 +614,29 @@ class TestStreamedRows:
         simulate_window(waveform, state, 2, seed=0)  # the process's tables
         n = effective_window_length(waveform, state)
         _, peak = traced_peak(lambda: simulate_window(waveform, state, 800, seed=1))
+        assert peak <= 0.35 * 800 * n * 16
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"waveform": {"disambiguation_hz": 27e3}},
+            {
+                "waveform": {"sample_rate_hz": 100e6, "disambiguation_hz": 27.8e3},
+                "controller": {"x_min_hz": 1.3e6},
+            },
+        ],
+    )
+    def test_peak_memory_with_long_disambiguation_templates(self, doc):
+        # the certificate's near product over L = 926 and 3597 template
+        # samples would take a 157 MiB and a 2.31 GiB Toeplitz matrix; it
+        # costs more than a whole row there, so the rows are drawn whole and
+        # a window, its frames built afresh, stays within a third of a frame array
+        config = config_from_dict(doc)
+        state = replace(config.channel, snr_db=13.0)
+        simulate_window(config.waveform, state, 2, seed=0)  # the process's tables
+        clear_frame_caches()
+        n = effective_window_length(config.waveform, state)
+        _, peak = traced_peak(lambda: simulate_window(config.waveform, state, 800, seed=1))
         assert peak <= 0.35 * 800 * n * 16
 
 
@@ -877,9 +898,9 @@ class TestBenchmarkPatchPoints:
         config = tuned_config(pulses=50)
         for separation_hz in (3.5e6, 0.5e6, 0.29e6):
             waveform = with_separation(config.waveform, separation_hz)
-            support, _, _, _ = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
+            support, _, _, _, reads = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
             n = effective_window_length(waveform, config.channel)
-            reads = ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
+            assert reads is ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
             assert support.shape == (50, reads.support) and reads.support < n
             assert reads.width <= widest_block(waveform, n)
         assert shapes == [(1, n)] * 4
