@@ -420,17 +420,19 @@ class PeakSearch:
     noise-free output rotated so that lag ``first + k`` sits at index
     ``k``: the near lags, which read the ``n_inputs`` input samples, come
     first; input rows times ``toeplitz`` are their output on the near
-    lags.  ``toeplitz`` None means whole rows, and ``first`` is then 0.
+    lags.  ``toeplitz`` None means whole rows; ``first`` is then 0, and
+    ``n_inputs``, ``reach`` and ``far_max``, which only the certificate
+    reads, are None.
     """
 
     spectrum: np.ndarray  # the template's n-point DFT
     toeplitz: np.ndarray | None
     clean_row: np.ndarray
     first: int
-    n_inputs: int
+    n_inputs: int | None
     peak: int  # index of the clean row's largest modulus
-    reach: float  # ||template||_1
-    far_max: float  # largest clean modulus off the near lags
+    reach: float | None  # ||template||_1
+    far_max: float | None  # largest clean modulus off the near lags
 
 
 def peak_search(clean_row: np.ndarray, template: np.ndarray, spectrum: np.ndarray) -> PeakSearch:
@@ -445,27 +447,20 @@ def peak_search(clean_row: np.ndarray, template: np.ndarray, spectrum: np.ndarra
     peak = int(np.argmax(magnitude))
     half = -(-3 * length // 2)  # near lags either side of the clean peak
     n_inputs, n_near = 2 * half + length, 2 * half + 1
-    certifies = n_inputs < n and n_inputs * n_near <= _ROW_SAMPLE_MACS * n
-    first = peak - half if certifies else 0
-    far = np.roll(magnitude, -first)[n_near:]
-    toeplitz = None
-    if certifies:  # column k reads inputs k .. k + length - 1
+    toeplitz, first, reach, far_max = None, 0, None, None
+    if n_inputs < n and n_inputs * n_near <= _ROW_SAMPLE_MACS * n:
+        first = peak - half
         toeplitz = np.zeros((n_inputs, n_near), dtype=np.complex128)
-        k = np.arange(n_near)
+        k = np.arange(n_near)  # column k reads inputs k .. k + length - 1
         toeplitz[k + np.arange(length)[:, None], k] = np.conj(template)[:, None]
         toeplitz.flags.writeable = False
+        reach = float(np.abs(template).sum())
+        far_max = float(np.roll(magnitude, -first)[n_near:].max())
+    else:
+        n_inputs = None
     rotated = np.roll(clean_row, -first)
     rotated.flags.writeable = False
-    return PeakSearch(
-        spectrum=spectrum,
-        toeplitz=toeplitz,
-        clean_row=rotated,
-        first=first,
-        n_inputs=n_inputs,
-        peak=peak,
-        reach=float(np.abs(template).sum()),
-        far_max=float(far.max()) if far.size else math.inf,
-    )
+    return PeakSearch(spectrum, toeplitz, rotated, first, n_inputs, peak, reach, far_max)
 
 
 def _certify(

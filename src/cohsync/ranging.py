@@ -18,7 +18,8 @@ integer-rate correlation magnitude biases the peak by centimetres when
 the lobe is only a few samples wide, so the selected lobe is first
 densified with an exact-for-band-limited Kaiser-windowed-sinc
 interpolator and the spline maximum (analytic derivative root) is taken
-on that dense grid.  The grid is the points of one fixed lattice,
+on 17 points of that dense grid around its largest magnitude, the same
+17-knot fit for every pulse.  The grid is the points of one fixed lattice,
 ``1 / OVERSAMPLE`` of a sample apart, within ``NEIGHBORS`` samples of
 the lobe peak and within half a lobe spacing of it, so one
 interpolation table, built once per process, serves every tone
@@ -74,7 +75,6 @@ class RangeWindowStats:
     the group means, which is what the bandwidth controller consumes.
     """
 
-    estimates: np.ndarray
     group_means: np.ndarray
     sigma_d: float
     mean_range: float
@@ -270,7 +270,7 @@ def _interp_table():
     return offsets, first, matrix
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _spline_system_inverse(n: int, h: float) -> np.ndarray:
     """Map from second differences to the natural spline's interior second derivatives.
 
@@ -326,62 +326,31 @@ def _natural_spline_max(
     return x0 + interval * h + t[r, interval, k], v[r, interval, k]
 
 
-# Relative gap below which two squared magnitudes may order two points
-# otherwise than their np.hypot values do, far above the few ulps that
-# either computation rounds by; and the range of squared magnitudes within
-# which that bound holds (no overflow, no loss of digits to subnormals).
-_TIE_GAP = 1e-13
-_NORMAL_SQUARES = (1e-290, 1e300)
-
-
 def _dense_argmax(parts: np.ndarray) -> np.ndarray:
-    """Index of each row's largest ``np.hypot(re, im)``, the first of equal ones.
+    """Index of each row's largest squared magnitude, the first of equal ones.
 
-    ``parts`` stacks the real and imaginary parts, ``re, im = parts``.
-    The squared magnitudes order the points as hypot does, except among
-    points within rounding of the largest.  So the argmax of the squares
-    stands unless the row's runner-up comes within ``_TIE_GAP`` of it, or
-    the largest square lies outside ``_NORMAL_SQUARES``; only such rows
-    take hypot over the whole row.
+    ``parts`` stacks the real and imaginary parts, ``re, im = parts``.  A
+    square past overflow is infinite, and still its row's largest.
     """
-    re, im = parts
-    with np.errstate(over="ignore"):  # overflowed rows take hypot
+    with np.errstate(over="ignore"):
         squares = np.einsum("kij,kij->ij", parts, parts)  # no temporaries
-    rows = np.arange(len(squares))
-    best = np.argmax(squares, axis=1)
-    top = squares[rows, best]
-    squares[rows, best] = -np.inf
-    runner_up = squares.max(axis=1)
-    lo, hi = _NORMAL_SQUARES
-    settled = (runner_up < top * (1.0 - _TIE_GAP)) & (top >= lo) & (top <= hi)
-    doubt = np.flatnonzero(~settled)
-    if doubt.size:
-        best[doubt] = np.argmax(np.hypot(re[doubt], im[doubt]), axis=1)
-    return best
+    return np.argmax(squares, axis=1)
 
 
 def _spline_peaks(offsets: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """Offset of the spline maximum near each row's dense magnitude argmax.
 
-    The dense magnitudes are ``np.hypot(re, im)``, ``re, im = parts``.
-    Each spline is fitted to the 17 grid points around the argmax, fewer
-    where the argmax lies within 8 points of either grid end; the
-    analytic extremum removes the dense-grid quantization.  Magnitudes
-    are computed only on those points (the argmax comes from
-    :func:`_dense_argmax`).
+    ``re, im = parts`` hold the dense grid, at least 129 points a row.
+    Each spline is fitted to ``np.hypot(re, im)`` on 17 consecutive grid
+    points, centred on the argmax (:func:`_dense_argmax`) unless that lies
+    within 8 points of a grid end, and then the 17 at that end; the
+    analytic extremum removes the dense-grid quantization.
     """
     re, im = parts
-    m = _dense_argmax(parts)
-    lo = np.maximum(m - 8, 0)
-    width = np.minimum(m + 9, re.shape[1]) - lo
-    h = float(offsets[1] - offsets[0])
-    peaks = np.empty(len(re))
-    for w in np.unique(width):  # one group unless a window is truncated
-        rows = np.flatnonzero(width == w)
-        index = (rows[:, None], lo[rows, None] + np.arange(w))
-        y = np.hypot(re[index], im[index])
-        peaks[rows], _ = _natural_spline_max(offsets[lo[rows]], h, y)
-    return peaks
+    lo = np.clip(_dense_argmax(parts) - 8, 0, re.shape[1] - 17)
+    index = (np.arange(len(re))[:, None], lo[:, None] + np.arange(17))
+    y = np.hypot(re[index], im[index])
+    return _natural_spline_max(offsets[lo], float(offsets[1] - offsets[0]), y)[0]
 
 
 def refine_window(
@@ -395,8 +364,8 @@ def refine_window(
     arrays ``(range, peak_lag)``: the one-way range in metres (at least 0)
     and the refined lag in seconds.  Dense interpolation is one matrix
     product against a view of the process's one Kaiser-sinc table; the
-    dense argmax and the spline's 17 magnitudes are those of ``np.hypot``
-    (:func:`_spline_peaks`).
+    dense argmax is that of the squared magnitudes, and the spline reads
+    ``np.hypot`` on the 17 lattice points around it (:func:`_spline_peaks`).
     """
     dense = np.concatenate([support.real, support.imag]) @ reads.matrix
     offset = _spline_peaks(reads.offsets, dense.reshape(2, len(support), -1))
@@ -423,7 +392,6 @@ def window_stats(
         raise ValueError("need at least two groups for a standard deviation")
     group_means = est.reshape(-1, group_size).mean(axis=1)
     return RangeWindowStats(
-        estimates=est,
         group_means=group_means,
         sigma_d=float(group_means.std(ddof=1)),
         mean_range=float(est.mean()),

@@ -108,8 +108,6 @@ def generate_disambiguation(f_d: float, sample_rate: float) -> np.ndarray:
     if not 0 < f_d < sample_rate / 2:
         raise ValueError(f"f_d={f_d} must lie in (0, sample_rate/2)")
     n = int(round(sample_rate / f_d))
-    if n < 2:
-        raise ValueError("disambiguation pulse must span at least 2 samples")
     t = np.arange(n) / sample_rate
     return np.exp(2j * np.pi * f_d * t)
 

@@ -15,12 +15,15 @@ the check.  The set:
 - the 16-node Monte-Carlo ``curve.csv`` and ``curve.report.json``;
 - fixed runs at the default clamp's 0.3 MHz with ``carrier_offset1_hz``
   50 (an unlocked carrier), at 0.285 MHz, just above the separation floor
-  (158 of the 159 lags a block holds), at 7.5 MHz and -3 dB, at 3.5 MHz
-  and -20 dB (every disambiguation row completed around its largest far
-  modulus), with a 6.3 kHz disambiguation tone at 13 dB (disambiguation
-  rows drawn whole, the template being longer than the window) and with
-  a 50 kHz one at 13 dB (whole rows too, since its 500-sample template's
-  near product would cost more than a whole row), each with the same
+  (158 of the 159 lags a block holds), at 7.5 MHz and -3 dB, at 7.5 MHz
+  and -25 dB (19 to 29 gross errors in a run's 600 pulses at either
+  seed), at 3.5 MHz and -20 dB (every disambiguation row completed
+  around its largest far modulus), with a 6.3 kHz disambiguation tone at
+  13 dB (disambiguation rows drawn whole, the template being longer than
+  the window) and with a 50 kHz one at -10 dB (whole rows too, since its
+  500-sample template's near product would cost more than a whole row;
+  at this SNR a window's coarse lags spread over 10 to 14 values, so the
+  record changes if the rows are drawn otherwise), each with the same
   three files as the adaptive-step run;
 - noise-free 50-pulse windows at 0.285, 0.3, 3.5 and 7.5 MHz, whose
   ranges a fresh ``python -c`` process hashes, since a trace holds no
@@ -56,9 +59,10 @@ FIXED_RUNS = {
     "fixed-0.285MHz": ({"waveform": {"f2_hz": F1_HZ + 0.285e6},
                         "controller": {"x_min_hz": 0.285e6}}, 20.0),
     "fixed-7.5MHz-minus3dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, -3.0),
+    "fixed-7.5MHz-minus25dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, -25.0),
     "fixed-3.5MHz-minus20dB": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, -20.0),
     "fixed-disamb6.3kHz": ({"waveform": {"disambiguation_hz": 6.3e3}}, 13.0),
-    "fixed-disamb50kHz": ({"waveform": {"disambiguation_hz": 50e3}}, 13.0),
+    "fixed-disamb50kHz-minus10dB": ({"waveform": {"disambiguation_hz": 50e3}}, -10.0),
 }
 FIXED_INTERVALS = 3
 NOISE_FREE_SEPARATIONS_HZ = (0.285e6, 0.3e6, 3.5e6, 7.5e6)

@@ -270,8 +270,8 @@ class TestBatchedKernel:
 
     def test_truncated_spline_window(self, full_waveform):
         # magnitudes rising (falling) through the lobe window put the dense
-        # argmax on the grid's last (first) point, so the spline window
-        # shrinks to 9 points; an ordinary row rides in the same batch
+        # argmax on the grid's last (first) point, so the spline reads the
+        # grid's last (first) 17 points; an ordinary row rides in the same batch
         n = 512
         ramp = np.linspace(0.0, 1.0, n) + 0j
         lobe = np.zeros(n, dtype=complex)
@@ -289,6 +289,24 @@ class TestBatchedKernel:
         assert lags[1] * fs == pytest.approx(lo - span, abs=1e-9)
         assert lags[2] * fs == pytest.approx(200.0, abs=1e-6)
         assert gross.tolist() == [True, True, False]
+
+    def test_one_spline_shape_a_batch(self, monkeypatch, full_waveform):
+        # test_truncated_spline_window's batch: two grid-end rows and an
+        # ordinary one take one 17-knot spline call between them
+        n = 512
+        ramp = np.linspace(0.0, 1.0, n) + 0j
+        lobe = np.zeros(n, dtype=complex)
+        lobe[195:206] = np.hanning(11)
+        shapes = []
+        real = ranging._natural_spline_max
+
+        def spy(x0, h, y):
+            shapes.append(y.shape)
+            return real(x0, h, y)
+
+        monkeypatch.setattr(ranging, "_natural_spline_max", spy)
+        ranging_oracle.select_and_refine(np.stack([ramp, ramp[::-1], lobe]), np.full(3, 200), full_waveform)
+        assert shapes == [(3, 17)]
 
     def test_separation_zero_branch(self, full_waveform):
         # f2 == f1 has no lobes and no two-tone bound: a window rejects it,
@@ -339,91 +357,39 @@ def assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def runner_up_gaps(parts):
-    """Relative gap between each row's largest and second largest np.hypot."""
-    dense = np.sort(np.hypot(*parts), axis=1)
-    return 1.0 - dense[:, -2] / dense[:, -1]
-
-
 class TestDenseArgmax:
-    """Dense magnitudes are formed only where the spline reads them.
+    """The dense argmax is the first argmax of the squared magnitudes.
 
-    The argmax comes from squared magnitudes, which can order two points
-    within rounding of each other otherwise than np.hypot does; the
-    guard hands such rows to np.hypot, so every result keeps the bytes of
-    a refinement that takes np.hypot of every dense point.
+    Dense magnitudes are formed only on the 17 points the spline reads;
+    on realistic windows every result keeps the bytes of a refinement
+    that takes np.hypot of every dense point.
     """
 
-    def test_exact_and_one_ulp_ties(self):
+    def test_tie_goes_to_the_first_equal_square(self):
+        # (3, 4), (5, 0), (4, 3) and (0, 5) square to 25 exactly; the
+        # ties sit at random places in noise of squares below 2
         rng = np.random.default_rng(11)
-        n_rows, n_dense = 400, 129
-        re = rng.uniform(-0.5, 0.5, (n_rows, n_dense))
-        im = rng.uniform(-0.5, 0.5, (n_rows, n_dense))
-        x, y = rng.uniform(0.6, 1.0, (2, n_rows))
-        # rows 0..99 tie exactly, the rest are 1 ulp apart in each part,
-        # either order and either part larger
-        x2 = np.where(np.arange(n_rows) < 100, x, np.nextafter(x, np.inf))
-        y2 = np.where(np.arange(n_rows) < 100, y, np.nextafter(y, -np.inf))
-        swap = np.arange(n_rows) % 2 == 1
-        x2, y2 = np.where(swap, y2, x2), np.where(swap, x2, y2)
-        i, j = np.sort(rng.choice(n_dense, (n_rows, 2)), axis=1).T
-        j = np.where(i == j, (i + 1) % n_dense, j)
-        rows = np.arange(n_rows)
-        re[rows, i], im[rows, i] = x, y
-        re[rows, j], im[rows, j] = x2, y2
-        expected = np.argmax(np.hypot(re, im), axis=1)
-        # the squares alone would pick another point on some rows
-        assert np.any(np.argmax(re * re + im * im, axis=1) != expected)
-        assert np.array_equal(_dense_argmax(np.stack([re, im])), expected)
+        parts = rng.uniform(-1.0, 1.0, (2, 300, 129))
+        rows = np.arange(300)
+        i, j = rng.choice(129, (2, 300))
+        j = np.where(i == j, (i + 1) % 129, j)
+        first, second = np.minimum(i, j), np.maximum(i, j)
+        ties = np.array([[3.0, 4.0], [5.0, 0.0], [4.0, 3.0], [0.0, 5.0]])
+        pair = rng.integers(0, 4, (2, 300))
+        parts[:, rows, first] = ties[pair[0]].T
+        parts[:, rows, second] = ties[pair[1]].T
+        assert np.array_equal(_dense_argmax(parts), first)
 
-    def test_pythagorean_ties_and_extreme_scales(self):
-        # (3, 4), (5, 0), (4, 3), (0, 5) tie in both; the scaled copies put
-        # the squares among subnormals or past overflow, the last rows hold
-        # zeros, a NaN and infinities
+    def test_extreme_squares_raise_no_warning(self):
+        # squares past overflow, among subnormals and underflowing to 0;
+        # the last row's one overflowing square is its largest
         base = np.array([[3.0, 5.0, 4.0, 0.0, 1.0], [4.0, 0.0, 3.0, 5.0, 2.0]])
-        re, im = [], []
-        for scale in (1.0, 1e-160, 1e-170, 1e155, 1e160, -1.0):
-            re.append(scale * base[0])
-            im.append(scale * base[1])
-        re += [np.zeros(5), np.array([1.0, np.nan, 2.0, 0.0, 0.0]), np.array([0.0, np.inf, 1.0, np.inf, 0.0])]
-        im += [np.zeros(5), np.array([0.0, 0.0, 3.0, 0.0, 0.0]), np.array([0.0, np.nan, 1.0, 1.0, 0.0])]
-        # squares a few hundred subnormal steps large round 100.4 + 100.4
-        # to 200 below 200.6 to 201, though the first point is the larger
-        unit = 2.0**-537  # squares to the smallest subnormal
-        a, c = math.sqrt(100.4) * unit, math.sqrt(200.6) * unit
-        re.append(np.array([0.0, a, c, 0.0, 0.0]))
-        im.append(np.array([0.0, a, 0.0, 0.0, 0.0]))
-        re, im = np.array(re), np.array(im)
-        expected = np.argmax(np.hypot(re, im), axis=1)
-        assert np.argmax(re[-1] ** 2 + im[-1] ** 2) != expected[-1] == 1
+        scales = (1e155, 1e160, 1e200, 1e-160, 1e-170, 1e-320)
+        parts = np.stack([scale * base for scale in scales] + [[[1.0, 2.0, 0.0, 1e200, 3.0]] * 2], axis=1)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no new floating-point warnings either
-            assert np.array_equal(_dense_argmax(np.stack([re, im])), expected)
-
-    def test_symmetric_lobes(self, monkeypatch):
-        # samples symmetric about lag 200.5, with two humps, make the dense
-        # magnitudes symmetric too: a pair of equal maxima, up to rounding.
-        # At 3.5 MHz the dense grid spans 3.58 samples either side of the
-        # integer peak, so it holds both maxima of the pair
-        waveform = default_config().waveform
-        n = 512
-        distance = np.abs(np.arange(n) - 200.5)
-        mf_r = np.array([
-            (np.exp(-(((distance - gap) / width) ** 2))) * np.exp(1j * phase)
-            for gap in (0.5, 1.0, 1.5, 2.0) for width in (0.7, 1.0, 1.5, 2.5) for phase in (0.0, 0.3, 2.0)
-        ])
-        coarse = np.full(len(mf_r), 200)
-        seen = []
-        real = ranging._dense_argmax
-
-        def spy(parts):
-            seen.append(runner_up_gaps(parts))
-            return real(parts)
-
-        monkeypatch.setattr(ranging, "_dense_argmax", spy)
-        assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform)
-        # the guard was reached: exact ties and near-ties among the rows
-        assert np.any(seen[0] == 0.0) and np.any((seen[0] > 0.0) & (seen[0] < 1e-13))
+            warnings.simplefilter("error")
+            best = _dense_argmax(parts)
+        assert ((best >= 0) & (best < 5)).all() and best[-1] == 3
 
     @pytest.mark.parametrize("snr_db", [-25.0, 13.0, 23.0, math.inf])
     def test_batched_kernel_grid(self, monkeypatch, full_waveform, snr_db):
