@@ -25,10 +25,12 @@ filtered noise is drawn directly, never on the samples of a frame:
 frequency domain, where white noise has independent bins, and
 :func:`matched_noise_block` draws the block of consecutive ranging output
 lags a pulse reads through the Cholesky factor of their Toeplitz
-covariance, factored on one OpenBLAS thread whatever the thread count.  Filtered Gaussian noise
-is Gaussian and so fixed by its covariance, which both draws reproduce
-up to rounding (Kay, *Fundamentals of Statistical Signal Processing I*,
-1993, ch. 3 and 7); they are exact in distribution, not approximations.
+covariance (:func:`lag_block_factor`, factored on one OpenBLAS thread
+whatever the thread count, once for any number of blocks).  Filtered
+Gaussian noise is Gaussian and so fixed by its covariance, which both
+draws reproduce up to rounding (Kay, *Fundamentals of Statistical Signal
+Processing I*, 1993, ch. 3 and 7); they are exact in distribution, not
+approximations.
 
 Of a disambiguation output row a window reads only the peak lag, and
 :func:`matched_noise_peaks` draws that peak without the whole row where a
@@ -200,29 +202,22 @@ def matched_noise_rows(
     return np.fft.ifft(bins, axis=1, out=bins)
 
 
-def matched_noise_block(
-    template_spectrum: np.ndarray,
-    noise_power: float,
-    n_rows: int,
-    width: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """``width`` consecutive lags of matched-filter output noise per row.
+def lag_block_factor(template_spectrum: np.ndarray, noise_power: float, width: int) -> np.ndarray:
+    """Read-only Cholesky factor of the covariance of ``width`` consecutive output noise lags.
 
     The output noise of :func:`matched_noise_rows` is stationary on the
     circular lag axis: lags ``k`` and ``l`` have covariance
     ``noise_power * r[(k - l) mod n]``, with ``r = ifft(|T|**2)`` the
-    template's circular autocorrelation, wherever the block starts.  Each
-    row is ``S z`` with ``z ~ CN(0, I)`` and ``S`` the Cholesky factor of
-    that Toeplitz covariance ``C`` (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., sec. 4.2), so the block has exactly the
-    distribution of those lags of a whole row.  The factor exists for
-    ``width <= n - L + 1``, ``L`` the template's length: ``C`` is a
-    principal submatrix of the circulant with eigenvalues ``noise_power *
-    |T_k|**2``, so ``x^H C x = noise_power * sum_k |T_k|**2 |X_k|**2``
-    with ``X`` the ``n``-point DFT of ``x``, and some bin is neither one
-    of the at most ``L - 1`` zeros of ``T`` nor one of the at most
-    ``width - 1`` of a nonzero ``X``.
+    template's circular autocorrelation, wherever the block starts.  The
+    factor ``S`` of that Toeplitz covariance ``C`` (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., sec. 4.2) depends on neither the rows
+    nor their noise, so :func:`matched_noise_block` draws any number of
+    blocks from one.  It exists for ``width <= n - L + 1``, ``L`` the
+    template's length: ``C`` is a principal submatrix of the circulant
+    with eigenvalues ``noise_power * |T_k|**2``, so ``x^H C x = noise_power
+    * sum_k |T_k|**2 |X_k|**2`` with ``X`` the ``n``-point DFT of ``x``, and
+    some bin is neither one of the at most ``L - 1`` zeros of ``T`` nor one
+    of the at most ``width - 1`` of a nonzero ``X``.
     """
     autocorrelation = np.fft.ifft(np.abs(template_spectrum) ** 2)
     k = np.arange(width)
@@ -235,7 +230,18 @@ def matched_noise_block(
             root = np.linalg.cholesky(covariance)
         finally:
             setter(count)
-    z = rng.standard_normal((n_rows, 2 * width)).view(np.complex128)
+    root.flags.writeable = False
+    return root
+
+
+def matched_noise_block(root: np.ndarray, n_rows: int, rng: np.random.Generator) -> np.ndarray:
+    """``n_rows`` blocks of consecutive matched-filter output noise lags, one a row.
+
+    ``root`` is the blocks' :func:`lag_block_factor`.  Each row is ``S z``
+    with ``z ~ CN(0, I)``, so it has exactly the distribution of those lags
+    of a whole :func:`matched_noise_rows` row.
+    """
+    z = rng.standard_normal((n_rows, 2 * root.shape[0])).view(np.complex128)
     z *= math.sqrt(0.5)
     return z @ root.T
 

@@ -16,6 +16,7 @@ may be +Infinity, the noise-free mode), a key named twice in one object
 by its name.  Values the model cannot hold, such as a round-trip delay
 longer than the gap between pulses, a separation clamp whose tones
 alias or whose lower end reads more lags than a lag block holds, a
+residual carrier offset that shifts a tone past half the sample rate, a
 ranging pulse under 2 samples, or an SNR without a positive finite
 linear ratio, are rejected here rather than at the first window; a
 rejection that concerns one field names that field's key.
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import ChannelState
+from .channel import ChannelState, residual_baseband_frequency
 from .control import PiControllerState
 from .ranging import MAX_FRAME_SAMPLES, check_separation, effective_window_length
 from .waveform import SPEED_OF_LIGHT, TwoToneSpec, WaveformConfig
@@ -87,6 +88,22 @@ class RunConfig:
                 dataclasses.replace(self.waveform, two_tone=TwoToneSpec(f1, f1 + x))
             except ValueError as exc:
                 raise ValueError(f"controller.{key}={x}: {exc}") from None
+        # the round trip shifts sampled frames, so a tone shifted past fs/2 aliases
+        shift = residual_baseband_frequency(0.0, self.channel.carrier)
+        half = self.waveform.sample_rate / 2
+        tones = {
+            "f1_hz": f1,
+            "f1_hz + controller.x_min_hz": f1 + self.controller.x_min,
+            "f1_hz + controller.x_max_hz": f1 + self.controller.x_max,
+            "disambiguation_hz": self.waveform.f_d,
+        }
+        for name, f in tones.items():
+            if not -half < f + shift < half:
+                raise ValueError(
+                    f"channel.carrier_offset2_hz - channel.carrier_offset1_hz = {shift} Hz shifts "
+                    f"the tone at waveform.{name} = {f} Hz to {f + shift} Hz, where it aliases: "
+                    f"not within +-{half} Hz (waveform.sample_rate_hz / 2)"
+                )
         try:
             n_win = effective_window_length(self.waveform, self.channel)
         except OverflowError:  # past the frame limit, or past any integer

@@ -21,11 +21,13 @@ last two of each (:func:`_disambiguation_frame`, the certificate's
 :func:`_ranging_frame`, the template DFT, clean output row, noise power
 at 0 dB and pulse length).  Every window of a run shares the first, and
 windows whose tones repeat (a fixed run, an adaptive loop held at a
-clamp) share the second, so they pay only for their noise; a warm cache
-gives the same bytes as a cold one.  The SNR enters a window only as
-the noise power it scales (:func:`~cohsync.channel.scaled_noise_power`),
-and at +inf a window draws nothing.  A window still builds its lag
-block's autocorrelation and Cholesky factor.
+clamp) share the second.  The SNR enters a window only as the noise
+power it scales (:func:`~cohsync.channel.scaled_noise_power`), and at
++inf a window draws nothing.  The ranging lag block's Cholesky factor
+depends on the frame, the noise power and the readout width, so it is
+cached for the last two of those (:func:`_lag_block_root`), and windows
+whose tones and SNR both repeat pay only for their noise.  A warm cache
+gives the same bytes as a cold one.
 
 Each pulse's disambiguation peak is drawn by the certificate of
 :mod:`cohsync.channel`: the input noise on the few dozen samples around
@@ -66,6 +68,7 @@ from .channel import (
     PeakSearch,
     apply_round_trip_response,
     delay_ramp,
+    lag_block_factor,
     matched_noise_block,
     matched_noise_peaks,
     noise_power_for,
@@ -244,6 +247,30 @@ def _ranging_frame(
     return _clean_output(generate_two_tone(tones, width_s, fs), n, geometry, fs)
 
 
+# The last two lag-block factors, oldest first, by (*frame, snr_db, width).
+_lag_block_roots: dict = {}
+
+
+def _lag_block_root(
+    frame: tuple, snr_db: float, spectrum: np.ndarray, noise_power: float, width: int
+) -> np.ndarray:
+    """:func:`~cohsync.channel.lag_block_factor` of ``spectrum``, ``noise_power`` and ``width``.
+
+    ``frame`` holds the :func:`_ranging_frame` inputs that fix ``spectrum``,
+    and ``snr_db`` the noise power, which scales the covariance before it
+    is factored.  The factors of the last two such keys are kept, as
+    :func:`_ranging_frame` keeps the last two frames.
+    """
+    key = (*frame, snr_db, width)
+    root = _lag_block_roots.pop(key, None)
+    if root is None:
+        root = lag_block_factor(spectrum, noise_power, width)
+    _lag_block_roots[key] = root
+    if len(_lag_block_roots) > 2:
+        del _lag_block_roots[next(iter(_lag_block_roots))]
+    return root
+
+
 def _matched_filter_rows(
     waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Readout]:
@@ -267,9 +294,8 @@ def _matched_filter_rows(
     check_separation(waveform.two_tone.separation, waveform, n)
     geometry, snr_db = replace(channel_state, snr_db=0.0), channel_state.snr_db
     search, power_d = _disambiguation_frame(waveform.f_d, fs, n, geometry)
-    spectrum_r, clean_r, power_r = _ranging_frame(
-        waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
-    )
+    frame = (waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry)
+    spectrum_r, clean_r, power_r = _ranging_frame(*frame)
     reads = readout(n, fs, waveform.two_tone.separation)
     if snr_db == math.inf:
         index = np.full(n_pulses, search.peak)
@@ -284,7 +310,8 @@ def _matched_filter_rows(
     rows = sliding_window_view(wrapped, reads.width)[(coarse + reads.offset) % n]
     if snr_db < math.inf:
         sigma2_r = scaled_noise_power(power_r, snr_db)
-        rows += matched_noise_block(spectrum_r, sigma2_r, n_pulses, reads.width, rng_r)
+        root = _lag_block_root(frame, snr_db, spectrum_r, sigma2_r, reads.width)
+        rows += matched_noise_block(root, n_pulses, rng_r)
     return (*select_lobes(rows, coarse, reads), coarse, reads)
 
 

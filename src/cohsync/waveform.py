@@ -11,6 +11,7 @@ bound :func:`crlb_sigma_r` takes that bandwidth.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,8 +96,16 @@ def generate_two_tone(spec: TwoToneSpec, width: float, sample_rate: float) -> np
     n = int(round(width * sample_rate))
     if n < 2:
         raise ValueError("pulse must span at least 2 samples")
+    return _tone(spec.f1, n, sample_rate) + _tone(spec.f2, n, sample_rate)
+
+
+@lru_cache(maxsize=2)  # a run's lower tone never changes
+def _tone(f: float, n: int, sample_rate: float) -> np.ndarray:
+    """Read-only ``n`` samples of the phase-zero complex tone at ``f``."""
     t = np.arange(n) / sample_rate
-    return np.exp(2j * np.pi * spec.f1 * t) + np.exp(2j * np.pi * spec.f2 * t)
+    tone = np.exp(2j * np.pi * f * t)
+    tone.flags.writeable = False
+    return tone
 
 
 def generate_disambiguation(f_d: float, sample_rate: float) -> np.ndarray:

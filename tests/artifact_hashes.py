@@ -23,8 +23,13 @@ the check.  The set:
   the window) and with a 50 kHz one at -10 dB (whole rows too, since its
   500-sample template's near product would cost more than a whole row;
   at this SNR a window's coarse lags spread over 10 to 14 values, so the
-  record changes if the rows are drawn otherwise), each with the same
-  three files as the adaptive-step run;
+  record changes if the rows are drawn otherwise), at 0.3 MHz and -25 dB
+  (two of a run's 600 pulses at either seed have their dense argmax
+  within 8 points of a grid end, so their splines read the grid's end
+  points and peak off the centre knot), and at 3.5 MHz with the SNR
+  alternating between 23 and 13 dB every interval (a lag-block factor
+  reused across SNRs would change it), each with the same three files as
+  the adaptive-step run;
 - noise-free 50-pulse windows at 0.285, 0.3, 3.5 and 7.5 MHz, whose
   ranges a fresh ``python -c`` process hashes, since a trace holds no
   infinite SNR.
@@ -52,17 +57,19 @@ K_GRID_SPEC, TUNE_INTERVALS = "0.1:1.0:2", 24
 MC_ARGS = ["--nodes", "16", "--trials", "50000", "--sigma-grid", "0.02:0.05:7"]
 
 F1_HZ = 20e3
-# name -> (waveform and channel keys, constant trace SNR in dB)
+# name -> (waveform and channel keys, trace SNRs in dB, repeated over the records)
 FIXED_RUNS = {
     "fixed-0.3MHz-offset50": ({"waveform": {"f2_hz": F1_HZ + 0.3e6},
-                               "channel": {"carrier_offset1_hz": 50.0}}, 20.0),
+                               "channel": {"carrier_offset1_hz": 50.0}}, (20.0,)),
     "fixed-0.285MHz": ({"waveform": {"f2_hz": F1_HZ + 0.285e6},
-                        "controller": {"x_min_hz": 0.285e6}}, 20.0),
-    "fixed-7.5MHz-minus3dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, -3.0),
-    "fixed-7.5MHz-minus25dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, -25.0),
-    "fixed-3.5MHz-minus20dB": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, -20.0),
-    "fixed-disamb6.3kHz": ({"waveform": {"disambiguation_hz": 6.3e3}}, 13.0),
-    "fixed-disamb50kHz-minus10dB": ({"waveform": {"disambiguation_hz": 50e3}}, -10.0),
+                        "controller": {"x_min_hz": 0.285e6}}, (20.0,)),
+    "fixed-7.5MHz-minus3dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, (-3.0,)),
+    "fixed-7.5MHz-minus25dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, (-25.0,)),
+    "fixed-3.5MHz-minus20dB": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, (-20.0,)),
+    "fixed-disamb6.3kHz": ({"waveform": {"disambiguation_hz": 6.3e3}}, (13.0,)),
+    "fixed-disamb50kHz-minus10dB": ({"waveform": {"disambiguation_hz": 50e3}}, (-10.0,)),
+    "fixed-0.3MHz-minus25dB": ({"waveform": {"f2_hz": F1_HZ + 0.3e6}}, (-25.0,)),
+    "fixed-3.5MHz-snr-alternating": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, (23.0, 13.0)),
 }
 FIXED_INTERVALS = 3
 NOISE_FREE_SEPARATIONS_HZ = (0.285e6, 0.3e6, 3.5e6, 7.5e6)
@@ -127,10 +134,10 @@ def artifacts(seed: int, work: Path):
     yield "montecarlo-16/curve.csv", digest(out)
     yield "montecarlo-16/curve.report.json", digest(work / "curve.report.json")
 
-    for name, (doc, snr_db) in FIXED_RUNS.items():
+    for name, (doc, snrs) in FIXED_RUNS.items():
         out = work / name
         cli("run", "--config", str(config(work / f"{name}.json", doc)),
-            "--trace", str(trace(work / f"{name}.csv", lambda k: snr_db, FIXED_INTERVALS)),
+            "--trace", str(trace(work / f"{name}.csv", lambda k: snrs[k % len(snrs)], FIXED_INTERVALS)),
             "--fixed", "--seed", s, "--out", str(out))
         yield f"{name}/run_log.csv", digest(out / "run_log.csv")
         yield f"{name}/summary.json", digest(out / "summary.json")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cohsync
-from cohsync import channel, ranging, scenario
+from cohsync import channel, ranging, scenario, waveform
 from cohsync.channel import CarrierPlan, ChannelState
 from cohsync.config import default_config
 from cohsync.ranging import effective_window_length
@@ -86,14 +86,16 @@ def on_workers(monkeypatch, workers, run, starts_pool=True):
 
 
 def clear_frame_caches() -> None:
-    """Empty the process's frame, readout and delay-ramp caches."""
+    """Empty the process's frame, lag-block factor, readout, delay-ramp and tone caches."""
     for cached in (
         scenario._disambiguation_frame,
         scenario._ranging_frame,
         ranging.readout,
         channel.delay_ramp,
+        waveform._tone,
     ):
         cached.cache_clear()
+    scenario._lag_block_roots.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -18,7 +18,9 @@ the tests feed such rows to ``select_and_refine`` with ``P = 1``.
 ``refine_pulse`` is the estimator as it ran one pulse at a time: a
 gather-and-sum Kaiser-sinc interpolation onto the dense grid (the
 1/``OVERSAMPLE``-sample lattice points within the span) and a Thomas
-solve for the natural spline.  The tests feed it and
+solve for the natural spline.  ``all_interval_spline_max`` is the
+batched spline maximum without the interval certificate: every interval
+of every row evaluated.  The tests feed it and
 ``select_and_refine`` (whole rows cut to the lags each pulse's readout
 names, then ``cohsync.ranging.select_lobes`` and ``refine_window``) the
 same matched-filter rows and compare the results.
@@ -35,6 +37,7 @@ from cohsync.channel import (
     ChannelState,
     apply_round_trip_response,
     delay_ramp,
+    lag_block_factor,
     matched_noise_block,
     matched_noise_peaks,
     matched_noise_rows,
@@ -48,6 +51,7 @@ from cohsync.ranging import (
     OVERSAMPLE,
     _circular_correlation,
     _signed_lags,
+    _spline_system_inverse,
     effective_window_length,
     readout,
     refine_window,
@@ -171,9 +175,8 @@ def whole_array_window(
     reads = readout(n, fs, waveform.two_tone.separation)
     rows = clean_row[(coarse[:, None] + reads.offset + np.arange(reads.width)) % n]
     if sigma2_r > 0.0:
-        rows = rows + matched_noise_block(
-            spectrum, sigma2_r, n_pulses, reads.width, np.random.default_rng(seed_r)
-        )
+        root = lag_block_factor(spectrum, sigma2_r, reads.width)
+        rows = rows + matched_noise_block(root, n_pulses, np.random.default_rng(seed_r))
     support, peak, gross = select_lobes(rows, coarse, reads)
     return refine_window(support, peak, reads)[0], int(gross.sum())
 
@@ -263,6 +266,35 @@ def natural_spline_max(x0: float, h: float, y: np.ndarray) -> tuple[float, float
                 if v > best_v:
                     best_x, best_v = x0 + i * h + t, v
     return best_x, best_v
+
+
+def all_interval_spline_max(x0, h: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cohsync.ranging._natural_spline_max`` evaluated on every interval of every row.
+
+    The same batched solve and per-interval candidates, but no interval
+    is skipped: the first largest of all ``4 * (knots - 1)`` candidates
+    of a row is its maximum.
+    """
+    rows, n = y.shape
+    m = np.zeros((rows, n))
+    m[:, 1:-1] = (y[:, :-2] - 2.0 * y[:, 1:-1] + y[:, 2:]) @ _spline_system_inverse(n, h)
+    b = (y[:, 1:] - y[:, :-1]) / h - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
+    c = m[:, :-1] / 2.0
+    d = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
+    t = np.empty(b.shape + (4,))
+    t[..., :2] = 0.0, h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(4.0 * c**2 - 12.0 * d * b)
+        t[..., 2] = (-2.0 * c + sq) / (6.0 * d)
+        t[..., 3] = (-2.0 * c - sq) / (6.0 * d)
+        flat = d == 0.0
+        t[flat, 2] = -b[flat] / (2.0 * c[flat])
+        b, c, d, y0 = (a[..., None] for a in (b, c, d, y[:, :-1]))
+        v = y0 + t * (b + t * (c + t * d))
+    v[~((t >= 0.0) & (t <= h))] = -np.inf
+    interval, k = np.divmod(np.argmax(v.reshape(rows, -1), axis=1), 4)
+    r = np.arange(rows)
+    return x0 + interval * h + t[r, interval, k], v[r, interval, k]
 
 
 def spline_peak(offsets: np.ndarray, values: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from cohsync.channel import (
     _max_modulus,
     apply_round_trip_response,
     delay_ramp,
+    lag_block_factor,
     matched_noise_block,
     matched_noise_peaks,
     matched_noise_rows,
@@ -181,7 +182,8 @@ class TestMatchedNoise:
 
     def test_block_covariance_is_the_autocorrelation(self, spectrum):
         for width in (12, self.N_LAGS - 500 + 1):  # and the widest block, n - L + 1 lags
-            block = matched_noise_block(spectrum, self.S2, 20000, width, np.random.default_rng(3))
+            root = lag_block_factor(spectrum, self.S2, width)
+            block = matched_noise_block(root, 20000, np.random.default_rng(3))
             assert block.shape == (20000, width)
             assert_moments(block, self.model(spectrum, width))
 
@@ -211,7 +213,7 @@ class TestMatchedNoise:
         width = n - length + 1
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "cholesky", spy)
-            matched_noise_block(spectrum, self.S2, 1, width, np.random.default_rng(0))
+            lag_block_factor(spectrum, self.S2, width)
         ((covariance, root),) = factors
         r = np.fft.ifft(np.abs(spectrum) ** 2)
         k = np.arange(width)

@@ -673,6 +673,14 @@ class TestLoadTimeRejection:
             ('{"waveform": {"sample_rate_hz": 0}}',
              "config key 'waveform.sample_rate_hz': sample_rate must be positive"),
             ('{"waveform": {"pri_s": 1e-6}}', "config key 'waveform.pri_s': pri must cover the longest pulse"),
+            # a residual carrier offset that shifts a tone past fs/2 aliases it: at
+            # 12.4 MHz the clamp's tones alias, at 25 MHz every tone aliases to itself
+            ('{"channel": {"carrier_offset2_hz": 12.4e6}}',
+             "channel.carrier_offset2_hz - channel.carrier_offset1_hz = 12400000.0 Hz shifts the tone "
+             "at waveform.f1_hz + controller.x_min_hz = 320000.0 Hz to 12720000.0 Hz"),
+            ('{"channel": {"carrier_offset2_hz": 25e6}}',
+             "channel.carrier_offset2_hz - channel.carrier_offset1_hz = 25000000.0 Hz shifts the tone "
+             "at waveform.f1_hz = 20000.0 Hz to 25020000.0 Hz, where it aliases"),
             # the count of 2e-318 s intervals in the trace overflows the float range
             ('{"loop": {"pulse_period_s": 1e-320}}',
              "holds inf processing intervals of 1.99998e-318 s (loop.pulses_per_interval x loop.pulse_period_s)"),

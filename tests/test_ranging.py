@@ -332,6 +332,68 @@ class TestBatchedKernel:
         assert peak <= 4 * 2**20
 
 
+class TestSplineInterval:
+    """The spline evaluates the two intervals beside its centre knot, and every
+    interval only of rows that the bound on the others does not settle."""
+
+    @staticmethod
+    def spline_inputs(run):
+        """``(x0, h, y)`` of each ``_natural_spline_max`` call that ``run()`` makes."""
+        calls, real = [], ranging._natural_spline_max
+
+        def spy(x0, h, y):
+            calls.append((x0, h, y))
+            return real(x0, h, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ranging, "_natural_spline_max", spy)
+            run()
+        return calls
+
+    def test_unsettled_rows_take_every_interval(self, monkeypatch, full_waveform):
+        # test_truncated_spline_window's batch (two grid-end rows and a
+        # centred lobe), a 13 dB window's rows, a row peaking at knot 3, a
+        # noisy row holding inf and a row whose largest knot is 8 but whose
+        # spline peaks on interval 5, as one batch of 17-knot splines
+        n = 512
+        ramp = np.linspace(0.0, 1.0, n) + 0j
+        lobe = np.zeros(n, dtype=complex)
+        lobe[195:206] = np.hanning(11)
+        rows = np.stack([ramp, ramp[::-1], lobe])
+        ((x0_a, h, y_a),) = self.spline_inputs(
+            lambda: ranging_oracle.select_and_refine(rows, np.full(3, 200), full_waveform)
+        )
+        state = ChannelState(true_range=90.0, snr_db=13.0)
+        ((x0_b, h_b, y_b),) = self.spline_inputs(lambda: simulate_window(full_waveform, state, 12, 4))
+        assert h_b == h
+        knots = np.arange(17.0)
+        off_centre = 1.0 - 1e-3 * (knots - 3.2) ** 2
+        with_inf = y_b[0].copy()
+        with_inf[12] = np.inf
+        bulge = np.zeros(17)
+        bulge[5:9] = 0.99, 0.99, 0.9, 1.0  # interval 5 lies above its chord by 0.12
+        y = np.vstack([y_a, y_b, off_centre, with_inf, bulge])
+        x0 = np.concatenate([x0_a, x0_b, [-0.125] * 3])
+        unsettled = [0, 1, 15, 16, 17]
+
+        evaluated, real = [], ranging._spline_candidates
+
+        def spy(y_part, m, h):
+            evaluated.append(y_part)
+            return real(y_part, m, h)
+
+        monkeypatch.setattr(ranging, "_spline_candidates", spy)
+        with np.errstate(invalid="ignore"):  # inf - inf in the inf row's coefficients
+            peaks = _natural_spline_max(x0, h, y)
+            expected = ranging_oracle.all_interval_spline_max(x0, h, y)
+        centre, whole = evaluated
+        assert centre.tobytes() == y[:, 7:10].tobytes()  # knots 7 to 9: intervals 7 and 8
+        assert whole.tobytes() == y[unsettled].tobytes()
+        assert peaks[0][-1] == pytest.approx(-0.125 + 5.4112 * h, abs=1e-4 * h)
+        for a, b in zip(peaks, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def hypot_spline_peaks(offsets, parts):
     """The spline refinement on np.hypot of every dense point, argmax included."""
     dense = np.hypot(*parts)

@@ -710,7 +710,9 @@ config = default_config()
 simulate_window(config.waveform, config.channel, 20, seed=1)  # a 77-lag block
 # more threads than cores factor 96-lag blocks at once, switching often
 spectrum = np.fft.fft(np.exp(0.3j * np.arange(3592)), 3750)
-draw = lambda: channel.matched_noise_block(spectrum, 1.0, 4, 96, np.random.default_rng(0))
+draw = lambda: channel.matched_noise_block(
+    channel.lag_block_factor(spectrum, 1.0, 96), 4, np.random.default_rng(0)
+)
 expected = draw().tobytes()
 sys.setswitchinterval(1e-6)
 blocks = []
@@ -780,6 +782,42 @@ class TestFrameCache:
         # ranging frame with 2 (the disambiguation tone) and 6
         assert scenario._disambiguation_frame.cache_info()[:2] == (8, 11)
         assert scenario._ranging_frame.cache_info()[:2] == (8, 11)
+
+    def test_lag_block_factor_cache_counts(self, monkeypatch):
+        # test_warm_windows_equal_cold_windows' order on warm caches.  A factor
+        # is keyed on its ranging frame, SNR and readout width: geometry 0
+        # shares it with 2 (the disambiguation tone) but not with 6 (the SNR),
+        # so of 19 windows 12 build one, one more than build a ranging frame
+        def spy(name):
+            calls, real = [], getattr(scenario, name)
+
+            def wrapper(*args):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(scenario, name, wrapper)
+            return calls
+
+        lookups, builds = spy("_lag_block_root"), spy("lag_block_factor")
+        geometries = self.geometries()
+        order = [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 3, 1, 4, 2, 5]
+        for step, index in enumerate(order):
+            simulate_window(*geometries[index], 40, seed=(5, step))
+        assert (len(lookups), len(builds)) == (19, 12)
+        assert scenario._ranging_frame.cache_info()[:2] == (8, 11)
+        # geometry 6 differs from 0 in the SNR only, by 10 dB
+        frame_0, snr_0, spectrum_0, power_0, width_0 = lookups[order.index(0)]
+        frame_6, snr_6, spectrum_6, power_6, width_6 = lookups[order.index(6)]
+        assert frame_6 == frame_0 and spectrum_6 is spectrum_0 and width_6 == width_0
+        assert (snr_0, snr_6) == (13.0, 23.0)
+        assert power_0 == pytest.approx(10.0 * power_6, rel=1e-12)
+
+    def test_cached_factor_is_read_only(self):
+        waveform, state = self.geometries()[0]
+        simulate_window(waveform, state, 10, seed=0)
+        (root,) = scenario._lag_block_roots.values()
+        with pytest.raises(ValueError, match="read-only"):
+            root[0, 0] = 0
 
     def test_one_build_per_distinct_input(self, monkeypatch):
         builds = Counter()

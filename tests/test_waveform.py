@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cohsync import waveform
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
     TwoToneSpec,
@@ -116,6 +117,36 @@ class TestCrlbSigmaR:
             crlb_sigma_r(0.0, 1e6)
         with pytest.raises(ValueError):
             crlb_sigma_r(3.75e6, 0.0)
+
+
+class TestToneCache:
+    """A pulse sums two cached tones, and has the bytes of the formula it sums."""
+
+    def test_pulse_has_the_bytes_of_the_direct_formula(self):
+        # every ordered pair of the grid, f1 = f2 included, each pulse twice
+        # (the second call reads both tones from the cache)
+        grid = (0.0, 20e3, 1e6, 1e6 + 0.3e6, 3.52e6, 7.52e6, 12.4e6)
+        for width in (20e-6, 143.7e-6):
+            t = np.arange(round(width * FS)) / FS
+            for f1 in grid:
+                for f2 in (f for f in grid if f >= f1):
+                    expected = np.exp(2j * np.pi * f1 * t) + np.exp(2j * np.pi * f2 * t)
+                    for _ in range(2):
+                        pulse = generate_two_tone(TwoToneSpec(f1, f2), width, FS)
+                        assert pulse.tobytes() == expected.tobytes(), (width, f1, f2)
+
+    def test_cached_tones_are_read_only_and_pulses_fresh(self):
+        spec = TwoToneSpec(1e6, 1e6)
+        first, second = (generate_two_tone(spec, 20e-6, FS) for _ in range(2))
+        tone = waveform._tone(1e6, 500, FS)
+        with pytest.raises(ValueError, match="read-only"):
+            tone[0] = 0
+        assert waveform._tone.cache_info().hits >= 3  # the pulses read this tone
+        for pulse in (first, second):
+            assert pulse.flags.writeable and not np.shares_memory(pulse, tone)
+        assert not np.shares_memory(first, second)
+        first[:] = 0  # writing one pulse changes neither the tone nor the next pulse
+        assert generate_two_tone(spec, 20e-6, FS).tobytes() == second.tobytes()
 
 
 class TestTypes:
