@@ -1,4 +1,4 @@
-"""Two-way cooperative link model: delay, residual carrier offsets, noise.
+"""Two-way cooperative link model: delay, residual carrier offset, noise.
 
 The link between the interrogating node and the repeating node is
 collapsed into a single per-pulse SNR at the interrogator's receiver.
@@ -80,46 +80,25 @@ from .waveform import SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
-class CarrierPlan:
-    """The repeater's oscillator offsets, in Hz.
-
-    ``offset1``/``offset2`` are the deviations of the repeater's outbound
-    and return carriers from nominal; both are zero when the nodes are
-    frequency locked.  Only their difference reaches baseband
-    (:func:`residual_baseband_frequency`), so the carriers themselves are
-    not modelled.
-    """
-
-    offset1: float = 0.0
-    offset2: float = 0.0
-
-
-@dataclass(frozen=True)
 class ChannelState:
     """One-way geometry plus link quality for a round trip.
 
     ``snr_db`` may be ``math.inf`` to disable noise entirely; otherwise
-    :func:`snr_ratio` must accept it.
+    :func:`snr_ratio` must accept it.  ``residual_offset`` (Hz) is the
+    repeater's return-carrier offset minus its outbound one, 0 when the
+    nodes are frequency locked: a tone at ``f_b`` comes back at ``f_b +
+    residual_offset``.  Only that difference reaches baseband, so neither
+    the carriers nor their separate offsets are modelled.
     """
 
     true_range: float
     snr_db: float
-    carrier: CarrierPlan = CarrierPlan()
+    residual_offset: float = 0.0
 
     def __post_init__(self):
         if self.true_range < 0:
             raise ValueError("true_range must be >= 0")
         snr_ratio(self.snr_db)
-
-
-def residual_baseband_frequency(f_b: float, carrier: CarrierPlan) -> float:
-    """Baseband frequency seen after the down-up-down conversion chain.
-
-    A tone at ``f_b`` comes back at ``f_b - offset1 + offset2``; the two
-    drift terms cancel exactly when the repeater is frequency locked (or
-    whenever its two offsets happen to be equal).
-    """
-    return f_b - carrier.offset1 + carrier.offset2
 
 
 @functools.lru_cache(maxsize=1)  # a window's two frames share the last window's ramp
@@ -140,10 +119,10 @@ def apply_round_trip_response(
     The two-way delay ``2 * true_range / c`` is the window's phase ramp
     ``ramp`` (:func:`delay_ramp`), exact for band-limited content and
     circular over the ``n``-sample window (callers size the window so the
-    wrap region stays empty).  The residual frequency shift ``offset2 -
-    offset1`` is then applied across the window.  No amplitude gain is
-    modelled: the SNR is referenced to the received signal, so any gain
-    cancels.
+    wrap region stays empty).  The residual frequency shift
+    ``state.residual_offset`` is then applied across the window.  No
+    amplitude gain is modelled: the SNR is referenced to the received
+    signal, so any gain cancels.
     """
     n = spectrum.size
     tau = 2.0 * state.true_range / SPEED_OF_LIGHT
@@ -152,10 +131,9 @@ def apply_round_trip_response(
             f"round-trip delay {tau:.3e} s exceeds the {n / sample_rate:.3e} s window"
         )
     delayed = np.fft.ifft(spectrum * ramp)
-    shift = residual_baseband_frequency(0.0, state.carrier)
-    if shift != 0.0:
+    if state.residual_offset != 0.0:
         t = np.arange(n) / sample_rate
-        delayed = delayed * np.exp(2j * np.pi * shift * t)
+        delayed = delayed * np.exp(2j * np.pi * state.residual_offset * t)
     return delayed
 
 
@@ -219,9 +197,10 @@ def lag_block_factor(template_spectrum: np.ndarray, noise_power: float, width: i
     some bin is neither one of the at most ``L - 1`` zeros of ``T`` nor one
     of the at most ``width - 1`` of a nonzero ``X``.
     """
-    autocorrelation = np.fft.ifft(np.abs(template_spectrum) ** 2)
-    k = np.arange(width)
-    covariance = noise_power * autocorrelation[(k[:, None] - k) % autocorrelation.size]
+    r = np.fft.ifft(np.abs(template_spectrum) ** 2)
+    # window i of r[n - width + 1:] then r[:width], reversed, holds r[(i - j) mod n] at j
+    lags = np.concatenate([r[r.size - width + 1 :], r[:width]])
+    covariance = noise_power * np.lib.stride_tricks.sliding_window_view(lags, width)[:, ::-1]
     with _blas_lock:  # the count is process-wide: no window restores it under another
         getter, setter = openblas_threads()
         count = getter()

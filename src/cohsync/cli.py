@@ -163,12 +163,12 @@ def _cmd_montecarlo(args) -> int:
             file=sys.stderr,
         )
     seed = _resolve_seed(args)
-    grid = _parse_grid(args.sigma_grid)  # in units of the wavelength
+    grid = _parse_grid(args.sigma_grid)  # sigma_d / lambda
     if np.any(grid < 0):
         raise ValueError("sigma grid values must be >= 0")
-    scenario = coherence.ArrayScenario(n_nodes=args.nodes, wavelength=1.0)
     y = coherence.probability_curve(
-        scenario, grid, threshold=args.threshold, trials=args.trials, seed=seed
+        coherence.ArrayScenario(n_nodes=args.nodes), grid, threshold=args.threshold,
+        trials=args.trials, seed=seed,
     )
     _write_curve(args.out, ["sigma_over_lambda", "probability"], grid, y)
     crossings = coherence.threshold_crossings(grid, y)

@@ -22,6 +22,11 @@ carrier wavenumber.  Including the link term is what reproduces the
 published two-node sigma_d/lambda thresholds (0.0495 / 0.0725 / 0.1040
 at probabilities 0.9 / 0.8 / 0.7) to within a couple of percent.
 
+The steering angle is uniform on ``[-pi/2, pi/2]``, and ``eps`` depends
+on the range error only through ``delta_d / lambda``.  So the curve works
+in wavelengths: its grid holds sigma_d / lambda, and no carrier
+wavelength is an input.
+
 Since ``eps = sigma_d * a`` with ``a`` fixed per trial and node, the
 phasors along an arithmetic sigma_d grid form a geometric sequence, which
 ``probability_curve`` steps by one complex multiply a point from a power
@@ -56,27 +61,17 @@ _CHUNK_PHASE_ERRORS = 2**14
 
 @dataclass(frozen=True)
 class ArrayScenario:
-    """Array size, carrier wavelength (m) and steering-angle range.
+    """The array's size.
 
-    ``theta_range`` (rad) bounds the uniform draw of the steering angle.
-    The ranging accuracy is not part of the scenario: it is the grid
-    that :func:`probability_curve` sweeps.
+    The ranging accuracy is not part of the scenario: it is the grid, in
+    wavelengths, that :func:`probability_curve` sweeps.
     """
 
     n_nodes: int
-    wavelength: float
-    theta_range: tuple[float, float] = (-math.pi / 2, math.pi / 2)
 
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
-        if self.theta_range[0] > self.theta_range[1]:
-            raise ValueError("theta_range must be ordered")
-
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
 
 
 def coherent_gain(phase_errors):
@@ -118,14 +113,15 @@ def _magnitude_floor(threshold: float, n: int) -> float:
 
 
 def _chunk_geometry(scenario: ArrayScenario, seed, j: int, rows: int, trials: int) -> np.ndarray:
-    """``(N - 1, r)`` phase errors at unit sigma_d of the ``r <= rows`` trials
-    from ``j * rows`` of ``trials``: steering angles, then the secondary
-    nodes' unit range errors scaled in place by ``k (1 + sin theta)``, from
-    chunk ``j``'s stream of ``seed`` (:func:`cohsync.channel._chunk_stream`)."""
+    """``(N - 1, r)`` phase errors at a sigma_d of one wavelength of the ``r <=
+    rows`` trials from ``j * rows`` of ``trials``: steering angles uniform on
+    ``[-pi/2, pi/2]``, then the secondary nodes' unit range errors scaled in
+    place by ``2 pi (1 + sin theta)``, from chunk ``j``'s stream of ``seed``
+    (:func:`cohsync.channel._chunk_stream`)."""
     rng, r = _chunk_stream(seed, j), min(rows, trials - j * rows)
-    theta = rng.uniform(*scenario.theta_range, size=r)
+    theta = rng.uniform(-math.pi / 2, math.pi / 2, size=r)
     a = rng.standard_normal((scenario.n_nodes - 1, r))
-    a *= scenario.wavenumber() * (1.0 + np.sin(theta))
+    a *= 2.0 * math.pi * (1.0 + np.sin(theta))
     return a
 
 
@@ -136,8 +132,8 @@ def probability_curve(
     trials: int = 10000,
     seed: int = 0,
 ) -> np.ndarray:
-    """``Y = P(G_c >= threshold)`` over a grid of sigma_d values (metres), in
-    any order and with repeats, on one set of geometry draws (common random
+    """``Y = P(G_c >= threshold)`` over a grid of sigma_d values in wavelengths
+    (sigma_d / lambda, on which alone the curve depends), in any order and with repeats, on one set of geometry draws (common random
     numbers, so the curve's shape carries no Monte-Carlo jitter).
 
     Trials run in chunks of about ``_CHUNK_PHASE_ERRORS`` phase errors on

@@ -2,13 +2,16 @@
 
 The JSON document mirrors the dataclasses section by section.  Every
 field has a default equal to the reference experiment's operating value
-where one exists (20 kHz lower tone, 3.5 MHz upper tone, 143.7 us
-ranging pulse, 159.7 us PRI, 25 Msps, 200-pulse windows grouped 40x5,
-105 ms pulse period, 10 mm target, K_p = 1e-5, T_i = 3.3 s, 0.3..7.5 MHz
-separation clamp, frequency-locked carriers, 90 m baseline).  Carrier
-frequencies are not keys, since nothing the model computes reads them;
-nor are the controller's unit scales, which are constants of
-:mod:`cohsync.control`.
+where one exists (20 kHz lower tone, 3.48 MHz initial tone separation,
+so a 3.5 MHz upper tone, 143.7 us ranging pulse, 159.7 us PRI, 25 Msps,
+200-pulse windows grouped 40x5, 105 ms pulse period, 10 mm target, K_p =
+1e-5, T_i = 3.3 s, 0.3..7.5 MHz separation clamp, frequency-locked
+carriers, 90 m baseline).  Each quantity has one key.  The upper tone
+has none: it is ``f1_hz + controller.x_initial_hz``, the first
+interval's separation.  Neither have the carrier frequencies nor the
+repeater's two carrier offsets, since only the offsets' difference
+reaches baseband (``channel.residual_offset_hz``), nor the controller's
+unit scales, which are constants of :mod:`cohsync.control`.
 
 Validation is strict: unknown keys, wrong types and non-finite numbers
 are rejected with the dotted path of the entry (only ``channel.snr_db``
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import ChannelState, residual_baseband_frequency
+from .channel import ChannelState
 from .control import PiControllerState
 from .ranging import MAX_FRAME_SAMPLES, check_separation, effective_window_length
 from .waveform import SPEED_OF_LIGHT, TwoToneSpec, WaveformConfig
@@ -89,7 +92,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ValueError(f"controller.{key}={x}: {exc}") from None
         # the round trip shifts sampled frames, so a tone shifted past fs/2 aliases
-        shift = residual_baseband_frequency(0.0, self.channel.carrier)
+        shift = self.channel.residual_offset
         half = self.waveform.sample_rate / 2
         tones = {
             "f1_hz": f1,
@@ -100,7 +103,7 @@ class RunConfig:
         for name, f in tones.items():
             if not -half < f + shift < half:
                 raise ValueError(
-                    f"channel.carrier_offset2_hz - channel.carrier_offset1_hz = {shift} Hz shifts "
+                    f"channel.residual_offset_hz = {shift} Hz shifts "
                     f"the tone at waveform.{name} = {f} Hz to {f + shift} Hz, where it aliases: "
                     f"not within +-{half} Hz (waveform.sample_rate_hz / 2)"
                 )
@@ -125,7 +128,6 @@ def default_config() -> RunConfig:
 # Reference operating values of the fields whose dataclasses set no default.
 _REFERENCE = {
     "waveform.two_tone.f1": 20e3,
-    "waveform.two_tone.f2": 3.5e6,
     "waveform.f_d": 1.875e6,
     "waveform.ranging_pulse_width": 143.7e-6,
     "waveform.pri": 159.7e-6,
@@ -134,6 +136,7 @@ _REFERENCE = {
     "channel.snr_db": 20.0,
     "controller.k_p": 1e-5,
     "controller.t_i": 3.3,
+    "controller.x_prev": 3.48e6,
 }
 
 # Type of a number that may also be +Infinity (noise-free ``snr_db``).
@@ -144,15 +147,13 @@ _FLOAT_OR_INF = "float or +inf"
 # one table; its order is the order of the resolved document.
 _FIELDS = {
     "waveform.f1_hz": ("waveform.two_tone.f1", float),
-    "waveform.f2_hz": ("waveform.two_tone.f2", float),
     "waveform.disambiguation_hz": ("waveform.f_d", float),
     "waveform.ranging_pulse_width_s": ("waveform.ranging_pulse_width", float),
     "waveform.pri_s": ("waveform.pri", float),
     "waveform.sample_rate_hz": ("waveform.sample_rate", float),
     "channel.true_range_m": ("channel.true_range", float),
     "channel.snr_db": ("channel.snr_db", _FLOAT_OR_INF),
-    "channel.carrier_offset1_hz": ("channel.carrier.offset1", float),
-    "channel.carrier_offset2_hz": ("channel.carrier.offset2", float),
+    "channel.residual_offset_hz": ("channel.residual_offset", float),
     "controller.k_p": ("controller.k_p", float),
     "controller.t_i_s": ("controller.t_i", float),
     "controller.x_initial_hz": ("controller.x_prev", float),
@@ -225,9 +226,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a plain dict (e.g. parsed JSON).
 
     Missing keys take their defaults; unknown keys anywhere are rejected
-    with the dotted path of the entry.  The upper tone and the initial
-    controller output fix each other, ``f2_hz = f1_hz + x_initial_hz``:
-    either one given sets the other, and both given must agree.
+    with the dotted path of the entry.  The upper tone is the lower one
+    plus the first interval's separation, ``f1_hz + x_initial_hz``.
     """
     values = dict(_REFERENCE)
     for name, value in _entries(doc):
@@ -235,21 +235,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"unknown config key '{name}'")
         path, kind = _FIELDS[name]
         values[path] = _check_value(name, value, kind)
-    f1, f2 = values["waveform.two_tone.f1"], values["waveform.two_tone.f2"]
-    derived = "controller.x_prev" in values and "f2_hz" not in doc.get("waveform", {})
-    x = values.setdefault("controller.x_prev", f2 - f1)
-    if derived:
-        values["waveform.two_tone.f2"] = f1 + x
-        try:
-            _build(WaveformConfig, values, "waveform.")
-        except ValueError as exc:
-            note = " (f2 is f1_hz + controller.x_initial_hz)" if str(exc).startswith("f2") else ""
-            raise ConfigError(_keyed(exc) + note) from exc
-    elif not math.isclose(f2, f1 + x, rel_tol=1e-12):
-        raise ConfigError(
-            "config keys 'waveform.f2_hz' and 'controller.x_initial_hz' disagree: "
-            f"{f2} - {f1} != {x}"
-        )
+    values["waveform.two_tone.f2"] = values["waveform.two_tone.f1"] + values["controller.x_prev"]
     try:
         return _build(RunConfig, values)
     except ValueError as exc:
@@ -257,10 +243,13 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def _keyed(exc: ValueError) -> str:
-    """A dataclass's rejection, led by the config key of the field its message starts with."""
+    """A dataclass's rejection, led by the config key of the field its message starts with;
+    the derived upper tone ``f2`` is blamed on ``controller.x_initial_hz``."""
     field = str(exc).partition(" ")[0].partition("=")[0]
+    note = " (f2 is f1_hz + controller.x_initial_hz)" if field == "f2" else ""
+    field = "x_prev" if field == "f2" else field
     keys = [key for key, (path, _) in _FIELDS.items() if path.rpartition(".")[2] == field]
-    return f"config key '{keys[0]}': {exc}" if keys else str(exc)
+    return f"config key '{keys[0]}': {exc}{note}" if keys else str(exc)
 
 
 def config_to_dict(config: RunConfig) -> dict:

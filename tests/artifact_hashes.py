@@ -13,8 +13,8 @@ the check.  The set:
   ``resolved_config.json``;
 - the tune-scan ``tune.json``;
 - the 16-node Monte-Carlo ``curve.csv`` and ``curve.report.json``;
-- fixed runs at the default clamp's 0.3 MHz with ``carrier_offset1_hz``
-  50 (an unlocked carrier), at 0.285 MHz, just above the separation floor
+- fixed runs at the default clamp's 0.3 MHz with ``residual_offset_hz``
+  -50 (an unlocked carrier), at 0.285 MHz, just above the separation floor
   (158 of the 159 lags a block holds), at 7.5 MHz and -3 dB, at 7.5 MHz
   and -25 dB (19 to 29 gross errors in a run's 600 pulses at either
   seed), at 3.5 MHz and -20 dB (every disambiguation row completed
@@ -56,20 +56,18 @@ TUNED = {"k_p": 0.09, "t_i_s": 34.99, "x_initial_hz": 3.5e6}
 K_GRID_SPEC, TUNE_INTERVALS = "0.1:1.0:2", 24
 MC_ARGS = ["--nodes", "16", "--trials", "50000", "--sigma-grid", "0.02:0.05:7"]
 
-F1_HZ = 20e3
-# name -> (waveform and channel keys, trace SNRs in dB, repeated over the records)
+# name -> (config keys, trace SNRs in dB, repeated over the records)
 FIXED_RUNS = {
-    "fixed-0.3MHz-offset50": ({"waveform": {"f2_hz": F1_HZ + 0.3e6},
-                               "channel": {"carrier_offset1_hz": 50.0}}, (20.0,)),
-    "fixed-0.285MHz": ({"waveform": {"f2_hz": F1_HZ + 0.285e6},
-                        "controller": {"x_min_hz": 0.285e6}}, (20.0,)),
-    "fixed-7.5MHz-minus3dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, (-3.0,)),
-    "fixed-7.5MHz-minus25dB": ({"waveform": {"f2_hz": F1_HZ + 7.5e6}}, (-25.0,)),
-    "fixed-3.5MHz-minus20dB": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, (-20.0,)),
+    "fixed-0.3MHz-offset50": ({"controller": {"x_initial_hz": 0.3e6},
+                               "channel": {"residual_offset_hz": -50.0}}, (20.0,)),
+    "fixed-0.285MHz": ({"controller": {"x_initial_hz": 0.285e6, "x_min_hz": 0.285e6}}, (20.0,)),
+    "fixed-7.5MHz-minus3dB": ({"controller": {"x_initial_hz": 7.5e6}}, (-3.0,)),
+    "fixed-7.5MHz-minus25dB": ({"controller": {"x_initial_hz": 7.5e6}}, (-25.0,)),
+    "fixed-3.5MHz-minus20dB": ({"controller": {"x_initial_hz": 3.5e6}}, (-20.0,)),
     "fixed-disamb6.3kHz": ({"waveform": {"disambiguation_hz": 6.3e3}}, (13.0,)),
     "fixed-disamb50kHz-minus10dB": ({"waveform": {"disambiguation_hz": 50e3}}, (-10.0,)),
-    "fixed-0.3MHz-minus25dB": ({"waveform": {"f2_hz": F1_HZ + 0.3e6}}, (-25.0,)),
-    "fixed-3.5MHz-snr-alternating": ({"waveform": {"f2_hz": F1_HZ + 3.5e6}}, (23.0, 13.0)),
+    "fixed-0.3MHz-minus25dB": ({"controller": {"x_initial_hz": 0.3e6}}, (-25.0,)),
+    "fixed-3.5MHz-snr-alternating": ({"controller": {"x_initial_hz": 3.5e6}}, (23.0, 13.0)),
 }
 FIXED_INTERVALS = 3
 NOISE_FREE_SEPARATIONS_HZ = (0.285e6, 0.3e6, 3.5e6, 7.5e6)

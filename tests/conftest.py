@@ -10,7 +10,7 @@ import pytest
 
 import cohsync
 from cohsync import channel, ranging, scenario, waveform
-from cohsync.channel import CarrierPlan, ChannelState
+from cohsync.channel import ChannelState
 from cohsync.config import default_config
 from cohsync.ranging import effective_window_length
 from cohsync.scenario import EnvironmentRecord
@@ -123,7 +123,7 @@ def full_waveform() -> WaveformConfig:
 
 @pytest.fixture
 def noise_free_90m() -> ChannelState:
-    return ChannelState(true_range=90.0, snr_db=math.inf, carrier=CarrierPlan())
+    return ChannelState(true_range=90.0, snr_db=math.inf)
 
 
 def state_for_post_snr(

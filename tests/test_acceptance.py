@@ -9,11 +9,12 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cohsync.channel import CarrierPlan, ChannelState, residual_baseband_frequency
+from cohsync.channel import ChannelState, apply_round_trip_response, delay_ramp
 from cohsync.cli import main
 from cohsync.coherence import max_coherent_frequency
 from cohsync.config import default_config
@@ -211,13 +212,19 @@ def test_criterion_5_coherent_frequency_mapping():
 
 def test_criterion_6_frequency_lock_algebra():
     with criterion("6 residual-frequency algebra and self-mixing phases"):
-        rng = np.random.default_rng(606)
+        # a residual offset of 0 (locked carriers) returns a tone's frame
+        # unshifted, bit for bit; a residual delta multiplies it by exp(2 pi j delta t)
+        rng, n, fs = np.random.default_rng(606), 1024, 25e6
+        t, ramp = np.arange(n) / fs, delay_ramp(n, fs, 90.0)
+        locked = ChannelState(true_range=90.0, snr_db=math.inf)
         for _ in range(100):
             f_b = float(rng.uniform(1e3, 7.5e6))
-            assert residual_baseband_frequency(f_b, CarrierPlan()) == f_b
-            o1, o2 = rng.uniform(-5e3, 5e3, 2)
-            unlocked = CarrierPlan(offset1=float(o1), offset2=float(o2))
-            assert residual_baseband_frequency(f_b, unlocked) == f_b - o1 + o2
+            spectrum = np.fft.fft(np.exp(2j * np.pi * f_b * t))
+            unshifted = np.fft.ifft(spectrum * ramp)
+            assert np.array_equal(apply_round_trip_response(spectrum, ramp, locked, fs), unshifted)
+            delta = float(rng.uniform(-5e3, 5e3))
+            back = apply_round_trip_response(spectrum, ramp, replace(locked, residual_offset=delta), fs)
+            assert np.array_equal(back, unshifted * np.exp(2j * np.pi * delta * t))
 
         f_ref, phi5 = self_mix(
             SelfMixInput(

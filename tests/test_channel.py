@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohsync.channel import (
-    CarrierPlan,
     ChannelState,
     _certify,
     _complete_noise,
@@ -19,7 +18,6 @@ from cohsync.channel import (
     matched_noise_rows,
     noise_power_for,
     peak_search,
-    residual_baseband_frequency,
     scaled_noise_power,
 )
 from cohsync.ranging import _circular_correlation, effective_window_length
@@ -53,19 +51,43 @@ def padded_frame(waveform_cfg, pad=128):
 
 
 class TestResidualBasebandFrequency:
+    """A tone at ``f_b`` comes back from the round trip at ``f_b + residual_offset``."""
+
+    @staticmethod
+    def tone_back(f_b, residual_offset, n=5000):
+        """The returned 90 m round trip of a tone at ``f_b``, and the same trip unshifted.
+
+        ``f_b`` is a multiple of ``FS / n``, so the delay leaves a pure tone."""
+        spectrum = np.fft.fft(np.exp(2j * np.pi * f_b * np.arange(n) / FS))
+        ramp = delay_ramp(n, FS, 90.0)
+        state = ChannelState(true_range=90.0, snr_db=math.inf, residual_offset=residual_offset)
+        return apply_round_trip_response(spectrum, ramp, state, FS), np.fft.ifft(spectrum * ramp)
+
+    @staticmethod
+    def frequency(tone):
+        """The mean phase step of a tone, in Hz."""
+        return float(np.mean(np.angle(tone[1:] * np.conj(tone[:-1])))) * FS / (2 * np.pi)
+
     def test_locked_plan_returns_f_b(self):
-        plan = CarrierPlan(offset1=0.0, offset2=0.0)
-        assert residual_baseband_frequency(20e3, plan) == 20e3
+        # equal outbound and return offsets, as frequency-locked carriers
+        # have, leave a residual of 0: the frame comes back unshifted
+        back, unshifted = self.tone_back(20e3, 0.0)
+        assert np.array_equal(back, unshifted)
+        assert self.frequency(back) == pytest.approx(20e3, abs=1e-6)
 
     def test_single_offset_shifts(self):
-        plan = CarrierPlan(offset1=100.0, offset2=0.0)
-        assert residual_baseband_frequency(20e3, plan) == pytest.approx(19.9e3)
+        # an outbound offset of 100 Hz alone is a residual of -100 Hz
+        back, unshifted = self.tone_back(20e3, -100.0)
+        assert self.frequency(back) == pytest.approx(19.9e3, abs=1e-6)
+        assert np.allclose(np.abs(back), np.abs(unshifted), rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1e5, 1e5, allow_nan=False), st.floats(0, 1e6, allow_nan=False))
     def test_equal_offsets_cancel(self, offset, f_b):
-        plan = CarrierPlan(offset1=offset, offset2=offset)
-        assert residual_baseband_frequency(f_b, plan) == pytest.approx(f_b, abs=1e-9)
+        # the residual is the return offset minus the outbound one; equal
+        # offsets of any size leave a tone at any f_b unshifted
+        back, unshifted = self.tone_back(f_b, offset - offset)
+        assert np.array_equal(back, unshifted)
 
 
 class TestPropagateRoundTrip:
@@ -93,7 +115,7 @@ class TestPropagateRoundTrip:
         shifted = ChannelState(
             true_range=90.0,
             snr_db=math.inf,
-            carrier=CarrierPlan(offset1=1e3, offset2=1e3),
+            residual_offset=1e3 - 1e3,
         )
         a = round_trip(frame, shifted, FS)
         b = round_trip(frame, noise_free_90m, FS)

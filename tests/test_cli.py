@@ -652,12 +652,13 @@ class TestLoadTimeRejection:
             ('{"controller": {"x_min_hz": -1e3}}', "controller.x_min_hz=-1000.0"),
             ('{"controller": {"x_min_hz": 2.8e5}}', "controller.x_min_hz=280000.0 Hz must exceed 284090.9"),
             ('{"waveform": {"f1_hz": -5}}',
-             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 <= f2, got f1=-5.0, f2=3500000.0"),
+             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 <= f2, got f1=-5.0, f2=3479995.0"),
             # f1 is at fault, so no note on the upper tone derived from it follows
             ('{"waveform": {"f1_hz": -5}, "controller": {"x_initial_hz": 1e6}}',
              "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 <= f2, got f1=-5.0, f2=999995.0\n"),
-            ('{"waveform": {"f2_hz": 10000.0}}',
-             "config key 'waveform.f2_hz': f2=10000.0: need 0 <= f1 <= f2, got f1=20000.0, f2=10000.0"),
+            ('{"controller": {"x_initial_hz": -1e4}}',
+             "config key 'controller.x_initial_hz': f2=10000.0: need 0 <= f1 <= f2, got f1=20000.0, "
+             "f2=10000.0 (f2 is f1_hz + controller.x_initial_hz)"),
             ('{"channel": {"snr_db": 4000}}', "snr_db=4000.0 has no positive finite"),
             ('{"channel": {"snr_db": -4000}}', "snr_db=-4000.0 has no positive finite"),
             ('{"seed": -1}', "seed must be a non-negative integer, got -1"),
@@ -675,11 +676,11 @@ class TestLoadTimeRejection:
             ('{"waveform": {"pri_s": 1e-6}}', "config key 'waveform.pri_s': pri must cover the longest pulse"),
             # a residual carrier offset that shifts a tone past fs/2 aliases it: at
             # 12.4 MHz the clamp's tones alias, at 25 MHz every tone aliases to itself
-            ('{"channel": {"carrier_offset2_hz": 12.4e6}}',
-             "channel.carrier_offset2_hz - channel.carrier_offset1_hz = 12400000.0 Hz shifts the tone "
+            ('{"channel": {"residual_offset_hz": 12.4e6}}',
+             "channel.residual_offset_hz = 12400000.0 Hz shifts the tone "
              "at waveform.f1_hz + controller.x_min_hz = 320000.0 Hz to 12720000.0 Hz"),
-            ('{"channel": {"carrier_offset2_hz": 25e6}}',
-             "channel.carrier_offset2_hz - channel.carrier_offset1_hz = 25000000.0 Hz shifts the tone "
+            ('{"channel": {"residual_offset_hz": 25e6}}',
+             "channel.residual_offset_hz = 25000000.0 Hz shifts the tone "
              "at waveform.f1_hz = 20000.0 Hz to 25020000.0 Hz, where it aliases"),
             # the count of 2e-318 s intervals in the trace overflows the float range
             ('{"loop": {"pulse_period_s": 1e-320}}',

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -35,7 +36,7 @@ def drawn_by_hand(scenario, seed, j, r):
     """Steering angles and ``(N - 1, r)`` unit normals of chunk ``j``'s
     stream, in the order the chunk draws them."""
     rng = channel._chunk_stream(np.random.SeedSequence(seed), j)
-    return rng.uniform(*scenario.theta_range, size=r), rng.standard_normal((scenario.n_nodes - 1, r))
+    return rng.uniform(-math.pi / 2, math.pi / 2, size=r), rng.standard_normal((scenario.n_nodes - 1, r))
 
 
 def gains_at(a, sigma):
@@ -97,27 +98,23 @@ class TestCoherentGain:
 
 class TestArrayScenario:
     def test_mean_gain_matches_gaussian_quadrature_oracle(self):
-        # theta pinned to pi/2: the pair phase error is Gaussian with
+        # theta drawn as pi/2: the pair phase error is Gaussian with
         # std 2*pi*0.05*(1 + sin(pi/2)); oracle = dense quadrature of
         # E[cos^2(sigma*z/2)] over the normal density (frozen value)
-        lam = 1.0
-        scenario = ArrayScenario(
-            n_nodes=2,
-            wavelength=lam,
-            theta_range=(math.pi / 2, math.pi / 2),
-        )
-        sample = gains_at(curve_geometry(scenario, 100000, 123), 0.05 * lam)
+        z = np.random.default_rng(123).standard_normal(100000)
+        sample = gains_at((2 * math.pi * (1.0 + math.sin(math.pi / 2)) * z)[None], 0.05)
         assert sample.mean() == pytest.approx(0.91043435870777, rel=0.01)
 
     def test_spacing_cancels_from_steering_error(self):
         # steering with the estimated spacing d + delta_d instead of the
         # true d, plus the link term: the closed form drops d altogether
         # (the primary node's range error is 0)
-        scenario, seed_seq = ArrayScenario(n_nodes=8, wavelength=0.1), np.random.SeedSequence(7)
+        # (lengths in wavelengths, so the wavenumber is 2 pi)
+        scenario, seed_seq = ArrayScenario(n_nodes=8), np.random.SeedSequence(7)
         theta, z = drawn_by_hand(scenario, 7, 0, 2000)
         z = np.concatenate([np.zeros((1, 2000)), z]).T
-        spacing = np.random.default_rng(7).uniform(0.1, 10.0, size=z.shape)
-        k, delta_d = scenario.wavenumber(), 0.01 * z
+        spacing = np.random.default_rng(7).uniform(1.0, 100.0, size=z.shape)
+        k, delta_d = 2 * math.pi, 0.01 * z
         steer_true = k * spacing * np.sin(theta)[:, None]
         steer_est = k * (spacing + delta_d) * np.sin(theta)[:, None]
         eps = steer_true - steer_est - k * delta_d
@@ -126,34 +123,33 @@ class TestArrayScenario:
         assert np.max(np.abs(closed - explicit)) < 1e-12
 
     def test_scenario_invariants(self):
-        with pytest.raises(ValueError):
-            ArrayScenario(n_nodes=1, wavelength=0.1)
-        with pytest.raises(ValueError):
-            ArrayScenario(n_nodes=2, wavelength=0.0)
-        with pytest.raises(ValueError):
-            ArrayScenario(n_nodes=2, wavelength=0.1, theta_range=(1.0, -1.0))
+        for n_nodes in (1, 0, -3):
+            with pytest.raises(ValueError):
+                ArrayScenario(n_nodes=n_nodes)
+        # sigma_d is in wavelengths and theta spans [-pi/2, pi/2]: the array's size is all
+        assert [f.name for f in dataclasses.fields(ArrayScenario(n_nodes=2))] == ["n_nodes"]
 
 
 class TestProbabilityCurve:
     def test_zero_sigma_certain(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=2)
         y = probability_curve(scenario, [0.0], threshold=0.9, trials=500, seed=1)
         assert y[0] == 1.0
 
     def test_single_trial_is_indicator(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=2)
         y = probability_curve(scenario, [0.08], threshold=0.9, trials=1, seed=5)
         assert y[0] in (0.0, 1.0)
 
     def test_monotone_non_increasing(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=2)
         grid = np.linspace(0.0, 0.2, 21)
         y = probability_curve(scenario, grid, trials=3000, seed=2)
         band = 2.0 * np.sqrt(np.maximum(y * (1 - y), 1e-9) / 3000)
         assert np.all(np.diff(y) <= band[:-1])
 
     def test_two_node_thresholds_near_reference(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=2)
         grid = np.linspace(0.02, 0.16, 36)
         y = probability_curve(scenario, grid, trials=4000, seed=3)
         crossings = threshold_crossings(grid, y)
@@ -161,7 +157,7 @@ class TestProbabilityCurve:
             assert crossings[level] == pytest.approx(reference, rel=0.20)
 
     def test_rejects_empty_grid(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=2)
         with pytest.raises(ValueError):
             probability_curve(scenario, [], trials=100)
 
@@ -170,7 +166,7 @@ class TestProbabilityCurve:
         assert math.isnan(out[0.9])
 
     def test_reversed_grid_gives_same_crossings(self):
-        scenario = ArrayScenario(n_nodes=2, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=2)
         grid = np.linspace(0.02, 0.16, 29)
         y = probability_curve(scenario, grid, trials=4000, seed=3)
         ascending = threshold_crossings(grid, y)
@@ -181,7 +177,7 @@ class TestProbabilityCurve:
         # 16 nodes x 50,000 trials: the chunk buffers; a curve that held
         # whole-array phasors peaked at 26 MiB, one that drew the whole
         # geometry first at 7.2 MiB
-        scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=16)
         _, peak = traced_peak(
             lambda: probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
         )
@@ -190,7 +186,7 @@ class TestProbabilityCurve:
     def test_peak_memory_on_four_workers(self, monkeypatch):
         # each chunk draws its own geometry: four chunks in flight peak at
         # about 3.1 MiB, where a whole-geometry draw first took 9.9
-        scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=16)
 
         def curve():
             return probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
@@ -222,7 +218,7 @@ class TestCurveRecurrence:
         # (q + i) 2e-16 of a fresh exponential's plus a few ulps of the
         # largest phase, so only trials that close to the threshold may
         # flip; at X = 1 those are the trials of tiny phase errors
-        scenario = ArrayScenario(n_nodes=nodes, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=nodes)
         y = probability_curve(scenario, grid, threshold=threshold, trials=trials, seed=seed)
         a = curve_geometry(scenario, trials, seed)
         gains = np.array([gains_at(a, s) for s in grid])  # fresh exponentials, a row a point
@@ -234,12 +230,12 @@ class TestCurveRecurrence:
     @pytest.mark.parametrize("chunk", [1, 3 * 700])  # one row a chunk, all rows in one
     def test_trial_draws_from_its_chunks_stream(self, monkeypatch, chunk):
         # trial t is row t % rows of chunk t // rows, whatever the other chunks
-        scenario, trials, seed = ArrayScenario(n_nodes=3, wavelength=1.0), 700, 8
+        scenario, trials, seed = ArrayScenario(n_nodes=3), 700, 8
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", chunk)
         rows, hand = max(1, chunk // 3), []
         for j in range(-(-trials // rows)):
             theta, z = drawn_by_hand(scenario, seed, j, min(rows, trials - j * rows))
-            hand.append(scenario.wavenumber() * (1.0 + np.sin(theta)) * z)
+            hand.append(2.0 * math.pi * (1.0 + np.sin(theta)) * z)
         a = np.concatenate(hand, axis=1)
         assert np.array_equal(curve_geometry(scenario, trials, seed), a)
         grid = np.linspace(0.01, 0.2, 20)
@@ -283,7 +279,7 @@ class TestCurveChunks:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_same_bytes_at_any_worker_count(self, monkeypatch, workers):
-        scenario = ArrayScenario(n_nodes=16, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=16)
         grid = np.linspace(0.02, 0.05, 7)  # the benchmark's array, 49 chunks
 
         def curve():
@@ -297,7 +293,7 @@ class TestCurveChunks:
             sys.setswitchinterval(interval)
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
-        scenario, grid = ArrayScenario(n_nodes=2, wavelength=1.0), np.linspace(0.02, 0.16, 57)
+        scenario, grid = ArrayScenario(n_nodes=2), np.linspace(0.02, 0.16, 57)
         on_workers(
             monkeypatch, 2, lambda: probability_curve(scenario, grid, trials=8000, seed=1),
             starts_pool=False,
@@ -307,7 +303,7 @@ class TestCurveChunks:
         # 2 chunks of 32 trials; the last point's gains against fresh
         # exponentials, within the docstring's 2e-16 a step (about 0.3 of
         # that; stepping by the first step's float reads 1.6 times it here)
-        scenario, trials, seed = ArrayScenario(n_nodes=3, wavelength=1.0), 64, 5
+        scenario, trials, seed = ArrayScenario(n_nodes=3), 64, 5
         grid = np.linspace(0.3, 0.5, 2**16)  # 0.3 is no small multiple of the step
         monkeypatch.setattr(channel, "_WORKERS", 1)
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 3 * 32)
@@ -333,14 +329,14 @@ class TestCurveChunks:
     def test_step_multiple_grid_pays_one_exponential_a_chunk(self, monkeypatch, grid, per_chunk):
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 4 * 25)
         exponentials = counting(monkeypatch, "_unit_phasors")
-        probability_curve(ArrayScenario(n_nodes=4, wavelength=1.0), grid, trials=100, seed=3)
+        probability_curve(ArrayScenario(n_nodes=4), grid, trials=100, seed=3)
         assert exponentials[0] == 4 * per_chunk
 
     def test_power_start_stays_within_the_bound(self, monkeypatch):
         # a start of q = 27 steps (square and multiply) and 2**16 - 1 steps
         # on: the last point's gains against fresh exponentials, within the
         # docstring's (q + i) 2e-16 (about 0.34 of it)
-        scenario, trials, seed, q = ArrayScenario(n_nodes=3, wavelength=1.0), 64, 5, 27
+        scenario, trials, seed, q = ArrayScenario(n_nodes=3), 64, 5, 27
         grid = 0.5 / (q + 2**16 - 1) * np.arange(q, q + 2**16)
         monkeypatch.setattr(channel, "_WORKERS", 1)
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 3 * 32)
@@ -357,7 +353,7 @@ class TestCurveChunks:
         # from the conjugate factor's 27th power: the first and last
         # points' gains against fresh exponentials, within the docstring's
         # (|q| + i) 2e-16
-        scenario, trials, seed, q = ArrayScenario(n_nodes=3, wavelength=1.0), 64, 5, -27
+        scenario, trials, seed, q = ArrayScenario(n_nodes=3), 64, 5, -27
         grid = 0.5 / -q * np.arange(-q, 0, -1)  # 0.5 down to 0.5 / 27
         monkeypatch.setattr(channel, "_WORKERS", 1)
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 3 * 32)
@@ -372,7 +368,7 @@ class TestCurveChunks:
             assert np.max(np.abs(gains - gains_at(a, grid[i]))) <= (-q + i) * 2e-16
 
     def test_log_grid_pays_one_exponential_a_step(self, monkeypatch):
-        scenario = ArrayScenario(n_nodes=4, wavelength=1.0)
+        scenario = ArrayScenario(n_nodes=4)
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 4 * 40)
         exponentials = counting(monkeypatch, "_unit_phasors")
         probability_curve(scenario, np.geomspace(0.005, 0.3, 40), trials=100, seed=2)
@@ -389,7 +385,7 @@ class TestCurveChunks:
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan])
     def test_rejects_threshold_outside_gain_range(self, threshold):
         with pytest.raises(ValueError, match="threshold"):
-            probability_curve(ArrayScenario(n_nodes=2, wavelength=1.0), [0.05], threshold=threshold)
+            probability_curve(ArrayScenario(n_nodes=2), [0.05], threshold=threshold)
 
 
 _erf = np.frompyfunc(math.erf, 1, 1)
@@ -432,7 +428,7 @@ class TestTwoNodeOracle:
 
     def test_curve_within_four_standard_errors(self):
         grid = np.linspace(0.02, 0.16, 57)  # the benchmark's two-node curve
-        y = probability_curve(ArrayScenario(n_nodes=2, wavelength=1.0), grid, trials=10000, seed=1)
+        y = probability_curve(ArrayScenario(n_nodes=2), grid, trials=10000, seed=1)
         exact = np.array([two_node_probability(sigma) for sigma in grid])
         assert np.all(np.abs(y - exact) <= 4 * binomial_standard_error(exact, 10000))
 

@@ -42,6 +42,11 @@ REMOVED_KEYS = [
     ("controller", "error_scale", 1e3, "controller.error_scale"),
     ("controller", "output_scale", 1e6, "controller.output_scale"),
     ("loop", "weather_coupling", True, "loop.weather_coupling"),
+    # one key a quantity: the upper tone is f1_hz + controller.x_initial_hz,
+    # and only the offsets' difference, channel.residual_offset_hz, is set
+    ("waveform", "f2_hz", 3.5e6, "waveform.f2_hz"),
+    ("channel", "carrier_offset1_hz", 50.0, "channel.carrier_offset1_hz"),
+    ("channel", "carrier_offset2_hz", 0.0, "channel.carrier_offset2_hz"),
 ]
 
 
@@ -77,7 +82,7 @@ class TestTypes:
             ("loop", "pulses_per_interval", "200", "an integer"),
             ("channel", "snr_db", True, "a number"),
             ("channel", "snr_db", "20", "a number"),
-            ("waveform", "f2_hz", None, "a number"),
+            ("waveform", "f1_hz", None, "a number"),
         ],
     )
     def test_wrong_type_names_key_and_kind(self, section, key, value, want):
@@ -114,29 +119,31 @@ class TestDerivedDefaults:
         assert "pri must cover" in error_of({"waveform": {"disambiguation_hz": 1.0 / 160e-6}})
 
     def test_x_initial_follows_tone_separation(self):
-        config = config_from_dict({"waveform": {"f1_hz": 10e3, "f2_hz": 2e6}})
-        assert config.controller.x_prev == 2e6 - 10e3
+        # x_initial_hz defaults to the reference separation, 3.5 MHz - 20 kHz,
+        # and the upper tone keeps that separation from whatever f1_hz is
+        assert default_config().controller.x_prev == 3.48e6
+        assert default_config().waveform.two_tone.f2 == 3.5e6
+        config = config_from_dict({"waveform": {"f1_hz": 10e3}})
+        assert config.controller.x_prev == 3.48e6
+        assert config.waveform.two_tone.f2 == 10e3 + 3.48e6
 
     def test_explicit_x_initial_kept(self):
         config = config_from_dict({"controller": {"x_initial_hz": 1.8e6}})
         assert config.controller.x_prev == 1.8e6
 
     def test_x_initial_alone_sets_upper_tone(self):
-        # a run's first interval sends f1 + x_initial_hz, and the resolved
-        # document records that tone, so it reloads to the same config
+        # a run's first interval sends f1 + x_initial_hz; the resolved
+        # document holds no upper tone, and reloads to the same config
         doc = {"waveform": {"f1_hz": 10e3}, "controller": {"x_initial_hz": 3.5e6}}
         config = config_from_dict(doc)
         assert config.waveform.two_tone.f2 == 10e3 + 3.5e6
         resolved = config_to_dict(config)
-        assert resolved["waveform"]["f2_hz"] == 10e3 + 3.5e6
+        assert "f2_hz" not in resolved["waveform"]
         assert config_from_dict(resolved) == config
 
-    def test_conflicting_upper_tone_and_x_initial_rejected(self):
-        msg = error_of({"waveform": {"f2_hz": 1e6}, "controller": {"x_initial_hz": 3.5e6}})
-        assert "'waveform.f2_hz'" in msg and "'controller.x_initial_hz'" in msg
-
     def test_agreeing_upper_tone_and_x_initial_accepted(self):
-        doc = {"waveform": {"f2_hz": 2e6}, "controller": {"x_initial_hz": 1.98e6}}
+        # the upper tone is derived, so it always agrees with x_initial_hz
+        doc = {"waveform": {"f1_hz": 20e3}, "controller": {"x_initial_hz": 1.98e6}}
         config = config_from_dict(doc)
         assert config.waveform.two_tone.f2 == 2e6 and config.controller.x_prev == 1.98e6
 
@@ -159,8 +166,8 @@ class TestInvariantErrors:
     @pytest.mark.parametrize(
         "doc, fragment",
         [
-            ({"waveform": {"f1_hz": 4e6}}, "need 0 <= f1 <= f2"),
-            ({"waveform": {"f2_hz": 20e6}}, "aliases"),
+            ({"waveform": {"f1_hz": -1.0}}, "need 0 <= f1 <= f2"),
+            ({"controller": {"x_initial_hz": 20e6, "x_max_hz": 20e6}}, "aliases"),
             ({"waveform": {"disambiguation_hz": 20e6}}, "must lie in (0, sample_rate/2)"),
             ({"channel": {"true_range_m": -1.0}}, "true_range must be >= 0"),
             ({"waveform": {"sample_rate_hz": -1.0}}, "sample_rate must be positive"),
@@ -205,7 +212,6 @@ class TestRoundTrip:
             {
                 "waveform": {
                     "f1_hz": 10e3,
-                    "f2_hz": 5e6,
                     "disambiguation_hz": 2.5e6,
                     "ranging_pulse_width_s": 120e-6,
                     "pri_s": 150e-6,
@@ -214,13 +220,12 @@ class TestRoundTrip:
                 "channel": {
                     "true_range_m": 250.0,
                     "snr_db": math.inf,
-                    "carrier_offset1_hz": 12.0,
-                    "carrier_offset2_hz": -3.0,
+                    "residual_offset_hz": -15.0,
                 },
                 "controller": {
                     "k_p": 0.2,
                     "t_i_s": 12.0,
-                    "x_initial_hz": 4.99e6,  # f2_hz - f1_hz, as they must agree
+                    "x_initial_hz": 4.99e6,
                     "x_min_hz": 5e5,
                     "x_max_hz": 6e6,
                 },
@@ -242,7 +247,7 @@ class TestRoundTrip:
         for section, (key, _) in SECTION_KEYS.items():
             assert key in doc[section]
         assert list(doc) == ["waveform", "channel", "controller", "loop", "seed"]
-        assert doc["controller"]["x_initial_hz"] == 3.5e6 - 20e3
+        assert doc["controller"]["x_initial_hz"] == 3.48e6
         json.dumps(doc, allow_nan=False)
 
     def test_python_built_config(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsync.channel import CarrierPlan, residual_baseband_frequency
+from cohsync.channel import ChannelState, apply_round_trip_response, delay_ramp
 from freqlock_model import SelfMixInput, path_phase, self_mix, wrap_phase
 from cohsync.waveform import SPEED_OF_LIGHT
 
@@ -65,7 +65,12 @@ class TestWrapPhase:
 
 class TestLockedResidualAlgebra:
     def test_locked_plans_return_f_b_exactly(self):
-        rng = np.random.default_rng(17)
+        # locked carriers leave no residual offset, so the round trip only
+        # delays a tone at f_b: its frame comes back unshifted, bit for bit
+        rng, n, fs = np.random.default_rng(17), 1024, 25e6
+        ramp, locked = delay_ramp(n, fs, 90.0), ChannelState(true_range=90.0, snr_db=math.inf)
         for _ in range(50):
             f_b = float(rng.uniform(1e3, 5e6))
-            assert residual_baseband_frequency(f_b, CarrierPlan()) == f_b
+            spectrum = np.fft.fft(np.exp(2j * np.pi * f_b * np.arange(n) / fs))
+            back = apply_round_trip_response(spectrum, ramp, locked, fs)
+            assert np.array_equal(back, np.fft.ifft(spectrum * ramp))

@@ -12,7 +12,7 @@ from conftest import (
     reaches_clamp, run_python, step_trace, traced_peak, tuned_config, write_trace,
 )
 from cohsync import channel, cli, coherence, ranging, scenario
-from cohsync.channel import CarrierPlan, ChannelState
+from cohsync.channel import ChannelState
 from cohsync.config import config_from_dict, default_config
 from cohsync.control import (
     ERROR_SCALE,
@@ -756,7 +756,7 @@ class TestFrameCache:
             (base_w, base_c),
             (base_w, replace(base_c, true_range=93.0)),
             (replace(base_w, f_d=2.0e5), base_c),
-            (base_w, replace(base_c, carrier=CarrierPlan(offset1=150.0, offset2=-250.0))),
+            (base_w, replace(base_c, residual_offset=-400.0)),
             (replace(base_w, sample_rate=25.01e6), base_c),
             (replace(base_w, ranging_pulse_width=150e-6), base_c),  # another window length
             (base_w, replace(base_c, snr_db=23.0)),  # what no key may hold: the SNR
@@ -859,11 +859,14 @@ class TestFrameCache:
 
 
 class TestBenchmarkPatchPoints:
-    """Names the benchmark patches or wraps on cohsync's modules.
+    """Names the benchmark patches or wraps on cohsync's modules, and what its hooks read.
 
     Its traced runs span the scenario, cli and coherence names below, and
     every run wraps its workload's step function (``simulate_window`` or
-    ``probability_curve``) and ``cli.main``.
+    ``probability_curve``) and ``cli.main``.  Its hooks count from those
+    calls: ``count_window`` unpacks a window's result as ``ranges, gross``,
+    ``count_curve`` reads a curve's scenario, grid and ``trials=`` keyword,
+    and ``saturation`` unpacks a controller step as ``state, x``.
     """
 
     NAMES = (
@@ -916,6 +919,54 @@ class TestBenchmarkPatchPoints:
         trace = constant_trace(23.0, 2, cadence_s=5.25)
         run_adaptive(tuned_config(pulses=50), trace, duration_s=2 * 5.25, seed=1)
         assert called == set(self.NAMES)
+
+    @staticmethod
+    def recorded(monkeypatch, module, name):
+        """``(args, kwargs, result)`` of every call through ``module.name`` from now on."""
+        calls, real = [], getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, real(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_window_result_is_ranges_and_gross_count(self, monkeypatch):
+        # count_window adds len(ranges) pulses and the gross count, on which
+        # adaptive-step's zero-gross check and every gain_evals_per_s rest;
+        # the run and the tune plant both reach the window through this name
+        windows = self.recorded(monkeypatch, scenario, "simulate_window")
+        config = tuned_config(pulses=50)
+        run_adaptive(config, constant_trace(23.0, 2, cadence_s=5.25), duration_s=2 * 5.25, seed=1)
+        ranging_sigma_plant(config, n_intervals=2, seed=1)(0.1)
+        assert len(windows) == 4
+        for _, _, result in windows:
+            ranges, gross = result
+            assert isinstance(ranges, np.ndarray) and ranges.shape == (50,)
+            assert type(gross) is int and gross == 0
+
+    def test_curve_call_is_read_as_the_montecarlo_command_makes_it(self, monkeypatch, tmp_path):
+        # count_curve adds trials x grid points x nodes gain evaluations from
+        # args[0].n_nodes, len(args[1]) and kwargs["trials"]
+        curves = self.recorded(monkeypatch, coherence, "probability_curve")
+        argv = ["montecarlo", "--nodes", "3", "--trials", "1000", "--sigma-grid", "0.02:0.05:4",
+                "--seed", "1", "--out", str(tmp_path / "curve.csv")]
+        assert cli.main(argv) == 0
+        ((args, kwargs, result),) = curves
+        assert args[0].n_nodes == 3 and len(args[1]) == 4 and kwargs["trials"] == 1000
+        assert result.shape == (4,)
+
+    def test_controller_step_is_state_and_output(self, monkeypatch):
+        # saturation counts a step whose output x is state.x_min or state.x_max
+        steps = self.recorded(monkeypatch, scenario, "pi_step")
+        run_adaptive(tuned_config(pulses=50), constant_trace(23.0, 3, cadence_s=5.25),
+                     duration_s=3 * 5.25, seed=1)
+        assert len(steps) == 3
+        for _, _, (state, x) in steps:
+            assert state.x_prev == x and state.x_min <= x <= state.x_max
+        state, x = pi_step(steps[0][2][0], 1e3, INTERVAL_S)  # an error that drives x to its clamp
+        assert x in (state.x_min, state.x_max)
 
     def test_matched_filter_rows_correlate_2d_arrays(self, monkeypatch):
         # the benchmark counts FFT points from the (rows, n) shape of the
