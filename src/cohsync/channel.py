@@ -63,7 +63,12 @@ SC 2011).  Each row's inverse FFT does not depend on the rows it shares
 a call with either, so the chunks run on a pool of threads, one a core
 up to ``_MAX_WORKERS``, and give the same bytes at any worker count.
 Probability curves use both: their chunks of trials draw their geometry
-from these chunk streams and run on the pool, :func:`map_chunks`.
+from these chunk streams and run on the pool, :func:`map_chunks`, each
+task :func:`chunks_per_task` consecutive chunks as one array.  A numpy
+call holds the interpreter lock for its setup, so wider arrays hand it
+off fewer times an element, which is what lets a second worker gain on a
+curve.  Every worker still gets a task, and at most ``_MAX_WORKERS``
+chunks are in flight, as on four workers.
 Windows that draw no whole rows start no thread.
 """
 
@@ -279,7 +284,8 @@ _ROW_CHUNK = 16
 # row chunk in flight holds about 1.2 MiB at the reference window, so a P = 800
 # window of whole 6.3 kHz disambiguation rows peaks at 0.19-0.21 of its frame
 # array by tracemalloc (TestStreamedRows allows 0.35).  Each curve chunk holds
-# about 0.6 MiB (coherence).
+# about 0.6 MiB (coherence), and curve tasks run chunks_per_task chunks, so at
+# most _MAX_WORKERS curve chunks are in flight at any worker count.
 _MAX_WORKERS = 4
 _WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
@@ -309,6 +315,16 @@ def map_chunks(run: Callable[[int], object], n_chunks: int) -> list:
 
         _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="cohsync")
     return list(_pool.map(run, range(n_chunks)))  # reading each result re-raises its error
+
+
+def chunks_per_task(n_chunks: int) -> int:
+    """How many consecutive chunks of ``n_chunks`` one :func:`map_chunks` task
+    should run as one array: ``_MAX_WORKERS // _WORKERS`` on a pool, so that at
+    most ``_MAX_WORKERS`` chunks are in flight, but few enough that every worker
+    gets a task; 1 inline."""
+    if _WORKERS < 2:
+        return 1
+    return max(1, min(_MAX_WORKERS // _WORKERS, n_chunks // _WORKERS))
 
 
 def _chunk_stream(seed: np.random.SeedSequence, index: int) -> np.random.Generator:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _chunk_stream, map_chunks
+from .channel import _chunk_stream, chunks_per_task, map_chunks
 from .waveform import SPEED_OF_LIGHT
 
 # Two-node sigma_d/lambda thresholds for P(G_c >= 0.9), keyed by that
@@ -49,13 +49,19 @@ from .waveform import SPEED_OF_LIGHT
 TWO_NODE_SIGMA_OVER_LAMBDA = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
 
 # Limit on trials x n_nodes of one probability curve.  Chunks draw their own
-# geometry, so it bounds run time, not memory: at it a curve takes about 0.8 s
-# on 7 points and 2.3 s on 60 on two cores.  The benchmark's array uses 4.8 %.
+# geometry and hold at most _CHUNK_PHASE_ERRORS phase errors (ArrayScenario
+# caps n_nodes there, as a chunk holds a trial at least), so it bounds run
+# time, not memory: at it a 16-node curve takes about 0.6-0.9 s on 7 points
+# and 2.1-2.5 s on 60 on two cores.  The benchmark's array uses 4.8 %.
 MAX_TRIAL_NODES = 2**24
 
-# Phase errors per chunk of probability_curve's trials.  Each worker holds a
-# chunk's unit phase errors, phasors, step factor and a temporary, 0.6 MiB
-# at 40 bytes a phase error.  Larger chunks run faster but raise peak RSS.
+# Phase errors per chunk of probability_curve's trials, each chunk drawn from
+# its own seed stream, so the curve's bytes depend on this size alone.  A chunk
+# in flight holds its unit phase errors, phasors, step factor and a temporary,
+# 0.6 MiB at 40 bytes a phase error.  A task on channel's pool runs
+# channel.chunks_per_task chunks as one array: on two workers that is two,
+# whose wider numpy calls run about 1.2 times as fast, and at most
+# channel._MAX_WORKERS chunks (2.4 MiB) are in flight at any worker count.
 _CHUNK_PHASE_ERRORS = 2**14
 
 
@@ -72,6 +78,11 @@ class ArrayScenario:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
+        if self.n_nodes > _CHUNK_PHASE_ERRORS:  # so one trial fits a chunk
+            raise ValueError(
+                f"n_nodes {self.n_nodes} exceeds the limit of {_CHUNK_PHASE_ERRORS} "
+                "(the phase errors of one chunk)"
+            )
 
 
 def coherent_gain(phase_errors):
@@ -136,11 +147,15 @@ def probability_curve(
     (sigma_d / lambda, on which alone the curve depends), in any order and with repeats, on one set of geometry draws (common random
     numbers, so the curve's shape carries no Monte-Carlo jitter).
 
-    Trials run in chunks of about ``_CHUNK_PHASE_ERRORS`` phase errors on
-    the threads of :func:`cohsync.channel.map_chunks`.  Each chunk draws its
-    own geometry from its own stream (:func:`_chunk_geometry`), holds the
-    secondary nodes' phasors node-major (the primary's is 1) and returns
-    integer hit counts, so the curve has the same bytes at any worker count.
+    Trials come in chunks of about ``_CHUNK_PHASE_ERRORS`` phase errors,
+    each drawn from its own seed stream (:func:`_chunk_geometry`).  A task on
+    the threads of :func:`cohsync.channel.map_chunks` runs
+    :func:`cohsync.channel.chunks_per_task` consecutive chunks as one array
+    of the secondary nodes' phasors, node-major (the primary's is 1), so at
+    most ``_MAX_WORKERS`` chunks are in flight, and returns integer hit
+    counts; a chunk of one trial runs alone.  Each trial's arithmetic is the
+    same whatever shares its array, so the curve has the same bytes at any
+    worker count.
     A chunk multiplies by ``exp(j s a)`` a point, ``a`` the unit phase
     errors: ``s`` is the mean step if every point lies within 4 ulps of
     ``max|grid|`` of ``grid[0] + i s``, else ``grid[i] - grid[i-1]`` (one
@@ -174,9 +189,17 @@ def probability_curve(
     power = q is not None and abs(q) <= 32 and abs(grid[0] - q * mean) <= ulps
     sigmas, n, seed_seq = grid.tolist(), scenario.n_nodes, np.random.SeedSequence(seed)
     rows, floor = max(1, _CHUNK_PHASE_ERRORS // n), _magnitude_floor(threshold, n)
+    n_chunks = -(-trials // rows)
+    # a chunk of one trial runs alone: numpy sums the nodes of a lone column
+    # pairwise, of a wider array's columns in order, so its gains would move
+    k = chunks_per_task(n_chunks) if rows > 1 else 1
+    firsts = sorted({*range(0, n_chunks, k), n_chunks - 1 if trials % rows == 1 else 0})
+    tasks = [range(j, stop) for j, stop in zip(firsts, [*firsts[1:], n_chunks])]
 
-    def chunk_hits(j: int) -> list[int]:
-        a, hits = _chunk_geometry(scenario, seed_seq, j, rows, trials), []
+    def task_hits(i: int) -> list[int]:
+        chunks, hits = tasks[i], []
+        a = (_chunk_geometry(scenario, seed_seq, chunks[0], rows, trials) if len(chunks) == 1 else
+             np.concatenate([_chunk_geometry(scenario, seed_seq, j, rows, trials) for j in chunks], axis=1))
         total, size, hit = (np.empty(a.shape[1], dtype=t) for t in (complex, float, bool))
         factor, last = (_unit_phasors(mean * a), mean) if power else (None, None)
         phasors = np.ones_like(factor) if power else _unit_phasors(sigmas[0] * a)
@@ -197,7 +220,7 @@ def probability_curve(
             hits.append(np.count_nonzero(np.greater_equal(np.abs(total, out=size), floor, out=hit)))
         return hits
 
-    return np.sum(map_chunks(chunk_hits, -(-trials // rows)), axis=0) / trials
+    return np.sum(map_chunks(task_hits, len(tasks)), axis=0) / trials
 
 
 def threshold_crossings(

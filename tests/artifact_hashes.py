@@ -12,7 +12,9 @@ the check.  The set:
 - the adaptive-step run's ``run_log.csv``, ``summary.json`` and
   ``resolved_config.json``;
 - the tune-scan ``tune.json``;
-- the 16-node Monte-Carlo ``curve.csv`` and ``curve.report.json``;
+- the ``curve.csv`` and ``curve.report.json`` of three Monte-Carlo curves:
+  the benchmark's 16-node array, criterion 1's two-node curve and the
+  default grid at 16 nodes x 200,000 trials;
 - fixed runs at the default clamp's 0.3 MHz with ``residual_offset_hz``
   -50 (an unlocked carrier), at 0.285 MHz, just above the separation floor
   (158 of the 159 lags a block holds), at 7.5 MHz and -3 dB, at 7.5 MHz
@@ -54,7 +56,14 @@ INTERVAL_S = 21.0  # 200 pulses x 105 ms
 STEP_AT, STEP_INTERVALS = 12, 42
 TUNED = {"k_p": 0.09, "t_i_s": 34.99, "x_initial_hz": 3.5e6}
 K_GRID_SPEC, TUNE_INTERVALS = "0.1:1.0:2", 24
-MC_ARGS = ["--nodes", "16", "--trials", "50000", "--sigma-grid", "0.02:0.05:7"]
+# name -> montecarlo arguments: the benchmark's array (49 chunks), criterion 1's
+# two-node curve (2 chunks, one a task) and the default grid at 16 nodes
+# (196 chunks, a fresh start, 60 points)
+MC_CURVES = {
+    "montecarlo-16": ["--nodes", "16", "--trials", "50000", "--sigma-grid", "0.02:0.05:7"],
+    "montecarlo-2-criterion1": ["--nodes", "2", "--trials", "10000", "--sigma-grid", "0.02:0.16:57"],
+    "montecarlo-16-default-grid": ["--nodes", "16", "--trials", "200000"],
+}
 
 # name -> (config keys, trace SNRs in dB, repeated over the records)
 FIXED_RUNS = {
@@ -128,9 +137,10 @@ def artifacts(seed: int, work: Path):
     yield "tune-scan/tune.json", digest(out)
 
     out = work / "curve.csv"
-    cli("montecarlo", *MC_ARGS, "--seed", s, "--out", str(out))
-    yield "montecarlo-16/curve.csv", digest(out)
-    yield "montecarlo-16/curve.report.json", digest(work / "curve.report.json")
+    for name, args in MC_CURVES.items():
+        cli("montecarlo", *args, "--seed", s, "--out", str(out))
+        yield f"{name}/curve.csv", digest(out)
+        yield f"{name}/curve.report.json", digest(work / "curve.report.json")
 
     for name, (doc, snrs) in FIXED_RUNS.items():
         out = work / name

@@ -126,6 +126,10 @@ class TestArrayScenario:
         for n_nodes in (1, 0, -3):
             with pytest.raises(ValueError):
                 ArrayScenario(n_nodes=n_nodes)
+        # one trial must fit a chunk, so a chunk's memory is bounded for every node count
+        assert ArrayScenario(n_nodes=2**14).n_nodes == coherence._CHUNK_PHASE_ERRORS
+        with pytest.raises(ValueError, match="n_nodes 16385 exceeds the limit of 16384"):
+            ArrayScenario(n_nodes=2**14 + 1)
         # sigma_d is in wavelengths and theta spans [-pi/2, pi/2]: the array's size is all
         assert [f.name for f in dataclasses.fields(ArrayScenario(n_nodes=2))] == ["n_nodes"]
 
@@ -192,6 +196,27 @@ class TestProbabilityCurve:
             return probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
 
         _, peak = on_workers(monkeypatch, 4, lambda: traced_peak(curve))
+        assert peak < 4 * 2**20
+
+    def test_peak_memory_on_two_workers(self, monkeypatch):
+        # two chunks a task: four chunks in flight, about 2.5 MiB
+        scenario = ArrayScenario(n_nodes=16)
+
+        def curve():
+            return probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=50000, seed=1)
+
+        _, peak = on_workers(monkeypatch, 2, lambda: traced_peak(curve))
+        assert peak < 4 * 2**20
+
+    def test_peak_memory_at_the_node_limit(self, monkeypatch):
+        # one trial a chunk, each alone: two chunks of 16,383 phase errors
+        # in flight, about 1.3 MiB
+        scenario = ArrayScenario(n_nodes=coherence._CHUNK_PHASE_ERRORS)
+
+        def curve():
+            return probability_curve(scenario, np.linspace(0.02, 0.05, 7), trials=8, seed=1)
+
+        _, peak = on_workers(monkeypatch, 2, lambda: traced_peak(curve))
         assert peak < 4 * 2**20
 
 
@@ -277,13 +302,18 @@ def recording_magnitudes(monkeypatch, keep):
 class TestCurveChunks:
     """Chunks of trials step one factor per arithmetic grid and run on channel's pool."""
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_same_bytes_at_any_worker_count(self, monkeypatch, workers):
+    @pytest.mark.parametrize(
+        "workers, trials",
+        [pytest.param(w, 50000, id=str(w)) for w in (2, 3, 4)]  # the benchmark's array, 49 chunks
+        # 48 whole chunks and one of 849 trials, alone in the last task on 2 workers
+        + [pytest.param(w, 50001, id=f"{w}-50001") for w in (2, 3, 4)],
+    )
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, workers, trials):
         scenario = ArrayScenario(n_nodes=16)
-        grid = np.linspace(0.02, 0.05, 7)  # the benchmark's array, 49 chunks
+        grid = np.linspace(0.02, 0.05, 7)
 
         def curve():
-            return probability_curve(scenario, grid, trials=50000, seed=1).tobytes()
+            return probability_curve(scenario, grid, trials=trials, seed=1).tobytes()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads switch between nearly every bytecode
@@ -291,6 +321,49 @@ class TestCurveChunks:
             assert on_workers(monkeypatch, workers, curve) == on_workers(monkeypatch, 1, curve)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "nodes, trials",
+        [
+            (16, 50000),  # the benchmark's array: two chunks a task on 2 workers
+            (16, 5 * 1024 + 1),  # a last chunk of one trial, which runs alone
+            (9000, 4),  # one trial a chunk, each alone
+        ],
+    )
+    def test_gains_keep_their_bytes_on_two_workers(self, monkeypatch, nodes, trials):
+        # numpy sums a lone column's nodes pairwise and a wider array's in
+        # order, so a one-trial chunk sharing a task would move its gains
+        # (rarely a count); every |total| against one worker's
+        scenario, grid = ArrayScenario(n_nodes=nodes), np.linspace(0.02, 0.05, 7)
+
+        def magnitudes():
+            kept = []
+
+            class Numpy:
+                def __getattr__(self, name):
+                    return getattr(np, name)
+
+                def greater_equal(self, x, *args, **kwargs):
+                    kept.append(x.copy())  # one append a call: safe across threads
+                    return np.greater_equal(x, *args, **kwargs)
+
+            monkeypatch.setattr(coherence, "np", Numpy())
+            probability_curve(scenario, grid, trials=trials, seed=1)
+            monkeypatch.setattr(coherence, "np", np)
+            return np.sort(np.concatenate(kept)).tobytes()
+
+        assert on_workers(monkeypatch, 2, magnitudes) == on_workers(monkeypatch, 1, magnitudes)
+
+    @pytest.mark.parametrize(
+        "chunks, workers, tasks",
+        [(1, 2, 1), (2, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 3), (49, 2, 25), (49, 3, 49), (49, 4, 49), (49, 1, 49)],
+    )
+    def test_chunks_per_task(self, monkeypatch, chunks, workers, tasks):
+        # as many chunks a task as keeps _MAX_WORKERS in flight, while every worker has a task
+        monkeypatch.setattr(channel, "_WORKERS", workers)
+        k = channel.chunks_per_task(chunks)
+        assert -(-chunks // k) == tasks
+        assert k * workers <= channel._MAX_WORKERS
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
         scenario, grid = ArrayScenario(n_nodes=2), np.linspace(0.02, 0.16, 57)
@@ -327,10 +400,22 @@ class TestCurveChunks:
         ],
     )
     def test_step_multiple_grid_pays_one_exponential_a_chunk(self, monkeypatch, grid, per_chunk):
+        monkeypatch.setattr(channel, "_WORKERS", 1)  # one chunk a task
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 4 * 25)
         exponentials = counting(monkeypatch, "_unit_phasors")
         probability_curve(ArrayScenario(n_nodes=4), grid, trials=100, seed=3)
         assert exponentials[0] == 4 * per_chunk
+
+    @pytest.mark.parametrize(
+        "grid, per_task",
+        [(np.linspace(0.02, 0.05, 7), 1), (np.linspace(0.01, 0.2, 60), 2), (np.geomspace(0.005, 0.3, 40), 40)],
+    )
+    def test_grid_pays_its_exponentials_once_a_task(self, monkeypatch, grid, per_task):
+        # 4 chunks run 2 a task on 2 workers
+        monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 4 * 25)
+        exponentials = counting(monkeypatch, "_unit_phasors")
+        on_workers(monkeypatch, 2, lambda: probability_curve(ArrayScenario(n_nodes=4), grid, trials=100, seed=3))
+        assert exponentials[0] == 2 * per_task
 
     def test_power_start_stays_within_the_bound(self, monkeypatch):
         # a start of q = 27 steps (square and multiply) and 2**16 - 1 steps
@@ -369,6 +454,7 @@ class TestCurveChunks:
 
     def test_log_grid_pays_one_exponential_a_step(self, monkeypatch):
         scenario = ArrayScenario(n_nodes=4)
+        monkeypatch.setattr(channel, "_WORKERS", 1)  # one chunk a task
         monkeypatch.setattr(coherence, "_CHUNK_PHASE_ERRORS", 4 * 40)
         exponentials = counting(monkeypatch, "_unit_phasors")
         probability_curve(scenario, np.geomspace(0.005, 0.3, 40), trials=100, seed=2)
