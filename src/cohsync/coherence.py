@@ -196,8 +196,8 @@ def probability_curve(
     firsts = sorted({*range(0, n_chunks, k), n_chunks - 1 if trials % rows == 1 else 0})
     tasks = [range(j, stop) for j, stop in zip(firsts, [*firsts[1:], n_chunks])]
 
-    def task_hits(i: int) -> list[int]:
-        chunks, hits = tasks[i], []
+    def task_hits(i: int) -> np.ndarray:
+        chunks, hits = tasks[i], np.empty(len(sigmas), dtype=np.int64)
         a = (_chunk_geometry(scenario, seed_seq, chunks[0], rows, trials) if len(chunks) == 1 else
              np.concatenate([_chunk_geometry(scenario, seed_seq, j, rows, trials) for j in chunks], axis=1))
         total, size, hit = (np.empty(a.shape[1], dtype=t) for t in (complex, float, bool))
@@ -208,7 +208,7 @@ def probability_curve(
             phasors *= phasors
             if bit == "1":
                 phasors *= base
-        for sigma, step in zip(sigmas, [0.0] + steps):  # a step of 0 multiplies by 1
+        for p, (sigma, step) in enumerate(zip(sigmas, [0.0, *steps])):  # a 0 step multiplies by 1
             if sigma == 0.0:
                 phasors[...] = 1.0
             elif step:
@@ -217,7 +217,7 @@ def probability_curve(
                 phasors *= factor
             # into the chunk's buffers, so no allocation a point
             np.add(np.add.reduce(phasors, axis=0, out=total), 1.0, out=total)
-            hits.append(np.count_nonzero(np.greater_equal(np.abs(total, out=size), floor, out=hit)))
+            hits[p] = np.count_nonzero(np.greater_equal(np.abs(total, out=size), floor, out=hit))
         return hits
 
     return np.sum(map_chunks(task_hits, len(tasks)), axis=0) / trials

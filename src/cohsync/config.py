@@ -7,8 +7,9 @@ so a 3.5 MHz upper tone, 143.7 us ranging pulse, 159.7 us PRI, 25 Msps,
 200-pulse windows grouped 40x5, 105 ms pulse period, 10 mm target, K_p =
 1e-5, T_i = 3.3 s, 0.3..7.5 MHz separation clamp, frequency-locked
 carriers, 90 m baseline).  Each quantity has one key.  The upper tone
-has none: it is ``f1_hz + controller.x_initial_hz``, the first
-interval's separation.  Neither have the carrier frequencies nor the
+has none: each interval sends ``f1_hz`` plus the separation in force,
+which is ``controller.x_initial_hz`` in the first interval and the
+loop's state after it.  Neither have the carrier frequencies nor the
 repeater's two carrier offsets, since only the offsets' difference
 reaches baseband (``channel.residual_offset_hz``), nor the controller's
 unit scales, which are constants of :mod:`cohsync.control`.
@@ -35,7 +36,7 @@ from pathlib import Path
 from .channel import ChannelState
 from .control import PiControllerState
 from .ranging import MAX_FRAME_SAMPLES, check_separation, effective_window_length
-from .waveform import SPEED_OF_LIGHT, TwoToneSpec, WaveformConfig
+from .waveform import SPEED_OF_LIGHT, WaveformConfig
 
 
 @dataclass(frozen=True)
@@ -84,16 +85,31 @@ class RunConfig:
                 f"round-trip delay {tau:.3e} s exceeds the {listen:.3e} s between "
                 "the end of a ranging pulse and the next pulse (pri - ranging_pulse_width)"
             )
-        # a loop may drive the separation to either clamp: the waveform must hold both
-        f1 = self.waveform.two_tone.f1
-        for key, x in (("x_min_hz", self.controller.x_min), ("x_max_hz", self.controller.x_max)):
-            try:
-                dataclasses.replace(self.waveform, two_tone=TwoToneSpec(f1, f1 + x))
-            except ValueError as exc:
-                raise ValueError(f"controller.{key}={x}: {exc}") from None
+        # a loop may drive the separation to either clamp: the upper one's tone must not
+        # alias, the controller keeps x_min <= x_max and check_separation x_min > 0
+        f1, x_max, fs = self.waveform.f1, self.controller.x_max, self.waveform.sample_rate
+        if not f1 + x_max < fs / 2:
+            raise ValueError(
+                f"controller.x_max_hz={x_max}: f2={f1 + x_max} aliases at sample_rate={fs} "
+                "(f2 = waveform.f1_hz + controller.x_max_hz, the upper tone at the clamp)"
+            )
+        try:
+            n_win = effective_window_length(self.waveform, self.channel)
+        except OverflowError:  # past the frame limit, or past any integer
+            n_win = math.inf
+        pulses = self.loop.pulses_per_interval
+        if pulses * n_win > MAX_FRAME_SAMPLES:
+            at_fault = f"waveform.sample_rate_hz={fs}"  # its frames are too long for any loop
+            if 2 * self.loop.group_size * n_win <= MAX_FRAME_SAMPLES:  # the fewest pulses fit
+                at_fault = f"loop.pulses_per_interval={pulses}"
+            raise ValueError(
+                f"{at_fault}: a window of {pulses} pulses x {n_win} samples exceeds the limit "
+                f"of {MAX_FRAME_SAMPLES} samples (pulses_per_interval x window length)"
+            )
+        check_separation(self.controller.x_min, self.waveform, n_win, "controller.x_min_hz")
         # the round trip shifts sampled frames, so a tone shifted past fs/2 aliases
         shift = self.channel.residual_offset
-        half = self.waveform.sample_rate / 2
+        half = fs / 2
         tones = {
             "f1_hz": f1,
             "f1_hz + controller.x_min_hz": f1 + self.controller.x_min,
@@ -107,17 +123,6 @@ class RunConfig:
                     f"the tone at waveform.{name} = {f} Hz to {f + shift} Hz, where it aliases: "
                     f"not within +-{half} Hz (waveform.sample_rate_hz / 2)"
                 )
-        try:
-            n_win = effective_window_length(self.waveform, self.channel)
-        except OverflowError:  # past the frame limit, or past any integer
-            n_win = math.inf
-        pulses = self.loop.pulses_per_interval
-        if pulses * n_win > MAX_FRAME_SAMPLES:
-            raise ValueError(
-                f"a window of {pulses} pulses x {n_win} samples exceeds the limit of "
-                f"{MAX_FRAME_SAMPLES} samples (pulses_per_interval x window length)"
-            )
-        check_separation(self.controller.x_min, self.waveform, n_win, "controller.x_min_hz")
 
 
 def default_config() -> RunConfig:
@@ -127,7 +132,7 @@ def default_config() -> RunConfig:
 
 # Reference operating values of the fields whose dataclasses set no default.
 _REFERENCE = {
-    "waveform.two_tone.f1": 20e3,
+    "waveform.f1": 20e3,
     "waveform.f_d": 1.875e6,
     "waveform.ranging_pulse_width": 143.7e-6,
     "waveform.pri": 159.7e-6,
@@ -146,7 +151,7 @@ _FLOAT_OR_INF = "float or +inf"
 # Validation, defaults and both serialization directions derive from this
 # one table; its order is the order of the resolved document.
 _FIELDS = {
-    "waveform.f1_hz": ("waveform.two_tone.f1", float),
+    "waveform.f1_hz": ("waveform.f1", float),
     "waveform.disambiguation_hz": ("waveform.f_d", float),
     "waveform.ranging_pulse_width_s": ("waveform.ranging_pulse_width", float),
     "waveform.pri_s": ("waveform.pri", float),
@@ -226,8 +231,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a plain dict (e.g. parsed JSON).
 
     Missing keys take their defaults; unknown keys anywhere are rejected
-    with the dotted path of the entry.  The upper tone is the lower one
-    plus the first interval's separation, ``f1_hz + x_initial_hz``.
+    with the dotted path of the entry.
     """
     values = dict(_REFERENCE)
     for name, value in _entries(doc):
@@ -235,7 +239,6 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"unknown config key '{name}'")
         path, kind = _FIELDS[name]
         values[path] = _check_value(name, value, kind)
-    values["waveform.two_tone.f2"] = values["waveform.two_tone.f1"] + values["controller.x_prev"]
     try:
         return _build(RunConfig, values)
     except ValueError as exc:
@@ -243,13 +246,11 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def _keyed(exc: ValueError) -> str:
-    """A dataclass's rejection, led by the config key of the field its message starts with;
-    the derived upper tone ``f2`` is blamed on ``controller.x_initial_hz``."""
+    """A dataclass's rejection, led by the config key its message starts with, or by the
+    key of the field it starts with."""
     field = str(exc).partition(" ")[0].partition("=")[0]
-    note = " (f2 is f1_hz + controller.x_initial_hz)" if field == "f2" else ""
-    field = "x_prev" if field == "f2" else field
-    keys = [key for key, (path, _) in _FIELDS.items() if path.rpartition(".")[2] == field]
-    return f"config key '{keys[0]}': {exc}{note}" if keys else str(exc)
+    keys = [key for key, (path, _) in _FIELDS.items() if field in (key, path.rpartition(".")[2])]
+    return f"config key '{keys[0]}': {exc}" if keys else str(exc)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -3,9 +3,11 @@
 A *processing interval* is one full loop iteration: a window of ranging
 cycles simulated at the trace's SNR, a grouped standard deviation, and
 (in adaptive runs) one controller action that sets the next tone
-separation.  With the defaults (200 pulses, one every 105 ms) an
-interval spans 21 s of simulated time; simulated time is bookkeeping
-only and runs as fast as the math allows.
+separation.  The window takes the separation in force as an argument
+and sends the waveform's lower tone ``f1`` with ``f1 + separation``.
+With the defaults (200 pulses, one every 105 ms) an interval spans 21 s
+of simulated time; simulated time is bookkeeping only and runs as fast
+as the math allows.
 
 Reproducibility: every run is a pure function of (config, trace, master
 seed).  Per-interval noise streams are derived as
@@ -89,7 +91,7 @@ from .ranging import (
     select_lobes,
     window_stats,
 )
-from .waveform import TwoToneSpec, WaveformConfig, generate_disambiguation, generate_two_tone
+from .waveform import WaveformConfig, generate_disambiguation, generate_two_tone
 
 logger = logging.getLogger(__name__)
 
@@ -241,10 +243,10 @@ def _disambiguation_frame(
 
 @lru_cache(maxsize=2)
 def _ranging_frame(
-    tones: TwoToneSpec, width_s: float, fs: float, n: int, geometry: ChannelState
+    f1: float, f2: float, width_s: float, fs: float, n: int, geometry: ChannelState
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The ranging frame's :func:`_clean_output`; ``geometry`` is at 0 dB."""
-    return _clean_output(generate_two_tone(tones, width_s, fs), n, geometry, fs)
+    return _clean_output(generate_two_tone(f1, f2, width_s, fs), n, geometry, fs)
 
 
 # The last two lag-block factors, oldest first, by (*frame, snr_db, width).
@@ -272,7 +274,7 @@ def _lag_block_root(
 
 
 def _matched_filter_rows(
-    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
+    waveform: WaveformConfig, separation: float, channel_state: ChannelState, n_pulses: int, seed
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Readout]:
     """Selected ranging lobes of one window, drawn on the lags selection reads.
 
@@ -291,12 +293,12 @@ def _matched_filter_rows(
         raise ValueError("n_pulses must be >= 1")
     fs = waveform.sample_rate
     n = effective_window_length(waveform, channel_state)
-    check_separation(waveform.two_tone.separation, waveform, n)
+    check_separation(separation, waveform, n)
     geometry, snr_db = replace(channel_state, snr_db=0.0), channel_state.snr_db
     search, power_d = _disambiguation_frame(waveform.f_d, fs, n, geometry)
-    frame = (waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry)
+    frame = (waveform.f1, waveform.f1 + separation, waveform.ranging_pulse_width, fs, n, geometry)
     spectrum_r, clean_r, power_r = _ranging_frame(*frame)
-    reads = readout(n, fs, waveform.two_tone.separation)
+    reads = readout(n, fs, separation)
     if snr_db == math.inf:
         index = np.full(n_pulses, search.peak)
     else:
@@ -316,16 +318,18 @@ def _matched_filter_rows(
 
 
 def simulate_window(
-    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed=0
+    waveform: WaveformConfig, separation: float, channel_state: ChannelState, n_pulses: int, seed=0
 ) -> tuple[np.ndarray, int]:
-    """Simulate ``n_pulses`` ranging cycles; returns (ranges, gross count).
+    """Simulate ``n_pulses`` cycles, tones ``separation`` Hz apart; returns (ranges, gross count).
 
     Each cycle's lobe is selected as its lags are drawn
     (:func:`_matched_filter_rows`), and the selected peaks are refined as
     one batch.  Deterministic for a fixed ``seed``, whatever the frame
     caches hold.
     """
-    support, peak, gross, _, reads = _matched_filter_rows(waveform, channel_state, n_pulses, seed)
+    support, peak, gross, _, reads = _matched_filter_rows(
+        waveform, separation, channel_state, n_pulses, seed
+    )
     ranges, _ = disambiguate_and_refine(support, peak, reads)
     return ranges, int(gross.sum())
 
@@ -371,22 +375,21 @@ def _closed_loop(
     cadence = float(np.median(np.diff(times))) if len(times) > 1 else math.inf
     warned: set = set()
 
-    f1 = config.waveform.two_tone.f1
     x = config.controller.x_prev  # tone separation in force, Hz
     logs: list[ProcessingIntervalLog] = []
     for i in range(n_intervals):
         t = times[0] + i * dt
         snr = _lookup(trace, t, times, cadence, warned).snr_db
-        f2 = f1 + x
-        wf = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f2))
         state = replace(config.channel, snr_db=snr)
-        ranges, _ = simulate_window(wf, state, loop.pulses_per_interval, seed=(seed, stream, i))
+        ranges, _ = simulate_window(
+            config.waveform, x, state, loop.pulses_per_interval, seed=(seed, stream, i)
+        )
         stats = window_stats(ranges, loop.group_size, loop.pulses_per_interval)
         error = stats.sigma_d - loop.target_sigma_m
         logs.append(
             ProcessingIntervalLog(
                 interval_index=i,
-                f2_hz=f2,
+                f2_hz=config.waveform.f1 + x,
                 sigma_d_m=stats.sigma_d,
                 mean_range_m=stats.mean_range,
                 snr_db=snr,

@@ -3,8 +3,10 @@
 A pulse is a complex128 array of uniformly sampled complex baseband;
 the sample rate travels with the call, not with the array.  The two
 ranging tones are rendered at their positive offsets ``f1`` and
-``f2`` (carrier handling lives in :mod:`cohsync.channel`).  About its
-spectral centroid, a long two-tone pulse has mean-squared bandwidth
+``f2`` (carrier handling lives in :mod:`cohsync.channel`).  A waveform
+fixes the lower tone; the upper one is ``f1`` plus the tone separation
+in force, which the closed loop sets (:mod:`cohsync.scenario`).  About
+its spectral centroid, a long two-tone pulse has mean-squared bandwidth
 ``(2*pi*delta_f)**2`` where ``delta_f = (f2 - f1) / 2``; the accuracy
 bound :func:`crlb_sigma_r` takes that bandwidth.
 """
@@ -19,40 +21,14 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 @dataclass(frozen=True)
-class TwoToneSpec:
-    """Tone frequencies of a two-tone ranging pulse, in Hz.
-
-    ``delta_f`` is half the tone separation; the ranging ambiguity period
-    is ``1 / (f2 - f1)``.
-    """
-
-    f1: float
-    f2: float
-
-    def __post_init__(self):
-        if not 0 <= self.f1 <= self.f2:
-            bad = "f2" if 0 <= self.f1 else "f1"  # lead with the tone at fault
-            got = f"got f1={self.f1}, f2={self.f2}"
-            raise ValueError(f"{bad}={getattr(self, bad)}: need 0 <= f1 <= f2, {got}")
-
-    @property
-    def delta_f(self) -> float:
-        return (self.f2 - self.f1) / 2.0
-
-    @property
-    def separation(self) -> float:
-        return self.f2 - self.f1
-
-
-@dataclass(frozen=True)
 class WaveformConfig:
-    """Full pulse-train definition: ranging tones plus disambiguation tone.
+    """Pulse-train definition: lower ranging tone plus disambiguation tone.
 
     The disambiguation pulse is one full period of ``f_d``, so its width
     is ``1 / f_d``.
     """
 
-    two_tone: TwoToneSpec
+    f1: float
     f_d: float
     ranging_pulse_width: float
     pri: float
@@ -62,17 +38,17 @@ class WaveformConfig:
         fs = self.sample_rate
         if not fs > 0:
             raise ValueError("sample_rate must be positive")
+        if not 0 <= self.f1 < fs / 2:
+            raise ValueError(f"f1={self.f1}: need 0 <= f1 < sample_rate/2")
         if not 0 < self.f_d < fs / 2:
             raise ValueError(f"f_d={self.f_d} must lie in (0, sample_rate/2)")
-        if self.two_tone.f2 >= fs / 2:
-            raise ValueError(f"f2={self.two_tone.f2} aliases at sample_rate={fs}")
         if not round(self.ranging_pulse_width * fs) >= 2:  # generate_two_tone's count
             raise ValueError(f"ranging_pulse_width={self.ranging_pulse_width} s is under 2 samples")
         if self.pri < max(self.ranging_pulse_width, 1.0 / self.f_d):
             raise ValueError("pri must cover the longest pulse")
 
 
-def generate_two_tone(spec: TwoToneSpec, width: float, sample_rate: float) -> np.ndarray:
+def generate_two_tone(f1: float, f2: float, width: float, sample_rate: float) -> np.ndarray:
     """Render a two-tone ranging pulse of the given width, as complex samples.
 
     The pulse is ``exp(j*2*pi*f1*t) + exp(j*2*pi*f2*t)`` with both tones
@@ -89,14 +65,14 @@ def generate_two_tone(spec: TwoToneSpec, width: float, sample_rate: float) -> np
         raise ValueError(f"width must be positive, got {width}")
     if not sample_rate > 0:
         raise ValueError("sample_rate must be positive")
-    if spec.f2 >= sample_rate / 2:
+    if f2 >= sample_rate / 2:
         raise ValueError(
-            f"f2={spec.f2} Hz aliases at sample_rate={sample_rate} Hz"
+            f"f2={f2} Hz aliases at sample_rate={sample_rate} Hz"
         )
     n = int(round(width * sample_rate))
     if n < 2:
         raise ValueError("pulse must span at least 2 samples")
-    return _tone(spec.f1, n, sample_rate) + _tone(spec.f2, n, sample_rate)
+    return _tone(f1, n, sample_rate) + _tone(f2, n, sample_rate)
 
 
 @lru_cache(maxsize=2)  # a run's lower tone never changes

@@ -28,10 +28,12 @@ the check.  The set:
   record changes if the rows are drawn otherwise), at 0.3 MHz and -25 dB
   (two of a run's 600 pulses at either seed have their dense argmax
   within 8 points of a grid end, so their splines read the grid's end
-  points and peak off the centre knot), and at 3.5 MHz with the SNR
+  points and peak off the centre knot), at 3.5 MHz with the SNR
   alternating between 23 and 13 dB every interval (a lag-block factor
-  reused across SNRs would change it), each with the same three files as
-  the adaptive-step run;
+  reused across SNRs would change it), and at 3.5 MHz above a 0.1 MHz
+  lower tone (a lower tone off its default, so the record changes if
+  the upper tone ``f1_hz + x_initial_hz`` is formed otherwise), each
+  with the same three files as the adaptive-step run;
 - noise-free 50-pulse windows at 0.285, 0.3, 3.5 and 7.5 MHz, whose
   ranges a fresh ``python -c`` process hashes, since a trace holds no
   infinite SNR.
@@ -77,6 +79,8 @@ FIXED_RUNS = {
     "fixed-disamb50kHz-minus10dB": ({"waveform": {"disambiguation_hz": 50e3}}, (-10.0,)),
     "fixed-0.3MHz-minus25dB": ({"controller": {"x_initial_hz": 0.3e6}}, (-25.0,)),
     "fixed-3.5MHz-snr-alternating": ({"controller": {"x_initial_hz": 3.5e6}}, (23.0, 13.0)),
+    "fixed-3.5MHz-f1-0.1MHz": ({"waveform": {"f1_hz": 0.1e6}, "controller": {"x_initial_hz": 3.5e6}},
+                               (20.0,)),
 }
 FIXED_INTERVALS = 3
 NOISE_FREE_SEPARATIONS_HZ = (0.285e6, 0.3e6, 3.5e6, 7.5e6)
@@ -86,12 +90,10 @@ import hashlib, math, sys
 from dataclasses import replace
 from cohsync.config import default_config
 from cohsync.scenario import simulate_window
-from cohsync.waveform import TwoToneSpec
 config = default_config()
-f1, state = config.waveform.two_tone.f1, replace(config.channel, snr_db=math.inf)
+state = replace(config.channel, snr_db=math.inf)
 for separation in map(float, sys.argv[2:]):
-    waveform = replace(config.waveform, two_tone=TwoToneSpec(f1, f1 + separation))
-    ranges, gross = simulate_window(waveform, state, 50, int(sys.argv[1]))
+    ranges, gross = simulate_window(config.waveform, separation, state, 50, int(sys.argv[1]))
     digest = hashlib.sha256(ranges.tobytes() + str(gross).encode()).hexdigest()
     print(f"noise-free-{separation / 1e6:g}MHz/ranges", digest)
 """

@@ -14,11 +14,12 @@ from cohsync.channel import ChannelState
 from cohsync.config import default_config
 from cohsync.ranging import effective_window_length
 from cohsync.scenario import EnvironmentRecord
-from cohsync.waveform import TwoToneSpec, WaveformConfig
+from cohsync.waveform import WaveformConfig
 
-# Operating-point waveform: 20 kHz / 7.52 MHz tones (delta_f = 3.75 MHz),
-# 1.875 MHz disambiguation tone, 143.7 us ranging pulse, 25 Msps.
-FULL_SEPARATION = TwoToneSpec(f1=20e3, f2=7.52e6)
+# Operating-point waveform: a 20 kHz lower tone, 1.875 MHz disambiguation
+# tone, 143.7 us ranging pulse, 25 Msps; at FULL_SEPARATION its tones are
+# 20 kHz and 7.52 MHz (delta_f = 3.75 MHz).
+FULL_SEPARATION = 7.5e6
 
 # Gains from the ultimate-gain search on the simulated loop at the 23 dB
 # operating point (K_u = 0.2 controller units, T_u = 2 intervals); see
@@ -113,7 +114,7 @@ def cold_frame_caches():
 @pytest.fixture
 def full_waveform() -> WaveformConfig:
     return WaveformConfig(
-        two_tone=FULL_SEPARATION,
+        f1=20e3,
         f_d=1.875e6,
         ranging_pulse_width=143.7e-6,
         pri=159.7e-6,

@@ -87,7 +87,7 @@ def noisy_rows(
 
 
 def matched_filter_rows(
-    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
+    waveform: WaveformConfig, separation: float, channel_state: ChannelState, n_pulses: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole ``(P, n)`` ranging and disambiguation matched-filter rows of one window.
 
@@ -97,7 +97,8 @@ def matched_filter_rows(
     first.
     """
     fs = waveform.sample_rate
-    pulse_r = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, fs)
+    f1 = waveform.f1
+    pulse_r = generate_two_tone(f1, f1 + separation, waveform.ranging_pulse_width, fs)
     pulse_d = generate_disambiguation(waveform.f_d, fs)
     n_win = effective_window_length(waveform, channel_state)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -144,7 +145,7 @@ def whole_rows(spectrum, clean_row, noise_power, n_pulses, seed_seq) -> np.ndarr
 
 
 def whole_array_window(
-    waveform: WaveformConfig, channel_state: ChannelState, n_pulses: int, seed
+    waveform: WaveformConfig, separation: float, channel_state: ChannelState, n_pulses: int, seed
 ) -> tuple[np.ndarray, int]:
     """``simulate_window`` with every whole-row draw one ``(P, n)`` array.
 
@@ -167,12 +168,13 @@ def whole_array_window(
         index = np.argmax(np.abs(rows), axis=1)
     else:
         index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, np.random.default_rng(seed_d))
+    f1 = waveform.f1
     spectrum, clean_row, power_r = scenario._ranging_frame(
-        waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
+        f1, f1 + separation, waveform.ranging_pulse_width, fs, n, geometry
     )
     sigma2_r = scaled_noise_power(power_r, channel_state.snr_db)
     coarse = _signed_lags(index, n)
-    reads = readout(n, fs, waveform.two_tone.separation)
+    reads = readout(n, fs, separation)
     rows = clean_row[(coarse[:, None] + reads.offset + np.arange(reads.width)) % n]
     if sigma2_r > 0.0:
         root = lag_block_factor(spectrum, sigma2_r, reads.width)
@@ -181,14 +183,17 @@ def whole_array_window(
     return refine_window(support, peak, reads)[0], int(gross.sum())
 
 
-def select_and_refine(rows: np.ndarray, coarse: np.ndarray, waveform: WaveformConfig):
-    """``(range, peak_lag, gross_error)`` arrays of whole matched-filter rows.
+def select_and_refine(
+    rows: np.ndarray, coarse: np.ndarray, waveform: WaveformConfig, separation: float
+):
+    """``(range, peak_lag, gross_error)`` arrays of whole matched-filter rows of tones
+    ``separation`` apart.
 
     Row ``r`` is cut to the lags ``coarse[r] + reads.offset ..`` that its
     readout names, on the circular lag axis of the rows' length.
     """
     n = rows.shape[1]
-    reads = readout(n, waveform.sample_rate, waveform.two_tone.separation)
+    reads = readout(n, waveform.sample_rate, separation)
     columns = (coarse[:, None] + reads.offset + np.arange(reads.width)) % n
     support, peak, gross = select_lobes(np.take_along_axis(rows, columns, axis=1), coarse, reads)
     return (*refine_window(support, peak, reads), gross)
@@ -314,7 +319,7 @@ def refine_pulse(
     mf_ranging: np.ndarray,
     mf_disamb: np.ndarray | None,
     sample_rate: float,
-    config: WaveformConfig,
+    separation: float,
     *,
     expected_lag_s: float | None = None,
 ) -> tuple[float, float, bool]:
@@ -333,7 +338,6 @@ def refine_pulse(
     else:
         raise ValueError("need either a disambiguation output or expected_lag_s")
 
-    separation = config.two_tone.separation
     spacing = fs / separation if separation > 0 else math.inf
     half = spacing / 2.0
 

@@ -25,8 +25,8 @@ from cohsync.waveform import SPEED_OF_LIGHT, crlb_sigma_r
 
 import ranging_oracle
 from conftest import (
-    INTERVAL_S, TUNED_KP, TUNED_TI, constant_trace, post_snr_for, reaches_clamp, state_for_post_snr,
-    step_trace, tuned_config, write_trace,
+    FULL_SEPARATION, INTERVAL_S, TUNED_KP, TUNED_TI, constant_trace, post_snr_for, reaches_clamp,
+    state_for_post_snr, step_trace, tuned_config, write_trace,
 )
 
 REFERENCE_THRESHOLDS = {0.9: 0.0495, 0.8: 0.0725, 0.7: 0.1040}
@@ -92,7 +92,7 @@ def test_criterion_1_two_node_thresholds(montecarlo_artifacts):
 def test_criterion_2_crlb_efficiency_and_grouping(full_waveform):
     with criterion("2 CRLB efficiency and sqrt(5) grouping"):
         start = time.perf_counter()
-        delta_f = full_waveform.two_tone.delta_f
+        delta_f = FULL_SEPARATION / 2
         assert delta_f == pytest.approx(3.75e6)
         # 3600 pulses (720 groups) a point: over 200 seeds the grouping
         # ratio over sqrt(5) spread by 2.2-2.4 % a point (6.3 % at 600
@@ -102,7 +102,7 @@ def test_criterion_2_crlb_efficiency_and_grouping(full_waveform):
         # spread by 1.2 %, far inside its factor of 2
         for post_snr, seed in ((1e4, 201), (1e6, 202), (1e8, 203)):
             state = state_for_post_snr(full_waveform, post_snr)
-            ranges, gross = simulate_window(full_waveform, state, 3600, seed=seed)
+            ranges, gross = simulate_window(full_waveform, FULL_SEPARATION, state, 3600, seed=seed)
             assert gross == 0
             bound = crlb_sigma_r(delta_f, post_snr)
             std = ranges.std(ddof=1)
@@ -117,15 +117,14 @@ def test_criterion_2_crlb_efficiency_and_grouping(full_waveform):
 def test_criterion_3_disambiguation_correctness(full_waveform):
     with criterion("3 zero gross errors + predicted ambiguity aliasing"):
         # 1000 trials at 2E/N0 = 1e4 across >= 5 ambiguity periods
-        separation = full_waveform.two_tone.separation
-        ambiguity_m = SPEED_OF_LIGHT / (2 * separation)
+        ambiguity_m = SPEED_OF_LIGHT / (2 * FULL_SEPARATION)
         ranges_m = np.linspace(10.0, 10.0 + 5.02 * ambiguity_m, 100)
         gross_total = 0
         worst = 0.0
         for i, r in enumerate(ranges_m):
             state = state_for_post_snr(full_waveform, 1e4, true_range=float(r))
             est, gross = simulate_window(
-                full_waveform, state, 10, seed=(301, i)
+                full_waveform, FULL_SEPARATION, state, 10, seed=(301, i)
             )
             gross_total += gross
             worst = max(worst, float(np.max(np.abs(est - r))))
@@ -135,7 +134,7 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
         # with disambiguation disabled, k-period offsets alias to 20 m * k
         from cohsync import waveform
 
-        pulse = waveform.generate_two_tone(full_waveform.two_tone, 143.7e-6, 25e6)
+        pulse = waveform.generate_two_tone(20e3, 7.52e6, 143.7e-6, 25e6)
         prior_lag = 2 * 90.0 / SPEED_OF_LIGHT
         for k in (1, 2, 3):
             true_range = 90.0 + k * ambiguity_m
@@ -147,6 +146,7 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
                 ranging_oracle.correlate(rx, pulse)[None],
                 np.array([round(prior_lag * 25e6)]),
                 full_waveform,
+                FULL_SEPARATION,
             )
             assert abs(range_m - true_range) == pytest.approx(
                 k * ambiguity_m, abs=2e-3

@@ -23,10 +23,10 @@ from cohsync.channel import (
 from cohsync.ranging import _circular_correlation, effective_window_length
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
-    TwoToneSpec,
     generate_disambiguation,
     generate_two_tone,
 )
+from conftest import FULL_SEPARATION
 from ranging_oracle import correlate, noisy_rows, round_trip, select_and_refine
 from scipy import stats
 
@@ -44,9 +44,8 @@ def assert_moments(block, covariance):
 
 
 def padded_frame(waveform_cfg, pad=128):
-    pulse = generate_two_tone(
-        waveform_cfg.two_tone, waveform_cfg.ranging_pulse_width, FS
-    )
+    f1 = waveform_cfg.f1
+    pulse = generate_two_tone(f1, f1 + FULL_SEPARATION, waveform_cfg.ranging_pulse_width, FS)
     return np.concatenate([pulse, np.zeros(pad)]), pulse
 
 
@@ -104,7 +103,7 @@ class TestPropagateRoundTrip:
         out = round_trip(frame, noise_free_90m, FS)
         mf = correlate(out, pulse)
         coarse = np.array([round(2 * 90.0 / SPEED_OF_LIGHT * FS)])
-        (range_m,), (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
+        (range_m,), (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform, FULL_SEPARATION)
         expected_lag = 2 * 90.0 / SPEED_OF_LIGHT
         assert peak_lag == pytest.approx(expected_lag, abs=1e-12)
         assert peak_lag * FS == pytest.approx(15.0, abs=0.05)
@@ -145,7 +144,7 @@ class TestPropagateRoundTrip:
             out = round_trip(frame, state, FS)
             mf = correlate(out, pulse)
             coarse = np.array([round(2 * r / SPEED_OF_LIGHT * FS)])
-            _, (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform)
+            _, (peak_lag,), _ = select_and_refine(mf[None], coarse, full_waveform, FULL_SEPARATION)
             estimated.append(peak_lag)
         slope = np.polyfit(ranges, estimated, 1)[0]
         assert slope == pytest.approx(2.0 / SPEED_OF_LIGHT, rel=1e-6)
@@ -194,7 +193,7 @@ class TestMatchedNoise:
 
     @pytest.fixture
     def spectrum(self):
-        pulse = generate_two_tone(TwoToneSpec(20e3, 1.02e6), 20e-6, FS)  # 500 samples
+        pulse = generate_two_tone(20e3, 1.02e6, 20e-6, FS)  # 500 samples
         return np.fft.fft(pulse, self.N_LAGS)
 
     def model(self, spectrum, width):
@@ -223,7 +222,7 @@ class TestMatchedNoise:
         # at n - L + 1 lags the covariance is positive definite, so the
         # factor exists and reproduces it
         n = length + pad
-        pulse = generate_two_tone(TwoToneSpec(20e3, 20e3 + separation), length / FS, FS)
+        pulse = generate_two_tone(20e3, 20e3 + separation, length / FS, FS)
         spectrum = np.fft.fft(pulse, n)
         factors = []
         real = np.linalg.cholesky

@@ -140,7 +140,7 @@ from cohsync.scenario import simulate_window
 # a lag block beside certified disambiguation peaks, then whole 6.3 kHz rows
 for waveform in ({}, {"disambiguation_hz": 6.3e3}):
     config = config_from_dict({"waveform": waveform})
-    simulate_window(config.waveform, config.channel, 200, seed=1)
+    simulate_window(config.waveform, config.controller.x_prev, config.channel, 200, seed=1)
     print("concurrent.futures" in sys.modules, threading.active_count())
 print(channel._WORKERS)
 """
@@ -159,11 +159,11 @@ from cohsync.config import config_from_dict
 from cohsync.scenario import simulate_window
 channel._WORKERS = 2
 config = config_from_dict({"waveform": {"disambiguation_hz": 6.3e3}})  # whole rows
-simulate_window(config.waveform, config.channel, 40, seed=1)  # the parent's pool
+simulate_window(config.waveform, config.controller.x_prev, config.channel, 40, seed=1)  # the parent's pool
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)  # a child that waited on its parent's threads would hang
-    simulate_window(config.waveform, config.channel, 40, seed=1)
+    simulate_window(config.waveform, config.controller.x_prev, config.channel, 40, seed=1)
     os._exit(0)
 print(os.waitpid(pid, 0)[1])
 """
@@ -440,7 +440,7 @@ class TestRunCommand:
         config = config_from_dict(json.loads(config_path.read_text()))
         n_win = effective_window_length(config.waveform, config.channel)
         rho = post_snr_for(n_win, 23.0)
-        predicted = crlb_sigma_r(config.waveform.two_tone.delta_f, rho) / math.sqrt(5)
+        predicted = crlb_sigma_r(config.controller.x_prev / 2, rho) / math.sqrt(5)
         assert predicted / 2 < summary["sigma_d_m"]["mean"] < predicted * 2
 
     def test_adaptive_run_deterministic(self, tmp_path):
@@ -652,13 +652,12 @@ class TestLoadTimeRejection:
             ('{"controller": {"x_min_hz": -1e3}}', "controller.x_min_hz=-1000.0"),
             ('{"controller": {"x_min_hz": 2.8e5}}', "controller.x_min_hz=280000.0 Hz must exceed 284090.9"),
             ('{"waveform": {"f1_hz": -5}}',
-             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 <= f2, got f1=-5.0, f2=3479995.0"),
-            # f1 is at fault, so no note on the upper tone derived from it follows
+             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 < sample_rate/2"),
+            # the lower tone alone is at fault, whatever the separation
             ('{"waveform": {"f1_hz": -5}, "controller": {"x_initial_hz": 1e6}}',
-             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 <= f2, got f1=-5.0, f2=999995.0\n"),
+             "config key 'waveform.f1_hz': f1=-5.0: need 0 <= f1 < sample_rate/2\n"),
             ('{"controller": {"x_initial_hz": -1e4}}',
-             "config key 'controller.x_initial_hz': f2=10000.0: need 0 <= f1 <= f2, got f1=20000.0, "
-             "f2=10000.0 (f2 is f1_hz + controller.x_initial_hz)"),
+             "config key 'controller.x_initial_hz': x_prev=-10000.0 outside clamp [300000.0, 7500000.0]"),
             ('{"channel": {"snr_db": 4000}}', "snr_db=4000.0 has no positive finite"),
             ('{"channel": {"snr_db": -4000}}', "snr_db=-4000.0 has no positive finite"),
             ('{"seed": -1}', "seed must be a non-negative integer, got -1"),

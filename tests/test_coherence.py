@@ -187,6 +187,20 @@ class TestProbabilityCurve:
         )
         assert peak < 12 * 2**20
 
+    def test_peak_memory_at_the_trial_limit_inline(self, monkeypatch):
+        # 16 nodes x 1,048,576 trials (MAX_TRIAL_NODES) over 49 points, 1,024
+        # chunks on one worker: each task writes its hit counts into one int64
+        # array, about 1.2 MiB at peak, where a Python list of counts a task
+        # peaked at 2.3 MiB
+        scenario = ArrayScenario(n_nodes=16)
+        trials = coherence.MAX_TRIAL_NODES // 16
+
+        def curve():
+            return probability_curve(scenario, np.linspace(0.02, 0.05, 49), trials=trials, seed=1)
+
+        _, peak = on_workers(monkeypatch, 1, lambda: traced_peak(curve), starts_pool=False)
+        assert peak < 1.6 * 2**20
+
     def test_peak_memory_on_four_workers(self, monkeypatch):
         # each chunk draws its own geometry: four chunks in flight peak at
         # about 3.1 MiB, where a whole-geometry draw first took 9.9

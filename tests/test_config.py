@@ -1,9 +1,12 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsync.config import (
     MAX_FRAME_SAMPLES,
@@ -16,7 +19,6 @@ from cohsync.config import (
 )
 from cohsync.ranging import check_separation, effective_window_length, readout
 from cohsync.scenario import simulate_window
-from cohsync.waveform import TwoToneSpec
 from conftest import traced_peak
 
 # one valid key per section, with a value of the right type
@@ -121,11 +123,11 @@ class TestDerivedDefaults:
     def test_x_initial_follows_tone_separation(self):
         # x_initial_hz defaults to the reference separation, 3.5 MHz - 20 kHz,
         # and the upper tone keeps that separation from whatever f1_hz is
-        assert default_config().controller.x_prev == 3.48e6
-        assert default_config().waveform.two_tone.f2 == 3.5e6
-        config = config_from_dict({"waveform": {"f1_hz": 10e3}})
+        config = default_config()
         assert config.controller.x_prev == 3.48e6
-        assert config.waveform.two_tone.f2 == 10e3 + 3.48e6
+        assert config.waveform.f1 + config.controller.x_prev == 3.5e6
+        config = config_from_dict({"waveform": {"f1_hz": 10e3}})
+        assert (config.waveform.f1, config.controller.x_prev) == (10e3, 3.48e6)
 
     def test_explicit_x_initial_kept(self):
         config = config_from_dict({"controller": {"x_initial_hz": 1.8e6}})
@@ -136,23 +138,30 @@ class TestDerivedDefaults:
         # document holds no upper tone, and reloads to the same config
         doc = {"waveform": {"f1_hz": 10e3}, "controller": {"x_initial_hz": 3.5e6}}
         config = config_from_dict(doc)
-        assert config.waveform.two_tone.f2 == 10e3 + 3.5e6
+        assert config.waveform.f1 + config.controller.x_prev == 10e3 + 3.5e6
         resolved = config_to_dict(config)
         assert "f2_hz" not in resolved["waveform"]
         assert config_from_dict(resolved) == config
 
     def test_agreeing_upper_tone_and_x_initial_accepted(self):
-        # the upper tone is derived, so it always agrees with x_initial_hz
+        # the upper tone is held nowhere, so it always agrees with x_initial_hz
         doc = {"waveform": {"f1_hz": 20e3}, "controller": {"x_initial_hz": 1.98e6}}
         config = config_from_dict(doc)
-        assert config.waveform.two_tone.f2 == 2e6 and config.controller.x_prev == 1.98e6
+        assert config.waveform.f1 + config.controller.x_prev == 2e6
 
     @pytest.mark.parametrize(
-        "x_initial_hz, fragment", [(-1e6, "need 0 <= f1 <= f2"), (13e6, "aliases")]
+        "x_initial_hz, message",
+        [
+            # the separation in force leaves the clamp
+            (-1e6, "config key 'controller.x_initial_hz': x_prev=-1000000.0 outside clamp"),
+            # the loop may reach the upper clamp, whose tone aliases
+            (13e6, "config key 'controller.x_max_hz': controller.x_max_hz=13000000.0: "
+                   "f2=13020000.0 aliases at sample_rate=25000000.0"),
+        ],
     )
-    def test_invalid_derived_upper_tone_names_x_initial(self, x_initial_hz, fragment):
+    def test_invalid_separation_names_its_key(self, x_initial_hz, message):
         msg = error_of({"controller": {"x_initial_hz": x_initial_hz, "x_max_hz": 13e6}})
-        assert fragment in msg and "controller.x_initial_hz" in msg
+        assert msg.startswith(message)
 
     def test_other_waveform_errors_do_not_blame_x_initial(self):
         msg = error_of({"controller": {"x_initial_hz": 1e6}, "waveform": {"pri_s": 1e-6}})
@@ -166,7 +175,7 @@ class TestInvariantErrors:
     @pytest.mark.parametrize(
         "doc, fragment",
         [
-            ({"waveform": {"f1_hz": -1.0}}, "need 0 <= f1 <= f2"),
+            ({"waveform": {"f1_hz": -1.0}}, "need 0 <= f1 < sample_rate/2"),
             ({"controller": {"x_initial_hz": 20e6, "x_max_hz": 20e6}}, "aliases"),
             ({"waveform": {"disambiguation_hz": 20e6}}, "must lie in (0, sample_rate/2)"),
             ({"channel": {"true_range_m": -1.0}}, "true_range must be >= 0"),
@@ -256,6 +265,70 @@ class TestRoundTrip:
         assert config_from_dict(config_to_dict(config)) == config
 
 
+def schema_keys() -> set:
+    """Every dotted key of the resolved document."""
+    keys = set()
+    for name, value in config_to_dict(default_config()).items():
+        keys |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
+    return keys
+
+
+def around(*limits):
+    """Each limit and the floats one ulp either side of it."""
+    return [x for limit in limits for x in (math.nextafter(limit, -math.inf), limit,
+                                             math.nextafter(limit, math.inf))]
+
+
+class TestOneUpperTone:
+    """The upper tone is held nowhere: every interval sends ``f1`` plus the
+    separation in force, so no config can hold a second, disagreeing copy."""
+
+    # each tone key at its default, 0, +-1e308 and each limit its rejections
+    # name: f1 in [0, fs/2) and f1 + x_max < fs/2; x_min <= x_initial <= x_max;
+    # x_min above the separation floor (fs/88 at the reference window);
+    # fs/2 above f_d and above f1 + x_max, a ranging pulse of 1.5 samples
+    DRAWS = {
+        ("waveform", "f1_hz"): [20e3, 0.0, 1e308, -1e308, *around(0.0, 5e6, 12.5e6)],
+        ("controller", "x_initial_hz"): [3.48e6, 0.0, 1e308, -1e308, *around(0.3e6, 7.5e6)],
+        ("controller", "x_min_hz"): [0.3e6, 0.0, 1e308, -1e308, *around(25e6 / 88, 3.48e6)],
+        ("controller", "x_max_hz"): [7.5e6, 0.0, 1e308, -1e308, *around(3.48e6, 12.48e6)],
+        ("waveform", "sample_rate_hz"): [
+            25e6, 0.0, 1e308, -1e308, *around(3.75e6, 15.04e6, 26.4e6, 1.5 / 143.7e-6)
+        ],
+    }
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.fixed_dictionaries({key: st.sampled_from(values) for key, values in DRAWS.items()}))
+    def test_loads_and_round_trips_or_names_one_key(self, draw):
+        doc: dict = {}
+        for (section, key), value in draw.items():
+            doc.setdefault(section, {})[key] = value
+        try:
+            config = config_from_dict(doc)
+        except ConfigError as exc:
+            message = str(exc)
+            match = re.match(r"config key '([^']+)': ", message)
+            assert match and match[1] in schema_keys(), message
+            assert message.count("config key '") == 1, message
+            return
+        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+    @pytest.mark.parametrize("f1, x_initial", [(20e3, 0.98e6), (0.1e6, 1e6), (0.0, 7.5e6), (4.9e6, 0.3e6)])
+    def test_python_built_tones_round_trip(self, f1, x_initial):
+        # the tone keys as a Python caller sets them: the document holds f1 and
+        # the first separation, and reloads to the same config
+        base = default_config()
+        config = replace(
+            base,
+            waveform=replace(base.waveform, f1=f1),
+            controller=replace(base.controller, x_prev=x_initial),
+        )
+        doc = config_to_dict(config)
+        assert (doc["waveform"]["f1_hz"], doc["controller"]["x_initial_hz"]) == (f1, x_initial)
+        assert config_from_dict(doc) == config
+
+
 class TestMemoryBound:
     """pulses_per_interval x window length is bounded when the config loads."""
 
@@ -323,11 +396,11 @@ class TestSeparationFloor:
 
     def test_window_below_floor_rejected_with_the_same_message(self):
         config = default_config()
-        tones = TwoToneSpec(20e3, 20e3 + 2.8e5)
         with pytest.raises(ValueError) as window:
-            simulate_window(replace(config.waveform, two_tone=tones), config.channel, 2, seed=0)
+            simulate_window(config.waveform, 2.8e5, config.channel, 2, seed=0)
         message = str(window.value).replace("tone separation=", "controller.x_min_hz=")
-        assert error_of({"controller": {"x_min_hz": 2.8e5}}) == message
+        keyed = f"config key 'controller.x_min_hz': {message}"
+        assert error_of({"controller": {"x_min_hz": 2.8e5}}) == keyed
 
 
 def test_window_too_long_for_any_fft_hits_the_frame_limit():
@@ -344,7 +417,4 @@ class TestReadme:
         section = section.split("\n## ")[0]
         rows = [line for line in section.splitlines() if line.startswith("|")]
         listed = [row.split("|")[1].strip() for row in rows[2:]]  # past header and rule
-        keys = []
-        for name, value in config_to_dict(default_config()).items():
-            keys += [f"{name}.{key}" for key in value] if isinstance(value, dict) else [name]
-        assert sorted(listed) == sorted(keys)
+        assert sorted(listed) == sorted(schema_keys())

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from statistics import mean, stdev
 
 import numpy as np
@@ -21,14 +20,13 @@ from cohsync.ranging import (
 from cohsync.scenario import simulate_window
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
-    TwoToneSpec,
     crlb_sigma_r,
     generate_disambiguation,
     generate_two_tone,
 )
 
 import ranging_oracle
-from conftest import state_for_post_snr, traced_peak
+from conftest import FULL_SEPARATION, state_for_post_snr, traced_peak
 
 FS = 25e6
 
@@ -41,13 +39,13 @@ def frame_with_delay_samples(pulse, delay, total):
 
 class TestMatchedFilter:
     def test_autocorrelation_identity(self, full_waveform):
-        pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
+        pulse = generate_two_tone(20e3, 7.52e6, 143.7e-6, FS)
         mags = np.abs(ranging_oracle.correlate(pulse, pulse))
         assert int(np.argmax(mags)) == 0
         assert mags[0] == pytest.approx(np.sum(np.abs(pulse) ** 2), rel=1e-12)
 
     def test_delayed_copy_peaks_at_40(self, full_waveform):
-        pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
+        pulse = generate_two_tone(20e3, 7.52e6, 143.7e-6, FS)
         received = frame_with_delay_samples(pulse, 40, pulse.size + 128)
         mf = ranging_oracle.correlate(received, pulse)
         assert int(np.argmax(np.abs(mf))) == 40
@@ -77,7 +75,7 @@ class TestMatchedFilter:
 
 class TestDisambiguateAndRefine:
     def test_noise_free_90m_within_1mm(self, full_waveform, noise_free_90m):
-        ranges, gross = simulate_window(full_waveform, noise_free_90m, 2, seed=0)
+        ranges, gross = simulate_window(full_waveform, FULL_SEPARATION, noise_free_90m, 2, seed=0)
         assert gross == 0
         assert np.max(np.abs(ranges - 90.0)) < 1e-3
 
@@ -86,22 +84,21 @@ class TestDisambiguateAndRefine:
     def test_noise_free_error_across_lattice_spans(self, full_waveform, separation_hz, true_range):
         # above 3.125 MHz half a lobe spacing is under NEIGHBORS samples, so
         # the dense grid is a shorter run of the lattice at each separation
-        waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
         state = ChannelState(true_range=true_range, snr_db=math.inf)
-        ranges, gross = simulate_window(waveform, state, 2, seed=0)
+        ranges, gross = simulate_window(full_waveform, separation_hz, state, 2, seed=0)
         assert gross == 0
         bound = 1e-4 if separation_hz == 7.5e6 else 5e-4
         assert np.max(np.abs(ranges - true_range)) < bound
 
     def test_zero_delay(self, full_waveform):
         state = ChannelState(true_range=0.0, snr_db=math.inf)
-        pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
+        pulse = generate_two_tone(20e3, 7.52e6, 143.7e-6, FS)
         received = frame_with_delay_samples(pulse, 0, pulse.size + 128)
         disamb = generate_disambiguation(full_waveform.f_d, FS)
         rx_d = frame_with_delay_samples(disamb, 0, pulse.size + 128)
         coarse = ranging_oracle.peak_lags(ranging_oracle.correlate(rx_d, disamb)[None])
         (range_m,), _, (gross,) = ranging_oracle.select_and_refine(
-            ranging_oracle.correlate(received, pulse)[None], coarse, full_waveform
+            ranging_oracle.correlate(received, pulse)[None], coarse, full_waveform, FULL_SEPARATION
         )
         assert range_m == pytest.approx(0.0, abs=1e-3)
         assert not gross
@@ -109,9 +106,8 @@ class TestDisambiguateAndRefine:
     def test_ambiguity_offset_without_disambiguation(self, full_waveform):
         # with the lobe chosen against a stale prior, a k-period delay
         # offset aliases to a range error of k * c / (2 * (f2 - f1))
-        pulse = generate_two_tone(full_waveform.two_tone, 143.7e-6, FS)
-        separation = full_waveform.two_tone.separation
-        ambiguity_m = SPEED_OF_LIGHT / (2 * separation)
+        pulse = generate_two_tone(20e3, 7.52e6, 143.7e-6, FS)
+        ambiguity_m = SPEED_OF_LIGHT / (2 * FULL_SEPARATION)
         base_range = 90.0
         prior_lag = 2 * base_range / SPEED_OF_LIGHT
         for k in (1, 2, 3):
@@ -121,7 +117,7 @@ class TestDisambiguateAndRefine:
             rx = ranging_oracle.round_trip(frame, state, FS)
             mf = ranging_oracle.correlate(rx, pulse)
             (range_m,), _, _ = ranging_oracle.select_and_refine(
-                mf[None], np.array([round(prior_lag * FS)]), full_waveform
+                mf[None], np.array([round(prior_lag * FS)]), full_waveform, FULL_SEPARATION
             )
             # the estimator stays on the prior's lobe, so the report is
             # off by exactly k ambiguity periods
@@ -137,37 +133,30 @@ class TestDisambiguateAndRefine:
         spike = np.zeros(n, dtype=complex)
         spike[200] = 1.0
         coarse = ranging_oracle.peak_lags(spike[None])
-        _, _, (gross,) = ranging_oracle.select_and_refine(ramp[None], coarse, full_waveform)
+        _, _, (gross,) = ranging_oracle.select_and_refine(
+            ramp[None], coarse, full_waveform, FULL_SEPARATION
+        )
         assert gross
 
 
 class TestEstimatorStatistics:
     def test_unbiased_at_moderate_snr(self, full_waveform):
         state = state_for_post_snr(full_waveform, 1e6)
-        ranges, _ = simulate_window(full_waveform, state, 1000, seed=11)
+        ranges, _ = simulate_window(full_waveform, FULL_SEPARATION, state, 1000, seed=11)
         sigma = ranges.std(ddof=1)
         assert abs(ranges.mean() - 90.0) < sigma / 10.0
 
     def test_std_within_factor_two_of_bound(self, full_waveform):
         state = state_for_post_snr(full_waveform, 1e6)
-        ranges, gross = simulate_window(full_waveform, state, 300, seed=3)
-        bound = crlb_sigma_r(full_waveform.two_tone.delta_f, 1e6)
+        ranges, gross = simulate_window(full_waveform, FULL_SEPARATION, state, 300, seed=3)
+        bound = crlb_sigma_r(FULL_SEPARATION / 2, 1e6)
         assert gross == 0
         assert bound / 2 < ranges.std(ddof=1) < bound * 2
 
     def test_std_decreases_with_wider_separation(self, full_waveform):
-        from dataclasses import replace
-
-        from cohsync.waveform import TwoToneSpec
-
-        narrow = replace(full_waveform, two_tone=TwoToneSpec(20e3, 2.02e6))
-        post = 1e5
-        s_narrow = simulate_window(
-            narrow, state_for_post_snr(narrow, post), 150, seed=4
-        )[0].std(ddof=1)
-        s_wide = simulate_window(
-            full_waveform, state_for_post_snr(full_waveform, post), 150, seed=4
-        )[0].std(ddof=1)
+        state = state_for_post_snr(full_waveform, 1e5)
+        s_narrow = simulate_window(full_waveform, 2e6, state, 150, seed=4)[0].std(ddof=1)
+        s_wide = simulate_window(full_waveform, FULL_SEPARATION, state, 150, seed=4)[0].std(ddof=1)
         assert s_wide < s_narrow
 
 
@@ -234,18 +223,19 @@ class TestSplineSolver:
             assert peak_x == pytest.approx(float(best), abs=1e-6)
 
 
-def oracle_window(mf_r, mf_d, waveform):
+def oracle_window(mf_r, mf_d, waveform, separation):
     """The per-pulse reference over every row, as arrays like refine_window's."""
     out = [
-        ranging_oracle.refine_pulse(r, d, waveform.sample_rate, waveform)
+        ranging_oracle.refine_pulse(r, d, waveform.sample_rate, separation)
         for r, d in zip(mf_r, mf_d)
     ]
     return tuple(np.array(column) for column in zip(*out))
 
 
-def assert_matches_oracle(mf_r, mf_d, waveform):
-    ranges, lags, gross = ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
-    o_ranges, o_lags, o_gross = oracle_window(mf_r, mf_d, waveform)
+def assert_matches_oracle(mf_r, mf_d, waveform, separation):
+    coarse = ranging_oracle.peak_lags(mf_d)
+    ranges, lags, gross = ranging_oracle.select_and_refine(mf_r, coarse, waveform, separation)
+    o_ranges, o_lags, o_gross = oracle_window(mf_r, mf_d, waveform, separation)
     assert np.max(np.abs(ranges - o_ranges)) <= 1e-8
     assert np.array_equal(gross, o_gross)
     return ranges, lags, gross
@@ -261,10 +251,11 @@ class TestBatchedKernel:
         # half a spacing is exactly 4 samples at 3.125 MHz, and 0.125 MHz
         # cuts whole rows to a lobe window wider than any lag block
         for separation_hz in (0.125e6, 1e6, 3.125e6, 3.5e6, 7.5e6):
-            waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
             for seed in range(3):
-                mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed))
-                gross_total += assert_matches_oracle(mf_r, mf_d, waveform)[2].sum()
+                mf_r, mf_d = ranging_oracle.matched_filter_rows(
+                    full_waveform, separation_hz, state, 50, (17, seed)
+                )
+                gross_total += assert_matches_oracle(mf_r, mf_d, full_waveform, separation_hz)[2].sum()
         if snr_db < 0:
             assert gross_total > 0  # the gross-error branch was reached
 
@@ -280,9 +271,9 @@ class TestBatchedKernel:
         spike[200] = 1.0
         mf_r = np.stack([ramp, ramp[::-1], lobe])
         mf_d = np.stack([spike, spike, spike])
-        ranges, lags, gross = assert_matches_oracle(mf_r, mf_d, full_waveform)
+        ranges, lags, gross = assert_matches_oracle(mf_r, mf_d, full_waveform, FULL_SEPARATION)
         fs = full_waveform.sample_rate
-        half = fs / full_waveform.two_tone.separation / 2  # half a lobe spacing
+        half = fs / FULL_SEPARATION / 2  # half a lobe spacing
         span = math.floor(64 * min(4.0, half)) / 64  # the last lattice point within it
         hi, lo = math.floor(200 + half), math.ceil(200 - half)
         assert lags[0] * fs == pytest.approx(hi + span, abs=1e-9)
@@ -305,16 +296,16 @@ class TestBatchedKernel:
             return real(x0, h, y)
 
         monkeypatch.setattr(ranging, "_natural_spline_max", spy)
-        ranging_oracle.select_and_refine(np.stack([ramp, ramp[::-1], lobe]), np.full(3, 200), full_waveform)
+        rows = np.stack([ramp, ramp[::-1], lobe])
+        ranging_oracle.select_and_refine(rows, np.full(3, 200), full_waveform, FULL_SEPARATION)
         assert shapes == [(3, 17)]
 
     def test_separation_zero_branch(self, full_waveform):
         # f2 == f1 has no lobes and no two-tone bound: a window rejects it,
         # and a config whose clamp reaches it fails at load
-        waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3))
         state = ChannelState(true_range=37.3, snr_db=math.inf)
         with pytest.raises(ValueError, match=r"tone separation=0\.0 Hz must exceed 284090\.9"):
-            simulate_window(waveform, state, 2, seed=0)
+            simulate_window(full_waveform, 0.0, state, 2, seed=0)
         with pytest.raises(ValueError, match=r"controller\.x_min_hz=0\.0 Hz must exceed"):
             config_from_dict({"controller": {"x_min_hz": 0.0}})
 
@@ -323,11 +314,14 @@ class TestBatchedKernel:
         # magnitude array alone would be 5.7 MiB
         config = default_config()
         waveform = config.waveform
-        mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, config.channel, 200, 0)
+        separation = config.controller.x_prev
+        mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, separation, config.channel, 200, 0)
         assert mf_r.shape == (200, 3750)
         _interp_table.cache_clear()
         _, peak = traced_peak(
-            lambda: ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
+            lambda: ranging_oracle.select_and_refine(
+                mf_r, ranging_oracle.peak_lags(mf_d), waveform, separation
+            )
         )
         assert peak <= 4 * 2**20
 
@@ -361,10 +355,12 @@ class TestSplineInterval:
         lobe[195:206] = np.hanning(11)
         rows = np.stack([ramp, ramp[::-1], lobe])
         ((x0_a, h, y_a),) = self.spline_inputs(
-            lambda: ranging_oracle.select_and_refine(rows, np.full(3, 200), full_waveform)
+            lambda: ranging_oracle.select_and_refine(rows, np.full(3, 200), full_waveform, FULL_SEPARATION)
         )
         state = ChannelState(true_range=90.0, snr_db=13.0)
-        ((x0_b, h_b, y_b),) = self.spline_inputs(lambda: simulate_window(full_waveform, state, 12, 4))
+        ((x0_b, h_b, y_b),) = self.spline_inputs(
+            lambda: simulate_window(full_waveform, FULL_SEPARATION, state, 12, 4)
+        )
         assert h_b == h
         knots = np.arange(17.0)
         off_centre = 1.0 - 1e-3 * (knots - 3.2) ** 2
@@ -409,12 +405,12 @@ def hypot_spline_peaks(offsets, parts):
     return peaks
 
 
-def assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform):
+def assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform, separation):
     """refine_window's outputs carry the bytes of the np.hypot reference's."""
-    out = ranging_oracle.select_and_refine(mf_r, coarse, waveform)
+    out = ranging_oracle.select_and_refine(mf_r, coarse, waveform, separation)
     with monkeypatch.context() as patch:
         patch.setattr(ranging, "_spline_peaks", hypot_spline_peaks)
-        expected = ranging_oracle.select_and_refine(mf_r, coarse, waveform)
+        expected = ranging_oracle.select_and_refine(mf_r, coarse, waveform, separation)
     for a, b in zip(out, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -458,11 +454,13 @@ class TestDenseArgmax:
         # TestBatchedKernel's windows, three seeds to a batch of 150 rows
         state = ChannelState(true_range=90.0, snr_db=snr_db)
         for separation_hz in (1e6, 3.5e6, 7.5e6):
-            waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
-            windows = [ranging_oracle.matched_filter_rows(waveform, state, 50, (17, seed)) for seed in range(3)]
+            windows = [
+                ranging_oracle.matched_filter_rows(full_waveform, separation_hz, state, 50, (17, seed))
+                for seed in range(3)
+            ]
             mf_r = np.concatenate([r for r, _ in windows])
             coarse = np.concatenate([ranging_oracle.peak_lags(d) for _, d in windows])
-            assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, waveform)
+            assert_bit_equal_to_hypot_reference(monkeypatch, mf_r, coarse, full_waveform, separation_hz)
 
 
 def scattered(gather, weights):
@@ -480,8 +478,7 @@ class TestInterpTable:
         _interp_table.cache_clear()
         state = ChannelState(true_range=90.0, snr_db=23.0)
         for separation_hz in (3.3e6, 4.4e6, 5.5e6, 7.5e6):
-            waveform = replace(full_waveform, two_tone=TwoToneSpec(20e3, 20e3 + separation_hz))
-            simulate_window(waveform, state, 10, seed=0)
+            simulate_window(full_waveform, separation_hz, state, 10, seed=0)
         assert _interp_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("span", [1.0, 25 / 7.5 / 2, 2.5, 25 / 4.4 / 2, 25 / 3.3 / 2, 4.0])

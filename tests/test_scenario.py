@@ -8,8 +8,8 @@ import pytest
 
 import ranging_oracle
 from conftest import (
-    INTERVAL_S, PRINT_BLAS_THREADS, clear_frame_caches, constant_trace, on_workers, post_snr_for,
-    reaches_clamp, run_python, step_trace, traced_peak, tuned_config, write_trace,
+    FULL_SEPARATION, INTERVAL_S, PRINT_BLAS_THREADS, clear_frame_caches, constant_trace, on_workers,
+    post_snr_for, reaches_clamp, run_python, step_trace, traced_peak, tuned_config, write_trace,
 )
 from cohsync import channel, cli, coherence, ranging, scenario
 from cohsync.channel import ChannelState
@@ -39,13 +39,13 @@ from cohsync.scenario import (
     summarize_run,
     write_run_log_csv,
 )
-from cohsync.waveform import SPEED_OF_LIGHT, TwoToneSpec, crlb_sigma_r, generate_two_tone
+from cohsync.waveform import SPEED_OF_LIGHT, crlb_sigma_r
 from scipy import stats
 
 def predicted_sigma_d(config, snr_db):
     n_win = effective_window_length(config.waveform, config.channel)
     rho = post_snr_for(n_win, snr_db)
-    delta_f = config.waveform.two_tone.delta_f
+    delta_f = config.controller.x_prev / 2
     return crlb_sigma_r(delta_f, rho) / math.sqrt(config.loop.group_size)
 
 
@@ -276,11 +276,10 @@ class TestNoiseStreams:
 
     @staticmethod
     def window_sigma(config, separation_hz, seed, snr_db=None):
-        f1 = config.waveform.two_tone.f1
-        waveform = replace(config.waveform, two_tone=TwoToneSpec(f1=f1, f2=f1 + separation_hz))
         channel = config.channel if snr_db is None else replace(config.channel, snr_db=snr_db)
-        ranges, _ = simulate_window(waveform, channel, config.loop.pulses_per_interval, seed=seed)
-        stats = window_stats(ranges, config.loop.group_size, config.loop.pulses_per_interval)
+        pulses = config.loop.pulses_per_interval
+        ranges, _ = simulate_window(config.waveform, separation_hz, channel, pulses, seed=seed)
+        stats = window_stats(ranges, config.loop.group_size, pulses)
         return stats.sigma_d, stats.mean_range
 
     def test_plant_uses_stream_3_and_p_law(self):
@@ -311,7 +310,7 @@ class TestNoiseStreams:
             expected.append(
                 ProcessingIntervalLog(
                     interval_index=i,
-                    f2_hz=config.waveform.two_tone.f1 + x,
+                    f2_hz=config.waveform.f1 + x,
                     sigma_d_m=sigma,
                     mean_range_m=mean_range,
                     snr_db=rec.snr_db,
@@ -323,33 +322,29 @@ class TestNoiseStreams:
         assert run_adaptive(config, trace, duration_s=2 * dt, seed=seed) == expected
 
 
-def oracle_refined(waveform, state, n_pulses, seed):
+def oracle_refined(waveform, separation, state, n_pulses, seed):
     """Selection and refinement on the oracle's whole rows of time-domain noise."""
-    mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, state, n_pulses, seed)
-    return ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform)
+    mf_r, mf_d = ranging_oracle.matched_filter_rows(waveform, separation, state, n_pulses, seed)
+    return ranging_oracle.select_and_refine(mf_r, ranging_oracle.peak_lags(mf_d), waveform, separation)
 
 
-def direct_refined(waveform, state, n_pulses, seed):
+def direct_refined(waveform, separation, state, n_pulses, seed):
     """``refine_window`` on the window's selected draws, as ``simulate_window`` runs it."""
-    support, peak, gross, _, reads = scenario._matched_filter_rows(waveform, state, n_pulses, seed)
+    support, peak, gross, _, reads = scenario._matched_filter_rows(
+        waveform, separation, state, n_pulses, seed
+    )
     return (*refine_window(support, peak, reads), gross)
 
 
-def oracle_window(waveform, state, n_pulses, seed):
+def oracle_window(waveform, separation, state, n_pulses, seed):
     """``simulate_window`` on the oracle's whole rows of time-domain noise."""
-    ranges, _, gross = oracle_refined(waveform, state, n_pulses, seed)
+    ranges, _, gross = oracle_refined(waveform, separation, state, n_pulses, seed)
     return ranges, int(gross.sum())
-
-
-def with_separation(waveform, separation_hz):
-    f1 = waveform.two_tone.f1
-    return replace(waveform, two_tone=TwoToneSpec(f1=f1, f2=f1 + separation_hz))
 
 
 def widest_block(waveform, n):
     """Most lags drawn as one block: ``n - L + 1``, ``L`` the ranging pulse's length."""
-    pulse = generate_two_tone(waveform.two_tone, waveform.ranging_pulse_width, waveform.sample_rate)
-    return n - pulse.size + 1
+    return n - round(waveform.ranging_pulse_width * waveform.sample_rate) + 1
 
 
 class TestDirectNoiseDraws:
@@ -363,17 +358,18 @@ class TestDirectNoiseDraws:
 
     SEEDS = (1, 2, 3)
 
-    def pooled(self, simulate, waveform, state):
-        runs = [simulate(waveform, state, 200, (seed, k)) for seed in self.SEEDS for k in range(5)]
+    def pooled(self, simulate, waveform, separation, state):
+        runs = [
+            simulate(waveform, separation, state, 200, (seed, k)) for seed in self.SEEDS for k in range(5)
+        ]
         return np.concatenate([ranges for ranges, _ in runs]), sum(gross for _, gross in runs)
 
     @pytest.mark.parametrize("snr_db", [13.0, 23.0])
     @pytest.mark.parametrize("separation_hz", [1e6, 3.5e6])
     def test_std_and_bias_match_oracle(self, full_waveform, separation_hz, snr_db):
-        waveform = with_separation(full_waveform, separation_hz)
         state = ChannelState(true_range=90.0, snr_db=snr_db)
-        direct, gross = self.pooled(simulate_window, waveform, state)
-        oracle, oracle_gross = self.pooled(oracle_window, waveform, state)
+        direct, gross = self.pooled(simulate_window, full_waveform, separation_hz, state)
+        oracle, oracle_gross = self.pooled(oracle_window, full_waveform, separation_hz, state)
         assert gross == oracle_gross == 0
         n = direct.size
         s_direct, s_oracle = direct.std(ddof=1), oracle.std(ddof=1)
@@ -382,8 +378,8 @@ class TestDirectNoiseDraws:
 
     def test_gross_error_rate_matches_oracle(self, full_waveform):
         state = ChannelState(true_range=90.0, snr_db=-25.0)
-        direct, gross = self.pooled(simulate_window, full_waveform, state)
-        _, oracle_gross = self.pooled(oracle_window, full_waveform, state)
+        direct, gross = self.pooled(simulate_window, full_waveform, FULL_SEPARATION, state)
+        _, oracle_gross = self.pooled(oracle_window, full_waveform, FULL_SEPARATION, state)
         n = direct.size
         rate = (gross + oracle_gross) / (2 * n)
         assert gross > 0 and oracle_gross > 0
@@ -399,11 +395,13 @@ class TestDirectNoiseDraws:
         state = ChannelState(true_range=90.0, snr_db=-25.0)
         fs = full_waveform.sample_rate
         true_lag = 2 * 90.0 / SPEED_OF_LIGHT * fs
-        spacing = fs / full_waveform.two_tone.separation
+        spacing = fs / FULL_SEPARATION
         seeds = [(seed, k) for seed in self.SEEDS for k in range(5)]
 
         def histogram(refined):
-            peak_lag = np.concatenate([refined(full_waveform, state, 200, s)[1] for s in seeds])
+            peak_lag = np.concatenate(
+                [refined(full_waveform, FULL_SEPARATION, state, 200, s)[1] for s in seeds]
+            )
             slips = np.rint((peak_lag * fs - true_lag) / spacing).astype(int)
             return np.bincount(np.clip(slips, -4, 4) + 4, minlength=9)
 
@@ -416,10 +414,9 @@ class TestDirectNoiseDraws:
     def test_noise_free_matches_oracle_and_draws_nothing(
         self, full_waveform, separation_hz, monkeypatch
     ):
-        waveform = with_separation(full_waveform, separation_hz)
         state = ChannelState(true_range=90.0, snr_db=math.inf)
         below_floor = separation_hz < 0.29e6  # 0 and 0.1 MHz: rejected
-        expected = None if below_floor else oracle_window(waveform, state, 4, 0)[0]
+        expected = None if below_floor else oracle_window(full_waveform, separation_hz, state, 4, 0)[0]
 
         class NoDraws:
             def __getattr__(self, name):
@@ -428,9 +425,9 @@ class TestDirectNoiseDraws:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
         if below_floor:
             with pytest.raises(ValueError, match="must exceed"):
-                simulate_window(waveform, state, 4, seed=0)
+                simulate_window(full_waveform, separation_hz, state, 4, seed=0)
             return
-        ranges, gross = simulate_window(waveform, state, 4, seed=0)
+        ranges, gross = simulate_window(full_waveform, separation_hz, state, 4, seed=0)
         assert gross == 0
         assert np.max(np.abs(ranges - expected)) <= 1e-9
 
@@ -533,7 +530,7 @@ class TestStreamedRows:
         # and on 2 and 3 threads.
         overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
         config = config_from_dict({"waveform": overrides})
-        waveform = with_separation(config.waveform, separation_hz)
+        waveform = config.waveform
         state = replace(config.channel, snr_db=snr_db)
         n = effective_window_length(waveform, state)
         fits = separation_hz > 0 and (
@@ -542,16 +539,21 @@ class TestStreamedRows:
         assert fits == ((disambiguation_hz, separation_hz) in self.BLOCK_DRAWS)
         if not fits:
             with pytest.raises(ValueError, match="must exceed"):
-                on_workers(monkeypatch, 2, lambda: simulate_window(waveform, state, 50, seed=(4, 2)))
+                on_workers(monkeypatch, 2, lambda: simulate_window(waveform, separation_hz, state, 50, (4, 2)))
             assert channel._pool is None
             return
-        expected, expected_gross = ranging_oracle.whole_array_window(waveform, state, 50, (4, 2))
+        expected, expected_gross = ranging_oracle.whole_array_window(
+            waveform, separation_hz, state, 50, (4, 2)
+        )
         # only 6.3 kHz disambiguation rows stream whole; a noise-free window
         # draws nothing
         streams = snr_db < math.inf and disambiguation_hz is not None
         for workers in (1, 2, 3):
             ranges, gross = on_workers(
-                monkeypatch, workers, lambda: simulate_window(waveform, state, 50, seed=(4, 2)), streams
+                monkeypatch,
+                workers,
+                lambda: simulate_window(waveform, separation_hz, state, 50, seed=(4, 2)),
+                streams,
             )
             assert ranges.tobytes() == expected.tobytes(), workers
             assert gross == expected_gross
@@ -572,7 +574,9 @@ class TestStreamedRows:
         digests = set()
         for workers in (1, 2, 3):
             ranges, _ = on_workers(
-                monkeypatch, workers, lambda: simulate_window(config.waveform, state, 50, seed=(4, 2))
+                monkeypatch,
+                workers,
+                lambda: simulate_window(config.waveform, config.controller.x_prev, state, 50, seed=(4, 2)),
             )
             digests.add(ranges.tobytes())
         assert len(completed) > 3 and len(digests) == 1
@@ -588,19 +592,19 @@ class TestStreamedRows:
         # rejected before it builds a frame: under 32 KiB, about half of
         # one 3750-sample row
         config = default_config()
-        waveform = with_separation(config.waveform, separation_hz)
+        waveform = config.waveform
         state = replace(config.channel, snr_db=13.0)
         n = effective_window_length(waveform, state)
         if separation_hz < 0.29e6:
 
             def rejected():
                 with pytest.raises(ValueError, match="must exceed"):
-                    simulate_window(waveform, state, 800, seed=1)
+                    simulate_window(waveform, separation_hz, state, 800, seed=1)
 
             assert traced_peak(rejected)[1] <= 2**15
             return
-        simulate_window(waveform, state, 2, seed=0)  # the process's tables
-        _, peak = traced_peak(lambda: simulate_window(waveform, state, 800, seed=1))
+        simulate_window(waveform, separation_hz, state, 2, seed=0)  # the process's tables
+        _, peak = traced_peak(lambda: simulate_window(waveform, separation_hz, state, 800, seed=1))
         assert peak <= 0.35 * 800 * n * 16
 
     @pytest.mark.parametrize("separation_hz", [0.2e6, 3.5e6])
@@ -609,11 +613,11 @@ class TestStreamedRows:
         # 0.19-0.21 of a frame array; its longer window puts the floor at
         # 57.6 kHz, so 0.2 MHz is a block there
         config = config_from_dict({"waveform": {"disambiguation_hz": 6.3e3}})
-        waveform = with_separation(config.waveform, separation_hz)
+        waveform = config.waveform
         state = replace(config.channel, snr_db=13.0)
-        simulate_window(waveform, state, 2, seed=0)  # the process's tables
+        simulate_window(waveform, separation_hz, state, 2, seed=0)  # the process's tables
         n = effective_window_length(waveform, state)
-        _, peak = traced_peak(lambda: simulate_window(waveform, state, 800, seed=1))
+        _, peak = traced_peak(lambda: simulate_window(waveform, separation_hz, state, 800, seed=1))
         assert peak <= 0.35 * 800 * n * 16
 
     @pytest.mark.parametrize(
@@ -632,11 +636,12 @@ class TestStreamedRows:
         # costs more than a whole row there, so the rows are drawn whole and
         # a window, its frames built afresh, stays within a third of a frame array
         config = config_from_dict(doc)
+        waveform, separation = config.waveform, config.controller.x_prev
         state = replace(config.channel, snr_db=13.0)
-        simulate_window(config.waveform, state, 2, seed=0)  # the process's tables
+        simulate_window(waveform, separation, state, 2, seed=0)  # the process's tables
         clear_frame_caches()
-        n = effective_window_length(config.waveform, state)
-        _, peak = traced_peak(lambda: simulate_window(config.waveform, state, 800, seed=1))
+        n = effective_window_length(waveform, state)
+        _, peak = traced_peak(lambda: simulate_window(waveform, separation, state, 800, seed=1))
         assert peak <= 0.35 * 800 * n * 16
 
 
@@ -656,9 +661,13 @@ class TestCoarseLagLaw:
     def test_histogram_matches_oracle(self, full_waveform, snr_db):
         state = ChannelState(true_range=90.0, snr_db=snr_db)
         seeds = [(seed, 7) for seed in range(10)]
-        direct = [scenario._matched_filter_rows(full_waveform, state, 200, s)[3] for s in seeds]
+        direct = [
+            scenario._matched_filter_rows(full_waveform, FULL_SEPARATION, state, 200, s)[3] for s in seeds
+        ]
         oracle = [
-            ranging_oracle.peak_lags(ranging_oracle.matched_filter_rows(full_waveform, state, 200, s)[1])
+            ranging_oracle.peak_lags(
+                ranging_oracle.matched_filter_rows(full_waveform, FULL_SEPARATION, state, 200, s)[1]
+            )
             for s in seeds
         ]
         peak = round(2 * 90.0 / SPEED_OF_LIGHT * full_waveform.sample_rate)
@@ -680,16 +689,13 @@ class TestBlasThreads:
     # every disambiguation row is completed
     SCRIPT = """
 import hashlib
-from dataclasses import replace
 from cohsync.channel import ChannelState
 from cohsync.config import default_config
 from cohsync.scenario import simulate_window
-from cohsync.waveform import TwoToneSpec
 waveform = default_config().waveform
 digest = hashlib.sha256()
 for separation, snr_db in ((0.5e6, 13.0), (1e6, 13.0), (3.5e6, 13.0), (3.5e6, -20.0)):
-    tones = TwoToneSpec(20e3, 20e3 + separation)
-    ranges, _ = simulate_window(replace(waveform, two_tone=tones), ChannelState(90.0, snr_db), 200, 4)
+    ranges, _ = simulate_window(waveform, separation, ChannelState(90.0, snr_db), 200, 4)
     digest.update(ranges.tobytes())
 print(digest.hexdigest())
 """
@@ -707,7 +713,7 @@ from cohsync import channel
 from cohsync.config import default_config
 from cohsync.scenario import simulate_window
 config = default_config()
-simulate_window(config.waveform, config.channel, 20, seed=1)  # a 77-lag block
+simulate_window(config.waveform, config.controller.x_prev, config.channel, 20, seed=1)  # a 77-lag block
 # more threads than cores factor 96-lag blocks at once, switching often
 spectrum = np.fft.fft(np.exp(0.3j * np.arange(3592)), 3750)
 draw = lambda: channel.matched_noise_block(
@@ -744,28 +750,29 @@ class TestFrameCache:
 
     @staticmethod
     def geometries():
-        """(waveform, channel) pairs; each after the first changes one input of the first.
+        """(waveform, separation, channel) triples; each after the first changes one
+        input of the first.
 
         Only the pulse-width variant changes the window length, so the
         others test the keys' fields other than ``n``.
         """
         config = default_config()
-        base_w = with_separation(config.waveform, 3.5e6)
+        base_w, base_x = config.waveform, 3.5e6
         base_c = replace(config.channel, snr_db=13.0)
         return [
-            (base_w, base_c),
-            (base_w, replace(base_c, true_range=93.0)),
-            (replace(base_w, f_d=2.0e5), base_c),
-            (base_w, replace(base_c, residual_offset=-400.0)),
-            (replace(base_w, sample_rate=25.01e6), base_c),
-            (replace(base_w, ranging_pulse_width=150e-6), base_c),  # another window length
-            (base_w, replace(base_c, snr_db=23.0)),  # what no key may hold: the SNR
-            (with_separation(base_w, 1.8e6), base_c),  # the ranging tones only
+            (base_w, base_x, base_c),
+            (base_w, base_x, replace(base_c, true_range=93.0)),
+            (replace(base_w, f_d=2.0e5), base_x, base_c),
+            (base_w, base_x, replace(base_c, residual_offset=-400.0)),
+            (replace(base_w, sample_rate=25.01e6), base_x, base_c),
+            (replace(base_w, ranging_pulse_width=150e-6), base_x, base_c),  # another window length
+            (base_w, base_x, replace(base_c, snr_db=23.0)),  # what no key may hold: the SNR
+            (base_w, 1.8e6, base_c),  # the ranging tones only
         ]
 
     def test_warm_windows_equal_cold_windows(self):
         geometries = self.geometries()
-        n = {effective_window_length(w, c) for w, c in geometries}
+        n = {effective_window_length(w, c) for w, _, c in geometries}
         assert len(n) == 2  # only the pulse-width variant changes the window length
         order = [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 3, 1, 4, 2, 5]
         cold = []
@@ -813,8 +820,7 @@ class TestFrameCache:
         assert power_0 == pytest.approx(10.0 * power_6, rel=1e-12)
 
     def test_cached_factor_is_read_only(self):
-        waveform, state = self.geometries()[0]
-        simulate_window(waveform, state, 10, seed=0)
+        simulate_window(*self.geometries()[0], 10, seed=0)
         (root,) = scenario._lag_block_roots.values()
         with pytest.raises(ValueError, match="read-only"):
             root[0, 0] = 0
@@ -841,16 +847,16 @@ class TestFrameCache:
         assert run_fixed_bandwidth(config, trace, duration_s=4 * 5.25, seed=1) == first
         assert builds == once
         # other tones build a ranging frame only
-        simulate_window(with_separation(config.waveform, 1.8e6), config.channel, 10, seed=0)
+        simulate_window(config.waveform, 1.8e6, config.channel, 10, seed=0)
         assert builds == once + Counter(generate_two_tone=1)
 
     def test_cached_arrays_are_read_only(self):
-        waveform, state = self.geometries()[0]
+        waveform, separation, state = self.geometries()[0]
         fs, geometry = waveform.sample_rate, replace(state, snr_db=0.0)
         n = effective_window_length(waveform, state)
         search, _ = scenario._disambiguation_frame(waveform.f_d, fs, n, geometry)
         spectrum, row, _ = scenario._ranging_frame(
-            waveform.two_tone, waveform.ranging_pulse_width, fs, n, geometry
+            waveform.f1, waveform.f1 + separation, waveform.ranging_pulse_width, fs, n, geometry
         )
         ramp = channel.delay_ramp(n, fs, state.true_range)
         for array in (search.spectrum, search.toeplitz, search.clean_row, spectrum, row, ramp):
@@ -946,6 +952,31 @@ class TestBenchmarkPatchPoints:
             assert isinstance(ranges, np.ndarray) and ranges.shape == (50,)
             assert type(gross) is int and gross == 0
 
+    def test_window_takes_the_separation_in_force(self, monkeypatch):
+        # one closed-loop driver: on the run and on the tune plant, interval i's
+        # window gets the loop's separation x as it stands, and logs f1 + x
+        windows = self.recorded(monkeypatch, scenario, "simulate_window")
+        steps = self.recorded(monkeypatch, scenario, "pi_step")
+        loops = self.recorded(monkeypatch, scenario, "_closed_loop")
+        config = tuned_config(pulses=50)
+        ctl, f1 = config.controller, config.waveform.f1
+        run_adaptive(config, constant_trace(13.0, 3, cadence_s=5.25), duration_s=3 * 5.25, seed=1)
+        k = 0.3
+        ranging_sigma_plant(config, n_intervals=3, seed=1)(k)
+        (_, _, run_logs), (_, _, plant_logs) = loops
+        in_force = [ctl.x_prev] + [x for _, _, (_, x) in steps[:-1]]
+        in_force += [ctl.x_prev] + [
+            min(max(ctl.x_prev + k * (log.controller_error_m * ERROR_SCALE) * OUTPUT_SCALE, ctl.x_min),
+                ctl.x_max)
+            for log in plant_logs[:-1]
+        ]
+        assert len(set(in_force)) > 2  # both loops moved the separation
+        assert len(windows) == len(in_force) == 6
+        for (args, _, _), log, x in zip(windows, run_logs + plant_logs, in_force):
+            waveform, separation = args[:2]
+            assert waveform is config.waveform
+            assert separation == x and log.f2_hz == f1 + separation
+
     def test_curve_call_is_read_as_the_montecarlo_command_makes_it(self, monkeypatch, tmp_path):
         # count_curve adds trials x grid points x nodes gain evaluations from
         # args[0].n_nodes, len(args[1]) and kwargs["trials"]
@@ -985,11 +1016,13 @@ class TestBenchmarkPatchPoints:
 
         monkeypatch.setattr(scenario, "_circular_correlation", spy)
         config = tuned_config(pulses=50)
+        waveform = config.waveform
         for separation_hz in (3.5e6, 0.5e6, 0.29e6):
-            waveform = with_separation(config.waveform, separation_hz)
-            support, _, _, _, reads = scenario._matched_filter_rows(waveform, config.channel, 50, 0)
+            support, _, _, _, reads = scenario._matched_filter_rows(
+                waveform, separation_hz, config.channel, 50, 0
+            )
             n = effective_window_length(waveform, config.channel)
-            assert reads is ranging.readout(n, waveform.sample_rate, waveform.two_tone.separation)
+            assert reads is ranging.readout(n, waveform.sample_rate, separation_hz)
             assert support.shape == (50, reads.support) and reads.support < n
             assert reads.width <= widest_block(waveform, n)
         assert shapes == [(1, n)] * 4
@@ -1006,10 +1039,11 @@ class TestWindowLength:
         config = config_from_dict({"waveform": {"disambiguation_hz": 6.3e3}})
         n = effective_window_length(config.waveform, config.channel)
         assert n >= 3968 + WINDOW_PAD_SAMPLES
-        ranges, _ = simulate_window(config.waveform, config.channel, 20, seed=1)
+        separation = config.controller.x_prev
+        ranges, _ = simulate_window(config.waveform, separation, config.channel, 20, seed=1)
         assert ranges.shape == (20,) and np.all(np.isfinite(ranges))
         noise_free = replace(config.channel, snr_db=math.inf)
-        ranges, gross = simulate_window(config.waveform, noise_free, 2, seed=1)
+        ranges, gross = simulate_window(config.waveform, separation, noise_free, 2, seed=1)
         assert gross == 0
         assert np.max(np.abs(ranges - 90.0)) < 1e-3
 
@@ -1028,6 +1062,7 @@ class TestWindowLength:
             return real(spectrum, noise_power, n_rows, rng)
 
         monkeypatch.setattr(channel, "matched_noise_rows", spy)
-        ranges, gross = simulate_window(config.waveform, config.channel, 200, seed=2)
+        separation = config.controller.x_prev
+        ranges, gross = simulate_window(config.waveform, separation, config.channel, 200, seed=2)
         assert Counter(calls) == Counter([(n, 16)] * 12 + [(n, 8)])  # threads record in any order
         assert gross == 0

@@ -7,11 +7,11 @@ import pytest
 from cohsync import waveform
 from cohsync.waveform import (
     SPEED_OF_LIGHT,
-    TwoToneSpec,
     crlb_sigma_r,
     generate_disambiguation,
     generate_two_tone,
 )
+from conftest import FULL_SEPARATION
 
 FS = 25e6
 
@@ -19,7 +19,7 @@ FS = 25e6
 class TestGenerateTwoTone:
     def test_operating_point_pulse_length_and_spectral_peaks(self):
         # 143.7 us at 25 Msps -> 3592 samples with tones at 20 kHz and 7.52 MHz
-        pulse = generate_two_tone(TwoToneSpec(20e3, 7.52e6), 143.7e-6, FS)
+        pulse = generate_two_tone(20e3, 7.52e6, 143.7e-6, FS)
         assert pulse.size == 3592
         assert pulse.dtype == np.complex128 and pulse.ndim == 1
         spectrum = np.abs(np.fft.fft(pulse))
@@ -31,14 +31,14 @@ class TestGenerateTwoTone:
         assert abs(peak_freqs[1] - 7.52e6) <= bin_width
 
     def test_degenerate_equal_tones_is_constant_modulus(self):
-        pulse = generate_two_tone(TwoToneSpec(1e6, 1e6), 20e-6, FS)
+        pulse = generate_two_tone(1e6, 1e6, 20e-6, FS)
         mags = np.abs(pulse)
         assert np.allclose(mags, mags[0], rtol=1e-12)
 
     def test_energy_matches_bruteforce_summation(self):
         # oracle: sample-by-sample evaluation of the analytic formula with
         # cmath, summed in plain Python (frozen value below)
-        pulse = generate_two_tone(TwoToneSpec(20e3, 3.5e6), 143.7e-6, FS)
+        pulse = generate_two_tone(20e3, 3.5e6, 143.7e-6, FS)
         oracle = 0.0
         for k in range(3592):
             t = k / FS
@@ -49,7 +49,7 @@ class TestGenerateTwoTone:
 
     def test_positive_frequency_content_only(self):
         # analytic tones: negative-frequency half carries only leakage
-        pulse = generate_two_tone(TwoToneSpec(20e3, 7.52e6), 143.7e-6, FS)
+        pulse = generate_two_tone(20e3, 7.52e6, 143.7e-6, FS)
         power = np.abs(np.fft.fft(pulse)) ** 2
         freqs = np.fft.fftfreq(pulse.size, d=1.0 / FS)
         negative = power[freqs < 0].sum()
@@ -57,11 +57,11 @@ class TestGenerateTwoTone:
 
     def test_rejects_aliasing_and_bad_width(self):
         with pytest.raises(ValueError):
-            generate_two_tone(TwoToneSpec(20e3, 13e6), 1e-4, FS)
+            generate_two_tone(20e3, 13e6, 1e-4, FS)
         with pytest.raises(ValueError):
-            generate_two_tone(TwoToneSpec(20e3, 7.52e6), 0.0, FS)
+            generate_two_tone(20e3, 7.52e6, 0.0, FS)
         with pytest.raises(ValueError):
-            generate_two_tone(TwoToneSpec(20e3, 7.52e6), 1e-8, FS)  # < 2 samples
+            generate_two_tone(20e3, 7.52e6, 1e-8, FS)  # < 2 samples
 
 
 class TestGenerateDisambiguation:
@@ -132,12 +132,11 @@ class TestToneCache:
                 for f2 in (f for f in grid if f >= f1):
                     expected = np.exp(2j * np.pi * f1 * t) + np.exp(2j * np.pi * f2 * t)
                     for _ in range(2):
-                        pulse = generate_two_tone(TwoToneSpec(f1, f2), width, FS)
+                        pulse = generate_two_tone(f1, f2, width, FS)
                         assert pulse.tobytes() == expected.tobytes(), (width, f1, f2)
 
     def test_cached_tones_are_read_only_and_pulses_fresh(self):
-        spec = TwoToneSpec(1e6, 1e6)
-        first, second = (generate_two_tone(spec, 20e-6, FS) for _ in range(2))
+        first, second = (generate_two_tone(1e6, 1e6, 20e-6, FS) for _ in range(2))
         tone = waveform._tone(1e6, 500, FS)
         with pytest.raises(ValueError, match="read-only"):
             tone[0] = 0
@@ -146,21 +145,13 @@ class TestToneCache:
             assert pulse.flags.writeable and not np.shares_memory(pulse, tone)
         assert not np.shares_memory(first, second)
         first[:] = 0  # writing one pulse changes neither the tone nor the next pulse
-        assert generate_two_tone(spec, 20e-6, FS).tobytes() == second.tobytes()
+        assert generate_two_tone(1e6, 1e6, 20e-6, FS).tobytes() == second.tobytes()
 
 
 class TestTypes:
-    def test_two_tone_spec_ordering(self):
-        with pytest.raises(ValueError):
-            TwoToneSpec(f1=2e6, f2=1e6)
-        with pytest.raises(ValueError):
-            TwoToneSpec(f1=-1e3, f2=1e6)
-        assert TwoToneSpec(1e6, 2e6).delta_f == pytest.approx(0.5e6)
-
     def test_generated_pulse_energy_positive(self, full_waveform):
-        pulse = generate_two_tone(
-            full_waveform.two_tone, full_waveform.ranging_pulse_width, FS
-        )
+        f1 = full_waveform.f1
+        pulse = generate_two_tone(f1, f1 + FULL_SEPARATION, full_waveform.ranging_pulse_width, FS)
         energy = float(np.sum(np.abs(pulse) ** 2))
         assert energy > 0
         assert math.isfinite(energy)
