@@ -69,7 +69,9 @@ call holds the interpreter lock for its setup, so wider arrays hand it
 off fewer times an element, which is what lets a second worker gain on a
 curve.  Every worker still gets a task, and at most ``_MAX_WORKERS``
 chunks are in flight, as on four workers.
-Windows that draw no whole rows start no thread.
+A window's unit-normal fills run as pool tasks (:func:`start_task`),
+overlapping its frame work, as ``standard_normal`` releases the
+interpreter lock; a noise-free window starts no thread.
 """
 
 import functools
@@ -218,14 +220,15 @@ def lag_block_factor(template_spectrum: np.ndarray, noise_power: float, width: i
     return root
 
 
-def matched_noise_block(root: np.ndarray, n_rows: int, rng: np.random.Generator) -> np.ndarray:
-    """``n_rows`` blocks of consecutive matched-filter output noise lags, one a row.
+def matched_noise_block(root: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Blocks of consecutive matched-filter output noise lags, one a row of ``z``.
 
-    ``root`` is the blocks' :func:`lag_block_factor`.  Each row is ``S z``
-    with ``z ~ CN(0, I)``, so it has exactly the distribution of those lags
-    of a whole :func:`matched_noise_rows` row.
+    ``root`` is the blocks' :func:`lag_block_factor`, and ``z`` holds ``(n_rows,
+    2 * width)`` unit normals, read in place as ``CN(0, I)`` rows.  Each row is
+    ``S z``, so it has exactly the distribution of those lags of a whole
+    :func:`matched_noise_rows` row.
     """
-    z = rng.standard_normal((n_rows, 2 * root.shape[0])).view(np.complex128)
+    z = z.view(np.complex128)
     z *= math.sqrt(0.5)
     return z @ root.T
 
@@ -303,18 +306,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def map_chunks(run: Callable[[int], object], n_chunks: int) -> list:
-    """``[run(j) for j in range(n_chunks)]``: inline for one chunk or
-    ``_WORKERS`` 1, else on the module's pool of ``_WORKERS`` threads,
-    created on first use.  Each call may touch only what its chunk owns."""
-    if _WORKERS < 2 or n_chunks < 2:
-        return [run(j) for j in range(n_chunks)]
+def start_task(fn: Callable[..., object], *args) -> Callable[[], object]:
+    """Start ``fn(*args)`` on the module's pool of ``_WORKERS`` threads, created on
+    first use, or run it inline on ``_WORKERS`` 1; the returned call waits for its
+    result (re-raising its error)."""
+    if _WORKERS < 2:
+        result = fn(*args)
+        return lambda: result
     global _pool
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="cohsync")
-    return list(_pool.map(run, range(n_chunks)))  # reading each result re-raises its error
+    return _pool.submit(fn, *args).result
+
+
+def map_chunks(run: Callable[[int], object], n_chunks: int) -> list:
+    """``[run(j) for j in range(n_chunks)]``, one :func:`start_task` a chunk
+    (inline for one chunk).  Each call may touch only what its chunk owns."""
+    if n_chunks < 2:
+        return [run(j) for j in range(n_chunks)]
+    joins = [start_task(run, j) for j in range(n_chunks)]
+    return [join() for join in joins]
 
 
 def chunks_per_task(n_chunks: int) -> int:
@@ -489,6 +502,7 @@ def matched_noise_peaks(
     search: PeakSearch,
     noise_power: float,
     n_rows: int,
+    near: np.ndarray | None,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak index of ``|clean_row + noise|`` for ``n_rows`` draws of matched-filter noise.
@@ -498,9 +512,11 @@ def matched_noise_peaks(
     noise of per-sample variance ``noise_power`` through that filter.
     Returns the peak indices, which have exactly the distribution of the
     peaks of whole rows, and per row whether the certificate of the module
-    docstring placed the peak without a whole row.  The near samples and
-    largest moduli come from ``rng``; whole and completed rows are scanned
-    by :func:`_row_peaks`, each chunk on its own child stream of ``rng``.
+    docstring placed the peak without a whole row.  ``near`` holds the
+    ``(n_rows, 2 * search.n_inputs)`` unit normals of the near input samples,
+    scaled in place (None for whole rows), and the largest moduli come from
+    ``rng``; whole and completed rows are scanned by :func:`_row_peaks`, each
+    chunk on its own child stream of ``rng``.
     """
     n = search.clean_row.size
     if search.toeplitz is None:
@@ -509,7 +525,7 @@ def matched_noise_peaks(
             return matched_noise_rows(search.spectrum, noise_power, rows.stop - rows.start, stream)
 
         return _row_peaks(search.clean_row, n_rows, whole, rng), np.zeros(n_rows, dtype=bool)
-    near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
+    near = near.view(np.complex128)
     near *= math.sqrt(noise_power / 2.0)
     r_max = _max_modulus(noise_power, n - search.n_inputs, n_rows, rng)
     peak, certified = _certify(search, near, r_max)

@@ -82,8 +82,9 @@ class RunConfig:
         listen = self.waveform.pri - self.waveform.ranging_pulse_width
         if tau > listen:
             raise ValueError(
-                f"round-trip delay {tau:.3e} s exceeds the {listen:.3e} s between "
-                "the end of a ranging pulse and the next pulse (pri - ranging_pulse_width)"
+                f"config key 'channel.true_range_m': round-trip delay {tau:.3e} s exceeds the "
+                f"{listen:.3e} s between the end of a ranging pulse and the next pulse "
+                "(pri - ranging_pulse_width)"
             )
         # a loop may drive the separation to either clamp: the upper one's tone must not
         # alias, the controller keeps x_min <= x_max and check_separation x_min > 0

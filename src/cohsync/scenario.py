@@ -47,7 +47,10 @@ noise and drawn from its own stream, so the placement leaves its
 distribution exact, and both draws match filtering white noise on every
 sample in distribution.  Draws are not the same floats as filtering
 sampled noise, so seeds give other realisations than such a simulation
-would.
+would.  Neither frame's unit normals depend on the placement, so both
+are filled as the window starts, as pool tasks
+(:func:`~cohsync.channel.start_task`) beside the calling thread's frame
+work, and joined where they are used.
 
 Environment traces are sequences of 1-minute-cadence records.  A trace
 file's weather columns are checked and dropped: the weather reaches the
@@ -77,6 +80,7 @@ from .channel import (
     peak_search,
     scaled_noise_power,
     snr_ratio,
+    start_task,
 )
 from .config import RunConfig
 from .control import ERROR_SCALE, OUTPUT_SCALE, pi_step
@@ -296,24 +300,31 @@ def _matched_filter_rows(
     check_separation(separation, waveform, n)
     geometry, snr_db = replace(channel_state, snr_db=0.0), channel_state.snr_db
     search, power_d = _disambiguation_frame(waveform.f_d, fs, n, geometry)
+    reads = readout(n, fs, separation)
+    noisy = snr_db < math.inf
+    if noisy:
+        # one stream per frame, so neither frame's noise depends on how many numbers
+        # the other's draw took or on which thread fills first (beside the frame work)
+        rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        z = start_task(rng_r.standard_normal, (n_pulses, 2 * reads.width))
+        near = lambda: None
+        if search.toeplitz is not None:
+            near = start_task(rng_d.standard_normal, (n_pulses, 2 * search.n_inputs))
     frame = (waveform.f1, waveform.f1 + separation, waveform.ranging_pulse_width, fs, n, geometry)
     spectrum_r, clean_r, power_r = _ranging_frame(*frame)
-    reads = readout(n, fs, separation)
-    if snr_db == math.inf:
-        index = np.full(n_pulses, search.peak)
+    if noisy:
+        sigma2_r = scaled_noise_power(power_r, snr_db)
+        root = _lag_block_root(frame, snr_db, spectrum_r, sigma2_r, reads.width)
+        sigma2_d = scaled_noise_power(power_d, snr_db)
+        index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, near(), rng_d)
     else:
-        # one stream per frame, in the order a cycle sends them, so the ranging
-        # noise does not depend on how many numbers the disambiguation draw took
-        rng_r, rng_d = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-        index, _ = matched_noise_peaks(search, scaled_noise_power(power_d, snr_db), n_pulses, rng_d)
+        index = np.full(n_pulses, search.peak)
     coarse = _signed_lags(index, n)
     # row r holds clean lags coarse[r] + offset .. on, a window of the row wrapped once
     wrapped = np.concatenate([clean_r, clean_r[: reads.width - 1]])
     rows = sliding_window_view(wrapped, reads.width)[(coarse + reads.offset) % n]
-    if snr_db < math.inf:
-        sigma2_r = scaled_noise_power(power_r, snr_db)
-        root = _lag_block_root(frame, snr_db, spectrum_r, sigma2_r, reads.width)
-        rows += matched_noise_block(root, n_pulses, rng_r)
+    if noisy:
+        rows += matched_noise_block(root, z())
     return (*select_lobes(rows, coarse, reads), coarse, reads)
 
 

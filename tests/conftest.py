@@ -72,8 +72,9 @@ def traced_peak(run):
 def on_workers(monkeypatch, workers, run, starts_pool=True):
     """``run()`` with chunks run inline (1) or on a fresh pool of ``workers`` threads.
 
-    ``starts_pool`` says whether ``run`` maps more than one chunk, and so
-    starts the pool when ``workers`` exceeds 1.
+    ``starts_pool`` says whether ``run`` maps more than one chunk or
+    starts a task (a window with noise fills its unit normals as tasks),
+    and so starts the pool when ``workers`` exceeds 1.
     """
     monkeypatch.setattr(channel, "_WORKERS", workers)
     monkeypatch.setattr(channel, "_pool", None)

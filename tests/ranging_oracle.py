@@ -167,7 +167,9 @@ def whole_array_window(
         rows = whole_rows(search.spectrum, search.clean_row, sigma2_d, n_pulses, seed_d)
         index = np.argmax(np.abs(rows), axis=1)
     else:
-        index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, np.random.default_rng(seed_d))
+        rng_d = np.random.default_rng(seed_d)
+        near = rng_d.standard_normal((n_pulses, 2 * search.n_inputs))
+        index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, near, rng_d)
     f1 = waveform.f1
     spectrum, clean_row, power_r = scenario._ranging_frame(
         f1, f1 + separation, waveform.ranging_pulse_width, fs, n, geometry
@@ -178,7 +180,8 @@ def whole_array_window(
     rows = clean_row[(coarse[:, None] + reads.offset + np.arange(reads.width)) % n]
     if sigma2_r > 0.0:
         root = lag_block_factor(spectrum, sigma2_r, reads.width)
-        rows = rows + matched_noise_block(root, n_pulses, np.random.default_rng(seed_r))
+        z = np.random.default_rng(seed_r).standard_normal((n_pulses, 2 * reads.width))
+        rows = rows + matched_noise_block(root, z)
     support, peak, gross = select_lobes(rows, coarse, reads)
     return refine_window(support, peak, reads)[0], int(gross.sum())
 

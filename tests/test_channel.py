@@ -204,7 +204,8 @@ class TestMatchedNoise:
     def test_block_covariance_is_the_autocorrelation(self, spectrum):
         for width in (12, self.N_LAGS - 500 + 1):  # and the widest block, n - L + 1 lags
             root = lag_block_factor(spectrum, self.S2, width)
-            block = matched_noise_block(root, 20000, np.random.default_rng(3))
+            z = np.random.default_rng(3).standard_normal((20000, 2 * width))
+            block = matched_noise_block(root, z)
             assert block.shape == (20000, width)
             assert_moments(block, self.model(spectrum, width))
 
@@ -281,7 +282,9 @@ class TestCertifiedPeaks:
     def test_certifies_every_pulse_at_operating_snr(self, full_waveform, snr_db):
         row, template, s2 = self.disambiguation_row(full_waveform, snr_db)
         search = peak_search(row, template, np.fft.fft(template, row.size))
-        index, certified = matched_noise_peaks(search, s2, 2000, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        near = rng.standard_normal((2000, 2 * search.n_inputs))
+        index, certified = matched_noise_peaks(search, s2, 2000, near, rng)
         assert certified.all()
         assert index.shape == (2000,)
 

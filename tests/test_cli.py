@@ -129,7 +129,11 @@ print(_interp_table.cache_info().currsize)
 
 
 class TestRowPoolIsLazy:
-    """Windows that draw no whole rows import no executor and start no thread."""
+    """The pool starts on first use: one worker, or a window without noise, starts no thread.
+
+    On more workers a window with noise fills its unit normals as pool
+    tasks, and every window shares the one pool.
+    """
 
     SCRIPT = """
 import sys, threading
@@ -137,20 +141,32 @@ import cohsync.cli
 from cohsync import channel
 from cohsync.config import config_from_dict
 from cohsync.scenario import simulate_window
-# a lag block beside certified disambiguation peaks, then whole 6.3 kHz rows
-for waveform in ({}, {"disambiguation_hz": 6.3e3}):
-    config = config_from_dict({"waveform": waveform})
-    simulate_window(config.waveform, config.controller.x_prev, config.channel, 200, seed=1)
+channel._WORKERS = int(sys.argv[1])
+# a lag block beside certified disambiguation peaks, twice, then whole 6.3 kHz rows,
+# each at the configured 23 dB or without noise
+for waveform in ({}, {}, {"disambiguation_hz": 6.3e3}):
+    config = config_from_dict({"waveform": waveform, "channel": {"snr_db": float(sys.argv[2])}})
+    simulate_window(config.waveform, config.controller.x_prev, config.channel, 800, seed=1)
     print("concurrent.futures" in sys.modules, threading.active_count())
-print(channel._WORKERS)
 """
 
     def test_block_window_starts_no_thread(self):
-        block, whole, workers = run_python("-c", self.SCRIPT).splitlines()
-        assert block == "False 1"
-        threads = 1 if int(workers) < 2 else 1 + int(workers)
-        assert whole == f"{int(workers) > 1} {threads}"
+        # one worker runs the fills and the row chunks inline
+        assert run_python("-c", self.SCRIPT, "1", "23").splitlines() == ["False 1"] * 3
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_noise_free_window_starts_no_thread(self, workers):
+        assert run_python("-c", self.SCRIPT, str(workers), "Infinity").splitlines() == ["False 1"] * 3
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_block_windows_share_one_pool(self, workers):
+        # a block window's two fills start at most two of the pool's threads,
+        # which the next window reuses; whole rows may start the rest
+        first, second, whole = run_python("-c", self.SCRIPT, str(workers), "23").splitlines()
+        imported, threads = first.split()
+        assert imported == "True" and 2 <= int(threads) <= 1 + min(2, workers)
+        assert second == first
+        assert whole.split()[0] == "True" and int(threads) <= int(whole.split()[1]) <= 1 + workers
 
     FORK = """
 import os, signal
@@ -158,12 +174,15 @@ from cohsync import channel
 from cohsync.config import config_from_dict
 from cohsync.scenario import simulate_window
 channel._WORKERS = 2
-config = config_from_dict({"waveform": {"disambiguation_hz": 6.3e3}})  # whole rows
-simulate_window(config.waveform, config.controller.x_prev, config.channel, 40, seed=1)  # the parent's pool
+configs = [config_from_dict({"waveform": waveform}) for waveform in ({}, {"disambiguation_hz": 6.3e3})]
+def windows():  # a lag block and certified peaks, then whole rows: both on the pool
+    for config in configs:
+        simulate_window(config.waveform, config.controller.x_prev, config.channel, 40, seed=1)
+windows()  # the parent's pool
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)  # a child that waited on its parent's threads would hang
-    simulate_window(config.waveform, config.controller.x_prev, config.channel, 40, seed=1)
+    windows()
     os._exit(0)
 print(os.waitpid(pid, 0)[1])
 """
@@ -670,6 +689,9 @@ class TestLoadTimeRejection:
              "config key 'controller.x_initial_hz': x_prev=8000000.0 outside clamp [300000.0, 7500000.0]"),
             ('{"controller": {"t_i_s": 0}}', "config key 'controller.t_i_s': t_i must be positive"),
             ('{"channel": {"true_range_m": -1}}', "config key 'channel.true_range_m': true_range must be >= 0"),
+            ('{"channel": {"true_range_m": 1e6}}',
+             "config key 'channel.true_range_m': round-trip delay 6.671e-03 s exceeds the 1.600e-05 s between "
+             "the end of a ranging pulse and the next pulse (pri - ranging_pulse_width)"),
             ('{"waveform": {"sample_rate_hz": 0}}',
              "config key 'waveform.sample_rate_hz': sample_rate must be positive"),
             ('{"waveform": {"pri_s": 1e-6}}', "config key 'waveform.pri_s': pri must cover the longest pulse"),

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -475,7 +476,9 @@ class TestRowChunks:
         # at 23 dB the certificate settles every pulse, so nothing is completed
         search, s2 = self.disambiguation_search(23.0)
         monkeypatch.setattr(channel, "_complete_noise", None)  # a completion would fail
-        index, certified = channel.matched_noise_peaks(search, s2, 40, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        near = rng.standard_normal((40, 2 * search.n_inputs))
+        index, certified = channel.matched_noise_peaks(search, s2, 40, near, rng)
         assert certified.all()
         assert np.array_equal(index, np.full(40, search.peak))
 
@@ -485,11 +488,13 @@ class TestRowChunks:
         # around its largest far modulus, 16 rows a stream
         search, s2 = self.disambiguation_search(-20.0)
         n, n_rows = search.clean_row.size, 40
-        index, certified = on_workers(
-            monkeypatch,
-            workers,
-            lambda: channel.matched_noise_peaks(search, s2, n_rows, np.random.default_rng(5)),
-        )
+
+        def peaks():
+            rng = np.random.default_rng(5)
+            near = rng.standard_normal((n_rows, 2 * search.n_inputs))
+            return channel.matched_noise_peaks(search, s2, n_rows, near, rng)
+
+        index, certified = on_workers(monkeypatch, workers, peaks)
         assert not certified.any()
         rng = np.random.default_rng(5)
         near = rng.standard_normal((n_rows, 2 * search.n_inputs)).view(np.complex128)
@@ -545,15 +550,14 @@ class TestStreamedRows:
         expected, expected_gross = ranging_oracle.whole_array_window(
             waveform, separation_hz, state, 50, (4, 2)
         )
-        # only 6.3 kHz disambiguation rows stream whole; a noise-free window
-        # draws nothing
-        streams = snr_db < math.inf and disambiguation_hz is not None
+        # a window with noise fills its unit normals on the pool; a noise-free
+        # window draws nothing and starts no thread
         for workers in (1, 2, 3):
             ranges, gross = on_workers(
                 monkeypatch,
                 workers,
                 lambda: simulate_window(waveform, separation_hz, state, 50, seed=(4, 2)),
-                streams,
+                snr_db < math.inf,
             )
             assert ranges.tobytes() == expected.tobytes(), workers
             assert gross == expected_gross
@@ -645,6 +649,56 @@ class TestStreamedRows:
         assert peak <= 0.35 * 800 * n * 16
 
 
+class TestUnitNormalFills:
+    """A window's unit-normal fills run as pool tasks and keep the bytes of one thread."""
+
+    @staticmethod
+    def on_each_worker_count(monkeypatch, run):
+        """``[run()]`` inline and on 2 and 3 workers, threads switching between nearly
+        every bytecode."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return [on_workers(monkeypatch, workers, run) for workers in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "disambiguation_hz, snr_db",
+        # a lag block beside certified peaks at 23 and 13 dB; at -20 dB the
+        # certificate settles no pulse, so the window completes its rows on the
+        # pool after joining its fills; 6.3 kHz rows are drawn whole
+        [(None, 23.0), (None, 13.0), (None, -20.0), (6.3e3, 13.0)],
+    )
+    def test_window_same_bytes_at_any_worker_count(self, monkeypatch, disambiguation_hz, snr_db):
+        overrides = {} if disambiguation_hz is None else {"disambiguation_hz": disambiguation_hz}
+        config = config_from_dict({"waveform": overrides, "channel": {"snr_db": snr_db}})
+
+        def window():
+            ranges, gross = simulate_window(
+                config.waveform, config.controller.x_prev, config.channel, 200, seed=(4, 2)
+            )
+            return ranges.tobytes(), gross
+
+        first, *others = self.on_each_worker_count(monkeypatch, window)
+        assert others == [first, first]
+
+    def test_adaptive_run_log_same_bytes_at_any_worker_count(self, monkeypatch, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"loop": {"pulses_per_interval": 50}, "controller": {"k_p": 0.09}}')
+        trace = write_trace(tmp_path / "trace.csv", step_trace((3, 23.0), (3, 13.0), cadence_s=5.25))
+        runs = iter(range(3))
+
+        def run_log():
+            out = tmp_path / f"out{next(runs)}"
+            argv = ["run", "--config", str(config), "--trace", str(trace), "--adaptive", "--out", str(out)]
+            assert cli.main(argv) == 0
+            return (out / "run_log.csv").read_bytes()
+
+        first, *others = self.on_each_worker_count(monkeypatch, run_log)
+        assert len(first.splitlines()) == 6 and others == [first, first]
+
+
 class TestCoarseLagLaw:
     """Coarse lags of the window's draw against the oracle's whole rows.
 
@@ -717,7 +771,7 @@ simulate_window(config.waveform, config.controller.x_prev, config.channel, 20, s
 # more threads than cores factor 96-lag blocks at once, switching often
 spectrum = np.fft.fft(np.exp(0.3j * np.arange(3592)), 3750)
 draw = lambda: channel.matched_noise_block(
-    channel.lag_block_factor(spectrum, 1.0, 96), 4, np.random.default_rng(0)
+    channel.lag_block_factor(spectrum, 1.0, 96), np.random.default_rng(0).standard_normal((4, 192))
 )
 expected = draw().tobytes()
 sys.setswitchinterval(1e-6)
@@ -925,6 +979,42 @@ class TestBenchmarkPatchPoints:
         trace = constant_trace(23.0, 2, cadence_s=5.25)
         run_adaptive(tuned_config(pulses=50), trace, duration_s=2 * 5.25, seed=1)
         assert called == set(self.NAMES)
+
+    def test_names_run_on_the_calling_thread_and_windows_join_their_tasks(self, monkeypatch):
+        # the benchmark times a window from its call to the next and samples its
+        # speed reference in between, so a window's pool tasks must be done when
+        # it returns, and no span may open on a worker
+        monkeypatch.setattr(channel, "_WORKERS", 2)
+        monkeypatch.setattr(channel, "_pool", None)
+        clear_frame_caches()  # so the frame builders run too
+        channel.start_task(int)()  # starts the pool
+        pool, tasks, calls, pending = channel._pool, [], set(), []
+
+        def submit(*args, _submit=pool.submit):
+            tasks.append(_submit(*args))
+            return tasks[-1]
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.add((name, threading.get_ident()))
+                result = real(*args, **kwargs)
+                if name == "simulate_window":
+                    pending.append(sum(not task.done() for task in tasks))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(pool, "submit", submit)
+        for name in self.NAMES:
+            monkeypatch.setattr(scenario, name, spy(name, getattr(scenario, name)))
+        trace = step_trace((2, 23.0), (2, 13.0), cadence_s=5.25)
+        try:
+            run_adaptive(tuned_config(pulses=50), trace, duration_s=4 * 5.25, seed=1)
+        finally:
+            pool.shutdown()
+        assert {name for name, _ in calls} == set(self.NAMES)
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+        assert len(tasks) > 1 and pending == [0] * 4
 
     @staticmethod
     def recorded(monkeypatch, module, name):
