@@ -7,7 +7,15 @@ Run from anywhere, on the checkout that holds this file:
 Each command runs in a fresh ``python -m cohsync.cli`` process on this
 checkout's ``src/``, and standard output gets one ``seed name sha256``
 line per artifact, so ``diff`` between the outputs of two checkouts is
-the check.  The set:
+the check.  A ``# field value`` header comes first: the numpy and
+Python versions and OpenBLAS's ``get_config`` string, the libraries the
+hashes hold for (:func:`header`).  ``artifact_hashes.txt`` beside this
+file is the output at seeds 1 and 7919, and ``test_artifact_hashes.py``
+reruns seed 1 against it; a change that moves bytes regenerates it with
+
+    python tests/artifact_hashes.py --seeds 1 7919 > tests/artifact_hashes.txt
+
+The set:
 
 - the adaptive-step run's ``run_log.csv``, ``summary.json`` and
   ``resolved_config.json``;
@@ -98,6 +106,32 @@ for separation in map(float, sys.argv[2:]):
     print(f"noise-free-{separation / 1e6:g}MHz/ranges", digest)
 """
 
+# A fresh process, as every artifact's: one that has also loaded scipy maps its
+# OpenBLAS too, and channel._openblas_library may find that one.
+LIBRARIES = """
+import ctypes, platform
+import numpy
+from cohsync.channel import _openblas_library
+path = _openblas_library()
+library = ctypes.CDLL(path) if path else None
+openblas = "none"
+for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+    get_config = getattr(library, name, None)
+    if get_config is not None:
+        get_config.restype = ctypes.c_char_p
+        openblas = get_config().decode()
+        break
+for field, value in (("numpy", numpy.__version__), ("python", platform.python_version()),
+                     ("openblas", openblas)):
+    print("#", field, value)
+"""
+
+
+def header() -> list[str]:
+    """``# field value`` lines for the libraries a fresh cohsync process runs with."""
+    return subprocess.run([sys.executable, "-c", LIBRARIES], env=ENV, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
 
 def cli(*argv: str) -> None:
     subprocess.run([sys.executable, "-m", "cohsync.cli", *argv], env=ENV, check=True,
@@ -165,6 +199,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7919])
     args = parser.parse_args()
+    print(*header(), sep="\n", flush=True)
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             for name, sha in artifacts(seed, Path(tmp)):
