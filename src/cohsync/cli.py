@@ -7,10 +7,13 @@ montecarlo  coherent-gain probability curve and sigma/lambda thresholds
 run         fixed-bandwidth or adaptive trace replay (log CSV + summary)
 tune        ultimate-gain search on the simulated ranging loop
 
-Every command is deterministic under ``--seed`` (falling back to the
-``COHSYNC_SEED`` environment variable, then the config seed); reruns
-with the same seed produce byte-identical output files.  Floats are
-written with the shortest representation that round-trips exactly.
+Every command is deterministic under its seed: ``run`` and ``tune`` take
+the config's ``seed``, which ``--seed`` replaces, and ``montecarlo``
+takes ``--seed`` (0 without it).  Reruns with the same seed produce
+byte-identical output files, and a run's ``resolved_config.json``
+records the seed it used, so a rerun from that file alone repeats it.
+Floats are written with the shortest representation that round-trips
+exactly.
 Grid arguments use ``start:stop:num`` (linear) or ``start:stop:num:log``.
 """
 
@@ -18,8 +21,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,25 +118,19 @@ def _write_curve(path, header: list[str], xs, ys) -> None:
         writer.writerows([_fmt(x), _fmt(y)] for x, y in zip(xs, ys))
 
 
-def _resolve_seed(args, config: RunConfig | None = None) -> int:
-    source, seed = "--seed", getattr(args, "seed", None)
-    env = os.environ.get("COHSYNC_SEED")
-    if seed is None and env is not None:
-        try:
-            source, seed = "COHSYNC_SEED", int(env)
-        except ValueError:
-            raise ValueError(f"COHSYNC_SEED must be an integer, got {env!r}") from None
-    if seed is None:
-        return 0 if config is None else config.seed
-    if seed < 0:  # numpy's seed sequences take none
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+def _seed_arg(args, default: int) -> int:
+    """The ``--seed`` flag's value, or ``default`` without the flag."""
+    if args.seed is None:
+        return default
+    if args.seed < 0:  # numpy's seed sequences take none
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _load_config_arg(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return default_config()
+    """The ``--config`` document, or the defaults, with the ``--seed`` flag's seed."""
+    config = load_config(args.config) if args.config else default_config()
+    return replace(config, seed=_seed_arg(args, config.seed))
 
 
 def _cmd_crlb(args) -> int:
@@ -162,7 +159,7 @@ def _cmd_montecarlo(args) -> int:
             "for stable thresholds",
             file=sys.stderr,
         )
-    seed = _resolve_seed(args)
+    seed = _seed_arg(args, 0)
     grid = _parse_grid(args.sigma_grid)  # sigma_d / lambda
     if np.any(grid < 0):
         raise ValueError("sigma grid values must be >= 0")
@@ -191,7 +188,6 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config_arg(args)
-    seed = _resolve_seed(args, config)
     trace = read_trace_csv(args.trace)
     duration, name = args.duration_s, "--duration-s"
     if duration is None:
@@ -199,7 +195,7 @@ def _cmd_run(args) -> int:
         name = f"{args.trace}: the span of its timestamps"
     interval_count(duration, config.loop.interval_duration_s, name)
     runner = run_adaptive if args.adaptive else run_fixed_bandwidth
-    logs = runner(config, trace, duration, seed=seed)
+    logs = runner(config, trace, duration)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,7 +205,7 @@ def _cmd_run(args) -> int:
     # are guaranteed to round-trip to the reported statistics
     summary = summarize_run(read_run_log_csv(log_path))
     summary["mode"] = "adaptive" if args.adaptive else "fixed"
-    summary["seed"] = seed
+    summary["seed"] = config.seed
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
@@ -232,12 +228,11 @@ def _cmd_tune(args) -> int:
     if args.intervals > MAX_INTERVALS:
         raise ValueError(f"--intervals {args.intervals} exceeds the limit of {MAX_INTERVALS}")
     config = _load_config_arg(args)
-    seed = _resolve_seed(args, config)
     k_grid = _parse_grid(args.k_grid)
-    plant = ranging_sigma_plant(config, n_intervals=args.intervals, seed=seed)
+    plant = ranging_sigma_plant(config, n_intervals=args.intervals)
     result = find_ultimate_gain(plant, k_grid, dt=config.loop.interval_duration_s)
     if result is None:
-        report = {"found": False, "k_grid": args.k_grid, "seed": seed}
+        report = {"found": False, "k_grid": args.k_grid, "seed": config.seed}
         print("no grid gain produced a sustained oscillation", file=sys.stderr)
     else:
         k_p, t_i = ziegler_nichols_gains(result.k_u, result.t_u)
@@ -247,7 +242,7 @@ def _cmd_tune(args) -> int:
             "t_u_s": result.t_u,
             "k_p": k_p,
             "t_i_s": t_i,
-            "seed": seed,
+            "seed": config.seed,
         }
         print(
             f"K_u = {result.k_u:.4g}, T_u = {result.t_u:.4g} s -> "

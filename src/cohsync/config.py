@@ -86,14 +86,7 @@ class RunConfig:
                 f"{listen:.3e} s between the end of a ranging pulse and the next pulse "
                 "(pri - ranging_pulse_width)"
             )
-        # a loop may drive the separation to either clamp: the upper one's tone must not
-        # alias, the controller keeps x_min <= x_max and check_separation x_min > 0
-        f1, x_max, fs = self.waveform.f1, self.controller.x_max, self.waveform.sample_rate
-        if not f1 + x_max < fs / 2:
-            raise ValueError(
-                f"controller.x_max_hz={x_max}: f2={f1 + x_max} aliases at sample_rate={fs} "
-                "(f2 = waveform.f1_hz + controller.x_max_hz, the upper tone at the clamp)"
-            )
+        f1, fs = self.waveform.f1, self.waveform.sample_rate
         try:
             n_win = effective_window_length(self.waveform, self.channel)
         except OverflowError:  # past the frame limit, or past any integer
@@ -107,7 +100,10 @@ class RunConfig:
                 f"{at_fault}: a window of {pulses} pulses x {n_win} samples exceeds the limit "
                 f"of {MAX_FRAME_SAMPLES} samples (pulses_per_interval x window length)"
             )
-        check_separation(self.controller.x_min, self.waveform, n_win, "controller.x_min_hz")
+        # a loop may drive the separation to either clamp, so a window must take both
+        for clamp in ("x_min", "x_max"):
+            separation = getattr(self.controller, clamp)
+            check_separation(separation, self.waveform, n_win, f"controller.{clamp}_hz")
         # the round trip shifts sampled frames, so a tone shifted past fs/2 aliases
         shift = self.channel.residual_offset
         half = fs / 2

@@ -26,14 +26,20 @@ interval in doubt (:func:`_natural_spline_max`).  The grid is the points
 of one fixed lattice, ``1 / OVERSAMPLE`` of a sample apart, within
 ``NEIGHBORS`` samples of the lobe peak and within half a lobe spacing of
 it, so one interpolation table, built once per process, serves every
-tone separation.  Measured noise-free bias with the refinement constants
-below is under 0.1 mm at 25 Msps with a 7.5 MHz tone separation.
+tone separation.  The interpolator's truncation biases noise-free
+ranges, most where the lobe's peak is flattest: with the constants
+below at 25 Msps, the worst over fractional delays of 0.0-0.9 sample
+from 90 m is 25.6 mm at a 0.3 MHz tone separation, 2.85 mm at 1 MHz,
+0.43 mm at 3.48 MHz and 0.074 mm at 7.5 MHz, and 64 taps halve it at
+3.48 and 7.5 MHz.  The grouped sigma_d does not see a constant bias;
+mean ranges do.
 
 Steps 3-5 run on all cycles of a window at once; one cycle is a batch
 of one.  What steps 3-4 read of a frame depends only on its lag count,
 sample rate and tone separation: one :class:`Readout` (:func:`readout`).
 A window draws them as one lag block a pulse, which bounds the
-separation from below (:func:`check_separation`).  Lobe selection
+separation from below, as the upper tone's alias bounds it from above
+(:func:`check_separation`).  Lobe selection
 (:func:`select_lobes`) keeps each pulse's peak lag, gross-error flag and
 interpolator support, the one shape :func:`refine_window` takes.
 """
@@ -140,14 +146,16 @@ def readout(n: int, sample_rate: float, separation: float) -> Readout:
 def check_separation(
     separation: float, waveform: WaveformConfig, n: int, name: str = "tone separation"
 ) -> None:
-    """Raise ValueError, naming ``name``, unless tones ``separation`` apart read one lag block.
+    """Raise ValueError, naming ``name``, unless a window takes tones ``separation`` apart.
 
-    A block of ``n``-lag frames holds ``n - L + 1`` lags, ``L`` the ranging
-    pulse's length (:func:`~cohsync.channel.matched_noise_block`), and a
-    :class:`Readout` reads ``2 h + 2 (NEIGHBORS + INTERP_TAPS)`` of them,
-    ``h`` the whole samples in half a lobe spacing (at least ``NEIGHBORS``
-    near the floor, by the window's padding): the floor is 25e6 / 88 Hz at
-    the reference waveform.  The lags are counted, so no table is built.
+    The upper tone ``f1 + separation`` must lie below half the sample
+    rate, and the tones must read one lag block.  A block of ``n``-lag
+    frames holds ``n - L + 1`` lags, ``L`` the ranging pulse's length
+    (:func:`~cohsync.channel.matched_noise_block`), and a :class:`Readout`
+    reads ``2 h + 2 (NEIGHBORS + INTERP_TAPS)`` of them, ``h`` the whole
+    samples in half a lobe spacing (at least ``NEIGHBORS`` near the floor,
+    by the window's padding): the floor is 25e6 / 88 Hz at the reference
+    waveform.  The lags are counted, so no table is built.
     """
     fs = waveform.sample_rate
     lags = n - int(round(waveform.ranging_pulse_width * fs)) + 1  # generate_two_tone's count
@@ -156,6 +164,12 @@ def check_separation(
         raise ValueError(
             f"{name}={separation} Hz must exceed {fs / (2.0 * (h_max + 1))} Hz, "
             f"where its lobe window and refinement support fit a block of {lags} lags"
+        )
+    f2 = waveform.f1 + separation
+    if not f2 < fs / 2:
+        raise ValueError(
+            f"{name}={separation} Hz puts the upper tone at f2={f2} Hz, "
+            f"where it aliases at sample_rate={fs} Hz"
         )
 
 

@@ -9,10 +9,10 @@ With the defaults (200 pulses, one every 105 ms) an interval spans 21 s
 of simulated time; simulated time is bookkeeping only and runs as fast
 as the math allows.
 
-Reproducibility: every run is a pure function of (config, trace, master
-seed).  Per-interval noise streams are derived as
-``SeedSequence((master_seed, stream, interval_index))`` so runs are
-bit-identical across processes.
+Reproducibility: every run is a pure function of (config, trace), and
+the config's ``seed`` is its one master seed.  Per-interval noise
+streams are derived as ``SeedSequence((config.seed, stream,
+interval_index))`` so runs are bit-identical across processes.
 
 Noise: a window draws its noise already matched-filtered, on the lags
 the estimator reads (:func:`_matched_filter_rows`).  Its two noise-free
@@ -26,10 +26,11 @@ windows whose tones repeat (a fixed run, an adaptive loop held at a
 clamp) share the second.  The SNR enters a window only as the noise
 power it scales (:func:`~cohsync.channel.scaled_noise_power`), and at
 +inf a window draws nothing.  The ranging lag block's Cholesky factor
-depends on the frame, the noise power and the readout width, so it is
-cached for the last two of those (:func:`_lag_block_root`), and windows
-whose tones and SNR both repeat pay only for their noise.  A warm cache
-gives the same bytes as a cold one.
+depends on the frame, the SNR and the readout width, so it is cached
+for the last two of those keys (:func:`_lag_block_root`, which reads the
+frame's spectrum and noise power from :func:`_ranging_frame`), and
+windows whose tones and SNR both repeat pay only for their noise.  A
+warm cache gives the same bytes as a cold one.
 
 Each pulse's disambiguation peak is drawn by the certificate of
 :mod:`cohsync.channel`: the input noise on the few dozen samples around
@@ -253,28 +254,17 @@ def _ranging_frame(
     return _clean_output(generate_two_tone(f1, f2, width_s, fs), n, geometry, fs)
 
 
-# The last two lag-block factors, oldest first, by (*frame, snr_db, width).
-_lag_block_roots: dict = {}
+@lru_cache(maxsize=2)
+def _lag_block_root(frame: tuple, snr_db: float, width: int) -> np.ndarray:
+    """:func:`~cohsync.channel.lag_block_factor` of the ranging frame ``frame`` names.
 
-
-def _lag_block_root(
-    frame: tuple, snr_db: float, spectrum: np.ndarray, noise_power: float, width: int
-) -> np.ndarray:
-    """:func:`~cohsync.channel.lag_block_factor` of ``spectrum``, ``noise_power`` and ``width``.
-
-    ``frame`` holds the :func:`_ranging_frame` inputs that fix ``spectrum``,
-    and ``snr_db`` the noise power, which scales the covariance before it
-    is factored.  The factors of the last two such keys are kept, as
-    :func:`_ranging_frame` keeps the last two frames.
+    ``frame`` holds the :func:`_ranging_frame` inputs, which fix the
+    spectrum and the noise power at 0 dB, and ``snr_db`` scales that power
+    before the covariance is factored.  The factors of the last two keys
+    are kept, as :func:`_ranging_frame` keeps the last two frames.
     """
-    key = (*frame, snr_db, width)
-    root = _lag_block_roots.pop(key, None)
-    if root is None:
-        root = lag_block_factor(spectrum, noise_power, width)
-    _lag_block_roots[key] = root
-    if len(_lag_block_roots) > 2:
-        del _lag_block_roots[next(iter(_lag_block_roots))]
-    return root
+    spectrum, _, power_0db = _ranging_frame(*frame)
+    return lag_block_factor(spectrum, scaled_noise_power(power_0db, snr_db), width)
 
 
 def _matched_filter_rows(
@@ -289,9 +279,8 @@ def _matched_filter_rows(
     Each cycle sends one ranging and one disambiguation frame, padded to a
     common window length (hence equal post-processing ``2E/N0``), through
     the channel with independent noise, drawn as the module docstring
-    says; without noise nothing is drawn.  Raises ValueError for tones too
-    close for their :func:`readout` lags to fit a block
-    (:func:`check_separation`).
+    says; without noise nothing is drawn.  Raises ValueError, before any
+    fill starts, for a separation no window takes (:func:`check_separation`).
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -311,10 +300,9 @@ def _matched_filter_rows(
         if search.toeplitz is not None:
             near = start_task(rng_d.standard_normal, (n_pulses, 2 * search.n_inputs))
     frame = (waveform.f1, waveform.f1 + separation, waveform.ranging_pulse_width, fs, n, geometry)
-    spectrum_r, clean_r, power_r = _ranging_frame(*frame)
+    _, clean_r, _ = _ranging_frame(*frame)
     if noisy:
-        sigma2_r = scaled_noise_power(power_r, snr_db)
-        root = _lag_block_root(frame, snr_db, spectrum_r, sigma2_r, reads.width)
+        root = _lag_block_root(frame, snr_db, reads.width)
         sigma2_d = scaled_noise_power(power_d, snr_db)
         index, _ = matched_noise_peaks(search, sigma2_d, n_pulses, near(), rng_d)
     else:
@@ -371,14 +359,13 @@ def _closed_loop(
     trace: Sequence[EnvironmentRecord],
     n_intervals: int,
     law: Callable[[float, int], float],
-    seed,
     stream: int,
 ) -> list[ProcessingIntervalLog]:
     """The interval loop shared by every closed-loop run.
 
     Interval ``i`` simulates one window at the trace's SNR with the tone
-    separation in force, on noise stream ``(seed, stream, i)``, and logs
-    it; ``law(error, i)`` then returns the next separation in Hz.
+    separation in force, on noise stream ``(config.seed, stream, i)``,
+    and logs it; ``law(error, i)`` then returns the next separation in Hz.
     """
     loop = config.loop
     dt = loop.interval_duration_s
@@ -393,7 +380,7 @@ def _closed_loop(
         snr = _lookup(trace, t, times, cadence, warned).snr_db
         state = replace(config.channel, snr_db=snr)
         ranges, _ = simulate_window(
-            config.waveform, x, state, loop.pulses_per_interval, seed=(seed, stream, i)
+            config.waveform, x, state, loop.pulses_per_interval, seed=(config.seed, stream, i)
         )
         stats = window_stats(ranges, loop.group_size, loop.pulses_per_interval)
         error = stats.sigma_d - loop.target_sigma_m
@@ -424,31 +411,24 @@ def interval_count(duration_s: float, interval_s: float, name: str = "duration_s
     return int(count)
 
 
-def _replay(config, trace, duration_s, seed, law):
+def _replay(config, trace, duration_s, law):
     """Validate a trace replay's inputs and run it on noise stream 1."""
     if not trace:
         raise ValueError("trace has no records")
     n_intervals = interval_count(duration_s, config.loop.interval_duration_s)
-    master = config.seed if seed is None else seed
-    return _closed_loop(config, trace, n_intervals, law, master, 1)
+    return _closed_loop(config, trace, n_intervals, law, 1)
 
 
 def run_fixed_bandwidth(
-    config: RunConfig,
-    trace: Sequence[EnvironmentRecord],
-    duration_s: float,
-    seed=None,
+    config: RunConfig, trace: Sequence[EnvironmentRecord], duration_s: float
 ) -> list[ProcessingIntervalLog]:
     """Replay a trace with the tone separation held at its configured value."""
     x0 = config.controller.x_prev
-    return _replay(config, trace, duration_s, seed, lambda error, i: x0)
+    return _replay(config, trace, duration_s, lambda error, i: x0)
 
 
 def run_adaptive(
-    config: RunConfig,
-    trace: Sequence[EnvironmentRecord],
-    duration_s: float,
-    seed=None,
+    config: RunConfig, trace: Sequence[EnvironmentRecord], duration_s: float
 ) -> list[ProcessingIntervalLog]:
     """Replay a trace with the PI loop retuning the tone separation.
 
@@ -467,20 +447,18 @@ def run_adaptive(
             raise RuntimeError(f"controller aborted at interval {i}: {exc}") from exc
         return x
 
-    return _replay(config, trace, duration_s, seed, pi_law)
+    return _replay(config, trace, duration_s, pi_law)
 
 
-def ranging_sigma_plant(
-    config: RunConfig, n_intervals: int = 30, seed: int = 0
-) -> Callable[[float], np.ndarray]:
+def ranging_sigma_plant(config: RunConfig, n_intervals: int = 30) -> Callable[[float], np.ndarray]:
     """Closed-loop plant handle for ultimate-gain searches.
 
     ``plant(k)`` runs the ranging loop under pure proportional control
     ``x = x0 + k * error`` (gain ``k`` in controller units, i.e. the
     same units as ``PiControllerState.k_p``) at the configured channel
     SNR and returns the measured sigma series in controller error units.
-    The per-interval noise streams are frozen per ``seed`` and shared
-    across gain evaluations, so the handle is deterministic.
+    The per-interval noise streams are frozen per ``config.seed`` and
+    shared across gain evaluations, so the handle is deterministic.
     """
     ctl = config.controller
     trace = [EnvironmentRecord(timestamp_s=0.0, snr_db=config.channel.snr_db)]
@@ -490,7 +468,7 @@ def ranging_sigma_plant(
             x_next = ctl.x_prev + k * (error * ERROR_SCALE) * OUTPUT_SCALE
             return min(max(x_next, ctl.x_min), ctl.x_max)
 
-        logs = _closed_loop(config, trace, n_intervals, p_law, seed, 3)
+        logs = _closed_loop(config, trace, n_intervals, p_law, 3)
         return np.array([log.sigma_d_m * ERROR_SCALE for log in logs])
 
     return plant

@@ -118,7 +118,7 @@ openblas = "none"
 for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
     get_config = getattr(library, name, None)
     if get_config is not None:
-        get_config.restype = ctypes.c_char_p
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
         openblas = get_config().decode()
         break
 for field, value in (("numpy", numpy.__version__), ("python", platform.python_version()),

@@ -92,12 +92,12 @@ def clear_frame_caches() -> None:
     for cached in (
         scenario._disambiguation_frame,
         scenario._ranging_frame,
+        scenario._lag_block_root,
         ranging.readout,
         channel.delay_ramp,
         waveform._tone,
     ):
         cached.cache_clear()
-    scenario._lag_block_roots.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -144,13 +144,14 @@ def post_snr_for(window_len: int, snr_db: float) -> float:
     return 2.0 * window_len * 10.0 ** (snr_db / 10.0)
 
 
-def tuned_config(snr_db=23.0, x0_hz=3.5e6, pulses=200):
+def tuned_config(snr_db=23.0, x0_hz=3.5e6, pulses=200, seed=1):
     base = default_config()
     return replace(
         base,
         channel=replace(base.channel, snr_db=snr_db),
         controller=replace(base.controller, k_p=TUNED_KP, t_i=TUNED_TI, x_prev=x0_hz),
         loop=replace(base.loop, pulses_per_interval=pulses),
+        seed=seed,
     )
 
 

@@ -155,9 +155,9 @@ def test_criterion_3_disambiguation_correctness(full_waveform):
 
 @pytest.fixture(scope="module")
 def adaptive_step_logs():
-    config = tuned_config()
+    config = tuned_config(seed=7)
     trace = step_trace((12, 23.0), (31, 13.0), cadence_s=INTERVAL_S)
-    return config, run_adaptive(config, trace, duration_s=42 * INTERVAL_S, seed=7)
+    return config, run_adaptive(config, trace, duration_s=42 * INTERVAL_S)
 
 
 def test_criterion_4_closed_loop_adaptation(adaptive_step_logs):
@@ -192,10 +192,8 @@ def test_criterion_4_closed_loop_adaptation(adaptive_step_logs):
         )
 
         # clamp stress: target unreachable even at the 7.5 MHz bound
-        stress = tuned_config(snr_db=6.0)
-        stress_logs = run_adaptive(
-            stress, constant_trace(6.0, 8), duration_s=8 * INTERVAL_S, seed=9
-        )
+        stress = tuned_config(snr_db=6.0, seed=9)
+        stress_logs = run_adaptive(stress, constant_trace(6.0, 8), duration_s=8 * INTERVAL_S)
         assert len(stress_logs) == 8
         assert reaches_clamp(stress_logs)
         assert stress_logs[-1].sigma_d_m > target

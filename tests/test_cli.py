@@ -320,38 +320,28 @@ class TestMonteCarloCommand:
         assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
         assert not out.exists()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("COHSYNC_SEED", "77")
-        out = tmp_path / "mc.csv"
-        main(["montecarlo", "--trials", "1000", "--sigma-grid", "0.01:0.1:4", "--out", str(out)])
-        report = json.loads((tmp_path / "mc.report.json").read_text())
-        assert report["seed"] == 77
-
-    def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("COHSYNC_SEED", "abc")
-        out = tmp_path / "mc.csv"
-        rc = main(["montecarlo", "--trials", "1000", "--sigma-grid", "0.01:0.1:4", "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: COHSYNC_SEED must be an integer, got 'abc'\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize(
-        "flag, env, source",
+        "flag, config_seed, source",
         [
             (["--seed", "-3"], None, "--seed"),
-            ([], "-2", "COHSYNC_SEED"),
-            (["--seed", "-3"], "5", "--seed"),  # the flag wins over the variable
+            ([], -2, "config key 'seed': seed"),
+            (["--seed", "-3"], 5, "--seed"),  # the flag, not the config's seed it replaces
         ],
     )
-    def test_negative_seed_names_its_source(self, tmp_path, monkeypatch, capsys, flag, env, source):
-        # numpy's seed sequences take no negative entropy; the error names
-        # the input before any work starts
-        if env is not None:
-            monkeypatch.setenv("COHSYNC_SEED", env)
-        out = tmp_path / "mc.csv"
-        rc = main(["montecarlo", "--trials", "1000", "--sigma-grid", "0.01:0.1:4", *flag, "--out", str(out)])
+    def test_negative_seed_names_its_source(self, tmp_path, capsys, flag, config_seed, source):
+        # numpy's seed sequences take no negative entropy; the error names the
+        # input before any work starts.  montecarlo reads only the flag, tune
+        # the flag or its config's seed
+        out = tmp_path / "out.json"
+        if config_seed is None:
+            argv = ["montecarlo", "--trials", "1000", "--sigma-grid", "0.01:0.1:4"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"seed": config_seed}))
+            argv = ["tune", "--config", str(config), "--k-grid", "0.1:0.1:1"]
+        rc = main([*argv, *flag, "--out", str(out)])
         assert rc == 1
-        value = flag[1] if flag else env
+        value = flag[1] if flag else config_seed
         assert capsys.readouterr().err == f"error: {source} must be a non-negative integer, got {value}\n"
         assert not out.exists()
 
@@ -522,6 +512,17 @@ class TestRunCommand:
         assert summary["sigma_d_m"]["mean"] == 0.0
         assert summary["max_coherent_frequency_hz"] == {"0.9": None, "0.8": None, "0.7": None}
 
+    def test_rerun_from_resolved_config_repeats_the_run(self, tmp_path):
+        # the resolved config records the seed the run used, so it alone reproduces the run
+        trace = make_trace(tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        run = ["run", "--trace", str(trace), "--adaptive", "--duration-s", "10.5"]
+        assert main([*run, "--config", str(small_config(tmp_path)), "--seed", "7", "--out", str(first)]) == 0
+        assert json.loads((first / "resolved_config.json").read_text())["seed"] == 7
+        assert main([*run, "--config", str(first / "resolved_config.json"), "--out", str(second)]) == 0
+        for name in ("run_log.csv", "summary.json", "resolved_config.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_empty_trace_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "empty.csv"
         bad.write_text("timestamp_s,snr_db\n")
@@ -587,6 +588,12 @@ class TestTuneCommand:
         assert report["found"] is True
         assert report["k_p"] == pytest.approx(0.45 * report["k_u"], rel=1e-12)
         assert report["t_i_s"] == pytest.approx(0.833 * report["t_u_s"], rel=1e-12)
+
+    def test_report_names_the_seed_flag(self, tmp_path):
+        out = tmp_path / "tune.json"
+        argv = ["tune", "--config", str(small_config(tmp_path)), "--k-grid", "0.1:0.1:1", "--intervals", "13"]
+        assert main([*argv, "--seed", "7", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 7
 
 
 class TestWarmCache:
@@ -667,7 +674,7 @@ class TestLoadTimeRejection:
             ('{"waveform": {"disambiguation_hz": 0}}', "f_d=0.0"),
             ('{"waveform": {"sample_rate_hz": 1' + "0" * 400 + "}}", "'waveform.sample_rate_hz' must be finite"),
             ('{"waveform": {"sample_rate_hz": 25e9}}', "exceeds the limit"),
-            ('{"controller": {"x_max_hz": 2e7}}', "f2=20020000.0 aliases"),
+            ('{"controller": {"x_max_hz": 2e7}}', "f2=20020000.0 Hz, where it aliases"),
             ('{"controller": {"x_min_hz": -1e3}}', "controller.x_min_hz=-1000.0"),
             ('{"controller": {"x_min_hz": 2.8e5}}', "controller.x_min_hz=280000.0 Hz must exceed 284090.9"),
             ('{"waveform": {"f1_hz": -5}}',

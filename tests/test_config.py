@@ -155,8 +155,8 @@ class TestDerivedDefaults:
             # the separation in force leaves the clamp
             (-1e6, "config key 'controller.x_initial_hz': x_prev=-1000000.0 outside clamp"),
             # the loop may reach the upper clamp, whose tone aliases
-            (13e6, "config key 'controller.x_max_hz': controller.x_max_hz=13000000.0: "
-                   "f2=13020000.0 aliases at sample_rate=25000000.0"),
+            (13e6, "config key 'controller.x_max_hz': controller.x_max_hz=13000000.0 Hz puts the "
+                   "upper tone at f2=13020000.0 Hz, where it aliases at sample_rate=25000000.0 Hz"),
         ],
     )
     def test_invalid_separation_names_its_key(self, x_initial_hz, message):

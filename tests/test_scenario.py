@@ -99,9 +99,9 @@ class TestTraceCsv:
 
 class TestRunLoop:
     def test_fixed_run_tracks_crlb_prediction(self):
-        config = tuned_config(snr_db=20.0)
+        config = tuned_config(snr_db=20.0, seed=5)
         trace = constant_trace(20.0, 6)
-        logs = run_fixed_bandwidth(config, trace, duration_s=6 * INTERVAL_S, seed=5)
+        logs = run_fixed_bandwidth(config, trace, duration_s=6 * INTERVAL_S)
         assert len(logs) == 6
         assert all(l.f2_hz == 3.52e6 for l in logs)
         predicted = predicted_sigma_d(config, 20.0)
@@ -109,9 +109,9 @@ class TestRunLoop:
         assert predicted / 2 < mean_sigma < predicted * 2
 
     def test_fixed_run_snr_step_scales_sigma_by_sqrt10(self):
-        config = tuned_config()
+        config = tuned_config(seed=6)
         trace = step_trace((3, 23.0), (3, 13.0), cadence_s=INTERVAL_S)
-        logs = run_fixed_bandwidth(config, trace, duration_s=6 * INTERVAL_S, seed=6)
+        logs = run_fixed_bandwidth(config, trace, duration_s=6 * INTERVAL_S)
         before = np.mean([l.sigma_d_m for l in logs[:3]])
         after = np.mean([l.sigma_d_m for l in logs[3:]])
         assert after / before == pytest.approx(math.sqrt(10.0), rel=0.25)
@@ -119,13 +119,13 @@ class TestRunLoop:
     def test_zero_noise_floor(self):
         config = tuned_config(snr_db=math.inf)
         trace = constant_trace(math.inf, 2)
-        logs = run_fixed_bandwidth(config, trace, duration_s=2 * INTERVAL_S, seed=1)
+        logs = run_fixed_bandwidth(config, trace, duration_s=2 * INTERVAL_S)
         assert all(l.sigma_d_m < 1e-4 for l in logs)
 
     def test_interval_timing_bookkeeping(self):
-        config = tuned_config()
+        config = tuned_config(seed=2)
         trace = constant_trace(23.0, 3)
-        logs = run_fixed_bandwidth(config, trace, duration_s=3 * INTERVAL_S, seed=2)
+        logs = run_fixed_bandwidth(config, trace, duration_s=3 * INTERVAL_S)
         stamps = [l.timestamp_s for l in logs]
         assert stamps == [0.0, 21.0, 42.0]
 
@@ -137,21 +137,20 @@ class TestRunLoop:
         # the floor sits 4.7 and the mean bound 4.3 standard deviations
         # away, a false-alarm rate of 2e-5 by a normal fit.  More intervals
         # would only lower the minimum.
-        config = tuned_config(snr_db=20.0, pulses=1000)
+        config = tuned_config(snr_db=20.0, pulses=1000, seed=8)
         dt = config.loop.interval_duration_s
         trace = constant_trace(20.0, 6, cadence_s=dt)
-        logs = run_fixed_bandwidth(config, trace, duration_s=6 * dt, seed=8)
+        logs = run_fixed_bandwidth(config, trace, duration_s=6 * dt)
         bound = predicted_sigma_d(config, 20.0)
         sigmas = np.array([l.sigma_d_m for l in logs])
         assert sigmas.mean() >= 0.9 * bound
         assert sigmas.min() >= 0.75 * bound
 
     def test_bit_identical_reproducibility(self, tmp_path):
-        config = tuned_config(pulses=100)  # 10.5 s intervals
+        config = tuned_config(pulses=100, seed=11)  # 10.5 s intervals
         trace = constant_trace(23.0, 3, cadence_s=10.5)
-        kwargs = dict(duration_s=3 * 10.5, seed=11)
-        a = run_adaptive(config, trace, **kwargs)
-        b = run_adaptive(config, trace, **kwargs)
+        a = run_adaptive(config, trace, duration_s=3 * 10.5)
+        b = run_adaptive(config, trace, duration_s=3 * 10.5)
         assert a == b
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_run_log_csv(pa, a)
@@ -159,14 +158,14 @@ class TestRunLoop:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_trace_gap_held_with_warning(self, caplog):
-        config = tuned_config(pulses=50)  # 5.25 s intervals
+        config = tuned_config(pulses=50, seed=3)  # 5.25 s intervals
         records = [
             EnvironmentRecord(timestamp_s=10.5 * i, snr_db=23.0) for i in range(6)
         ] + [EnvironmentRecord(timestamp_s=600.0, snr_db=23.0)]
         import logging
 
         with caplog.at_level(logging.WARNING, logger="cohsync.scenario"):
-            logs = run_fixed_bandwidth(config, records, duration_s=16 * 5.25, seed=3)
+            logs = run_fixed_bandwidth(config, records, duration_s=16 * 5.25)
         assert len(logs) == 16
         assert any("gap" in rec.message for rec in caplog.records)
 
@@ -184,9 +183,9 @@ class TestRunLoop:
 
 class TestAdaptiveRuns:
     def test_settles_near_minimal_separation(self):
-        config = tuned_config()  # 23 dB: 3.5 MHz more than suffices
+        config = tuned_config(seed=7)  # 23 dB: 3.5 MHz more than suffices
         trace = constant_trace(23.0, 14)
-        logs = run_adaptive(config, trace, duration_s=14 * INTERVAL_S, seed=7)
+        logs = run_adaptive(config, trace, duration_s=14 * INTERVAL_S)
         sigma_tail = np.mean([l.sigma_d_m for l in logs[-5:]])
         assert abs(sigma_tail - config.loop.target_sigma_m) <= 2e-3
         n_win = effective_window_length(config.waveform, config.channel)
@@ -199,9 +198,9 @@ class TestAdaptiveRuns:
 
     def test_clamp_stress_saturates_and_completes(self):
         # 6 dB: even the full 7.5 MHz separation cannot reach 10 mm
-        config = tuned_config(snr_db=6.0)
+        config = tuned_config(snr_db=6.0, seed=9)
         trace = constant_trace(6.0, 10)
-        logs = run_adaptive(config, trace, duration_s=10 * INTERVAL_S, seed=9)
+        logs = run_adaptive(config, trace, duration_s=10 * INTERVAL_S)
         assert len(logs) == 10
         assert reaches_clamp(logs)
         assert logs[-1].sigma_d_m > config.loop.target_sigma_m
@@ -211,17 +210,17 @@ class TestAdaptiveRuns:
     def test_clamp_check_fails_for_held_bandwidth(self):
         # the clamp-stress run with the separation held at 3.5 MHz never
         # reaches the clamp, so the check above is not vacuous
-        config = tuned_config(snr_db=6.0)
+        config = tuned_config(snr_db=6.0, seed=9)
         trace = constant_trace(6.0, 8)
-        logs = run_fixed_bandwidth(config, trace, duration_s=8 * INTERVAL_S, seed=9)
+        logs = run_fixed_bandwidth(config, trace, duration_s=8 * INTERVAL_S)
         assert logs[-1].sigma_d_m > config.loop.target_sigma_m
         assert not reaches_clamp(logs)
 
     def test_target_override_feeds_controller_error(self):
-        config = tuned_config(pulses=50)
+        config = tuned_config(pulses=50, seed=12)
         config = replace(config, loop=replace(config.loop, target_sigma_m=0.02))
         trace = constant_trace(23.0, 2, cadence_s=5.25)
-        logs = run_adaptive(config, trace, duration_s=2 * 5.25, seed=12)
+        logs = run_adaptive(config, trace, duration_s=2 * 5.25)
         assert logs[0].controller_error_m == pytest.approx(
             logs[0].sigma_d_m - 0.02, rel=1e-12
         )
@@ -231,8 +230,8 @@ class TestTuningPipeline:
     def test_tuning_pipeline_smoke(self):
         # live ultimate-gain search on a reduced loop, then the ZN gains
         # must actually regulate sigma toward the target
-        config = tuned_config(x0_hz=1.8e6, pulses=100)
-        plant = ranging_sigma_plant(config, n_intervals=24, seed=101)
+        config = tuned_config(x0_hz=1.8e6, pulses=100, seed=101)
+        plant = ranging_sigma_plant(config, n_intervals=24)
         result = find_ultimate_gain(
             plant, [0.1, 0.2, 0.3, 0.45], dt=config.loop.interval_duration_s
         )
@@ -242,18 +241,19 @@ class TestTuningPipeline:
         loop_cfg = replace(
             config,
             controller=replace(config.controller, k_p=k_p, t_i=t_i, x_prev=3.5e6),
+            seed=13,
         )
         trace = constant_trace(23.0, 10)
-        logs = run_adaptive(loop_cfg, trace, duration_s=10 * INTERVAL_S, seed=13)
+        logs = run_adaptive(loop_cfg, trace, duration_s=10 * INTERVAL_S)
         tail = np.mean([l.sigma_d_m for l in logs[-3:]])
         assert abs(tail - 0.010) <= 3e-3
 
 
 class TestSummaries:
     def test_run_log_round_trip_and_summary(self, tmp_path):
-        config = tuned_config(pulses=50)  # 5.25 s intervals
+        config = tuned_config(pulses=50, seed=14)  # 5.25 s intervals
         trace = constant_trace(23.0, 3)
-        logs = run_fixed_bandwidth(config, trace, duration_s=3 * 5.25, seed=14)
+        logs = run_fixed_bandwidth(config, trace, duration_s=3 * 5.25)
         path = tmp_path / "log.csv"
         write_run_log_csv(path, logs)
         back = read_run_log_csv(path)
@@ -284,8 +284,8 @@ class TestNoiseStreams:
         return stats.sigma_d, stats.mean_range
 
     def test_plant_uses_stream_3_and_p_law(self):
-        config = tuned_config(x0_hz=1.8e6, pulses=50)
-        ctl, seed, k = config.controller, 101, 0.3
+        config = tuned_config(x0_hz=1.8e6, pulses=50, seed=101)
+        ctl, seed, k = config.controller, config.seed, 0.3
         x0 = ctl.x_prev
         x, expected = x0, []
         for i in range(2):
@@ -293,17 +293,17 @@ class TestNoiseStreams:
             expected.append(sigma * ERROR_SCALE)
             error_units = (sigma - config.loop.target_sigma_m) * ERROR_SCALE
             x = min(max(x0 + k * error_units * OUTPUT_SCALE, ctl.x_min), ctl.x_max)
-        plant = ranging_sigma_plant(config, n_intervals=2, seed=seed)
+        plant = ranging_sigma_plant(config, n_intervals=2)
         assert list(plant(k)) == expected
 
     def test_adaptive_run_uses_stream_1_and_pi_law(self):
-        config = tuned_config(pulses=50)
+        config = tuned_config(pulses=50, seed=5)
         dt = config.loop.interval_duration_s
         trace = [
             EnvironmentRecord(timestamp_s=0.0, snr_db=23.0),
             EnvironmentRecord(timestamp_s=dt, snr_db=17.0),
         ]
-        seed = 5
+        seed = config.seed
         controller, x, expected = config.controller, config.controller.x_prev, []
         for i, rec in enumerate(trace):
             sigma, mean_range = self.window_sigma(config, x, (seed, 1, i), rec.snr_db)
@@ -320,7 +320,7 @@ class TestNoiseStreams:
                 )
             )
             controller, x = pi_step(controller, error, dt)
-        assert run_adaptive(config, trace, duration_s=2 * dt, seed=seed) == expected
+        assert run_adaptive(config, trace, duration_s=2 * dt) == expected
 
 
 def oracle_refined(waveform, separation, state, n_pulses, seed):
@@ -431,6 +431,26 @@ class TestDirectNoiseDraws:
         ranges, gross = simulate_window(full_waveform, separation_hz, state, 4, seed=0)
         assert gross == 0
         assert np.max(np.abs(ranges - expected)) <= 1e-9
+
+
+class TestRejectedWindow:
+    """A separation no window takes is rejected before the window starts any work."""
+
+    @pytest.mark.parametrize("separation_hz", [12.48e6, 13e6])  # f2 at fs/2 and past it
+    def test_aliasing_upper_tone_starts_no_fill(self, monkeypatch, separation_hz):
+        config, started = default_config(), []
+        real = scenario.start_task
+
+        def spy(fn, *args):
+            started.append(fn)
+            return real(fn, *args)
+
+        monkeypatch.setattr(channel, "_WORKERS", 2)
+        monkeypatch.setattr(channel, "_pool", None)
+        monkeypatch.setattr(scenario, "start_task", spy)
+        with pytest.raises(ValueError, match="aliases"):
+            simulate_window(config.waveform, separation_hz, config.channel, 10, seed=0)
+        assert started == [] and channel._pool is None
 
 
 class TestRowChunks:
@@ -840,15 +860,18 @@ class TestFrameCache:
             assert warm[1] == cold[step][1], (step, index)
         # each cache holds two frames: geometry 0 comes back every other
         # window, and shares its disambiguation frame with 6 and 7 and its
-        # ranging frame with 2 (the disambiguation tone) and 6
+        # ranging frame with 2 (the disambiguation tone) and 6; each of the
+        # 12 lag-block factors built reads its ranging frame once more
         assert scenario._disambiguation_frame.cache_info()[:2] == (8, 11)
-        assert scenario._ranging_frame.cache_info()[:2] == (8, 11)
+        assert scenario._ranging_frame.cache_info()[:2] == (20, 11)
+        assert scenario._lag_block_root.cache_info()[:2] == (7, 12)
 
     def test_lag_block_factor_cache_counts(self, monkeypatch):
         # test_warm_windows_equal_cold_windows' order on warm caches.  A factor
         # is keyed on its ranging frame, SNR and readout width: geometry 0
         # shares it with 2 (the disambiguation tone) but not with 6 (the SNR),
-        # so of 19 windows 12 build one, one more than build a ranging frame
+        # so of 19 windows 12 build one, one more than build a ranging frame.
+        # Each build reads its frame's spectrum and 0 dB power from the frame cache
         def spy(name):
             calls, real = [], getattr(scenario, name)
 
@@ -865,17 +888,26 @@ class TestFrameCache:
         for step, index in enumerate(order):
             simulate_window(*geometries[index], 40, seed=(5, step))
         assert (len(lookups), len(builds)) == (19, 12)
-        assert scenario._ranging_frame.cache_info()[:2] == (8, 11)
+        assert scenario._ranging_frame.cache_info()[:2] == (20, 11)
         # geometry 6 differs from 0 in the SNR only, by 10 dB
-        frame_0, snr_0, spectrum_0, power_0, width_0 = lookups[order.index(0)]
-        frame_6, snr_6, spectrum_6, power_6, width_6 = lookups[order.index(6)]
-        assert frame_6 == frame_0 and spectrum_6 is spectrum_0 and width_6 == width_0
+        frame_0, snr_0, width_0 = lookups[order.index(0)]
+        frame_6, snr_6, width_6 = lookups[order.index(6)]
+        assert frame_6 == frame_0 and width_6 == width_0
         assert (snr_0, snr_6) == (13.0, 23.0)
+        # geometry 0 builds the first factor and 6 the sixth
+        spectrum_0, power_0, _ = builds[0]
+        spectrum_6, power_6, _ = builds[5]
+        assert spectrum_6 is spectrum_0  # the cached frame's spectrum
         assert power_0 == pytest.approx(10.0 * power_6, rel=1e-12)
 
     def test_cached_factor_is_read_only(self):
-        simulate_window(*self.geometries()[0], 10, seed=0)
-        (root,) = scenario._lag_block_roots.values()
+        waveform, separation, state = self.geometries()[0]
+        simulate_window(waveform, separation, state, 10, seed=0)
+        n, fs = effective_window_length(waveform, state), waveform.sample_rate
+        frame = (waveform.f1, waveform.f1 + separation, waveform.ranging_pulse_width, fs, n,
+                 replace(state, snr_db=0.0))
+        root = scenario._lag_block_root(frame, state.snr_db, ranging.readout(n, fs, separation).width)
+        assert scenario._lag_block_root.cache_info()[:2] == (1, 1)  # the window's factor
         with pytest.raises(ValueError, match="read-only"):
             root[0, 0] = 0
 
@@ -894,11 +926,11 @@ class TestFrameCache:
         once = Counter(generate_disambiguation=1, generate_two_tone=1)
         config = tuned_config(pulses=50)
         trace = step_trace((2, 23.0), (2, 13.0), cadence_s=5.25)
-        first = run_fixed_bandwidth(config, trace, duration_s=4 * 5.25, seed=1)
+        first = run_fixed_bandwidth(config, trace, duration_s=4 * 5.25)
         assert [log.snr_db for log in first] == [23.0, 23.0, 13.0, 13.0]
         assert builds == once  # the SNR is in no key
         # a later run builds nothing, and logs the same
-        assert run_fixed_bandwidth(config, trace, duration_s=4 * 5.25, seed=1) == first
+        assert run_fixed_bandwidth(config, trace, duration_s=4 * 5.25) == first
         assert builds == once
         # other tones build a ranging frame only
         simulate_window(config.waveform, 1.8e6, config.channel, 10, seed=0)
@@ -977,7 +1009,7 @@ class TestBenchmarkPatchPoints:
         for name in self.NAMES:
             monkeypatch.setattr(scenario, name, spy(name, getattr(scenario, name)))
         trace = constant_trace(23.0, 2, cadence_s=5.25)
-        run_adaptive(tuned_config(pulses=50), trace, duration_s=2 * 5.25, seed=1)
+        run_adaptive(tuned_config(pulses=50), trace, duration_s=2 * 5.25)
         assert called == set(self.NAMES)
 
     def test_names_run_on_the_calling_thread_and_windows_join_their_tasks(self, monkeypatch):
@@ -1009,7 +1041,7 @@ class TestBenchmarkPatchPoints:
             monkeypatch.setattr(scenario, name, spy(name, getattr(scenario, name)))
         trace = step_trace((2, 23.0), (2, 13.0), cadence_s=5.25)
         try:
-            run_adaptive(tuned_config(pulses=50), trace, duration_s=4 * 5.25, seed=1)
+            run_adaptive(tuned_config(pulses=50), trace, duration_s=4 * 5.25)
         finally:
             pool.shutdown()
         assert {name for name, _ in calls} == set(self.NAMES)
@@ -1034,8 +1066,8 @@ class TestBenchmarkPatchPoints:
         # the run and the tune plant both reach the window through this name
         windows = self.recorded(monkeypatch, scenario, "simulate_window")
         config = tuned_config(pulses=50)
-        run_adaptive(config, constant_trace(23.0, 2, cadence_s=5.25), duration_s=2 * 5.25, seed=1)
-        ranging_sigma_plant(config, n_intervals=2, seed=1)(0.1)
+        run_adaptive(config, constant_trace(23.0, 2, cadence_s=5.25), duration_s=2 * 5.25)
+        ranging_sigma_plant(config, n_intervals=2)(0.1)
         assert len(windows) == 4
         for _, _, result in windows:
             ranges, gross = result
@@ -1050,9 +1082,9 @@ class TestBenchmarkPatchPoints:
         loops = self.recorded(monkeypatch, scenario, "_closed_loop")
         config = tuned_config(pulses=50)
         ctl, f1 = config.controller, config.waveform.f1
-        run_adaptive(config, constant_trace(13.0, 3, cadence_s=5.25), duration_s=3 * 5.25, seed=1)
+        run_adaptive(config, constant_trace(13.0, 3, cadence_s=5.25), duration_s=3 * 5.25)
         k = 0.3
-        ranging_sigma_plant(config, n_intervals=3, seed=1)(k)
+        ranging_sigma_plant(config, n_intervals=3)(k)
         (_, _, run_logs), (_, _, plant_logs) = loops
         in_force = [ctl.x_prev] + [x for _, _, (_, x) in steps[:-1]]
         in_force += [ctl.x_prev] + [
@@ -1082,7 +1114,7 @@ class TestBenchmarkPatchPoints:
         # saturation counts a step whose output x is state.x_min or state.x_max
         steps = self.recorded(monkeypatch, scenario, "pi_step")
         run_adaptive(tuned_config(pulses=50), constant_trace(23.0, 3, cadence_s=5.25),
-                     duration_s=3 * 5.25, seed=1)
+                     duration_s=3 * 5.25)
         assert len(steps) == 3
         for _, _, (state, x) in steps:
             assert state.x_prev == x and state.x_min <= x <= state.x_max
